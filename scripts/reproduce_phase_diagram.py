@@ -17,12 +17,11 @@ def main() -> None:
     parser.add_argument("--d", type=int, default=3, help="local dimension")
     parser.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
     parser.add_argument("--epsilon", type=float, default=1e-3, help="boundary band width")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
     start = time.perf_counter()
-    result = run_sweep(d=args.d, resolution=args.grid, epsilon=args.epsilon, threads=args.threads)
+    result = run_sweep(d=args.d, resolution=args.grid, epsilon=args.epsilon)
     elapsed = time.perf_counter() - start
     write_csv(result, args.out)
     for line in summary_lines(result):

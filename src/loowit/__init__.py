@@ -3,85 +3,15 @@
 Witness constructions, positive-map (reduction-type) separability criteria,
 the realignment criterion in correlation form, the Hermitian correlation
 matrix test, built-in bound entangled states, and a phase-diagram sweep.
+The names below are the ones the README examples use; everything else lives
+in the submodules (``linalg``, ``loo``, ``states``, ``witness``,
+``criteria``, ``sweep``, ``cli``).
 """
 
-from .linalg import (
-    DimPair,
-    Spectrum,
-    herm_eig,
-    is_psd,
-    kron,
-    partial_trace,
-    partial_transpose,
-    realign,
-    trace_norm,
-)
-from .loo import (
-    LooBasis,
-    OrthTransform,
-    Permutation,
-    apply_orthogonal,
-    conjugate_basis,
-    diag_cycle,
-    fixed_points,
-    identity_transform,
-    make_transform,
-    permutation_transform,
-    random_orthogonal,
-    random_unitary,
-    standard_basis,
-    transpose_basis,
-    transpose_transform,
-    unitary_transform,
-    validate_basis,
-)
-from .states import (
-    BipartiteState,
-    FamilyParams,
-    family_ppt_sufficient,
-    family_rho,
-    family_separable_sufficient,
-    family_special,
-    horodecki_rho,
-    load_state,
-    make_state,
-    max_entangled,
-    phi,
-    random_product_state,
-    random_separable_state,
-    save_state,
-    werner2,
-)
-from .witness import (
-    HorodeckiWitnessData,
-    Witness,
-    ew_from_transform,
-    expectation,
-    horodecki_ew,
-    perm_ew,
-    save_witness,
-)
-from .criteria import (
-    CriterionReport,
-    FullReport,
-    HermCorrX,
-    ReportConfig,
-    XSearchResult,
-    best_orthogonal,
-    classify_family_point,
-    correlation_T,
-    full_report,
-    local_map,
-    o_reduction_apply,
-    pair_correlation,
-    perm_reduction_family,
-    phi_pairing,
-    ppt_check,
-    realignment_value,
-    x_matrix,
-    x_reduction_form,
-    x_search,
-)
-from .sweep import SweepResult, SweepRow, run_sweep, write_csv
+from .criteria import ReportConfig, full_report
+from .linalg import DimPair, is_psd
+from .states import family_rho, family_special, horodecki_rho, load_state, make_state, save_state
+from .sweep import run_sweep, write_csv
+from .witness import horodecki_ew
 
 __version__ = "0.1.0"

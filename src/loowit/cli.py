@@ -50,34 +50,34 @@ def parse_spec(spec: str) -> tuple[str, list, dict]:
     return name.strip(), args, kwargs
 
 
-def builtin_state(spec: str) -> BipartiteState:
+def _key(kw: dict, key: str, spec: str):
+    """The value of a required spec key; a missing key is named in the error."""
+    if key not in kw:
+        raise ValueError(f"spec {spec!r} is missing the key {key!r}")
+    return kw[key]
+
+
+def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
+    """Parse a builtin state spec once: its name, its keys and the state."""
     name, _, kw = parse_spec(spec)
     if name == "horodecki":
-        return states.horodecki_rho(float(kw["a"]))
-    if name == "family":
-        params = states.family_special(int(kw.get("d", 3)), float(kw["a1"]), float(kw["a2"]))
-        return states.family_rho(params)
-    if name == "werner":
-        return states.werner2(float(kw["p"]))
-    if name == "phi":
-        return states.max_entangled(int(kw.get("d", 3)))
-    if name == "product":
+        state = states.horodecki_rho(float(_key(kw, "a", spec)))
+    elif name == "family":
+        a1, a2 = float(_key(kw, "a1", spec)), float(_key(kw, "a2", spec))
+        state = states.family_rho(states.family_special(int(kw.get("d", 3)), a1, a2))
+    elif name == "werner":
+        state = states.werner2(float(_key(kw, "p", spec)))
+    elif name == "phi":
+        state = states.max_entangled(int(kw.get("d", 3)))
+    elif name == "product":
         dims = DimPair.square(int(kw.get("d", 3)))
-        return states.random_product_state(dims, seed=int(kw.get("seed", 0)))
-    if name == "separable":
+        state = states.random_product_state(dims, seed=int(kw.get("seed", 0)))
+    elif name == "separable":
         dims = DimPair.square(int(kw.get("d", 3)))
-        return states.random_separable_state(dims, k=int(kw.get("k", 4)), seed=int(kw.get("seed", 0)))
-    raise ValueError(f"unknown builtin state {name!r}")
-
-
-def _state_from_args(args: argparse.Namespace) -> BipartiteState:
-    if args.builtin and args.file:
-        raise ValueError("--builtin and --file are mutually exclusive")
-    if args.builtin:
-        return builtin_state(args.builtin)
-    if args.file:
-        return states.load_state(args.file)
-    raise ValueError("one of --builtin or --file is required")
+        state = states.random_separable_state(dims, k=int(kw.get("k", 4)), seed=int(kw.get("seed", 0)))
+    else:
+        raise ValueError(f"unknown builtin state {name!r}")
+    return name, kw, state
 
 
 def _load_transform(path: str) -> loo.OrthTransform:
@@ -108,13 +108,17 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    state = _state_from_args(args)
+    if args.builtin and args.file:
+        raise ValueError("--builtin and --file are mutually exclusive")
     witnesses: tuple = ()
     if args.builtin:
-        name, _, kw = parse_spec(args.builtin)
+        name, kw, state = builtin_state(args.builtin)
         if name == "horodecki":
-            w, _ = witness_mod.horodecki_ew(float(kw["a"]))
-            witnesses = (w,)
+            witnesses = (witness_mod.horodecki_ew(float(kw["a"]))[0],)
+    elif args.file:
+        state = states.load_state(args.file)
+    else:
+        raise ValueError("one of --builtin or --file is required")
     config = criteria.ReportConfig(
         tol=args.tol,
         tol_search=args.tol_search,
@@ -129,9 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    result = sweep.run_sweep(
-        d=args.d, resolution=args.grid, epsilon=args.epsilon, tol=args.tol, threads=args.threads
-    )
+    result = sweep.run_sweep(d=args.d, resolution=args.grid, epsilon=args.epsilon, tol=args.tol)
     sweep.write_csv(result, args.out)
     for line in sweep.summary_lines(result):
         print(line)
@@ -142,14 +144,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     name, pos, kw = parse_spec(args.spec)
     if name == "horodecki":
-        w, _ = witness_mod.horodecki_ew(float(kw["a"]))
+        w, _ = witness_mod.horodecki_ew(float(_key(kw, "a", args.spec)))
         return w
     if name == "perm":
         kind = pos[0] if pos else kw.get("kind", "cycle")
         if kind != "cycle":
             raise ValueError(f"unknown permutation witness kind {kind!r}")
-        d = int(kw["d"])
-        sigma = loo.diag_cycle(d, int(kw["l"]))
+        d = int(_key(kw, "d", args.spec))
+        sigma = loo.diag_cycle(d, int(_key(kw, "l", args.spec)))
         return witness_mod.perm_ew(sigma, d)
     if name == "generic":
         if not args.transform:
@@ -174,7 +176,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         payload["phi_expectation"] = w.phi_value
     if args.state:
         if args.state.startswith("builtin:"):
-            state = builtin_state(args.state[len("builtin:"):])
+            _, _, state = builtin_state(args.state[len("builtin:"):])
         else:
             state = states.load_state(args.state)
         payload["state"] = state.label
@@ -239,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
     sweep_cmd.add_argument("--epsilon", type=float, default=1e-3, help="boundary band width")
     sweep_cmd.add_argument("--tol", type=float, default=criteria.ALGEBRAIC_TOL)
-    sweep_cmd.add_argument("--threads", type=int, default=None, help=f"overrides {sweep.THREADS_ENV}")
     sweep_cmd.add_argument("--out", required=True, help="output CSV path")
     sweep_cmd.set_defaults(func=cmd_sweep)
 
@@ -262,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,7 +15,7 @@ and orthogonal O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .linalg import (
     max_abs,
     partial_trace,
     partial_transpose,
-    realign,
     trace_norm,
 )
 from .loo import (
@@ -34,7 +33,6 @@ from .loo import (
     asym_slot,
     diag_cycle,
     identity_transform,
-    make_transform,
     pair_list,
     permutation_transform,
     random_orthogonal,
@@ -44,12 +42,14 @@ from .loo import (
     sym_slot,
     transpose_transform,
 )
-from .states import BipartiteState, FamilyParams, family_rho, family_special, phi
+from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, family_special
 from .witness import Witness, expectation
 
 ALGEBRAIC_TOL = 1e-9
 SEARCH_TOL = 1e-6
-CONSISTENCY_TOL = 1e-9
+# Refinement of each x_search restart: rotation rounds and their step decay.
+REFINE_ROUNDS = 40
+STEP_DECAY = 0.7
 
 
 @dataclass(frozen=True)
@@ -112,44 +112,12 @@ def realignment_value(
 ) -> tuple[float, CriterionReport]:
     """Trace norm of the correlation matrix T; separable states satisfy value <= 1.
 
-    Cross-checked against the trace norm of the index-realigned density matrix,
-    which must agree to 1e-9; disagreement means an internal convention bug and
-    raises.
+    It equals the trace norm of the index-realigned density matrix.
     """
-    t = correlation_T(state)
-    value = trace_norm(t)
-    direct = trace_norm(realign(state.rho, state.dims))
-    if abs(value - direct) > CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"realignment routes disagree: correlation {value!r} vs realigned matrix {direct!r}"
-        )
+    value = trace_norm(correlation_T(state))
     verdict = "pass" if value <= 1.0 + tol else "violated"
     report = CriterionReport("realignment", verdict, value, {"tol": tol})
     return value, report
-
-
-def best_orthogonal(t: np.ndarray) -> OrthTransform:
-    """Orthogonal O maximizing Tr(T O); the maximum equals the trace norm of T."""
-    t = np.asarray(t, dtype=float)
-    u, _, vh = np.linalg.svd(t)
-    return make_transform((u @ vh).T)
-
-
-def local_map(rho_local: np.ndarray, transform: OrthTransform) -> np.ndarray:
-    """Single-system positive map (Tr rho) I - sum_u Tr(rho L_u) L^o_u.
-
-    With the identity mixing this is the reduction map; with the transpose
-    mixing it is (Tr rho) I - rho^T, which is completely positive.
-    """
-    rho_local = np.asarray(rho_local, dtype=complex)
-    d = rho_local.shape[0]
-    basis = standard_basis(d)
-    if transform.dim != len(basis):
-        raise ValueError(f"transform dim {transform.dim} does not match d^2 = {len(basis)}")
-    mixed = apply_orthogonal(basis, transform)
-    coeffs = np.einsum("ij,uji->u", rho_local, basis.mats)
-    mapped = np.einsum("u,uij->ij", coeffs, mixed.mats)
-    return complex(np.trace(rho_local)) * np.eye(d) - mapped
 
 
 def _transformed_a_side(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
@@ -184,62 +152,17 @@ def o_reduction_apply(
 
 
 def perm_reduction_family(
-    params: FamilyParams, l: int, tol: float = ALGEBRAIC_TOL
+    state: BipartiteState, l: int, tol: float = ALGEBRAIC_TOL
 ) -> tuple[np.ndarray, CriterionReport]:
-    """Cyclic-permutation reduction test on the diagonal family state.
+    """Cyclic-permutation reduction test: the A-side projector slots cycled by l.
 
-    The A-side projector slots are cycled by l, which shifts the family weight
-    at diagonal offset i-1 from a_i to a_{i+l} (subscripts wrapped into 1..d).
-    The operator is assembled both through the generic mixing machinery and
-    through that closed form; they must agree to 1e-9. The binding constraint
-    is 1 - a_{l+1} >= (d-1) a_1, so l = 1 probes the a_2 weight.
-    """
-    d = params.d
-    if not 1 <= l <= d - 1:
-        raise ValueError(f"shift must satisfy 1 <= l <= d-1, got l={l}")
-    state = family_rho(params)
-    transform = permutation_transform(diag_cycle(d, l))
-    generic = _transformed_a_side(state.rho, d, transform)
-
-    closed = state.rho.copy()
-    for i in range(1, d + 1):
-        delta = (params.a[(i - 1 + l) % d] - params.a[i - 1]) / d
-        for k in range(1, d + 1):
-            col = (k - 1 + i - 1) % d
-            idx = (k - 1) * d + col
-            closed[idx, idx] += delta
-    if max_abs(generic - closed) > CONSISTENCY_TOL:
-        raise RuntimeError(
-            f"permutation reduction routes disagree by {max_abs(generic - closed):.3e}"
-        )
-
-    operator = kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - generic
-    report = _psd_report("perm_reduction", operator, tol, {"tol": tol, "l": l, "d": d})
-    return operator, report
-
-
-def phi_pairing(state: BipartiteState, transform: OrthTransform) -> tuple[float, float]:
-    """Both sides of the maximally-entangled-vector pairing identity.
-
-    Returns (<Phi| mapped operator |Phi>, 1 - Tr(T O^T)); the two are equal
-    for every state and mixing, exhibiting that the realignment bound is a
-    single matrix element of the reduction-map family.
+    On the diagonal family state this shifts the weight at diagonal offset
+    i-1 from a_i to a_{i+l} (subscripts wrapped into 1..d). The binding
+    constraint is 1 - a_{l+1} >= (d-1) a_1, so l = 1 probes the a_2 weight.
     """
     d = state.dims.square_dim
-    operator, _ = o_reduction_apply(state, transform)
-    v = phi(d)
-    lhs = float(np.real(v.conj() @ operator @ v))
-    rhs = 1.0 - float(np.trace(correlation_T(state) @ transform.matrix.T))
-    return lhs, rhs
-
-
-@dataclass(frozen=True, eq=False)
-class HermCorrX:
-    """d x d Hermitian correlation matrix for a (mixing, unitary) pair."""
-
-    matrix: np.ndarray
-    transform: OrthTransform
-    unitary: np.ndarray
+    operator, report = o_reduction_apply(state, permutation_transform(diag_cycle(d, l)), tol=tol)
+    return operator, replace(report, criterion="perm_reduction", params={"tol": tol, "l": l, "d": d})
 
 
 def _unitary_mixing(u: np.ndarray, d: int) -> np.ndarray:
@@ -269,7 +192,7 @@ def _x_components(
     return coeffs
 
 
-def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> HermCorrX:
+def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
     """Hermitian correlation matrix of the O-mixed A set against the u-conjugated B set.
 
     Component rule, in standard-set coefficients (m < n):
@@ -293,24 +216,7 @@ def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> 
     s = pair_correlation(state)
     r = _unitary_mixing(u, d)
     coeffs = _x_components(s, transform.matrix, r, d)
-    matrix = np.einsum("u,uij->ij", coeffs, standard_basis(d).mats)
-    return HermCorrX(matrix=matrix, transform=transform, unitary=u)
-
-
-def x_reduction_form(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
-    """The same correlation matrix obtained by contracting the reduction-map output.
-
-    Apply the reduction map with the transposed mixing on side A, conjugate
-    side B by u^dagger, and read off the block X[k, l] = <k,k| . |l,l>. Serves
-    as an independent cross-check of x_matrix (agreement to 1e-9).
-    """
-    d = state.dims.square_dim
-    u = require_unitary(u)
-    transposed = OrthTransform(matrix=transform.matrix.T, kind=transform.kind)
-    operator, _ = o_reduction_apply(state, transposed)
-    sandwich = kron(np.eye(d), u.conj().T) @ operator @ kron(np.eye(d), u)
-    diag_idx = np.arange(d) * (d + 1)
-    return sandwich[np.ix_(diag_idx, diag_idx)]
+    return np.einsum("u,uij->ij", coeffs, standard_basis(d).mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +261,6 @@ def x_search(
     budget: int,
     seed: int,
     tol: float = SEARCH_TOL,
-    refine_rounds: int = 40,
-    decay: float = 0.7,
 ) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
@@ -382,7 +286,7 @@ def x_search(
         u = random_unitary(d, rng)
         val = _x_min_eig(s, o, u, d, mats)
         step = np.pi / 2.0
-        for _ in range(refine_rounds):
+        for _ in range(REFINE_ROUNDS):
             i, j = rng.choice(n, size=2, replace=False)
             o_try = _givens(n, int(i), int(j), step * rng.standard_normal()) @ o
             val_try = _x_min_eig(s, o_try, u, d, mats)
@@ -396,7 +300,7 @@ def x_search(
             val_try = _x_min_eig(s, o, u_try, d, mats)
             if val_try < val:
                 u, val = u_try, val_try
-            step *= decay
+            step *= STEP_DECAY
         if val < best_val:
             best_val, best_o, best_u = val, o, u
 
@@ -415,34 +319,29 @@ def x_search(
 def classify_family_point(d: int, a1: float, a2: float) -> str:
     """Analytic region of a special-slice family point.
 
-    separable iff a2 >= a1 and a_d >= a1; PPT iff a2 * a_d >= a1^2; bound
-    means PPT but not separable; free means the partial transpose is negative.
-    Returns "invalid" when the weights leave the simplex.
+    On the slice the family conditions read: separable iff a2 >= a1 and
+    a_d >= a1; PPT iff a2 * a_d >= a1^2. Bound means PPT but not separable;
+    free means the partial transpose is negative. Returns "invalid" when the
+    weights leave the simplex.
     """
     try:
         params = family_special(d, a1, a2)
     except ValueError:
         return "invalid"
-    a_d = params.a[d - 1]
-    separable = a2 >= a1 and a_d >= a1
-    ppt = a2 * a_d >= a1 * a1
-    if separable:
+    if family_separable_sufficient(params):
         return "separable"
-    if ppt:
-        return "bound"
-    return "free"
+    return "bound" if family_ppt_sufficient(params) else "free"
 
 
 @dataclass(frozen=True, eq=False)
 class ReportConfig:
-    """Knobs for full_report: tolerances, search budget, extra mixings, witnesses."""
+    """Settings for full_report: tolerances, search budget and seed, witnesses."""
 
     tol: float = ALGEBRAIC_TOL
     tol_search: float = SEARCH_TOL
     budget: int = 200
     seed: int = 0
     include_search: bool = True
-    extra_transforms: tuple[tuple[str, OrthTransform], ...] = ()
     witnesses: tuple[Witness, ...] = ()
 
 
@@ -466,9 +365,9 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
     """Run every configured criterion and aggregate the verdicts.
 
     Square states get the full battery (partial transpose, realignment, the
-    reduction maps for the identity / transpose / all diagonal-cycle mixings
-    plus any extras, each configured witness, then the randomized correlation
-    search). Non-square states only support the partial transpose.
+    reduction maps for the identity / transpose / all diagonal-cycle mixings,
+    each configured witness, then the randomized correlation search).
+    Non-square states only support the partial transpose.
     """
     reports: list[CriterionReport] = [ppt_check(state, tol=config.tol)]
     if state.dims.d_a == state.dims.d_b:
@@ -480,7 +379,6 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
             ("transpose", transpose_transform(d)),
         ]
         transforms += [(f"cycle(l={l})", permutation_transform(diag_cycle(d, l))) for l in range(1, d)]
-        transforms += list(config.extra_transforms)
         for tag, transform in transforms:
             _, report = o_reduction_apply(state, transform, tol=config.tol, label=tag)
             reports.append(report)

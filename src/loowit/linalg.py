@@ -69,14 +69,6 @@ class DimPair:
         return DimPair(d, d)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; (a kron b)[m*db + k, n*db + l] = a[m, n] * b[k, l]."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -124,19 +116,12 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return r4.transpose(0, 2, 1, 3).reshape(dims.d_a * dims.d_a, dims.d_b * dims.d_b)
 
 
-def herm_eig(h: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def herm_eigvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
 
     Rejects input whose Hermiticity defect exceeds ``tol`` (relative); the
     symmetrized matrix (H + H^dagger)/2 is decomposed.
     """
-    sym = require_hermitian(h, tol=tol)
-    values, vectors = np.linalg.eigh(sym)
-    return Spectrum(values=values, vectors=vectors)
-
-
-def herm_eigvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
     return np.linalg.eigvalsh(require_hermitian(h, tol=tol))
 
 

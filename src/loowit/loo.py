@@ -35,14 +35,10 @@ class LooBasis:
 
     dim: int
     mats: np.ndarray
-    tag: str = "standard"
     orthonormal: bool = True
 
     def __len__(self) -> int:
         return self.mats.shape[0]
-
-    def __iter__(self):
-        return iter(self.mats)
 
     def __getitem__(self, idx: int) -> np.ndarray:
         return self.mats[idx]
@@ -91,7 +87,7 @@ def standard_basis(d: int) -> LooBasis:
         mats[asym_slot(d, m, n), m, n] = -1j * s
         mats[asym_slot(d, m, n), n, m] = 1j * s
     mats.flags.writeable = False
-    return LooBasis(dim=d, mats=mats, tag="standard", orthonormal=True)
+    return LooBasis(dim=d, mats=mats)
 
 
 def gram_matrix(basis: LooBasis) -> np.ndarray:
@@ -121,19 +117,19 @@ def reconstruct(basis: LooBasis, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("u,uij->ij", np.asarray(coeffs), basis.mats)
 
 
-def validate_basis(basis: LooBasis, rng: np.random.Generator | None = None, n_probe: int = 5) -> dict[str, float]:
+def validate_basis(basis: LooBasis) -> dict[str, float]:
     """Max deviations of the defining properties; all should be ~1e-13 for exact bases.
 
     Returns {"gram": ..., "hermiticity": ..., "completeness": ...}. The
-    completeness figure is the worst reconstruction error over ``n_probe``
+    completeness figure is the worst reconstruction error over five seeded
     random matrices.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     d = basis.dim
     gram_dev = max_abs(gram_matrix(basis) - np.eye(len(basis)))
     herm_dev = max(max_abs(m - m.conj().T) for m in basis.mats)
     comp_dev = 0.0
-    for _ in range(n_probe):
+    for _ in range(5):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         comp_dev = max(comp_dev, max_abs(reconstruct(basis, expand(basis, x)) - x))
     return {"gram": gram_dev, "hermiticity": herm_dev, "completeness": comp_dev}
@@ -163,6 +159,8 @@ def make_transform(matrix: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> OrthTr
     identity beyond tolerance.
     """
     matrix = np.asarray(matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError("transform matrix has non-finite entries (NaN or inf)")
     if np.iscomplexobj(matrix):
         if max_abs(matrix.imag) > tol:
             raise ValueError("transform matrix must be real")
@@ -250,21 +248,6 @@ def require_unitary(u: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> np.ndarray
     return u
 
 
-def unitary_transform(u: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> OrthTransform:
-    """Orthogonal mixing O[u, v] = Tr(L_v  u L_u u^dagger) induced by conjugation.
-
-    Index order is chosen so that applying the result to the standard set
-    reproduces conjugate_basis(standard, u) slot by slot.
-    """
-    u = require_unitary(u, tol=tol)
-    basis = standard_basis(u.shape[0])
-    conj = np.matmul(np.matmul(u, basis.mats), u.conj().T)
-    matrix = np.einsum("mij,nji->mn", conj, basis.mats)
-    if max_abs(matrix.imag) > tol:
-        raise ValueError("induced mixing has a non-real entry; input is not unitary enough")
-    return OrthTransform(matrix=matrix.real, kind="orthogonal")
-
-
 def apply_orthogonal(basis: LooBasis, transform: OrthTransform) -> LooBasis:
     """Mix the set: out_u = sum_v O[u, v] L_v."""
     if transform.dim != len(basis):
@@ -273,18 +256,8 @@ def apply_orthogonal(basis: LooBasis, transform: OrthTransform) -> LooBasis:
     return LooBasis(
         dim=basis.dim,
         mats=mats,
-        tag="transformed",
         orthonormal=basis.orthonormal and transform.kind == "orthogonal",
     )
-
-
-def conjugate_basis(basis: LooBasis, u: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> LooBasis:
-    """Conjugate every observable: L_u -> u L_u u^dagger. Preserves orthonormality."""
-    u = require_unitary(u, tol=tol)
-    if u.shape[0] != basis.dim:
-        raise ValueError(f"unitary dim {u.shape[0]} does not match basis dim {basis.dim}")
-    mats = np.matmul(np.matmul(u, basis.mats), u.conj().T)
-    return LooBasis(dim=basis.dim, mats=mats, tag="transformed", orthonormal=basis.orthonormal)
 
 
 def transpose_basis(basis: LooBasis) -> LooBasis:
@@ -294,7 +267,7 @@ def transpose_basis(basis: LooBasis) -> LooBasis:
     negates the antisymmetric ones; applied twice it is the identity.
     """
     mats = basis.mats.transpose(0, 2, 1).copy()
-    return LooBasis(dim=basis.dim, mats=mats, tag=basis.tag, orthonormal=basis.orthonormal)
+    return LooBasis(dim=basis.dim, mats=mats, orthonormal=basis.orthonormal)
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,23 +34,24 @@ class BipartiteState:
     label: str
 
 
-def make_state(rho: np.ndarray, dims: DimPair, label: str, check: bool = True) -> BipartiteState:
+def make_state(rho: np.ndarray, dims: DimPair, label: str) -> BipartiteState:
     """Wrap and validate a density matrix; error messages name the violated quantity."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dims.total, dims.total):
         raise ValueError(
             f"state matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b} (dimension)"
         )
-    if check:
-        defect = hermitian_defect(rho)
-        if defect > STATE_HERMITICITY_TOL * max(1.0, max_abs(rho)):
-            raise ValueError(f"state violates hermiticity: max |rho - rho^dagger| = {defect:.3e}")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > STATE_TRACE_TOL:
-            raise ValueError(f"state violates trace normalization: trace = {tr.real:.12g}")
-        min_eig = float(herm_eigvalues(rho)[0])
-        if min_eig < -STATE_EIG_TOL:
-            raise ValueError(f"state violates positivity: min eigenvalue = {min_eig:.3e}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries (NaN or inf)")
+    defect = hermitian_defect(rho)
+    if defect > STATE_HERMITICITY_TOL * max(1.0, max_abs(rho)):
+        raise ValueError(f"state violates hermiticity: max |rho - rho^dagger| = {defect:.3e}")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > STATE_TRACE_TOL:
+        raise ValueError(f"state violates trace normalization: trace = {tr.real:.12g}")
+    min_eig = float(herm_eigvalues(rho)[0])
+    if min_eig < -STATE_EIG_TOL:
+        raise ValueError(f"state violates positivity: min eigenvalue = {min_eig:.3e}")
     return BipartiteState(dims=dims, rho=rho, label=label)
 
 
@@ -220,15 +221,15 @@ def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure")
     )
 
 
+def save_matrix(path: str | Path, dims: DimPair, matrix: np.ndarray, **extra) -> None:
+    """Write {"dim_a", "dim_b", "re", "im", **extra} as JSON, row-major composite basis."""
+    payload = {"dim_a": dims.d_a, "dim_b": dims.d_b, "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+    Path(path).write_text(json.dumps({**payload, **extra}), encoding="utf-8")
+
+
 def save_state(state: BipartiteState, path: str | Path) -> None:
-    """Write the state as JSON: {"dim_a", "dim_b", "re", "im"}, row-major composite basis."""
-    payload = {
-        "dim_a": state.dims.d_a,
-        "dim_b": state.dims.d_b,
-        "re": state.rho.real.tolist(),
-        "im": state.rho.imag.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    """Write the state in the matrix JSON format read by load_state."""
+    save_matrix(path, state.dims, state.rho)
 
 
 def _matrix_from_payload(payload: dict, path: Path) -> tuple[np.ndarray, DimPair]:

@@ -10,8 +10,6 @@ depend on it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +22,6 @@ CSV_HEADER = "# loowit sweep v1"
 CSV_COLUMNS = (
     "a1,a2,a_d,analytic_region,ppt_min_eig,oreduction_min_eig,realignment,numeric_region,boundary_flag"
 )
-THREADS_ENV = "LOOWIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,7 @@ def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> 
     state = family_rho(params)
 
     ppt_report = ppt_check(state, tol=tol)
-    oreduction_min = np.inf
-    for l in range(1, d):
-        _, report = perm_reduction_family(params, l, tol=tol)
-        oreduction_min = min(oreduction_min, report.scalar)
+    oreduction_min = min(perm_reduction_family(state, l, tol=tol)[1].scalar for l in range(1, d))
     value, _ = realignment_value(state, tol=tol)
 
     if ppt_report.verdict == "violated":
@@ -108,24 +102,11 @@ def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> 
         a_d=a_d,
         analytic_region=classify_family_point(d, a1, a2),
         ppt_min_eig=ppt_report.scalar,
-        oreduction_min_eig=float(oreduction_min),
+        oreduction_min_eig=oreduction_min,
         realignment=value,
         numeric_region=numeric,
         boundary=_near_boundary(a1, a2, a_d, epsilon),
     )
-
-
-def thread_count(threads: int | None = None) -> int:
-    """Resolve worker count: explicit argument, else the LOOWIT_THREADS cap, else 1."""
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def run_sweep(
@@ -133,45 +114,25 @@ def run_sweep(
     resolution: int,
     epsilon: float = 1e-3,
     tol: float = 1e-9,
-    threads: int | None = None,
 ) -> SweepResult:
-    """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2.
-
-    Rows come back in deterministic grid order regardless of how many worker
-    threads evaluate them.
-    """
+    """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order."""
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    grid = np.linspace(0.0, 1.0, resolution)
-    points = [(float(a1), float(a2)) for a1 in grid for a2 in grid]
-
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maybe_rows = list(pool.map(lambda p: evaluate_point(d, p[0], p[1], epsilon, tol), points))
-    else:
-        maybe_rows = [evaluate_point(d, a1, a2, epsilon, tol) for a1, a2 in points]
+    grid = [float(a) for a in np.linspace(0.0, 1.0, resolution)]
+    maybe_rows = (evaluate_point(d, a1, a2, epsilon, tol) for a1 in grid for a2 in grid)
     rows = tuple(row for row in maybe_rows if row is not None)
 
-    n_compared = n_agree = n_bound = n_blind = 0
-    for row in rows:
-        if not row.boundary:
-            n_compared += 1
-            if row.analytic_region == row.numeric_region:
-                n_agree += 1
-        if row.numeric_region == "bound":
-            n_bound += 1
-            if row.realignment <= 1.0 + tol:
-                n_blind += 1
+    compared = [row for row in rows if not row.boundary]
+    bound = [row for row in rows if row.numeric_region == "bound"]
     return SweepResult(
         d=d,
         resolution=resolution,
         epsilon=epsilon,
         rows=rows,
-        n_compared=n_compared,
-        n_agree=n_agree,
-        n_bound=n_bound,
-        n_bound_realignment_blind=n_blind,
+        n_compared=len(compared),
+        n_agree=sum(row.analytic_region == row.numeric_region for row in compared),
+        n_bound=len(bound),
+        n_bound_realignment_blind=sum(row.realignment <= 1.0 + tol for row in bound),
     )
 
 

@@ -9,8 +9,7 @@ M M^T <= I, so any negative eigenvalue turns the candidate into a witness.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .loo import (
     sym_slot,
     transpose_basis,
 )
-from .states import BipartiteState, horodecki_rho
+from .states import BipartiteState, horodecki_rho, save_matrix
 
 WITNESS_EIG_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-9
@@ -61,6 +60,13 @@ def _weighted_pair_sum(weights: np.ndarray, mats_a: np.ndarray, mats_b: np.ndarr
     return out.reshape(d * d, d * d)
 
 
+def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
+    """The candidate, confirmed as a witness when the eigensolve finds a negative eigenvalue."""
+    min_eig = float(herm_eigvalues(matrix)[0])
+    confirmed = min_eig < -WITNESS_EIG_TOL * max(1.0, max_abs(matrix))
+    return Witness(DimPair.square(d), matrix, provenance, candidate_only=not confirmed, min_eig=min_eig)
+
+
 def ew_from_transform(transform: OrthTransform, d: int) -> Witness:
     """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T.
 
@@ -74,15 +80,7 @@ def ew_from_transform(transform: OrthTransform, d: int) -> Witness:
     mixed = apply_orthogonal(basis, transform)
     transposed = transpose_basis(basis)
     matrix = np.eye(d * d, dtype=complex) - pair_sum(mixed.mats, transposed.mats)
-    min_eig = float(herm_eigvalues(matrix)[0])
-    confirmed = min_eig < -WITNESS_EIG_TOL * max(1.0, max_abs(matrix))
-    return Witness(
-        dims=DimPair.square(d),
-        matrix=matrix,
-        provenance=f"transform({transform.kind})",
-        candidate_only=not confirmed,
-        min_eig=min_eig,
-    )
+    return _eigensolved(matrix, d, f"transform({transform.kind})")
 
 
 def perm_ew(sigma: Permutation, d: int) -> Witness:
@@ -96,14 +94,8 @@ def perm_ew(sigma: Permutation, d: int) -> Witness:
         raise ValueError(f"permutation acts on {sigma.size} slots, expected d^2 = {d * d}")
     witness = ew_from_transform(permutation_transform(sigma), d)
     f = fixed_points(sigma)
-    phi_value = float(d - f)
-    return Witness(
-        dims=witness.dims,
-        matrix=witness.matrix,
-        provenance=f"permutation(fixed_points={f})",
-        candidate_only=f < d + 1,
-        min_eig=witness.min_eig,
-        phi_value=phi_value,
+    return replace(
+        witness, provenance=f"permutation(fixed_points={f})", candidate_only=f < d + 1, phi_value=float(d - f)
     )
 
 
@@ -167,8 +159,8 @@ def horodecki_loo_bases(a: float) -> tuple[LooBasis, LooBasis]:
         sym23,
         asym23,
     ])
-    basis_a = LooBasis(dim=3, mats=mats_a, tag="transformed", orthonormal=True)
-    basis_b = LooBasis(dim=3, mats=mats_b, tag="transformed", orthonormal=True)
+    basis_a = LooBasis(dim=3, mats=mats_a)
+    basis_b = LooBasis(dim=3, mats=mats_b)
     return basis_a, basis_b
 
 
@@ -197,15 +189,7 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
 
     transposed_b = basis_b.mats.transpose(0, 2, 1)
     matrix = np.eye(9, dtype=complex) - _weighted_pair_sum(mixing, basis_a.mats, transposed_b)
-    min_eig = float(herm_eigvalues(matrix)[0])
-    confirmed = min_eig < -WITNESS_EIG_TOL * max(1.0, max_abs(matrix))
-    witness = Witness(
-        dims=DimPair.square(3),
-        matrix=matrix,
-        provenance=f"horodecki(a={a:g})",
-        candidate_only=not confirmed,
-        min_eig=min_eig,
-    )
+    witness = _eigensolved(matrix, 3, f"horodecki(a={a:g})")
     data = HorodeckiWitnessData(
         a=a, basis_a=basis_a, basis_b=basis_b, coeffs=coeffs, n_vec=n_vec, n_sq=n_sq, mixing=mixing
     )
@@ -227,11 +211,4 @@ def expectation(witness: Witness, state: BipartiteState) -> float:
 
 def save_witness(witness: Witness, path: str | Path) -> None:
     """Write the witness in the state matrix JSON format plus a provenance field."""
-    payload = {
-        "dim_a": witness.dims.d_a,
-        "dim_b": witness.dims.d_b,
-        "re": witness.matrix.real.tolist(),
-        "im": witness.matrix.imag.tolist(),
-        "provenance": witness.provenance,
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    save_matrix(path, witness.dims, witness.matrix, provenance=witness.provenance)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from loowit.linalg import DimPair
+from loowit.states import make_state
+
 settings.register_profile(
     "suite",
     max_examples=25,
@@ -21,6 +24,10 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     g = random_complex(rng, n)
     w = g @ g.conj().T
     return w / np.trace(w).real
+
+
+def random_state(rng: np.random.Generator, d: int, label: str = "random"):
+    return make_state(random_density(rng, d * d), DimPair.square(d), label)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

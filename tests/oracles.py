@@ -1,0 +1,122 @@
+"""Second routes to library quantities, kept only as test oracles.
+
+Each function computes, by a different construction, something the library
+computes in production (or an identity between library quantities). The tests
+assert that both routes agree.
+"""
+
+import numpy as np
+
+from loowit.criteria import correlation_T, o_reduction_apply
+from loowit.linalg import kron, partial_trace
+from loowit.loo import (
+    LooBasis,
+    OrthTransform,
+    apply_orthogonal,
+    make_transform,
+    require_unitary,
+    standard_basis,
+)
+from loowit.states import BipartiteState, FamilyParams, family_rho, phi
+
+
+def n_sq_closed(a: float) -> float:
+    """Closed form of n^2 for the 3x3 PPT-entangled state; its witness value is 1 - sqrt(1 + n^2)."""
+    return (1.0 - a) * a * a / ((2.0 + a) * (1.0 + 8.0 * a) ** 2)
+
+
+def swap_operator(d: int) -> np.ndarray:
+    """SWAP on C^d x C^d: |m,n> -> |n,m>."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            s[m * d + n, n * d + m] = 1.0
+    return s
+
+
+def conjugate_basis(basis: LooBasis, u: np.ndarray) -> LooBasis:
+    """Conjugate every observable: L_u -> u L_u u^dagger. Preserves orthonormality."""
+    u = require_unitary(u)
+    if u.shape[0] != basis.dim:
+        raise ValueError(f"unitary dim {u.shape[0]} does not match basis dim {basis.dim}")
+    mats = np.matmul(np.matmul(u, basis.mats), u.conj().T)
+    return LooBasis(dim=basis.dim, mats=mats, orthonormal=basis.orthonormal)
+
+
+def best_orthogonal(t: np.ndarray) -> OrthTransform:
+    """Orthogonal O maximizing Tr(T O); the maximum equals the trace norm of T."""
+    u, _, vh = np.linalg.svd(np.asarray(t, dtype=float))
+    return make_transform((u @ vh).T)
+
+
+def local_map(rho_local: np.ndarray, transform: OrthTransform) -> np.ndarray:
+    """Single-system positive map (Tr rho) I - sum_u Tr(rho L_u) L^o_u.
+
+    With the identity mixing this is the reduction map; with the transpose
+    mixing it is (Tr rho) I - rho^T, which is completely positive.
+    """
+    rho_local = np.asarray(rho_local, dtype=complex)
+    d = rho_local.shape[0]
+    basis = standard_basis(d)
+    mixed = apply_orthogonal(basis, transform)
+    coeffs = np.einsum("ij,uji->u", rho_local, basis.mats)
+    return complex(np.trace(rho_local)) * np.eye(d) - np.einsum("u,uij->ij", coeffs, mixed.mats)
+
+
+def phi_pairing(state: BipartiteState, transform: OrthTransform) -> tuple[float, float]:
+    """Both sides of the maximally-entangled-vector pairing identity.
+
+    Returns (<Phi| mapped operator |Phi>, 1 - Tr(T O^T)); the two are equal
+    for every state and mixing: the realignment bound is a single matrix
+    element of the reduction-map family.
+    """
+    operator, _ = o_reduction_apply(state, transform)
+    v = phi(state.dims.square_dim)
+    lhs = float(np.real(v.conj() @ operator @ v))
+    rhs = 1.0 - float(np.trace(correlation_T(state) @ transform.matrix.T))
+    return lhs, rhs
+
+
+def x_reduction_form(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
+    """The correlation matrix X obtained by contracting the reduction-map output.
+
+    Apply the reduction map with the transposed mixing on side A, conjugate
+    side B by u^dagger, and read off the block X[k, l] = <k,k| . |l,l>.
+    """
+    d = state.dims.square_dim
+    transposed = OrthTransform(matrix=transform.matrix.T, kind=transform.kind)
+    operator, _ = o_reduction_apply(state, transposed)
+    sandwich = kron(np.eye(d), u.conj().T) @ operator @ kron(np.eye(d), u)
+    diag_idx = np.arange(d) * (d + 1)
+    return sandwich[np.ix_(diag_idx, diag_idx)]
+
+
+def uniform_pairing(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> float:
+    """1 - sum_a <L^o_a x (u L_a^T u^dagger)>, which equals <s|X|s> for the all-ones s.
+
+    Note the transposed (not conjugated) B side.
+    """
+    d = state.dims.square_dim
+    mats = standard_basis(d).mats
+    mats_o = np.einsum("uv,vij->uij", transform.matrix, mats)
+    mats_ut = np.matmul(np.matmul(u, mats.transpose(0, 2, 1)), u.conj().T)
+    r4 = state.rho.reshape(d, d, d, d)
+    return 1.0 - float(np.real(np.einsum("mnkl,ukm,uln->", r4, mats_o, mats_ut)))
+
+
+def perm_reduction_closed_form(params: FamilyParams, l: int) -> np.ndarray:
+    """Cyclic-permutation reduction operator of the diagonal family state, in closed form.
+
+    Cycling the A-side projector slots by l moves the family weight at
+    diagonal offset i-1 from a_i to a_{i+l}; the operator is I x rho_B minus
+    the family state with its diagonal weights so shifted.
+    """
+    d = params.d
+    state = family_rho(params)
+    shifted = state.rho.copy()
+    for i in range(d):
+        delta = (params.a[(i + l) % d] - params.a[i]) / d
+        for k in range(d):
+            idx = k * d + (k + i) % d
+            shifted[idx, idx] += delta
+    return kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - shifted

@@ -7,16 +7,8 @@ import time
 
 import numpy as np
 
-from conftest import random_density
-from loowit.criteria import (
-    perm_reduction_family,
-    phi_pairing,
-    ppt_check,
-    realignment_value,
-    x_matrix,
-    x_reduction_form,
-    x_search,
-)
+from conftest import random_state
+from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_matrix, x_search
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, realign, trace_norm
 from loowit.loo import (
     diag_cycle,
@@ -31,7 +23,6 @@ from loowit.states import (
     family_special,
     family_rho,
     horodecki_rho,
-    make_state,
     max_entangled,
     phi,
     random_product_state,
@@ -40,6 +31,7 @@ from loowit.states import (
 )
 from loowit.sweep import run_sweep
 from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_loo_bases, perm_ew
+from oracles import n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
 
@@ -49,10 +41,6 @@ def check(number: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" [{detail}]" if detail else ""
     print(f"[ACCEPTANCE {number}] {status}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description}{suffix}"
-
-
-def n_sq_closed(a: float) -> float:
-    return (1.0 - a) * a * a / ((2.0 + a) * (1.0 + 8.0 * a) ** 2)
 
 
 def test_criterion_1_witness_value_identity():
@@ -116,13 +104,13 @@ def test_criterion_3_witness_soundness_on_product_states():
 
 
 def test_criterion_4_permutation_map_detection():
-    bound = family_special(3, 0.25, 0.65)
-    ppt_bound = ppt_check(family_rho(bound), tol=1e-9)
+    bound = family_rho(family_special(3, 0.25, 0.65))
+    ppt_bound = ppt_check(bound, tol=1e-9)
     _, perm_bound = perm_reduction_family(bound, 1, tol=1e-9)
     ok_bound = ppt_bound.verdict == "pass" and perm_bound.verdict == "violated"
 
-    clean = family_special(3, 0.2, 0.5)
-    ppt_clean = ppt_check(family_rho(clean), tol=1e-9)
+    clean = family_rho(family_special(3, 0.2, 0.5))
+    ppt_clean = ppt_check(clean, tol=1e-9)
     perm_clean_ok = all(
         perm_reduction_family(clean, l, tol=1e-9)[1].verdict == "pass" for l in (1, 2)
     )
@@ -140,7 +128,7 @@ def test_criterion_4_permutation_map_detection():
 
 def test_criterion_5_phase_diagram_reproduction():
     start = time.perf_counter()
-    result = run_sweep(d=3, resolution=100, epsilon=1e-3, tol=1e-9, threads=1)
+    result = run_sweep(d=3, resolution=100, epsilon=1e-3, tol=1e-9)
     elapsed = time.perf_counter() - start
     check(
         5,
@@ -156,7 +144,7 @@ def test_criterion_6_realignment_equivalence():
     states = []
     for i in range(100):
         d = 2 if i % 2 == 0 else 3
-        states.append(make_state(random_density(rng, d * d), DimPair.square(d), f"rand{i}"))
+        states.append(random_state(rng, d, f"rand{i}"))
     states += [horodecki_rho(float(a)) for a in A_GRID]
     states += [family_rho(family_special(3, 0.25, 0.65)), family_rho(family_special(3, 0.2, 0.5))]
     states += [max_entangled(2), max_entangled(3)]
@@ -183,7 +171,7 @@ def test_criterion_7_pairing_and_contraction_identities():
     worst_pairing = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 4))
-        state = make_state(random_density(rng, d * d), DimPair.square(d), "rand")
+        state = random_state(rng, d)
         transform = make_transform(random_orthogonal(d * d, rng))
         lhs, rhs = phi_pairing(state, transform)
         worst_pairing = max(worst_pairing, abs(lhs - rhs))
@@ -192,21 +180,14 @@ def test_criterion_7_pairing_and_contraction_identities():
     worst_uniform = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 4))
-        state = make_state(random_density(rng, d * d), DimPair.square(d), "rand")
+        state = random_state(rng, d)
         transform = make_transform(random_orthogonal(d * d, rng))
         u = random_unitary(d, rng)
         x = x_matrix(state, transform, u)
-        worst_contraction = max(
-            worst_contraction, max_abs(x.matrix - x_reduction_form(state, transform, u))
-        )
+        worst_contraction = max(worst_contraction, max_abs(x - x_reduction_form(state, transform, u)))
         s = np.ones(d)
-        lhs = float(np.real(s @ x.matrix @ s))
-        mats = standard_basis(d).mats
-        mats_o = np.einsum("uv,vij->uij", transform.matrix, mats)
-        mats_ut = np.matmul(np.matmul(u, mats.transpose(0, 2, 1)), u.conj().T)
-        r4 = state.rho.reshape(d, d, d, d)
-        rhs = 1.0 - float(np.real(np.einsum("mnkl,ukm,uln->", r4, mats_o, mats_ut)))
-        worst_uniform = max(worst_uniform, abs(lhs - rhs))
+        uniform_dev = abs(float(np.real(s @ x @ s)) - uniform_pairing(state, transform, u))
+        worst_uniform = max(worst_uniform, uniform_dev)
     check(
         7,
         "pairing identity, contraction identity, and transposed uniform-vector identity hold",
@@ -225,7 +206,7 @@ def test_criterion_8_correlation_matrix_positivity_and_search():
             transform = make_transform(random_orthogonal(d * d, rng))
             u = random_unitary(d, rng)
             x = x_matrix(state, transform, u)
-            worst = min(worst, float(herm_eigvalues(x.matrix)[0]))
+            worst = min(worst, float(herm_eigvalues(x)[0]))
     detected = x_search(werner2(0.5), budget=200, seed=123)
     blind = x_search(werner2(0.25), budget=200, seed=123)
     ppt_ok = ppt_check(werner2(0.25)).verdict == "pass"
@@ -251,12 +232,8 @@ def test_criterion_9_observable_set_algebra():
         v = phi(d)
         phi_sum = np.einsum("uab,ucd->acbd", mats, mats.transpose(0, 2, 1)).reshape(d * d, d * d)
         worst_pair = max(worst_pair, max_abs(phi_sum - np.outer(v, v.conj())))
-        swap = np.zeros((d * d, d * d), dtype=complex)
-        for m in range(d):
-            for n in range(d):
-                swap[m * d + n, n * d + m] = 1.0
         swap_sum = np.einsum("uab,ucd->acbd", mats, mats).reshape(d * d, d * d)
-        worst_pair = max(worst_pair, max_abs(swap_sum - swap))
+        worst_pair = max(worst_pair, max_abs(swap_sum - swap_operator(d)))
 
     worst_tailored = 0.0
     for a in np.arange(0.1, 0.951, 0.1):

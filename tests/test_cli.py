@@ -1,21 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from loowit import cli
 from loowit.linalg import DimPair
-from loowit.states import random_separable_state, save_state
-from loowit.sweep import CSV_HEADER, THREADS_ENV
+from loowit.states import random_separable_state, save_matrix, save_state
+from loowit.sweep import CSV_HEADER
+from oracles import n_sq_closed
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def n_sq_closed(a):
-    return (1.0 - a) * a * a / ((2.0 + a) * (1.0 + 8.0 * a) ** 2)
 
 
 class TestCheck:
@@ -64,6 +63,15 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "error" in err
 
+    def test_non_finite_file_named(self, capsys, tmp_path):
+        rho = np.eye(9) / 9.0
+        rho[0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        save_matrix(path, DimPair.square(3), rho)
+        code, _, err = run_cli(capsys, "check", "--file", str(path))
+        assert code == cli.EXIT_ERROR
+        assert "state has non-finite entries" in err
+
     def test_missing_input_errors(self, capsys):
         code, _, err = run_cli(capsys, "check")
         assert code == cli.EXIT_ERROR
@@ -107,6 +115,15 @@ class TestWitnessCommand:
         assert code == cli.EXIT_ERROR
         assert "2.25" in err
 
+    def test_generic_non_finite_transform_named(self, capsys, tmp_path):
+        matrix = np.eye(9)
+        matrix[2, 2] = np.nan
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": matrix.tolist()}))
+        code, _, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        assert code == cli.EXIT_ERROR
+        assert "transform matrix has non-finite entries" in err
+
     def test_generic_valid_transform(self, capsys, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": np.eye(9).tolist()}))
@@ -145,22 +162,6 @@ class TestSweepCommand:
         assert bound[3] == bound[7] == "bound"
         free = rows[(0.3, 0.65)]
         assert free[3] == free[7] == "free"
-
-    def test_threaded_output_identical(self, capsys, tmp_path):
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        run_cli(capsys, "sweep", "--grid", "8", "--out", str(serial), "--threads", "1")
-        run_cli(capsys, "sweep", "--grid", "8", "--out", str(threaded), "--threads", "3")
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_threads_env_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        out_env = tmp_path / "env.csv"
-        code, _, _ = run_cli(capsys, "sweep", "--grid", "8", "--out", str(out_env))
-        assert code == cli.EXIT_OK
-        monkeypatch.delenv(THREADS_ENV)
-        out_serial = tmp_path / "noenv.csv"
-        run_cli(capsys, "sweep", "--grid", "8", "--out", str(out_serial))
-        assert out_env.read_bytes() == out_serial.read_bytes()
 
     def test_bad_resolution(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--grid", "1", "--out", str(tmp_path / "x.csv"))
@@ -207,3 +208,32 @@ class TestSpecParsing:
         code, _, err = run_cli(capsys, "check", "--builtin", "nosuch:x=1")
         assert code == cli.EXIT_ERROR
         assert "unknown builtin" in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("check", "--builtin", "horodecki"), "a"),
+            (("check", "--builtin", "family:d=3,a1=0.2"), "a2"),
+            (("witness", "horodecki"), "a"),
+            (("witness", "perm:cycle,d=3"), "l"),
+        ],
+    )
+    def test_missing_spec_key_named(self, capsys, argv, key):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_ERROR
+        assert f"is missing the key {key!r}" in err
+
+
+class TestGoldenOutput:
+    """SHA-256 of outputs that must stay byte-identical (sweep CSV schema v1, check --json)."""
+
+    def test_sweep_csv(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        run_cli(capsys, "sweep", "--d", "3", "--grid", "20", "--out", str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "f4f6bb6b3d454d482193ce46e5b1d1087bc15f32963cf5efbb3df709a8248f0c"
+
+    def test_check_json(self, capsys):
+        _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "219f517f92b41c34aff642aa20d62b321db1c383c64bacf6700ad1802ef81804"

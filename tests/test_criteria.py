@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_density
+from conftest import random_density, random_state
 from loowit.criteria import (
     ReportConfig,
-    best_orthogonal,
     classify_family_point,
     correlation_T,
     full_report,
-    local_map,
     o_reduction_apply,
     pair_correlation,
     perm_reduction_family,
-    phi_pairing,
     ppt_check,
     realignment_value,
     x_matrix,
-    x_reduction_form,
     x_search,
 )
-from loowit.linalg import DimPair, herm_eigvalues, max_abs, trace_norm
+from loowit.linalg import DimPair, herm_eigvalues, max_abs, realign, trace_norm
 from loowit.loo import (
     diag_cycle,
     identity_transform,
@@ -37,16 +34,19 @@ from loowit.states import (
     horodecki_rho,
     make_state,
     max_entangled,
-    phi,
     random_product_state,
     random_separable_state,
     werner2,
 )
 from loowit.witness import horodecki_ew
-
-
-def random_state(rng, d):
-    return make_state(random_density(rng, d * d), DimPair.square(d), "random")
+from oracles import (
+    best_orthogonal,
+    local_map,
+    perm_reduction_closed_form,
+    phi_pairing,
+    uniform_pairing,
+    x_reduction_form,
+)
 
 
 class TestPpt:
@@ -106,6 +106,12 @@ class TestRealignment:
             value, report = realignment_value(state)
             assert value <= 1.0 + 1e-9
             assert report.verdict == "pass"
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_matches_realigned_trace_norm(self, d, seed):
+        state = random_state(np.random.default_rng(seed), d)
+        value, _ = realignment_value(state)
+        assert abs(value - trace_norm(realign(state.rho, state.dims))) < 1e-9
 
 
 class TestBestOrthogonal:
@@ -182,7 +188,7 @@ class TestOReduction:
                 assert report.verdict == "pass"
 
     def test_permutation_matches_family_closed_form(self, rng):
-        # same operator through the generic machinery and the family shortcut
+        # same operator through the generic machinery and the family closed form
         for _ in range(10):
             a = rng.dirichlet(np.ones(3))
             params = FamilyParams(3, tuple(a / a.sum()))
@@ -190,14 +196,15 @@ class TestOReduction:
             for l in (1, 2):
                 transform = permutation_transform(diag_cycle(3, l))
                 generic, _ = o_reduction_apply(state, transform)
-                family_operator, _ = perm_reduction_family(params, l)
+                family_operator, _ = perm_reduction_family(state, l)
                 assert max_abs(generic - family_operator) < 1e-12
+                assert max_abs(generic - perm_reduction_closed_form(params, l)) < 1e-12
 
 
 class TestPermReductionFamily:
     def test_bound_point_detected_at_shift_one(self):
         params = family_special(3, 0.25, 0.65)
-        _, report = perm_reduction_family(params, 1)
+        _, report = perm_reduction_family(family_rho(params), 1)
         assert report.verdict == "violated"
         assert report.scalar < -1e-9
         # consistent with the binding constraint 1 - a_2 < (d-1) a_1
@@ -205,22 +212,25 @@ class TestPermReductionFamily:
         assert ppt_check(family_rho(params)).verdict == "pass"
 
     def test_uniform_point_passes_all_shifts(self):
-        params = FamilyParams(3, (1 / 3, 1 / 3, 1 / 3))
+        state = family_rho(FamilyParams(3, (1 / 3, 1 / 3, 1 / 3)))
         for l in (1, 2):
-            _, report = perm_reduction_family(params, l)
+            _, report = perm_reduction_family(state, l)
             assert report.verdict == "pass"
+            assert (report.criterion, report.params) == ("perm_reduction", {"tol": 1e-9, "l": l, "d": 3})
 
     def test_closed_form_agreement_random(self, rng):
         for _ in range(50):
             d = int(rng.integers(3, 5))
             a = rng.dirichlet(np.ones(d))
             params = FamilyParams(d, tuple(a / a.sum()))
+            state = family_rho(params)
             for l in range(1, d):
-                perm_reduction_family(params, l)  # raises on route disagreement
+                operator, _ = perm_reduction_family(state, l)
+                assert max_abs(operator - perm_reduction_closed_form(params, l)) < 1e-9
 
     def test_shift_out_of_range(self):
         with pytest.raises(ValueError):
-            perm_reduction_family(FamilyParams(3, (1 / 3, 1 / 3, 1 / 3)), 3)
+            perm_reduction_family(family_rho(FamilyParams(3, (1 / 3, 1 / 3, 1 / 3))), 3)
 
 
 class TestPhiPairing:
@@ -268,8 +278,8 @@ class TestXMatrix:
                 o = make_transform(random_orthogonal(d * d, rng))
                 u = random_unitary(d, rng)
                 x = x_matrix(state, o, u)
-                assert max_abs(x.matrix - x.matrix.conj().T) < 1e-9
-                assert herm_eigvalues(x.matrix)[0] >= -1e-9
+                assert max_abs(x - x.conj().T) < 1e-9
+                assert herm_eigvalues(x)[0] >= -1e-9
 
     def test_matches_reduction_map_contraction(self, rng):
         for _ in range(50):
@@ -277,7 +287,7 @@ class TestXMatrix:
             state = random_state(rng, d)
             o = make_transform(random_orthogonal(d * d, rng))
             u = random_unitary(d, rng)
-            direct = x_matrix(state, o, u).matrix
+            direct = x_matrix(state, o, u)
             contracted = x_reduction_form(state, o, u)
             assert max_abs(direct - contracted) < 1e-9
 
@@ -289,15 +299,9 @@ class TestXMatrix:
             state = random_state(rng, d)
             o = make_transform(random_orthogonal(d * d, rng))
             u = random_unitary(d, rng)
-            x = x_matrix(state, o, u).matrix
+            x = x_matrix(state, o, u)
             s = np.ones(d)
-            lhs = float(np.real(s @ x @ s))
-            mats = standard_basis(d).mats
-            mats_o = np.einsum("uv,vij->uij", o.matrix, mats)
-            mats_ut = np.matmul(np.matmul(u, mats.transpose(0, 2, 1)), u.conj().T)
-            r4 = state.rho.reshape(d, d, d, d)
-            rhs = 1.0 - float(np.real(np.einsum("mnkl,ukm,uln->", r4, mats_o, mats_ut)))
-            assert abs(lhs - rhs) < 1e-9
+            assert abs(float(np.real(s @ x @ s)) - uniform_pairing(state, o, u)) < 1e-9
 
     def test_reconstruction_self_consistency(self, rng):
         from loowit.loo import expand, reconstruct
@@ -305,7 +309,7 @@ class TestXMatrix:
         state = random_state(rng, 3)
         x = x_matrix(state, make_transform(random_orthogonal(9, rng)), random_unitary(3, rng))
         basis = standard_basis(3)
-        assert max_abs(reconstruct(basis, expand(basis, x.matrix)) - x.matrix) < 1e-12
+        assert max_abs(reconstruct(basis, expand(basis, x)) - x) < 1e-12
 
     def test_requires_orthogonal(self, rng):
         state = random_state(rng, 2)
@@ -348,7 +352,7 @@ class TestClassifyFamilyPoint:
         # bound: PPT passes, a cyclic shift detects; free: PPT fails
         bound = family_special(3, 0.25, 0.65)
         assert ppt_check(family_rho(bound)).verdict == "pass"
-        assert perm_reduction_family(bound, 1)[1].verdict == "violated"
+        assert perm_reduction_family(family_rho(bound), 1)[1].verdict == "violated"
         free = family_special(3, 0.3, 0.65)
         assert ppt_check(family_rho(free)).verdict == "violated"
 

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_complex
+from loowit.criteria import _unitary_mixing
 from loowit.linalg import herm_eigvalues, max_abs
 from loowit.loo import (
+    OrthTransform,
     Permutation,
     apply_orthogonal,
     asym_slot,
-    conjugate_basis,
     diag_cycle,
     expand,
     fixed_points,
@@ -16,6 +17,7 @@ from loowit.loo import (
     identity_permutation,
     identity_transform,
     make_transform,
+    pair_sum,
     permutation_transform,
     random_orthogonal,
     random_unitary,
@@ -24,23 +26,10 @@ from loowit.loo import (
     sym_slot,
     transpose_basis,
     transpose_transform,
-    unitary_transform,
     validate_basis,
 )
 from loowit.states import phi
-
-
-def swap_operator(d):
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            s[m * d + n, n * d + m] = 1.0
-    return s
-
-
-def pair_sum(mats_a, mats_b):
-    d = mats_a.shape[1]
-    return np.einsum("uab,ucd->acbd", mats_a, mats_b).reshape(d * d, d * d)
+from oracles import conjugate_basis, swap_operator
 
 
 class TestStandardBasis:
@@ -167,17 +156,17 @@ class TestTransforms:
         sigma = identity_permutation(9)
         assert max_abs(permutation_transform(sigma).matrix - np.eye(9)) == 0.0
 
+    # the mixing a unitary induces on the standard set is the search's _unitary_mixing
     def test_unitary_transform_orthogonal(self, rng):
         for _ in range(20):
-            t = unitary_transform(random_unitary(3, rng))
-            assert t.kind == "orthogonal"
-            assert max_abs(t.matrix @ t.matrix.T - np.eye(9)) < 1e-9
+            r = _unitary_mixing(random_unitary(3, rng), 3)
+            assert max_abs(r @ r.T - np.eye(9)) < 1e-9
 
     def test_unitary_transform_matches_conjugation(self, rng):
         basis = standard_basis(3)
         for _ in range(5):
             u = random_unitary(3, rng)
-            via_transform = apply_orthogonal(basis, unitary_transform(u))
+            via_transform = apply_orthogonal(basis, OrthTransform(_unitary_mixing(u, 3), "orthogonal"))
             via_conjugation = conjugate_basis(basis, u)
             assert max_abs(via_transform.mats - via_conjugation.mats) < 1e-9
 
@@ -190,14 +179,15 @@ class TestTransforms:
         expected = (-1.0) ** (d * (d - 1) // 2)
         assert abs(np.linalg.det(t.matrix) - expected) < 1e-9
         for _ in range(10):
-            o = unitary_transform(random_unitary(d, rng))
-            assert abs(np.linalg.det(o.matrix) - 1.0) < 1e-9
+            assert abs(np.linalg.det(_unitary_mixing(random_unitary(d, rng), d)) - 1.0) < 1e-9
 
     def test_make_transform_classification(self):
         assert make_transform(np.eye(4)).kind == "orthogonal"
         assert make_transform(0.3 * np.eye(4)).kind == "contraction"
         with pytest.raises(ValueError, match="2.25"):
             make_transform(1.5 * np.eye(4))
+        with pytest.raises(ValueError, match="non-finite"):
+            make_transform(np.diag([1.0, np.nan, 1.0, 1.0]))
 
 
 class TestPermutations:

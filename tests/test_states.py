@@ -244,3 +244,10 @@ class TestSerialization:
     def test_make_state_dimension_check(self):
         with pytest.raises(ValueError, match="dimension"):
             make_state(np.eye(4) / 4.0, DimPair(2, 3), "bad")
+
+    @pytest.mark.parametrize("entry", (np.nan, np.inf))
+    def test_non_finite_named(self, entry):
+        m = np.eye(4) / 4.0
+        m[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            make_state(m, DimPair(2, 2), "bad")

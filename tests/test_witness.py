@@ -22,10 +22,7 @@ from loowit.witness import (
     perm_ew,
     save_witness,
 )
-
-
-def n_sq_closed(a: float) -> float:
-    return (1.0 - a) * a * a / ((2.0 + a) * (1.0 + 8.0 * a) ** 2)
+from oracles import n_sq_closed
 
 
 class TestTransformWitness:
