@@ -20,11 +20,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import (
+    DimPair,
     is_psd,
     kron,
     max_abs,
+    member_max_abs,
     partial_trace,
     partial_transpose,
+    raise_first,
+    require_nonnegative,
+    scalar_or_stack,
     trace_norm,
 )
 from .loo import (
@@ -39,10 +44,11 @@ from .loo import (
     random_unitary,
     require_unitary,
     standard_basis,
+    standard_entries,
     sym_slot,
     transpose_transform,
 )
-from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, family_special
+from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
 from .witness import Witness, expectation
 
 ALGEBRAIC_TOL = 1e-9
@@ -70,8 +76,7 @@ class CriterionReport:
         }
 
 
-def _psd_report(criterion: str, matrix: np.ndarray, tol: float, params: dict) -> CriterionReport:
-    ok, min_eig = is_psd(matrix, tol=tol)
+def _psd_report(criterion: str, ok: bool, min_eig: float, params: dict) -> CriterionReport:
     return CriterionReport(
         criterion=criterion,
         verdict="pass" if ok else "violated",
@@ -80,21 +85,72 @@ def _psd_report(criterion: str, matrix: np.ndarray, tol: float, params: dict) ->
     )
 
 
+# Stacked kernels: each takes one density matrix or a (..., n, n) stack of them
+# and gives the decisive scalars per member (Python scalars for one matrix).
+
+
+def ppt_psd(rho: np.ndarray, dims: DimPair, tol: float = ALGEBRAIC_TOL):
+    """PSD verdicts and minimum eigenvalues of the partial transposes rho^T_B."""
+    return is_psd(partial_transpose(rho, dims, "B"), tol=tol)
+
+
+# The contractions below add only the nonzero entries of the standard set
+# (loo.standard_entries) and add them in the order np.einsum visits them in the
+# dense contraction named in each docstring, starting from +0. A skipped term
+# is a product with a zero entry, which adds nothing, so each result has the
+# bits of that einsum at a fraction of its cost.
+
+
+def _correlation(rho: np.ndarray, d: int) -> np.ndarray:
+    """S[..., u, v] = Tr(rho L_u x L_v) for the untransposed standard set on both sides. Real.
+
+    Dense form: np.einsum("...mnkl,ukm,vln->...uv", r4, mats, mats), whose
+    terms run over (k, m, l, n) ascending.
+    """
+    rows, cols, values = standard_entries(d)
+    r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
+    s = np.zeros(rho.shape[:-2] + (d * d, d * d), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            block = r4[..., cols[i][:, None], cols[j], rows[i][:, None], rows[j]]
+            s = s + (block * values[i][:, None]) * values[j]
+    imag = member_max_abs(s.imag)
+    raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
+    return s.real
+
+
+def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
+    return _correlation(rho, d) @ transpose_transform(d).matrix
+
+
+def realignment_norm(rho: np.ndarray, d: int):
+    """Trace norms of the correlation matrices T; separable states give at most 1."""
+    return trace_norm(_correlation_T(rho, d))
+
+
+def o_reduction_operator(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
+    """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T."""
+    rows, cols, values = standard_entries(d)
+    r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
+    # B-side operators paired with L_u; dense form np.einsum("...mnkl,ukm->...unl", r4, mats)
+    by_slot = np.swapaxes(r4, -3, -2)  # (..., m, k, n, l)
+    residue = np.zeros(rho.shape[:-2] + (d * d, d, d), dtype=complex)
+    for i in range(2):
+        residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
+    mixed = apply_orthogonal(standard_basis(d), transform)
+    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed.mats).reshape(rho.shape)
+    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+
+
 def ppt_check(state: BipartiteState, tol: float = ALGEBRAIC_TOL) -> CriterionReport:
     """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
-    pt = partial_transpose(state.rho, state.dims, "B")
-    return _psd_report("ppt", pt, tol, {"tol": tol})
+    ok, min_eig = ppt_psd(state.rho, state.dims, tol)
+    return _psd_report("ppt", ok, min_eig, {"tol": tol})
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
     """S[u, v] = Tr(rho L_u x L_v), both sides the untransposed standard set. Real."""
-    d = state.dims.square_dim
-    mats = standard_basis(d).mats
-    r4 = state.rho.reshape(d, d, d, d)
-    s = np.einsum("mnkl,ukm,vln->uv", r4, mats, mats)
-    if max_abs(s.imag) > ALGEBRAIC_TOL:
-        raise ValueError(f"correlation matrix has non-real residue {max_abs(s.imag):.3e}")
-    return s.real
+    return _correlation(state.rho, state.dims.square_dim)
 
 
 def correlation_T(state: BipartiteState) -> np.ndarray:
@@ -103,8 +159,7 @@ def correlation_T(state: BipartiteState) -> np.ndarray:
     Equals pair_correlation times the diagonal +-1 transpose mixing, so its
     singular values do not depend on the B-side convention.
     """
-    d = state.dims.square_dim
-    return pair_correlation(state) @ transpose_transform(d).matrix
+    return _correlation_T(state.rho, state.dims.square_dim)
 
 
 def realignment_value(
@@ -114,20 +169,10 @@ def realignment_value(
 
     It equals the trace norm of the index-realigned density matrix.
     """
-    value = trace_norm(correlation_T(state))
+    value = realignment_norm(state.rho, state.dims.square_dim)
     verdict = "pass" if value <= 1.0 + tol else "violated"
     report = CriterionReport("realignment", verdict, value, {"tol": tol})
     return value, report
-
-
-def _transformed_a_side(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
-    """sum_uv <L_u x L_v^T> L^o_u x L_v^T, via A-side basis expansion."""
-    basis = standard_basis(d)
-    mixed = apply_orthogonal(basis, transform)
-    r4 = rho.reshape(d, d, d, d)
-    residue = np.einsum("mnkl,ukm->unl", r4, basis.mats)  # B-side operators paired with L_u
-    out = np.einsum("unl,umk->mnkl", residue, mixed.mats)
-    return out.reshape(d * d, d * d)
 
 
 def o_reduction_apply(
@@ -141,14 +186,12 @@ def o_reduction_apply(
     Separable states stay positive semidefinite for every orthogonal mixing;
     a negative eigenvalue certifies entanglement.
     """
-    d = state.dims.square_dim
-    mapped = _transformed_a_side(state.rho, d, transform)
-    operator = kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - mapped
+    operator = o_reduction_operator(state.rho, state.dims.square_dim, transform)
     params: dict = {"tol": tol}
     if label is not None:
         params["transform"] = label
-    report = _psd_report("o_reduction", operator, tol, params)
-    return operator, report
+    ok, min_eig = is_psd(operator, tol=tol)
+    return operator, _psd_report("o_reduction", ok, min_eig, params)
 
 
 def perm_reduction_family(
@@ -316,21 +359,18 @@ def x_search(
     )
 
 
-def classify_family_point(d: int, a1: float, a2: float) -> str:
-    """Analytic region of a special-slice family point.
+def classify_family_point(d: int, a1, a2):
+    """Analytic region of a special-slice family point, or of each point of (a1, a2) arrays.
 
     On the slice the family conditions read: separable iff a2 >= a1 and
     a_d >= a1; PPT iff a2 * a_d >= a1^2. Bound means PPT but not separable;
     free means the partial transpose is negative. Returns "invalid" when the
-    weights leave the simplex.
+    weights leave the simplex. Scalar (a1, a2) give a str, arrays an array of str.
     """
-    try:
-        params = family_special(d, a1, a2)
-    except ValueError:
-        return "invalid"
-    if family_separable_sufficient(params):
-        return "separable"
-    return "bound" if family_ppt_sufficient(params) else "free"
+    a, valid = special_slice(d, a1, a2)
+    region = np.where(family_ppt_sufficient(a), "bound", "free")
+    region = np.where(family_separable_sufficient(a), "separable", region)
+    return scalar_or_stack(np.where(valid, region, "invalid"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +383,10 @@ class ReportConfig:
     seed: int = 0
     include_search: bool = True
     witnesses: tuple[Witness, ...] = ()
+
+    def __post_init__(self) -> None:
+        require_nonnegative("tol", self.tol)
+        require_nonnegative("tol_search", self.tol_search)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,11 +4,19 @@ Everything works on plain ``numpy.ndarray`` values (complex128, row-major).
 Composite-system indexing follows the Kronecker convention: the product basis
 vector |m,n> sits at row d_B*(m-1)+n in 1-based labels, which is exactly
 ``numpy.kron`` ordering with 0-based indices d_B*m + n.
+
+The operator functions take stacks: any leading batch axes in front of the
+last two, ``(..., n, n)``. Each stack member is processed as it would be on
+its own, so a stack gives the same bits as its members one at a time. A
+single matrix gives Python scalars where a stack gives arrays, and an error
+about one member of a stack names that member's index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,23 +30,56 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def member_max_abs(m: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a (..., r, c) stack."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger| entrywise."""
-    return max_abs(np.asarray(m) - dagger(m))
+def hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """max |M - M^dagger| entrywise, per matrix of a (..., n, n) stack."""
+    m = np.asarray(m)
+    return member_max_abs(m - dagger(m))
+
+
+def scalar_or_stack(values: np.ndarray):
+    """A Python scalar for a 0-d result (a single matrix), else the array (a stack)."""
+    return values.item() if values.ndim == 0 else values
+
+
+def raise_first(bad: np.ndarray, name: str, describe: Callable[[tuple[int, ...]], str]) -> None:
+    """Raise ValueError("<who> <describe(index)>") for the first flagged stack member.
+
+    ``bad`` holds one flag per member; a 0-d mask stands for a single matrix,
+    named ``name``, while a stack member is named ``name[i]``.
+    """
+    if not bad.any():
+        return
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    who = f"{name}[{', '.join(map(str, index))}]" if index else name
+    raise ValueError(f"{who} {describe(index)}")
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Reject a NaN, infinite or negative tolerance (or band width), naming it."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within a relative tolerance and return the symmetrized matrix."""
+    """Validate Hermiticity within a relative tolerance and return the symmetrized matrix (or stack)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     defect = hermitian_defect(m)
-    if defect > tol * max(1.0, max_abs(m)):
-        raise ValueError(f"{name} violates hermiticity: max |M - M^dagger| = {defect:.3e}")
+    raise_first(
+        defect > tol * np.maximum(1.0, member_max_abs(m)),
+        name,
+        lambda i: f"violates hermiticity: max |M - M^dagger| = {defect[i]:.3e}",
+    )
     return (m + dagger(m)) / 2.0
 
 
@@ -75,11 +116,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _blocks(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """View a (..., n, n) stack as (..., d_A, d_B, d_A, d_B) tensors."""
     rho = np.asarray(rho, dtype=complex)
     n = dims.total
-    if rho.shape != (n, n):
+    if rho.shape[-2:] != (n, n):
         raise ValueError(f"matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b}")
-    return rho.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+    return rho.reshape(rho.shape[:-2] + (dims.d_a, dims.d_b, dims.d_a, dims.d_b))
 
 
 def _check_subsystem(subsystem: str) -> str:
@@ -92,18 +134,18 @@ def partial_transpose(rho: np.ndarray, dims: DimPair, subsystem: str = "B") -> n
     """Transpose one tensor factor: <m,n|rho^T_B|k,l> = <m,l|rho|k,n> (and analogously for A)."""
     r4 = _blocks(rho, dims)
     if _check_subsystem(subsystem) == "B":
-        out = r4.transpose(0, 3, 2, 1)
+        out = np.swapaxes(r4, -3, -1)
     else:
-        out = r4.transpose(2, 1, 0, 3)
-    return out.reshape(dims.total, dims.total)
+        out = np.swapaxes(r4, -4, -2)
+    return out.reshape(r4.shape[:-4] + (dims.total, dims.total))
 
 
 def partial_trace(rho: np.ndarray, dims: DimPair, subsystem: str) -> np.ndarray:
     """Trace out the named subsystem, returning the reduced operator on the other one."""
     r4 = _blocks(rho, dims)
     if _check_subsystem(subsystem) == "B":
-        return np.einsum("mnkn->mk", r4)
-    return np.einsum("mnml->nl", r4)
+        return np.einsum("...mnkn->...mk", r4)
+    return np.einsum("...mnml->...nl", r4)
 
 
 def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
@@ -113,11 +155,11 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     criterion value.
     """
     r4 = _blocks(rho, dims)
-    return r4.transpose(0, 2, 1, 3).reshape(dims.d_a * dims.d_a, dims.d_b * dims.d_b)
+    return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
 def herm_eigvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack.
 
     Rejects input whose Hermiticity defect exceeds ``tol`` (relative); the
     symmetrized matrix (H + H^dagger)/2 is decomposed.
@@ -125,20 +167,23 @@ def herm_eigvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(h, tol=tol))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values: a float for one matrix, an array for a (..., r, c) stack."""
+    # The complex SVD is kept for real input too: a real one changes the last bit.
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """PSD verdict with the decisive minimum eigenvalue.
+def is_psd(h: np.ndarray, tol: float = PSD_TOL):
+    """PSD verdict with the decisive minimum eigenvalue, per matrix of a stack.
 
     True iff min eigenvalue >= -tol * max(1, |h|_max). The eigenvalue is always
-    returned so callers can report it.
+    returned so callers can report it. One matrix gives (bool, float); a stack
+    gives a boolean array and a float array.
     """
-    values = herm_eigvalues(h)
-    min_eig = float(values[0])
-    return min_eig >= -tol * max(1.0, max_abs(h)), min_eig
+    h = np.asarray(h)
+    min_eig = herm_eigvalues(h)[..., 0]
+    ok = min_eig >= -tol * np.maximum(1.0, member_max_abs(h))
+    return scalar_or_stack(ok), scalar_or_stack(min_eig)

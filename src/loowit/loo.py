@@ -90,6 +90,26 @@ def standard_basis(d: int) -> LooBasis:
     return LooBasis(dim=d, mats=mats)
 
 
+@lru_cache(maxsize=None)
+def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of each standard observable: rows, columns and values, each (2, d^2).
+
+    Every observable has one or two nonzero entries; entry 0 precedes entry 1
+    in row-major order, and a projector's missing second entry is padded with
+    the value 0 at (0, 0).
+    """
+    mats = standard_basis(d).mats
+    rows = np.zeros((2, d * d), dtype=int)
+    cols = np.zeros((2, d * d), dtype=int)
+    values = np.zeros((2, d * d), dtype=complex)
+    for u, mat in enumerate(mats):
+        for i, (k, m) in enumerate(np.argwhere(mat)):
+            rows[i, u], cols[i, u], values[i, u] = k, m, mat[k, m]
+    for a in (rows, cols, values):
+        a.flags.writeable = False
+    return rows, cols, values
+
+
 def gram_matrix(basis: LooBasis) -> np.ndarray:
     """Pairwise Hilbert-Schmidt inner products Tr(L_u L_v)."""
     flat = basis.mats.reshape(len(basis), -1)

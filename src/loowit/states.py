@@ -17,7 +17,9 @@ from .linalg import (
     hermitian_defect,
     herm_eigvalues,
     kron,
-    max_abs,
+    member_max_abs,
+    raise_first,
+    scalar_or_stack,
 )
 
 STATE_HERMITICITY_TOL = 1e-10
@@ -34,25 +36,40 @@ class BipartiteState:
     label: str
 
 
-def make_state(rho: np.ndarray, dims: DimPair, label: str) -> BipartiteState:
-    """Wrap and validate a density matrix; error messages name the violated quantity."""
+def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """Validate a density matrix, or each member of a (..., n, n) stack, and return it as complex.
+
+    Errors name the violated quantity and, in a stack, the first failing
+    member as ``state[i]``.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dims.total, dims.total):
+    if rho.ndim < 2 or rho.shape[-2:] != (dims.total, dims.total):
         raise ValueError(
             f"state matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b} (dimension)"
         )
-    if not np.isfinite(rho).all():
-        raise ValueError("state has non-finite entries (NaN or inf)")
+    raise_first(~np.isfinite(rho).all(axis=(-2, -1)), "state", lambda i: "has non-finite entries (NaN or inf)")
     defect = hermitian_defect(rho)
-    if defect > STATE_HERMITICITY_TOL * max(1.0, max_abs(rho)):
-        raise ValueError(f"state violates hermiticity: max |rho - rho^dagger| = {defect:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > STATE_TRACE_TOL:
-        raise ValueError(f"state violates trace normalization: trace = {tr.real:.12g}")
-    min_eig = float(herm_eigvalues(rho)[0])
-    if min_eig < -STATE_EIG_TOL:
-        raise ValueError(f"state violates positivity: min eigenvalue = {min_eig:.3e}")
-    return BipartiteState(dims=dims, rho=rho, label=label)
+    raise_first(
+        defect > STATE_HERMITICITY_TOL * np.maximum(1.0, member_max_abs(rho)),
+        "state",
+        lambda i: f"violates hermiticity: max |rho - rho^dagger| = {defect[i]:.3e}",
+    )
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    raise_first(
+        np.abs(tr - 1.0) > STATE_TRACE_TOL,
+        "state",
+        lambda i: f"violates trace normalization: trace = {tr[i].real:.12g}",
+    )
+    min_eig = herm_eigvalues(rho)[..., 0]
+    raise_first(
+        min_eig < -STATE_EIG_TOL, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
+    )
+    return rho
+
+
+def make_state(rho: np.ndarray, dims: DimPair, label: str) -> BipartiteState:
+    """Wrap and validate a density matrix; error messages name the violated quantity."""
+    return BipartiteState(dims=dims, rho=check_densities(rho, dims), label=label)
 
 
 def phi(d: int) -> np.ndarray:
@@ -93,6 +110,21 @@ def horodecki_rho(a: float) -> BipartiteState:
     return make_state(rho, DimPair.square(3), label=f"horodecki(a={a:g})")
 
 
+WEIGHT_SUM_TOL = 1e-12
+
+
+def in_simplex(a: np.ndarray) -> np.ndarray:
+    """Mask over the rows of (..., d) weights: nonnegative and summing to 1 within WEIGHT_SUM_TOL.
+
+    The sum runs left to right, as Python's ``sum`` over a tuple does.
+    """
+    a = np.asarray(a, dtype=float)
+    total = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i]
+    return (a >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= WEIGHT_SUM_TOL)
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Mixing weights (a_1, ..., a_d) of the d-level diagonal family; sum = 1."""
@@ -105,58 +137,82 @@ class FamilyParams:
             raise ValueError(f"local dimension must be >= 2, got {self.d}")
         if len(self.a) != self.d:
             raise ValueError(f"need {self.d} weights, got {len(self.a)}")
-        if any(x < 0.0 for x in self.a):
-            raise ValueError(f"weights must be nonnegative, got {self.a}")
-        if abs(sum(self.a) - 1.0) > 1e-12:
+        if not in_simplex(self.a):
+            if any(x < 0.0 for x in self.a):
+                raise ValueError(f"weights must be nonnegative, got {self.a}")
             raise ValueError(f"weights must sum to 1, got sum = {sum(self.a)!r}")
 
 
-def _wrap(i: int, d: int) -> int:
-    """Wrap a 1-based subscript into 1..d."""
-    return (i - 1) % d + 1
+def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
+    """Special-slice weights (..., d) at each (a1, a2), and the mask of valid points.
+
+    The slice is a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2;
+    a point is valid when family_special accepts it.
+    """
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(a2, dtype=float))
+    a_d = 1.0 - (d - 2) * a1 - a2
+    a = np.repeat(a1[..., None], d, axis=-1)
+    a[..., 1] = a2
+    a[..., d - 1] = a_d
+    return a, (a1 >= 0.0) & (a2 >= 0.0) & (a_d >= 0.0) & in_simplex(a)
 
 
 def family_special(d: int, a1: float, a2: float) -> FamilyParams:
-    """Special slice a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2."""
-    a_d = 1.0 - (d - 2) * a1 - a2
-    if a1 < 0.0 or a2 < 0.0 or a_d < 0.0:
-        raise ValueError(f"invalid slice point: (a1, a2, a_d) = ({a1}, {a2}, {a_d})")
-    a = [a1] * d
-    a[1] = a2
-    a[d - 1] = a_d
-    return FamilyParams(d=d, a=tuple(a))
+    """Special slice point a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2."""
+    a, valid = special_slice(d, a1, a2)
+    if not valid:
+        raise ValueError(f"invalid slice point: (a1, a2, a_d) = ({a1}, {a2}, {a[d - 1]})")
+    return FamilyParams(d=d, a=tuple(a.tolist()))
 
 
-def family_rho(params: FamilyParams) -> BipartiteState:
-    """Diagonal d x d family state.
+def family_stack(weights: np.ndarray) -> np.ndarray:
+    """Diagonal d x d family states, one per row of a (..., d) weights array, validated.
 
     (a_1/d) |Phi><Phi| plus, for i = 2..d, weight a_i/d on each projector
     |k, k+i-1><k, k+i-1| with the second label wrapped into 1..d. The reduced
     state on either side is I/d for every valid parameter choice.
     """
-    d = params.d
-    v = phi(d)
-    rho = np.outer(v, v.conj()) * (params.a[0] / d)
-    for i in range(2, d + 1):
-        w = params.a[i - 1] / d
-        for k in range(1, d + 1):
-            col = _wrap(k + i - 1, d)
-            idx = (k - 1) * d + (col - 1)
-            rho[idx, idx] += w
-    label = "family(d={}, a=({}))".format(d, ", ".join(f"{x:g}" for x in params.a))
-    return make_state(rho, DimPair.square(d), label=label)
+    a = np.asarray(weights, dtype=float)
+    d = a.shape[-1]
+    rho = np.zeros(a.shape[:-1] + (d * d, d * d), dtype=complex)
+    k = np.arange(d)
+    phi_idx = k * (d + 1)
+    rho[..., phi_idx[:, None], phi_idx] = (a[..., 0] / d)[..., None, None]
+    for i in range(1, d):
+        idx = k * d + (k + i) % d
+        rho[..., idx, idx] = (a[..., i] / d)[..., None]
+    return check_densities(rho, DimPair.square(d))
 
 
-def family_separable_sufficient(params: FamilyParams) -> bool:
-    """Separability condition: a_i >= a_1 for every i != 1."""
-    return all(x >= params.a[0] for x in params.a[1:])
+def family_rho(params: FamilyParams) -> BipartiteState:
+    """The family state of one weights tuple (see family_stack)."""
+    label = "family(d={}, a=({}))".format(params.d, ", ".join(f"{x:g}" for x in params.a))
+    return BipartiteState(DimPair.square(params.d), family_stack(params.a), label)
 
 
-def family_ppt_sufficient(params: FamilyParams) -> bool:
-    """Positive-partial-transpose condition: a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1."""
-    d, a = params.d, params.a
-    a1_sq = a[0] * a[0]
-    return all(a[_wrap(i + 1, d) - 1] * a[_wrap(d - i + 1, d) - 1] >= a1_sq for i in range(1, d))
+def _weights(params: FamilyParams | np.ndarray) -> np.ndarray:
+    return np.asarray(params.a if isinstance(params, FamilyParams) else params, dtype=float)
+
+
+def family_separable_sufficient(params: FamilyParams | np.ndarray) -> bool | np.ndarray:
+    """Separability condition: a_i >= a_1 for every i != 1.
+
+    Takes one FamilyParams (gives a bool) or (..., d) weights (one verdict per row).
+    """
+    a = _weights(params)
+    return scalar_or_stack(np.all(a[..., 1:] >= a[..., :1], axis=-1))
+
+
+def family_ppt_sufficient(params: FamilyParams | np.ndarray) -> bool | np.ndarray:
+    """Positive-partial-transpose condition: a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1.
+
+    Takes one FamilyParams (gives a bool) or (..., d) weights (one verdict per row).
+    """
+    a = _weights(params)
+    a1_sq = a[..., :1] * a[..., :1]
+    return scalar_or_stack(np.all(a[..., 1:] * a[..., :0:-1] >= a1_sq, axis=-1))
 
 
 def werner2(p: float) -> BipartiteState:

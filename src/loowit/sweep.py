@@ -6,17 +6,32 @@ the best (most negative) cyclic-permutation reduction eigenvalue. Points
 within an epsilon band of either analytic boundary are flagged and excluded
 from the agreement statistic. The CSV schema is versioned; figure scripts
 depend on it.
+
+The grid is judged in blocks of BLOCK_POINTS grid points: each block is one
+stack of family states through the stacked criterion kernels, a fixed number
+of array calls whatever its size. The block size caps the memory the stacks
+take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import classify_family_point, perm_reduction_family, ppt_check, realignment_value
-from .states import family_rho, family_special
+from .criteria import (
+    classify_family_point,
+    o_reduction_operator,
+    ppt_psd,
+    realignment_norm,
+)
+from .linalg import DimPair, is_psd, require_nonnegative
+from .loo import diag_cycle, permutation_transform
+from .states import family_stack, special_slice
+
+BLOCK_POINTS = 256
 
 CSV_HEADER = "# loowit sweep v1"
 CSV_COLUMNS = (
@@ -69,44 +84,52 @@ class SweepResult:
         return 1.0 if self.n_compared == 0 else self.n_agree / self.n_compared
 
 
-def _near_boundary(a1: float, a2: float, a_d: float, epsilon: float) -> bool:
+def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray, epsilon: float) -> np.ndarray:
     return (
-        abs(a2 - a1) <= epsilon
-        or abs(a_d - a1) <= epsilon
-        or abs(a2 * a_d - a1 * a1) <= epsilon
+        (np.abs(a2 - a1) <= epsilon)
+        | (np.abs(a_d - a1) <= epsilon)
+        | (np.abs(a2 * a_d - a1 * a1) <= epsilon)
     )
+
+
+def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray, epsilon: float, tol: float) -> list[SweepRow]:
+    """Rows of the points (a1[i], a2[i]) that lie in the parameter simplex, in input order."""
+    require_nonnegative("tol", tol)
+    require_nonnegative("epsilon", epsilon)
+    weights, valid = special_slice(d, a1, a2)
+    if not valid.any():
+        return []
+    a1, a2, weights = a1[valid], a2[valid], weights[valid]
+    a_d = weights[:, d - 1]
+    rho = family_stack(weights)
+
+    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d), tol)
+    cycle_min_eigs = [
+        is_psd(o_reduction_operator(rho, d, permutation_transform(diag_cycle(d, l))), tol=tol)[1]
+        for l in range(1, d)
+    ]
+    # The smallest over the shifts, the earlier shift winning ties as with Python's min().
+    oreduction_min = reduce(lambda best, x: np.where(x < best, x, best), cycle_min_eigs)
+    realignment = realignment_norm(rho, d)
+    numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -tol, "bound", "separable"))
+    columns = (
+        a1,
+        a2,
+        a_d,
+        classify_family_point(d, a1, a2),
+        ppt_min,
+        oreduction_min,
+        realignment,
+        numeric,
+        _near_boundary(a1, a2, a_d, epsilon),
+    )
+    return [SweepRow(*fields) for fields in zip(*(c.tolist() for c in columns))]
 
 
 def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> SweepRow | None:
-    """One sweep row, or None when the point leaves the parameter simplex."""
-    try:
-        params = family_special(d, a1, a2)
-    except ValueError:
-        return None
-    a_d = params.a[d - 1]
-    state = family_rho(params)
-
-    ppt_report = ppt_check(state, tol=tol)
-    oreduction_min = min(perm_reduction_family(state, l, tol=tol)[1].scalar for l in range(1, d))
-    value, _ = realignment_value(state, tol=tol)
-
-    if ppt_report.verdict == "violated":
-        numeric = "free"
-    elif oreduction_min < -tol:
-        numeric = "bound"
-    else:
-        numeric = "separable"
-    return SweepRow(
-        a1=a1,
-        a2=a2,
-        a_d=a_d,
-        analytic_region=classify_family_point(d, a1, a2),
-        ppt_min_eig=ppt_report.scalar,
-        oreduction_min_eig=oreduction_min,
-        realignment=value,
-        numeric_region=numeric,
-        boundary=_near_boundary(a1, a2, a_d, epsilon),
-    )
+    """One sweep row, or None when the point leaves the parameter simplex (a block of one)."""
+    rows = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float), epsilon, tol)
+    return rows[0] if rows else None
 
 
 def run_sweep(
@@ -118,9 +141,16 @@ def run_sweep(
     """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order."""
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    grid = [float(a) for a in np.linspace(0.0, 1.0, resolution)]
-    maybe_rows = (evaluate_point(d, a1, a2, epsilon, tol) for a1 in grid for a2 in grid)
-    rows = tuple(row for row in maybe_rows if row is not None)
+    grid = np.linspace(0.0, 1.0, resolution)
+    a1_all = np.repeat(grid, resolution)
+    a2_all = np.tile(grid, resolution)
+    rows = tuple(
+        row
+        for start in range(0, a1_all.size, BLOCK_POINTS)
+        for row in _evaluate_block(
+            d, a1_all[start:start + BLOCK_POINTS], a2_all[start:start + BLOCK_POINTS], epsilon, tol
+        )
+    )
 
     compared = [row for row in rows if not row.boundary]
     bound = [row for row in rows if row.numeric_region == "bound"]

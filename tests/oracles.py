@@ -8,7 +8,7 @@ assert that both routes agree.
 import numpy as np
 
 from loowit.criteria import correlation_T, o_reduction_apply
-from loowit.linalg import kron, partial_trace
+from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
     LooBasis,
     OrthTransform,
@@ -120,3 +120,30 @@ def perm_reduction_closed_form(params: FamilyParams, l: int) -> np.ndarray:
             idx = k * d + (k + i) % d
             shifted[idx, idx] += delta
     return kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - shifted
+
+
+def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
+    """S[..., u, v] = Tr(rho L_u x L_v) as one dense einsum over the full observable stacks."""
+    mats = standard_basis(d).mats
+    return np.einsum("...mnkl,ukm,vln->...uv", rho.reshape(rho.shape[:-2] + (d, d, d, d)), mats, mats)
+
+
+def o_reduction_dense(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
+    """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks."""
+    basis = standard_basis(d)
+    mixed = apply_orthogonal(basis, transform)
+    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis.mats)
+    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed.mats).reshape(rho.shape)
+    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+
+
+def family_matrix_loops(params: FamilyParams) -> np.ndarray:
+    """The diagonal family matrix entry by entry: (a_1/d) |Phi><Phi| plus a_i/d on |k, k+i-1><k, k+i-1|."""
+    d = params.d
+    v = phi(d)
+    rho = np.outer(v, v.conj()) * (params.a[0] / d)
+    for i in range(1, d):
+        for k in range(d):
+            idx = k * d + (k + i) % d
+            rho[idx, idx] += params.a[i] / d
+    return rho

@@ -1,0 +1,232 @@
+"""Stacks of states against the same states one at a time.
+
+The linalg primitives, the state validation and the criterion kernels take a
+leading batch axis. A stack must give the bits its members give alone, so the
+sweep's block boundaries cannot change a result; an invalid member must be
+named by its index.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import random_density
+from loowit.criteria import (
+    classify_family_point,
+    o_reduction_apply,
+    o_reduction_operator,
+    pair_correlation,
+    ppt_check,
+    ppt_psd,
+    realignment_norm,
+    realignment_value,
+)
+from loowit.linalg import (
+    DimPair,
+    herm_eigvalues,
+    is_psd,
+    partial_trace,
+    partial_transpose,
+    realign,
+    trace_norm,
+)
+from loowit.loo import (
+    diag_cycle,
+    identity_transform,
+    make_transform,
+    permutation_transform,
+    random_orthogonal,
+    transpose_transform,
+)
+from loowit.states import (
+    FamilyParams,
+    check_densities,
+    family_ppt_sufficient,
+    family_rho,
+    family_separable_sufficient,
+    family_stack,
+    make_state,
+    max_entangled,
+    random_product_state,
+    random_separable_state,
+)
+from loowit.sweep import evaluate_point, run_sweep
+from oracles import correlation_dense, family_matrix_loops, o_reduction_dense
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def sample_states(d: int, seed: int) -> list:
+    """Seeded product and separable samples, the maximally entangled state and family states."""
+    rng = np.random.default_rng(seed)
+    dims = DimPair.square(d)
+    out = [max_entangled(d)]
+    for mode in ("pure", "mixed"):
+        out.append(random_product_state(dims, seed=int(rng.integers(2**31)), mode=mode))
+        out.append(
+            random_separable_state(dims, k=int(rng.integers(1, 5)), seed=int(rng.integers(2**31)), mode=mode)
+        )
+    for _ in range(3):
+        out.append(family_rho(FamilyParams(d, tuple(rng.dirichlet(np.ones(d))))))
+    return out
+
+
+def transforms(d: int) -> list:
+    return [identity_transform(d * d), transpose_transform(d)] + [
+        permutation_transform(diag_cycle(d, l)) for l in range(1, d)
+    ]
+
+
+class TestRouteAgreement:
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_stack_matches_members(self, d, seed, split):
+        states = sample_states(d, seed)
+        dims = DimPair.square(d)
+        stack = np.stack([s.rho for s in states])
+        split = split % len(states)
+
+        def kernels(rho):
+            ok, ppt_min = ppt_psd(rho, dims)
+            reductions = [is_psd(o_reduction_operator(rho, d, t))[1] for t in transforms(d)]
+            return ok, ppt_min, realignment_norm(rho, d), reductions
+
+        whole = kernels(stack)
+        blocks = [kernels(stack[:split]), kernels(stack[split:])]
+        for i, state in enumerate(states):
+            one = kernels(stack[i : i + 1])
+            ppt = ppt_check(state)
+            assert whole[0][i] == one[0][0] == (ppt.verdict == "pass")
+            assert same_bits(whole[1][i], one[1][0])
+            assert same_bits(whole[1][i], ppt.scalar)
+            assert same_bits(whole[2][i], one[2][0])
+            assert same_bits(whole[2][i], realignment_value(state)[0])
+            for t, stacked, single in zip(transforms(d), whole[3], one[3]):
+                assert same_bits(stacked[i], single[0])
+                assert same_bits(stacked[i], o_reduction_apply(state, t)[1].scalar)
+        for k in range(4):
+            joined = np.concatenate([blocks[0][k], blocks[1][k]], axis=-1)
+            assert same_bits(joined, whole[k])
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_linalg_stack_matches_members(self, d, seed):
+        rng = np.random.default_rng(seed)
+        dims = DimPair(d, int(rng.integers(2, 5)))
+        stack = np.stack([random_density(rng, dims.total) for _ in range(4)])
+        for f in (
+            lambda m: partial_transpose(m, dims, "A"),
+            lambda m: partial_transpose(m, dims, "B"),
+            lambda m: partial_trace(m, dims, "A"),
+            lambda m: partial_trace(m, dims, "B"),
+            lambda m: realign(m, dims),
+            herm_eigvalues,
+            trace_norm,
+            lambda m: is_psd(m)[1],
+        ):
+            assert same_bits(f(stack), np.stack([f(m) for m in stack]))
+
+
+class TestSparseContractions:
+    """The kernels add only the nonzero observable entries; the dense einsums are the reference."""
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_correlation_matches_dense_einsum(self, d, seed):
+        rng = np.random.default_rng(seed)
+        state = make_state(random_density(rng, d * d), DimPair.square(d), "random")
+        assert same_bits(pair_correlation(state), correlation_dense(state.rho, d).real)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_o_reduction_matches_dense_einsum(self, d, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_density(rng, d * d) for _ in range(3)])
+        contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
+        for t in transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]:
+            assert same_bits(o_reduction_operator(stack, d, t), o_reduction_dense(stack, d, t))
+
+
+class TestFamilyStack:
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_matches_entrywise_construction(self, d, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(d), size=5)
+        stack = family_stack(weights)
+        for row, rho in zip(weights, stack):
+            assert same_bits(rho, family_matrix_loops(FamilyParams(d, tuple(row.tolist()))))
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_vectorised_labels_match_scalar(self, d, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(d), size=8)
+        separable = family_separable_sufficient(weights)
+        ppt = family_ppt_sufficient(weights)
+        for i, row in enumerate(weights):
+            params = FamilyParams(d, tuple(row.tolist()))
+            assert separable[i] == family_separable_sufficient(params)
+            assert ppt[i] == family_ppt_sufficient(params)
+
+    def test_classify_arrays_match_points(self):
+        a1, a2 = np.meshgrid(np.linspace(0.0, 0.6, 9), np.linspace(0.0, 1.0, 9))
+        regions = classify_family_point(3, a1, a2)
+        for i, j in np.ndindex(a1.shape):
+            assert regions[i, j] == classify_family_point(3, float(a1[i, j]), float(a2[i, j]))
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    def test_sweep_rows_match_points(self, d):
+        rows = run_sweep(d, 9).rows
+        assert rows
+        for row in rows:
+            assert evaluate_point(d, row.a1, row.a2, 1e-3, 1e-9) == row
+
+
+class TestInvalidMember:
+    @pytest.mark.parametrize("index", (0, 2, 4))
+    @pytest.mark.parametrize(
+        "defect, quantity",
+        [("hermiticity", "hermiticity"), ("trace", "trace normalization"), ("positivity", "positivity")],
+    )
+    def test_named_by_index(self, index, defect, quantity):
+        states = sample_states(3, 7)[:5]
+        stack = np.stack([s.rho for s in states])
+        if defect == "hermiticity":
+            stack[index, 0, 1] += 0.05
+        elif defect == "trace":
+            stack[index] *= 0.9
+        else:
+            stack[index] = np.diag([1.5, -0.5] + [0.0] * 7)
+        with pytest.raises(ValueError, match=rf"^state\[{index}\] violates {quantity}"):
+            check_densities(stack, DimPair.square(3))
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(0, 5), st.booleans())
+    def test_property_names_first_invalid_member(self, d, seed, index, hermitian_defect):
+        states = sample_states(d, seed)
+        stack = np.stack([s.rho for s in states])
+        index %= len(states)
+        if hermitian_defect:
+            stack[index, 0, d * d - 1] += 0.1
+        else:
+            stack[index] *= 1.5
+        with pytest.raises(ValueError, match=rf"^state\[{index}\] violates"):
+            check_densities(stack, DimPair.square(d))
+
+    def test_non_finite_member(self):
+        stack = np.stack([np.eye(4) / 4.0] * 3)
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match=r"^state\[1\] has non-finite entries"):
+            check_densities(stack, DimPair.square(2))
+
+    def test_family_weights_outside_simplex(self):
+        weights = np.array([[0.2, 0.5, 0.3], [0.6, -0.2, 0.6], [1 / 3, 1 / 3, 1 / 3]])
+        with pytest.raises(ValueError, match=r"^state\[1\] violates positivity"):
+            family_stack(weights)
+
+    def test_linalg_names_member(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 3)
+        stack[2, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^matrix\[2\] violates hermiticity"):
+            herm_eigvalues(stack)
+
+    def test_single_matrix_messages_unchanged(self):
+        m = np.eye(4) / 4.0
+        m[0, 1] = 0.2
+        with pytest.raises(ValueError, match=r"^state violates hermiticity: max \|rho - rho\^dagger\|"):
+            make_state(m, DimPair(2, 2), "bad")

@@ -168,6 +168,33 @@ class TestSweepCommand:
         assert code == cli.EXIT_ERROR
         assert "resolution" in err
 
+    @pytest.mark.parametrize("d", ("1", "0"))
+    def test_bad_dimension(self, capsys, tmp_path, d):
+        code, _, err = run_cli(capsys, "sweep", "--d", d, "--grid", "10", "--out", str(tmp_path / "x.csv"))
+        assert code == cli.EXIT_ERROR
+        assert f"error: local dimension must be >= 2, got {d}" in err
+
+
+class TestTolerances:
+    """A NaN or negative tolerance must not flip verdicts: it is rejected by name."""
+
+    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--tol-search", "tol_search")])
+    @pytest.mark.parametrize("value", ("nan", "-1", "inf"))
+    def test_check_rejects(self, capsys, flag, name, value):
+        code, out, err = run_cli(capsys, "check", "--builtin", "product:d=3", flag, value, "--no-search")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {name} must be a finite number >= 0")
+
+    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--epsilon", "epsilon")])
+    @pytest.mark.parametrize("value", ("nan", "-1"))
+    def test_sweep_rejects(self, capsys, tmp_path, flag, name, value):
+        path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--d", "3", "--grid", "10", flag, value, "--out", str(path))
+        assert code == cli.EXIT_ERROR
+        assert err.startswith(f"error: {name} must be a finite number >= 0")
+        assert not path.exists()
+
 
 class TestLooValidate:
     def test_d3_deviations(self, capsys):
@@ -232,6 +259,21 @@ class TestGoldenOutput:
         run_cli(capsys, "sweep", "--d", "3", "--grid", "20", "--out", str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "f4f6bb6b3d454d482193ce46e5b1d1087bc15f32963cf5efbb3df709a8248f0c"
+
+    @pytest.mark.parametrize(
+        "d, grid, digest, rows",
+        [
+            (2, 60, "b042768c8a71c31e81d18f217c902b5b87b779180fb928261570b577e999220c", 60),
+            (4, 30, "ac95664be04c3923b73a15b1045c89bc9d0978d359f85a15dc5e1ccbac3fbde0", 238),
+            (5, 20, "55e578ff7a7c4d1ee57d64a810a9ac9a44f7f6b766147f85d884f4bb5d0e5016", 77),
+        ],
+    )
+    def test_sweep_csv_across_d(self, capsys, tmp_path, d, grid, digest, rows):
+        path = tmp_path / "sweep.csv"
+        run_cli(capsys, "sweep", "--d", str(d), "--grid", str(grid), "--out", str(path))
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert len(data.splitlines()) - 2 == rows
 
     def test_check_json(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
