@@ -29,23 +29,22 @@ from .linalg import (
     partial_transpose,
     raise_first,
     require_nonnegative,
+    require_seed,
     scalar_or_stack,
     trace_norm,
 )
 from .loo import (
     OrthTransform,
     apply_orthogonal,
-    asym_slot,
     diag_cycle,
     identity_transform,
-    pair_list,
+    pair_slots,
     permutation_transform,
     random_orthogonal,
     random_unitary,
     require_unitary,
     standard_basis,
     standard_entries,
-    sym_slot,
     transpose_transform,
 )
 from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
@@ -56,6 +55,8 @@ SEARCH_TOL = 1e-6
 # Refinement of each x_search restart: rotation rounds and their step decay.
 REFINE_ROUNDS = 40
 STEP_DECAY = 0.7
+# Restarts that x_search advances in lockstep as one stack.
+SEARCH_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -209,30 +210,51 @@ def perm_reduction_family(
 
 
 def _unitary_mixing(u: np.ndarray, d: int) -> np.ndarray:
-    """R[a, b] = Tr(L_b  u L_a u^dagger) for the standard set."""
+    """R[..., a, b] = Tr(L_b  u L_a u^dagger) for the standard set, for u or a (..., d, d) stack.
+
+    The result is the .real view of a complex array (row stride 16 bytes);
+    _x_coefficients relies on that layout, see there.
+    """
     mats = standard_basis(d).mats
-    conj = np.matmul(np.matmul(u, mats), u.conj().T)
-    return np.einsum("mij,nji->mn", conj, mats).real
+    u = u[..., None, :, :]
+    conj = np.matmul(np.matmul(u, mats), np.swapaxes(u.conj(), -1, -2))
+    return np.einsum("...mij,nji->...mn", conj, mats).real
 
 
-def _x_components(
-    s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int
-) -> np.ndarray:
-    """Expansion coefficients of X in the standard set from pair correlations."""
-    trace_vec = np.zeros(d * d)
+def _x_coefficients(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
+    """Standard-set coefficients of X, (..., d^2), from pair correlations s and mixings o, r.
+
+    o and r are one mixing each or (..., d^2, d^2) stacks. s and r must be the
+    .real views that pair_correlation and _unitary_mixing return: numpy's
+    matmul cannot hand 16-byte-strided operands to BLAS and uses its own loop,
+    while a contiguous copy goes to BLAS and changes the last bits. Keeping
+    the views keeps every stack member bit-identical to the per-restart
+    reference search.
+    """
+    n = d * d
+    sym, asym = pair_slots(d)
+    trace_vec = np.zeros(n)
     trace_vec[:d] = 1.0  # Tr of the projector slots; pair slots are traceless
-    g = o @ s @ r.T
-    h = trace_vec @ s @ r.T
-    coeffs = np.zeros(d * d)
-    for m in range(d):
-        coeffs[m] = h[m] - g[m, m]
+    r_t = np.swapaxes(r, -1, -2)
+    g = o @ s @ r_t
+    h = trace_vec @ s @ r_t
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for m, n in pair_list(d):
-        p = sym_slot(d, m, n)
-        q = asym_slot(d, m, n)
-        coeffs[p] = -inv_sqrt2 * (g[p, p] - g[q, q])
-        coeffs[q] = -inv_sqrt2 * (g[p, q] + g[q, p])
+    coeffs = np.empty(g.shape[:-1])
+    coeffs[..., :d] = h[..., :d] - diag[..., :d]
+    coeffs[..., sym] = -inv_sqrt2 * (diag[..., sym] - diag[..., asym])
+    coeffs[..., asym] = -inv_sqrt2 * (g[..., sym, asym] + g[..., asym, sym])
     return coeffs
+
+
+def _x_stack(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
+    """X for each (o, r) pair of the stacks, (..., d, d)."""
+    return np.einsum("...u,uij->...ij", _x_coefficients(s, o, r, d), standard_basis(d).mats)
+
+
+def _x_min_eig(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
+    """Smallest eigenvalue of X for each (o, r) pair of the stacks."""
+    return np.linalg.eigvalsh(_x_stack(s, o, r, d))[..., 0]
 
 
 def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
@@ -256,10 +278,7 @@ def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> 
         raise ValueError(f"unitary dim {u.shape[0]} does not match local dim {d}")
     if transform.kind != "orthogonal":
         raise ValueError("correlation matrix requires an orthogonal mixing")
-    s = pair_correlation(state)
-    r = _unitary_mixing(u, d)
-    coeffs = _x_components(s, transform.matrix, r, d)
-    return np.einsum("u,uij->ij", coeffs, standard_basis(d).mats)
+    return _x_stack(pair_correlation(state), transform.matrix, _unitary_mixing(u, d), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,31 +291,98 @@ class XSearchResult:
     report: CriterionReport
 
 
-def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    g = np.eye(n)
+@dataclass(frozen=True)
+class _RestartDraws:
+    """Random numbers of a block of B restarts, as the refinement uses them.
+
+    ``o`` (B, n, n) and ``u`` (B, d, d) are the starting pairs. Per restart
+    and refinement round, ``planes[..., 0, :]`` is the plane (i, j) of the O
+    step and ``planes[..., 1, :]`` that of the u step. The rotation entries
+    (g[i, i] = g[j, j], g[i, j], g[j, i]) are (cos, -sin, sin) of the angle
+    for O and (cos, -sin e^(i phase), sin e^(-i phase)) for u.
+    """
+
+    o: np.ndarray
+    u: np.ndarray
+    planes: np.ndarray  # (B, REFINE_ROUNDS, 2, 2)
+    o_entries: np.ndarray  # (B, REFINE_ROUNDS, 3), real
+    u_entries: np.ndarray  # (B, REFINE_ROUNDS, 3), complex
+
+
+def _draw_restarts(d: int, seed: int, restarts: range) -> _RestartDraws:
+    """Draw each restart's numbers from its own generator, in the order of one restart's loop.
+
+    No draw depends on an acceptance, so the whole block is drawn up front.
+    """
+    n = d * d
+    size = len(restarts)
+    o = np.empty((size, n, n))
+    u = np.empty((size, d, d), dtype=complex)
+    planes = np.empty((size, REFINE_ROUNDS, 2, 2), dtype=int)
+    normals = np.empty((size, REFINE_ROUNDS, 3))
+    for b, restart in enumerate(restarts):
+        rng = np.random.default_rng([seed, restart])
+        o[b] = random_orthogonal(n, rng)
+        u[b] = random_unitary(d, rng)
+        for k in range(REFINE_ROUNDS):
+            planes[b, k, 0] = rng.choice(n, size=2, replace=False)
+            normals[b, k, 0] = rng.standard_normal()
+            planes[b, k, 1] = rng.choice(d, size=2, replace=False)
+            normals[b, k, 1] = rng.standard_normal()
+            normals[b, k, 2] = rng.uniform(0.0, 2.0 * np.pi)
+    steps = np.empty(REFINE_ROUNDS)
+    steps[0] = np.pi / 2.0
+    for k in range(1, REFINE_ROUNDS):
+        steps[k] = steps[k - 1] * STEP_DECAY
+    theta = steps[:, None] * normals[..., :2]
     c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
+    phase = normals[..., 2]
+    o_entries = np.stack([c[..., 0], -s[..., 0], s[..., 0]], axis=-1)
+    u_upper, u_lower = -s[..., 1] * np.exp(1j * phase), s[..., 1] * np.exp(-1j * phase)
+    u_entries = np.stack([c[..., 1], u_upper, u_lower], axis=-1)
+    return _RestartDraws(o=o, u=u, planes=planes, o_entries=o_entries, u_entries=u_entries)
+
+
+def _plane_rotations(n: int, planes: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Stack of plane rotations g[b]: the identity except, with (i, j) = planes[b],
+    g[b, i, i] = g[b, j, j] = entries[b, 0], g[b, i, j] = entries[b, 1] and
+    g[b, j, i] = entries[b, 2]."""
+    size = len(entries)
+    rows, i, j = np.arange(size), planes[:, 0], planes[:, 1]
+    g = np.zeros((size, n, n), dtype=entries.dtype)
+    g.reshape(size, n * n)[:, :: n + 1] = 1.0
+    g[rows, i, i] = entries[:, 0]
+    g[rows, j, j] = entries[:, 0]
+    g[rows, i, j] = entries[:, 1]
+    g[rows, j, i] = entries[:, 2]
     return g
 
 
-def _complex_givens(n: int, i: int, j: int, theta: float, phase: float) -> np.ndarray:
-    g = np.eye(n, dtype=complex)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s * np.exp(1j * phase)
-    g[j, i] = s * np.exp(-1j * phase)
-    return g
+def _refine_block(s: np.ndarray, d: int, draws: _RestartDraws):
+    """Run a block of restarts in lockstep; the final (values, O stack, u stack).
 
-
-def _x_min_eig(s: np.ndarray, o: np.ndarray, u: np.ndarray, d: int, mats: np.ndarray) -> float:
+    Each round perturbs every restart's O by a plane rotation and keeps it if
+    the smallest eigenvalue drops, then does the same for u. An O step reuses
+    the restart's mixing R, since u is unchanged.
+    """
+    n = d * d
+    o, u = draws.o, draws.u  # refined in place
     r = _unitary_mixing(u, d)
-    coeffs = _x_components(s, o, r, d)
-    matrix = np.einsum("u,uij->ij", coeffs, mats)
-    return float(np.linalg.eigvalsh(matrix)[0])
+    val = _x_min_eig(s, o, r, d)
+    for k in range(REFINE_ROUNDS):
+        o_try = _plane_rotations(n, draws.planes[:, k, 0], draws.o_entries[:, k]) @ o
+        val_try = _x_min_eig(s, o_try, r, d)
+        better = val_try < val
+        np.copyto(o, o_try, where=better[:, None, None])
+        val = np.where(better, val_try, val)
+        u_try = _plane_rotations(d, draws.planes[:, k, 1], draws.u_entries[:, k]) @ u
+        r_try = _unitary_mixing(u_try, d)
+        val_try = _x_min_eig(s, o, r_try, d)
+        better = val_try < val
+        np.copyto(u, u_try, where=better[:, None, None])
+        np.copyto(r, r_try, where=better[:, None, None])  # stays a strided .real view
+        val = np.where(better, val_try, val)
+    return val, o, u
 
 
 def x_search(
@@ -310,42 +396,26 @@ def x_search(
     ``budget`` random restarts, each followed by accept-if-better plane-rotation
     perturbations of both factors with geometrically decaying step size.
     Restarts draw from independently derived seeds, so results do not depend on
-    evaluation order. The verdict is "violated" only below -tol; a failed
-    search is "inconclusive", never a separability certificate.
+    evaluation order. They advance in lockstep, SEARCH_BLOCK restarts at a
+    time as one stack, so memory is bounded by the block, not the budget. The
+    verdict is "violated" only below -tol; a failed search is "inconclusive",
+    never a separability certificate.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    require_seed(seed)
     d = state.dims.square_dim
-    n = d * d
-    mats = standard_basis(d).mats
     s = pair_correlation(state)
 
     best_val = np.inf
     best_o: np.ndarray | None = None
     best_u: np.ndarray | None = None
-    for restart in range(budget):
-        rng = np.random.default_rng([seed, restart])
-        o = random_orthogonal(n, rng)
-        u = random_unitary(d, rng)
-        val = _x_min_eig(s, o, u, d, mats)
-        step = np.pi / 2.0
-        for _ in range(REFINE_ROUNDS):
-            i, j = rng.choice(n, size=2, replace=False)
-            o_try = _givens(n, int(i), int(j), step * rng.standard_normal()) @ o
-            val_try = _x_min_eig(s, o_try, u, d, mats)
-            if val_try < val:
-                o, val = o_try, val_try
-            i, j = rng.choice(d, size=2, replace=False)
-            rot = _complex_givens(
-                d, int(i), int(j), step * rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi)
-            )
-            u_try = rot @ u
-            val_try = _x_min_eig(s, o, u_try, d, mats)
-            if val_try < val:
-                u, val = u_try, val_try
-            step *= STEP_DECAY
-        if val < best_val:
-            best_val, best_o, best_u = val, o, u
+    for start in range(0, budget, SEARCH_BLOCK):
+        draws = _draw_restarts(d, seed, range(start, min(start + SEARCH_BLOCK, budget)))
+        val, o, u = _refine_block(s, d, draws)
+        b = int(np.argmin(val))  # the first restart of the block's minimum
+        if val[b] < best_val:
+            best_val, best_o, best_u = float(val[b]), o[b], u[b]
 
     verdict = "violated" if best_val < -tol else "inconclusive"
     report = CriterionReport(
@@ -387,6 +457,7 @@ class ReportConfig:
     def __post_init__(self) -> None:
         require_nonnegative("tol", self.tol)
         require_nonnegative("tol_search", self.tol_search)
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ about one member of a stack names that member's index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,6 +68,12 @@ def require_nonnegative(name: str, value: float) -> None:
     """Reject a NaN, infinite or negative tolerance (or band width), naming it."""
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def require_seed(seed: int) -> None:
+    """Reject a seed numpy's generators cannot take: a negative or non-integer value."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:

@@ -73,6 +73,17 @@ def pair_list(d: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
+def pair_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric and antisymmetric slots of the pairs in pair_list order, each (d(d-1)/2,)."""
+    pairs = pair_list(d)
+    sym = np.array([sym_slot(d, m, n) for m, n in pairs], dtype=int)
+    asym = np.array([asym_slot(d, m, n) for m, n in pairs], dtype=int)
+    for a in (sym, asym):
+        a.flags.writeable = False
+    return sym, asym
+
+
+@lru_cache(maxsize=None)
 def standard_basis(d: int) -> LooBasis:
     """The standard complete LOO set for local dimension d."""
     if d < 2:

@@ -19,6 +19,7 @@ from .linalg import (
     kron,
     member_max_abs,
     raise_first,
+    require_seed,
     scalar_or_stack,
 )
 
@@ -256,6 +257,7 @@ def random_product_state(dims: DimPair, seed: int, mode: str = "pure") -> Bipart
     ``mode`` selects Haar-random pure projectors or normalized Wishart
     mixtures for the factors.
     """
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     rho = _product_from_rng(rng, dims, mode)
     return make_state(rho, dims, label=f"product(dims={dims.d_a}x{dims.d_b}, seed={seed}, mode={mode})")
@@ -268,6 +270,7 @@ def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure")
     """
     if k < 1:
         raise ValueError(f"need k >= 1 mixture terms, got {k}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     parts = [_product_from_rng(rng, dims, mode) for _ in range(k)]
     weights = np.ones(1) if k == 1 else rng.dirichlet(np.ones(k))

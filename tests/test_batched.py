@@ -3,15 +3,23 @@
 The linalg primitives, the state validation and the criterion kernels take a
 leading batch axis. A stack must give the bits its members give alone, so the
 sweep's block boundaries cannot change a result; an invalid member must be
-named by its index.
+named by its index. The correlation search runs its restarts as stacks, and
+must give the bits of the search that runs one restart at a time.
 """
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density
+from loowit import criteria
 from loowit.criteria import (
+    SEARCH_BLOCK,
+    _unitary_mixing,
+    _x_coefficients,
+    _x_stack,
     classify_family_point,
     o_reduction_apply,
     o_reduction_operator,
@@ -20,6 +28,8 @@ from loowit.criteria import (
     ppt_psd,
     realignment_norm,
     realignment_value,
+    x_matrix,
+    x_search,
 )
 from loowit.linalg import (
     DimPair,
@@ -34,8 +44,10 @@ from loowit.loo import (
     diag_cycle,
     identity_transform,
     make_transform,
+    pair_slots,
     permutation_transform,
     random_orthogonal,
+    random_unitary,
     transpose_transform,
 )
 from loowit.states import (
@@ -45,13 +57,23 @@ from loowit.states import (
     family_rho,
     family_separable_sufficient,
     family_stack,
+    horodecki_rho,
     make_state,
     max_entangled,
     random_product_state,
     random_separable_state,
 )
 from loowit.sweep import evaluate_point, run_sweep
-from oracles import correlation_dense, family_matrix_loops, o_reduction_dense
+from oracles import (
+    correlation_dense,
+    family_matrix_loops,
+    o_reduction_dense,
+    unitary_mixing_single,
+    best_restart,
+    reference_restart,
+    x_coefficients_loops,
+    x_search_reference,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -144,6 +166,77 @@ class TestSparseContractions:
         contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
         for t in transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]:
             assert same_bits(o_reduction_operator(stack, d, t), o_reduction_dense(stack, d, t))
+
+
+def search_state(d: int):
+    """Separable samples at d = 3 and 5 (where a contiguous mixing would change bits), else phi."""
+    if d in (3, 5):
+        return random_separable_state(DimPair.square(d), k=3, seed=d, mode="mixed")
+    return max_entangled(d)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_restarts(d: int, seed: int, budget: int) -> list:
+    state = search_state(d)
+    return [reference_restart(pair_correlation(state), d, seed, r) for r in range(budget)]
+
+
+def same_search(result, reference) -> bool:
+    min_eig, o, u = reference
+    return (
+        result.min_eig == min_eig
+        and np.array_equal(result.transform.matrix, o)
+        and np.array_equal(result.unitary, u)
+    )
+
+
+class TestLockstepSearch:
+    """Restarts advanced as stacks against the reference search, one restart at a time."""
+
+    @pytest.mark.parametrize("budget", (1, 5, SEARCH_BLOCK, SEARCH_BLOCK + 1))
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (4, 123), (5, 2024)])
+    def test_matches_reference(self, d, seed, budget):
+        # restarts are independent, so a smaller budget's reference is a prefix
+        restarts = reference_restarts(d, seed, SEARCH_BLOCK + 1)[:budget]
+        assert same_search(x_search(search_state(d), budget, seed), best_restart(restarts))
+
+    @pytest.mark.parametrize("state", [horodecki_rho(0.5), max_entangled(2)], ids=["horodecki", "phi2"])
+    def test_full_budget_matches_reference(self, state):
+        assert same_search(x_search(state, 200, 3), x_search_reference(state, 200, 3))
+
+    @pytest.mark.parametrize("block", (1, 7))
+    @pytest.mark.parametrize("d", (3, 5))
+    def test_block_size_does_not_change_result(self, monkeypatch, d, block):
+        state = random_separable_state(DimPair.square(d), k=4, seed=d, mode="mixed")
+        default = x_search(state, 10, 4)
+        monkeypatch.setattr(criteria, "SEARCH_BLOCK", block)
+        blocked = x_search(state, 10, 4)
+        assert blocked.min_eig == default.min_eig
+        assert np.array_equal(blocked.transform.matrix, default.transform.matrix)
+        assert np.array_equal(blocked.unitary, default.unitary)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_coefficient_stack_matches_slot_loops(self, d, seed):
+        rng = np.random.default_rng(seed)
+        state = make_state(random_density(rng, d * d), DimPair.square(d), "random")
+        s = pair_correlation(state)
+        o = np.stack([random_orthogonal(d * d, rng) for _ in range(3)])
+        u = np.stack([random_unitary(d, rng) for _ in range(3)])
+        r = _unitary_mixing(u, d)
+        coeffs = _x_coefficients(s, o, r, d)
+        for i in range(3):
+            assert same_bits(r[i], unitary_mixing_single(u[i], d))
+            assert same_bits(coeffs[i], x_coefficients_loops(s, o[i], unitary_mixing_single(u[i], d), d))
+            x = x_matrix(state, make_transform(o[i]), u[i])
+            assert same_bits(_x_stack(s, o, r, d)[i], x)
+
+    @pytest.mark.parametrize("d", (2, 3, 5))
+    def test_pair_slots_follow_pair_list(self, d):
+        sym, asym = pair_slots(d)
+        pairs = d * (d - 1) // 2
+        assert sym.tolist() == list(range(d, d + pairs))
+        assert asym.tolist() == list(range(d + pairs, d * d))
+        assert not sym.flags.writeable and not asym.flags.writeable
 
 
 class TestFamilyStack:

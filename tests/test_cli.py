@@ -196,6 +196,25 @@ class TestTolerances:
         assert not path.exists()
 
 
+class TestSeeds:
+    """A negative seed is rejected by name, not with numpy's generator message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--builtin", "werner:p=0.5", "--seed", "-1"),
+            ("--builtin", "werner:p=0.5", "--seed", "-1", "--no-search"),
+            ("--builtin", "product:d=4,seed=-1"),
+            ("--builtin", "separable:d=3,k=2,seed=-1"),
+        ],
+    )
+    def test_negative_seed_named(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check", *argv, "--json")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 class TestLooValidate:
     def test_d3_deviations(self, capsys):
         code, out, _ = run_cli(capsys, "loo-validate", "--d", "3")

@@ -340,6 +340,31 @@ class TestXSearch:
         b = x_search(werner2(0.5), budget=20, seed=3)
         assert a.min_eig == b.min_eig
 
+    @pytest.mark.parametrize("seed", (-1, 1.5))
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            x_search(werner2(0.5), budget=1, seed=seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            ReportConfig(seed=seed)
+
+
+class TestSoundness:
+    """On separable samples no criterion reports "violated" and the search stays above -tol_search."""
+
+    @given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.sampled_from(("pure", "mixed")), st.integers(0, 6))
+    def test_separable_samples_never_violated(self, d, seed, mode, k):
+        dims = DimPair.square(d)
+        if k == 0:
+            state = random_product_state(dims, seed=seed, mode=mode)
+        else:
+            state = random_separable_state(dims, k=k, seed=seed, mode=mode)
+        config = ReportConfig(budget=4, seed=seed % 1000)
+        report = full_report(state, config)
+        assert [r.criterion for r in report.reports if r.verdict == "violated"] == []
+        search = report.reports[-1]
+        assert search.criterion == "x_search"
+        assert search.scalar >= -config.tol_search
+
 
 class TestClassifyFamilyPoint:
     def test_reference_points(self):
