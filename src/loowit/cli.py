@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,31 +51,39 @@ def parse_spec(spec: str) -> tuple[str, list, dict]:
     return name.strip(), args, kwargs
 
 
-def _key(kw: dict, key: str, spec: str):
-    """The value of a required spec key; a missing key is named in the error."""
-    if key not in kw:
+def _key(kw: dict, key: str, spec: str, *, integer: bool = False, default: int | None = None):
+    """A spec key's value: an int if ``integer``, else a finite float.
+
+    A key without a default is required; a missing key or a bad value is named in the error.
+    """
+    if key not in kw and default is None:
         raise ValueError(f"spec {spec!r} is missing the key {key!r}")
-    return kw[key]
+    value = kw.get(key, default)
+    if isinstance(value, int) or (not integer and isinstance(value, float) and math.isfinite(value)):
+        return value if integer else float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {value!r}")
 
 
 def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
     """Parse a builtin state spec once: its name, its keys and the state."""
     name, _, kw = parse_spec(spec)
     if name == "horodecki":
-        state = states.horodecki_rho(float(_key(kw, "a", spec)))
+        state = states.horodecki_rho(_key(kw, "a", spec))
     elif name == "family":
-        a1, a2 = float(_key(kw, "a1", spec)), float(_key(kw, "a2", spec))
-        state = states.family_rho(states.family_special(int(kw.get("d", 3)), a1, a2))
+        d = _key(kw, "d", spec, default=3, integer=True)
+        state = states.family_rho(states.family_special(d, _key(kw, "a1", spec), _key(kw, "a2", spec)))
     elif name == "werner":
-        state = states.werner2(float(_key(kw, "p", spec)))
+        state = states.werner2(_key(kw, "p", spec))
     elif name == "phi":
-        state = states.max_entangled(int(kw.get("d", 3)))
+        state = states.max_entangled(_key(kw, "d", spec, default=3, integer=True))
     elif name == "product":
-        dims = DimPair.square(int(kw.get("d", 3)))
-        state = states.random_product_state(dims, seed=int(kw.get("seed", 0)))
+        dims = DimPair.square(_key(kw, "d", spec, default=3, integer=True))
+        state = states.random_product_state(dims, seed=_key(kw, "seed", spec, default=0, integer=True))
     elif name == "separable":
-        dims = DimPair.square(int(kw.get("d", 3)))
-        state = states.random_separable_state(dims, k=int(kw.get("k", 4)), seed=int(kw.get("seed", 0)))
+        dims = DimPair.square(_key(kw, "d", spec, default=3, integer=True))
+        k = _key(kw, "k", spec, default=4, integer=True)
+        state = states.random_separable_state(dims, k=k, seed=_key(kw, "seed", spec, default=0, integer=True))
     else:
         raise ValueError(f"unknown builtin state {name!r}")
     return name, kw, state
@@ -114,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.builtin:
         name, kw, state = builtin_state(args.builtin)
         if name == "horodecki":
-            witnesses = (witness_mod.horodecki_ew(float(kw["a"]))[0],)
+            witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin))[0],)
     elif args.file:
         state = states.load_state(args.file)
     else:
@@ -144,14 +153,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     name, pos, kw = parse_spec(args.spec)
     if name == "horodecki":
-        w, _ = witness_mod.horodecki_ew(float(_key(kw, "a", args.spec)))
+        w, _ = witness_mod.horodecki_ew(_key(kw, "a", args.spec))
         return w
     if name == "perm":
         kind = pos[0] if pos else kw.get("kind", "cycle")
         if kind != "cycle":
             raise ValueError(f"unknown permutation witness kind {kind!r}")
-        d = int(_key(kw, "d", args.spec))
-        sigma = loo.diag_cycle(d, int(_key(kw, "l", args.spec)))
+        d = _key(kw, "d", args.spec, integer=True)
+        sigma = loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True))
         return witness_mod.perm_ew(sigma, d)
     if name == "generic":
         if not args.transform:
@@ -199,14 +208,12 @@ def cmd_loo_validate(args: argparse.Namespace) -> int:
     basis = loo.standard_basis(d)
     deviations = loo.validate_basis(basis)
     v = states.phi(d)
-    phi_dev = max_abs(
-        loo.pair_sum(basis.mats, loo.transpose_basis(basis).mats) - np.outer(v, v.conj())
-    )
+    phi_dev = max_abs(loo.pair_sum(basis, loo.transpose_basis(basis)) - np.outer(v, v.conj()))
     swap = np.zeros((d * d, d * d), dtype=complex)
     for m in range(d):
         for n in range(d):
             swap[m * d + n, n * d + m] = 1.0
-    swap_dev = max_abs(loo.pair_sum(basis.mats, basis.mats) - swap)
+    swap_dev = max_abs(loo.pair_sum(basis, basis) - swap)
     print(f"standard observable set, d={d} ({d * d} observables)")
     print(f"  gram deviation:          {deviations['gram']:.3e}")
     print(f"  hermiticity deviation:   {deviations['hermiticity']:.3e}")
@@ -214,7 +221,7 @@ def cmd_loo_validate(args: argparse.Namespace) -> int:
     print(f"  pair-sum vs |Phi><Phi|:  {phi_dev:.3e}")
     print(f"  pair-sum vs SWAP:        {swap_dev:.3e}")
     if d <= 3:
-        for idx, mat in enumerate(basis.mats):
+        for idx, mat in enumerate(basis):
             print(f"  observable {idx}:")
             for row in mat:
                 print("    " + "  ".join(f"{z.real:+.8f}{z.imag:+.8f}j" for z in row))

@@ -139,7 +139,7 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: OrthTransform) -> n
     for i in range(2):
         residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
     mixed = apply_orthogonal(standard_basis(d), transform)
-    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed.mats).reshape(rho.shape)
+    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
     return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 
@@ -215,7 +215,7 @@ def _unitary_mixing(u: np.ndarray, d: int) -> np.ndarray:
     The result is the .real view of a complex array (row stride 16 bytes);
     _x_coefficients relies on that layout, see there.
     """
-    mats = standard_basis(d).mats
+    mats = standard_basis(d)
     u = u[..., None, :, :]
     conj = np.matmul(np.matmul(u, mats), np.swapaxes(u.conj(), -1, -2))
     return np.einsum("...mij,nji->...mn", conj, mats).real
@@ -249,7 +249,7 @@ def _x_coefficients(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.n
 
 def _x_stack(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
     """X for each (o, r) pair of the stacks, (..., d, d)."""
-    return np.einsum("...u,uij->...ij", _x_coefficients(s, o, r, d), standard_basis(d).mats)
+    return np.einsum("...u,uij->...ij", _x_coefficients(s, o, r, d), standard_basis(d))
 
 
 def _x_min_eig(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 A complete LOO set for a d-level system is d^2 Hermitian matrices that are
 orthonormal under the Hilbert-Schmidt inner product, Tr(L_u L_v) = delta_uv.
+A set is held as a (d^2, d, d) array, one observable per leading index.
 The standard set used throughout, in this fixed slot order:
 
   slots 0 .. d-1                        projectors |m><m|
@@ -19,29 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import dagger, max_abs
 
 ORTHOGONALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class LooBasis:
-    """Ordered stack of d^2 Hermitian d x d observables.
-
-    ``mats`` has shape (d^2, d, d). ``orthonormal`` is False only for bases
-    produced by a contraction (non-orthogonal) mixing, which are not required
-    to satisfy the Gram identity.
-    """
-
-    dim: int
-    mats: np.ndarray
-    orthonormal: bool = True
-
-    def __len__(self) -> int:
-        return self.mats.shape[0]
-
-    def __getitem__(self, idx: int) -> np.ndarray:
-        return self.mats[idx]
 
 
 def n_pairs(d: int) -> int:
@@ -53,10 +34,6 @@ def pair_rank(d: int, m: int, n: int) -> int:
     if not 0 <= m < n < d:
         raise ValueError(f"need 0 <= m < n < d, got ({m}, {n}) with d={d}")
     return m * d - m * (m + 1) // 2 + (n - m - 1)
-
-
-def diag_slot(d: int, m: int) -> int:
-    return m
 
 
 def sym_slot(d: int, m: int, n: int) -> int:
@@ -84,8 +61,8 @@ def pair_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def standard_basis(d: int) -> LooBasis:
-    """The standard complete LOO set for local dimension d."""
+def standard_basis(d: int) -> np.ndarray:
+    """The standard complete LOO set for local dimension d, a read-only (d^2, d, d) array."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     mats = np.zeros((d * d, d, d), dtype=complex)
@@ -98,7 +75,7 @@ def standard_basis(d: int) -> LooBasis:
         mats[asym_slot(d, m, n), m, n] = -1j * s
         mats[asym_slot(d, m, n), n, m] = 1j * s
     mats.flags.writeable = False
-    return LooBasis(dim=d, mats=mats)
+    return mats
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +86,7 @@ def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in row-major order, and a projector's missing second entry is padded with
     the value 0 at (0, 0).
     """
-    mats = standard_basis(d).mats
+    mats = standard_basis(d)
     rows = np.zeros((2, d * d), dtype=int)
     cols = np.zeros((2, d * d), dtype=int)
     values = np.zeros((2, d * d), dtype=complex)
@@ -121,9 +98,9 @@ def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, values
 
 
-def gram_matrix(basis: LooBasis) -> np.ndarray:
+def gram_matrix(basis: np.ndarray) -> np.ndarray:
     """Pairwise Hilbert-Schmidt inner products Tr(L_u L_v)."""
-    flat = basis.mats.reshape(len(basis), -1)
+    flat = basis.reshape(len(basis), -1)
     return (flat @ flat.conj().T).real
 
 
@@ -138,17 +115,17 @@ def pair_sum(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
     return out.reshape(d * d, d * d)
 
 
-def expand(basis: LooBasis, x: np.ndarray) -> np.ndarray:
+def expand(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients Tr(x L_u) of x in the basis."""
-    return np.einsum("ij,uji->u", np.asarray(x, dtype=complex), basis.mats)
+    return np.einsum("ij,uji->u", np.asarray(x, dtype=complex), basis)
 
 
-def reconstruct(basis: LooBasis, coeffs: np.ndarray) -> np.ndarray:
+def reconstruct(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Sum_u coeffs[u] L_u."""
-    return np.einsum("u,uij->ij", np.asarray(coeffs), basis.mats)
+    return np.einsum("u,uij->ij", np.asarray(coeffs), basis)
 
 
-def validate_basis(basis: LooBasis) -> dict[str, float]:
+def validate_basis(basis: np.ndarray) -> dict[str, float]:
     """Max deviations of the defining properties; all should be ~1e-13 for exact bases.
 
     Returns {"gram": ..., "hermiticity": ..., "completeness": ...}. The
@@ -156,9 +133,9 @@ def validate_basis(basis: LooBasis) -> dict[str, float]:
     random matrices.
     """
     rng = np.random.default_rng(0)
-    d = basis.dim
+    d = basis.shape[1]
     gram_dev = max_abs(gram_matrix(basis) - np.eye(len(basis)))
-    herm_dev = max(max_abs(m - m.conj().T) for m in basis.mats)
+    herm_dev = max_abs(basis - dagger(basis))
     comp_dev = 0.0
     for _ in range(5):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -279,26 +256,20 @@ def require_unitary(u: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> np.ndarray
     return u
 
 
-def apply_orthogonal(basis: LooBasis, transform: OrthTransform) -> LooBasis:
-    """Mix the set: out_u = sum_v O[u, v] L_v."""
+def apply_orthogonal(basis: np.ndarray, transform: OrthTransform) -> np.ndarray:
+    """Mix the set: out_u = sum_v O[u, v] L_v. A contraction mixing gives a non-orthonormal set."""
     if transform.dim != len(basis):
         raise ValueError(f"transform dim {transform.dim} does not match basis size {len(basis)}")
-    mats = np.einsum("uv,vij->uij", transform.matrix, basis.mats)
-    return LooBasis(
-        dim=basis.dim,
-        mats=mats,
-        orthonormal=basis.orthonormal and transform.kind == "orthogonal",
-    )
+    return np.einsum("uv,vij->uij", transform.matrix, basis)
 
 
-def transpose_basis(basis: LooBasis) -> LooBasis:
+def transpose_basis(basis: np.ndarray) -> np.ndarray:
     """Entrywise transpose of every observable.
 
     On the standard ordering this fixes projector and symmetric slots and
     negates the antisymmetric ones; applied twice it is the identity.
     """
-    mats = basis.mats.transpose(0, 2, 1).copy()
-    return LooBasis(dim=basis.dim, mats=mats, orthonormal=basis.orthonormal)
+    return basis.transpose(0, 2, 1).copy()
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,14 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DimPair, herm_eigvalues, max_abs
+from .linalg import DimPair, is_psd, max_abs
 from .loo import (
-    LooBasis,
     OrthTransform,
     Permutation,
     apply_orthogonal,
     asym_slot,
-    diag_slot,
     fixed_points,
     pair_sum,
     permutation_transform,
@@ -62,9 +60,8 @@ def _weighted_pair_sum(weights: np.ndarray, mats_a: np.ndarray, mats_b: np.ndarr
 
 def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
     """The candidate, confirmed as a witness when the eigensolve finds a negative eigenvalue."""
-    min_eig = float(herm_eigvalues(matrix)[0])
-    confirmed = min_eig < -WITNESS_EIG_TOL * max(1.0, max_abs(matrix))
-    return Witness(DimPair.square(d), matrix, provenance, candidate_only=not confirmed, min_eig=min_eig)
+    ok, min_eig = is_psd(matrix, tol=WITNESS_EIG_TOL)
+    return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig)
 
 
 def ew_from_transform(transform: OrthTransform, d: int) -> Witness:
@@ -79,7 +76,7 @@ def ew_from_transform(transform: OrthTransform, d: int) -> Witness:
         raise ValueError(f"transform dim {transform.dim} does not match d^2 = {len(basis)}")
     mixed = apply_orthogonal(basis, transform)
     transposed = transpose_basis(basis)
-    matrix = np.eye(d * d, dtype=complex) - pair_sum(mixed.mats, transposed.mats)
+    matrix = np.eye(d * d, dtype=complex) - pair_sum(mixed, transposed)
     return _eigensolved(matrix, d, f"transform({transform.kind})")
 
 
@@ -111,23 +108,23 @@ class HorodeckiWitnessData:
     """
 
     a: float
-    basis_a: LooBasis
-    basis_b: LooBasis
+    basis_a: np.ndarray
+    basis_b: np.ndarray
     coeffs: np.ndarray
     n_vec: np.ndarray
     n_sq: float
     mixing: np.ndarray
 
 
-def horodecki_loo_bases(a: float) -> tuple[LooBasis, LooBasis]:
+def horodecki_loo_bases(a: float) -> tuple[np.ndarray, np.ndarray]:
     """Tailored orthonormal observable sets for the 3x3 PPT-entangled state.
 
     The diagonal combinations and the a-dependent rotation in the plane
     spanned by (2 L_3 - L_1 - L_2)/sqrt(6) and the symmetric 1-3 pair make the
     pair-basis expansion of the state have unit diagonal sum.
     """
-    std = standard_basis(3).mats
-    l1, l2, l3 = std[diag_slot(3, 0)], std[diag_slot(3, 1)], std[diag_slot(3, 2)]
+    std = standard_basis(3)
+    l1, l2, l3 = std[:3]
     sym13 = std[sym_slot(3, 0, 2)]
     asym13 = std[asym_slot(3, 0, 2)]
     sym12, asym12 = std[sym_slot(3, 0, 1)], std[asym_slot(3, 0, 1)]
@@ -159,9 +156,7 @@ def horodecki_loo_bases(a: float) -> tuple[LooBasis, LooBasis]:
         sym23,
         asym23,
     ])
-    basis_a = LooBasis(dim=3, mats=mats_a)
-    basis_b = LooBasis(dim=3, mats=mats_b)
-    return basis_a, basis_b
+    return mats_a, mats_b
 
 
 def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
@@ -178,7 +173,7 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     state = horodecki_rho(a)
     r4 = state.rho.reshape(3, 3, 3, 3)
     # coeffs[u, v] = Tr(rho A_u x B_v^T); B^T[l, n] = B[n, l]
-    coeffs = np.einsum("mnkl,ukm,vnl->uv", r4, basis_a.mats, basis_b.mats).real
+    coeffs = np.einsum("mnkl,ukm,vnl->uv", r4, basis_a, basis_b).real
 
     n_vec = coeffs[0, 1:] - coeffs[1:, 0]
     n_sq = float(np.dot(n_vec, n_vec))
@@ -187,8 +182,8 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     mixing[0, 1:] = n_vec * scale
     mixing[1:, 0] = -n_vec * scale
 
-    transposed_b = basis_b.mats.transpose(0, 2, 1)
-    matrix = np.eye(9, dtype=complex) - _weighted_pair_sum(mixing, basis_a.mats, transposed_b)
+    transposed_b = basis_b.transpose(0, 2, 1)
+    matrix = np.eye(9, dtype=complex) - _weighted_pair_sum(mixing, basis_a, transposed_b)
     witness = _eigensolved(matrix, 3, f"horodecki(a={a:g})")
     data = HorodeckiWitnessData(
         a=a, basis_a=basis_a, basis_b=basis_b, coeffs=coeffs, n_vec=n_vec, n_sq=n_sq, mixing=mixing

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from loowit.linalg import DimPair
-from loowit.states import make_state
+from loowit.states import (
+    FamilyParams,
+    family_rho,
+    make_state,
+    max_entangled,
+    random_product_state,
+    random_separable_state,
+)
 
 settings.register_profile(
     "suite",
@@ -33,6 +40,21 @@ def random_state(rng: np.random.Generator, d: int, label: str = "random"):
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = random_complex(rng, n)
     return (g + g.conj().T) / 2.0
+
+
+def sample_states(d: int, seed: int) -> list:
+    """Seeded product and separable samples, the maximally entangled state and family states."""
+    rng = np.random.default_rng(seed)
+    dims = DimPair.square(d)
+    out = [max_entangled(d)]
+    for mode in ("pure", "mixed"):
+        out.append(random_product_state(dims, seed=int(rng.integers(2**31)), mode=mode))
+        out.append(
+            random_separable_state(dims, k=int(rng.integers(1, 5)), seed=int(rng.integers(2**31)), mode=mode)
+        )
+    for _ in range(3):
+        out.append(family_rho(FamilyParams(d, tuple(rng.dirichlet(np.ones(d))))))
+    return out
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from loowit.criteria import (
 )
 from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
-    LooBasis,
     OrthTransform,
     apply_orthogonal,
     asym_slot,
@@ -45,13 +44,12 @@ def swap_operator(d: int) -> np.ndarray:
     return s
 
 
-def conjugate_basis(basis: LooBasis, u: np.ndarray) -> LooBasis:
+def conjugate_basis(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate every observable: L_u -> u L_u u^dagger. Preserves orthonormality."""
     u = require_unitary(u)
-    if u.shape[0] != basis.dim:
-        raise ValueError(f"unitary dim {u.shape[0]} does not match basis dim {basis.dim}")
-    mats = np.matmul(np.matmul(u, basis.mats), u.conj().T)
-    return LooBasis(dim=basis.dim, mats=mats, orthonormal=basis.orthonormal)
+    if u.shape[0] != basis.shape[1]:
+        raise ValueError(f"unitary dim {u.shape[0]} does not match basis dim {basis.shape[1]}")
+    return np.matmul(np.matmul(u, basis), u.conj().T)
 
 
 def best_orthogonal(t: np.ndarray) -> OrthTransform:
@@ -70,8 +68,8 @@ def local_map(rho_local: np.ndarray, transform: OrthTransform) -> np.ndarray:
     d = rho_local.shape[0]
     basis = standard_basis(d)
     mixed = apply_orthogonal(basis, transform)
-    coeffs = np.einsum("ij,uji->u", rho_local, basis.mats)
-    return complex(np.trace(rho_local)) * np.eye(d) - np.einsum("u,uij->ij", coeffs, mixed.mats)
+    coeffs = np.einsum("ij,uji->u", rho_local, basis)
+    return complex(np.trace(rho_local)) * np.eye(d) - np.einsum("u,uij->ij", coeffs, mixed)
 
 
 def phi_pairing(state: BipartiteState, transform: OrthTransform) -> tuple[float, float]:
@@ -108,7 +106,7 @@ def uniform_pairing(state: BipartiteState, transform: OrthTransform, u: np.ndarr
     Note the transposed (not conjugated) B side.
     """
     d = state.dims.square_dim
-    mats = standard_basis(d).mats
+    mats = standard_basis(d)
     mats_o = np.einsum("uv,vij->uij", transform.matrix, mats)
     mats_ut = np.matmul(np.matmul(u, mats.transpose(0, 2, 1)), u.conj().T)
     r4 = state.rho.reshape(d, d, d, d)
@@ -135,7 +133,7 @@ def perm_reduction_closed_form(params: FamilyParams, l: int) -> np.ndarray:
 
 def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
     """S[..., u, v] = Tr(rho L_u x L_v) as one dense einsum over the full observable stacks."""
-    mats = standard_basis(d).mats
+    mats = standard_basis(d)
     return np.einsum("...mnkl,ukm,vln->...uv", rho.reshape(rho.shape[:-2] + (d, d, d, d)), mats, mats)
 
 
@@ -143,8 +141,8 @@ def o_reduction_dense(rho: np.ndarray, d: int, transform: OrthTransform) -> np.n
     """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks."""
     basis = standard_basis(d)
     mixed = apply_orthogonal(basis, transform)
-    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis.mats)
-    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed.mats).reshape(rho.shape)
+    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
+    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
     return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 
@@ -200,7 +198,7 @@ def x_coefficients_loops(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) ->
 
 def unitary_mixing_single(u: np.ndarray, d: int) -> np.ndarray:
     """R[a, b] = Tr(L_b  u L_a u^dagger) for one unitary."""
-    mats = standard_basis(d).mats
+    mats = standard_basis(d)
     conj = np.matmul(np.matmul(u, mats), u.conj().T)
     return np.einsum("mij,nji->mn", conj, mats).real
 
@@ -208,7 +206,7 @@ def unitary_mixing_single(u: np.ndarray, d: int) -> np.ndarray:
 def x_min_eig_scalar(s: np.ndarray, o: np.ndarray, u: np.ndarray, d: int) -> float:
     """Smallest eigenvalue of X for one (O, u) pair."""
     coeffs = x_coefficients_loops(s, o, unitary_mixing_single(u, d), d)
-    return float(np.linalg.eigvalsh(np.einsum("u,uij->ij", coeffs, standard_basis(d).mats))[0])
+    return float(np.linalg.eigvalsh(np.einsum("u,uij->ij", coeffs, standard_basis(d)))[0])
 
 
 def reference_restart(s: np.ndarray, d: int, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:

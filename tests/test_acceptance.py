@@ -228,7 +228,7 @@ def test_criterion_9_observable_set_algebra():
 
     worst_pair = 0.0
     for d in (2, 3, 4):
-        mats = standard_basis(d).mats
+        mats = standard_basis(d)
         v = phi(d)
         phi_sum = np.einsum("uab,ucd->acbd", mats, mats.transpose(0, 2, 1)).reshape(d * d, d * d)
         worst_pair = max(worst_pair, max_abs(phi_sum - np.outer(v, v.conj())))

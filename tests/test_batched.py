@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_density
+from conftest import random_density, sample_states
 from loowit import criteria
 from loowit.criteria import (
     SEARCH_BLOCK,
@@ -54,13 +54,11 @@ from loowit.states import (
     FamilyParams,
     check_densities,
     family_ppt_sufficient,
-    family_rho,
     family_separable_sufficient,
     family_stack,
     horodecki_rho,
     make_state,
     max_entangled,
-    random_product_state,
     random_separable_state,
 )
 from loowit.sweep import evaluate_point, run_sweep
@@ -79,21 +77,6 @@ from oracles import (
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def sample_states(d: int, seed: int) -> list:
-    """Seeded product and separable samples, the maximally entangled state and family states."""
-    rng = np.random.default_rng(seed)
-    dims = DimPair.square(d)
-    out = [max_entangled(d)]
-    for mode in ("pure", "mixed"):
-        out.append(random_product_state(dims, seed=int(rng.integers(2**31)), mode=mode))
-        out.append(
-            random_separable_state(dims, k=int(rng.integers(1, 5)), seed=int(rng.integers(2**31)), mode=mode)
-        )
-    for _ in range(3):
-        out.append(family_rho(FamilyParams(d, tuple(rng.dirichlet(np.ones(d))))))
-    return out
 
 
 def transforms(d: int) -> list:

@@ -269,9 +269,27 @@ class TestSpecParsing:
         assert code == cli.EXIT_ERROR
         assert f"is missing the key {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("check", "--builtin", "product:d=3,seed=1.5"), "seed"),
+            (("check", "--builtin", "product:d=3.7"), "d"),
+            (("check", "--builtin", "separable:d=3,k=2.5"), "k"),
+            (("witness", "perm:cycle,d=3,l=1.5"), "l"),
+            (("check", "--builtin", "product:d=x"), "d"),
+            (("check", "--builtin", "family:d=3,a1=0.2,a2=x"), "a2"),
+        ],
+    )
+    def test_bad_spec_value_named(self, capsys, argv, key):
+        # a fractional or non-numeric value must not be truncated or reach int()/float()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert f"the key {key!r} must be" in err
+
 
 class TestGoldenOutput:
-    """SHA-256 of outputs that must stay byte-identical (sweep CSV schema v1, check --json)."""
+    """SHA-256 of outputs that must stay byte-identical (sweep CSV schema v1, check, witness, loo-validate)."""
 
     def test_sweep_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -298,3 +316,22 @@ class TestGoldenOutput:
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "219f517f92b41c34aff642aa20d62b321db1c383c64bacf6700ad1802ef81804"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("loo-validate", "--d", "3"), "413c42e17925fc907e1d925031e4565d8e80ebd087afc060f6f64a75a3e0742d"),
+            (
+                ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
+                "fd31177d0512f8f2c5dbefc419a8dfb8d751b7ca6d8040a6be4e49519ec14b0b",
+            ),
+            (
+                ("witness", "perm:cycle,d=3,l=1", "--json"),
+                "c439bc877ab5ea52fc8711eab1b62cf360ac23b2e154d4a4e97ebebcb857d47e",
+            ),
+        ],
+    )
+    def test_observable_set_outputs(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_density, random_state
+from conftest import random_density, random_state, sample_states
 from loowit.criteria import (
+    ALGEBRAIC_TOL,
     ReportConfig,
     classify_family_point,
     correlation_T,
@@ -364,6 +365,35 @@ class TestSoundness:
         search = report.reports[-1]
         assert search.criterion == "x_search"
         assert search.scalar >= -config.tol_search
+
+
+class TestLocalUnitaryInvariance:
+    """PPT, realignment and the reduction/transpose o-reductions are unchanged by rho -> U rho U^dagger, U = u x v.
+
+    The cycle(l) mixings are not invariant: a local unitary changes which
+    observables the permutation pairs, so they are left out.
+    """
+
+    @staticmethod
+    def scalars(state):
+        d = state.dims.square_dim
+        ppt = ppt_check(state)
+        realignment = realignment_value(state)[1]
+        reduction = o_reduction_apply(state, identity_transform(d * d))[1]
+        transpose = o_reduction_apply(state, transpose_transform(d))[1]
+        return [(ppt, 0.0), (realignment, 1.0), (reduction, 0.0), (transpose, 0.0)]
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_invariant_scalars(self, d, seed):
+        rng = np.random.default_rng(seed)
+        band = 10 * ALGEBRAIC_TOL
+        for state in sample_states(d, seed):
+            local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+            moved = make_state(local @ state.rho @ local.conj().T, state.dims, "rotated")
+            for (before, threshold), (after, _) in zip(self.scalars(state), self.scalars(moved)):
+                assert abs(after.scalar - before.scalar) < 1e-9, before.criterion
+                if abs(before.scalar - threshold) > band:
+                    assert after.verdict == before.verdict, before.criterion
 
 
 class TestClassifyFamilyPoint:
