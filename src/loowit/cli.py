@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -59,8 +58,11 @@ def _key(kw: dict, key: str, spec: str, *, integer: bool = False, default: int |
     if key not in kw and default is None:
         raise ValueError(f"spec {spec!r} is missing the key {key!r}")
     value = kw.get(key, default)
-    if isinstance(value, int) or (not integer and isinstance(value, float) and math.isfinite(value)):
-        return value if integer else float(value)
+    if integer and isinstance(value, int):
+        return value
+    # the comparison also rejects NaN, infinities and ints too large for a float
+    if not integer and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
     kind = "an integer" if integer else "a finite number"
     raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {value!r}")
 
@@ -237,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--file", help="state JSON file")
     check.add_argument("--json", action="store_true", help="emit one JSON object")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--budget", type=int, default=200, help="correlation search restarts")
+    check.add_argument(
+        "--budget", type=int, default=criteria.SEARCH_BUDGET, help="correlation search restarts"
+    )
     check.add_argument("--tol", type=float, default=criteria.ALGEBRAIC_TOL)
     check.add_argument("--tol-search", type=float, default=criteria.SEARCH_TOL)
     check.add_argument("--no-search", action="store_true", help="skip the randomized search")

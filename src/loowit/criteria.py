@@ -52,11 +52,9 @@ from .witness import Witness, expectation
 
 ALGEBRAIC_TOL = 1e-9
 SEARCH_TOL = 1e-6
-# Refinement of each x_search restart: rotation rounds and their step decay.
-REFINE_ROUNDS = 40
-STEP_DECAY = 0.7
-# Restarts that x_search advances in lockstep as one stack.
-SEARCH_BLOCK = 32
+# x_search: exact O steps per restart, and the default number of restarts.
+SEARCH_ROUNDS = 10
+SEARCH_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,8 @@ def _x_coefficients(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.n
     .real views that pair_correlation and _unitary_mixing return: numpy's
     matmul cannot hand 16-byte-strided operands to BLAS and uses its own loop,
     while a contiguous copy goes to BLAS and changes the last bits. Keeping
-    the views keeps every stack member bit-identical to the per-restart
-    reference search.
+    the views keeps every stack member bit-identical to x_matrix on that
+    member alone.
     """
     n = d * d
     sym, asym = pair_slots(d)
@@ -291,98 +289,62 @@ class XSearchResult:
     report: CriterionReport
 
 
-@dataclass(frozen=True)
-class _RestartDraws:
-    """Random numbers of a block of B restarts, as the refinement uses them.
+def _o_gradient(s: np.ndarray, r: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """G with v^dagger X(O, r) v = c + <G, O> for every mixing O, for unit vectors v.
 
-    ``o`` (B, n, n) and ``u`` (B, d, d) are the starting pairs. Per restart
-    and refinement round, ``planes[..., 0, :]`` is the plane (i, j) of the O
-    step and ``planes[..., 1, :]`` that of the u step. The rotation entries
-    (g[i, i] = g[j, j], g[i, j], g[j, i]) are (cos, -sin, sin) of the angle
-    for O and (cos, -sin e^(i phase), sin e^(-i phase)) for u.
-    """
-
-    o: np.ndarray
-    u: np.ndarray
-    planes: np.ndarray  # (B, REFINE_ROUNDS, 2, 2)
-    o_entries: np.ndarray  # (B, REFINE_ROUNDS, 3), real
-    u_entries: np.ndarray  # (B, REFINE_ROUNDS, 3), complex
-
-
-def _draw_restarts(d: int, seed: int, restarts: range) -> _RestartDraws:
-    """Draw each restart's numbers from its own generator, in the order of one restart's loop.
-
-    No draw depends on an acceptance, so the whole block is drawn up front.
+    X is affine in O through g = O S R^T (_x_coefficients). Pairing it with v
+    weights each slot a by w_a = v^dagger L_a v and gives c + <W, g>, where W
+    places the weights as the slot rule of _x_coefficients reads g, so
+    G = W R S^T. v is (..., d), r one mixing or a (..., d^2, d^2) stack; G is
+    (..., d^2, d^2).
     """
     n = d * d
-    size = len(restarts)
-    o = np.empty((size, n, n))
-    u = np.empty((size, d, d), dtype=complex)
-    planes = np.empty((size, REFINE_ROUNDS, 2, 2), dtype=int)
-    normals = np.empty((size, REFINE_ROUNDS, 3))
-    for b, restart in enumerate(restarts):
-        rng = np.random.default_rng([seed, restart])
+    sym, asym = pair_slots(d)
+    w = np.einsum("...i,uij,...j->...u", v.conj(), standard_basis(d), v).real
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    weights = np.zeros(w.shape[:-1] + (n, n))
+    diag = np.arange(d)
+    weights[..., diag, diag] = -w[..., :d]
+    weights[..., sym, sym] = -inv_sqrt2 * w[..., sym]
+    weights[..., asym, asym] = inv_sqrt2 * w[..., sym]
+    weights[..., sym, asym] = -inv_sqrt2 * w[..., asym]
+    weights[..., asym, sym] = -inv_sqrt2 * w[..., asym]
+    return weights @ r @ s.T
+
+
+def _procrustes(g: np.ndarray) -> np.ndarray:
+    """The orthogonal O minimising <G, O> for each G of the stack: -U V^T from G = U S V^T."""
+    u, _, vh = np.linalg.svd(g)
+    return -u @ vh
+
+
+def _o_step(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
+    """One search round: v is the lowest eigenvector of X(o, r), then the O minimising v^dagger X v.
+
+    The new O cannot raise the smallest eigenvalue: lambda_min(X(O')) <=
+    v^dagger X(O') v <= v^dagger X(o) v = lambda_min(X(o)).
+    """
+    _, vecs = np.linalg.eigh(_x_stack(s, o, r, d))
+    return _procrustes(_o_gradient(s, r, vecs[..., 0], d))
+
+
+def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starting (O, u) stacks of the restarts, (budget, d^2, d^2) and (budget, d, d).
+
+    Restart 0 is the warm start: u = I and the O maximising Tr(O T), so that
+    <s|X|s> = 1 - ||T||_tr for the all-ones s. Restart b >= 1 draws O, then u,
+    from default_rng([seed, b]).
+    """
+    n = d * d
+    o = np.empty((budget, n, n))
+    u = np.empty((budget, d, d), dtype=complex)
+    o[0] = _procrustes(-(s @ transpose_transform(d).matrix).T)
+    u[0] = np.eye(d)
+    for b in range(1, budget):
+        rng = np.random.default_rng([seed, b])
         o[b] = random_orthogonal(n, rng)
         u[b] = random_unitary(d, rng)
-        for k in range(REFINE_ROUNDS):
-            planes[b, k, 0] = rng.choice(n, size=2, replace=False)
-            normals[b, k, 0] = rng.standard_normal()
-            planes[b, k, 1] = rng.choice(d, size=2, replace=False)
-            normals[b, k, 1] = rng.standard_normal()
-            normals[b, k, 2] = rng.uniform(0.0, 2.0 * np.pi)
-    steps = np.empty(REFINE_ROUNDS)
-    steps[0] = np.pi / 2.0
-    for k in range(1, REFINE_ROUNDS):
-        steps[k] = steps[k - 1] * STEP_DECAY
-    theta = steps[:, None] * normals[..., :2]
-    c, s = np.cos(theta), np.sin(theta)
-    phase = normals[..., 2]
-    o_entries = np.stack([c[..., 0], -s[..., 0], s[..., 0]], axis=-1)
-    u_upper, u_lower = -s[..., 1] * np.exp(1j * phase), s[..., 1] * np.exp(-1j * phase)
-    u_entries = np.stack([c[..., 1], u_upper, u_lower], axis=-1)
-    return _RestartDraws(o=o, u=u, planes=planes, o_entries=o_entries, u_entries=u_entries)
-
-
-def _plane_rotations(n: int, planes: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Stack of plane rotations g[b]: the identity except, with (i, j) = planes[b],
-    g[b, i, i] = g[b, j, j] = entries[b, 0], g[b, i, j] = entries[b, 1] and
-    g[b, j, i] = entries[b, 2]."""
-    size = len(entries)
-    rows, i, j = np.arange(size), planes[:, 0], planes[:, 1]
-    g = np.zeros((size, n, n), dtype=entries.dtype)
-    g.reshape(size, n * n)[:, :: n + 1] = 1.0
-    g[rows, i, i] = entries[:, 0]
-    g[rows, j, j] = entries[:, 0]
-    g[rows, i, j] = entries[:, 1]
-    g[rows, j, i] = entries[:, 2]
-    return g
-
-
-def _refine_block(s: np.ndarray, d: int, draws: _RestartDraws):
-    """Run a block of restarts in lockstep; the final (values, O stack, u stack).
-
-    Each round perturbs every restart's O by a plane rotation and keeps it if
-    the smallest eigenvalue drops, then does the same for u. An O step reuses
-    the restart's mixing R, since u is unchanged.
-    """
-    n = d * d
-    o, u = draws.o, draws.u  # refined in place
-    r = _unitary_mixing(u, d)
-    val = _x_min_eig(s, o, r, d)
-    for k in range(REFINE_ROUNDS):
-        o_try = _plane_rotations(n, draws.planes[:, k, 0], draws.o_entries[:, k]) @ o
-        val_try = _x_min_eig(s, o_try, r, d)
-        better = val_try < val
-        np.copyto(o, o_try, where=better[:, None, None])
-        val = np.where(better, val_try, val)
-        u_try = _plane_rotations(d, draws.planes[:, k, 1], draws.u_entries[:, k]) @ u
-        r_try = _unitary_mixing(u_try, d)
-        val_try = _x_min_eig(s, o, r_try, d)
-        better = val_try < val
-        np.copyto(u, u_try, where=better[:, None, None])
-        np.copyto(r, r_try, where=better[:, None, None])  # stays a strided .real view
-        val = np.where(better, val_try, val)
-    return val, o, u
+    return o, u
 
 
 def x_search(
@@ -393,38 +355,35 @@ def x_search(
 ) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
-    ``budget`` random restarts, each followed by accept-if-better plane-rotation
-    perturbations of both factors with geometrically decaying step size.
-    Restarts draw from independently derived seeds, so results do not depend on
-    evaluation order. They advance in lockstep, SEARCH_BLOCK restarts at a
-    time as one stack, so memory is bounded by the block, not the budget. The
-    verdict is "violated" only below -tol; a failed search is "inconclusive",
-    never a separability certificate.
+    ``budget`` restarts, all advanced as one stack. Each keeps its unitary
+    and runs SEARCH_ROUNDS exact O steps (_o_step), so its smallest
+    eigenvalue never rises. Restart 0 starts at the realignment optimum and
+    ends at or below (1 - ||T||_tr) / d, so every realignment detection is a
+    search detection; the others start from seeded random pairs. The
+    verdict is "violated" only below -tol; a failed search is
+    "inconclusive", never a separability certificate.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     require_seed(seed)
     d = state.dims.square_dim
     s = pair_correlation(state)
-
-    best_val = np.inf
-    best_o: np.ndarray | None = None
-    best_u: np.ndarray | None = None
-    for start in range(0, budget, SEARCH_BLOCK):
-        draws = _draw_restarts(d, seed, range(start, min(start + SEARCH_BLOCK, budget)))
-        val, o, u = _refine_block(s, d, draws)
-        b = int(np.argmin(val))  # the first restart of the block's minimum
-        if val[b] < best_val:
-            best_val, best_o, best_u = float(val[b]), o[b], u[b]
+    o, u = _search_starts(s, d, seed, budget)
+    r = _unitary_mixing(u, d)
+    for _ in range(SEARCH_ROUNDS):
+        o = _o_step(s, o, r, d)
+    val = _x_min_eig(s, o, r, d)
+    b = int(np.argmin(val))  # the first restart of the minimum
+    best_val = float(val[b])
 
     verdict = "violated" if best_val < -tol else "inconclusive"
     report = CriterionReport(
-        "x_search", verdict, float(best_val), {"budget": budget, "seed": seed, "tol": tol}
+        "x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": tol}
     )
     return XSearchResult(
-        unitary=best_u,
-        transform=OrthTransform(matrix=best_o, kind="orthogonal"),
-        min_eig=float(best_val),
+        unitary=u[b],
+        transform=OrthTransform(matrix=o[b], kind="orthogonal"),
+        min_eig=best_val,
         report=report,
     )
 
@@ -449,7 +408,7 @@ class ReportConfig:
 
     tol: float = ALGEBRAIC_TOL
     tol_search: float = SEARCH_TOL
-    budget: int = 200
+    budget: int = SEARCH_BUDGET
     seed: int = 0
     include_search: bool = True
     witnesses: tuple[Witness, ...] = ()

@@ -7,13 +7,7 @@ assert that both routes agree.
 
 import numpy as np
 
-from loowit.criteria import (
-    REFINE_ROUNDS,
-    STEP_DECAY,
-    correlation_T,
-    o_reduction_apply,
-    pair_correlation,
-)
+from loowit.criteria import correlation_T, o_reduction_apply
 from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
     OrthTransform,
@@ -21,8 +15,6 @@ from loowit.loo import (
     asym_slot,
     make_transform,
     pair_list,
-    random_orthogonal,
-    random_unitary,
     require_unitary,
     standard_basis,
     sym_slot,
@@ -158,26 +150,6 @@ def family_matrix_loops(params: FamilyParams) -> np.ndarray:
     return rho
 
 
-def givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    g = np.eye(n)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
-
-
-def complex_givens(n: int, i: int, j: int, theta: float, phase: float) -> np.ndarray:
-    g = np.eye(n, dtype=complex)
-    c, s = np.cos(theta), np.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s * np.exp(1j * phase)
-    g[j, i] = s * np.exp(-1j * phase)
-    return g
-
-
 def x_coefficients_loops(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
     """Standard-set coefficients of X for one (o, r) pair, slot by slot."""
     trace_vec = np.zeros(d * d)
@@ -201,51 +173,3 @@ def unitary_mixing_single(u: np.ndarray, d: int) -> np.ndarray:
     mats = standard_basis(d)
     conj = np.matmul(np.matmul(u, mats), u.conj().T)
     return np.einsum("mij,nji->mn", conj, mats).real
-
-
-def x_min_eig_scalar(s: np.ndarray, o: np.ndarray, u: np.ndarray, d: int) -> float:
-    """Smallest eigenvalue of X for one (O, u) pair."""
-    coeffs = x_coefficients_loops(s, o, unitary_mixing_single(u, d), d)
-    return float(np.linalg.eigvalsh(np.einsum("u,uij->ij", coeffs, standard_basis(d)))[0])
-
-
-def reference_restart(s: np.ndarray, d: int, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """One restart of the correlation search, one candidate at a time: its (min_eig, O, u).
-
-    The restart draws, from default_rng([seed, restart]): O, u, then per
-    round a plane of the O step, its angle, a plane of the u step, its angle
-    and its phase. A candidate is kept only if it lowers the smallest
-    eigenvalue.
-    """
-    n = d * d
-    rng = np.random.default_rng([seed, restart])
-    o = random_orthogonal(n, rng)
-    u = random_unitary(d, rng)
-    val = x_min_eig_scalar(s, o, u, d)
-    step = np.pi / 2.0
-    for _ in range(REFINE_ROUNDS):
-        i, j = rng.choice(n, size=2, replace=False)
-        o_try = givens(n, int(i), int(j), step * rng.standard_normal()) @ o
-        val_try = x_min_eig_scalar(s, o_try, u, d)
-        if val_try < val:
-            o, val = o_try, val_try
-        i, j = rng.choice(d, size=2, replace=False)
-        rot = complex_givens(d, int(i), int(j), step * rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi))
-        u_try = rot @ u
-        val_try = x_min_eig_scalar(s, o, u_try, d)
-        if val_try < val:
-            u, val = u_try, val_try
-        step *= STEP_DECAY
-    return val, o, u
-
-
-def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
-    """The first restart with the lowest value, as the search's strict ``<`` keeps it."""
-    return min(restarts, key=lambda r: r[0])
-
-
-def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The correlation search one restart at a time: (min_eig, O, u)."""
-    s = pair_correlation(state)
-    d = state.dims.square_dim
-    return best_restart([reference_restart(s, d, seed, restart) for restart in range(budget)])

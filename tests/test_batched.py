@@ -3,20 +3,16 @@
 The linalg primitives, the state validation and the criterion kernels take a
 leading batch axis. A stack must give the bits its members give alone, so the
 sweep's block boundaries cannot change a result; an invalid member must be
-named by its index. The correlation search runs its restarts as stacks, and
-must give the bits of the search that runs one restart at a time.
+named by its index. The correlation search runs its restarts as one stack
+through the X kernel, which must give the bits of its slot-by-slot form.
 """
-
-import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density, sample_states
-from loowit import criteria
 from loowit.criteria import (
-    SEARCH_BLOCK,
     _unitary_mixing,
     _x_coefficients,
     _x_stack,
@@ -29,7 +25,6 @@ from loowit.criteria import (
     realignment_norm,
     realignment_value,
     x_matrix,
-    x_search,
 )
 from loowit.linalg import (
     DimPair,
@@ -56,10 +51,7 @@ from loowit.states import (
     family_ppt_sufficient,
     family_separable_sufficient,
     family_stack,
-    horodecki_rho,
     make_state,
-    max_entangled,
-    random_separable_state,
 )
 from loowit.sweep import evaluate_point, run_sweep
 from oracles import (
@@ -67,10 +59,7 @@ from oracles import (
     family_matrix_loops,
     o_reduction_dense,
     unitary_mixing_single,
-    best_restart,
-    reference_restart,
     x_coefficients_loops,
-    x_search_reference,
 )
 
 
@@ -151,52 +140,8 @@ class TestSparseContractions:
             assert same_bits(o_reduction_operator(stack, d, t), o_reduction_dense(stack, d, t))
 
 
-def search_state(d: int):
-    """Separable samples at d = 3 and 5 (where a contiguous mixing would change bits), else phi."""
-    if d in (3, 5):
-        return random_separable_state(DimPair.square(d), k=3, seed=d, mode="mixed")
-    return max_entangled(d)
-
-
-@functools.lru_cache(maxsize=None)
-def reference_restarts(d: int, seed: int, budget: int) -> list:
-    state = search_state(d)
-    return [reference_restart(pair_correlation(state), d, seed, r) for r in range(budget)]
-
-
-def same_search(result, reference) -> bool:
-    min_eig, o, u = reference
-    return (
-        result.min_eig == min_eig
-        and np.array_equal(result.transform.matrix, o)
-        and np.array_equal(result.unitary, u)
-    )
-
-
 class TestLockstepSearch:
-    """Restarts advanced as stacks against the reference search, one restart at a time."""
-
-    @pytest.mark.parametrize("budget", (1, 5, SEARCH_BLOCK, SEARCH_BLOCK + 1))
-    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (4, 123), (5, 2024)])
-    def test_matches_reference(self, d, seed, budget):
-        # restarts are independent, so a smaller budget's reference is a prefix
-        restarts = reference_restarts(d, seed, SEARCH_BLOCK + 1)[:budget]
-        assert same_search(x_search(search_state(d), budget, seed), best_restart(restarts))
-
-    @pytest.mark.parametrize("state", [horodecki_rho(0.5), max_entangled(2)], ids=["horodecki", "phi2"])
-    def test_full_budget_matches_reference(self, state):
-        assert same_search(x_search(state, 200, 3), x_search_reference(state, 200, 3))
-
-    @pytest.mark.parametrize("block", (1, 7))
-    @pytest.mark.parametrize("d", (3, 5))
-    def test_block_size_does_not_change_result(self, monkeypatch, d, block):
-        state = random_separable_state(DimPair.square(d), k=4, seed=d, mode="mixed")
-        default = x_search(state, 10, 4)
-        monkeypatch.setattr(criteria, "SEARCH_BLOCK", block)
-        blocked = x_search(state, 10, 4)
-        assert blocked.min_eig == default.min_eig
-        assert np.array_equal(blocked.transform.matrix, default.transform.matrix)
-        assert np.array_equal(blocked.unitary, default.unitary)
+    """The X kernel the search runs on stacks of (O, u) pairs, against slot loops and x_matrix."""
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_coefficient_stack_matches_slot_loops(self, d, seed):

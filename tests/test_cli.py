@@ -278,10 +278,11 @@ class TestSpecParsing:
             (("witness", "perm:cycle,d=3,l=1.5"), "l"),
             (("check", "--builtin", "product:d=x"), "d"),
             (("check", "--builtin", "family:d=3,a1=0.2,a2=x"), "a2"),
+            (("check", "--builtin", "horodecki:a=1" + "0" * 400), "a"),
         ],
     )
     def test_bad_spec_value_named(self, capsys, argv, key):
-        # a fractional or non-numeric value must not be truncated or reach int()/float()
+        # a fractional, non-numeric or float-overflowing value must not be truncated or reach int()/float()
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_ERROR
         assert out == ""
@@ -315,7 +316,7 @@ class TestGoldenOutput:
     def test_check_json(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "219f517f92b41c34aff642aa20d62b321db1c383c64bacf6700ad1802ef81804"
+        assert digest == "dc49696689e26e1a3e6ae12032fb054c533794bae481455fde72084cbce0fd5c"
 
     @pytest.mark.parametrize(
         "argv, digest",

@@ -5,7 +5,15 @@ from hypothesis import given, strategies as st
 from conftest import random_density, random_state, sample_states
 from loowit.criteria import (
     ALGEBRAIC_TOL,
+    SEARCH_BUDGET,
+    SEARCH_ROUNDS,
     ReportConfig,
+    _o_gradient,
+    _o_step,
+    _search_starts,
+    _unitary_mixing,
+    _x_min_eig,
+    _x_stack,
     classify_family_point,
     correlation_T,
     full_report,
@@ -13,6 +21,7 @@ from loowit.criteria import (
     pair_correlation,
     perm_reduction_family,
     ppt_check,
+    realignment_norm,
     realignment_value,
     x_matrix,
     x_search,
@@ -318,6 +327,10 @@ class TestXMatrix:
             x_matrix(state, make_transform(0.5 * np.eye(4)), np.eye(2))
 
 
+# Points of the diagonal family in the bound-entangled region: (d, a1, a2).
+BOUND_POINTS = ((3, 0.25, 0.65), (3, 0.15, 0.1), (4, 0.15, 0.6), (4, 0.2, 0.1), (5, 0.15, 0.45))
+
+
 class TestXSearch:
     def test_singlet_detected(self):
         result = x_search(werner2(1.0), budget=200, seed=123)
@@ -340,6 +353,63 @@ class TestXSearch:
         a = x_search(werner2(0.5), budget=20, seed=3)
         b = x_search(werner2(0.5), budget=20, seed=3)
         assert a.min_eig == b.min_eig
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_pairing_is_affine_in_o(self, d, seed):
+        # v^dagger X(O) v = c + <G, O>: the same c for every O, and c is the value at O = 0
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, d)
+        u = random_unitary(d, rng)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        s, r = pair_correlation(state), _unitary_mixing(u, d)
+        g = _o_gradient(s, r, v, d)
+        c = float(np.real(v.conj() @ _x_stack(s, np.zeros((d * d, d * d)), r, d) @ v))
+        for _ in range(3):
+            o = random_orthogonal(d * d, rng)
+            value = float(np.real(v.conj() @ x_matrix(state, make_transform(o), u) @ v))
+            assert abs(value - np.sum(g * o) - c) < 1e-12
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_rounds_never_raise_min_eig(self, d, seed):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, d)
+        s = pair_correlation(state)
+        o, u = _search_starts(s, d, seed, 4)
+        r = _unitary_mixing(u, d)
+        values = [_x_min_eig(s, o, r, d)]
+        for _ in range(SEARCH_ROUNDS):
+            o = _o_step(s, o, r, d)
+            values.append(_x_min_eig(s, o, r, d))
+        assert np.all(np.diff(values, axis=0) <= 1e-12)
+        assert x_search(state, 4, seed).min_eig == values[-1].min()
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_warm_start_at_realignment_bound(self, d, seed):
+        # restart 0 starts where <s|X|s> = 1 - ||T||_tr and ends at or below a d-th of it
+        rng = np.random.default_rng(seed)
+        for state in (random_state(rng, d), max_entangled(d)):
+            bound = 1.0 - realignment_norm(state.rho, d)
+            o, u = _search_starts(pair_correlation(state), d, seed, 1)
+            assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
+            assert x_search(state, 1, seed).min_eig <= bound / d + 1e-12
+
+    @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
+    @pytest.mark.parametrize(
+        "state",
+        [horodecki_rho(a) for a in np.round(np.arange(0.1, 0.95, 0.1), 1)]
+        + [family_rho(family_special(d, a1, a2)) for d, a1, a2 in BOUND_POINTS],
+        ids=lambda state: state.label,
+    )
+    def test_detects_ppt_entangled_states(self, state, rotated):
+        d = state.dims.square_dim
+        assert ppt_check(state).verdict == "pass"
+        if rotated:
+            rng = np.random.default_rng(d)
+            local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+            state = make_state(local @ state.rho @ local.conj().T, state.dims, "rotated")
+        for budget in (1, SEARCH_BUDGET):
+            assert x_search(state, budget, seed=0).report.verdict == "violated"
 
     @pytest.mark.parametrize("seed", (-1, 1.5))
     def test_bad_seed_named(self, seed):
