@@ -7,7 +7,7 @@ assert that both routes agree.
 
 import numpy as np
 
-from loowit.criteria import correlation_T, o_reduction_apply
+from loowit.criteria import SEARCH_ROUNDS, correlation_T, o_reduction_apply, pair_correlation, x_matrix
 from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
     OrthTransform,
@@ -15,6 +15,8 @@ from loowit.loo import (
     asym_slot,
     make_transform,
     pair_list,
+    random_orthogonal,
+    random_unitary,
     require_unitary,
     standard_basis,
     sym_slot,
@@ -173,3 +175,56 @@ def unitary_mixing_single(u: np.ndarray, d: int) -> np.ndarray:
     mats = standard_basis(d)
     conj = np.matmul(np.matmul(u, mats), u.conj().T)
     return np.einsum("mij,nji->mn", conj, mats).real
+
+
+def o_gradient_loops(s: np.ndarray, r: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """G with v^dagger X(O) v = c + <G, O> for one (r, v), its slot weights placed slot by slot."""
+    w = np.einsum("i,uij,j->u", v.conj(), standard_basis(d), v).real
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    weights = np.zeros((d * d, d * d))
+    for m in range(d):
+        weights[m, m] = -w[m]
+    for m, n in pair_list(d):
+        p = sym_slot(d, m, n)
+        q = asym_slot(d, m, n)
+        weights[p, p] = -inv_sqrt2 * w[p]
+        weights[q, q] = inv_sqrt2 * w[p]
+        weights[p, q] = -inv_sqrt2 * w[q]
+        weights[q, p] = -inv_sqrt2 * w[q]
+    return weights @ r @ s.T
+
+
+def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """One restart of the correlation search by itself, through x_matrix: its (min_eig, O, u).
+
+    Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
+    draws O, then u, from default_rng([seed, b]). Each of SEARCH_ROUNDS
+    rounds takes the lowest eigenvector v of X(O) and moves O to -U V^T from
+    the SVD of the pairing's gradient, the minimiser of v^dagger X(O) v.
+    """
+    d = state.dims.square_dim
+    if restart == 0:
+        u_svd, _, vh = np.linalg.svd(-correlation_T(state).T)
+        o = -u_svd @ vh
+        u = np.eye(d, dtype=complex)
+    else:
+        rng = np.random.default_rng([seed, restart])
+        o = random_orthogonal(d * d, rng)
+        u = random_unitary(d, rng)
+    s = pair_correlation(state)
+    r = unitary_mixing_single(u, d)
+    for _ in range(SEARCH_ROUNDS):
+        _, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
+        u_svd, _, vh = np.linalg.svd(o_gradient_loops(s, r, vecs[:, 0], d))
+        o = -u_svd @ vh
+    return float(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0]), o, u
+
+
+def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
+    """The first restart with the lowest value, as the search's argmin keeps it."""
+    return min(restarts, key=lambda r: r[0])
+
+
+def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The correlation search one restart at a time: (min_eig, O, u)."""
+    return best_restart([reference_restart(state, seed, restart) for restart in range(budget)])

@@ -3,9 +3,11 @@
 The linalg primitives, the state validation and the criterion kernels take a
 leading batch axis. A stack must give the bits its members give alone, so the
 sweep's block boundaries cannot change a result; an invalid member must be
-named by its index. The correlation search runs its restarts as one stack
-through the X kernel, which must give the bits of its slot-by-slot form.
+named by its index. The correlation search runs its restarts as one stack,
+and must give the bits of the search that runs one restart at a time.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from loowit.criteria import (
     realignment_norm,
     realignment_value,
     x_matrix,
+    x_search,
 )
 from loowit.linalg import (
     DimPair,
@@ -51,15 +54,21 @@ from loowit.states import (
     family_ppt_sufficient,
     family_separable_sufficient,
     family_stack,
+    horodecki_rho,
     make_state,
+    max_entangled,
+    random_separable_state,
 )
 from loowit.sweep import evaluate_point, run_sweep
 from oracles import (
+    best_restart,
     correlation_dense,
     family_matrix_loops,
     o_reduction_dense,
+    reference_restart,
     unitary_mixing_single,
     x_coefficients_loops,
+    x_search_reference,
 )
 
 
@@ -140,8 +149,44 @@ class TestSparseContractions:
             assert same_bits(o_reduction_operator(stack, d, t), o_reduction_dense(stack, d, t))
 
 
+def search_state(d: int):
+    """Separable samples at d = 3 and 5, else phi."""
+    if d in (3, 5):
+        return random_separable_state(DimPair.square(d), k=3, seed=d, mode="mixed")
+    return max_entangled(d)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_restarts(d: int, seed: int, budget: int) -> list:
+    return [reference_restart(search_state(d), seed, r) for r in range(budget)]
+
+
+def same_search(result, reference) -> bool:
+    min_eig, o, u = reference
+    return (
+        result.min_eig == min_eig
+        and np.array_equal(result.transform.matrix, o)
+        and np.array_equal(result.unitary, u)
+    )
+
+
 class TestLockstepSearch:
-    """The X kernel the search runs on stacks of (O, u) pairs, against slot loops and x_matrix."""
+    """Restarts advanced as one stack against the reference search, one restart at a time.
+
+    The X kernel the search runs on stacks of (O, u) pairs must also give the
+    bits of slot loops and x_matrix.
+    """
+
+    @pytest.mark.parametrize("budget", (1, 5, 32, 33))
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (4, 123), (5, 2024)])
+    def test_matches_reference(self, d, seed, budget):
+        # restarts are independent, so a smaller budget's reference is a prefix
+        restarts = reference_restarts(d, seed, 33)[:budget]
+        assert same_search(x_search(search_state(d), budget, seed), best_restart(restarts))
+
+    @pytest.mark.parametrize("state", [horodecki_rho(0.5), max_entangled(2)], ids=["horodecki", "phi2"])
+    def test_full_budget_matches_reference(self, state):
+        assert same_search(x_search(state, 200, 3), x_search_reference(state, 200, 3))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_coefficient_stack_matches_slot_loops(self, d, seed):
