@@ -91,11 +91,11 @@ def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
     return name, kw, state
 
 
-def _load_transform(path: str) -> loo.OrthTransform:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_transform(path: str) -> np.ndarray:
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        matrix = np.asarray(payload["matrix"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        matrix = np.asarray(json.loads(text)["matrix"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decode errors
         raise ValueError(f"malformed transform file {path}: {exc}") from exc
     return loo.make_transform(matrix)
 
@@ -112,8 +112,6 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
             tag += f"[{r.params['transform']}]"
         elif "witness" in r.params:
             tag += f"[{r.params['witness']}]"
-        elif "l" in r.params:
-            tag += f"[l={r.params['l']}]"
         print(f"  {tag:<{width}} {r.verdict:<13} scalar={r.scalar:+.6e}")
     print("overall: " + ("entangled" if report.entangled else "no entanglement detected"))
 
@@ -167,11 +165,11 @@ def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     if name == "generic":
         if not args.transform:
             raise ValueError("generic witness requires --transform FILE")
-        transform = _load_transform(args.transform)
-        d = int(round(np.sqrt(transform.dim)))
-        if d * d != transform.dim:
-            raise ValueError(f"transform dimension {transform.dim} is not a square")
-        return witness_mod.ew_from_transform(transform, d)
+        o = _load_transform(args.transform)
+        d = int(round(np.sqrt(len(o))))
+        if d * d != len(o):
+            raise ValueError(f"transform dimension {len(o)} is not a square")
+        return witness_mod.ew_from_transform(o, d)
     raise ValueError(f"unknown witness spec {name!r}")
 
 

@@ -34,10 +34,9 @@ from .linalg import (
     trace_norm,
 )
 from .loo import (
-    OrthTransform,
     apply_orthogonal,
     diag_cycle,
-    identity_transform,
+    is_orthogonal,
     pair_slots,
     permutation_transform,
     random_orthogonal,
@@ -119,7 +118,7 @@ def _correlation(rho: np.ndarray, d: int) -> np.ndarray:
 
 
 def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
-    return _correlation(rho, d) @ transpose_transform(d).matrix
+    return _correlation(rho, d) @ transpose_transform(d)
 
 
 def realignment_norm(rho: np.ndarray, d: int):
@@ -127,7 +126,7 @@ def realignment_norm(rho: np.ndarray, d: int):
     return trace_norm(_correlation_T(rho, d))
 
 
-def o_reduction_operator(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
+def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T."""
     rows, cols, values = standard_entries(d)
     r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
@@ -176,7 +175,7 @@ def realignment_value(
 
 def o_reduction_apply(
     state: BipartiteState,
-    transform: OrthTransform,
+    transform: np.ndarray,
     tol: float = ALGEBRAIC_TOL,
     label: str | None = None,
 ) -> tuple[np.ndarray, CriterionReport]:
@@ -255,7 +254,7 @@ def _x_min_eig(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarra
     return np.linalg.eigvalsh(_x_stack(s, o, r, d))[..., 0]
 
 
-def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
+def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Hermitian correlation matrix of the O-mixed A set against the u-conjugated B set.
 
     Component rule, in standard-set coefficients (m < n):
@@ -274,9 +273,9 @@ def x_matrix(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> 
     u = require_unitary(u)
     if u.shape[0] != d:
         raise ValueError(f"unitary dim {u.shape[0]} does not match local dim {d}")
-    if transform.kind != "orthogonal":
+    if not is_orthogonal(transform):
         raise ValueError("correlation matrix requires an orthogonal mixing")
-    return _x_stack(pair_correlation(state), transform.matrix, _unitary_mixing(u, d), d)
+    return _x_stack(pair_correlation(state), transform, _unitary_mixing(u, d), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +283,7 @@ class XSearchResult:
     """Best correlation-matrix violation found by randomized search."""
 
     unitary: np.ndarray
-    transform: OrthTransform
+    transform: np.ndarray
     min_eig: float
     report: CriterionReport
 
@@ -328,6 +327,12 @@ def _o_step(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
     return _procrustes(_o_gradient(s, r, vecs[..., 0], d))
 
 
+def _require_budget(budget: int) -> None:
+    """Reject a search budget below one restart."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+
+
 def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting (O, u) stacks of the restarts, (budget, d^2, d^2) and (budget, d, d).
 
@@ -338,7 +343,7 @@ def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
     n = d * d
     o = np.empty((budget, n, n))
     u = np.empty((budget, d, d), dtype=complex)
-    o[0] = _procrustes(-(s @ transpose_transform(d).matrix).T)
+    o[0] = _procrustes(-(s @ transpose_transform(d)).T)
     u[0] = np.eye(d)
     for b in range(1, budget):
         rng = np.random.default_rng([seed, b])
@@ -363,8 +368,7 @@ def x_search(
     verdict is "violated" only below -tol; a failed search is
     "inconclusive", never a separability certificate.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    _require_budget(budget)
     require_seed(seed)
     d = state.dims.square_dim
     s = pair_correlation(state)
@@ -380,12 +384,7 @@ def x_search(
     report = CriterionReport(
         "x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": tol}
     )
-    return XSearchResult(
-        unitary=u[b],
-        transform=OrthTransform(matrix=o[b], kind="orthogonal"),
-        min_eig=best_val,
-        report=report,
-    )
+    return XSearchResult(unitary=u[b], transform=o[b], min_eig=best_val, report=report)
 
 
 def classify_family_point(d: int, a1, a2):
@@ -417,6 +416,7 @@ class ReportConfig:
         require_nonnegative("tol", self.tol)
         require_nonnegative("tol_search", self.tol_search)
         require_seed(self.seed)
+        _require_budget(self.budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,8 +448,8 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
         d = state.dims.d_a
         _, realignment_report = realignment_value(state, tol=config.tol)
         reports.append(realignment_report)
-        transforms: list[tuple[str, OrthTransform]] = [
-            ("reduction", identity_transform(d * d)),
+        transforms: list[tuple[str, np.ndarray]] = [
+            ("reduction", np.eye(d * d)),
             ("transpose", transpose_transform(d)),
         ]
         transforms += [(f"cycle(l={l})", permutation_transform(diag_cycle(d, l))) for l in range(1, d)]

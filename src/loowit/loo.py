@@ -25,23 +25,16 @@ from .linalg import dagger, max_abs
 ORTHOGONALITY_TOL = 1e-10
 
 
-def n_pairs(d: int) -> int:
-    return d * (d - 1) // 2
-
-
-def pair_rank(d: int, m: int, n: int) -> int:
-    """Lexicographic rank of the 0-based pair (m, n), m < n."""
+def sym_slot(d: int, m: int, n: int) -> int:
+    """Slot of the symmetric observable of the 0-based pair (m, n), m < n: d plus the pair's rank."""
     if not 0 <= m < n < d:
         raise ValueError(f"need 0 <= m < n < d, got ({m}, {n}) with d={d}")
-    return m * d - m * (m + 1) // 2 + (n - m - 1)
-
-
-def sym_slot(d: int, m: int, n: int) -> int:
-    return d + pair_rank(d, m, n)
+    return d + m * d - m * (m + 1) // 2 + (n - m - 1)
 
 
 def asym_slot(d: int, m: int, n: int) -> int:
-    return d + n_pairs(d) + pair_rank(d, m, n)
+    """Slot of the antisymmetric observable of the pair: d(d-1)/2 slots after the symmetric one."""
+    return sym_slot(d, m, n) + d * (d - 1) // 2
 
 
 def pair_list(d: int) -> list[tuple[int, int]]:
@@ -143,25 +136,21 @@ def validate_basis(basis: np.ndarray) -> dict[str, float]:
     return {"gram": gram_dev, "hermiticity": herm_dev, "completeness": comp_dev}
 
 
-@dataclass(frozen=True, eq=False)
-class OrthTransform:
-    """Real d^2 x d^2 mixing matrix for LOO sets.
-
-    ``kind`` is "orthogonal" (O O^T = I) or "contraction" (O O^T <= I, not
-    orthogonal). Contractions are first-class: they still produce sound
-    witness candidates, but the mixed observable set loses orthonormality.
-    """
-
-    matrix: np.ndarray
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+# A mixing is a real (n, n) float array O: orthogonal (O O^T = I) or a
+# contraction (O O^T <= I). Contractions still give sound witness candidates,
+# but the mixed observable set loses orthonormality.
 
 
-def make_transform(matrix: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> OrthTransform:
-    """Classify a real square matrix as orthogonal or contraction.
+def is_orthogonal(o: np.ndarray) -> bool:
+    """True for a square array with max |O O^T - I| <= ORTHOGONALITY_TOL."""
+    o = np.asarray(o)
+    if o.ndim != 2 or o.shape[0] != o.shape[1]:
+        return False
+    return max_abs(o @ o.T - np.eye(len(o))) <= ORTHOGONALITY_TOL
+
+
+def make_transform(matrix: np.ndarray) -> np.ndarray:
+    """Validate a mixing: a real square matrix that is orthogonal or a contraction, as a float array.
 
     Raises ValueError naming the offending eigenvalue when O O^T exceeds the
     identity beyond tolerance.
@@ -170,21 +159,20 @@ def make_transform(matrix: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> OrthTr
     if not np.isfinite(matrix).all():
         raise ValueError("transform matrix has non-finite entries (NaN or inf)")
     if np.iscomplexobj(matrix):
-        if max_abs(matrix.imag) > tol:
+        if max_abs(matrix.imag) > ORTHOGONALITY_TOL:
             raise ValueError("transform matrix must be real")
         matrix = matrix.real
     matrix = matrix.astype(float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
-    g = matrix @ matrix.T
-    if max_abs(g - np.eye(matrix.shape[0])) <= tol:
-        return OrthTransform(matrix=matrix, kind="orthogonal")
-    top = float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
-    if top <= 1.0 + tol:
-        return OrthTransform(matrix=matrix, kind="contraction")
-    raise ValueError(
-        f"transform is neither orthogonal nor a contraction: max eigenvalue of O O^T is {top:.9g}"
-    )
+    if not is_orthogonal(matrix):
+        g = matrix @ matrix.T
+        top = float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
+        if top > 1.0 + ORTHOGONALITY_TOL:
+            raise ValueError(
+                f"transform is neither orthogonal nor a contraction: max eigenvalue of O O^T is {top:.9g}"
+            )
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -200,10 +188,6 @@ class Permutation:
 
     def __call__(self, slot: int) -> int:
         return self.mapping[slot]
-
-
-def identity_permutation(size: int) -> Permutation:
-    return Permutation(size=size, mapping=tuple(range(size)))
 
 
 def diag_cycle(d: int, l: int) -> Permutation:
@@ -222,11 +206,7 @@ def fixed_points(sigma: Permutation) -> int:
     return sum(1 for i, j in enumerate(sigma.mapping) if i == j)
 
 
-def identity_transform(n: int) -> OrthTransform:
-    return OrthTransform(matrix=np.eye(n), kind="orthogonal")
-
-
-def transpose_transform(d: int) -> OrthTransform:
+def transpose_transform(d: int) -> np.ndarray:
     """Diagonal +-1 matrix realizing entrywise transposition of the standard set.
 
     Projector and symmetric-pair slots are fixed (+1), antisymmetric-pair
@@ -235,32 +215,32 @@ def transpose_transform(d: int) -> OrthTransform:
     (not proof) that no unitary conjugation reproduces the transposition.
     """
     signs = np.ones(d * d)
-    signs[d + n_pairs(d):] = -1.0
-    return OrthTransform(matrix=np.diag(signs), kind="orthogonal")
+    signs[d + d * (d - 1) // 2:] = -1.0
+    return np.diag(signs)
 
 
-def permutation_transform(sigma: Permutation) -> OrthTransform:
+def permutation_transform(sigma: Permutation) -> np.ndarray:
     """Permutation matrix O with O[u, sigma(u)] = 1, so mixing sends slot u to L_sigma(u)."""
     matrix = np.zeros((sigma.size, sigma.size))
     matrix[np.arange(sigma.size), np.array(sigma.mapping)] = 1.0
-    return OrthTransform(matrix=matrix, kind="orthogonal")
+    return matrix
 
 
-def require_unitary(u: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> np.ndarray:
+def require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol:
+    if defect > ORTHOGONALITY_TOL:
         raise ValueError(f"matrix is not unitary: max |u^dagger u - I| = {defect:.3e}")
     return u
 
 
-def apply_orthogonal(basis: np.ndarray, transform: OrthTransform) -> np.ndarray:
+def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Mix the set: out_u = sum_v O[u, v] L_v. A contraction mixing gives a non-orthonormal set."""
-    if transform.dim != len(basis):
-        raise ValueError(f"transform dim {transform.dim} does not match basis size {len(basis)}")
-    return np.einsum("uv,vij->uij", transform.matrix, basis)
+    if len(o) != len(basis):
+        raise ValueError(f"transform dim {len(o)} does not match basis size {len(basis)}")
+    return np.einsum("uv,vij->uij", o, basis)
 
 
 def transpose_basis(basis: np.ndarray) -> np.ndarray:

@@ -293,11 +293,16 @@ def save_state(state: BipartiteState, path: str | Path) -> None:
 
 def _matrix_from_payload(payload: dict, path: Path) -> tuple[np.ndarray, DimPair]:
     try:
-        dims = DimPair(int(payload["dim_a"]), int(payload["dim_b"]))
+        sizes = [payload[key] for key in ("dim_a", "dim_b")]
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
+    for key, size in zip(("dim_a", "dim_b"), sizes):
+        if isinstance(size, bool) or not isinstance(size, int):
+            shown = json.dumps(size)
+            raise ValueError(f"malformed matrix file {path}: {key} must be an integer, got {shown}")
+    dims = DimPair(*sizes)
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(f"malformed matrix file {path}: re/im shapes {re.shape} vs {im.shape}")
     return re + 1j * im, dims

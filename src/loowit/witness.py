@@ -16,11 +16,12 @@ import numpy as np
 
 from .linalg import DimPair, is_psd, max_abs
 from .loo import (
-    OrthTransform,
     Permutation,
     apply_orthogonal,
     asym_slot,
     fixed_points,
+    is_orthogonal,
+    make_transform,
     pair_sum,
     permutation_transform,
     standard_basis,
@@ -64,20 +65,20 @@ def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
     return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig)
 
 
-def ew_from_transform(transform: OrthTransform, d: int) -> Witness:
+def ew_from_transform(o: np.ndarray, d: int) -> Witness:
     """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T.
 
-    The mixing must be orthogonal or a contraction (make_transform enforces
-    this); the candidate becomes a confirmed witness when the eigensolve finds
-    a negative eigenvalue.
+    The mixing o must be orthogonal or a contraction (make_transform enforces
+    this here); the candidate becomes a confirmed witness when the eigensolve
+    finds a negative eigenvalue.
     """
+    o = make_transform(o)
     basis = standard_basis(d)
-    if transform.dim != len(basis):
-        raise ValueError(f"transform dim {transform.dim} does not match d^2 = {len(basis)}")
-    mixed = apply_orthogonal(basis, transform)
+    mixed = apply_orthogonal(basis, o)
     transposed = transpose_basis(basis)
     matrix = np.eye(d * d, dtype=complex) - pair_sum(mixed, transposed)
-    return _eigensolved(matrix, d, f"transform({transform.kind})")
+    kind = "orthogonal" if is_orthogonal(o) else "contraction"
+    return _eigensolved(matrix, d, f"transform({kind})")
 
 
 def perm_ew(sigma: Permutation, d: int) -> Witness:

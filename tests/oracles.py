@@ -10,7 +10,6 @@ import numpy as np
 from loowit.criteria import SEARCH_ROUNDS, correlation_T, o_reduction_apply, pair_correlation, x_matrix
 from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
-    OrthTransform,
     apply_orthogonal,
     asym_slot,
     make_transform,
@@ -46,13 +45,13 @@ def conjugate_basis(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(u, basis), u.conj().T)
 
 
-def best_orthogonal(t: np.ndarray) -> OrthTransform:
+def best_orthogonal(t: np.ndarray) -> np.ndarray:
     """Orthogonal O maximizing Tr(T O); the maximum equals the trace norm of T."""
     u, _, vh = np.linalg.svd(np.asarray(t, dtype=float))
     return make_transform((u @ vh).T)
 
 
-def local_map(rho_local: np.ndarray, transform: OrthTransform) -> np.ndarray:
+def local_map(rho_local: np.ndarray, transform: np.ndarray) -> np.ndarray:
     """Single-system positive map (Tr rho) I - sum_u Tr(rho L_u) L^o_u.
 
     With the identity mixing this is the reduction map; with the transpose
@@ -66,7 +65,7 @@ def local_map(rho_local: np.ndarray, transform: OrthTransform) -> np.ndarray:
     return complex(np.trace(rho_local)) * np.eye(d) - np.einsum("u,uij->ij", coeffs, mixed)
 
 
-def phi_pairing(state: BipartiteState, transform: OrthTransform) -> tuple[float, float]:
+def phi_pairing(state: BipartiteState, transform: np.ndarray) -> tuple[float, float]:
     """Both sides of the maximally-entangled-vector pairing identity.
 
     Returns (<Phi| mapped operator |Phi>, 1 - Tr(T O^T)); the two are equal
@@ -76,32 +75,31 @@ def phi_pairing(state: BipartiteState, transform: OrthTransform) -> tuple[float,
     operator, _ = o_reduction_apply(state, transform)
     v = phi(state.dims.square_dim)
     lhs = float(np.real(v.conj() @ operator @ v))
-    rhs = 1.0 - float(np.trace(correlation_T(state) @ transform.matrix.T))
+    rhs = 1.0 - float(np.trace(correlation_T(state) @ transform.T))
     return lhs, rhs
 
 
-def x_reduction_form(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> np.ndarray:
+def x_reduction_form(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The correlation matrix X obtained by contracting the reduction-map output.
 
     Apply the reduction map with the transposed mixing on side A, conjugate
     side B by u^dagger, and read off the block X[k, l] = <k,k| . |l,l>.
     """
     d = state.dims.square_dim
-    transposed = OrthTransform(matrix=transform.matrix.T, kind=transform.kind)
-    operator, _ = o_reduction_apply(state, transposed)
+    operator, _ = o_reduction_apply(state, transform.T)
     sandwich = kron(np.eye(d), u.conj().T) @ operator @ kron(np.eye(d), u)
     diag_idx = np.arange(d) * (d + 1)
     return sandwich[np.ix_(diag_idx, diag_idx)]
 
 
-def uniform_pairing(state: BipartiteState, transform: OrthTransform, u: np.ndarray) -> float:
+def uniform_pairing(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> float:
     """1 - sum_a <L^o_a x (u L_a^T u^dagger)>, which equals <s|X|s> for the all-ones s.
 
     Note the transposed (not conjugated) B side.
     """
     d = state.dims.square_dim
     mats = standard_basis(d)
-    mats_o = np.einsum("uv,vij->uij", transform.matrix, mats)
+    mats_o = np.einsum("uv,vij->uij", transform, mats)
     mats_ut = np.matmul(np.matmul(u, mats.transpose(0, 2, 1)), u.conj().T)
     r4 = state.rho.reshape(d, d, d, d)
     return 1.0 - float(np.real(np.einsum("mnkl,ukm,uln->", r4, mats_o, mats_ut)))
@@ -131,7 +129,7 @@ def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("...mnkl,ukm,vln->...uv", rho.reshape(rho.shape[:-2] + (d, d, d, d)), mats, mats)
 
 
-def o_reduction_dense(rho: np.ndarray, d: int, transform: OrthTransform) -> np.ndarray:
+def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks."""
     basis = standard_basis(d)
     mixed = apply_orthogonal(basis, transform)

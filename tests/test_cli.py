@@ -6,7 +6,7 @@ import pytest
 
 from loowit import cli
 from loowit.linalg import DimPair
-from loowit.states import random_separable_state, save_matrix, save_state
+from loowit.states import max_entangled, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
 from oracles import n_sq_closed
 
@@ -72,6 +72,28 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "state has non-finite entries" in err
 
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [("dim_a", 3.7, "3.7"), ("dim_a", 3.0, "3.0"), ("dim_b", "3", '"3"'), ("dim_a", True, "true")],
+    )
+    def test_non_integer_dimension_named(self, capsys, tmp_path, key, value, shown):
+        # a float, string or bool dimension must not be truncated by int() into a valid-looking state
+        path = tmp_path / "dims.json"
+        save_state(max_entangled(3), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "check", "--file", str(path), "--no-search")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: malformed matrix file {path}: {key} must be an integer, got {shown}\n"
+
+    def test_zero_budget_named_without_search(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: budget must be >= 1, got 0\n"
+
     def test_missing_input_errors(self, capsys):
         code, _, err = run_cli(capsys, "check")
         assert code == cli.EXIT_ERROR
@@ -123,6 +145,15 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert "transform matrix has non-finite entries" in err
+
+    @pytest.mark.parametrize("text", ("{broken", '{"matrix": [[1, 0], [0]]}'), ids=("json", "ragged"))
+    def test_generic_malformed_transform_named(self, capsys, tmp_path, text):
+        path = tmp_path / "o.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: malformed transform file {path}: ")
 
     def test_generic_valid_transform(self, capsys, tmp_path):
         path = tmp_path / "o.json"
@@ -330,9 +361,35 @@ class TestGoldenOutput:
                 ("witness", "perm:cycle,d=3,l=1", "--json"),
                 "c439bc877ab5ea52fc8711eab1b62cf360ac23b2e154d4a4e97ebebcb857d47e",
             ),
+            (
+                ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
+                "0a38e459f2d1495725c3f97cf874a36420069b6ced9a1c7ce242fd1844564aba",
+            ),
+            (
+                ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
+                "5ad16b5d1b088b3d7752a3c077950f0f9cf5779952a05e680d3a22530d500f7b",
+            ),
         ],
     )
     def test_observable_set_outputs(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
+        # check exits 2 exactly when it reports the state entangled
+        entangled = "overall: entangled" in out or '"overall": "entangled"' in out
+        assert code == (cli.EXIT_ENTANGLED if entangled else cli.EXIT_OK)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)
+    @pytest.mark.parametrize(
+        "matrix, digest",
+        [
+            (0.5 * np.eye(9), "9a81a20ae2430722b3d3fc5ef2b62a3f26b309c0037ec117abce7f028cd6f74d"),
+            (np.diag([1.0] * 6 + [-1.0] * 3), "513e1dcb42129ff02dc2a3951797dfe06f0404b097c911b75d567cc5ea357c6c"),
+        ],
+        ids=("contraction", "orthogonal"),
+    )
+    def test_generic_witness_outputs(self, capsys, tmp_path, matrix, digest):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": matrix.tolist()}))
+        code, out, _ = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

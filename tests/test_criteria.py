@@ -29,7 +29,7 @@ from loowit.criteria import (
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, realign, trace_norm
 from loowit.loo import (
     diag_cycle,
-    identity_transform,
+    is_orthogonal,
     make_transform,
     permutation_transform,
     random_orthogonal,
@@ -129,17 +129,17 @@ class TestBestOrthogonal:
         g = rng.standard_normal((5, 5))
         t = g @ g.T + 5.0 * np.eye(5)
         o = best_orthogonal(t)
-        assert max_abs(o.matrix - np.eye(5)) < 1e-9
+        assert max_abs(o - np.eye(5)) < 1e-9
 
     def test_negative_identity(self):
         o = best_orthogonal(-np.eye(9))
-        assert max_abs(o.matrix + np.eye(9)) < 1e-12
-        assert abs(np.trace(-np.eye(9) @ o.matrix) - 9.0) < 1e-12
+        assert max_abs(o + np.eye(9)) < 1e-12
+        assert abs(np.trace(-np.eye(9) @ o) - 9.0) < 1e-12
 
     def test_maximizes_over_samples(self, rng):
         t = rng.standard_normal((4, 4))
         o_star = best_orthogonal(t)
-        value = np.trace(t @ o_star.matrix)
+        value = np.trace(t @ o_star)
         assert abs(value - trace_norm(t)) < 1e-9
         for _ in range(1000):
             o = random_orthogonal(4, rng)
@@ -152,7 +152,7 @@ class TestBestOrthogonal:
         bound = trace_norm(t)
         for _ in range(100):
             contraction = rng.uniform(0.0, 1.0) * random_orthogonal(9, rng)
-            assert make_transform(contraction).kind == "contraction"
+            assert not is_orthogonal(make_transform(contraction))
             assert abs(np.trace(t @ contraction)) <= bound + 1e-9
 
 
@@ -161,7 +161,7 @@ class TestLocalMap:
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         z /= np.linalg.norm(z)
         proj = np.outer(z, z.conj())
-        out = local_map(proj, identity_transform(9))
+        out = local_map(proj, np.eye(9))
         assert max_abs(out - (np.eye(3) - proj)) < 1e-12
         assert herm_eigvalues(out)[0] >= -1e-12
 
@@ -183,7 +183,7 @@ class TestLocalMap:
 class TestOReduction:
     def test_reduction_detects_max_entangled(self):
         state = max_entangled(3)
-        operator, report = o_reduction_apply(state, identity_transform(9))
+        operator, report = o_reduction_apply(state, np.eye(9))
         expected = np.eye(9) / 3.0 - state.rho
         assert max_abs(operator - expected) < 1e-12
         assert report.verdict == "violated"
@@ -245,7 +245,7 @@ class TestPermReductionFamily:
 
 class TestPhiPairing:
     def test_max_entangled_identity_transform(self):
-        lhs, rhs = phi_pairing(max_entangled(3), identity_transform(9))
+        lhs, rhs = phi_pairing(max_entangled(3), np.eye(9))
         assert abs(lhs - (1.0 - 3.0)) < 1e-12
         assert abs(rhs - (1.0 - 3.0)) < 1e-12
 
@@ -263,7 +263,7 @@ class TestPhiPairing:
         transform = make_transform(random_orthogonal(9, rng))
         lhs, rhs = phi_pairing(state, transform)
         t = correlation_T(state)
-        assert abs(rhs - (1.0 - np.trace(t @ transform.matrix.T))) < 1e-12
+        assert abs(rhs - (1.0 - np.trace(t @ transform.T))) < 1e-12
         assert abs(lhs - rhs) < 1e-9
 
     def test_realignment_violation_gives_negative_pairing(self, rng):
@@ -274,7 +274,7 @@ class TestPhiPairing:
             if report.verdict != "violated":
                 continue
             o_star = best_orthogonal(correlation_T(state))
-            lhs, rhs = phi_pairing(state, make_transform(o_star.matrix.T))
+            lhs, rhs = phi_pairing(state, make_transform(o_star.T))
             assert abs(rhs - (1.0 - value)) < 1e-9
             assert lhs < -1e-9
 
@@ -418,6 +418,14 @@ class TestXSearch:
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
             ReportConfig(seed=seed)
 
+    @pytest.mark.parametrize("budget", (0, -3))
+    def test_bad_budget_named(self, budget):
+        message = rf"^budget must be >= 1, got {budget}$"
+        with pytest.raises(ValueError, match=message):
+            x_search(werner2(0.5), budget=budget, seed=0)
+        with pytest.raises(ValueError, match=message):
+            ReportConfig(budget=budget, include_search=False)
+
 
 class TestSoundness:
     """On separable samples no criterion reports "violated" and the search stays above -tol_search."""
@@ -449,7 +457,7 @@ class TestLocalUnitaryInvariance:
         d = state.dims.square_dim
         ppt = ppt_check(state)
         realignment = realignment_value(state)[1]
-        reduction = o_reduction_apply(state, identity_transform(d * d))[1]
+        reduction = o_reduction_apply(state, np.eye(d * d))[1]
         transpose = o_reduction_apply(state, transpose_transform(d))[1]
         return [(ppt, 0.0), (realignment, 1.0), (reduction, 0.0), (transpose, 0.0)]
 

@@ -6,7 +6,7 @@ from conftest import random_complex
 from loowit.criteria import _unitary_mixing
 from loowit.linalg import herm_eigvalues, max_abs
 from loowit.loo import (
-    OrthTransform,
+    ORTHOGONALITY_TOL,
     Permutation,
     apply_orthogonal,
     asym_slot,
@@ -14,8 +14,7 @@ from loowit.loo import (
     expand,
     fixed_points,
     gram_matrix,
-    identity_permutation,
-    identity_transform,
+    is_orthogonal,
     make_transform,
     pair_sum,
     permutation_transform,
@@ -80,7 +79,7 @@ class TestStandardBasis:
 class TestApplyOrthogonal:
     def test_identity(self):
         basis = standard_basis(3)
-        out = apply_orthogonal(basis, identity_transform(9))
+        out = apply_orthogonal(basis, np.eye(9))
         assert max_abs(out - basis) == 0.0
 
     def test_permutation_matrix_reorders(self):
@@ -103,7 +102,7 @@ class TestApplyOrthogonal:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            apply_orthogonal(standard_basis(2), identity_transform(9))
+            apply_orthogonal(standard_basis(2), np.eye(9))
 
 
 class TestConjugateBasis:
@@ -155,11 +154,11 @@ class TestTransposeBasis:
 
 class TestTransforms:
     def test_transpose_transform_qubit(self):
-        assert max_abs(transpose_transform(2).matrix - np.diag([1.0, 1.0, 1.0, -1.0])) == 0.0
+        assert max_abs(transpose_transform(2) - np.diag([1.0, 1.0, 1.0, -1.0])) == 0.0
 
     def test_identity_permutation_transform(self):
-        sigma = identity_permutation(9)
-        assert max_abs(permutation_transform(sigma).matrix - np.eye(9)) == 0.0
+        sigma = Permutation(9, tuple(range(9)))
+        assert max_abs(permutation_transform(sigma) - np.eye(9)) == 0.0
 
     # the mixing a unitary induces on the standard set is the search's _unitary_mixing
     def test_unitary_transform_orthogonal(self, rng):
@@ -171,7 +170,7 @@ class TestTransforms:
         basis = standard_basis(3)
         for _ in range(5):
             u = random_unitary(3, rng)
-            via_transform = apply_orthogonal(basis, OrthTransform(_unitary_mixing(u, 3), "orthogonal"))
+            via_transform = apply_orthogonal(basis, _unitary_mixing(u, 3))
             via_conjugation = conjugate_basis(basis, u)
             assert max_abs(via_transform - via_conjugation) < 1e-9
 
@@ -180,19 +179,32 @@ class TestTransforms:
         # determinant separates the transposition from every unitary-induced
         # mixing; evidence, not a proof
         t = transpose_transform(d)
-        assert max_abs(t.matrix - t.matrix.T) == 0.0
+        assert max_abs(t - t.T) == 0.0
         expected = (-1.0) ** (d * (d - 1) // 2)
-        assert abs(np.linalg.det(t.matrix) - expected) < 1e-9
+        assert abs(np.linalg.det(t) - expected) < 1e-9
         for _ in range(10):
             assert abs(np.linalg.det(_unitary_mixing(random_unitary(d, rng), d)) - 1.0) < 1e-9
 
     def test_make_transform_classification(self):
-        assert make_transform(np.eye(4)).kind == "orthogonal"
-        assert make_transform(0.3 * np.eye(4)).kind == "contraction"
+        assert is_orthogonal(make_transform(np.eye(4)))
+        assert not is_orthogonal(make_transform(0.3 * np.eye(4)))
         with pytest.raises(ValueError, match="2.25"):
             make_transform(1.5 * np.eye(4))
         with pytest.raises(ValueError, match="non-finite"):
             make_transform(np.diag([1.0, np.nan, 1.0, 1.0]))
+
+    def test_make_transform_returns_float_array(self):
+        out = make_transform(np.eye(3, dtype=int))
+        assert out.dtype == float
+        assert np.array_equal(out, np.eye(3))
+
+    def test_is_orthogonal(self, rng):
+        assert is_orthogonal(random_orthogonal(9, rng))
+        assert is_orthogonal(transpose_transform(3))
+        assert not is_orthogonal(0.5 * np.eye(4))
+        assert not is_orthogonal(np.eye(4)[:3])  # not square
+        assert not is_orthogonal(np.diag([1.0, np.nan]))
+        assert not is_orthogonal(np.eye(4) + 2 * ORTHOGONALITY_TOL)
 
 
 class TestPermutations:
@@ -205,7 +217,7 @@ class TestPermutations:
         assert all(inverse(sigma(i)) == i for i in range(9))
 
     def test_fixed_points(self):
-        assert fixed_points(identity_permutation(9)) == 9
+        assert fixed_points(Permutation(9, tuple(range(9)))) == 9
         swap_two = list(range(9))
         swap_two[0], swap_two[1] = 1, 0
         assert fixed_points(Permutation(9, tuple(swap_two))) == 7

@@ -8,7 +8,6 @@ from loowit.loo import (
     Permutation,
     diag_cycle,
     gram_matrix,
-    identity_transform,
     make_transform,
     random_orthogonal,
     transpose_transform,
@@ -27,7 +26,7 @@ from oracles import n_sq_closed
 
 class TestTransformWitness:
     def test_identity_transform_gives_phi_witness(self):
-        w = ew_from_transform(identity_transform(9), 3)
+        w = ew_from_transform(np.eye(9), 3)
         v = phi(3)
         assert max_abs(w.matrix - (np.eye(9) - np.outer(v, v.conj()))) < 1e-12
         assert abs(w.min_eig - (1.0 - 3.0)) < 1e-12
@@ -55,6 +54,15 @@ class TestTransformWitness:
         with pytest.raises(ValueError, match="max eigenvalue"):
             ew_from_transform(make_transform(1.1 * np.eye(9)), 3)
 
+    def test_raw_array_validated_and_labelled(self):
+        # a plain array is checked here too, and its provenance comes from is_orthogonal
+        assert ew_from_transform(0.5 * np.eye(9), 3).provenance == "transform(contraction)"
+        assert ew_from_transform(transpose_transform(3), 3).provenance == "transform(orthogonal)"
+        with pytest.raises(ValueError, match="max eigenvalue"):
+            ew_from_transform(1.1 * np.eye(9), 3)
+        with pytest.raises(ValueError, match="does not match basis size"):
+            ew_from_transform(np.eye(4), 3)
+
     def test_hermitian(self, rng):
         w = ew_from_transform(make_transform(random_orthogonal(4, rng)), 2)
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
@@ -62,9 +70,7 @@ class TestTransformWitness:
 
 class TestPermWitness:
     def test_identity_permutation(self):
-        from loowit.loo import identity_permutation
-
-        w = perm_ew(identity_permutation(9), 3)
+        w = perm_ew(Permutation(9, tuple(range(9))), 3)
         assert w.phi_value == 3 - 9
         v = phi(3)
         assert max_abs(w.matrix - (np.eye(9) - np.outer(v, v.conj()))) < 1e-12
@@ -160,11 +166,11 @@ class TestHorodeckiWitness:
 
 class TestExpectation:
     def test_identity_witness_on_max_entangled(self):
-        w = ew_from_transform(identity_transform(9), 3)
+        w = ew_from_transform(np.eye(9), 3)
         assert abs(expectation(w, max_entangled(3)) - (1.0 - 3.0)) < 1e-12
 
     def test_dims_mismatch(self):
-        w = ew_from_transform(identity_transform(4), 2)
+        w = ew_from_transform(np.eye(4), 2)
         with pytest.raises(ValueError, match="mismatch"):
             expectation(w, max_entangled(3))
 
