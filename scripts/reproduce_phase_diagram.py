@@ -9,6 +9,8 @@ prints the analytic-vs-numeric agreement summary. Equivalent to
 import argparse
 import time
 
+import numpy as np
+
 from loowit.sweep import run_sweep, summary_lines, write_csv
 
 
@@ -28,10 +30,8 @@ def main() -> None:
         print(line)
     print(f"wrote {args.out} in {elapsed:.1f}s")
 
-    regions = {}
-    for row in result.rows:
-        regions[row.numeric_region] = regions.get(row.numeric_region, 0) + 1
-    print("numeric region counts:", dict(sorted(regions.items())))
+    regions, counts = np.unique(result.columns["numeric_region"], return_counts=True)
+    print("numeric region counts:", dict(zip(regions.tolist(), counts.tolist())))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     DimPair,
+    dagger,
     is_psd,
     kron,
     max_abs,
@@ -35,8 +36,10 @@ from .linalg import (
 )
 from .loo import (
     apply_orthogonal,
+    cycle_mixings,
     diag_cycle,
     is_orthogonal,
+    make_transform,
     pair_slots,
     permutation_transform,
     random_orthogonal,
@@ -127,7 +130,12 @@ def realignment_norm(rho: np.ndarray, d: int):
 
 
 def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
-    """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T."""
+    """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
+
+    transform is one mixing or a (..., d^2, d^2) stack broadcast against rho's
+    batch axes. The result is the Hermitian part (M + M^dagger)/2: exactly
+    Hermitian, so is_psd's re-check passes and decomposes it unchanged.
+    """
     rows, cols, values = standard_entries(d)
     r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
     # B-side operators paired with L_u; dense form np.einsum("...mnkl,ukm->...unl", r4, mats)
@@ -136,8 +144,10 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     for i in range(2):
         residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
     mixed = apply_orthogonal(standard_basis(d), transform)
-    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
-    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    mapped = np.einsum("...unl,...umk->...mnkl", residue, mixed)
+    mapped = mapped.reshape(mapped.shape[:-4] + rho.shape[-2:])
+    m = kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    return (m + dagger(m)) / 2.0
 
 
 def ppt_check(state: BipartiteState, tol: float = ALGEBRAIC_TOL) -> CriterionReport:
@@ -182,9 +192,9 @@ def o_reduction_apply(
     """Extend the local map to the composite: I x rho_B minus the A-side-mixed state.
 
     Separable states stay positive semidefinite for every orthogonal mixing;
-    a negative eigenvalue certifies entanglement.
+    a negative eigenvalue certifies entanglement. make_transform checks the mixing.
     """
-    operator = o_reduction_operator(state.rho, state.dims.square_dim, transform)
+    operator = o_reduction_operator(state.rho, state.dims.square_dim, make_transform(transform))
     params: dict = {"tol": tol}
     if label is not None:
         params["transform"] = label
@@ -273,6 +283,9 @@ def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.
     u = require_unitary(u)
     if u.shape[0] != d:
         raise ValueError(f"unitary dim {u.shape[0]} does not match local dim {d}")
+    n = d * d
+    if np.shape(transform) != (n, n):
+        raise ValueError(f"transform shape {np.shape(transform)} does not match local dim {d}, needs d^2 = {n}")
     if not is_orthogonal(transform):
         raise ValueError("correlation matrix requires an orthogonal mixing")
     return _x_stack(pair_correlation(state), transform, _unitary_mixing(u, d), d)
@@ -448,14 +461,13 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
         d = state.dims.d_a
         _, realignment_report = realignment_value(state, tol=config.tol)
         reports.append(realignment_report)
-        transforms: list[tuple[str, np.ndarray]] = [
-            ("reduction", np.eye(d * d)),
-            ("transpose", transpose_transform(d)),
+        tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
+        mixings = np.concatenate([[np.eye(d * d), transpose_transform(d)], cycle_mixings(d)])
+        ok, min_eig = is_psd(o_reduction_operator(state.rho, d, mixings), tol=config.tol)
+        reports += [
+            _psd_report("o_reduction", member_ok, member_min, {"tol": config.tol, "transform": tag})
+            for tag, member_ok, member_min in zip(tags, ok.tolist(), min_eig.tolist())
         ]
-        transforms += [(f"cycle(l={l})", permutation_transform(diag_cycle(d, l))) for l in range(1, d)]
-        for tag, transform in transforms:
-            _, report = o_reduction_apply(state, transform, tol=config.tol, label=tag)
-            reports.append(report)
         for witness in config.witnesses:
             value = expectation(witness, state)
             scale = max(1.0, max_abs(witness.matrix))

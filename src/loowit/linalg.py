@@ -76,20 +76,6 @@ def require_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within a relative tolerance and return the symmetrized matrix (or stack)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    defect = hermitian_defect(m)
-    raise_first(
-        defect > tol * np.maximum(1.0, member_max_abs(m)),
-        name,
-        lambda i: f"violates hermiticity: max |M - M^dagger| = {defect[i]:.3e}",
-    )
-    return (m + dagger(m)) / 2.0
-
-
 @dataclass(frozen=True)
 class DimPair:
     """Subsystem dimensions (d_A, d_B) of a bipartite space."""
@@ -165,13 +151,22 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
-def herm_eigvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def herm_eigvalues(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack.
 
-    Rejects input whose Hermiticity defect exceeds ``tol`` (relative); the
-    symmetrized matrix (H + H^dagger)/2 is decomposed.
+    Rejects input whose Hermiticity defect exceeds HERMITICITY_TOL (relative);
+    the symmetrized matrix (H + H^dagger)/2 is decomposed.
     """
-    return np.linalg.eigvalsh(require_hermitian(h, tol=tol))
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"matrix must be square, got shape {h.shape}")
+    defect = hermitian_defect(h)
+    raise_first(
+        defect > HERMITICITY_TOL * np.maximum(1.0, member_max_abs(h)),
+        "matrix",
+        lambda i: f"violates hermiticity: max |M - M^dagger| = {defect[i]:.3e}",
+    )
+    return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
 
 
 def trace_norm(m: np.ndarray):

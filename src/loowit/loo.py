@@ -206,6 +206,11 @@ def fixed_points(sigma: Permutation) -> int:
     return sum(1 for i, j in enumerate(sigma.mapping) if i == j)
 
 
+def cycle_mixings(d: int) -> np.ndarray:
+    """The diag_cycle(d, l) mixings for l = 1 .. d-1, as one (d-1, d^2, d^2) stack."""
+    return np.stack([permutation_transform(diag_cycle(d, l)) for l in range(1, d)])
+
+
 def transpose_transform(d: int) -> np.ndarray:
     """Diagonal +-1 matrix realizing entrywise transposition of the standard set.
 
@@ -237,10 +242,11 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Mix the set: out_u = sum_v O[u, v] L_v. A contraction mixing gives a non-orthonormal set."""
-    if len(o) != len(basis):
-        raise ValueError(f"transform dim {len(o)} does not match basis size {len(basis)}")
-    return np.einsum("uv,vij->uij", o, basis)
+    """Mix the set, out_u = sum_v O[u, v] L_v, by O or each O of a (..., n, n) stack; contractions too."""
+    n = len(basis)
+    if np.shape(o)[-2:] != (n, n):
+        raise ValueError(f"transform shape {np.shape(o)} does not match basis size {n}")
+    return np.einsum("...uv,vij->...uij", o, basis)
 
 
 def transpose_basis(basis: np.ndarray) -> np.ndarray:

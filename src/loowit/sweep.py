@@ -7,72 +7,39 @@ within an epsilon band of either analytic boundary are flagged and excluded
 from the agreement statistic. The CSV schema is versioned; figure scripts
 depend on it.
 
-The grid is judged in blocks of BLOCK_POINTS grid points: each block is one
-stack of family states through the stacked criterion kernels, a fixed number
-of array calls whatever its size. The block size caps the memory the stacks
-take.
+The grid is judged in blocks, each one stack of family states against the
+stack of cyclic-permutation mixings: a fixed number of array calls per block.
+BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
+BLOCK_OPERATORS // (d - 1) grid points. Results are columns, one array each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import (
-    classify_family_point,
-    o_reduction_operator,
-    ppt_psd,
-    realignment_norm,
-)
+from .criteria import classify_family_point, o_reduction_operator, ppt_psd, realignment_norm
 from .linalg import DimPair, is_psd, require_nonnegative
-from .loo import diag_cycle, permutation_transform
+from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
-BLOCK_POINTS = 256
+BLOCK_OPERATORS = 512
 
 CSV_HEADER = "# loowit sweep v1"
 CSV_COLUMNS = (
     "a1,a2,a_d,analytic_region,ppt_min_eig,oreduction_min_eig,realignment,numeric_region,boundary_flag"
 )
+COLUMN_NAMES = tuple(CSV_COLUMNS.split(","))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    a1: float
-    a2: float
-    a_d: float
-    analytic_region: str
-    ppt_min_eig: float
-    oreduction_min_eig: float
-    realignment: float
-    numeric_region: str
-    boundary: bool
-
-    def to_csv(self) -> str:
-        return ",".join(
-            [
-                repr(self.a1),
-                repr(self.a2),
-                repr(self.a_d),
-                self.analytic_region,
-                repr(self.ppt_min_eig),
-                repr(self.oreduction_min_eig),
-                repr(self.realignment),
-                self.numeric_region,
-                "1" if self.boundary else "0",
-            ]
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     d: int
     resolution: int
     epsilon: float
-    rows: tuple[SweepRow, ...]
+    columns: dict[str, np.ndarray]  # one array per CSV column, rows in grid order
     n_compared: int
     n_agree: int
     n_bound: int
@@ -92,44 +59,38 @@ def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray, epsilon: flo
     )
 
 
-def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray, epsilon: float, tol: float) -> list[SweepRow]:
-    """Rows of the points (a1[i], a2[i]) that lie in the parameter simplex, in input order."""
+def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray, epsilon: float, tol: float) -> dict:
+    """Columns of the points (a1[i], a2[i]) that lie in the parameter simplex, in input order."""
     require_nonnegative("tol", tol)
     require_nonnegative("epsilon", epsilon)
     weights, valid = special_slice(d, a1, a2)
-    if not valid.any():
-        return []
     a1, a2, weights = a1[valid], a2[valid], weights[valid]
     a_d = weights[:, d - 1]
     rho = family_stack(weights)
 
     ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d), tol)
-    cycle_min_eigs = [
-        is_psd(o_reduction_operator(rho, d, permutation_transform(diag_cycle(d, l))), tol=tol)[1]
-        for l in range(1, d)
-    ]
-    # The smallest over the shifts, the earlier shift winning ties as with Python's min().
-    oreduction_min = reduce(lambda best, x: np.where(x < best, x, best), cycle_min_eigs)
-    realignment = realignment_norm(rho, d)
+    # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
+    cycle_min = is_psd(o_reduction_operator(rho[:, None], d, cycle_mixings(d)), tol=tol)[1]
+    oreduction_min = cycle_min.min(axis=-1)
     numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -tol, "bound", "separable"))
-    columns = (
+    values = (
         a1,
         a2,
         a_d,
         classify_family_point(d, a1, a2),
         ppt_min,
         oreduction_min,
-        realignment,
+        realignment_norm(rho, d),
         numeric,
         _near_boundary(a1, a2, a_d, epsilon),
     )
-    return [SweepRow(*fields) for fields in zip(*(c.tolist() for c in columns))]
+    return dict(zip(COLUMN_NAMES, values))
 
 
-def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> SweepRow | None:
-    """One sweep row, or None when the point leaves the parameter simplex (a block of one)."""
-    rows = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float), epsilon, tol)
-    return rows[0] if rows else None
+def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> dict | None:
+    """One sweep row as {column: value}, or None when the point leaves the parameter simplex."""
+    columns = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float), epsilon, tol)
+    return {name: column.tolist()[0] for name, column in columns.items()} if len(columns["a1"]) else None
 
 
 def run_sweep(
@@ -144,38 +105,44 @@ def run_sweep(
     grid = np.linspace(0.0, 1.0, resolution)
     a1_all = np.repeat(grid, resolution)
     a2_all = np.tile(grid, resolution)
-    rows = tuple(
-        row
-        for start in range(0, a1_all.size, BLOCK_POINTS)
-        for row in _evaluate_block(
-            d, a1_all[start:start + BLOCK_POINTS], a2_all[start:start + BLOCK_POINTS], epsilon, tol
-        )
-    )
+    size = BLOCK_OPERATORS // max(d - 1, 1)  # the first block rejects d < 2
+    blocks = [
+        _evaluate_block(d, a1_all[start:start + size], a2_all[start:start + size], epsilon, tol)
+        for start in range(0, a1_all.size, size)
+    ]
+    columns = {name: np.concatenate([block[name] for block in blocks]) for name in COLUMN_NAMES}
 
-    compared = [row for row in rows if not row.boundary]
-    bound = [row for row in rows if row.numeric_region == "bound"]
+    compared = ~columns["boundary_flag"]
+    bound = columns["numeric_region"] == "bound"
     return SweepResult(
         d=d,
         resolution=resolution,
         epsilon=epsilon,
-        rows=rows,
-        n_compared=len(compared),
-        n_agree=sum(row.analytic_region == row.numeric_region for row in compared),
-        n_bound=len(bound),
-        n_bound_realignment_blind=sum(row.realignment <= 1.0 + tol for row in bound),
+        columns=columns,
+        n_compared=int(compared.sum()),
+        n_agree=int((compared & (columns["analytic_region"] == columns["numeric_region"])).sum()),
+        n_bound=int(bound.sum()),
+        n_bound_realignment_blind=int((bound & (columns["realignment"] <= 1.0 + tol)).sum()),
     )
 
 
+def _cells(column: np.ndarray):
+    """CSV cells of one column, made one at a time: floats by repr, labels as they are, the flag as 1/0."""
+    if column.dtype == bool:
+        column = column.astype(int)
+    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+
+
 def write_csv(result: SweepResult, path: str | Path) -> None:
-    lines = [CSV_HEADER, CSV_COLUMNS]
-    lines += [row.to_csv() for row in result.rows]
+    cells = [_cells(result.columns[name]) for name in COLUMN_NAMES]
+    lines = [CSV_HEADER, CSV_COLUMNS] + [",".join(row) for row in zip(*cells)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def summary_lines(result: SweepResult) -> list[str]:
     return [
         f"grid {result.resolution}x{result.resolution} (d={result.d}), "
-        f"{len(result.rows)} valid points, boundary band epsilon={result.epsilon:g}",
+        f"{len(result.columns['a1'])} valid points, boundary band epsilon={result.epsilon:g}",
         f"analytic vs numeric agreement off-boundary: {100.0 * result.agreement:.2f}% "
         f"({result.n_agree}/{result.n_compared})",
         f"bound-entangled points detected: {result.n_bound} "

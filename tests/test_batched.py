@@ -3,8 +3,10 @@
 The linalg primitives, the state validation and the criterion kernels take a
 leading batch axis. A stack must give the bits its members give alone, so the
 sweep's block boundaries cannot change a result; an invalid member must be
-named by its index. The correlation search runs its restarts as one stack,
-and must give the bits of the search that runs one restart at a time.
+named by its index. The reduction maps take a stack of mixings as well, and
+each (state, mixing) pair must give the bits of its own call. The correlation
+search runs its restarts as one stack, and must give the bits of the search
+that runs one restart at a time.
 """
 
 import functools
@@ -18,7 +20,9 @@ from loowit.criteria import (
     _unitary_mixing,
     _x_coefficients,
     _x_stack,
+    ReportConfig,
     classify_family_point,
+    full_report,
     o_reduction_apply,
     o_reduction_operator,
     pair_correlation,
@@ -31,6 +35,7 @@ from loowit.criteria import (
 )
 from loowit.linalg import (
     DimPair,
+    dagger,
     herm_eigvalues,
     is_psd,
     partial_trace,
@@ -83,16 +88,18 @@ def transforms(d: int) -> list:
 
 
 class TestRouteAgreement:
-    @given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(1, 8))
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_stack_matches_members(self, d, seed, split):
         states = sample_states(d, seed)
         dims = DimPair.square(d)
         stack = np.stack([s.rho for s in states])
         split = split % len(states)
+        mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
 
         def kernels(rho):
             ok, ppt_min = ppt_psd(rho, dims)
-            reductions = [is_psd(o_reduction_operator(rho, d, t))[1] for t in transforms(d)]
+            # every (state, mixing) pair in one call: (states, mixings)
+            reductions = is_psd(o_reduction_operator(rho[:, None], d, mixings))[1]
             return ok, ppt_min, realignment_norm(rho, d), reductions
 
         whole = kernels(stack)
@@ -105,12 +112,43 @@ class TestRouteAgreement:
             assert same_bits(whole[1][i], ppt.scalar)
             assert same_bits(whole[2][i], one[2][0])
             assert same_bits(whole[2][i], realignment_value(state)[0])
-            for t, stacked, single in zip(transforms(d), whole[3], one[3]):
-                assert same_bits(stacked[i], single[0])
-                assert same_bits(stacked[i], o_reduction_apply(state, t)[1].scalar)
+            for c, t in enumerate(mixings):
+                assert same_bits(whole[3][i, c], one[3][0, c])
+                assert same_bits(whole[3][i, c], o_reduction_apply(state, t)[1].scalar)
         for k in range(4):
-            joined = np.concatenate([blocks[0][k], blocks[1][k]], axis=-1)
+            joined = np.concatenate([blocks[0][k], blocks[1][k]])
             assert same_bits(joined, whole[k])
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_mixing_stack_matches_members(self, d, seed):
+        # seeded mixed and family states against the battery's mixings and a Haar-random one
+        rng = np.random.default_rng(seed)
+        stack = np.concatenate(
+            [
+                np.stack([random_density(rng, d * d) for _ in range(2)]),
+                family_stack(rng.dirichlet(np.ones(d), size=2)),
+            ]
+        )
+        mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
+        pairs = o_reduction_operator(stack[:, None], d, mixings)
+        for i, rho in enumerate(stack):
+            per_state = o_reduction_operator(rho, d, mixings)
+            for c, t in enumerate(mixings):
+                single = o_reduction_operator(rho, d, t)
+                assert same_bits(pairs[i, c], single)
+                assert same_bits(per_state[c], single)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_full_report_matches_single_mixings(self, d):
+        tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
+        for state in sample_states(d, d):
+            report = full_report(state, ReportConfig(include_search=False))
+            reductions = [r for r in report.reports if r.criterion == "o_reduction"]
+            assert len(reductions) == len(tags)
+            for r, tag, t in zip(reductions, tags, transforms(d)):
+                single = o_reduction_apply(state, t, label=tag)[1]
+                assert r == single
+                assert same_bits(r.scalar, single.scalar)
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_linalg_stack_matches_members(self, d, seed):
@@ -145,7 +183,11 @@ class TestSparseContractions:
         stack = np.stack([random_density(rng, d * d) for _ in range(3)])
         contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
         for t in transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]:
-            assert same_bits(o_reduction_operator(stack, d, t), o_reduction_dense(stack, d, t))
+            dense = o_reduction_dense(stack, d, t)
+            operator = o_reduction_operator(stack, d, t)
+            assert same_bits(operator, (dense + dagger(dense)) / 2.0)
+            # the Hermitian part is what is_psd decomposes anyway
+            assert same_bits(is_psd(operator)[1], is_psd(dense)[1])
 
 
 def search_state(d: int):
@@ -235,12 +277,13 @@ class TestFamilyStack:
         for i, j in np.ndindex(a1.shape):
             assert regions[i, j] == classify_family_point(3, float(a1[i, j]), float(a2[i, j]))
 
-    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("d", (2, 3, 4, 6))
     def test_sweep_rows_match_points(self, d):
-        rows = run_sweep(d, 9).rows
+        columns = run_sweep(d, 9).columns
+        rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
         assert rows
         for row in rows:
-            assert evaluate_point(d, row.a1, row.a2, 1e-3, 1e-9) == row
+            assert evaluate_point(d, row["a1"], row["a2"], 1e-3, 1e-9) == row
 
 
 class TestInvalidMember:

@@ -6,7 +6,7 @@ import pytest
 
 from loowit import cli
 from loowit.linalg import DimPair
-from loowit.states import max_entangled, random_separable_state, save_matrix, save_state
+from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
 from oracles import n_sq_closed
 
@@ -87,6 +87,23 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == f"error: malformed matrix file {path}: {key} must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("d", (3, 6))
+    def test_hermiticity_defect_within_tolerance(self, capsys, tmp_path, d):
+        # a 9e-11 defect passes the state check; I x rho_B minus the mixed state doubles it,
+        # and the reduction operators must still be decomposed, not rejected
+        v = phi(d).real
+        n = d * d
+        rho = np.eye(n) / (2 * n) + np.outer(v, v) / (2 * d) + 9e-11j * np.triu(np.ones((n, n)), 1)
+        path = tmp_path / "noisy.json"
+        save_matrix(path, DimPair.square(d), rho)
+        code, out, err = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "2")
+        assert err == ""
+        assert code == cli.EXIT_ENTANGLED
+        payload = json.loads(out)
+        assert payload["overall"] == "entangled"
+        criteria = [r["criterion"] for r in payload["reports"]]
+        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d + 1) + ["x_search"]
 
     def test_zero_budget_named_without_search(self, capsys):
         code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
@@ -335,6 +352,8 @@ class TestGoldenOutput:
             (2, 60, "b042768c8a71c31e81d18f217c902b5b87b779180fb928261570b577e999220c", 60),
             (4, 30, "ac95664be04c3923b73a15b1045c89bc9d0978d359f85a15dc5e1ccbac3fbde0", 238),
             (5, 20, "55e578ff7a7c4d1ee57d64a810a9ac9a44f7f6b766147f85d884f4bb5d0e5016", 77),
+            # the largest cycle-mixing stack
+            (6, 12, "06e19c0bfa2b5d6226ee5080bddc89f20eccea81817b822346679839371cdf90", 24),
         ],
     )
     def test_sweep_csv_across_d(self, capsys, tmp_path, d, grid, digest, rows):
@@ -369,6 +388,14 @@ class TestGoldenOutput:
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
                 "5ad16b5d1b088b3d7752a3c077950f0f9cf5779952a05e680d3a22530d500f7b",
             ),
+            (
+                ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),
+                "aacf5c6140b91414ee7e4c07b5c3da33e0521cd1454f893a442040dcc97f509f",
+            ),
+            (
+                ("check", "--builtin", "phi:d=6", "--no-search"),
+                "7301936749cacb3e2ef0476f40ec94a8f670e429cf7a60042c9ec05ecc20486b",
+            ),
         ],
     )
     def test_observable_set_outputs(self, capsys, argv, digest):
@@ -376,6 +403,15 @@ class TestGoldenOutput:
         # check exits 2 exactly when it reports the state entangled
         entangled = "overall: entangled" in out or '"overall": "entangled"' in out
         assert code == (cli.EXIT_ENTANGLED if entangled else cli.EXIT_OK)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_check_file_json(self, capsys, tmp_path):
+        # a saved mixed separable state through the file path, with the search
+        path = tmp_path / "separable-mixed-d4.json"
+        save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
+        code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
+        assert code == cli.EXIT_OK
+        digest = "a38015d39062b408ad8737a4d2ba5e85a1f187c24152519cbe6ae53299c5912f"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

@@ -181,6 +181,11 @@ class TestLocalMap:
 
 
 class TestOReduction:
+    def test_rejects_non_contraction(self):
+        # 2 I is neither orthogonal nor a contraction: no verdict, an error naming it
+        with pytest.raises(ValueError, match=r"neither orthogonal nor a contraction: .* O O\^T is 4$"):
+            o_reduction_apply(max_entangled(3), 2 * np.eye(9))
+
     def test_reduction_detects_max_entangled(self):
         state = max_entangled(3)
         operator, report = o_reduction_apply(state, np.eye(9))
@@ -325,6 +330,12 @@ class TestXMatrix:
         state = random_state(rng, 2)
         with pytest.raises(ValueError, match="orthogonal"):
             x_matrix(state, make_transform(0.5 * np.eye(4)), np.eye(2))
+
+    def test_transform_dimension_named(self):
+        # an orthogonal mixing of the wrong size must not reach matmul
+        message = r"^transform shape \(4, 4\) does not match local dim 3, needs d\^2 = 9$"
+        with pytest.raises(ValueError, match=message):
+            x_matrix(max_entangled(3), np.eye(4), np.eye(3))
 
 
 # Points of the diagonal family in the bound-entangled region: (d, a1, a2).

@@ -10,6 +10,7 @@ from loowit.loo import (
     Permutation,
     apply_orthogonal,
     asym_slot,
+    cycle_mixings,
     diag_cycle,
     expand,
     fixed_points,
@@ -103,6 +104,18 @@ class TestApplyOrthogonal:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply_orthogonal(standard_basis(2), np.eye(9))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"transform shape \(9, 4\) does not match basis size 4"):
+            apply_orthogonal(standard_basis(2), np.ones((9, 4)))
+
+    def test_stack_matches_members(self, rng):
+        basis = standard_basis(3)
+        stack = np.stack([random_orthogonal(9, rng) for _ in range(3)] + [np.eye(9)]).reshape(2, 2, 9, 9)
+        out = apply_orthogonal(basis, stack)
+        assert out.shape == (2, 2, 9, 3, 3)
+        for index in np.ndindex(2, 2):
+            assert np.array_equal(out[index], apply_orthogonal(basis, stack[index]))
 
 
 class TestConjugateBasis:
@@ -221,6 +234,13 @@ class TestPermutations:
         swap_two = list(range(9))
         swap_two[0], swap_two[1] = 1, 0
         assert fixed_points(Permutation(9, tuple(swap_two))) == 7
+
+    @pytest.mark.parametrize("d", (2, 3, 6))
+    def test_cycle_mixings_stack_the_shifts(self, d):
+        stack = cycle_mixings(d)
+        assert stack.shape == (d - 1, d * d, d * d)
+        for l in range(1, d):
+            assert np.array_equal(stack[l - 1], permutation_transform(diag_cycle(d, l)))
 
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
     def test_cycle_fixed_point_count(self, d):
