@@ -11,8 +11,7 @@ import argparse
 
 import numpy as np
 
-from loowit.criteria import realignment_value
-from loowit.linalg import herm_eigvalues, partial_transpose
+from loowit.criteria import ppt_check, realignment_value
 from loowit.states import horodecki_rho
 from loowit.witness import expectation, horodecki_ew
 
@@ -29,7 +28,7 @@ def main() -> None:
         witness, data = horodecki_ew(a)
         value = expectation(witness, state)
         closed = 1.0 - np.sqrt(1.0 + data.n_sq)
-        pt_min = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+        pt_min = ppt_check(state).scalar
         realign_val, _ = realignment_value(state)
         print(f"{a:6.3f}  {value:15.9e}  {closed:15.9e}  {pt_min:12.3e}  {realign_val:12.8f}")
 

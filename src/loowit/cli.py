@@ -35,19 +35,33 @@ def _parse_value(text: str):
         return text
 
 
+# The keys each spec name takes; perm also takes one bare token, its kind.
+SPEC_KEYS = {
+    "horodecki": ("a",), "family": ("d", "a1", "a2"), "werner": ("p",), "phi": ("d",),
+    "product": ("d", "seed"), "separable": ("d", "k", "seed"), "perm": ("kind", "d", "l"), "generic": (),
+}
+
+
 def parse_spec(spec: str) -> tuple[str, list, dict]:
-    """Parse the mini-grammar ``name:key=val,key=val`` (bare tokens allowed)."""
-    name, _, rest = spec.partition(":")
-    args: list = []
+    """Parse ``name:key=val,key=val``, naming a repeated key, a key the name does not take or a stray token."""
+    name, _, rest = (part.strip() for part in spec.partition(":"))
+    tokens: list[str] = []
     kwargs: dict = {}
-    if rest:
-        for item in rest.split(","):
-            if "=" in item:
-                key, _, val = item.partition("=")
-                kwargs[key.strip()] = _parse_value(val.strip())
-            else:
-                args.append(_parse_value(item.strip()))
-    return name.strip(), args, kwargs
+    for item in rest.split(",") if rest else ():
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            tokens.append(key)
+        elif key in kwargs:
+            raise ValueError(f"spec {spec!r} repeats the key {key!r}")
+        else:
+            kwargs[key] = _parse_value(val)
+    if name in SPEC_KEYS:  # an unknown name is left to the caller
+        for key in kwargs:
+            if key not in SPEC_KEYS[name]:
+                raise ValueError(f"spec {spec!r}: unknown key {key!r} for {name!r}")
+        if len(tokens) > (name == "perm"):
+            raise ValueError(f"spec {spec!r}: unexpected bare token {tokens[-1]!r}")
+    return name, tokens, kwargs
 
 
 def _key(kw: dict, key: str, spec: str, *, integer: bool = False, default: int | None = None):
@@ -92,10 +106,9 @@ def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
 
 
 def _load_transform(path: str) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        matrix = np.asarray(json.loads(text)["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON decode errors
+        matrix = np.asarray(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers UTF-8 and JSON errors
         raise ValueError(f"malformed transform file {path}: {exc}") from exc
     return loo.make_transform(matrix)
 
@@ -160,8 +173,7 @@ def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
         if kind != "cycle":
             raise ValueError(f"unknown permutation witness kind {kind!r}")
         d = _key(kw, "d", args.spec, integer=True)
-        sigma = loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True))
-        return witness_mod.perm_ew(sigma, d)
+        return witness_mod.perm_ew(loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True)), d)
     if name == "generic":
         if not args.transform:
             raise ValueError("generic witness requires --transform FILE")

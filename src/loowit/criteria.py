@@ -41,7 +41,6 @@ from .loo import (
     is_orthogonal,
     make_transform,
     pair_slots,
-    permutation_transform,
     random_orthogonal,
     random_unitary,
     require_unitary,
@@ -212,7 +211,7 @@ def perm_reduction_family(
     constraint is 1 - a_{l+1} >= (d-1) a_1, so l = 1 probes the a_2 weight.
     """
     d = state.dims.square_dim
-    operator, report = o_reduction_apply(state, permutation_transform(diag_cycle(d, l)), tol=tol)
+    operator, report = o_reduction_apply(state, diag_cycle(d, l), tol=tol)
     return operator, replace(report, criterion="perm_reduction", params={"tol": tol, "l": l, "d": d})
 
 

@@ -15,7 +15,6 @@ is {|1><1|, |2><2|, sigma_x/sqrt(2), sigma_y/sqrt(2)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -175,40 +174,21 @@ def make_transform(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on basis slots {0, ..., size-1} (0-based images)."""
+def diag_cycle(d: int, l: int) -> np.ndarray:
+    """Permutation mixing that shifts the d projector slots cyclically by l; every pair slot is fixed.
 
-    size: int
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mapping) != self.size or sorted(self.mapping) != list(range(self.size)):
-            raise ValueError("mapping is not a bijection on the slot range")
-
-    def __call__(self, slot: int) -> int:
-        return self.mapping[slot]
-
-
-def diag_cycle(d: int, l: int) -> Permutation:
-    """Cyclic shift by l of the d projector slots; every pair slot is fixed.
-
-    In 1-based labels the projector slots map as m -> m + l (mod d).
+    Row u holds a single 1 in column sigma(u), so mixing sends slot u to
+    L_sigma(u); in 1-based labels the projector slots map as m -> m + l (mod d).
     """
     if not 1 <= l <= d - 1:
         raise ValueError(f"shift must satisfy 1 <= l <= d-1, got l={l} for d={d}")
-    mapping = [(i + l) % d for i in range(d)] + list(range(d, d * d))
-    return Permutation(size=d * d, mapping=tuple(mapping))
-
-
-def fixed_points(sigma: Permutation) -> int:
-    """Number of slots left unchanged."""
-    return sum(1 for i, j in enumerate(sigma.mapping) if i == j)
+    images = np.concatenate([(np.arange(d) + l) % d, np.arange(d, d * d)])
+    return np.eye(d * d)[images]
 
 
 def cycle_mixings(d: int) -> np.ndarray:
     """The diag_cycle(d, l) mixings for l = 1 .. d-1, as one (d-1, d^2, d^2) stack."""
-    return np.stack([permutation_transform(diag_cycle(d, l)) for l in range(1, d)])
+    return np.stack([diag_cycle(d, l) for l in range(1, d)])
 
 
 def transpose_transform(d: int) -> np.ndarray:
@@ -222,13 +202,6 @@ def transpose_transform(d: int) -> np.ndarray:
     signs = np.ones(d * d)
     signs[d + d * (d - 1) // 2:] = -1.0
     return np.diag(signs)
-
-
-def permutation_transform(sigma: Permutation) -> np.ndarray:
-    """Permutation matrix O with O[u, sigma(u)] = 1, so mixing sends slot u to L_sigma(u)."""
-    matrix = np.zeros((sigma.size, sigma.size))
-    matrix[np.arange(sigma.size), np.array(sigma.mapping)] = 1.0
-    return matrix
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:

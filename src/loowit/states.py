@@ -296,7 +296,7 @@ def _matrix_from_payload(payload: dict, path: Path) -> tuple[np.ndarray, DimPair
         sizes = [payload[key] for key in ("dim_a", "dim_b")]
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or huge entries
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     for key, size in zip(("dim_a", "dim_b"), sizes):
         if isinstance(size, bool) or not isinstance(size, int):
@@ -313,7 +313,7 @@ def load_state(path: str | Path) -> BipartiteState:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     rho, dims = _matrix_from_payload(payload, path)
     return make_state(rho, dims, label=f"file:{path.name}")

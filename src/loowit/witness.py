@@ -16,14 +16,11 @@ import numpy as np
 
 from .linalg import DimPair, is_psd, max_abs
 from .loo import (
-    Permutation,
     apply_orthogonal,
     asym_slot,
-    fixed_points,
     is_orthogonal,
     make_transform,
     pair_sum,
-    permutation_transform,
     standard_basis,
     sym_slot,
     transpose_basis,
@@ -81,17 +78,21 @@ def ew_from_transform(o: np.ndarray, d: int) -> Witness:
     return _eigensolved(matrix, d, f"transform({kind})")
 
 
-def perm_ew(sigma: Permutation, d: int) -> Witness:
-    """Witness candidate I x I - sum_u L_sigma(u) x L_u^T for a slot permutation.
+def perm_ew(o: np.ndarray, d: int) -> Witness:
+    """Witness candidate I x I - sum_u L_sigma(u) x L_u^T for a slot permutation mixing o.
 
-    Its expectation in the unnormalized maximally entangled vector is
-    d - fixed_points(sigma); with at least d+1 fixed points that value is
-    negative, which certifies a negative eigenvalue without an eigensolve.
+    o must be a d^2 x d^2 orthogonal 0/1 matrix, which is exactly a permutation
+    matrix; Tr(o) counts its fixed slots. The expectation in the unnormalized
+    maximally entangled vector is d - Tr(o); with at least d+1 fixed slots that
+    value is negative, which certifies a negative eigenvalue without an eigensolve.
     """
-    if sigma.size != d * d:
-        raise ValueError(f"permutation acts on {sigma.size} slots, expected d^2 = {d * d}")
-    witness = ew_from_transform(permutation_transform(sigma), d)
-    f = fixed_points(sigma)
+    o = np.asarray(o)
+    if o.shape != (d * d, d * d):
+        raise ValueError(f"permutation mixing has shape {o.shape}, expected (d^2, d^2) = {(d * d, d * d)}")
+    if not (np.isin(o, (0, 1)).all() and is_orthogonal(o)):
+        raise ValueError("mixing is not a permutation matrix: need 0/1 entries, one 1 per row and column")
+    witness = ew_from_transform(o, d)
+    f = int(np.trace(o).real)
     return replace(
         witness, provenance=f"permutation(fixed_points={f})", candidate_only=f < d + 1, phi_value=float(d - f)
     )

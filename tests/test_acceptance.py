@@ -11,7 +11,6 @@ from conftest import random_state
 from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_matrix, x_search
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, realign, trace_norm
 from loowit.loo import (
-    Permutation,
     diag_cycle,
     gram_matrix,
     make_transform,
@@ -88,8 +87,7 @@ def test_criterion_3_witness_soundness_on_product_states():
     rng = np.random.default_rng(424242)
     witnesses = [ew_from_transform(make_transform(random_orthogonal(9, rng)), 3) for _ in range(20)]
     witnesses += [horodecki_ew(a)[0] for a in (0.1, 0.5, 0.9)]
-    identity = Permutation(9, tuple(range(9)))
-    witnesses += [perm_ew(identity, 3), perm_ew(diag_cycle(3, 1), 3), perm_ew(diag_cycle(3, 2), 3)]
+    witnesses += [perm_ew(np.eye(9), 3), perm_ew(diag_cycle(3, 1), 3), perm_ew(diag_cycle(3, 2), 3)]
     assert all(w.phi_value is None or w.phi_value < 0 for w in witnesses[-3:])
     worst = np.inf
     for witness in witnesses:

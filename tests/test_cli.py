@@ -63,6 +63,26 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "error" in err
 
+    @pytest.mark.parametrize("command", (("check", "--file"), ("witness", "perm:cycle,d=3,l=1", "--state")))
+    @pytest.mark.parametrize(
+        "field, entry, kind",
+        [("re", [0.0], "matrix"), ("im", ["a"] * 9, "matrix"), ("re", [10**400] * 9, "matrix"), (None, None, "state")],
+        ids=("ragged", "non-numeric", "int-overflow", "non-utf8"),
+    )
+    def test_malformed_entries_name_the_file(self, capsys, tmp_path, command, field, entry, kind):
+        path = tmp_path / "bad.json"
+        save_state(max_entangled(3), path)
+        if field is None:
+            path.write_bytes(b"\xff" + path.read_bytes())
+        else:
+            payload = json.loads(path.read_text())
+            payload[field][0] = entry
+            path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: malformed {kind} file {path}: ")
+
     def test_non_finite_file_named(self, capsys, tmp_path):
         rho = np.eye(9) / 9.0
         rho[0, 1] = np.nan
@@ -163,10 +183,12 @@ class TestWitnessCommand:
         assert code == cli.EXIT_ERROR
         assert "transform matrix has non-finite entries" in err
 
-    @pytest.mark.parametrize("text", ("{broken", '{"matrix": [[1, 0], [0]]}'), ids=("json", "ragged"))
+    @pytest.mark.parametrize(
+        "text", (b"{broken", b'{"matrix": [[1, 0], [0]]}', b'\xff{"matrix": [[1]]}'), ids=("json", "ragged", "non-utf8")
+    )
     def test_generic_malformed_transform_named(self, capsys, tmp_path, text):
         path = tmp_path / "o.json"
-        path.write_text(text)
+        path.write_bytes(text)
         code, out, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert out == ""
@@ -335,6 +357,30 @@ class TestSpecParsing:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert f"the key {key!r} must be" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("check", "--builtin", "product:d=3,sed=4"), "unknown key 'sed' for 'product'"),
+            (("check", "--builtin", "phi:4"), "unexpected bare token '4'"),
+            (("check", "--builtin", "family:d=3,a1=0.25,a2=0.65,a1=0.3"), "repeats the key 'a1'"),
+            (("witness", "perm:cycle,d=3,l=1", "--state", "builtin:werner:p=0.5,q=1"), "unknown key 'q'"),
+            (("witness", "perm:cycle,shift,d=3,l=1"), "unexpected bare token 'shift'"),
+            (("witness", "perm:cycle,d=3,l=1,l=2"), "repeats the key 'l'"),
+            (("witness", "horodecki:a=0.3,b=1"), "unknown key 'b' for 'horodecki'"),
+        ],
+    )
+    def test_stray_spec_parts_named(self, capsys, argv, message):
+        # each of these used to judge a state or build a witness other than the one written
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert message in err
+
+    def test_perm_kind_token_and_key(self, capsys):
+        _, by_token, _ = run_cli(capsys, "witness", "perm:cycle,d=3,l=1", "--json")
+        _, by_key, _ = run_cli(capsys, "witness", "perm:kind=cycle,d=3,l=1", "--json")
+        assert by_token == by_key != ""
 
 
 class TestGoldenOutput:

@@ -31,7 +31,6 @@ from loowit.loo import (
     diag_cycle,
     is_orthogonal,
     make_transform,
-    permutation_transform,
     random_orthogonal,
     random_unitary,
     standard_basis,
@@ -209,7 +208,7 @@ class TestOReduction:
             params = FamilyParams(3, tuple(a / a.sum()))
             state = family_rho(params)
             for l in (1, 2):
-                transform = permutation_transform(diag_cycle(3, l))
+                transform = diag_cycle(3, l)
                 generic, _ = o_reduction_apply(state, transform)
                 family_operator, _ = perm_reduction_family(state, l)
                 assert max_abs(generic - family_operator) < 1e-12

@@ -7,18 +7,15 @@ from loowit.criteria import _unitary_mixing
 from loowit.linalg import herm_eigvalues, max_abs
 from loowit.loo import (
     ORTHOGONALITY_TOL,
-    Permutation,
     apply_orthogonal,
     asym_slot,
     cycle_mixings,
     diag_cycle,
     expand,
-    fixed_points,
     gram_matrix,
     is_orthogonal,
     make_transform,
     pair_sum,
-    permutation_transform,
     random_orthogonal,
     random_unitary,
     reconstruct,
@@ -28,6 +25,7 @@ from loowit.loo import (
     transpose_transform,
     validate_basis,
 )
+from loowit.witness import perm_ew
 from loowit.states import phi
 from oracles import conjugate_basis, swap_operator
 
@@ -85,10 +83,10 @@ class TestApplyOrthogonal:
 
     def test_permutation_matrix_reorders(self):
         basis = standard_basis(3)
-        sigma = diag_cycle(3, 1)
-        out = apply_orthogonal(basis, permutation_transform(sigma))
+        out = apply_orthogonal(basis, diag_cycle(3, 1))
+        images = [1, 2, 0, 3, 4, 5, 6, 7, 8]
         for slot in range(9):
-            assert max_abs(out[slot] - basis[sigma(slot)]) == 0.0
+            assert max_abs(out[slot] - basis[images[slot]]) == 0.0
 
     def test_random_orthogonal_keeps_gram(self, rng):
         basis = standard_basis(3)
@@ -169,9 +167,9 @@ class TestTransforms:
     def test_transpose_transform_qubit(self):
         assert max_abs(transpose_transform(2) - np.diag([1.0, 1.0, 1.0, -1.0])) == 0.0
 
-    def test_identity_permutation_transform(self):
-        sigma = Permutation(9, tuple(range(9)))
-        assert max_abs(permutation_transform(sigma) - np.eye(9)) == 0.0
+    def test_cycle_power_is_identity_mixing(self):
+        # the cycle by 1 has order d, so its d-th power is the identity mixing exactly
+        assert np.array_equal(np.linalg.matrix_power(diag_cycle(3, 1), 3), np.eye(9))
 
     # the mixing a unitary induces on the standard set is the search's _unitary_mixing
     def test_unitary_transform_orthogonal(self, rng):
@@ -222,40 +220,35 @@ class TestTransforms:
 
 class TestPermutations:
     def test_diag_cycle_examples(self):
-        sigma = diag_cycle(3, 1)
-        assert sigma.mapping[:3] == (1, 2, 0)
-        assert sigma.mapping[3:] == tuple(range(3, 9))
-        assert fixed_points(sigma) == 6
-        inverse = diag_cycle(3, 2)
-        assert all(inverse(sigma(i)) == i for i in range(9))
+        cycle = diag_cycle(3, 1)
+        assert cycle.dtype == float
+        assert np.array_equal(cycle, np.eye(9)[[1, 2, 0, 3, 4, 5, 6, 7, 8]])
+        assert np.trace(cycle) == 6
+        assert np.array_equal(diag_cycle(3, 2), cycle.T)
 
-    def test_fixed_points(self):
-        assert fixed_points(Permutation(9, tuple(range(9)))) == 9
-        swap_two = list(range(9))
-        swap_two[0], swap_two[1] = 1, 0
-        assert fixed_points(Permutation(9, tuple(swap_two))) == 7
+    def test_fixed_slot_count(self):
+        # perm_ew counts the fixed slots of a permutation mixing as its trace
+        assert perm_ew(np.eye(9), 3).provenance == "permutation(fixed_points=9)"
+        swap_two = np.eye(9)[[1, 0, 2, 3, 4, 5, 6, 7, 8]]
+        assert perm_ew(swap_two, 3).provenance == "permutation(fixed_points=7)"
 
     @pytest.mark.parametrize("d", (2, 3, 6))
     def test_cycle_mixings_stack_the_shifts(self, d):
         stack = cycle_mixings(d)
         assert stack.shape == (d - 1, d * d, d * d)
         for l in range(1, d):
-            assert np.array_equal(stack[l - 1], permutation_transform(diag_cycle(d, l)))
+            assert np.array_equal(stack[l - 1], diag_cycle(d, l))
 
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
     def test_cycle_fixed_point_count(self, d):
         for l in range(1, d):
-            assert fixed_points(diag_cycle(d, l)) == d * d - d
+            assert np.trace(diag_cycle(d, l)) == d * d - d
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= l <= d-1"):
             diag_cycle(3, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 <= l <= d-1"):
             diag_cycle(3, 0)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation(3, (0, 0, 2))
 
 
 class TestRandomSampling:

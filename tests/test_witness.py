@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from loowit.linalg import DimPair, herm_eigvalues, max_abs
 from loowit.loo import (
-    Permutation,
     diag_cycle,
     gram_matrix,
     make_transform,
@@ -70,7 +70,7 @@ class TestTransformWitness:
 
 class TestPermWitness:
     def test_identity_permutation(self):
-        w = perm_ew(Permutation(9, tuple(range(9))), 3)
+        w = perm_ew(np.eye(9), 3)
         assert w.phi_value == 3 - 9
         v = phi(3)
         assert max_abs(w.matrix - (np.eye(9) - np.outer(v, v.conj()))) < 1e-12
@@ -83,29 +83,49 @@ class TestPermWitness:
         assert w.min_eig < -1e-9  # eigensolve confirms the fixed-point certificate
 
     def test_fixed_point_free_swap_stays_candidate(self):
-        sigma = Permutation(4, (1, 0, 3, 2))
-        w = perm_ew(sigma, 2)
+        w = perm_ew(np.eye(4)[[1, 0, 3, 2]], 2)
         assert w.phi_value == 2.0
         assert w.candidate_only
 
     def test_enough_fixed_points_always_confirms(self, rng):
         # any permutation with >= d+1 fixed slots certifies a negative eigenvalue
-        from loowit.loo import fixed_points
-
         d = 3
         for _ in range(20):
-            mapping = np.arange(9)
+            images = np.arange(9)
             moved = rng.choice(9, size=int(rng.integers(2, 5)), replace=False)
-            mapping[moved] = moved[np.argsort(rng.standard_normal(len(moved)))]
-            sigma = Permutation(9, tuple(int(i) for i in mapping))
-            if fixed_points(sigma) < d + 1:
+            images[moved] = moved[np.argsort(rng.standard_normal(len(moved)))]
+            o = np.eye(9)[images]
+            if np.trace(o) < d + 1:
                 continue
-            w = perm_ew(sigma, d)
+            w = perm_ew(o, d)
             assert not w.candidate_only
             assert w.min_eig < -1e-9
 
+    @given(st.integers(2, 4).flatmap(lambda d: st.permutations(range(d * d))))
+    def test_phi_value_is_dense_expectation(self, images):
+        d = int(round(np.sqrt(len(images))))
+        o = np.eye(d * d)[images]
+        w = perm_ew(o, d)
+        v = phi(d)
+        assert w.phi_value == d - np.trace(o)
+        assert abs(w.phi_value - (v.conj() @ w.matrix @ v).real) < 1e-12
+        assert w.candidate_only == (w.phi_value >= 0)
+
+    @pytest.mark.parametrize(
+        "o",
+        [
+            0.5 * np.eye(9),  # a contraction
+            random_orthogonal(9, np.random.default_rng(3)),  # Haar orthogonal, not 0/1
+            np.eye(9)[[0, 0, 2, 3, 4, 5, 6, 7, 8]],  # 0/1 with a repeated row
+        ],
+        ids=["half-identity", "haar-orthogonal", "repeated-row"],
+    )
+    def test_rejects_non_permutation(self, o):
+        with pytest.raises(ValueError, match="not a permutation matrix"):
+            perm_ew(o, 3)
+
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"shape \(9, 9\), expected"):
             perm_ew(diag_cycle(3, 1), 2)
 
 
