@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     DimPair,
+    blocks,
     dagger,
     is_psd,
     kron,
@@ -35,7 +36,6 @@ from .linalg import (
     trace_norm,
 )
 from .loo import (
-    apply_orthogonal,
     cycle_mixings,
     diag_cycle,
     is_orthogonal,
@@ -43,9 +43,11 @@ from .loo import (
     pair_slots,
     random_orthogonal,
     random_unitary,
+    require_mixing_size,
     require_unitary,
     standard_basis,
     standard_entries,
+    standard_positions,
     transpose_transform,
 )
 from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
@@ -95,10 +97,11 @@ def ppt_psd(rho: np.ndarray, dims: DimPair, tol: float = ALGEBRAIC_TOL):
 
 
 # The contractions below add only the nonzero entries of the standard set
-# (loo.standard_entries) and add them in the order np.einsum visits them in the
-# dense contraction named in each docstring, starting from +0. A skipped term
-# is a product with a zero entry, which adds nothing, so each result has the
-# bits of that einsum at a fraction of its cost.
+# (loo.standard_entries per observable, loo.standard_positions per matrix
+# position) and add them in the order np.einsum visits them in the dense
+# contraction named in each docstring, starting from +0. A skipped term is a
+# product with a zero entry, which adds nothing, so each result has the bits
+# of that einsum at a fraction of its cost.
 
 
 def _correlation(rho: np.ndarray, d: int) -> np.ndarray:
@@ -108,8 +111,8 @@ def _correlation(rho: np.ndarray, d: int) -> np.ndarray:
     terms run over (k, m, l, n) ascending.
     """
     rows, cols, values = standard_entries(d)
-    r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
-    s = np.zeros(rho.shape[:-2] + (d * d, d * d), dtype=complex)
+    r4 = blocks(rho, DimPair.square(d))
+    s = np.zeros(r4.shape[:-4] + (d * d, d * d), dtype=complex)
     for i in range(2):
         for j in range(2):
             block = r4[..., cols[i][:, None], cols[j], rows[i][:, None], rows[j]]
@@ -131,21 +134,57 @@ def realignment_norm(rho: np.ndarray, d: int):
 def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
-    transform is one mixing or a (..., d^2, d^2) stack broadcast against rho's
-    batch axes. The result is the Hermitian part (M + M^dagger)/2: exactly
-    Hermitian, so is_psd's re-check passes and decomposes it unchanged.
+    transform is one real mixing or a (..., d^2, d^2) stack broadcast against
+    rho's batch axes. The result is the Hermitian part (M + M^dagger)/2:
+    exactly Hermitian, so is_psd's re-check passes and decomposes it unchanged.
+
+    The map is reassociated onto the B-side operators paired with L_u,
+    residue_u = Tr_A((L_u x I) rho):
+
+        sum_u residue_u x (sum_v O_uv L_v) = sum_v (sum_u O_uv residue_u) x L_v,
+
+    so the mixing is one matmul by O^T on the residue, and the standard set's
+    at most two nonzero entries per matrix position are gathered from it.
+    Dense form: mixed = O^T @ residue, then np.einsum("...vnl,vmk->...mnkl",
+    mixed, mats). For a signed permutation (identity, transpose, diag_cycle)
+    the matmul only moves and negates residues, and no entry sums more than
+    two nonzero terms, so the operator has the bits of mixing the basis
+    instead (loo.apply_orthogonal). A general mixing changes the last bits.
     """
+    r4 = blocks(rho, DimPair.square(d))
+    n = d * d
+    transform = np.asarray(transform)
+    require_mixing_size(transform, n)
+    if np.iscomplexobj(transform):
+        raise ValueError("transform matrix must be real")
+    state_batch, mixing_batch = r4.shape[:-4], transform.shape[:-2]
+    try:
+        batch = np.broadcast_shapes(state_batch, mixing_batch)
+    except ValueError:
+        raise ValueError(
+            f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
+        ) from None
     rows, cols, values = standard_entries(d)
-    r4 = rho.reshape(rho.shape[:-2] + (d, d, d, d))
     # B-side operators paired with L_u; dense form np.einsum("...mnkl,ukm->...unl", r4, mats)
     by_slot = np.swapaxes(r4, -3, -2)  # (..., m, k, n, l)
-    residue = np.zeros(rho.shape[:-2] + (d * d, d, d), dtype=complex)
+    residue = np.zeros(state_batch + (n, d, d), dtype=complex)
     for i in range(2):
         residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
-    mixed = apply_orthogonal(standard_basis(d), transform)
-    mapped = np.einsum("...unl,...umk->...mnkl", residue, mixed)
-    mapped = mapped.reshape(mapped.shape[:-4] + rho.shape[-2:])
-    m = kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    # mixed_v = sum_u O_uv residue_u, the real and imaginary parts as one real matmul
+    flat = residue.reshape(state_batch + (n, n)).view(float)
+    mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex).reshape(batch + (n, d, d))
+    del residue, flat
+    # at most three operator-sized arrays live at once: mixed, the sum and one gathered term
+    slots, entries = standard_positions(d)
+    n_axis, l_axis = np.arange(d)[:, None, None], np.arange(d)
+    m = np.zeros(batch + (d, d, d, d), dtype=complex)  # (..., m, n, k, l), summed from +0
+    for i in range(2):
+        term = mixed[..., slots[i][:, None, :, None], n_axis, l_axis]
+        term *= entries[i][:, None, :, None]
+        m += term
+        del term
+    m = m.reshape(batch + (n, n))
+    np.subtract(kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")), m, out=m)
     return (m + dagger(m)) / 2.0
 
 

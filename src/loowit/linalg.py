@@ -108,8 +108,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def _blocks(rho: np.ndarray, dims: DimPair) -> np.ndarray:
-    """View a (..., n, n) stack as (..., d_A, d_B, d_A, d_B) tensors."""
+def blocks(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """View a (..., n, n) stack as (..., d_A, d_B, d_A, d_B) tensors; a wrong size is named."""
     rho = np.asarray(rho, dtype=complex)
     n = dims.total
     if rho.shape[-2:] != (n, n):
@@ -125,7 +125,7 @@ def _check_subsystem(subsystem: str) -> str:
 
 def partial_transpose(rho: np.ndarray, dims: DimPair, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor: <m,n|rho^T_B|k,l> = <m,l|rho|k,n> (and analogously for A)."""
-    r4 = _blocks(rho, dims)
+    r4 = blocks(rho, dims)
     if _check_subsystem(subsystem) == "B":
         out = np.swapaxes(r4, -3, -1)
     else:
@@ -135,7 +135,7 @@ def partial_transpose(rho: np.ndarray, dims: DimPair, subsystem: str = "B") -> n
 
 def partial_trace(rho: np.ndarray, dims: DimPair, subsystem: str) -> np.ndarray:
     """Trace out the named subsystem, returning the reduced operator on the other one."""
-    r4 = _blocks(rho, dims)
+    r4 = blocks(rho, dims)
     if _check_subsystem(subsystem) == "B":
         return np.einsum("...mnkn->...mk", r4)
     return np.einsum("...mnml->...nl", r4)
@@ -147,7 +147,7 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     The result is a d_A^2 x d_B^2 matrix whose trace norm is the realignment
     criterion value.
     """
-    r4 = _blocks(rho, dims)
+    r4 = blocks(rho, dims)
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 

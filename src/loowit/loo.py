@@ -90,6 +90,26 @@ def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, values
 
 
+@lru_cache(maxsize=None)
+def standard_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observables nonzero at each matrix position: slots and values, each (2, d, d).
+
+    Position (m, k) is nonzero in the projector slot m when m == k, else in
+    the symmetric and then the antisymmetric slot of the pair. A diagonal
+    position's missing second entry is padded with the value 0 at slot 0.
+    """
+    mats = standard_basis(d)
+    slots = np.zeros((2, d, d), dtype=int)
+    values = np.zeros((2, d, d), dtype=complex)
+    for m in range(d):
+        for k in range(d):
+            for i, u in enumerate(np.flatnonzero(mats[:, m, k])):
+                slots[i, m, k], values[i, m, k] = u, mats[u, m, k]
+    for a in (slots, values):
+        a.flags.writeable = False
+    return slots, values
+
+
 def gram_matrix(basis: np.ndarray) -> np.ndarray:
     """Pairwise Hilbert-Schmidt inner products Tr(L_u L_v)."""
     flat = basis.reshape(len(basis), -1)
@@ -214,11 +234,15 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Mix the set, out_u = sum_v O[u, v] L_v, by O or each O of a (..., n, n) stack; contractions too."""
-    n = len(basis)
+def require_mixing_size(o: np.ndarray, n: int) -> None:
+    """Reject a mixing, or a (..., n, n) stack of them, that does not act on n slots."""
     if np.shape(o)[-2:] != (n, n):
         raise ValueError(f"transform shape {np.shape(o)} does not match basis size {n}")
+
+
+def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Mix the set, out_u = sum_v O[u, v] L_v, by O or each O of a (..., n, n) stack; contractions too."""
+    require_mixing_size(o, len(basis))
     return np.einsum("...uv,vij->...uij", o, basis)
 
 

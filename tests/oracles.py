@@ -130,11 +130,29 @@ def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
 
 
 def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
-    """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks."""
+    """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks.
+
+    The mixing is applied to the basis: sum_u residue_u x (sum_v O_uv L_v).
+    """
     basis = standard_basis(d)
     mixed = apply_orthogonal(basis, transform)
     residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
     mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
+    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+
+
+def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+    """The same map with the mixing applied to the residue: sum_v (sum_u O_uv residue_u) x L_v.
+
+    The residue is mixed by the same real matmul as in o_reduction_operator;
+    the standard set is then contracted densely.
+    """
+    basis = standard_basis(d)
+    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
+    flat = residue.reshape(residue.shape[:-2] + (d * d,)).view(float)
+    mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex)
+    mixed = mixed.reshape(mixed.shape[:-1] + (d, d))
+    mapped = np.einsum("...vnl,vmk->...mnkl", mixed, basis).reshape(mixed.shape[:-3] + rho.shape[-2:])
     return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 

@@ -68,6 +68,7 @@ from oracles import (
     correlation_dense,
     family_matrix_loops,
     o_reduction_dense,
+    o_reduction_mixed_residue_dense,
     reference_restart,
     unitary_mixing_single,
     x_coefficients_loops,
@@ -166,7 +167,11 @@ class TestRouteAgreement:
 
 
 class TestSparseContractions:
-    """The kernels add only the nonzero observable entries; the dense einsums are the reference."""
+    """The kernels add only the nonzero observable entries; the dense einsums are the reference.
+
+    The reduction operator mixes the residue, not the basis. Its dense form
+    mixes the residue the same way; mixing the basis is the second route.
+    """
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_correlation_matches_dense_einsum(self, d, seed):
@@ -180,11 +185,32 @@ class TestSparseContractions:
         stack = np.stack([random_density(rng, d * d) for _ in range(3)])
         contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
         for t in transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]:
-            dense = o_reduction_dense(stack, d, t)
+            dense = o_reduction_mixed_residue_dense(stack, d, t)
             operator = o_reduction_operator(stack, d, t)
             assert same_bits(operator, (dense + dagger(dense)) / 2.0)
             # the Hermitian part is what is_psd decomposes anyway
             assert same_bits(is_psd(operator)[1], is_psd(dense)[1])
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_o_reduction_matches_basis_mixing(self, d, seed):
+        # mixing the residue instead of the basis keeps the bits for every signed permutation
+        rng = np.random.default_rng(seed)
+        n = d * d
+        stack = np.concatenate(
+            [
+                np.stack([random_density(rng, n) for _ in range(2)]),
+                family_stack(rng.dirichlet(np.ones(d), size=2)),
+            ]
+        )
+        signed = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        for t in transforms(d) + [signed]:
+            dense = o_reduction_dense(stack, d, t)
+            assert same_bits(o_reduction_operator(stack, d, t), (dense + dagger(dense)) / 2.0)
+        # a general mixing or contraction changes only the last bits
+        for t in (random_orthogonal(n, rng), 0.5 * random_orthogonal(n, rng)):
+            dense = o_reduction_dense(stack, d, make_transform(t))
+            operator = o_reduction_operator(stack, d, make_transform(t))
+            assert np.abs(operator - (dense + dagger(dense)) / 2.0).max() <= 1e-12
 
 
 def search_state(d: int):

@@ -18,6 +18,7 @@ from loowit.criteria import (
     correlation_T,
     full_report,
     o_reduction_apply,
+    o_reduction_operator,
     pair_correlation,
     perm_reduction_family,
     ppt_check,
@@ -28,6 +29,7 @@ from loowit.criteria import (
 )
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, realign, trace_norm
 from loowit.loo import (
+    cycle_mixings,
     diag_cycle,
     is_orthogonal,
     make_transform,
@@ -116,6 +118,10 @@ class TestRealignment:
             assert value <= 1.0 + 1e-9
             assert report.verdict == "pass"
 
+    def test_rejects_wrong_size_state(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
+            realignment_norm(np.eye(8) / 8.0, 3)
+
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_matches_realigned_trace_norm(self, d, seed):
         state = random_state(np.random.default_rng(seed), d)
@@ -184,6 +190,25 @@ class TestOReduction:
         # 2 I is neither orthogonal nor a contraction: no verdict, an error naming it
         with pytest.raises(ValueError, match=r"neither orthogonal nor a contraction: .* O O\^T is 4$"):
             o_reduction_apply(max_entangled(3), 2 * np.eye(9))
+
+    def test_rejects_mixing_stack_that_does_not_broadcast(self, rng):
+        stack = np.stack([random_density(rng, 9) for _ in range(5)])
+        message = r"transform batch shape \(2,\) does not broadcast against state batch shape \(5,\)"
+        with pytest.raises(ValueError, match=message):
+            o_reduction_operator(stack, 3, cycle_mixings(3))
+        assert o_reduction_operator(stack[:, None], 3, cycle_mixings(3)).shape == (5, 2, 9, 9)
+
+    def test_rejects_wrong_size_mixing(self):
+        with pytest.raises(ValueError, match=r"transform shape \(4, 4\) does not match basis size 9"):
+            o_reduction_operator(max_entangled(3).rho, 3, np.eye(4))
+
+    def test_rejects_complex_mixing(self):
+        with pytest.raises(ValueError, match="transform matrix must be real"):
+            o_reduction_operator(max_entangled(3).rho, 3, np.eye(9, dtype=complex))
+
+    def test_rejects_wrong_size_state(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
+            o_reduction_operator(np.eye(8) / 8.0, 3, np.eye(9))
 
     def test_reduction_detects_max_entangled(self):
         state = max_entangled(3)

@@ -20,6 +20,7 @@ from loowit.loo import (
     random_unitary,
     reconstruct,
     standard_basis,
+    standard_positions,
     sym_slot,
     transpose_basis,
     transpose_transform,
@@ -65,6 +66,23 @@ class TestStandardBasis:
         assert basis is standard_basis(3)
         assert basis.shape == (9, 3, 3)
         assert not basis.flags.writeable
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_positions_hold_every_nonzero_entry(self, d):
+        basis = standard_basis(d)
+        slots, values = standard_positions(d)
+        rebuilt = np.zeros_like(basis)
+        for m in range(d):
+            for k in range(d):
+                for i in range(2):
+                    rebuilt[slots[i, m, k], m, k] += values[i, m, k]
+        assert np.array_equal(rebuilt, basis)
+        # a diagonal position holds its projector alone; elsewhere the symmetric slot comes first
+        off = ~np.eye(d, dtype=bool)
+        assert np.array_equal(np.diagonal(slots[0]), np.arange(d))
+        assert (np.diagonal(values[1]) == 0).all()
+        assert (slots[0][off] < slots[1][off]).all()
+        assert not values.flags.writeable
 
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
