@@ -1,10 +1,17 @@
 """Entanglement witnesses built from local orthogonal observable sets.
 
-The generic construction is W = I x I - sum_u M[u, v] A_u x B_v^T with the
-A side a (possibly contraction-) mixed standard set and the B side the
-transposed standard set. A Cauchy-Schwarz argument over the observable sets
-makes Tr(rho W) >= 0 for every product (hence separable) state whenever
-M M^T <= I, so any negative eigenvalue turns the candidate into a witness.
+A witness is the observable-mixing reduction map at the unnormalised
+maximally entangled state: for rho = |phi><phi|, rho_B = I and
+<L_u x L_v^T> = delta_uv, so criteria.o_reduction_operator gives
+
+    W = I x I - sum_u L^o_u x L_u^T,   L^o_u = sum_v O[u, v] L_v,
+
+with the A side the mixed standard set and the B side the transposed one.
+A Cauchy-Schwarz argument over the observable sets makes Tr(rho W) >= 0 for
+every product (hence separable) state whenever O O^T <= I, so any negative
+eigenvalue turns the candidate into a witness. Tailored observable sets are
+orthogonal mixings of the standard set, so their witnesses (the 3x3 one for
+P. Horodecki's state included) are the same operator for a composed mixing.
 """
 
 from __future__ import annotations
@@ -14,18 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import criteria
 from .linalg import DimPair, is_psd, max_abs
-from .loo import (
-    apply_orthogonal,
-    asym_slot,
-    is_orthogonal,
-    make_transform,
-    pair_sum,
-    standard_basis,
-    sym_slot,
-    transpose_basis,
-)
-from .states import BipartiteState, horodecki_rho, save_matrix
+from .loo import asym_slot, is_orthogonal, make_transform, sym_slot
+from .states import BipartiteState, horodecki_rho, phi, save_matrix
 
 WITNESS_EIG_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-9
@@ -49,13 +48,6 @@ class Witness:
     phi_value: float | None = None
 
 
-def _weighted_pair_sum(weights: np.ndarray, mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
-    """sum_uv weights[u, v] kron(mats_a[u], mats_b[v])."""
-    d = mats_a.shape[1]
-    out = np.einsum("uv,uab,vcd->acbd", weights, mats_a, mats_b)
-    return out.reshape(d * d, d * d)
-
-
 def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
     """The candidate, confirmed as a witness when the eigensolve finds a negative eigenvalue."""
     ok, min_eig = is_psd(matrix, tol=WITNESS_EIG_TOL)
@@ -65,15 +57,14 @@ def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
 def ew_from_transform(o: np.ndarray, d: int) -> Witness:
     """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T.
 
-    The mixing o must be orthogonal or a contraction (make_transform enforces
+    It is the reduction-map operator at the unnormalised |phi><phi|. The
+    mixing o must be orthogonal or a contraction (make_transform enforces
     this here); the candidate becomes a confirmed witness when the eigensolve
     finds a negative eigenvalue.
     """
     o = make_transform(o)
-    basis = standard_basis(d)
-    mixed = apply_orthogonal(basis, o)
-    transposed = transpose_basis(basis)
-    matrix = np.eye(d * d, dtype=complex) - pair_sum(mixed, transposed)
+    v = phi(d)
+    matrix = criteria.o_reduction_operator(np.outer(v, v.conj()), d, o)
     kind = "orthogonal" if is_orthogonal(o) else "contraction"
     return _eigensolved(matrix, d, f"transform({kind})")
 
@@ -102,41 +93,42 @@ def perm_ew(o: np.ndarray, d: int) -> Witness:
 class HorodeckiWitnessData:
     """Intermediate quantities of the 3x3 PPT-entangled-state witness.
 
-    ``coeffs`` is the 9x9 expansion of the state in the A x B^T observable
-    pair basis; ``n_vec`` its first-row/first-column antisymmetry (slots
-    2..9); ``mixing`` the near-identity contraction built from it. The
-    construction makes the witness expectation in the target state equal to
-    1 - sqrt(1 + n_sq), strictly negative inside the open parameter interval.
+    ``coeffs`` is the 9x9 expansion of the state in the A x B^T pair basis of
+    the tailored observable sets; ``n_vec`` its first-row/first-column
+    antisymmetry (slots 2..9); ``mixing`` the near-identity contraction built
+    from it. The construction makes the witness expectation in the target
+    state equal to 1 - sqrt(1 + n_sq), strictly negative inside the open
+    parameter interval.
     """
 
     a: float
-    basis_a: np.ndarray
-    basis_b: np.ndarray
     coeffs: np.ndarray
     n_vec: np.ndarray
     n_sq: float
     mixing: np.ndarray
 
 
-def horodecki_loo_bases(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tailored orthonormal observable sets for the 3x3 PPT-entangled state.
+def horodecki_mixings(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal mixings O_A, O_B of the standard set onto the tailored sets of the 3x3 state.
 
-    The diagonal combinations and the a-dependent rotation in the plane
-    spanned by (2 L_3 - L_1 - L_2)/sqrt(6) and the symmetric 1-3 pair make the
+    Row u of O_A holds the standard-set coefficients of the tailored A-side
+    observable A_u = sum_v O_A[u, v] L_v, and likewise for B. The diagonal
+    combinations and the a-dependent rotation in the plane spanned by
+    (2 L_3 - L_1 - L_2)/sqrt(6) and the symmetric 1-3 pair make the
     pair-basis expansion of the state have unit diagonal sum.
     """
-    std = standard_basis(3)
-    l1, l2, l3 = std[:3]
-    sym13 = std[sym_slot(3, 0, 2)]
-    asym13 = std[asym_slot(3, 0, 2)]
-    sym12, asym12 = std[sym_slot(3, 0, 1)], std[asym_slot(3, 0, 1)]
-    sym23, asym23 = std[sym_slot(3, 1, 2)], std[asym_slot(3, 1, 2)]
+    slot = np.eye(9)
+    l1, l2, l3 = slot[:3]
+    sym13 = slot[sym_slot(3, 0, 2)]
+    asym13 = slot[asym_slot(3, 0, 2)]
+    sym12, asym12 = slot[sym_slot(3, 0, 1)], slot[asym_slot(3, 0, 1)]
+    sym23, asym23 = slot[sym_slot(3, 1, 2)], slot[asym_slot(3, 1, 2)]
 
     e_diag = (2.0 * l3 - l1 - l2) / np.sqrt(6.0)
     c = (1.0 + 2.0 * a) / (2.0 + a)
     s = np.sqrt(3.0 * (1.0 - a * a)) / (2.0 + a)
 
-    mats_a = np.stack([
+    o_a = np.stack([
         (l1 + l2 + l3) / np.sqrt(3.0),
         (l1 - l2) / np.sqrt(2.0),
         c * e_diag - s * sym13,
@@ -147,7 +139,7 @@ def horodecki_loo_bases(a: float) -> tuple[np.ndarray, np.ndarray]:
         sym23,
         asym23,
     ])
-    mats_b = np.stack([
+    o_b = np.stack([
         (l1 + l2 + l3) / np.sqrt(3.0),
         (l3 - l1) / np.sqrt(2.0),
         (l1 + l3 - 2.0 * l2) / np.sqrt(6.0),
@@ -158,11 +150,15 @@ def horodecki_loo_bases(a: float) -> tuple[np.ndarray, np.ndarray]:
         sym23,
         asym23,
     ])
-    return mats_a, mats_b
+    return o_a, o_b
 
 
 def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     """Explicit witness for the 3x3 PPT-entangled state at parameter a.
+
+    On the tailored sets A = O_A L and B = O_B L the witness is
+    I x I - sum_uv M[u, v] A_u x B_v^T, which is the standard-set witness of
+    the contraction K = O_A^T M O_B, built as ew_from_transform(K^T).
 
     At the endpoints a in {0, 1} the antisymmetry vector vanishes, the mixing
     degenerates to the identity and the witness expectation in the target
@@ -171,11 +167,9 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"parameter must lie in [0, 1], got {a}")
-    basis_a, basis_b = horodecki_loo_bases(a)
-    state = horodecki_rho(a)
-    r4 = state.rho.reshape(3, 3, 3, 3)
-    # coeffs[u, v] = Tr(rho A_u x B_v^T); B^T[l, n] = B[n, l]
-    coeffs = np.einsum("mnkl,ukm,vnl->uv", r4, basis_a, basis_b).real
+    o_a, o_b = horodecki_mixings(a)
+    # coeffs[u, v] = Tr(rho A_u x B_v^T)
+    coeffs = o_a @ criteria.correlation_T(horodecki_rho(a)) @ o_b.T
 
     n_vec = coeffs[0, 1:] - coeffs[1:, 0]
     n_sq = float(np.dot(n_vec, n_vec))
@@ -184,12 +178,8 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     mixing[0, 1:] = n_vec * scale
     mixing[1:, 0] = -n_vec * scale
 
-    transposed_b = basis_b.transpose(0, 2, 1)
-    matrix = np.eye(9, dtype=complex) - _weighted_pair_sum(mixing, basis_a, transposed_b)
-    witness = _eigensolved(matrix, 3, f"horodecki(a={a:g})")
-    data = HorodeckiWitnessData(
-        a=a, basis_a=basis_a, basis_b=basis_b, coeffs=coeffs, n_vec=n_vec, n_sq=n_sq, mixing=mixing
-    )
+    witness = replace(ew_from_transform((o_a.T @ mixing @ o_b).T, 3), provenance=f"horodecki(a={a:g})")
+    data = HorodeckiWitnessData(a=a, coeffs=coeffs, n_vec=n_vec, n_sq=n_sq, mixing=mixing)
     return witness, data
 
 

@@ -14,18 +14,49 @@ from loowit.loo import (
     asym_slot,
     make_transform,
     pair_list,
+    pair_sum,
     random_orthogonal,
     random_unitary,
     require_unitary,
     standard_basis,
     sym_slot,
+    transpose_basis,
 )
-from loowit.states import BipartiteState, FamilyParams, family_rho, phi
+from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, phi
+from loowit.witness import horodecki_mixings
 
 
 def n_sq_closed(a: float) -> float:
     """Closed form of n^2 for the 3x3 PPT-entangled state; its witness value is 1 - sqrt(1 + n^2)."""
     return (1.0 - a) * a * a / ((2.0 + a) * (1.0 + 8.0 * a) ** 2)
+
+
+def basis_mixing_witness(o: np.ndarray, d: int) -> np.ndarray:
+    """I x I - sum_u (O L)_u x L_u^T with the mixing applied to the observables themselves."""
+    basis = standard_basis(d)
+    return np.eye(d * d, dtype=complex) - pair_sum(apply_orthogonal(basis, o), transpose_basis(basis))
+
+
+def tailored_witness(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 3x3 witness and its coefficients on the tailored observable sets, by dense contractions.
+
+    The sets are A = O_A L and B = O_B L; coeffs[u, v] = Tr(rho A_u x B_v^T)
+    and the witness is I x I - sum_uv M[u, v] A_u x B_v^T, M the near-identity
+    contraction built from the antisymmetry of the first row and column.
+    """
+    o_a, o_b = horodecki_mixings(a)
+    basis_a = apply_orthogonal(standard_basis(3), o_a)
+    basis_b = apply_orthogonal(standard_basis(3), o_b)
+    r4 = horodecki_rho(a).rho.reshape(3, 3, 3, 3)
+    # B^T[l, n] = B[n, l]
+    coeffs = np.einsum("mnkl,ukm,vnl->uv", r4, basis_a, basis_b).real
+    n_vec = coeffs[0, 1:] - coeffs[1:, 0]
+    scale = 1.0 / np.sqrt(1.0 + np.dot(n_vec, n_vec))
+    mixing = np.eye(9) * scale
+    mixing[0, 1:] = n_vec * scale
+    mixing[1:, 0] = -n_vec * scale
+    pairs = np.einsum("uv,uab,vcd->acbd", mixing, basis_a, transpose_basis(basis_b)).reshape(9, 9)
+    return np.eye(9, dtype=complex) - pairs, coeffs
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from conftest import random_state
 from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_matrix, x_search
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, realign, trace_norm
 from loowit.loo import (
+    apply_orthogonal,
     diag_cycle,
     gram_matrix,
     make_transform,
@@ -29,7 +30,7 @@ from loowit.states import (
     werner2,
 )
 from loowit.sweep import run_sweep
-from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_loo_bases, perm_ew
+from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_mixings, perm_ew
 from oracles import n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
@@ -236,9 +237,9 @@ def test_criterion_9_observable_set_algebra():
 
     worst_tailored = 0.0
     for a in np.arange(0.1, 0.951, 0.1):
-        basis_a, basis_b = horodecki_loo_bases(float(a))
-        worst_tailored = max(worst_tailored, max_abs(gram_matrix(basis_a) - np.eye(9)))
-        worst_tailored = max(worst_tailored, max_abs(gram_matrix(basis_b) - np.eye(9)))
+        for o in horodecki_mixings(float(a)):
+            tailored = apply_orthogonal(standard_basis(3), o)
+            worst_tailored = max(worst_tailored, max_abs(gram_matrix(tailored) - np.eye(9)))
     check(
         9,
         "Gram identities (d=2..8), pair-sum identities (d=2,3,4), tailored bases on the a-grid",

@@ -412,7 +412,7 @@ class TestGoldenOutput:
     def test_check_json(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "dc49696689e26e1a3e6ae12032fb054c533794bae481455fde72084cbce0fd5c"
+        assert digest == "393d304a9944016f504bfacda7dcd2fc08a92fa000aa1b70b7f58ac6e3c23d73"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -420,7 +420,7 @@ class TestGoldenOutput:
             (("loo-validate", "--d", "3"), "413c42e17925fc907e1d925031e4565d8e80ebd087afc060f6f64a75a3e0742d"),
             (
                 ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
-                "fd31177d0512f8f2c5dbefc419a8dfb8d751b7ca6d8040a6be4e49519ec14b0b",
+                "cfd87d564d02a6ce83d12201c2e161a78738f29945ca350e3bb72466b0b8af6e",
             ),
             (
                 ("witness", "perm:cycle,d=3,l=1", "--json"),

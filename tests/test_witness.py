@@ -1,15 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import loowit
+from conftest import random_state
+from loowit.criteria import correlation_T, realignment_value
 from loowit.linalg import DimPair, herm_eigvalues, max_abs
 from loowit.loo import (
+    apply_orthogonal,
+    cycle_mixings,
     diag_cycle,
     gram_matrix,
     make_transform,
     random_orthogonal,
+    standard_basis,
     transpose_transform,
 )
 from loowit.states import horodecki_rho, max_entangled, phi, random_product_state, random_separable_state
@@ -17,11 +27,11 @@ from loowit.witness import (
     ew_from_transform,
     expectation,
     horodecki_ew,
-    horodecki_loo_bases,
+    horodecki_mixings,
     perm_ew,
     save_witness,
 )
-from oracles import n_sq_closed
+from oracles import basis_mixing_witness, n_sq_closed, tailored_witness
 
 
 class TestTransformWitness:
@@ -66,6 +76,31 @@ class TestTransformWitness:
     def test_hermitian(self, rng):
         w = ew_from_transform(make_transform(random_orthogonal(4, rng)), 2)
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_basis_mixing_oracle(self, d):
+        # the reduction map at |phi><phi| has the bits of mixing the observables themselves
+        rng = np.random.default_rng(d)
+        mixings = [np.eye(d * d), transpose_transform(d), *cycle_mixings(d)]
+        mixings += [random_orthogonal(d * d, rng), 0.5 * np.eye(d * d)]
+        for o in mixings:
+            assert np.array_equal(ew_from_transform(o, d).matrix, basis_mixing_witness(o, d))
+
+
+class TestBestWitness:
+    """Over the family's contraction mixings the witness expectation 1 - Tr(K T) is least at realignment."""
+
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_best_witness_is_realignment(self, d, seed):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, d)
+        u, sv, vh = np.linalg.svd(correlation_T(state))
+        best = expectation(ew_from_transform((u @ vh).T, d), state)
+        assert abs(best - (1.0 - realignment_value(state)[0])) < 1e-12
+        for _ in range(4):
+            g = rng.standard_normal((d * d, d * d))
+            k = g * (rng.uniform() / np.linalg.norm(g, 2))
+            assert expectation(ew_from_transform(k, d), state) >= 1.0 - sv.sum() - 1e-12
 
 
 class TestPermWitness:
@@ -132,9 +167,15 @@ class TestPermWitness:
 class TestHorodeckiWitness:
     @pytest.mark.parametrize("a", np.arange(0.1, 0.95, 0.1))
     def test_bases_orthonormal(self, a):
-        basis_a, basis_b = horodecki_loo_bases(float(a))
-        assert max_abs(gram_matrix(basis_a) - np.eye(9)) < 1e-12
-        assert max_abs(gram_matrix(basis_b) - np.eye(9)) < 1e-12
+        for o in horodecki_mixings(float(a)):
+            assert max_abs(gram_matrix(apply_orthogonal(standard_basis(3), o)) - np.eye(9)) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.0, *np.arange(0.05, 1.0, 0.05), 1.0])
+    def test_matches_tailored_set_oracle(self, a):
+        w, data = horodecki_ew(float(a))
+        matrix, coeffs = tailored_witness(float(a))
+        assert max_abs(w.matrix - matrix) < 1e-12
+        assert max_abs(data.coeffs - coeffs) < 1e-12
 
     def test_a3_normalization_closed_form(self):
         a = 0.35
@@ -182,6 +223,16 @@ class TestHorodeckiWitness:
     def test_hermitian(self):
         w, _ = horodecki_ew(0.25)
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("module", ["loowit.witness", "loowit.criteria"])
+    def test_module_imports_alone(self, module):
+        # witness and criteria import each other; either may be the first one imported
+        code = f"import {module}\nfrom loowit.witness import horodecki_ew\nassert horodecki_ew(0.5)[1].n_sq > 0"
+        src = str(Path(loowit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestExpectation:
