@@ -136,7 +136,7 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
 
     transform is one real mixing or a (..., d^2, d^2) stack broadcast against
     rho's batch axes. The result is the Hermitian part (M + M^dagger)/2:
-    exactly Hermitian, so is_psd's re-check passes and decomposes it unchanged.
+    exactly Hermitian, so is_psd's re-check passes and decomposes it as it is.
 
     The map is reassociated onto the B-side operators paired with L_u,
     residue_u = Tr_A((L_u x I) rho):

@@ -151,22 +151,32 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
-def herm_eigvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack.
-
-    Rejects input whose Hermiticity defect exceeds HERMITICITY_TOL (relative);
-    the symmetrized matrix (H + H^dagger)/2 is decomposed.
-    """
+def _checked_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale."""
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
+    scale = member_max_abs(h)
+    raise_first(~np.isfinite(scale), "matrix", lambda i: "has non-finite entries (NaN or inf)")
     defect = hermitian_defect(h)
     raise_first(
-        defect > HERMITICITY_TOL * np.maximum(1.0, member_max_abs(h)),
+        defect > HERMITICITY_TOL * np.maximum(1.0, scale),
         "matrix",
         lambda i: f"violates hermiticity: max |M - M^dagger| = {defect[i]:.3e}",
     )
-    return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
+    # (H + H^dagger)/2 of an exactly Hermitian H is H in every entry eigvalsh reads
+    return np.linalg.eigvalsh((h + dagger(h)) / 2.0 if defect.any() else h), scale
+
+
+def herm_eigvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack.
+
+    Rejects non-finite entries and a Hermiticity defect above HERMITICITY_TOL
+    (relative to the member's largest entry). A stack with any nonzero defect
+    is decomposed as (H + H^dagger)/2; an exactly Hermitian one as it is,
+    which gives the same bits.
+    """
+    return _checked_spectrum(h)[0]
 
 
 def trace_norm(m: np.ndarray):
@@ -175,6 +185,7 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    raise_first(~np.isfinite(member_max_abs(m)), "matrix", lambda i: "has non-finite entries (NaN or inf)")
     return scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
@@ -183,9 +194,10 @@ def is_psd(h: np.ndarray, tol: float = PSD_TOL):
 
     True iff min eigenvalue >= -tol * max(1, |h|_max). The eigenvalue is always
     returned so callers can report it. One matrix gives (bool, float); a stack
-    gives a boolean array and a float array.
+    gives a boolean array and a float array. Input is checked and decomposed
+    as by herm_eigvalues, and |h|_max is the scale that check computed.
     """
-    h = np.asarray(h)
-    min_eig = herm_eigvalues(h)[..., 0]
-    ok = min_eig >= -tol * np.maximum(1.0, member_max_abs(h))
+    eigenvalues, scale = _checked_spectrum(h)
+    min_eig = eigenvalues[..., 0]
+    ok = min_eig >= -tol * np.maximum(1.0, scale)
     return scalar_or_stack(ok), scalar_or_stack(min_eig)

@@ -174,9 +174,20 @@ def family_stack(weights: np.ndarray) -> np.ndarray:
     (a_1/d) |Phi><Phi| plus, for i = 2..d, weight a_i/d on each projector
     |k, k+i-1><k, k+i-1| with the second label wrapped into 1..d. The reduced
     state on either side is I/d for every valid parameter choice.
+
+    Each state is Hermitian by construction, its trace is sum(a) and its
+    spectrum is {a_1, a_i/d (each d times), 0 (d - 1 times)}, so a row is
+    validated through its weights: it is a density matrix iff in_simplex
+    accepts it. Errors name the failing row as check_densities does.
     """
     a = np.asarray(weights, dtype=float)
     d = a.shape[-1]
+    DimPair.square(d)  # rejects d < 2
+    raise_first(~np.isfinite(a).all(axis=-1), "state", lambda i: "has non-finite entries (NaN or inf)")
+    min_eig = np.minimum(a[..., :1], a[..., 1:] / d).min(axis=-1)
+    raise_first(
+        min_eig < 0.0, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
+    )
     rho = np.zeros(a.shape[:-1] + (d * d, d * d), dtype=complex)
     k = np.arange(d)
     phi_idx = k * (d + 1)
@@ -184,7 +195,12 @@ def family_stack(weights: np.ndarray) -> np.ndarray:
     for i in range(1, d):
         idx = k * d + (k + i) % d
         rho[..., idx, idx] = (a[..., i] / d)[..., None]
-    return check_densities(rho, DimPair.square(d))
+    raise_first(
+        ~in_simplex(a),
+        "state",
+        lambda i: f"violates trace normalization: trace = {np.trace(rho[i]).real:.12g}",
+    )
+    return rho
 
 
 def family_rho(params: FamilyParams) -> BipartiteState:

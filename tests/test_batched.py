@@ -37,6 +37,7 @@ from loowit.linalg import (
     DimPair,
     dagger,
     herm_eigvalues,
+    hermitian_defect,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -166,6 +167,42 @@ class TestRouteAgreement:
             assert same_bits(f(stack), np.stack([f(m) for m in stack]))
 
 
+class TestExactHermitianRoute:
+    """herm_eigvalues decomposes an exactly Hermitian stack as it is, with the bits of symmetrising it."""
+
+    @staticmethod
+    def symmetrised(h):
+        return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_exactly_hermitian_stacks(self, d, seed):
+        rng = np.random.default_rng(seed)
+        w = np.stack([random_density(rng, d * d) for _ in range(3)])
+        rho = np.concatenate([(w + dagger(w)) / 2.0, family_stack(rng.dirichlet(np.ones(d), size=2))])
+        mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
+        a = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+        for h in (
+            partial_transpose(rho, DimPair.square(d), "B"),
+            o_reduction_operator(rho[:, None], d, mixings),
+            (a + dagger(a)) / 2.0,
+        ):
+            assert not hermitian_defect(h).any()
+            assert same_bits(herm_eigvalues(h), self.symmetrised(h))
+            assert same_bits(is_psd(h)[1], self.symmetrised(h)[..., 0])
+
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_defect_is_symmetrised_or_rejected(self, d, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+        h = (a + dagger(a)) / 2.0
+        h[1, 0, 1] += 1e-13  # above the diagonal, where eigvalsh does not read
+        assert same_bits(herm_eigvalues(h), self.symmetrised(h))
+        assert not same_bits(herm_eigvalues(h)[1], np.linalg.eigvalsh(h[1]))
+        h[1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"^matrix\[1\] violates hermiticity"):
+            herm_eigvalues(h)
+
+
 class TestSparseContractions:
     """The kernels add only the nonzero observable entries; the dense einsums are the reference.
 
@@ -285,6 +322,24 @@ class TestFamilyStack:
             assert same_bits(rho, family_matrix_loops(FamilyParams(d, tuple(row.tolist()))))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_weights_check_is_the_density_check(self, d, seed):
+        # family_stack checks weights only; the full check and the eigensolve are the oracle
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(d), size=6)
+        zero = rng.random(weights.shape) < 0.4
+        zero[np.arange(len(weights)), weights.argmax(axis=-1)] = False
+        weights[zero] = 0.0
+        weights /= weights.sum(axis=-1, keepdims=True)
+        stack = family_stack(weights)
+        check_densities(stack, DimPair.square(d))
+        # spectrum {a_1, a_i/d (each d times), 0 (d - 1 times)}
+        closed = np.concatenate(
+            [weights[:, :1], np.repeat(weights[:, 1:] / d, d, axis=-1), np.zeros((len(weights), d - 1))],
+            axis=-1,
+        )
+        assert np.abs(herm_eigvalues(stack) - np.sort(closed, axis=-1)).max() <= 1e-12
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_vectorised_labels_match_scalar(self, d, seed):
         weights = np.random.default_rng(seed).dirichlet(np.ones(d), size=8)
         separable = family_separable_sufficient(weights)
@@ -348,6 +403,20 @@ class TestInvalidMember:
     def test_family_weights_outside_simplex(self):
         weights = np.array([[0.2, 0.5, 0.3], [0.6, -0.2, 0.6], [1 / 3, 1 / 3, 1 / 3]])
         with pytest.raises(ValueError, match=r"^state\[1\] violates positivity"):
+            family_stack(weights)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.5, np.nan, 0.5), r"has non-finite entries \(NaN or inf\)"),
+            ((0.5, -1e-12, 0.5 + 1e-12), r"violates positivity: min eigenvalue = -3\.333e-13"),
+            ((0.2, 0.5, 0.3 + 1e-6), r"violates trace normalization: trace = 1\.000001"),
+        ],
+    )
+    def test_family_weights_named(self, row, message):
+        # in_simplex's rule: a weight of -1e-12 passes check_densities' eigenvalue tolerance, not this check
+        weights = np.array([[1 / 3, 1 / 3, 1 / 3], row, [0.2, 0.5, 0.3]])
+        with pytest.raises(ValueError, match=rf"^state\[1\] {message}$"):
             family_stack(weights)
 
     def test_linalg_names_member(self):

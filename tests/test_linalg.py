@@ -18,6 +18,17 @@ from loowit.loo import random_orthogonal, random_unitary, standard_basis, sym_sl
 from loowit.states import FamilyParams, family_rho, horodecki_rho, max_entangled, phi, werner2
 
 
+def assert_non_finite_named(f):
+    """f raises a named error for a NaN in a single matrix and for a NaN or inf in a stack member."""
+    with pytest.raises(ValueError, match=r"^matrix has non-finite entries \(NaN or inf\)$"):
+        f(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        stack = np.stack([np.eye(3, dtype=complex)] * 3)
+        stack[1, 2, 0] = stack[1, 0, 2] = bad
+        with pytest.raises(ValueError, match=r"^matrix\[1\] has non-finite entries \(NaN or inf\)$"):
+            f(stack)
+
+
 # reference implementations used as oracles
 
 def partial_trace_loops(rho, dims, subsystem):
@@ -182,6 +193,9 @@ class TestHermEig:
         with pytest.raises(ValueError, match="hermiticity"):
             herm_eigvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        assert_non_finite_named(herm_eigvalues)
+
 
 class TestTraceNorm:
     def test_identity(self):
@@ -206,6 +220,9 @@ class TestTraceNorm:
             o = random_orthogonal(6, rng)
             assert abs(np.trace(m @ o)) <= bound + 1e-10
 
+    def test_rejects_non_finite(self):
+        assert_non_finite_named(trace_norm)
+
 
 class TestIsPsd:
     def test_examples(self):
@@ -218,3 +235,6 @@ class TestIsPsd:
         for state in (horodecki_rho(0.4), werner2(0.8), max_entangled(2)):
             ok, _ = is_psd(state.rho)
             assert ok
+
+    def test_rejects_non_finite(self):
+        assert_non_finite_named(is_psd)
