@@ -185,7 +185,11 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
         del term
     m = m.reshape(batch + (n, n))
     np.subtract(kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")), m, out=m)
-    return (m + dagger(m)) / 2.0
+    # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
+    # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
+    np.add(m, dagger(m), out=m)
+    m /= 2.0
+    return m
 
 
 def ppt_check(state: BipartiteState, tol: float = ALGEBRAIC_TOL) -> CriterionReport:
@@ -389,17 +393,19 @@ def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
 
     Restart 0 is the warm start: u = I and the O maximising Tr(O T), so that
     <s|X|s> = 1 - ||T||_tr for the all-ones s. Restart b >= 1 draws O, then u,
-    from default_rng([seed, b]).
+    from default_rng([seed, b]). All drawn restarts go through one
+    random_orthogonal and one random_unitary call; each generator still draws
+    its O before its u, so restart b has the bits of drawing it alone and does
+    not depend on the budget.
     """
     n = d * d
     o = np.empty((budget, n, n))
     u = np.empty((budget, d, d), dtype=complex)
     o[0] = _procrustes(-(s @ transpose_transform(d)).T)
     u[0] = np.eye(d)
-    for b in range(1, budget):
-        rng = np.random.default_rng([seed, b])
-        o[b] = random_orthogonal(n, rng)
-        u[b] = random_unitary(d, rng)
+    rngs = [np.random.default_rng([seed, b]) for b in range(1, budget)]
+    o[1:] = random_orthogonal(n, rngs)
+    u[1:] = random_unitary(d, rngs)
     return o, u
 
 

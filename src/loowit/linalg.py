@@ -151,21 +151,39 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
-def _checked_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale."""
+def check_hermitian(
+    h: np.ndarray, name: str = "matrix", symbol: str = "M"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A square matrix or stack as complex, with each member's max-abs scale and Hermiticity defect.
+
+    Rejects non-finite entries, then a defect above HERMITICITY_TOL relative
+    to max(1, scale); a stack member is named ``name[i]`` and the defect is
+    written with ``symbol``. The scale and defect are returned for reuse.
+    """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     scale = member_max_abs(h)
-    raise_first(~np.isfinite(scale), "matrix", lambda i: "has non-finite entries (NaN or inf)")
+    raise_first(~np.isfinite(scale), name, lambda i: "has non-finite entries (NaN or inf)")
     defect = hermitian_defect(h)
     raise_first(
         defect > HERMITICITY_TOL * np.maximum(1.0, scale),
-        "matrix",
-        lambda i: f"violates hermiticity: max |M - M^dagger| = {defect[i]:.3e}",
+        name,
+        lambda i: f"violates hermiticity: max |{symbol} - {symbol}^dagger| = {defect[i]:.3e}",
     )
+    return h, scale, defect
+
+
+def hermitian_spectrum(h: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack check_hermitian accepted, given the defects it returned."""
     # (H + H^dagger)/2 of an exactly Hermitian H is H in every entry eigvalsh reads
-    return np.linalg.eigvalsh((h + dagger(h)) / 2.0 if defect.any() else h), scale
+    return np.linalg.eigvalsh((h + dagger(h)) / 2.0 if defect.any() else h)
+
+
+def _checked_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale."""
+    h, scale, defect = check_hermitian(h)
+    return hermitian_spectrum(h, defect), scale
 
 
 def herm_eigvalues(h: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ is {|1><1|, |2><2|, sigma_x/sqrt(2), sigma_y/sqrt(2)}.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -255,18 +256,47 @@ def transpose_basis(basis: np.ndarray) -> np.ndarray:
     return basis.transpose(0, 2, 1).copy()
 
 
-def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform orthogonal matrix via QR with R-diagonal sign fixing."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+def _generators(
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[tuple[np.random.Generator, ...], bool]:
+    """The generators to draw from, and whether rng is one Generator rather than a sequence."""
+    lone = isinstance(rng, np.random.Generator)
+    return ((rng,) if lone else tuple(rng)), lone
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unitary matrix via QR with R-diagonal phase fixing."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def random_orthogonal(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+    """Haar-uniform orthogonal matrix via QR with R-diagonal sign fixing (Mezzadri 2007).
+
+    rng is one Generator, giving an (n, n) matrix, or a sequence of k
+    generators, giving a (k, n, n) stack (k = 0 too). Each generator makes
+    one (n, n) standard-normal draw, and one QR factors the whole stack, so
+    member i has the bits of a lone call with generator i.
+    """
+    gens, lone = _generators(rng)
+    z = np.empty((len(gens), n, n))
+    for g, out in zip(gens, z):
+        g.standard_normal(out=out)
     q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    q *= signs[:, None, :]
+    return q[0] if lone else q
+
+
+def random_unitary(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+    """Haar-uniform unitary matrix via QR with R-diagonal phase fixing (Mezzadri 2007).
+
+    rng is one Generator or a sequence of them, as for random_orthogonal.
+    Each generator draws the real (n, n) part, then the imaginary one, and
+    one QR factors the whole stack, so member i has the bits of a lone call
+    with generator i.
+    """
+    gens, lone = _generators(rng)
+    z = np.empty((len(gens), n, n), dtype=complex)
+    for g, out in zip(gens, z):
+        out[...] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[:, None, :]
+    return q[0] if lone else q

@@ -14,16 +14,14 @@ import numpy as np
 
 from .linalg import (
     DimPair,
-    hermitian_defect,
-    herm_eigvalues,
+    check_hermitian,
+    hermitian_spectrum,
     kron,
-    member_max_abs,
     raise_first,
     require_seed,
     scalar_or_stack,
 )
 
-STATE_HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-9
 STATE_EIG_TOL = 1e-9
 
@@ -48,20 +46,14 @@ def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
         raise ValueError(
             f"state matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b} (dimension)"
         )
-    raise_first(~np.isfinite(rho).all(axis=(-2, -1)), "state", lambda i: "has non-finite entries (NaN or inf)")
-    defect = hermitian_defect(rho)
-    raise_first(
-        defect > STATE_HERMITICITY_TOL * np.maximum(1.0, member_max_abs(rho)),
-        "state",
-        lambda i: f"violates hermiticity: max |rho - rho^dagger| = {defect[i]:.3e}",
-    )
+    rho, _, defect = check_hermitian(rho, "state", "rho")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     raise_first(
         np.abs(tr - 1.0) > STATE_TRACE_TOL,
         "state",
         lambda i: f"violates trace normalization: trace = {tr[i].real:.12g}",
     )
-    min_eig = herm_eigvalues(rho)[..., 0]
+    min_eig = hermitian_spectrum(rho, defect)[..., 0]
     raise_first(
         min_eig < -STATE_EIG_TOL, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
     )

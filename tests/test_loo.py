@@ -280,3 +280,39 @@ class TestRandomSampling:
         a = random_orthogonal(4, np.random.default_rng(11))
         b = random_orthogonal(4, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def stacked_and_lone(sampler, n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """One call on k fresh generators, and np.stack of k lone calls on equal ones."""
+        stack = sampler(n, [np.random.default_rng([seed, b]) for b in range(k)])
+        lone = np.stack([sampler(n, np.random.default_rng([seed, b])) for b in range(k)])
+        return stack, lone
+
+    @given(st.integers(4, 36), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_orthogonal_sequence_has_the_bits_of_lone_calls(self, n, k, seed):
+        stack, lone = self.stacked_and_lone(random_orthogonal, n, k, seed)
+        assert stack.shape == lone.shape == (k, n, n) and stack.tobytes() == lone.tobytes()
+        assert max_abs(stack @ np.swapaxes(stack, -1, -2) - np.eye(n)) < 1e-12
+
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_unitary_sequence_has_the_bits_of_lone_calls(self, n, k, seed):
+        stack, lone = self.stacked_and_lone(random_unitary, n, k, seed)
+        assert stack.shape == lone.shape == (k, n, n) and stack.tobytes() == lone.tobytes()
+        assert max_abs(stack @ np.swapaxes(stack, -1, -2).conj() - np.eye(n)) < 1e-12
+
+    @given(st.integers(2, 36), st.integers(0, 2**32 - 1))
+    def test_lone_calls_have_the_bits_of_one_matrix_qr(self, n, seed):
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        assert random_orthogonal(n, np.random.default_rng(seed)).tobytes() == (q * np.sign(np.diag(r))).tobytes()
+        m = min(n, 6)
+        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        expected = q * (np.diag(r) / np.abs(np.diag(r)))
+        rng = np.random.default_rng(seed)
+        random_orthogonal(n, rng)
+        assert random_unitary(m, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sampler", [random_orthogonal, random_unitary])
+    def test_empty_sequence_gives_an_empty_stack(self, sampler):
+        assert sampler(3, []).shape == (0, 3, 3)
