@@ -8,14 +8,16 @@ A-side standard observable set by an orthogonal matrix O and require
 
 which holds for every separable state and every orthogonal O. Permutation
 mixings are cheap instances that already detect PPT entangled states. The
-Hermitian correlation matrix packs the same criterion into a measurable d x d
-object: it is positive semidefinite on separable states for every unitary u
-and orthogonal O.
+Hermitian correlation matrix is the same map compressed onto span{|kk>}, a
+measurable d x d object: it is positive semidefinite on separable states for
+every unitary u and orthogonal O.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +42,10 @@ from .loo import (
     diag_cycle,
     is_orthogonal,
     make_transform,
-    pair_slots,
     random_orthogonal,
     random_unitary,
     require_mixing_size,
     require_unitary,
-    standard_basis,
     standard_entries,
     standard_positions,
     transpose_transform,
@@ -131,6 +131,31 @@ def realignment_norm(rho: np.ndarray, d: int):
     return trace_norm(_correlation_T(rho, d))
 
 
+def _residue(rho: np.ndarray, d: int) -> np.ndarray:
+    """B-side operators paired with the standard set, residue_u = Tr_A((L_u x I) rho): (..., d^2, d, d).
+
+    Dense form: np.einsum("...mnkl,ukm->...unl", r4, mats).
+    """
+    r4 = blocks(rho, DimPair.square(d))
+    rows, cols, values = standard_entries(d)
+    by_slot = np.swapaxes(r4, -3, -2)  # (..., m, k, n, l)
+    residue = np.zeros(r4.shape[:-4] + (d * d, d, d), dtype=complex)
+    for i in range(2):
+        residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
+    return residue
+
+
+def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """(O ops)_v = sum_w O[v, w] ops_w for (..., n, d, d) operator stacks, batch axes broadcast.
+
+    One real matmul on the float view mixes the real and imaginary parts together.
+    """
+    n, d = ops.shape[-3], ops.shape[-1]
+    flat = ops.reshape(ops.shape[:-3] + (n, d * d)).view(float)
+    mixed = (o @ flat).view(complex)
+    return mixed.reshape(mixed.shape[:-1] + (d, d))
+
+
 def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
@@ -138,8 +163,8 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     rho's batch axes. The result is the Hermitian part (M + M^dagger)/2:
     exactly Hermitian, so is_psd's re-check passes and decomposes it as it is.
 
-    The map is reassociated onto the B-side operators paired with L_u,
-    residue_u = Tr_A((L_u x I) rho):
+    The map is reassociated onto the B-side operators paired with L_u
+    (_residue):
 
         sum_u residue_u x (sum_v O_uv L_v) = sum_v (sum_u O_uv residue_u) x L_v,
 
@@ -151,29 +176,21 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     two nonzero terms, so the operator has the bits of mixing the basis
     instead (loo.apply_orthogonal). A general mixing changes the last bits.
     """
-    r4 = blocks(rho, DimPair.square(d))
+    residue = _residue(rho, d)
     n = d * d
     transform = np.asarray(transform)
     require_mixing_size(transform, n)
     if np.iscomplexobj(transform):
         raise ValueError("transform matrix must be real")
-    state_batch, mixing_batch = r4.shape[:-4], transform.shape[:-2]
+    state_batch, mixing_batch = residue.shape[:-3], transform.shape[:-2]
     try:
         batch = np.broadcast_shapes(state_batch, mixing_batch)
     except ValueError:
         raise ValueError(
             f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
         ) from None
-    rows, cols, values = standard_entries(d)
-    # B-side operators paired with L_u; dense form np.einsum("...mnkl,ukm->...unl", r4, mats)
-    by_slot = np.swapaxes(r4, -3, -2)  # (..., m, k, n, l)
-    residue = np.zeros(state_batch + (n, d, d), dtype=complex)
-    for i in range(2):
-        residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
-    # mixed_v = sum_u O_uv residue_u, the real and imaginary parts as one real matmul
-    flat = residue.reshape(state_batch + (n, n)).view(float)
-    mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex).reshape(batch + (n, d, d))
-    del residue, flat
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue)
+    del residue
     # at most three operator-sized arrays live at once: mixed, the sum and one gathered term
     slots, entries = standard_positions(d)
     n_axis, l_axis = np.arange(d)[:, None, None], np.arange(d)
@@ -258,68 +275,62 @@ def perm_reduction_family(
     return operator, replace(report, criterion="perm_reduction", params={"tol": tol, "l": l, "d": d})
 
 
-def _unitary_mixing(u: np.ndarray, d: int) -> np.ndarray:
-    """R[..., a, b] = Tr(L_b  u L_a u^dagger) for the standard set, for u or a (..., d, d) stack.
+class _XTables(NamedTuple):
+    """What X and its O-gradient need of the state, per unitary of a stack (_x_tables)."""
 
-    The result is the .real view of a complex array (row stride 16 bytes);
-    _x_coefficients relies on that layout, see there.
+    q: np.ndarray  # (..., d^2, d, d): Q_w = u^dagger residue_w u
+    h: np.ndarray  # (..., d): diag(u^dagger rho_B u)
+    entries: np.ndarray  # (..., 2, d^2, d^2): [..., i, a, w] = Q_w at the i-th nonzero entry of L_a
+
+
+def _x_tables(rho: np.ndarray, u: np.ndarray, d: int) -> _XTables:
+    """The tables of X for u or a (..., d, d) stack of unitaries, built once per search.
+
+    Q_w = u^dagger residue_w u is the residue of (I x u^dagger) rho (I x u), and
+    h = diag(sum_{k<d} Q_k) = diag(u^dagger rho_B u): the projector slots sum to I.
+    The entries of Q that the gradient reads are gathered once into a contiguous
+    table; gathered each round, they cost more than the round's products at d = 6.
     """
-    mats = standard_basis(d)
     u = u[..., None, :, :]
-    conj = np.matmul(np.matmul(u, mats), np.swapaxes(u.conj(), -1, -2))
-    return np.einsum("...mij,nji->...mn", conj, mats).real
+    q = dagger(u) @ _residue(rho, d) @ u
+    h = np.diagonal(q[..., :d, :, :].sum(axis=-3), axis1=-2, axis2=-1)
+    rows, cols, _ = standard_entries(d)
+    return _XTables(q, h, np.ascontiguousarray(np.moveaxis(q[..., rows, cols], -3, -1)))
 
 
-def _x_coefficients(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
-    """Standard-set coefficients of X, (..., d^2), from pair correlations s and mixings o, r.
+def _x_stack(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
+    """X[..., m, n] = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n] for each (o, tables) pair of the stacks.
 
-    o and r are one mixing each or (..., d^2, d^2) stacks. s and r must be the
-    .real views that pair_correlation and _unitary_mixing return: numpy's
-    matmul cannot hand 16-byte-strided operands to BLAS and uses its own loop,
-    while a contiguous copy goes to BLAS and changes the last bits. Keeping
-    the views keeps every stack member bit-identical to x_matrix on that
-    member alone.
+    The mixing is one matmul on the residue, as in o_reduction_operator, and
+    the at most two standard observables nonzero at each position (m, n) are
+    gathered from it.
     """
-    n = d * d
-    sym, asym = pair_slots(d)
-    trace_vec = np.zeros(n)
-    trace_vec[:d] = 1.0  # Tr of the projector slots; pair slots are traceless
-    r_t = np.swapaxes(r, -1, -2)
-    g = o @ s @ r_t
-    h = trace_vec @ s @ r_t
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    coeffs = np.empty(g.shape[:-1])
-    coeffs[..., :d] = h[..., :d] - diag[..., :d]
-    coeffs[..., sym] = -inv_sqrt2 * (diag[..., sym] - diag[..., asym])
-    coeffs[..., asym] = -inv_sqrt2 * (g[..., sym, asym] + g[..., asym, sym])
-    return coeffs
+    slots, values = standard_positions(d)
+    terms = _mix(o, tables.q)[..., slots, np.arange(d)[:, None], np.arange(d)] * values  # (..., 2, d, d)
+    x = -(terms[..., 0, :, :] + terms[..., 1, :, :])
+    x[..., range(d), range(d)] += tables.h
+    return x
 
 
-def _x_stack(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
-    """X for each (o, r) pair of the stacks, (..., d, d)."""
-    return np.einsum("...u,uij->...ij", _x_coefficients(s, o, r, d), standard_basis(d))
-
-
-def _x_min_eig(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
-    """Smallest eigenvalue of X for each (o, r) pair of the stacks."""
-    return np.linalg.eigvalsh(_x_stack(s, o, r, d))[..., 0]
+def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
+    """Smallest eigenvalue of X for each (o, tables) pair of the stacks."""
+    return np.linalg.eigvalsh(_x_stack(tables, o, d))[..., 0]
 
 
 def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Hermitian correlation matrix of the O-mixed A set against the u-conjugated B set.
+    """Hermitian correlation matrix X(O, u): the reduction map compressed onto span{|kk>}.
 
-    Component rule, in standard-set coefficients (m < n):
+    With M(rho, O^T) = o_reduction_operator(rho, d, O^T),
 
-        Tr(X P_m)   =  <(I - L^o_m) x L^u_m>
-        Tr(X S_mn)  = -(1/sqrt2) <S^o x S^u - A^o x A^u>
-        Tr(X A_mn)  = -(1/sqrt2) <S^o x A^u + A^o x S^u>
+        X[m, n] = <mm| (I x u^dagger) M(rho, O^T) (I x u) |nn>
+                = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n],
 
-    where P/S/A are the projector, symmetric, and antisymmetric slots. For
-    every separable state the result is positive semidefinite, for all
-    unitary u and orthogonal O. Pairing X with the all-ones vector s gives
-    <s|X|s> = 1 - sum_a <L^o_a x (u L_a^T u^dagger)>; note the B-side
-    transpose in that identity.
+    where Q_w = u^dagger Tr_A((L_w x I) rho) u and h = diag(u^dagger rho_B u).
+    X is positive semidefinite on every separable state, for all unitary u and
+    orthogonal O. The vectors (I x u)|kk> are orthonormal, so by Cauchy
+    interlacing lambda_min(M) <= lambda_min(X): X detects nothing M misses.
+    The all-ones vector s gives <s|X|s> = 1 - sum_a <L^o_a x (u L_a^T u^dagger)>;
+    note the B-side transpose there.
     """
     d = state.dims.square_dim
     u = require_unitary(u)
@@ -328,9 +339,10 @@ def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.
     n = d * d
     if np.shape(transform) != (n, n):
         raise ValueError(f"transform shape {np.shape(transform)} does not match local dim {d}, needs d^2 = {n}")
+    transform = make_transform(transform)  # the float mixing _mix needs
     if not is_orthogonal(transform):
         raise ValueError("correlation matrix requires an orthogonal mixing")
-    return _x_stack(pair_correlation(state), transform, _unitary_mixing(u, d), d)
+    return _x_stack(_x_tables(state.rho, u, d), transform, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,27 +355,21 @@ class XSearchResult:
     report: CriterionReport
 
 
-def _o_gradient(s: np.ndarray, r: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-    """G with v^dagger X(O, r) v = c + <G, O> for every mixing O, for unit vectors v.
+def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
+    """G with v^dagger X(O) v = c + <G, O> for every mixing O, for unit vectors v.
 
-    X is affine in O through g = O S R^T (_x_coefficients). Pairing it with v
-    weights each slot a by w_a = v^dagger L_a v and gives c + <W, g>, where W
-    places the weights as the slot rule of _x_coefficients reads g, so
-    G = W R S^T. v is (..., d), r one mixing or a (..., d^2, d^2) stack; G is
-    (..., d^2, d^2).
+    X is affine in O through O Q (_x_stack), so pairing it with v gives
+
+        G[a, w] = -Re sum_mn conj(v_m) v_n L_a[m, n] Q_w[m, n],
+
+    summed over the at most two nonzero entries of each L_a (tables.entries).
+    v is (..., d); G is (..., d^2, d^2).
     """
-    n = d * d
-    sym, asym = pair_slots(d)
-    w = np.einsum("...i,uij,...j->...u", v.conj(), standard_basis(d), v).real
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    weights = np.zeros(w.shape[:-1] + (n, n))
-    diag = np.arange(d)
-    weights[..., diag, diag] = -w[..., :d]
-    weights[..., sym, sym] = -inv_sqrt2 * w[..., sym]
-    weights[..., asym, asym] = inv_sqrt2 * w[..., sym]
-    weights[..., sym, asym] = -inv_sqrt2 * w[..., asym]
-    weights[..., asym, sym] = -inv_sqrt2 * w[..., asym]
-    return weights @ r @ s.T
+    rows, cols, values = standard_entries(d)
+    weights = values * v[..., rows].conj() * v[..., cols]  # (..., 2, d^2)
+    terms = np.multiply(weights[..., None], tables.entries, order="C").real  # (..., 2, a, w)
+    # summed from +0, so a projector's padded second entry changes no bit, not even a zero's sign
+    return -(0.0 + terms[..., 0, :, :] + terms[..., 1, :, :])
 
 
 def _procrustes(g: np.ndarray) -> np.ndarray:
@@ -372,20 +378,20 @@ def _procrustes(g: np.ndarray) -> np.ndarray:
     return -u @ vh
 
 
-def _o_step(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
-    """One search round: v is the lowest eigenvector of X(o, r), then the O minimising v^dagger X v.
+def _o_step(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
+    """One search round: v is the lowest eigenvector of X(o), then the O minimising v^dagger X v.
 
     The new O cannot raise the smallest eigenvalue: lambda_min(X(O')) <=
     v^dagger X(O') v <= v^dagger X(o) v = lambda_min(X(o)).
     """
-    _, vecs = np.linalg.eigh(_x_stack(s, o, r, d))
-    return _procrustes(_o_gradient(s, r, vecs[..., 0], d))
+    _, vecs = np.linalg.eigh(_x_stack(tables, o, d))
+    return _procrustes(_o_gradient(tables, vecs[..., 0], d))
 
 
 def _require_budget(budget: int) -> None:
-    """Reject a search budget below one restart."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    """Reject a search budget that is not an integer number of restarts, at least one."""
+    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget}")
 
 
 def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,10 +436,10 @@ def x_search(
     d = state.dims.square_dim
     s = pair_correlation(state)
     o, u = _search_starts(s, d, seed, budget)
-    r = _unitary_mixing(u, d)
+    tables = _x_tables(state.rho, u, d)
     for _ in range(SEARCH_ROUNDS):
-        o = _o_step(s, o, r, d)
-    val = _x_min_eig(s, o, r, d)
+        o = _o_step(tables, o, d)
+    val = _x_min_eig(tables, o, d)
     b = int(np.argmin(val))  # the first restart of the minimum
     best_val = float(val[b])
 

@@ -43,17 +43,6 @@ def pair_list(d: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def pair_slots(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric and antisymmetric slots of the pairs in pair_list order, each (d(d-1)/2,)."""
-    pairs = pair_list(d)
-    sym = np.array([sym_slot(d, m, n) for m, n in pairs], dtype=int)
-    asym = np.array([asym_slot(d, m, n) for m, n in pairs], dtype=int)
-    for a in (sym, asym):
-        a.flags.writeable = False
-    return sym, asym
-
-
-@lru_cache(maxsize=None)
 def standard_basis(d: int) -> np.ndarray:
     """The standard complete LOO set for local dimension d, a read-only (d^2, d, d) array."""
     if d < 2:
@@ -226,9 +215,12 @@ def transpose_transform(d: int) -> np.ndarray:
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate a unitary: a finite square matrix with max |u^dagger u - I| within tolerance, as complex."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("unitary has non-finite entries (NaN or inf)")
     defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > ORTHOGONALITY_TOL:
         raise ValueError(f"matrix is not unitary: max |u^dagger u - I| = {defect:.3e}")

@@ -7,7 +7,7 @@ assert that both routes agree.
 
 import numpy as np
 
-from loowit.criteria import SEARCH_ROUNDS, correlation_T, o_reduction_apply, pair_correlation, x_matrix
+from loowit.criteria import SEARCH_ROUNDS, _x_tables, correlation_T, o_reduction_apply, x_matrix
 from loowit.linalg import DimPair, kron, partial_trace
 from loowit.loo import (
     apply_orthogonal,
@@ -200,7 +200,16 @@ def family_matrix_loops(params: FamilyParams) -> np.ndarray:
 
 
 def x_coefficients_loops(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) -> np.ndarray:
-    """Standard-set coefficients of X for one (o, r) pair, slot by slot."""
+    """Standard-set coefficients of X for one (o, r) pair, slot by slot.
+
+    s is pair_correlation and r = unitary_mixing_single(u, d). With g = O S R^T
+    and h = (sum of the projector rows of S) R^T, for each pair (m < n) with
+    symmetric slot p and antisymmetric slot q:
+
+        Tr(X P_m) = h_m - g_mm
+        Tr(X S_mn) = -(g_pp - g_qq) / sqrt2
+        Tr(X A_mn) = -(g_pq + g_qp) / sqrt2
+    """
     trace_vec = np.zeros(d * d)
     trace_vec[:d] = 1.0
     g = o @ s @ r.T
@@ -218,14 +227,19 @@ def x_coefficients_loops(s: np.ndarray, o: np.ndarray, r: np.ndarray, d: int) ->
 
 
 def unitary_mixing_single(u: np.ndarray, d: int) -> np.ndarray:
-    """R[a, b] = Tr(L_b  u L_a u^dagger) for one unitary."""
+    """R[a, b] = Tr(L_b  u L_a u^dagger): the mixing one unitary induces on the standard set."""
     mats = standard_basis(d)
     conj = np.matmul(np.matmul(u, mats), u.conj().T)
     return np.einsum("mij,nji->mn", conj, mats).real
 
 
 def o_gradient_loops(s: np.ndarray, r: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-    """G with v^dagger X(O) v = c + <G, O> for one (r, v), its slot weights placed slot by slot."""
+    """G with v^dagger X(O) v = c + <G, O> for one (r, v), by the adjoint of the slot rule.
+
+    Pairing x_coefficients_loops with v weights slot a by w_a = v^dagger L_a v
+    and gives c + <W, g>, W placing the weights as the slot rule reads g, so
+    G = W R S^T.
+    """
     w = np.einsum("i,uij,j->u", v.conj(), standard_basis(d), v).real
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     weights = np.zeros((d * d, d * d))
@@ -241,13 +255,33 @@ def o_gradient_loops(s: np.ndarray, r: np.ndarray, v: np.ndarray, d: int) -> np.
     return weights @ r @ s.T
 
 
+def o_gradient_entries(q: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """G[a, w] = -Re sum_mn conj(v_m) v_n L_a[m, n] Q_w[m, n] for one (q, v), row a by row.
+
+    Each L_a's nonzero entries are visited in row-major order and summed from
+    +0, as the production kernel sums them. The products go through
+    np.multiply, the ufunc that kernel runs: numpy's scalar operators may round
+    a complex product differently (a fused multiply-add on one side only).
+    """
+    mats = standard_basis(d)
+    g = np.zeros((d * d, d * d))
+    for a, mat in enumerate(mats):
+        total = 0.0
+        for m, k in np.argwhere(mat):
+            weight = np.multiply(np.multiply(mat[m, k], np.conj(v[m])), v[k])
+            total = total + np.multiply(weight, q[:, m, k]).real
+        g[a] = -total
+    return g
+
+
 def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
     """One restart of the correlation search by itself, through x_matrix: its (min_eig, O, u).
 
     Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
     draws O, then u, from default_rng([seed, b]). Each of SEARCH_ROUNDS
     rounds takes the lowest eigenvector v of X(O) and moves O to -U V^T from
-    the SVD of the pairing's gradient, the minimiser of v^dagger X(O) v.
+    the SVD of the pairing's gradient (o_gradient_entries on the residue of
+    the u-conjugated state), the minimiser of v^dagger X(O) v.
     """
     d = state.dims.square_dim
     if restart == 0:
@@ -258,11 +292,10 @@ def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[f
         rng = np.random.default_rng([seed, restart])
         o = random_orthogonal(d * d, rng)
         u = random_unitary(d, rng)
-    s = pair_correlation(state)
-    r = unitary_mixing_single(u, d)
+    q = _x_tables(state.rho, u, d).q
     for _ in range(SEARCH_ROUNDS):
         _, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
-        u_svd, _, vh = np.linalg.svd(o_gradient_loops(s, r, vecs[:, 0], d))
+        u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))
         o = -u_svd @ vh
     return float(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0]), o, u
 

@@ -129,7 +129,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
         assert code == cli.EXIT_ERROR
         assert out == ""
-        assert err == "error: budget must be >= 1, got 0\n"
+        assert err == "error: budget must be an integer >= 1, got 0\n"
 
     def test_missing_input_errors(self, capsys):
         code, _, err = run_cli(capsys, "check")
@@ -414,7 +414,7 @@ class TestGoldenOutput:
     def test_check_json(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "393d304a9944016f504bfacda7dcd2fc08a92fa000aa1b70b7f58ac6e3c23d73"
+        assert digest == "c19926ea90915dbe2514e47b1db1b468b3da4011af67110db93e8a71a7f2fd54"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -459,7 +459,7 @@ class TestGoldenOutput:
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "a38015d39062b408ad8737a4d2ba5e85a1f187c24152519cbe6ae53299c5912f"
+        digest = "ae54c1f2441593e5fb8c4b47817e2153c5421f98ce057570184e45411a3f796a"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

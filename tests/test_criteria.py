@@ -11,9 +11,9 @@ from loowit.criteria import (
     _o_gradient,
     _o_step,
     _search_starts,
-    _unitary_mixing,
     _x_min_eig,
     _x_stack,
+    _x_tables,
     classify_family_point,
     correlation_T,
     full_report,
@@ -350,6 +350,24 @@ class TestXMatrix:
         basis = standard_basis(3)
         assert max_abs(reconstruct(basis, expand(basis, x)) - x) < 1e-12
 
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_interlaces_reduction_map(self, d, seed):
+        # X compresses M(rho, O^T) onto the orthonormal vectors (I x u)|kk>, so by Cauchy
+        # interlacing X's smallest eigenvalue is at least M's
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, d)
+        o = make_transform(random_orthogonal(d * d, rng))
+        u = random_unitary(d, rng)
+        m_min = herm_eigvalues(o_reduction_operator(state.rho, d, o.T))[0]
+        assert m_min <= herm_eigvalues(x_matrix(state, o, u))[0] + 1e-12
+
+    def test_non_finite_unitary_named(self):
+        # max |u^dagger u - I| is NaN for these, and NaN > tol is False
+        with pytest.raises(ValueError, match=r"^unitary has non-finite entries"):
+            x_matrix(max_entangled(3), np.eye(9), np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match=r"^unitary has non-finite entries"):
+            x_matrix(max_entangled(2), np.eye(4), np.diag([1.0, np.inf]))
+
     def test_requires_orthogonal(self, rng):
         state = random_state(rng, 2)
         with pytest.raises(ValueError, match="orthogonal"):
@@ -397,9 +415,9 @@ class TestXSearch:
         u = random_unitary(d, rng)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        s, r = pair_correlation(state), _unitary_mixing(u, d)
-        g = _o_gradient(s, r, v, d)
-        c = float(np.real(v.conj() @ _x_stack(s, np.zeros((d * d, d * d)), r, d) @ v))
+        tables = _x_tables(state.rho, u, d)
+        g = _o_gradient(tables, v, d)
+        c = float(np.real(v.conj() @ _x_stack(tables, np.zeros((d * d, d * d)), d) @ v))
         for _ in range(3):
             o = random_orthogonal(d * d, rng)
             value = float(np.real(v.conj() @ x_matrix(state, make_transform(o), u) @ v))
@@ -411,11 +429,11 @@ class TestXSearch:
         state = random_state(rng, d)
         s = pair_correlation(state)
         o, u = _search_starts(s, d, seed, 4)
-        r = _unitary_mixing(u, d)
-        values = [_x_min_eig(s, o, r, d)]
+        tables = _x_tables(state.rho, u, d)
+        values = [_x_min_eig(tables, o, d)]
         for _ in range(SEARCH_ROUNDS):
-            o = _o_step(s, o, r, d)
-            values.append(_x_min_eig(s, o, r, d))
+            o = _o_step(tables, o, d)
+            values.append(_x_min_eig(tables, o, d))
         assert np.all(np.diff(values, axis=0) <= 1e-12)
         assert x_search(state, 4, seed).min_eig == values[-1].min()
 
@@ -453,9 +471,10 @@ class TestXSearch:
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
             ReportConfig(seed=seed)
 
-    @pytest.mark.parametrize("budget", (0, -3))
+    @pytest.mark.parametrize("budget", (0, -3, 1.5, 2.0, True))
     def test_bad_budget_named(self, budget):
-        message = rf"^budget must be >= 1, got {budget}$"
+        # a float or a bool is no restart count, even with an integer value
+        message = rf"^budget must be an integer >= 1, got {budget}$"
         with pytest.raises(ValueError, match=message):
             x_search(werner2(0.5), budget=budget, seed=0)
         with pytest.raises(ValueError, match=message):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_complex
-from loowit.criteria import _unitary_mixing
 from loowit.linalg import herm_eigvalues, max_abs
 from loowit.loo import (
     ORTHOGONALITY_TOL,
@@ -28,7 +27,7 @@ from loowit.loo import (
 )
 from loowit.witness import perm_ew
 from loowit.states import phi
-from oracles import conjugate_basis, swap_operator
+from oracles import conjugate_basis, swap_operator, unitary_mixing_single
 
 
 class TestStandardBasis:
@@ -189,17 +188,17 @@ class TestTransforms:
         # the cycle by 1 has order d, so its d-th power is the identity mixing exactly
         assert np.array_equal(np.linalg.matrix_power(diag_cycle(3, 1), 3), np.eye(9))
 
-    # the mixing a unitary induces on the standard set is the search's _unitary_mixing
+    # the mixing a unitary induces on the standard set (unitary_mixing_single)
     def test_unitary_transform_orthogonal(self, rng):
         for _ in range(20):
-            r = _unitary_mixing(random_unitary(3, rng), 3)
+            r = unitary_mixing_single(random_unitary(3, rng), 3)
             assert max_abs(r @ r.T - np.eye(9)) < 1e-9
 
     def test_unitary_transform_matches_conjugation(self, rng):
         basis = standard_basis(3)
         for _ in range(5):
             u = random_unitary(3, rng)
-            via_transform = apply_orthogonal(basis, _unitary_mixing(u, 3))
+            via_transform = apply_orthogonal(basis, unitary_mixing_single(u, 3))
             via_conjugation = conjugate_basis(basis, u)
             assert max_abs(via_transform - via_conjugation) < 1e-9
 
@@ -212,7 +211,7 @@ class TestTransforms:
         expected = (-1.0) ** (d * (d - 1) // 2)
         assert abs(np.linalg.det(t) - expected) < 1e-9
         for _ in range(10):
-            assert abs(np.linalg.det(_unitary_mixing(random_unitary(d, rng), d)) - 1.0) < 1e-9
+            assert abs(np.linalg.det(unitary_mixing_single(random_unitary(d, rng), d)) - 1.0) < 1e-9
 
     def test_make_transform_classification(self):
         assert is_orthogonal(make_transform(np.eye(4)))
