@@ -3,7 +3,7 @@
 Subcommands: ``check`` (run all criteria on a state), ``sweep`` (family phase
 diagram to CSV), ``witness`` (build/evaluate a witness), ``loo-validate``
 (observable-set self-checks). Exit codes for check: 0 = no detection,
-2 = entangled, 1 = error.
+2 = entangled, 1 = error, a usage error included.
 """
 
 from __future__ import annotations
@@ -142,8 +142,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         raise ValueError("one of --builtin or --file is required")
     config = criteria.ReportConfig(
-        tol=args.tol,
-        tol_search=args.tol_search,
         budget=args.budget,
         seed=args.seed,
         include_search=not args.no_search,
@@ -155,7 +153,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    result = sweep.run_sweep(d=args.d, resolution=args.grid, epsilon=args.epsilon, tol=args.tol)
+    result = sweep.run_sweep(d=args.d, resolution=args.grid)
     sweep.write_csv(result, args.out)
     for line in sweep.summary_lines(result):
         print(line)
@@ -240,8 +238,16 @@ def cmd_loo_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_ERROR: argparse's exit code 2 means "entangled" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="loowit", description=__doc__)
+    parser = _Parser(prog="loowit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run all separability criteria on a state")
@@ -252,16 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--budget", type=int, default=criteria.SEARCH_BUDGET, help="correlation search restarts"
     )
-    check.add_argument("--tol", type=float, default=criteria.ALGEBRAIC_TOL)
-    check.add_argument("--tol-search", type=float, default=criteria.SEARCH_TOL)
     check.add_argument("--no-search", action="store_true", help="skip the randomized search")
     check.set_defaults(func=cmd_check)
 
     sweep_cmd = sub.add_parser("sweep", help="family phase-diagram sweep to CSV")
     sweep_cmd.add_argument("--d", type=int, default=3)
     sweep_cmd.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
-    sweep_cmd.add_argument("--epsilon", type=float, default=1e-3, help="boundary band width")
-    sweep_cmd.add_argument("--tol", type=float, default=criteria.ALGEBRAIC_TOL)
     sweep_cmd.add_argument("--out", required=True, help="output CSV path")
     sweep_cmd.set_defaults(func=cmd_sweep)
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     DimPair,
     blocks,
     dagger,
@@ -32,7 +33,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     raise_first,
-    require_nonnegative,
     require_seed,
     scalar_or_stack,
     trace_norm,
@@ -53,7 +53,9 @@ from .loo import (
 from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
 from .witness import Witness, expectation
 
-ALGEBRAIC_TOL = 1e-9
+# The criteria's thresholds: numerical allowances on exact inequalities, not parameters.
+# The eigenvalue criteria (PPT, the reduction maps) report the tolerance is_psd applies.
+ALGEBRAIC_TOL = PSD_TOL
 SEARCH_TOL = 1e-6
 # x_search: exact O steps per restart, and the default number of restarts.
 SEARCH_ROUNDS = 10
@@ -91,9 +93,9 @@ def _psd_report(criterion: str, ok: bool, min_eig: float, params: dict) -> Crite
 # and gives the decisive scalars per member (Python scalars for one matrix).
 
 
-def ppt_psd(rho: np.ndarray, dims: DimPair, tol: float = ALGEBRAIC_TOL):
+def ppt_psd(rho: np.ndarray, dims: DimPair):
     """PSD verdicts and minimum eigenvalues of the partial transposes rho^T_B."""
-    return is_psd(partial_transpose(rho, dims, "B"), tol=tol)
+    return is_psd(partial_transpose(rho, dims, "B"))
 
 
 # The contractions below add only the nonzero entries of the standard set
@@ -209,10 +211,10 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     return m
 
 
-def ppt_check(state: BipartiteState, tol: float = ALGEBRAIC_TOL) -> CriterionReport:
+def ppt_check(state: BipartiteState) -> CriterionReport:
     """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
-    ok, min_eig = ppt_psd(state.rho, state.dims, tol)
-    return _psd_report("ppt", ok, min_eig, {"tol": tol})
+    ok, min_eig = ppt_psd(state.rho, state.dims)
+    return _psd_report("ppt", ok, min_eig, {"tol": ALGEBRAIC_TOL})
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
@@ -229,41 +231,29 @@ def correlation_T(state: BipartiteState) -> np.ndarray:
     return _correlation_T(state.rho, state.dims.square_dim)
 
 
-def realignment_value(
-    state: BipartiteState, tol: float = ALGEBRAIC_TOL
-) -> tuple[float, CriterionReport]:
+def realignment_value(state: BipartiteState) -> tuple[float, CriterionReport]:
     """Trace norm of the correlation matrix T; separable states satisfy value <= 1.
 
     It equals the trace norm of the index-realigned density matrix.
     """
     value = realignment_norm(state.rho, state.dims.square_dim)
-    verdict = "pass" if value <= 1.0 + tol else "violated"
-    report = CriterionReport("realignment", verdict, value, {"tol": tol})
+    verdict = "pass" if value <= 1.0 + ALGEBRAIC_TOL else "violated"
+    report = CriterionReport("realignment", verdict, value, {"tol": ALGEBRAIC_TOL})
     return value, report
 
 
-def o_reduction_apply(
-    state: BipartiteState,
-    transform: np.ndarray,
-    tol: float = ALGEBRAIC_TOL,
-    label: str | None = None,
-) -> tuple[np.ndarray, CriterionReport]:
+def o_reduction_apply(state: BipartiteState, transform: np.ndarray) -> tuple[np.ndarray, CriterionReport]:
     """Extend the local map to the composite: I x rho_B minus the A-side-mixed state.
 
     Separable states stay positive semidefinite for every orthogonal mixing;
     a negative eigenvalue certifies entanglement. make_transform checks the mixing.
     """
     operator = o_reduction_operator(state.rho, state.dims.square_dim, make_transform(transform))
-    params: dict = {"tol": tol}
-    if label is not None:
-        params["transform"] = label
-    ok, min_eig = is_psd(operator, tol=tol)
-    return operator, _psd_report("o_reduction", ok, min_eig, params)
+    ok, min_eig = is_psd(operator)
+    return operator, _psd_report("o_reduction", ok, min_eig, {"tol": ALGEBRAIC_TOL})
 
 
-def perm_reduction_family(
-    state: BipartiteState, l: int, tol: float = ALGEBRAIC_TOL
-) -> tuple[np.ndarray, CriterionReport]:
+def perm_reduction_family(state: BipartiteState, l: int) -> tuple[np.ndarray, CriterionReport]:
     """Cyclic-permutation reduction test: the A-side projector slots cycled by l.
 
     On the diagonal family state this shifts the weight at diagonal offset
@@ -271,8 +261,8 @@ def perm_reduction_family(
     constraint is 1 - a_{l+1} >= (d-1) a_1, so l = 1 probes the a_2 weight.
     """
     d = state.dims.square_dim
-    operator, report = o_reduction_apply(state, diag_cycle(d, l), tol=tol)
-    return operator, replace(report, criterion="perm_reduction", params={"tol": tol, "l": l, "d": d})
+    operator, report = o_reduction_apply(state, diag_cycle(d, l))
+    return operator, replace(report, criterion="perm_reduction", params={"tol": ALGEBRAIC_TOL, "l": l, "d": d})
 
 
 class _XTables(NamedTuple):
@@ -415,12 +405,7 @@ def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
     return o, u
 
 
-def x_search(
-    state: BipartiteState,
-    budget: int,
-    seed: int,
-    tol: float = SEARCH_TOL,
-) -> XSearchResult:
+def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
@@ -428,7 +413,7 @@ def x_search(
     eigenvalue never rises. Restart 0 starts at the realignment optimum and
     ends at or below (1 - ||T||_tr) / d, so every realignment detection is a
     search detection; the others start from seeded random pairs. The
-    verdict is "violated" only below -tol; a failed search is
+    verdict is "violated" only below -SEARCH_TOL; a failed search is
     "inconclusive", never a separability certificate.
     """
     _require_budget(budget)
@@ -443,9 +428,9 @@ def x_search(
     b = int(np.argmin(val))  # the first restart of the minimum
     best_val = float(val[b])
 
-    verdict = "violated" if best_val < -tol else "inconclusive"
+    verdict = "violated" if best_val < -SEARCH_TOL else "inconclusive"
     report = CriterionReport(
-        "x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": tol}
+        "x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": SEARCH_TOL}
     )
     return XSearchResult(unitary=u[b], transform=o[b], min_eig=best_val, report=report)
 
@@ -466,18 +451,14 @@ def classify_family_point(d: int, a1, a2):
 
 @dataclass(frozen=True, eq=False)
 class ReportConfig:
-    """Settings for full_report: tolerances, search budget and seed, witnesses."""
+    """Settings for full_report: search budget and seed, witnesses. The tolerances are constants."""
 
-    tol: float = ALGEBRAIC_TOL
-    tol_search: float = SEARCH_TOL
     budget: int = SEARCH_BUDGET
     seed: int = 0
     include_search: bool = True
     witnesses: tuple[Witness, ...] = ()
 
     def __post_init__(self) -> None:
-        require_nonnegative("tol", self.tol)
-        require_nonnegative("tol_search", self.tol_search)
         require_seed(self.seed)
         _require_budget(self.budget)
 
@@ -506,27 +487,27 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
     each configured witness, then the randomized correlation search).
     Non-square states only support the partial transpose.
     """
-    reports: list[CriterionReport] = [ppt_check(state, tol=config.tol)]
+    reports: list[CriterionReport] = [ppt_check(state)]
     if state.dims.d_a == state.dims.d_b:
         d = state.dims.d_a
-        _, realignment_report = realignment_value(state, tol=config.tol)
+        _, realignment_report = realignment_value(state)
         reports.append(realignment_report)
         tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
         mixings = np.concatenate([[np.eye(d * d), transpose_transform(d)], cycle_mixings(d)])
-        ok, min_eig = is_psd(o_reduction_operator(state.rho, d, mixings), tol=config.tol)
+        ok, min_eig = is_psd(o_reduction_operator(state.rho, d, mixings))
         reports += [
-            _psd_report("o_reduction", member_ok, member_min, {"tol": config.tol, "transform": tag})
+            _psd_report("o_reduction", member_ok, member_min, {"tol": ALGEBRAIC_TOL, "transform": tag})
             for tag, member_ok, member_min in zip(tags, ok.tolist(), min_eig.tolist())
         ]
         for witness in config.witnesses:
             value = expectation(witness, state)
             scale = max(1.0, max_abs(witness.matrix))
-            verdict = "pass" if value >= -config.tol * scale else "violated"
+            verdict = "pass" if value >= -ALGEBRAIC_TOL * scale else "violated"
             reports.append(
                 CriterionReport("witness", verdict, value, {"witness": witness.provenance})
             )
         if config.include_search:
-            result = x_search(state, budget=config.budget, seed=config.seed, tol=config.tol_search)
+            result = x_search(state, budget=config.budget, seed=config.seed)
             reports.append(result.report)
     entangled = any(r.verdict == "violated" for r in reports)
     return FullReport(state_label=state.label, reports=tuple(reports), entangled=entangled)

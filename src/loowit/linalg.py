@@ -14,7 +14,6 @@ about one member of a stack names that member's index.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -64,15 +63,9 @@ def raise_first(bad: np.ndarray, name: str, describe: Callable[[tuple[int, ...]]
     raise ValueError(f"{who} {describe(index)}")
 
 
-def require_nonnegative(name: str, value: float) -> None:
-    """Reject a NaN, infinite or negative tolerance (or band width), naming it."""
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
 def require_seed(seed: int) -> None:
-    """Reject a seed numpy's generators cannot take: a negative or non-integer value."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    """Reject a seed numpy's generators cannot take: a negative or non-integer value, or a bool."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
@@ -207,15 +200,15 @@ def trace_norm(m: np.ndarray):
     return scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
-def is_psd(h: np.ndarray, tol: float = PSD_TOL):
+def is_psd(h: np.ndarray):
     """PSD verdict with the decisive minimum eigenvalue, per matrix of a stack.
 
-    True iff min eigenvalue >= -tol * max(1, |h|_max). The eigenvalue is always
+    True iff min eigenvalue >= -PSD_TOL * max(1, |h|_max). The eigenvalue is always
     returned so callers can report it. One matrix gives (bool, float); a stack
     gives a boolean array and a float array. Input is checked and decomposed
     as by herm_eigvalues, and |h|_max is the scale that check computed.
     """
     eigenvalues, scale = _checked_spectrum(h)
     min_eig = eigenvalues[..., 0]
-    ok = min_eig >= -tol * np.maximum(1.0, scale)
+    ok = min_eig >= -PSD_TOL * np.maximum(1.0, scale)
     return scalar_or_stack(ok), scalar_or_stack(min_eig)

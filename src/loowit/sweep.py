@@ -3,7 +3,7 @@
 Each grid point (a1, a2) gets an analytic region label and a numeric one
 derived solely from eigensolves: the partial-transpose minimum eigenvalue and
 the best (most negative) cyclic-permutation reduction eigenvalue. Points
-within an epsilon band of either analytic boundary are flagged and excluded
+within the EPSILON band of either analytic boundary are flagged and excluded
 from the agreement statistic. The CSV schema is versioned; figure scripts
 depend on it.
 
@@ -20,12 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import classify_family_point, o_reduction_operator, ppt_psd, realignment_norm
-from .linalg import DimPair, is_psd, require_nonnegative
+from .criteria import ALGEBRAIC_TOL, classify_family_point, o_reduction_operator, ppt_psd, realignment_norm
+from .linalg import DimPair, is_psd
 from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
 BLOCK_OPERATORS = 512
+# Half-width of the band around the analytic boundaries, in the weights a1, a2, a_d.
+EPSILON = 1e-3
 
 CSV_HEADER = "# loowit sweep v1"
 CSV_COLUMNS = (
@@ -38,7 +40,6 @@ COLUMN_NAMES = tuple(CSV_COLUMNS.split(","))
 class SweepResult:
     d: int
     resolution: int
-    epsilon: float
     columns: dict[str, np.ndarray]  # one array per CSV column, rows in grid order
     n_compared: int
     n_agree: int
@@ -51,28 +52,26 @@ class SweepResult:
         return 1.0 if self.n_compared == 0 else self.n_agree / self.n_compared
 
 
-def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray, epsilon: float) -> np.ndarray:
+def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray) -> np.ndarray:
     return (
-        (np.abs(a2 - a1) <= epsilon)
-        | (np.abs(a_d - a1) <= epsilon)
-        | (np.abs(a2 * a_d - a1 * a1) <= epsilon)
+        (np.abs(a2 - a1) <= EPSILON)
+        | (np.abs(a_d - a1) <= EPSILON)
+        | (np.abs(a2 * a_d - a1 * a1) <= EPSILON)
     )
 
 
-def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray, epsilon: float, tol: float) -> dict:
+def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
     """Columns of the points (a1[i], a2[i]) that lie in the parameter simplex, in input order."""
-    require_nonnegative("tol", tol)
-    require_nonnegative("epsilon", epsilon)
     weights, valid = special_slice(d, a1, a2)
     a1, a2, weights = a1[valid], a2[valid], weights[valid]
     a_d = weights[:, d - 1]
     rho = family_stack(weights)
 
-    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d), tol)
+    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d))
     # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
-    cycle_min = is_psd(o_reduction_operator(rho[:, None], d, cycle_mixings(d)), tol=tol)[1]
+    cycle_min = is_psd(o_reduction_operator(rho[:, None], d, cycle_mixings(d)))[1]
     oreduction_min = cycle_min.min(axis=-1)
-    numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -tol, "bound", "separable"))
+    numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -ALGEBRAIC_TOL, "bound", "separable"))
     values = (
         a1,
         a2,
@@ -82,24 +81,22 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray, epsilon: float, tol:
         oreduction_min,
         realignment_norm(rho, d),
         numeric,
-        _near_boundary(a1, a2, a_d, epsilon),
+        _near_boundary(a1, a2, a_d),
     )
     return dict(zip(COLUMN_NAMES, values))
 
 
-def evaluate_point(d: int, a1: float, a2: float, epsilon: float, tol: float) -> dict | None:
+def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
     """One sweep row as {column: value}, or None when the point leaves the parameter simplex."""
-    columns = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float), epsilon, tol)
+    columns = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float))
     return {name: column.tolist()[0] for name, column in columns.items()} if len(columns["a1"]) else None
 
 
-def run_sweep(
-    d: int,
-    resolution: int,
-    epsilon: float = 1e-3,
-    tol: float = 1e-9,
-) -> SweepResult:
-    """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order."""
+def run_sweep(d: int, resolution: int) -> SweepResult:
+    """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order.
+
+    Points within EPSILON of an analytic boundary are flagged; the criteria use ALGEBRAIC_TOL.
+    """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
     grid = np.linspace(0.0, 1.0, resolution)
@@ -107,7 +104,7 @@ def run_sweep(
     a2_all = np.tile(grid, resolution)
     size = BLOCK_OPERATORS // max(d - 1, 1)  # the first block rejects d < 2
     blocks = [
-        _evaluate_block(d, a1_all[start:start + size], a2_all[start:start + size], epsilon, tol)
+        _evaluate_block(d, a1_all[start:start + size], a2_all[start:start + size])
         for start in range(0, a1_all.size, size)
     ]
     columns = {name: np.concatenate([block[name] for block in blocks]) for name in COLUMN_NAMES}
@@ -117,12 +114,11 @@ def run_sweep(
     return SweepResult(
         d=d,
         resolution=resolution,
-        epsilon=epsilon,
         columns=columns,
         n_compared=int(compared.sum()),
         n_agree=int((compared & (columns["analytic_region"] == columns["numeric_region"])).sum()),
         n_bound=int(bound.sum()),
-        n_bound_realignment_blind=int((bound & (columns["realignment"] <= 1.0 + tol)).sum()),
+        n_bound_realignment_blind=int((bound & (columns["realignment"] <= 1.0 + ALGEBRAIC_TOL)).sum()),
     )
 
 
@@ -142,7 +138,7 @@ def write_csv(result: SweepResult, path: str | Path) -> None:
 def summary_lines(result: SweepResult) -> list[str]:
     return [
         f"grid {result.resolution}x{result.resolution} (d={result.d}), "
-        f"{len(result.columns['a1'])} valid points, boundary band epsilon={result.epsilon:g}",
+        f"{len(result.columns['a1'])} valid points, boundary band epsilon={EPSILON:g}",
         f"analytic vs numeric agreement off-boundary: {100.0 * result.agreement:.2f}% "
         f"({result.n_agree}/{result.n_compared})",
         f"bound-entangled points detected: {result.n_bound} "

@@ -26,7 +26,6 @@ from .linalg import DimPair, is_psd, max_abs
 from .loo import asym_slot, is_orthogonal, make_transform, sym_slot
 from .states import BipartiteState, horodecki_rho, phi, save_matrix
 
-WITNESS_EIG_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-9
 
 
@@ -34,10 +33,10 @@ EXPECTATION_IMAG_TOL = 1e-9
 class Witness:
     """Hermitian operator on the composite space plus construction metadata.
 
-    ``candidate_only`` is False only when a negative eigenvalue is certified
-    (by eigensolve, or for permutation witnesses by the fixed-point rule), in
-    which case the operator is a genuine witness. ``phi_value`` carries the
-    maximally-entangled-vector expectation for permutation constructions.
+    ``candidate_only`` is False only when the eigensolve finds a negative
+    eigenvalue, in which case the operator is a genuine witness. ``phi_value``
+    carries the maximally-entangled-vector expectation for permutation
+    constructions.
     """
 
     dims: DimPair
@@ -50,7 +49,7 @@ class Witness:
 
 def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
     """The candidate, confirmed as a witness when the eigensolve finds a negative eigenvalue."""
-    ok, min_eig = is_psd(matrix, tol=WITNESS_EIG_TOL)
+    ok, min_eig = is_psd(matrix)
     return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig)
 
 
@@ -74,8 +73,8 @@ def perm_ew(o: np.ndarray, d: int) -> Witness:
 
     o must be a d^2 x d^2 orthogonal 0/1 matrix, which is exactly a permutation
     matrix; Tr(o) counts its fixed slots. The expectation in the unnormalized
-    maximally entangled vector is d - Tr(o); with at least d+1 fixed slots that
-    value is negative, which certifies a negative eigenvalue without an eigensolve.
+    maximally entangled vector is d - Tr(o), reported as ``phi_value``; with at
+    least d+1 fixed slots it is negative, so the eigensolve confirms the witness.
     """
     o = np.asarray(o)
     if o.shape != (d * d, d * d):
@@ -84,9 +83,7 @@ def perm_ew(o: np.ndarray, d: int) -> Witness:
         raise ValueError("mixing is not a permutation matrix: need 0/1 entries, one 1 per row and column")
     witness = ew_from_transform(o, d)
     f = int(np.trace(o).real)
-    return replace(
-        witness, provenance=f"permutation(fixed_points={f})", candidate_only=f < d + 1, phi_value=float(d - f)
-    )
+    return replace(witness, provenance=f"permutation(fixed_points={f})", phi_value=float(d - f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,19 +105,17 @@ def test_criterion_3_witness_soundness_on_product_states():
 
 def test_criterion_4_permutation_map_detection():
     bound = family_rho(family_special(3, 0.25, 0.65))
-    ppt_bound = ppt_check(bound, tol=1e-9)
-    _, perm_bound = perm_reduction_family(bound, 1, tol=1e-9)
+    ppt_bound = ppt_check(bound)
+    _, perm_bound = perm_reduction_family(bound, 1)
     ok_bound = ppt_bound.verdict == "pass" and perm_bound.verdict == "violated"
 
     clean = family_rho(family_special(3, 0.2, 0.5))
-    ppt_clean = ppt_check(clean, tol=1e-9)
-    perm_clean_ok = all(
-        perm_reduction_family(clean, l, tol=1e-9)[1].verdict == "pass" for l in (1, 2)
-    )
+    ppt_clean = ppt_check(clean)
+    perm_clean_ok = all(perm_reduction_family(clean, l)[1].verdict == "pass" for l in (1, 2))
     ok_clean = ppt_clean.verdict == "pass" and perm_clean_ok
 
     free = family_special(3, 0.3, 0.65)
-    ok_free = ppt_check(family_rho(free), tol=1e-9).verdict == "violated"
+    ok_free = ppt_check(family_rho(free)).verdict == "violated"
     check(
         4,
         "family verdicts: (0.25,0.65) bound-detected, (0.2,0.5) clean, (0.3,0.65) PPT-violating",
@@ -128,7 +126,7 @@ def test_criterion_4_permutation_map_detection():
 
 def test_criterion_5_phase_diagram_reproduction():
     start = time.perf_counter()
-    result = run_sweep(d=3, resolution=100, epsilon=1e-3, tol=1e-9)
+    result = run_sweep(d=3, resolution=100)
     elapsed = time.perf_counter() - start
     check(
         5,

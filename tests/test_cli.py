@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
 from oracles import n_sq_closed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -215,7 +221,7 @@ class TestSweepCommand:
     def test_small_grid(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
-            capsys, "sweep", "--d", "3", "--grid", "21", "--epsilon", "1e-3", "--out", str(out_path)
+            capsys, "sweep", "--d", "3", "--grid", "21", "--out", str(out_path)
         )
         assert code == cli.EXIT_OK
         assert "agreement off-boundary: 100.00%" in out
@@ -245,25 +251,48 @@ class TestSweepCommand:
         assert f"error: local dimension must be >= 2, got {d}" in err
 
 
-class TestTolerances:
-    """A NaN or negative tolerance must not flip verdicts: it is rejected by name."""
+class TestUsageErrors:
+    """A usage error exits EXIT_ERROR with argparse's message: exit 2 would read as "entangled"."""
 
-    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--tol-search", "tol_search")])
-    @pytest.mark.parametrize("value", ("nan", "-1", "inf"))
-    def test_check_rejects(self, capsys, flag, name, value):
-        code, out, err = run_cli(capsys, "check", "--builtin", "product:d=3", flag, value, "--no-search")
-        assert code == cli.EXIT_ERROR
-        assert out == ""
-        assert err.startswith(f"error: {name} must be a finite number >= 0")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--bogus",), "unrecognized arguments: --bogus"),
+            (("--budget", "x"), "argument --budget: invalid int value: 'x'"),
+            (("--tol", "1e-3"), "unrecognized arguments: --tol 1e-3"),
+        ],
+        ids=("unknown-flag", "bad-budget", "removed-tol"),
+    )
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--builtin", "product:d=3", "--no-search", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: loowit")
+        assert captured.err.endswith(f"error: {message}\n")
 
-    @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--epsilon", "epsilon")])
-    @pytest.mark.parametrize("value", ("nan", "-1"))
-    def test_sweep_rejects(self, capsys, tmp_path, flag, name, value):
-        path = tmp_path / "x.csv"
-        code, _, err = run_cli(capsys, "sweep", "--d", "3", "--grid", "10", flag, value, "--out", str(path))
-        assert code == cli.EXIT_ERROR
-        assert err.startswith(f"error: {name} must be a finite number >= 0")
-        assert not path.exists()
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(("check", "--builtin", "phi:d=3"), "--tol"), (("sweep", "--out", "x.csv"), "--epsilon")],
+        ids=("check-tol", "sweep-epsilon"),
+    )
+    def test_removed_flag_exits_one_as_a_process(self, tmp_path, command, flag):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "loowit.cli", *command, flag, "1e-3"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == cli.EXIT_ERROR
+        assert proc.stdout == ""
+        assert f"unrecognized arguments: {flag} 1e-3" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--help"])
+        assert exc.value.code == 0
+        assert "--budget" in capsys.readouterr().out
 
 
 class TestSeeds:

@@ -7,6 +7,7 @@ from loowit.criteria import (
     ALGEBRAIC_TOL,
     SEARCH_BUDGET,
     SEARCH_ROUNDS,
+    SEARCH_TOL,
     ReportConfig,
     _o_gradient,
     _o_step,
@@ -464,8 +465,9 @@ class TestXSearch:
         for budget in (1, SEARCH_BUDGET):
             assert x_search(state, budget, seed=0).report.verdict == "violated"
 
-    @pytest.mark.parametrize("seed", (-1, 1.5))
+    @pytest.mark.parametrize("seed", (-1, 1.5, True, False))
     def test_bad_seed_named(self, seed):
+        # a bool is no seed, although bool is an Integral
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
             x_search(werner2(0.5), budget=1, seed=seed)
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
@@ -482,7 +484,7 @@ class TestXSearch:
 
 
 class TestSoundness:
-    """On separable samples no criterion reports "violated" and the search stays above -tol_search."""
+    """On separable samples no criterion reports "violated" and the search stays above -SEARCH_TOL."""
 
     @given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.sampled_from(("pure", "mixed")), st.integers(0, 6))
     def test_separable_samples_never_violated(self, d, seed, mode, k):
@@ -496,7 +498,7 @@ class TestSoundness:
         assert [r.criterion for r in report.reports if r.verdict == "violated"] == []
         search = report.reports[-1]
         assert search.criterion == "x_search"
-        assert search.scalar >= -config.tol_search
+        assert search.scalar >= -SEARCH_TOL
 
 
 class TestLocalUnitaryInvariance:

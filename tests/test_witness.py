@@ -117,10 +117,21 @@ class TestPermWitness:
         assert not w.candidate_only
         assert w.min_eig < -1e-9  # eigensolve confirms the fixed-point certificate
 
-    def test_fixed_point_free_swap_stays_candidate(self):
-        w = perm_ew(np.eye(4)[[1, 0, 3, 2]], 2)
-        assert w.phi_value == 2.0
-        assert w.candidate_only
+    @pytest.mark.parametrize(
+        "o, d, min_eig",
+        [(np.eye(4)[[1, 0, 3, 2]], 2, -1.0), (np.eye(9)[np.roll(np.arange(9), 1)], 3, (1.0 - np.sqrt(5.0)) / 2.0)],
+        ids=("swap-d2", "roll-d3"),
+    )
+    def test_fixed_point_free_permutation_is_confirmed_by_eigensolve(self, o, d, min_eig):
+        # phi_value >= 0 certifies nothing, yet the eigensolve finds a negative eigenvalue:
+        # the eigensolve alone decides, and the operator is sound on product states
+        w = perm_ew(o, d)
+        assert w.phi_value == d - np.trace(o) >= 0
+        assert abs(w.min_eig - min_eig) < 1e-12
+        assert w.candidate_only == (w.min_eig >= -1e-9 * max(1.0, max_abs(w.matrix)))
+        assert not w.candidate_only
+        rhos = np.stack([random_product_state(DimPair.square(d), seed=s).rho for s in range(500)])
+        assert np.einsum("bij,ji->b", rhos, w.matrix).real.min() >= -1e-9
 
     def test_enough_fixed_points_always_confirms(self, rng):
         # any permutation with >= d+1 fixed slots certifies a negative eigenvalue
@@ -144,7 +155,9 @@ class TestPermWitness:
         v = phi(d)
         assert w.phi_value == d - np.trace(o)
         assert abs(w.phi_value - (v.conj() @ w.matrix @ v).real) < 1e-12
-        assert w.candidate_only == (w.phi_value >= 0)
+        assert w.candidate_only == (w.min_eig >= -1e-9 * max(1.0, max_abs(w.matrix)))
+        if np.trace(o) >= d + 1:  # the fixed-point rule: phi_value < 0 implies a confirmed witness
+            assert not w.candidate_only
 
     @pytest.mark.parametrize(
         "o",
