@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``check`` (run all criteria on a state), ``sweep`` (family phase
-diagram to CSV), ``witness`` (build/evaluate a witness), ``loo-validate``
-(observable-set self-checks). Exit codes for check: 0 = no detection,
-2 = entangled, 1 = error, a usage error included.
+diagram to CSV) and ``witness`` (build/evaluate a witness). Exit codes for
+check: 0 = no detection, 2 = entangled, 1 = error, a usage error included.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, loo, states, sweep, witness as witness_mod
-from .linalg import DimPair, max_abs
+from .linalg import DimPair
 from .states import BipartiteState
 
 EXIT_OK = 0
@@ -211,33 +210,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_loo_validate(args: argparse.Namespace) -> int:
-    d = args.d
-    if not 2 <= d <= 16:
-        raise ValueError(f"local dimension must be in 2..16, got {d}")
-    basis = loo.standard_basis(d)
-    deviations = loo.validate_basis(basis)
-    v = states.phi(d)
-    phi_dev = max_abs(loo.pair_sum(basis, loo.transpose_basis(basis)) - np.outer(v, v.conj()))
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            swap[m * d + n, n * d + m] = 1.0
-    swap_dev = max_abs(loo.pair_sum(basis, basis) - swap)
-    print(f"standard observable set, d={d} ({d * d} observables)")
-    print(f"  gram deviation:          {deviations['gram']:.3e}")
-    print(f"  hermiticity deviation:   {deviations['hermiticity']:.3e}")
-    print(f"  completeness deviation:  {deviations['completeness']:.3e}")
-    print(f"  pair-sum vs |Phi><Phi|:  {phi_dev:.3e}")
-    print(f"  pair-sum vs SWAP:        {swap_dev:.3e}")
-    if d <= 3:
-        for idx, mat in enumerate(basis):
-            print(f"  observable {idx}:")
-            for row in mat:
-                print("    " + "  ".join(f"{z.real:+.8f}{z.imag:+.8f}j" for z in row))
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit EXIT_ERROR: argparse's exit code 2 means "entangled" here."""
 
@@ -274,10 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--out", help="write the witness matrix JSON here")
     wit.add_argument("--json", action="store_true")
     wit.set_defaults(func=cmd_witness)
-
-    validate = sub.add_parser("loo-validate", help="observable-set self checks")
-    validate.add_argument("--d", type=int, required=True)
-    validate.set_defaults(func=cmd_loo_validate)
     return parser
 
 

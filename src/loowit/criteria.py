@@ -27,7 +27,6 @@ from .linalg import (
     blocks,
     dagger,
     is_psd,
-    kron,
     max_abs,
     member_max_abs,
     partial_trace,
@@ -203,7 +202,7 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
         m += term
         del term
     m = m.reshape(batch + (n, n))
-    np.subtract(kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")), m, out=m)
+    np.subtract(np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")), m, out=m)
     # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
     # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
     np.add(m, dagger(m), out=m)
@@ -442,6 +441,10 @@ def classify_family_point(d: int, a1, a2):
     a_d >= a1; PPT iff a2 * a_d >= a1^2. Bound means PPT but not separable;
     free means the partial transpose is negative. Returns "invalid" when the
     weights leave the simplex. Scalar (a1, a2) give a str, arrays an array of str.
+
+    The labels are exact on the slice only. Off it, at d >= 4, a_i >= a_1 is
+    merely sufficient for separability, so a PPT point that fails it need not
+    be bound entangled.
     """
     a, valid = special_slice(d, a1, a2)
     region = np.where(family_ppt_sufficient(a), "bound", "free")

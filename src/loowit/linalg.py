@@ -96,11 +96,6 @@ class DimPair:
         return DimPair(d, d)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; (a kron b)[m*db + k, n*db + l] = a[m, n] * b[k, l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def blocks(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """View a (..., n, n) stack as (..., d_A, d_B, d_A, d_B) tensors; a wrong size is named."""
     rho = np.asarray(rho, dtype=complex)

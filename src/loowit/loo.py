@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import max_abs
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -100,51 +100,6 @@ def standard_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
     return slots, values
 
 
-def gram_matrix(basis: np.ndarray) -> np.ndarray:
-    """Pairwise Hilbert-Schmidt inner products Tr(L_u L_v)."""
-    flat = basis.reshape(len(basis), -1)
-    return (flat @ flat.conj().T).real
-
-
-def pair_sum(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
-    """sum_u kron(mats_a[u], mats_b[u]) over two equally long stacks.
-
-    For the standard set this gives |Phi><Phi| when the B stack is transposed
-    entrywise and the SWAP operator when it is not.
-    """
-    d = mats_a.shape[1]
-    out = np.einsum("uab,ucd->acbd", mats_a, mats_b)
-    return out.reshape(d * d, d * d)
-
-
-def expand(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients Tr(x L_u) of x in the basis."""
-    return np.einsum("ij,uji->u", np.asarray(x, dtype=complex), basis)
-
-
-def reconstruct(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Sum_u coeffs[u] L_u."""
-    return np.einsum("u,uij->ij", np.asarray(coeffs), basis)
-
-
-def validate_basis(basis: np.ndarray) -> dict[str, float]:
-    """Max deviations of the defining properties; all should be ~1e-13 for exact bases.
-
-    Returns {"gram": ..., "hermiticity": ..., "completeness": ...}. The
-    completeness figure is the worst reconstruction error over five seeded
-    random matrices.
-    """
-    rng = np.random.default_rng(0)
-    d = basis.shape[1]
-    gram_dev = max_abs(gram_matrix(basis) - np.eye(len(basis)))
-    herm_dev = max_abs(basis - dagger(basis))
-    comp_dev = 0.0
-    for _ in range(5):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        comp_dev = max(comp_dev, max_abs(reconstruct(basis, expand(basis, x)) - x))
-    return {"gram": gram_dev, "hermiticity": herm_dev, "completeness": comp_dev}
-
-
 # A mixing is a real (n, n) float array O: orthogonal (O O^T = I) or a
 # contraction (O O^T <= I). Contractions still give sound witness candidates,
 # but the mixed observable set loses orthonormality.
@@ -162,7 +117,7 @@ def make_transform(matrix: np.ndarray) -> np.ndarray:
     """Validate a mixing: a real square matrix that is orthogonal or a contraction, as a float array.
 
     Raises ValueError naming the offending eigenvalue when O O^T exceeds the
-    identity beyond tolerance.
+    identity beyond tolerance, and max |O_ij| too when an entry exceeds 1.
     """
     matrix = np.asarray(matrix)
     if not np.isfinite(matrix).all():
@@ -174,12 +129,18 @@ def make_transform(matrix: np.ndarray) -> np.ndarray:
     matrix = matrix.astype(float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
-    if not is_orthogonal(matrix):
-        g = matrix @ matrix.T
-        top = float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
-        if top > 1.0 + ORTHOGONALITY_TOL:
+    # Every entry of a contraction is at most 1 in magnitude. Past that bound
+    # O O^T can overflow, so its top eigenvalue is read off O / max |O_ij|.
+    peak = max_abs(matrix)
+    too_large = peak > 1.0 + ORTHOGONALITY_TOL
+    if too_large or not is_orthogonal(matrix):
+        scale = peak if too_large else 1.0
+        g = (matrix / scale) @ (matrix / scale).T
+        top = scale * scale * float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
+        if too_large or top > 1.0 + ORTHOGONALITY_TOL:
+            entry = f"max |O_ij| is {peak:.9g}, " if too_large else ""
             raise ValueError(
-                f"transform is neither orthogonal nor a contraction: max eigenvalue of O O^T is {top:.9g}"
+                f"transform is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top:.9g}"
             )
     return matrix
 
@@ -237,15 +198,6 @@ def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Mix the set, out_u = sum_v O[u, v] L_v, by O or each O of a (..., n, n) stack; contractions too."""
     require_mixing_size(o, len(basis))
     return np.einsum("...uv,vij->...uij", o, basis)
-
-
-def transpose_basis(basis: np.ndarray) -> np.ndarray:
-    """Entrywise transpose of every observable.
-
-    On the standard ordering this fixes projector and symmetric slots and
-    negates the antisymmetric ones; applied twice it is the identity.
-    """
-    return basis.transpose(0, 2, 1).copy()
 
 
 def _generators(

@@ -16,7 +16,6 @@ from .linalg import (
     DimPair,
     check_hermitian,
     hermitian_spectrum,
-    kron,
     raise_first,
     require_seed,
     scalar_or_stack,
@@ -256,7 +255,7 @@ def _random_factor(rng: np.random.Generator, d: int, mode: str) -> np.ndarray:
 
 
 def _product_from_rng(rng: np.random.Generator, dims: DimPair, mode: str) -> np.ndarray:
-    return kron(_random_factor(rng, dims.d_a, mode), _random_factor(rng, dims.d_b, mode))
+    return np.kron(_random_factor(rng, dims.d_a, mode), _random_factor(rng, dims.d_b, mode))
 
 
 def random_product_state(dims: DimPair, seed: int, mode: str = "pure") -> BipartiteState:

@@ -1,29 +1,82 @@
 """Second routes to library quantities, kept only as test oracles.
 
 Each function computes, by a different construction, something the library
-computes in production (or an identity between library quantities). The tests
-assert that both routes agree.
+computes in production (or an identity between library quantities), or checks
+a defining property of the standard observable set. The tests assert that
+both routes agree.
 """
 
 import numpy as np
 
 from loowit.criteria import SEARCH_ROUNDS, _x_tables, correlation_T, o_reduction_apply, x_matrix
-from loowit.linalg import DimPair, kron, partial_trace
+from loowit.linalg import DimPair, dagger, max_abs, partial_trace
 from loowit.loo import (
     apply_orthogonal,
     asym_slot,
     make_transform,
     pair_list,
-    pair_sum,
     random_orthogonal,
     random_unitary,
     require_unitary,
     standard_basis,
     sym_slot,
-    transpose_basis,
 )
 from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, phi
 from loowit.witness import horodecki_mixings
+
+
+def gram_matrix(basis: np.ndarray) -> np.ndarray:
+    """Pairwise Hilbert-Schmidt inner products Tr(L_u L_v)."""
+    flat = basis.reshape(len(basis), -1)
+    return (flat @ flat.conj().T).real
+
+
+def pair_sum(mats_a: np.ndarray, mats_b: np.ndarray) -> np.ndarray:
+    """sum_u kron(mats_a[u], mats_b[u]) over two equally long stacks.
+
+    For the standard set this gives |Phi><Phi| when the B stack is transposed
+    entrywise and the SWAP operator when it is not.
+    """
+    d = mats_a.shape[1]
+    out = np.einsum("uab,ucd->acbd", mats_a, mats_b)
+    return out.reshape(d * d, d * d)
+
+
+def expand(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficients Tr(x L_u) of x in the basis."""
+    return np.einsum("ij,uji->u", np.asarray(x, dtype=complex), basis)
+
+
+def reconstruct(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sum_u coeffs[u] L_u."""
+    return np.einsum("u,uij->ij", np.asarray(coeffs), basis)
+
+
+def transpose_basis(basis: np.ndarray) -> np.ndarray:
+    """Entrywise transpose of every observable.
+
+    On the standard ordering this fixes projector and symmetric slots and
+    negates the antisymmetric ones; applied twice it is the identity.
+    """
+    return basis.transpose(0, 2, 1).copy()
+
+
+def validate_basis(basis: np.ndarray) -> dict[str, float]:
+    """Max deviations of the defining properties; all should be ~1e-13 for exact bases.
+
+    Returns {"gram": ..., "hermiticity": ..., "completeness": ...}. The
+    completeness figure is the worst reconstruction error over five seeded
+    random matrices.
+    """
+    rng = np.random.default_rng(0)
+    d = basis.shape[1]
+    gram_dev = max_abs(gram_matrix(basis) - np.eye(len(basis)))
+    herm_dev = max_abs(basis - dagger(basis))
+    comp_dev = 0.0
+    for _ in range(5):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        comp_dev = max(comp_dev, max_abs(reconstruct(basis, expand(basis, x)) - x))
+    return {"gram": gram_dev, "hermiticity": herm_dev, "completeness": comp_dev}
 
 
 def n_sq_closed(a: float) -> float:
@@ -118,7 +171,7 @@ def x_reduction_form(state: BipartiteState, transform: np.ndarray, u: np.ndarray
     """
     d = state.dims.square_dim
     operator, _ = o_reduction_apply(state, transform.T)
-    sandwich = kron(np.eye(d), u.conj().T) @ operator @ kron(np.eye(d), u)
+    sandwich = np.kron(np.eye(d), u.conj().T) @ operator @ np.kron(np.eye(d), u)
     diag_idx = np.arange(d) * (d + 1)
     return sandwich[np.ix_(diag_idx, diag_idx)]
 
@@ -151,7 +204,7 @@ def perm_reduction_closed_form(params: FamilyParams, l: int) -> np.ndarray:
         for k in range(d):
             idx = k * d + (k + i) % d
             shifted[idx, idx] += delta
-    return kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - shifted
+    return np.kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - shifted
 
 
 def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
@@ -169,7 +222,7 @@ def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndar
     mixed = apply_orthogonal(basis, transform)
     residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
     mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
-    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 
 def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
@@ -184,7 +237,7 @@ def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarr
     mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex)
     mixed = mixed.reshape(mixed.shape[:-1] + (d, d))
     mapped = np.einsum("...vnl,vmk->...mnkl", mixed, basis).reshape(mixed.shape[:-3] + rho.shape[-2:])
-    return kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 
 def family_matrix_loops(params: FamilyParams) -> np.ndarray:

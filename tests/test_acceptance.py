@@ -13,7 +13,6 @@ from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, r
 from loowit.loo import (
     apply_orthogonal,
     diag_cycle,
-    gram_matrix,
     make_transform,
     random_orthogonal,
     random_unitary,
@@ -31,7 +30,7 @@ from loowit.states import (
 )
 from loowit.sweep import run_sweep
 from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_mixings, perm_ew
-from oracles import n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_reduction_form
+from oracles import gram_matrix, n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
 

@@ -47,7 +47,6 @@ from loowit.linalg import (
 )
 from loowit.loo import (
     diag_cycle,
-    expand,
     make_transform,
     random_orthogonal,
     random_unitary,
@@ -69,6 +68,7 @@ from loowit.sweep import evaluate_point, run_sweep
 from oracles import (
     best_restart,
     correlation_dense,
+    expand,
     family_matrix_loops,
     o_gradient_entries,
     o_gradient_loops,

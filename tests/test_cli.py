@@ -180,6 +180,16 @@ class TestWitnessCommand:
         assert code == cli.EXIT_ERROR
         assert "2.25" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_generic_overflowing_transform_named(self, capsys, tmp_path):
+        # 1e200 I: O O^T overflows, which used to surface LAPACK's "did not converge"
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": (1e200 * np.eye(4)).tolist()}))
+        code, out, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: transform is neither orthogonal nor a contraction: max |O_ij| is 1e+200")
+
     def test_generic_non_finite_transform_named(self, capsys, tmp_path):
         matrix = np.eye(9)
         matrix[2, 2] = np.nan
@@ -288,6 +298,14 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {flag} 1e-3" in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    def test_removed_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["loo-validate", "--d", "3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert "invalid choice: 'loo-validate'" in captured.err
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--help"])
@@ -312,34 +330,6 @@ class TestSeeds:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == "error: seed must be an integer >= 0, got -1\n"
-
-
-class TestLooValidate:
-    def test_d3_deviations(self, capsys):
-        code, out, _ = run_cli(capsys, "loo-validate", "--d", "3")
-        assert code == cli.EXIT_OK
-        for line in out.splitlines():
-            if "deviation" in line or "pair-sum" in line:
-                assert float(line.rsplit(None, 1)[-1]) < 1e-12
-
-    def test_d2_prints_basis(self, capsys):
-        code, out, _ = run_cli(capsys, "loo-validate", "--d", "2")
-        assert code == cli.EXIT_OK
-        assert "observable 0" in out
-        assert "+0.70710678" in out  # the 1/sqrt(2) pair entries
-
-    def test_d16_fast(self, capsys):
-        import time
-
-        start = time.perf_counter()
-        code, _, _ = run_cli(capsys, "loo-validate", "--d", "16")
-        assert code == cli.EXIT_OK
-        assert time.perf_counter() - start < 10.0
-
-    def test_d_out_of_range(self, capsys):
-        code, _, err = run_cli(capsys, "loo-validate", "--d", "17")
-        assert code == cli.EXIT_ERROR
-        assert "2..16" in err
 
 
 class TestSpecParsing:
@@ -413,7 +403,7 @@ class TestSpecParsing:
 
 
 class TestGoldenOutput:
-    """SHA-256 of outputs that must stay byte-identical (sweep CSV schema v1, check, witness, loo-validate)."""
+    """SHA-256 of outputs that must stay byte-identical (sweep CSV schema v1, check, witness)."""
 
     def test_sweep_csv(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -448,7 +438,10 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (("loo-validate", "--d", "3"), "413c42e17925fc907e1d925031e4565d8e80ebd087afc060f6f64a75a3e0742d"),
+            (
+                ("check", "--builtin", "phi:d=6", "--no-search"),
+                "7301936749cacb3e2ef0476f40ec94a8f670e429cf7a60042c9ec05ecc20486b",
+            ),
             (
                 ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
                 "cfd87d564d02a6ce83d12201c2e161a78738f29945ca350e3bb72466b0b8af6e",
@@ -468,10 +461,6 @@ class TestGoldenOutput:
             (
                 ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),
                 "aacf5c6140b91414ee7e4c07b5c3da33e0521cd1454f893a442040dcc97f509f",
-            ),
-            (
-                ("check", "--builtin", "phi:d=6", "--no-search"),
-                "7301936749cacb3e2ef0476f40ec94a8f670e429cf7a60042c9ec05ecc20486b",
             ),
         ],
     )

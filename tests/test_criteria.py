@@ -50,12 +50,15 @@ from loowit.states import (
     random_separable_state,
     werner2,
 )
+from loowit.sweep import run_sweep
 from loowit.witness import horodecki_ew
 from oracles import (
     best_orthogonal,
+    expand,
     local_map,
     perm_reduction_closed_form,
     phi_pairing,
+    reconstruct,
     uniform_pairing,
     x_reduction_form,
 )
@@ -344,8 +347,6 @@ class TestXMatrix:
             assert abs(float(np.real(s @ x @ s)) - uniform_pairing(state, o, u)) < 1e-9
 
     def test_reconstruction_self_consistency(self, rng):
-        from loowit.loo import expand, reconstruct
-
         state = random_state(rng, 3)
         x = x_matrix(state, make_transform(random_orthogonal(9, rng)), random_unitary(3, rng))
         basis = standard_basis(3)
@@ -544,6 +545,13 @@ class TestClassifyFamilyPoint:
         assert perm_reduction_family(family_rho(bound), 1)[1].verdict == "violated"
         free = family_special(3, 0.3, 0.65)
         assert ppt_check(family_rho(free)).verdict == "violated"
+
+    @pytest.mark.parametrize("d, grid", [(4, 30), (5, 20)])
+    def test_exact_on_the_slice_beyond_qutrits(self, d, grid):
+        # every off-boundary label matches the eigensolves, the bound points included
+        result = run_sweep(d, grid)
+        assert result.agreement == 1.0
+        assert result.n_bound > 0
 
 
 class TestFullReport:

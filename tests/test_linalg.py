@@ -7,7 +7,6 @@ from loowit.linalg import (
     DimPair,
     herm_eigvalues,
     is_psd,
-    kron,
     max_abs,
     partial_trace,
     partial_transpose,
@@ -58,13 +57,15 @@ def realign_loops(rho, dims):
 
 
 class TestKron:
+    """The basis-ordering convention: np.kron puts |m,n> at row d_B*m + n."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_pair_observable_placement(self):
         basis = standard_basis(2)
         proj = np.diag([1.0, 0.0]).astype(complex)
-        result = kron(basis[sym_slot(2, 0, 1)], proj)
+        result = np.kron(basis[sym_slot(2, 0, 1)], proj)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 2] = expected[2, 0] = 1.0 / np.sqrt(2.0)
         assert max_abs(result - expected) < 1e-15
@@ -73,15 +74,15 @@ class TestKron:
         for _ in range(100):
             a = random_complex(rng, int(rng.integers(2, 5)))
             b = random_complex(rng, int(rng.integers(2, 5)))
-            assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
+            assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-10
 
 
 class TestPartialTranspose:
     def test_product_state(self, rng):
         dims = DimPair(3, 3)
         r1, r2 = random_density(rng, 3), random_density(rng, 3)
-        got = partial_transpose(kron(r1, r2), dims, "B")
-        assert max_abs(got - kron(r1, r2.T)) < 1e-14
+        got = partial_transpose(np.kron(r1, r2), dims, "B")
+        assert max_abs(got - np.kron(r1, r2.T)) < 1e-14
 
     def test_max_entangled_min_eig(self):
         state = max_entangled(3)
@@ -115,7 +116,7 @@ class TestPartialTrace:
     def test_product_state(self, rng):
         dims = DimPair(3, 3)
         r1, r2 = random_density(rng, 3), random_complex(rng, 3)
-        got = partial_trace(kron(r1, r2), dims, "B")
+        got = partial_trace(np.kron(r1, r2), dims, "B")
         assert max_abs(got - np.trace(r2) * r1) < 1e-13
 
     def test_phi_projector(self):
@@ -167,7 +168,7 @@ class TestRealign:
     def test_product_state_value(self, rng):
         for _ in range(100):
             r1, r2 = random_density(rng, 3), random_density(rng, 3)
-            value = trace_norm(realign(kron(r1, r2), DimPair(3, 3)))
+            value = trace_norm(realign(np.kron(r1, r2), DimPair(3, 3)))
             closed = np.sqrt(np.trace(r1 @ r1).real * np.trace(r2 @ r2).real)
             assert abs(value - closed) < 1e-10
 

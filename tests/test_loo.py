@@ -10,24 +10,28 @@ from loowit.loo import (
     asym_slot,
     cycle_mixings,
     diag_cycle,
-    expand,
-    gram_matrix,
     is_orthogonal,
     make_transform,
-    pair_sum,
     random_orthogonal,
     random_unitary,
-    reconstruct,
     standard_basis,
     standard_positions,
     sym_slot,
-    transpose_basis,
     transpose_transform,
-    validate_basis,
 )
 from loowit.witness import perm_ew
 from loowit.states import phi
-from oracles import conjugate_basis, swap_operator, unitary_mixing_single
+from oracles import (
+    conjugate_basis,
+    expand,
+    gram_matrix,
+    pair_sum,
+    reconstruct,
+    swap_operator,
+    transpose_basis,
+    unitary_mixing_single,
+    validate_basis,
+)
 
 
 class TestStandardBasis:
@@ -88,8 +92,9 @@ class TestStandardBasis:
             standard_basis(1)
 
     def test_validate_deviations(self):
-        dev = validate_basis(standard_basis(4))
-        assert all(v < 1e-12 for v in dev.values())
+        for d in (2, 3, 4, 16):
+            dev = validate_basis(standard_basis(d))
+            assert all(v < 1e-12 for v in dev.values()), d
 
 
 class TestApplyOrthogonal:
@@ -220,6 +225,21 @@ class TestTransforms:
             make_transform(1.5 * np.eye(4))
         with pytest.raises(ValueError, match="non-finite"):
             make_transform(np.diag([1.0, np.nan, 1.0, 1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "matrix, peak",
+        [(np.full((2, 2), 1e308), "1e+308"), (1e200 * np.eye(4), "1e+200"), (1e160 * np.eye(9), "1e+160")],
+        ids=("full-2x2", "eye-4", "eye-9"),
+    )
+    def test_make_transform_rejects_overflowing_entries(self, matrix, peak):
+        # O O^T overflows on each: the entry bound |O_ij| <= 1 rejects them before it is formed
+        with pytest.raises(ValueError) as exc:
+            make_transform(matrix)
+        assert type(exc.value) is ValueError  # not LAPACK's LinAlgError, a ValueError subclass
+        assert str(exc.value).startswith(
+            f"transform is neither orthogonal nor a contraction: max |O_ij| is {peak}, "
+        )
 
     def test_make_transform_returns_float_array(self):
         out = make_transform(np.eye(3, dtype=int))

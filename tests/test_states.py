@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loowit.linalg import DimPair, herm_eigvalues, kron, max_abs, partial_trace, partial_transpose, trace_norm, realign
+from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_trace, partial_transpose, trace_norm, realign
 from loowit.states import (
     FamilyParams,
     family_ppt_sufficient,
@@ -47,7 +47,7 @@ class TestHorodecki:
         ket3[2] = 1.0
         plus = np.zeros(3)
         plus[0] = plus[2] = 1.0 / np.sqrt(2.0)
-        expected = kron(np.outer(ket3, ket3), np.outer(plus, plus))
+        expected = np.kron(np.outer(ket3, ket3), np.outer(plus, plus))
         assert max_abs(state.rho - expected) < 1e-15
         assert herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0] >= -1e-12
 

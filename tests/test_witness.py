@@ -16,7 +16,6 @@ from loowit.loo import (
     apply_orthogonal,
     cycle_mixings,
     diag_cycle,
-    gram_matrix,
     make_transform,
     random_orthogonal,
     standard_basis,
@@ -31,7 +30,7 @@ from loowit.witness import (
     perm_ew,
     save_witness,
 )
-from oracles import basis_mixing_witness, n_sq_closed, tailored_witness
+from oracles import basis_mixing_witness, gram_matrix, n_sq_closed, tailored_witness
 
 
 class TestTransformWitness:
