@@ -15,7 +15,6 @@ every unitary u and orthogonal O.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -32,7 +31,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     raise_first,
-    require_seed,
+    require_count,
     scalar_or_stack,
     trace_norm,
 )
@@ -377,12 +376,6 @@ def _o_step(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
     return _procrustes(_o_gradient(tables, vecs[..., 0], d))
 
 
-def _require_budget(budget: int) -> None:
-    """Reject a search budget that is not an integer number of restarts, at least one."""
-    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget < 1:
-        raise ValueError(f"budget must be an integer >= 1, got {budget}")
-
-
 def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting (O, u) stacks of the restarts, (budget, d^2, d^2) and (budget, d, d).
 
@@ -415,8 +408,8 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     verdict is "violated" only below -SEARCH_TOL; a failed search is
     "inconclusive", never a separability certificate.
     """
-    _require_budget(budget)
-    require_seed(seed)
+    require_count(budget, "budget", 1)
+    require_count(seed, "seed", 0)
     d = state.dims.square_dim
     s = pair_correlation(state)
     o, u = _search_starts(s, d, seed, budget)
@@ -462,8 +455,8 @@ class ReportConfig:
     witnesses: tuple[Witness, ...] = ()
 
     def __post_init__(self) -> None:
-        require_seed(self.seed)
-        _require_budget(self.budget)
+        require_count(self.seed, "seed", 0)
+        require_count(self.budget, "budget", 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,12 +39,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
 
 
-def hermitian_defect(m: np.ndarray) -> np.ndarray:
-    """max |M - M^dagger| entrywise, per matrix of a (..., n, n) stack."""
-    m = np.asarray(m)
-    return member_max_abs(m - dagger(m))
-
-
 def scalar_or_stack(values: np.ndarray):
     """A Python scalar for a 0-d result (a single matrix), else the array (a stack)."""
     return values.item() if values.ndim == 0 else values
@@ -63,10 +57,10 @@ def raise_first(bad: np.ndarray, name: str, describe: Callable[[tuple[int, ...]]
     raise ValueError(f"{who} {describe(index)}")
 
 
-def require_seed(seed: int) -> None:
-    """Reject a seed numpy's generators cannot take: a negative or non-integer value, or a bool."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+def require_count(value: int, name: str, least: int) -> None:
+    """Reject a value that is not an integer of at least ``least``; a bool is not an integer here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -139,50 +133,35 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
-def check_hermitian(
+def checked_spectrum(
     h: np.ndarray, name: str = "matrix", symbol: str = "M"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A square matrix or stack as complex, with each member's max-abs scale and Hermiticity defect.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale.
 
-    Rejects non-finite entries, then a defect above HERMITICITY_TOL relative
-    to max(1, scale); a stack member is named ``name[i]`` and the defect is
-    written with ``symbol``. The scale and defect are returned for reuse.
+    Rejects a non-square shape, non-finite entries, then a Hermiticity defect
+    max |H - H^dagger| above HERMITICITY_TOL relative to max(1, scale); a stack
+    member is named ``name[i]`` and the defect is written with ``symbol``. A
+    stack with any nonzero defect is decomposed as H/2 + H^dagger/2, which
+    cannot overflow; an exactly Hermitian one as it is, which gives the same bits.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     scale = member_max_abs(h)
     raise_first(~np.isfinite(scale), name, lambda i: "has non-finite entries (NaN or inf)")
-    defect = hermitian_defect(h)
+    with np.errstate(over="ignore"):  # a defect past the float limit reads inf
+        defect = member_max_abs(h - dagger(h))
     raise_first(
         defect > HERMITICITY_TOL * np.maximum(1.0, scale),
         name,
         lambda i: f"violates hermiticity: max |{symbol} - {symbol}^dagger| = {defect[i]:.3e}",
     )
-    return h, scale, defect
-
-
-def hermitian_spectrum(h: np.ndarray, defect: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack check_hermitian accepted, given the defects it returned."""
-    # (H + H^dagger)/2 of an exactly Hermitian H is H in every entry eigvalsh reads
-    return np.linalg.eigvalsh((h + dagger(h)) / 2.0 if defect.any() else h)
-
-
-def _checked_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale."""
-    h, scale, defect = check_hermitian(h)
-    return hermitian_spectrum(h, defect), scale
+    return np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0 if defect.any() else h), scale
 
 
 def herm_eigvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack.
-
-    Rejects non-finite entries and a Hermiticity defect above HERMITICITY_TOL
-    (relative to the member's largest entry). A stack with any nonzero defect
-    is decomposed as (H + H^dagger)/2; an exactly Hermitian one as it is,
-    which gives the same bits.
-    """
-    return _checked_spectrum(h)[0]
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack, as checked_spectrum."""
+    return checked_spectrum(h)[0]
 
 
 def trace_norm(m: np.ndarray):
@@ -201,9 +180,9 @@ def is_psd(h: np.ndarray):
     True iff min eigenvalue >= -PSD_TOL * max(1, |h|_max). The eigenvalue is always
     returned so callers can report it. One matrix gives (bool, float); a stack
     gives a boolean array and a float array. Input is checked and decomposed
-    as by herm_eigvalues, and |h|_max is the scale that check computed.
+    by checked_spectrum, and |h|_max is the scale that check computed.
     """
-    eigenvalues, scale = _checked_spectrum(h)
+    eigenvalues, scale = checked_spectrum(h)
     min_eig = eigenvalues[..., 0]
     ok = min_eig >= -PSD_TOL * np.maximum(1.0, scale)
     return scalar_or_stack(ok), scalar_or_stack(min_eig)

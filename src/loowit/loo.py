@@ -182,6 +182,10 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("unitary has non-finite entries (NaN or inf)")
+    # Every entry of a unitary is at most 1 in magnitude; past that bound u^dagger u can overflow.
+    peak = max_abs(u)
+    if peak > 1.0 + ORTHOGONALITY_TOL:
+        raise ValueError(f"matrix is not unitary: max |u_ij| = {peak:.3e}")
     defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > ORTHOGONALITY_TOL:
         raise ValueError(f"matrix is not unitary: max |u^dagger u - I| = {defect:.3e}")
@@ -208,6 +212,18 @@ def _generators(
     return ((rng,) if lone else tuple(rng)), lone
 
 
+def _phase_fixed_q(z: np.ndarray, lone: bool) -> np.ndarray:
+    """Q of one stacked QR of z, column j times the phase r_jj / |r_jj| (1 where r_jj = 0).
+
+    For real z the phase is the sign of r_jj. A lone draw gives its (n, n) matrix.
+    """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    q *= np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[:, None, :]
+    return q[0] if lone else q
+
+
 def random_orthogonal(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """Haar-uniform orthogonal matrix via QR with R-diagonal sign fixing (Mezzadri 2007).
 
@@ -220,11 +236,7 @@ def random_orthogonal(n: int, rng: np.random.Generator | Sequence[np.random.Gene
     z = np.empty((len(gens), n, n))
     for g, out in zip(gens, z):
         g.standard_normal(out=out)
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    q *= signs[:, None, :]
-    return q[0] if lone else q
+    return _phase_fixed_q(z, lone)
 
 
 def random_unitary(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
@@ -240,7 +252,4 @@ def random_unitary(n: int, rng: np.random.Generator | Sequence[np.random.Generat
     for g, out in zip(gens, z):
         out[...] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag / np.abs(diag))[:, None, :]
-    return q[0] if lone else q
+    return _phase_fixed_q(z, lone)

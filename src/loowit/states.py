@@ -12,14 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import (
-    DimPair,
-    check_hermitian,
-    hermitian_spectrum,
-    raise_first,
-    require_seed,
-    scalar_or_stack,
-)
+from .linalg import DimPair, checked_spectrum, raise_first, require_count, scalar_or_stack
 
 STATE_TRACE_TOL = 1e-9
 STATE_EIG_TOL = 1e-9
@@ -45,14 +38,15 @@ def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
         raise ValueError(
             f"state matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b} (dimension)"
         )
-    rho, _, defect = check_hermitian(rho, "state", "rho")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
+    eigenvalues, _ = checked_spectrum(rho, "state", "rho")
+    with np.errstate(over="ignore"):  # a trace past the float limit reads inf
+        tr = np.trace(rho, axis1=-2, axis2=-1)
     raise_first(
         np.abs(tr - 1.0) > STATE_TRACE_TOL,
         "state",
         lambda i: f"violates trace normalization: trace = {tr[i].real:.12g}",
     )
-    min_eig = hermitian_spectrum(rho, defect)[..., 0]
+    min_eig = eigenvalues[..., 0]
     raise_first(
         min_eig < -STATE_EIG_TOL, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
     )
@@ -264,7 +258,7 @@ def random_product_state(dims: DimPair, seed: int, mode: str = "pure") -> Bipart
     ``mode`` selects Haar-random pure projectors or normalized Wishart
     mixtures for the factors.
     """
-    require_seed(seed)
+    require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     rho = _product_from_rng(rng, dims, mode)
     return make_state(rho, dims, label=f"product(dims={dims.d_a}x{dims.d_b}, seed={seed}, mode={mode})")
@@ -277,7 +271,7 @@ def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure")
     """
     if k < 1:
         raise ValueError(f"need k >= 1 mixture terms, got {k}")
-    require_seed(seed)
+    require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     parts = [_product_from_rng(rng, dims, mode) for _ in range(k)]
     weights = np.ones(1) if k == 1 else rng.dirichlet(np.ones(k))

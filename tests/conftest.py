@@ -42,6 +42,15 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def near_float_limit_rho() -> np.ndarray:
+    """A finite 9 x 9 matrix of trace 1 with off-diagonal entries 1.5e308 and a 1e280 Hermiticity defect.
+
+    The defect is within tolerance, but H + H^dagger overflows.
+    """
+    up = np.triu(np.ones((9, 9)), 1)
+    return 1.5e308 * (up + up.T) + np.eye(9) / 9.0 + 1e280j * up
+
+
 def sample_states(d: int, seed: int) -> list:
     """Seeded product and separable samples, the maximally entangled state and family states."""
     rng = np.random.default_rng(seed)

@@ -38,7 +38,6 @@ from loowit.linalg import (
     DimPair,
     dagger,
     herm_eigvalues,
-    hermitian_defect,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -190,7 +189,7 @@ class TestExactHermitianRoute:
             o_reduction_operator(rho[:, None], d, mixings),
             (a + dagger(a)) / 2.0,
         ):
-            assert not hermitian_defect(h).any()
+            assert (h == dagger(h)).all()
             assert same_bits(herm_eigvalues(h), self.symmetrised(h))
             assert same_bits(is_psd(h)[1], self.symmetrised(h)[..., 0])
 
@@ -398,6 +397,20 @@ class TestInvalidMember:
             stack[index] *= 1.5
         with pytest.raises(ValueError, match=rf"^state\[{index}\] violates"):
             check_densities(stack, DimPair.square(d))
+
+    def test_trace_checked_on_every_member_before_positivity(self):
+        stack = np.stack([np.eye(9, dtype=complex) / 9.0] * 5)
+        stack[0] = np.diag([1.5, -0.5] + [0.0] * 7)  # positivity only
+        stack[3] *= 0.9  # trace only
+        with pytest.raises(ValueError, match=r"^state\[3\] violates trace normalization"):
+            check_densities(stack, DimPair.square(3))
+
+    def test_hermiticity_checked_on_every_member_before_trace(self):
+        stack = np.stack([np.eye(9, dtype=complex) / 9.0] * 5)
+        stack[1] *= 0.9  # trace only
+        stack[3, 0, 1] += 0.05  # hermiticity only
+        with pytest.raises(ValueError, match=r"^state\[3\] violates hermiticity"):
+            check_densities(stack, DimPair.square(3))
 
     def test_non_finite_member(self):
         stack = np.stack([np.eye(4) / 4.0] * 3)

@@ -12,6 +12,7 @@ from loowit import cli
 from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
+from conftest import near_float_limit_rho
 from oracles import n_sq_closed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -97,6 +98,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--file", str(path))
         assert code == cli.EXIT_ERROR
         assert "state has non-finite entries" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_state_near_the_float_limit_named(self, capsys, tmp_path):
+        # rho + rho^dagger overflows, which used to surface LAPACK's "did not converge"
+        path = tmp_path / "huge.json"
+        save_matrix(path, DimPair.square(3), near_float_limit_rho())
+        code, out, err = run_cli(capsys, "check", "--file", str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: state violates positivity: min eigenvalue = -1.500e+308\n"
 
     @pytest.mark.parametrize(
         "key, value, shown",

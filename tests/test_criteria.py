@@ -370,6 +370,12 @@ class TestXMatrix:
         with pytest.raises(ValueError, match=r"^unitary has non-finite entries"):
             x_matrix(max_entangled(2), np.eye(4), np.diag([1.0, np.inf]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_unitary_named(self):
+        # u^dagger u overflows: the entry bound |u_ij| <= 1 rejects it before it is formed
+        with pytest.raises(ValueError, match=r"^matrix is not unitary: max \|u_ij\| = 1\.000e\+200$"):
+            x_matrix(max_entangled(2), np.eye(4), 1e200 * np.eye(2))
+
     def test_requires_orthogonal(self, rng):
         state = random_state(rng, 2)
         with pytest.raises(ValueError, match="orthogonal"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_complex, random_density, random_hermitian
+from conftest import near_float_limit_rho, random_complex, random_density, random_hermitian
 from loowit.linalg import (
     DimPair,
     herm_eigvalues,
@@ -239,3 +239,12 @@ class TestIsPsd:
 
     def test_rejects_non_finite(self):
         assert_non_finite_named(is_psd)
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_limit(self):
+        # H + H^dagger overflows here, which used to surface LAPACK's "did not converge"
+        ok, min_eig = is_psd(near_float_limit_rho())
+        assert not ok and min_eig == pytest.approx(-1.5e308)
+        # H - H^dagger overflows here: the defect reads inf and is named
+        with pytest.raises(ValueError, match=r"^matrix violates hermiticity: max \|M - M\^dagger\| = inf$"):
+            is_psd(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))

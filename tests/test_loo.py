@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import random_complex
 from loowit.linalg import herm_eigvalues, max_abs
 from loowit.loo import (
+    _phase_fixed_q,
     ORTHOGONALITY_TOL,
     apply_orthogonal,
     asym_slot,
@@ -331,6 +332,12 @@ class TestRandomSampling:
         rng = np.random.default_rng(seed)
         random_orthogonal(n, rng)
         assert random_unitary(m, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", (float, complex))
+    def test_zero_r_diagonal_keeps_phase_one(self, dtype):
+        z = np.zeros((1, 3, 3), dtype=dtype)
+        assert np.array_equal(_phase_fixed_q(z, True), np.linalg.qr(z[0])[0])
 
     @pytest.mark.parametrize("sampler", [random_orthogonal, random_unitary])
     def test_empty_sequence_gives_an_empty_stack(self, sampler):

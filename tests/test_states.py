@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import near_float_limit_rho
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_trace, partial_transpose, trace_norm, realign
 from loowit.states import (
     FamilyParams,
@@ -251,3 +252,28 @@ class TestSerialization:
         m[1, 2] = entry
         with pytest.raises(ValueError, match="non-finite"):
             make_state(m, DimPair(2, 2), "bad")
+
+
+def hermiticity_overflow_rho() -> np.ndarray:
+    m = np.eye(9) / 9.0
+    m[0, 1], m[1, 0] = 1.5e308, -1.5e308
+    return m
+
+
+class TestNearFloatLimit:
+    """Finite entries near the float limit are named as the violation they are, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (near_float_limit_rho, r"violates positivity: min eigenvalue = -1\.500e\+308"),
+            (hermiticity_overflow_rho, r"violates hermiticity: max \|rho - rho\^dagger\| = inf"),
+            (lambda: np.diag([1.7e308] * 2 + [0.0] * 7), r"violates trace normalization: trace = inf"),
+        ],
+        ids=("hermitian-part", "defect", "trace"),
+    )
+    def test_overflow_named(self, rho, message):
+        # rho + rho^dagger, rho - rho^dagger and the trace overflow on these, in turn
+        with pytest.raises(ValueError, match=rf"^state {message}$"):
+            make_state(rho(), DimPair.square(3), "huge")
