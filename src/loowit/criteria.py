@@ -96,39 +96,15 @@ def ppt_psd(rho: np.ndarray, dims: DimPair):
     return is_psd(partial_transpose(rho, dims, "B"))
 
 
-# The contractions below add only the nonzero entries of the standard set
-# (loo.standard_entries per observable, loo.standard_positions per matrix
-# position) and add them in the order np.einsum visits them in the dense
-# contraction named in each docstring, starting from +0. A skipped term is a
-# product with a zero entry, which adds nothing, so each result has the bits
-# of that einsum at a fraction of its cost.
-
-
-def _correlation(rho: np.ndarray, d: int) -> np.ndarray:
-    """S[..., u, v] = Tr(rho L_u x L_v) for the untransposed standard set on both sides. Real.
-
-    Dense form: np.einsum("...mnkl,ukm,vln->...uv", r4, mats, mats), whose
-    terms run over (k, m, l, n) ascending.
-    """
-    rows, cols, values = standard_entries(d)
-    r4 = blocks(rho, DimPair.square(d))
-    s = np.zeros(r4.shape[:-4] + (d * d, d * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            block = r4[..., cols[i][:, None], cols[j], rows[i][:, None], rows[j]]
-            s = s + (block * values[i][:, None]) * values[j]
-    imag = member_max_abs(s.imag)
-    raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
-    return s.real
-
-
-def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
-    return _correlation(rho, d) @ transpose_transform(d)
-
-
-def realignment_norm(rho: np.ndarray, d: int):
-    """Trace norms of the correlation matrices T; separable states give at most 1."""
-    return trace_norm(_correlation_T(rho, d))
+# rho is gathered against the standard set once, in _residue; T, the reduction
+# maps and the X tables all read that residue. The gathers add only the
+# nonzero entries of the standard set (loo.standard_entries per observable,
+# loo.standard_positions per matrix position), from +0 and in the order
+# np.einsum visits them in the dense form named in each docstring. A skipped
+# term is a product with a zero entry, which adds nothing, so each result has
+# the bits of that einsum at a fraction of its cost. T's dense form is two
+# steps: residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
+# T = np.einsum("...unl,vnl->...uv", residue, mats).real.
 
 
 def _residue(rho: np.ndarray, d: int) -> np.ndarray:
@@ -136,13 +112,27 @@ def _residue(rho: np.ndarray, d: int) -> np.ndarray:
 
     Dense form: np.einsum("...mnkl,ukm->...unl", r4, mats).
     """
-    r4 = blocks(rho, DimPair.square(d))
+    by_slot = np.swapaxes(blocks(rho, DimPair.square(d)), -3, -2)  # (..., m, k, n, l)
     rows, cols, values = standard_entries(d)
-    by_slot = np.swapaxes(r4, -3, -2)  # (..., m, k, n, l)
-    residue = np.zeros(r4.shape[:-4] + (d * d, d, d), dtype=complex)
+    residue = np.zeros(by_slot.shape[:-4] + (d * d, d, d), dtype=complex)
     for i in range(2):
         residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
     return residue
+
+
+def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
+    """T[..., u, v] = Tr(residue_u L_v^T) = Tr(rho L_u x L_v^T), real; its dense form is named above."""
+    residue = _residue(rho, d)
+    rows, cols, values = standard_entries(d)
+    t = 0.0 + residue[..., rows[0], cols[0]] * values[0] + residue[..., rows[1], cols[1]] * values[1]
+    imag = member_max_abs(t.imag)
+    raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
+    return t.real
+
+
+def realignment_norm(rho: np.ndarray, d: int):
+    """Trace norms of the correlation matrices T; separable states give at most 1."""
+    return trace_norm(_correlation_T(rho, d))
 
 
 def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -216,8 +206,8 @@ def ppt_check(state: BipartiteState) -> CriterionReport:
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
-    """S[u, v] = Tr(rho L_u x L_v), both sides the untransposed standard set. Real."""
-    return _correlation(state.rho, state.dims.square_dim)
+    """S[u, v] = Tr(rho L_u x L_v), both sides the untransposed standard set: S = T P, as P P = I."""
+    return correlation_T(state) @ transpose_transform(state.dims.square_dim)
 
 
 def correlation_T(state: BipartiteState) -> np.ndarray:
@@ -376,20 +366,20 @@ def _o_step(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
     return _procrustes(_o_gradient(tables, vecs[..., 0], d))
 
 
-def _search_starts(s: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Starting (O, u) stacks of the restarts, (budget, d^2, d^2) and (budget, d, d).
 
-    Restart 0 is the warm start: u = I and the O maximising Tr(O T), so that
-    <s|X|s> = 1 - ||T||_tr for the all-ones s. Restart b >= 1 draws O, then u,
-    from default_rng([seed, b]). All drawn restarts go through one
-    random_orthogonal and one random_unitary call; each generator still draws
-    its O before its u, so restart b has the bits of drawing it alone and does
-    not depend on the budget.
+    Restart 0 is the warm start: u = I and the O maximising Tr(O T), taken
+    from t = T itself as _procrustes(-t^T), so that <s|X|s> = 1 - ||T||_tr for
+    the all-ones s. Restart b >= 1 draws O, then u, from default_rng([seed, b]).
+    All drawn restarts go through one random_orthogonal and one random_unitary
+    call; each generator still draws its O before its u, so restart b has the
+    bits of drawing it alone and does not depend on the budget.
     """
     n = d * d
     o = np.empty((budget, n, n))
     u = np.empty((budget, d, d), dtype=complex)
-    o[0] = _procrustes(-(s @ transpose_transform(d)).T)
+    o[0] = _procrustes(-t.T)
     u[0] = np.eye(d)
     rngs = [np.random.default_rng([seed, b]) for b in range(1, budget)]
     o[1:] = random_orthogonal(n, rngs)
@@ -402,17 +392,17 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
     and runs SEARCH_ROUNDS exact O steps (_o_step), so its smallest
-    eigenvalue never rises. Restart 0 starts at the realignment optimum and
-    ends at or below (1 - ||T||_tr) / d, so every realignment detection is a
-    search detection; the others start from seeded random pairs. The
+    eigenvalue never rises. Restart 0 starts at the realignment optimum, read
+    off T (_correlation_T, the same gather the X tables read), and ends at or
+    below (1 - ||T||_tr) / d, so every realignment detection is a search
+    detection; the others start from seeded random pairs. The
     verdict is "violated" only below -SEARCH_TOL; a failed search is
     "inconclusive", never a separability certificate.
     """
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
     d = state.dims.square_dim
-    s = pair_correlation(state)
-    o, u = _search_starts(s, d, seed, budget)
+    o, u = _search_starts(_correlation_T(state.rho, d), d, seed, budget)
     tables = _x_tables(state.rho, u, d)
     for _ in range(SEARCH_ROUNDS):
         o = _o_step(tables, o, d)

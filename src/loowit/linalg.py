@@ -133,22 +133,43 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
 
 
+def checked_scale(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Each member's max-abs scale; rejects NaN or inf entries and magnitudes past the float limit.
+
+    |z| of a finite entry such as 1.5e308 + 1.5e308j reads inf, so only when
+    some scale is not finite are the entries read again to tell the two apart.
+    """
+    scale = member_max_abs(m)
+    bad = ~np.isfinite(scale)
+    if bad.any():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        peak = np.maximum(member_max_abs(m.real), member_max_abs(m.imag))
+
+        def describe(i):
+            if not finite[i]:
+                return "has non-finite entries (NaN or inf)"
+            return f"has an entry whose magnitude overflows: max(|Re|, |Im|) = {peak[i]:.3e}"
+
+        raise_first(bad, name, describe)
+    return scale
+
+
 def checked_spectrum(
     h: np.ndarray, name: str = "matrix", symbol: str = "M"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale.
 
-    Rejects a non-square shape, non-finite entries, then a Hermiticity defect
-    max |H - H^dagger| above HERMITICITY_TOL relative to max(1, scale); a stack
-    member is named ``name[i]`` and the defect is written with ``symbol``. A
-    stack with any nonzero defect is decomposed as H/2 + H^dagger/2, which
-    cannot overflow; an exactly Hermitian one as it is, which gives the same bits.
+    Rejects a non-square shape, NaN, inf or overflowing entries (checked_scale),
+    then a Hermiticity defect max |H - H^dagger| above HERMITICITY_TOL relative
+    to max(1, scale); a stack member is named ``name[i]`` and the defect is
+    written with ``symbol``. A stack with any nonzero defect is decomposed as
+    H/2 + H^dagger/2, which cannot overflow; an exactly Hermitian one as it
+    is, which gives the same bits.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
-    scale = member_max_abs(h)
-    raise_first(~np.isfinite(scale), name, lambda i: "has non-finite entries (NaN or inf)")
+    scale = checked_scale(h, name)
     with np.errstate(over="ignore"):  # a defect past the float limit reads inf
         defect = member_max_abs(h - dagger(h))
     raise_first(
@@ -170,7 +191,7 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    raise_first(~np.isfinite(member_max_abs(m)), "matrix", lambda i: "has non-finite entries (NaN or inf)")
+    checked_scale(m)
     return scalar_or_stack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 

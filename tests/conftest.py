@@ -51,6 +51,17 @@ def near_float_limit_rho() -> np.ndarray:
     return 1.5e308 * (up + up.T) + np.eye(9) / 9.0 + 1e280j * up
 
 
+def overflowing_entry_rho() -> np.ndarray:
+    """A finite Hermitian 4 x 4 matrix of trace 1 with an off-diagonal entry 1.5e308 (1 + 1j).
+
+    Each part is finite, but |z| of that entry passes the float limit.
+    """
+    h = np.eye(4, dtype=complex) / 4.0
+    h[0, 1] = 1.5e308 * (1 + 1j)
+    h[1, 0] = np.conj(h[0, 1])
+    return h
+
+
 def sample_states(d: int, seed: int) -> list:
     """Seeded product and separable samples, the maximally entangled state and family states."""
     rng = np.random.default_rng(seed)

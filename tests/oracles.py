@@ -213,6 +213,16 @@ def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("...mnkl,ukm,vln->...uv", rho.reshape(rho.shape[:-2] + (d, d, d, d)), mats, mats)
 
 
+def residue_dense(rho: np.ndarray, d: int) -> np.ndarray:
+    """residue_u = Tr_A((L_u x I) rho) as one dense einsum over the full observable stack."""
+    return np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), standard_basis(d))
+
+
+def correlation_T_dense(rho: np.ndarray, d: int) -> np.ndarray:
+    """T[..., u, v] = Tr(residue_u L_v^T) as two dense einsums: the residue, then the pairing with L_v."""
+    return np.einsum("...unl,vnl->...uv", residue_dense(rho, d), standard_basis(d)).real
+
+
 def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks.
 
@@ -220,8 +230,7 @@ def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndar
     """
     basis = standard_basis(d)
     mixed = apply_orthogonal(basis, transform)
-    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
-    mapped = np.einsum("...unl,umk->...mnkl", residue, mixed).reshape(rho.shape)
+    mapped = np.einsum("...unl,umk->...mnkl", residue_dense(rho, d), mixed).reshape(rho.shape)
     return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
 
 
@@ -232,7 +241,7 @@ def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarr
     the standard set is then contracted densely.
     """
     basis = standard_basis(d)
-    residue = np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), basis)
+    residue = residue_dense(rho, d)
     flat = residue.reshape(residue.shape[:-2] + (d * d,)).view(float)
     mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex)
     mixed = mixed.reshape(mixed.shape[:-1] + (d, d))

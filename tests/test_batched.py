@@ -23,6 +23,7 @@ from loowit.criteria import (
     _x_tables,
     ReportConfig,
     classify_family_point,
+    correlation_T,
     full_report,
     o_reduction_apply,
     o_reduction_operator,
@@ -66,6 +67,7 @@ from loowit.states import (
 from loowit.sweep import evaluate_point, run_sweep
 from oracles import (
     best_restart,
+    correlation_T_dense,
     correlation_dense,
     expand,
     family_matrix_loops,
@@ -215,9 +217,12 @@ class TestSparseContractions:
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_correlation_matches_dense_einsum(self, d, seed):
+        # T reads the residue: it has the bits of its own two-step dense form, and S = T P
+        # agrees with the one-step dense S, the second route, to rounding
         rng = np.random.default_rng(seed)
         state = make_state(random_density(rng, d * d), DimPair.square(d), "random")
-        assert same_bits(pair_correlation(state), correlation_dense(state.rho, d).real)
+        assert same_bits(correlation_T(state), correlation_T_dense(state.rho, d))
+        assert np.abs(pair_correlation(state) - correlation_dense(state.rho, d).real).max() <= 1e-15
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_o_reduction_matches_dense_einsum(self, d, seed):

@@ -467,7 +467,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
-                "5ad16b5d1b088b3d7752a3c077950f0f9cf5779952a05e680d3a22530d500f7b",
+                "3ef7f86eb86bea61c3b93bb630fa028a2634ee2bcf169a055596c48d54e87970",
             ),
             (
                 ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),
@@ -488,7 +488,7 @@ class TestGoldenOutput:
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "ae54c1f2441593e5fb8c4b47817e2153c5421f98ce057570184e45411a3f796a"
+        digest = "699ba21803aa40757b69885fe1976afee7660319d89d3e8b05c3d51995cfb1f5"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

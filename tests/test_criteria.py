@@ -103,6 +103,21 @@ class TestCorrelationT:
         state = random_state(rng, 3)
         assert abs(trace_norm(correlation_T(state)) - trace_norm(pair_correlation(state))) < 1e-9
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_pair_correlation_is_t_times_transpose_mixing(self, d):
+        # S = T P and P P = I: multiplying by +-1 and adding zeros keeps every value
+        for state in sample_states(d, seed=d):
+            assert np.array_equal(pair_correlation(state) @ transpose_transform(d), correlation_T(state))
+
+    def test_non_real_residue_named(self, rng):
+        # a non-Hermitian matrix gives a complex T; a stack names its first bad member
+        bad = random_density(rng, 4) + 0.1j * np.diag([1.0, 0.0, 0.0, -1.0])
+        good = random_density(rng, 4)
+        with pytest.raises(ValueError, match=r"^correlation matrix has non-real residue \d"):
+            realignment_norm(bad, 2)
+        with pytest.raises(ValueError, match=r"^correlation matrix\[1\] has non-real residue \d"):
+            realignment_norm(np.stack([good, bad, bad]), 2)
+
 
 class TestRealignment:
     def test_max_entangled_violates(self):
@@ -435,8 +450,7 @@ class TestXSearch:
     def test_rounds_never_raise_min_eig(self, d, seed):
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
-        s = pair_correlation(state)
-        o, u = _search_starts(s, d, seed, 4)
+        o, u = _search_starts(correlation_T(state), d, seed, 4)
         tables = _x_tables(state.rho, u, d)
         values = [_x_min_eig(tables, o, d)]
         for _ in range(SEARCH_ROUNDS):
@@ -451,7 +465,7 @@ class TestXSearch:
         rng = np.random.default_rng(seed)
         for state in (random_state(rng, d), max_entangled(d)):
             bound = 1.0 - realignment_norm(state.rho, d)
-            o, u = _search_starts(pair_correlation(state), d, seed, 1)
+            o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
             assert x_search(state, 1, seed).min_eig <= bound / d + 1e-12
 

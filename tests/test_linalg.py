@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import near_float_limit_rho, random_complex, random_density, random_hermitian
+from conftest import (
+    near_float_limit_rho,
+    overflowing_entry_rho,
+    random_complex,
+    random_density,
+    random_hermitian,
+)
 from loowit.linalg import (
     DimPair,
     herm_eigvalues,
@@ -14,7 +20,7 @@ from loowit.linalg import (
     trace_norm,
 )
 from loowit.loo import random_orthogonal, random_unitary, standard_basis, sym_slot
-from loowit.states import FamilyParams, family_rho, horodecki_rho, max_entangled, phi, werner2
+from loowit.states import FamilyParams, family_rho, horodecki_rho, make_state, max_entangled, phi, werner2
 
 
 def assert_non_finite_named(f):
@@ -248,3 +254,28 @@ class TestIsPsd:
         # H - H^dagger overflows here: the defect reads inf and is named
         with pytest.raises(ValueError, match=r"^matrix violates hermiticity: max \|M - M\^dagger\| = inf$"):
             is_psd(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
+
+class TestOverflowingMagnitude:
+    """A finite entry whose |z| passes the float limit is named by its size, not called non-finite."""
+
+    SIZE = r"has an entry whose magnitude overflows: max\(\|Re\|, \|Im\|\) = 1\.500e\+308$"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [is_psd, trace_norm], ids=["is_psd", "trace_norm"])
+    def test_named_by_size(self, f):
+        h = overflowing_entry_rho()
+        assert np.isfinite(h).all() and (h == h.conj().T).all()
+        with pytest.raises(ValueError, match="^matrix " + self.SIZE):
+            f(h)
+        with pytest.raises(ValueError, match=r"^matrix\[1\] " + self.SIZE):
+            f(np.stack([np.eye(4), h, h]))
+        # each member gets its own message: the first bad member here is NaN
+        nan = np.full((4, 4), np.nan)
+        with pytest.raises(ValueError, match=r"^matrix\[1\] has non-finite entries \(NaN or inf\)$"):
+            f(np.stack([np.eye(4), nan, h]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_make_state_named_by_size(self):
+        with pytest.raises(ValueError, match="^state " + self.SIZE):
+            make_state(overflowing_entry_rho(), DimPair.square(2), "overflowing")
