@@ -152,6 +152,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    directory = Path(args.out).parent  # checked before the sweep, which can compute for seconds
+    if not directory.is_dir():
+        raise ValueError(f"cannot write --out {args.out}: {directory} is not a directory")
     result = sweep.run_sweep(d=args.d, resolution=args.grid)
     sweep.write_csv(result, args.out)
     for line in sweep.summary_lines(result):

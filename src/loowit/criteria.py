@@ -120,14 +120,18 @@ def _residue(rho: np.ndarray, d: int) -> np.ndarray:
     return residue
 
 
-def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
+def _t_from_residue(residue: np.ndarray, d: int) -> np.ndarray:
     """T[..., u, v] = Tr(residue_u L_v^T) = Tr(rho L_u x L_v^T), real; its dense form is named above."""
-    residue = _residue(rho, d)
     rows, cols, values = standard_entries(d)
     t = 0.0 + residue[..., rows[0], cols[0]] * values[0] + residue[..., rows[1], cols[1]] * values[1]
     imag = member_max_abs(t.imag)
     raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
     return t.real
+
+
+def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
+    """The correlation matrices T of a state or stack, read off its residue (_t_from_residue)."""
+    return _t_from_residue(_residue(rho, d), d)
 
 
 def realignment_norm(rho: np.ndarray, d: int):
@@ -166,7 +170,11 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     two nonzero terms, so the operator has the bits of mixing the basis
     instead (loo.apply_orthogonal). A general mixing changes the last bits.
     """
-    residue = _residue(rho, d)
+    return _reduction_from_residue(_residue(rho, d), partial_trace(rho, DimPair.square(d), "A"), d, transform)
+
+
+def _reduction_from_residue(residue: np.ndarray, rho_b: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+    """o_reduction_operator(rho, d, transform) from rho's residue (_residue) and rho_B, both the caller's."""
     n = d * d
     transform = np.asarray(transform)
     require_mixing_size(transform, n)
@@ -180,7 +188,6 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
             f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
         ) from None
     mixed = _mix(np.swapaxes(transform, -1, -2), residue)
-    del residue
     # at most three operator-sized arrays live at once: mixed, the sum and one gathered term
     slots, entries = standard_positions(d)
     n_axis, l_axis = np.arange(d)[:, None, None], np.arange(d)
@@ -191,7 +198,7 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
         m += term
         del term
     m = m.reshape(batch + (n, n))
-    np.subtract(np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")), m, out=m)
+    np.subtract(np.kron(np.eye(d), rho_b), m, out=m)
     # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
     # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
     np.add(m, dagger(m), out=m)

@@ -10,7 +10,11 @@ depend on it.
 The grid is judged in blocks, each one stack of family states against the
 stack of cyclic-permutation mixings: a fixed number of array calls per block.
 BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
-BLOCK_OPERATORS // (d - 1) grid points. Results are columns, one array each.
+BLOCK_OPERATORS // (d - 1) grid points. Each block gathers its states against
+the standard set once, and realignment and the reduction maps both read that
+residue. Results are columns, one array each, allocated once and filled block
+by block; the CSV is written in slices of one block's rows. So a sweep holds
+one block's working set and one copy of the columns, whatever the grid.
 """
 
 from __future__ import annotations
@@ -20,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import ALGEBRAIC_TOL, classify_family_point, o_reduction_operator, ppt_psd, realignment_norm
-from .linalg import DimPair, is_psd
+from .criteria import (
+    ALGEBRAIC_TOL,
+    _reduction_from_residue,
+    _residue,
+    _t_from_residue,
+    classify_family_point,
+    ppt_psd,
+)
+from .linalg import DimPair, is_psd, partial_trace, trace_norm
 from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
@@ -68,9 +79,14 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
     rho = family_stack(weights)
 
     ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d))
+    residue = _residue(rho, d)  # the one gather: T and the cycle maps both read it
+    rho_b = partial_trace(rho, DimPair.square(d), "A")
+    del rho  # the residue and rho_B replace it, so the block holds one state-sized stack
+    realignment = trace_norm(_t_from_residue(residue, d))
+    operators = _reduction_from_residue(residue[:, None], rho_b[:, None], d, cycle_mixings(d))
+    del residue  # not held through the eigensolve
     # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
-    cycle_min = is_psd(o_reduction_operator(rho[:, None], d, cycle_mixings(d)))[1]
-    oreduction_min = cycle_min.min(axis=-1)
+    oreduction_min = is_psd(operators)[1].min(axis=-1)
     numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -ALGEBRAIC_TOL, "bound", "separable"))
     values = (
         a1,
@@ -79,7 +95,7 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
         classify_family_point(d, a1, a2),
         ppt_min,
         oreduction_min,
-        realignment_norm(rho, d),
+        realignment,
         numeric,
         _near_boundary(a1, a2, a_d),
     )
@@ -92,22 +108,33 @@ def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
     return {name: column.tolist()[0] for name, column in columns.items()} if len(columns["a1"]) else None
 
 
+def _grid_blocks(d: int, resolution: int):
+    """(a1, a2) of each block of the resolution x resolution grid, rows in grid order (a1 major)."""
+    grid = np.linspace(0.0, 1.0, resolution)
+    size = BLOCK_OPERATORS // max(d - 1, 1)  # the first block rejects d < 2
+    for start in range(0, resolution * resolution, size):
+        index = np.arange(start, min(start + size, resolution * resolution))
+        yield grid[index // resolution], grid[index % resolution]
+
+
 def run_sweep(d: int, resolution: int) -> SweepResult:
     """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order.
 
     Points within EPSILON of an analytic boundary are flagged; the criteria use ALGEBRAIC_TOL.
+    The valid points are counted first, so each column is allocated once and filled block by block.
     """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    grid = np.linspace(0.0, 1.0, resolution)
-    a1_all = np.repeat(grid, resolution)
-    a2_all = np.tile(grid, resolution)
-    size = BLOCK_OPERATORS // max(d - 1, 1)  # the first block rejects d < 2
-    blocks = [
-        _evaluate_block(d, a1_all[start:start + size], a2_all[start:start + size])
-        for start in range(0, a1_all.size, size)
-    ]
-    columns = {name: np.concatenate([block[name] for block in blocks]) for name in COLUMN_NAMES}
+    rows = sum(int(np.count_nonzero(special_slice(d, a1, a2)[1])) for a1, a2 in _grid_blocks(d, resolution))
+    columns: dict[str, np.ndarray] = {}
+    filled = 0
+    for a1, a2 in _grid_blocks(d, resolution):
+        block = _evaluate_block(d, a1, a2)
+        if not columns:  # each column takes the dtype of its first block
+            columns = {name: np.empty(rows, dtype=values.dtype) for name, values in block.items()}
+        for name, values in block.items():
+            columns[name][filled:filled + len(values)] = values
+        filled += len(block["a1"])
 
     compared = ~columns["boundary_flag"]
     bound = columns["numeric_region"] == "bound"
@@ -130,9 +157,14 @@ def _cells(column: np.ndarray):
 
 
 def write_csv(result: SweepResult, path: str | Path) -> None:
-    cells = [_cells(result.columns[name]) for name in COLUMN_NAMES]
-    lines = [CSV_HEADER, CSV_COLUMNS] + [",".join(row) for row in zip(*cells)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the CSV (schema v1) in slices of one block's rows, so the text of the whole grid is never held."""
+    size = BLOCK_OPERATORS // (result.d - 1)
+    columns = [result.columns[name] for name in COLUMN_NAMES]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(f"{CSV_HEADER}\n{CSV_COLUMNS}\n")
+        for start in range(0, len(columns[0]), size):
+            cells = [_cells(column[start:start + size]) for column in columns]
+            out.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def summary_lines(result: SweepResult) -> list[str]:

@@ -22,6 +22,7 @@ from loowit.loo import (
     sym_slot,
 )
 from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, phi
+from loowit.sweep import COLUMN_NAMES, CSV_COLUMNS, CSV_HEADER, SweepResult
 from loowit.witness import horodecki_mixings
 
 
@@ -370,3 +371,19 @@ def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
 def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The correlation search one restart at a time: (min_eig, O, u)."""
     return best_restart([reference_restart(state, seed, restart) for restart in range(budget)])
+
+
+def sweep_csv_one_shot(result: SweepResult) -> str:
+    """The whole sweep CSV (schema v1) as one string, every row of the grid formatted at once.
+
+    Floats by repr, labels as they are, the boundary flag as 1/0: the text
+    write_csv streams slice by slice.
+    """
+
+    def cells(column: np.ndarray):
+        if column.dtype == bool:
+            column = column.astype(int)
+        return map(repr if column.dtype.kind == "f" else str, column.tolist())
+
+    rows = zip(*(cells(result.columns[name]) for name in COLUMN_NAMES))
+    return "\n".join([CSV_HEADER, CSV_COLUMNS] + [",".join(row) for row in rows]) + "\n"

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import cli
+from loowit import cli, sweep
 from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
@@ -264,6 +264,17 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--grid", "1", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_ERROR
         assert "resolution" in err
+
+    def test_missing_out_directory_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before its output path was checked")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--grid", "300", "--out", str(out_path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: cannot write --out {out_path}: {out_path.parent} is not a directory\n"
 
     @pytest.mark.parametrize("d", ("1", "0"))
     def test_bad_dimension(self, capsys, tmp_path, d):

@@ -1,0 +1,69 @@
+"""The sweep's streamed CSV and its memory bound.
+
+run_sweep fills each column once, block by block, and write_csv formats one
+block's rows at a time, so a sweep holds one block's working set and one copy
+of the columns, whatever the grid. The streamed bytes must equal the one-shot
+formatter's (tests/oracles.py) across slice boundaries, and tracemalloc bounds
+what the d = 3 grid-300 sweep allocates beyond its columns.
+"""
+
+import tracemalloc
+
+import pytest
+
+from loowit.sweep import BLOCK_OPERATORS, run_sweep, write_csv
+from oracles import sweep_csv_one_shot
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes tracemalloc sees allocated during it, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def streamed_bytes(result, path) -> bytes:
+    write_csv(result, path)
+    return path.read_bytes()
+
+
+# each grid gives more rows than one slice of BLOCK_OPERATORS // (d - 1)
+@pytest.mark.parametrize("d, grid", [(2, 520), (3, 100), (4, 30), (5, 35), (6, 30)])
+def test_streamed_csv_is_the_one_shot_text(tmp_path, d, grid):
+    result = run_sweep(d, grid)
+    assert len(result.columns["a1"]) > BLOCK_OPERATORS // (d - 1)
+    assert streamed_bytes(result, tmp_path / "sweep.csv") == sweep_csv_one_shot(result).encode("utf-8")
+
+
+# a d = 3 slice holds 256 rows: grid 22 fits in one, grid 23 spills 12 rows into a second
+@pytest.mark.parametrize("grid, rows", [(22, 253), (23, 268)])
+def test_streamed_csv_across_one_slice(tmp_path, grid, rows):
+    result = run_sweep(3, grid)
+    assert len(result.columns["a1"]) == rows
+    assert streamed_bytes(result, tmp_path / "sweep.csv") == sweep_csv_one_shot(result).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def traced_sweep():
+    """The d = 3 grid-300 sweep (45,118 rows) and its traced peak."""
+    return traced_peak(lambda: run_sweep(3, 300))
+
+
+class TestMemoryBound:
+    def test_run_sweep_holds_one_block_beyond_its_columns(self, traced_sweep):
+        result, peak = traced_sweep
+        columns = sum(column.nbytes for column in result.columns.values())
+        assert peak - columns < 6e6, (peak, columns)
+
+    def test_write_csv_holds_one_slice(self, traced_sweep, tmp_path):
+        result, _ = traced_sweep
+        _, peak = traced_peak(lambda: write_csv(result, tmp_path / "sweep.csv"))
+        assert peak < 1e6, peak
