@@ -60,6 +60,8 @@ def parse_spec(spec: str) -> tuple[str, list, dict]:
                 raise ValueError(f"spec {spec!r}: unknown key {key!r} for {name!r}")
         if len(tokens) > (name == "perm"):
             raise ValueError(f"spec {spec!r}: unexpected bare token {tokens[-1]!r}")
+        if tokens and "kind" in kwargs:  # perm's bare token is its kind
+            raise ValueError(f"spec {spec!r} repeats the key 'kind'")
     return name, tokens, kwargs
 
 
@@ -155,6 +157,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     directory = Path(args.out).parent  # checked before the sweep, which can compute for seconds
     if not directory.is_dir():
         raise ValueError(f"cannot write --out {args.out}: {directory} is not a directory")
+    if Path(args.out).is_dir():
+        raise ValueError(f"cannot write --out {args.out}: it is a directory")
     result = sweep.run_sweep(d=args.d, resolution=args.grid)
     sweep.write_csv(result, args.out)
     for line in sweep.summary_lines(result):

@@ -28,7 +28,6 @@ from .linalg import (
     is_psd,
     max_abs,
     member_max_abs,
-    partial_trace,
     partial_transpose,
     raise_first,
     require_count,
@@ -78,13 +77,9 @@ class CriterionReport:
         }
 
 
-def _psd_report(criterion: str, ok: bool, min_eig: float, params: dict) -> CriterionReport:
-    return CriterionReport(
-        criterion=criterion,
-        verdict="pass" if ok else "violated",
-        scalar=min_eig,
-        params=params,
-    )
+def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionReport:
+    """An algebraic criterion's report: "pass" or "violated" at ALGEBRAIC_TOL, the first of its params."""
+    return CriterionReport(criterion, "pass" if ok else "violated", scalar, {"tol": ALGEBRAIC_TOL, **params})
 
 
 # Stacked kernels: each takes one density matrix or a (..., n, n) stack of them
@@ -96,8 +91,9 @@ def ppt_psd(rho: np.ndarray, dims: DimPair):
     return is_psd(partial_transpose(rho, dims, "B"))
 
 
-# rho is gathered against the standard set once, in _residue; T, the reduction
-# maps and the X tables all read that residue. The gathers add only the
+# rho is gathered against the standard set once, in _residue; T, rho_B, the
+# reduction maps and the X tables all read that residue, so battery,
+# x_search and x_matrix each gather rho once. The gathers add only the
 # nonzero entries of the standard set (loo.standard_entries per observable,
 # loo.standard_positions per matrix position), from +0 and in the order
 # np.einsum visits them in the dense form named in each docstring. A skipped
@@ -129,14 +125,9 @@ def _t_from_residue(residue: np.ndarray, d: int) -> np.ndarray:
     return t.real
 
 
-def _correlation_T(rho: np.ndarray, d: int) -> np.ndarray:
-    """The correlation matrices T of a state or stack, read off its residue (_t_from_residue)."""
-    return _t_from_residue(_residue(rho, d), d)
-
-
 def realignment_norm(rho: np.ndarray, d: int):
     """Trace norms of the correlation matrices T; separable states give at most 1."""
-    return trace_norm(_correlation_T(rho, d))
+    return trace_norm(_t_from_residue(_residue(rho, d), d))
 
 
 def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -170,11 +161,11 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     two nonzero terms, so the operator has the bits of mixing the basis
     instead (loo.apply_orthogonal). A general mixing changes the last bits.
     """
-    return _reduction_from_residue(_residue(rho, d), partial_trace(rho, DimPair.square(d), "A"), d, transform)
+    return _reduction_from_residue(_residue(rho, d), d, transform)
 
 
-def _reduction_from_residue(residue: np.ndarray, rho_b: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
-    """o_reduction_operator(rho, d, transform) from rho's residue (_residue) and rho_B, both the caller's."""
+def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+    """o_reduction_operator(rho, d, transform) from rho's residue (_residue), rho_B included."""
     n = d * d
     transform = np.asarray(transform)
     require_mixing_size(transform, n)
@@ -198,6 +189,7 @@ def _reduction_from_residue(residue: np.ndarray, rho_b: np.ndarray, d: int, tran
         m += term
         del term
     m = m.reshape(batch + (n, n))
+    rho_b = residue[..., :d, :, :].sum(axis=-3)  # the projector slots u < d sum to I
     np.subtract(np.kron(np.eye(d), rho_b), m, out=m)
     # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
     # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
@@ -206,10 +198,27 @@ def _reduction_from_residue(residue: np.ndarray, rho_b: np.ndarray, d: int, tran
     return m
 
 
+def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
+    """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or stack, from one gather of rho.
+
+    Each has the bits of its own kernel: ppt_psd, realignment_norm, and is_psd
+    of o_reduction_operator per mixing of the (k, d^2, d^2) stack, as (..., k).
+    rho is dropped once its residue replaces it, and the residue before the
+    eigensolve, so a caller passing an unnamed stack holds one such stack at a time.
+    """
+    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d))
+    residue = _residue(rho, d)
+    del rho
+    realignment = trace_norm(_t_from_residue(residue, d))
+    operators = _reduction_from_residue(residue[..., None, :, :, :], d, mixings)
+    del residue
+    map_ok, map_min = is_psd(operators)
+    return ppt_ok, ppt_min, realignment, map_ok, map_min
+
+
 def ppt_check(state: BipartiteState) -> CriterionReport:
     """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
-    ok, min_eig = ppt_psd(state.rho, state.dims)
-    return _psd_report("ppt", ok, min_eig, {"tol": ALGEBRAIC_TOL})
+    return _report("ppt", *ppt_psd(state.rho, state.dims))
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
@@ -223,7 +232,12 @@ def correlation_T(state: BipartiteState) -> np.ndarray:
     Equals pair_correlation times the diagonal +-1 transpose mixing, so its
     singular values do not depend on the B-side convention.
     """
-    return _correlation_T(state.rho, state.dims.square_dim)
+    d = state.dims.square_dim
+    return _t_from_residue(_residue(state.rho, d), d)
+
+
+def _realignment_report(value: float) -> CriterionReport:
+    return _report("realignment", value <= 1.0 + ALGEBRAIC_TOL, value)
 
 
 def realignment_value(state: BipartiteState) -> tuple[float, CriterionReport]:
@@ -232,9 +246,7 @@ def realignment_value(state: BipartiteState) -> tuple[float, CriterionReport]:
     It equals the trace norm of the index-realigned density matrix.
     """
     value = realignment_norm(state.rho, state.dims.square_dim)
-    verdict = "pass" if value <= 1.0 + ALGEBRAIC_TOL else "violated"
-    report = CriterionReport("realignment", verdict, value, {"tol": ALGEBRAIC_TOL})
-    return value, report
+    return value, _realignment_report(value)
 
 
 def o_reduction_apply(state: BipartiteState, transform: np.ndarray) -> tuple[np.ndarray, CriterionReport]:
@@ -244,8 +256,7 @@ def o_reduction_apply(state: BipartiteState, transform: np.ndarray) -> tuple[np.
     a negative eigenvalue certifies entanglement. make_transform checks the mixing.
     """
     operator = o_reduction_operator(state.rho, state.dims.square_dim, make_transform(transform))
-    ok, min_eig = is_psd(operator)
-    return operator, _psd_report("o_reduction", ok, min_eig, {"tol": ALGEBRAIC_TOL})
+    return operator, _report("o_reduction", *is_psd(operator))
 
 
 def perm_reduction_family(state: BipartiteState, l: int) -> tuple[np.ndarray, CriterionReport]:
@@ -268,8 +279,8 @@ class _XTables(NamedTuple):
     entries: np.ndarray  # (..., 2, d^2, d^2): [..., i, a, w] = Q_w at the i-th nonzero entry of L_a
 
 
-def _x_tables(rho: np.ndarray, u: np.ndarray, d: int) -> _XTables:
-    """The tables of X for u or a (..., d, d) stack of unitaries, built once per search.
+def _x_tables(residue: np.ndarray, u: np.ndarray, d: int) -> _XTables:
+    """The tables of X for u or a (..., d, d) stack of unitaries, read off rho's residue (_residue).
 
     Q_w = u^dagger residue_w u is the residue of (I x u^dagger) rho (I x u), and
     h = diag(sum_{k<d} Q_k) = diag(u^dagger rho_B u): the projector slots sum to I.
@@ -277,7 +288,7 @@ def _x_tables(rho: np.ndarray, u: np.ndarray, d: int) -> _XTables:
     table; gathered each round, they cost more than the round's products at d = 6.
     """
     u = u[..., None, :, :]
-    q = dagger(u) @ _residue(rho, d) @ u
+    q = dagger(u) @ residue @ u
     h = np.diagonal(q[..., :d, :, :].sum(axis=-3), axis1=-2, axis2=-1)
     rows, cols, _ = standard_entries(d)
     return _XTables(q, h, np.ascontiguousarray(np.moveaxis(q[..., rows, cols], -3, -1)))
@@ -327,7 +338,7 @@ def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.
     transform = make_transform(transform)  # the float mixing _mix needs
     if not is_orthogonal(transform):
         raise ValueError("correlation matrix requires an orthogonal mixing")
-    return _x_stack(_x_tables(state.rho, u, d), transform, d)
+    return _x_stack(_x_tables(_residue(state.rho, d), u, d), transform, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +411,7 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
     and runs SEARCH_ROUNDS exact O steps (_o_step), so its smallest
     eigenvalue never rises. Restart 0 starts at the realignment optimum, read
-    off T (_correlation_T, the same gather the X tables read), and ends at or
+    off T, which comes off the same residue as the X tables, and ends at or
     below (1 - ||T||_tr) / d, so every realignment detection is a search
     detection; the others start from seeded random pairs. The
     verdict is "violated" only below -SEARCH_TOL; a failed search is
@@ -409,8 +420,9 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
     d = state.dims.square_dim
-    o, u = _search_starts(_correlation_T(state.rho, d), d, seed, budget)
-    tables = _x_tables(state.rho, u, d)
+    residue = _residue(state.rho, d)  # the one gather: T and the X tables both read it
+    o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
+    tables = _x_tables(residue, u, d)
     for _ in range(SEARCH_ROUNDS):
         o = _o_step(tables, o, d)
     val = _x_min_eig(tables, o, d)
@@ -475,30 +487,29 @@ class FullReport:
 def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) -> FullReport:
     """Run every configured criterion and aggregate the verdicts.
 
-    Square states get the full battery (partial transpose, realignment, the
-    reduction maps for the identity / transpose / all diagonal-cycle mixings,
-    each configured witness, then the randomized correlation search).
-    Non-square states only support the partial transpose.
+    Square states get the full battery (partial transpose, realignment and
+    the reduction maps for the identity / transpose / all diagonal-cycle
+    mixings, from one battery call), each configured witness, then the
+    randomized correlation search. Non-square states only support the
+    partial transpose.
     """
-    reports: list[CriterionReport] = [ppt_check(state)]
-    if state.dims.d_a == state.dims.d_b:
+    if state.dims.d_a != state.dims.d_b:
+        reports = [ppt_check(state)]
+    else:
         d = state.dims.d_a
-        _, realignment_report = realignment_value(state)
-        reports.append(realignment_report)
         tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
         mixings = np.concatenate([[np.eye(d * d), transpose_transform(d)], cycle_mixings(d)])
-        ok, min_eig = is_psd(o_reduction_operator(state.rho, d, mixings))
+        ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, d, mixings)
+        reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
         reports += [
-            _psd_report("o_reduction", member_ok, member_min, {"tol": ALGEBRAIC_TOL, "transform": tag})
-            for tag, member_ok, member_min in zip(tags, ok.tolist(), min_eig.tolist())
+            _report("o_reduction", member_ok, member_min, transform=tag)
+            for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
         ]
         for witness in config.witnesses:
             value = expectation(witness, state)
             scale = max(1.0, max_abs(witness.matrix))
             verdict = "pass" if value >= -ALGEBRAIC_TOL * scale else "violated"
-            reports.append(
-                CriterionReport("witness", verdict, value, {"witness": witness.provenance})
-            )
+            reports.append(CriterionReport("witness", verdict, value, {"witness": witness.provenance}))
         if config.include_search:
             result = x_search(state, budget=config.budget, seed=config.seed)
             reports.append(result.report)

@@ -10,11 +10,12 @@ depend on it.
 The grid is judged in blocks, each one stack of family states against the
 stack of cyclic-permutation mixings: a fixed number of array calls per block.
 BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
-BLOCK_OPERATORS // (d - 1) grid points. Each block gathers its states against
-the standard set once, and realignment and the reduction maps both read that
-residue. Results are columns, one array each, allocated once and filled block
-by block; the CSV is written in slices of one block's rows. So a sweep holds
-one block's working set and one copy of the columns, whatever the grid.
+BLOCK_OPERATORS // (d - 1) grid points. Each block is one criteria.battery
+call, which gathers its states against the standard set once and reads
+realignment, rho_B and the reduction maps off that residue. Results are
+columns, one array each, allocated once and filled block by block; the CSV is
+written in slices of one block's rows. So a sweep holds one block's working
+set and one copy of the columns, whatever the grid.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import (
-    ALGEBRAIC_TOL,
-    _reduction_from_residue,
-    _residue,
-    _t_from_residue,
-    classify_family_point,
-    ppt_psd,
-)
-from .linalg import DimPair, is_psd, partial_trace, trace_norm
+from .criteria import ALGEBRAIC_TOL, battery, classify_family_point
 from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
@@ -76,17 +69,9 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
     weights, valid = special_slice(d, a1, a2)
     a1, a2, weights = a1[valid], a2[valid], weights[valid]
     a_d = weights[:, d - 1]
-    rho = family_stack(weights)
-
-    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d))
-    residue = _residue(rho, d)  # the one gather: T and the cycle maps both read it
-    rho_b = partial_trace(rho, DimPair.square(d), "A")
-    del rho  # the residue and rho_B replace it, so the block holds one state-sized stack
-    realignment = trace_norm(_t_from_residue(residue, d))
-    operators = _reduction_from_residue(residue[:, None], rho_b[:, None], d, cycle_mixings(d))
-    del residue  # not held through the eigensolve
-    # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
-    oreduction_min = is_psd(operators)[1].min(axis=-1)
+    # the states are not bound to a name, so battery drops them once their residue replaces them
+    ppt_ok, ppt_min, realignment, _, cycle_min = battery(family_stack(weights), d, cycle_mixings(d))
+    oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
     numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -ALGEBRAIC_TOL, "bound", "separable"))
     values = (
         a1,

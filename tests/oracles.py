@@ -8,7 +8,7 @@ both routes agree.
 
 import numpy as np
 
-from loowit.criteria import SEARCH_ROUNDS, _x_tables, correlation_T, o_reduction_apply, x_matrix
+from loowit.criteria import SEARCH_ROUNDS, _residue, _x_tables, correlation_T, o_reduction_apply, x_matrix
 from loowit.linalg import DimPair, dagger, max_abs, partial_trace
 from loowit.loo import (
     apply_orthogonal,
@@ -355,7 +355,7 @@ def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[f
         rng = np.random.default_rng([seed, restart])
         o = random_orthogonal(d * d, rng)
         u = random_unitary(d, rng)
-    q = _x_tables(state.rho, u, d).q
+    q = _x_tables(_residue(state.rho, d), u, d).q
     for _ in range(SEARCH_ROUNDS):
         _, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
         u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))

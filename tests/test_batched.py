@@ -19,9 +19,11 @@ from hypothesis import given, strategies as st
 from conftest import random_density, sample_states
 from loowit.criteria import (
     _o_gradient,
+    _residue,
     _x_stack,
     _x_tables,
     ReportConfig,
+    battery,
     classify_family_point,
     correlation_T,
     full_report,
@@ -153,6 +155,34 @@ class TestRouteAgreement:
                 single = o_reduction_apply(state, t)[1]
                 assert r == replace(single, params={**single.params, "transform": tag})
                 assert same_bits(r.scalar, single.scalar)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_full_report_matches_single_criteria(self, d):
+        for state in sample_states(d, d):
+            report = full_report(state, ReportConfig(include_search=False))
+            for r, single in zip(report.reports[:2], (ppt_check(state), realignment_value(state)[1])):
+                assert r == single
+                assert same_bits(r.scalar, single.scalar)
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_battery_matches_members(self, d, seed):
+        # a state stack against a mixing stack: every (state, mixing) pair gives its own call's bits
+        states = sample_states(d, seed)
+        mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
+        whole = battery(np.stack([s.rho for s in states]), d, mixings)
+        assert whole[3].shape == whole[4].shape == (len(states), len(mixings))
+        for i, state in enumerate(states):
+            one = battery(state.rho, d, mixings)
+            for k in range(5):
+                assert same_bits(whole[k][i], one[k])
+            ppt = ppt_check(state)
+            assert one[0] == (ppt.verdict == "pass")
+            assert same_bits(one[1], ppt.scalar)
+            assert same_bits(one[2], realignment_value(state)[0])
+            for c, t in enumerate(mixings):
+                single = o_reduction_apply(state, t)[1]
+                assert one[3][c] == (single.verdict == "pass")
+                assert same_bits(one[4][c], single.scalar)
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_linalg_stack_matches_members(self, d, seed):
@@ -309,14 +339,14 @@ class TestLockstepSearch:
         s = pair_correlation(state)
         o = np.stack([random_orthogonal(d * d, rng) for _ in range(3)])
         u = np.stack([np.eye(d)] + [random_unitary(d, rng) for _ in range(2)])
-        tables = _x_tables(state.rho, u, d)
+        tables = _x_tables(_residue(state.rho, d), u, d)
         x = _x_stack(tables, o, d)
         v = np.linalg.eigh(x)[1][..., 0]
         g = _o_gradient(tables, v, d)
         basis = standard_basis(d)
         for i in range(3):
             assert same_bits(x[i], x_matrix(state, make_transform(o[i]), u[i]))
-            assert same_bits(g[i], o_gradient_entries(_x_tables(state.rho, u[i], d).q, v[i], d))
+            assert same_bits(g[i], o_gradient_entries(_x_tables(_residue(state.rho, d), u[i], d).q, v[i], d))
             r = unitary_mixing_single(u[i], d)
             assert np.abs(expand(basis, x[i]) - x_coefficients_loops(s, o[i], r, d)).max() <= 1e-12
             assert np.abs(g[i] - o_gradient_loops(s, r, v[i], d)).max() <= 1e-12

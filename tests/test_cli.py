@@ -63,6 +63,16 @@ class TestCheck:
         assert code == cli.EXIT_OK
         assert "no entanglement detected" in out
 
+    def test_non_square_file_gets_ppt_alone(self, capsys, tmp_path):
+        v = np.zeros(6)
+        v[[0, 4]] = 1.0 / np.sqrt(2.0)  # (|00> + |11>) / sqrt(2) in 2 x 3
+        path = tmp_path / "bell23.json"
+        save_matrix(path, DimPair(2, 3), np.outer(v, v))
+        code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json")
+        assert code == cli.EXIT_ENTANGLED
+        reports = json.loads(out)["reports"]
+        assert [(r["criterion"], r["verdict"]) for r in reports] == [("ppt", "violated")]
+
     def test_malformed_file_errors(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{broken")
@@ -275,6 +285,11 @@ class TestSweepCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == f"error: cannot write --out {out_path}: {out_path.parent} is not a directory\n"
+        # an existing directory is no file to write either
+        code, out, err = run_cli(capsys, "sweep", "--grid", "300", "--out", str(tmp_path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: cannot write --out {tmp_path}: it is a directory\n"
 
     @pytest.mark.parametrize("d", ("1", "0"))
     def test_bad_dimension(self, capsys, tmp_path, d):
@@ -409,6 +424,8 @@ class TestSpecParsing:
             (("witness", "perm:cycle,shift,d=3,l=1"), "unexpected bare token 'shift'"),
             (("witness", "perm:cycle,d=3,l=1,l=2"), "repeats the key 'l'"),
             (("witness", "horodecki:a=0.3,b=1"), "unknown key 'b' for 'horodecki'"),
+            (("witness", "perm:cycle,kind=bogus,d=3,l=1"), "repeats the key 'kind'"),
+            (("witness", "perm:kind=cycle,cycle,d=3,l=1"), "repeats the key 'kind'"),
         ],
     )
     def test_stray_spec_parts_named(self, capsys, argv, message):

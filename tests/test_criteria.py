@@ -11,6 +11,7 @@ from loowit.criteria import (
     ReportConfig,
     _o_gradient,
     _o_step,
+    _residue,
     _search_starts,
     _x_min_eig,
     _x_stack,
@@ -438,7 +439,7 @@ class TestXSearch:
         u = random_unitary(d, rng)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        tables = _x_tables(state.rho, u, d)
+        tables = _x_tables(_residue(state.rho, d), u, d)
         g = _o_gradient(tables, v, d)
         c = float(np.real(v.conj() @ _x_stack(tables, np.zeros((d * d, d * d)), d) @ v))
         for _ in range(3):
@@ -451,7 +452,7 @@ class TestXSearch:
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
         o, u = _search_starts(correlation_T(state), d, seed, 4)
-        tables = _x_tables(state.rho, u, d)
+        tables = _x_tables(_residue(state.rho, d), u, d)
         values = [_x_min_eig(tables, o, d)]
         for _ in range(SEARCH_ROUNDS):
             o = _o_step(tables, o, d)
@@ -600,6 +601,21 @@ class TestFullReport:
         report = full_report(state, ReportConfig(budget=10, seed=2))
         assert not report.entangled
         assert all(r.verdict in ("pass", "inconclusive") for r in report.reports)
+
+    @pytest.mark.parametrize("dims", [DimPair(2, 3), DimPair(3, 2)])
+    def test_non_square_product_gets_ppt_alone(self, dims):
+        state = random_product_state(dims, seed=5)
+        assert full_report(state).reports == (ppt_check(state),)
+        assert not full_report(state).entangled
+
+    def test_non_square_entangled(self):
+        v = np.zeros(6)
+        v[[0, 4]] = 1.0 / np.sqrt(2.0)  # (|00> + |11>) / sqrt(2) in 2 x 3
+        state = make_state(np.outer(v, v), DimPair(2, 3), label="bell(2x3)")
+        report = full_report(state)
+        assert report.reports == (ppt_check(state),)
+        assert report.reports[0].verdict == "violated"
+        assert report.entangled
 
     def test_report_serialization(self):
         report = full_report(werner2(0.5), ReportConfig(include_search=False))
