@@ -11,7 +11,8 @@ import argparse
 
 import numpy as np
 
-from loowit.criteria import ppt_check, realignment_value
+from loowit.criteria import battery
+from loowit.loo import cycle_mixings
 from loowit.states import horodecki_rho
 from loowit.witness import expectation, horodecki_ew
 
@@ -28,8 +29,7 @@ def main() -> None:
         witness, data = horodecki_ew(a)
         value = expectation(witness, state)
         closed = 1.0 - np.sqrt(1.0 + data.n_sq)
-        pt_min = ppt_check(state).scalar
-        realign_val, _ = realignment_value(state)
+        _, pt_min, realign_val, _, _ = battery(state.rho, 3, cycle_mixings(3))
         print(f"{a:6.3f}  {value:15.9e}  {closed:15.9e}  {pt_min:12.3e}  {realign_val:12.8f}")
 
 

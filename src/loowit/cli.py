@@ -119,13 +119,11 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
         print(json.dumps(report.to_dict()))
         return
     print(f"state: {report.state_label}")
-    width = max(len(r.criterion) + len(str(r.params.get("transform", ""))) for r in report.reports) + 4
-    for r in report.reports:
-        tag = r.criterion
-        if "transform" in r.params:
-            tag += f"[{r.params['transform']}]"
-        elif "witness" in r.params:
-            tag += f"[{r.params['witness']}]"
+    # a mixing's or a witness's name is shown in brackets after the criterion
+    names = [str(r.params.get("transform", r.params.get("witness", ""))) for r in report.reports]
+    width = max(len(r.criterion) + len(name) for r, name in zip(report.reports, names)) + 4
+    for r, name in zip(report.reports, names):
+        tag = f"{r.criterion}[{name}]" if name else r.criterion
         print(f"  {tag:<{width}} {r.verdict:<13} scalar={r.scalar:+.6e}")
     print("overall: " + ("entangled" if report.entangled else "no entanglement detected"))
 

@@ -82,15 +82,6 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
     return CriterionReport(criterion, "pass" if ok else "violated", scalar, {"tol": ALGEBRAIC_TOL, **params})
 
 
-# Stacked kernels: each takes one density matrix or a (..., n, n) stack of them
-# and gives the decisive scalars per member (Python scalars for one matrix).
-
-
-def ppt_psd(rho: np.ndarray, dims: DimPair):
-    """PSD verdicts and minimum eigenvalues of the partial transposes rho^T_B."""
-    return is_psd(partial_transpose(rho, dims, "B"))
-
-
 # rho is gathered against the standard set once, in _residue; T, rho_B, the
 # reduction maps and the X tables all read that residue, so battery,
 # x_search and x_matrix each gather rho once. The gathers add only the
@@ -123,11 +114,6 @@ def _t_from_residue(residue: np.ndarray, d: int) -> np.ndarray:
     imag = member_max_abs(t.imag)
     raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
     return t.real
-
-
-def realignment_norm(rho: np.ndarray, d: int):
-    """Trace norms of the correlation matrices T; separable states give at most 1."""
-    return trace_norm(_t_from_residue(_residue(rho, d), d))
 
 
 def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -199,14 +185,14 @@ def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) 
 
 
 def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
-    """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or stack, from one gather of rho.
+    """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or a (..., n, n) stack, from one gather of rho.
 
-    Each has the bits of its own kernel: ppt_psd, realignment_norm, and is_psd
-    of o_reduction_operator per mixing of the (k, d^2, d^2) stack, as (..., k).
+    Each has the bits of its single-state route: ppt_check, realignment_value,
+    and o_reduction_apply per mixing of the (k, d^2, d^2) stack, as (..., k).
     rho is dropped once its residue replaces it, and the residue before the
     eigensolve, so a caller passing an unnamed stack holds one such stack at a time.
     """
-    ppt_ok, ppt_min = ppt_psd(rho, DimPair.square(d))
+    ppt_ok, ppt_min = is_psd(partial_transpose(rho, DimPair.square(d), "B"))
     residue = _residue(rho, d)
     del rho
     realignment = trace_norm(_t_from_residue(residue, d))
@@ -218,7 +204,7 @@ def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
 
 def ppt_check(state: BipartiteState) -> CriterionReport:
     """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
-    return _report("ppt", *ppt_psd(state.rho, state.dims))
+    return _report("ppt", *is_psd(partial_transpose(state.rho, state.dims, "B")))
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
@@ -245,7 +231,7 @@ def realignment_value(state: BipartiteState) -> tuple[float, CriterionReport]:
 
     It equals the trace norm of the index-realigned density matrix.
     """
-    value = realignment_norm(state.rho, state.dims.square_dim)
+    value = trace_norm(correlation_T(state))
     return value, _realignment_report(value)
 
 

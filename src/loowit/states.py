@@ -7,7 +7,7 @@ PCG64 generator, so sampled fixtures are bit-stable across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +132,12 @@ class FamilyParams:
 def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
     """Special-slice weights (..., d) at each (a1, a2), and the mask of valid points.
 
-    The slice is a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2;
-    a point is valid when family_special accepts it.
+    The slice is a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2,
+    so it needs d >= 3 (at d = 2, a2 and a_d are one weight); a point is
+    valid when family_special accepts it.
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    if d < 3:
+        raise ValueError(f"the special slice needs d >= 3, got {d}")
     a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(a2, dtype=float))
     a_d = 1.0 - (d - 2) * a1 - a2
     a = np.repeat(a1[..., None], d, axis=-1)
@@ -194,25 +195,15 @@ def family_rho(params: FamilyParams) -> BipartiteState:
     return BipartiteState(DimPair.square(params.d), family_stack(params.a), label)
 
 
-def _weights(params: FamilyParams | np.ndarray) -> np.ndarray:
-    return np.asarray(params.a if isinstance(params, FamilyParams) else params, dtype=float)
-
-
-def family_separable_sufficient(params: FamilyParams | np.ndarray) -> bool | np.ndarray:
-    """Separability condition: a_i >= a_1 for every i != 1.
-
-    Takes one FamilyParams (gives a bool) or (..., d) weights (one verdict per row).
-    """
-    a = _weights(params)
+def family_separable_sufficient(weights) -> bool | np.ndarray:
+    """Separability condition: a_i >= a_1 for every i != 1, per row of (..., d) weights (a bool for one row)."""
+    a = np.asarray(weights, dtype=float)
     return scalar_or_stack(np.all(a[..., 1:] >= a[..., :1], axis=-1))
 
 
-def family_ppt_sufficient(params: FamilyParams | np.ndarray) -> bool | np.ndarray:
-    """Positive-partial-transpose condition: a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1.
-
-    Takes one FamilyParams (gives a bool) or (..., d) weights (one verdict per row).
-    """
-    a = _weights(params)
+def family_ppt_sufficient(weights) -> bool | np.ndarray:
+    """Positive-partial-transpose condition: a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1, per row of weights."""
+    a = np.asarray(weights, dtype=float)
     a1_sq = a[..., :1] * a[..., :1]
     return scalar_or_stack(np.all(a[..., 1:] * a[..., :0:-1] >= a1_sq, axis=-1))
 
@@ -253,21 +244,16 @@ def _product_from_rng(rng: np.random.Generator, dims: DimPair, mode: str) -> np.
 
 
 def random_product_state(dims: DimPair, seed: int, mode: str = "pure") -> BipartiteState:
-    """Product state rho_1 x rho_2 with independent random factors.
-
-    ``mode`` selects Haar-random pure projectors or normalized Wishart
-    mixtures for the factors.
-    """
-    require_count(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    rho = _product_from_rng(rng, dims, mode)
-    return make_state(rho, dims, label=f"product(dims={dims.d_a}x{dims.d_b}, seed={seed}, mode={mode})")
+    """Product state rho_1 x rho_2 with independent random factors: the k = 1 separable draw, relabelled."""
+    state = random_separable_state(dims, 1, seed, mode)
+    return replace(state, label=f"product(dims={dims.d_a}x{dims.d_b}, seed={seed}, mode={mode})")
 
 
 def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure") -> BipartiteState:
     """Convex mixture of k random product states with uniform-simplex weights.
 
-    For k = 1 this reduces exactly to random_product_state with the same seed.
+    ``mode`` selects Haar-random pure projectors or normalized Wishart
+    mixtures for the product factors.
     """
     if k < 1:
         raise ValueError(f"need k >= 1 mixture terms, got {k}")

@@ -1,8 +1,10 @@
 """Phase-diagram sweep over the special slice of the diagonal family.
 
 Each grid point (a1, a2) gets an analytic region label and a numeric one
-derived solely from eigensolves: the partial-transpose minimum eigenvalue and
-the best (most negative) cyclic-permutation reduction eigenvalue. Points
+derived solely from eigensolves: free when the partial transpose fails
+is_psd, bound when it passes and some cyclic-permutation reduction map fails
+it; the CSV also holds the smallest eigenvalue of each kind. The slice needs
+d >= 3. Points
 within the EPSILON band of either analytic boundary are flagged and excluded
 from the agreement statistic. The CSV schema is versioned; figure scripts
 depend on it.
@@ -70,9 +72,9 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
     a1, a2, weights = a1[valid], a2[valid], weights[valid]
     a_d = weights[:, d - 1]
     # the states are not bound to a name, so battery drops them once their residue replaces them
-    ppt_ok, ppt_min, realignment, _, cycle_min = battery(family_stack(weights), d, cycle_mixings(d))
+    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), d, cycle_mixings(d))
     oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
-    numeric = np.where(~ppt_ok, "free", np.where(oreduction_min < -ALGEBRAIC_TOL, "bound", "separable"))
+    numeric = np.where(~ppt_ok, "free", np.where(cycle_ok.all(axis=-1), "separable", "bound"))
     values = (
         a1,
         a2,
@@ -96,7 +98,7 @@ def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
 def _grid_blocks(d: int, resolution: int):
     """(a1, a2) of each block of the resolution x resolution grid, rows in grid order (a1 major)."""
     grid = np.linspace(0.0, 1.0, resolution)
-    size = BLOCK_OPERATORS // max(d - 1, 1)  # the first block rejects d < 2
+    size = BLOCK_OPERATORS // max(d - 1, 1)  # d < 3 reaches special_slice, which rejects it
     for start in range(0, resolution * resolution, size):
         index = np.arange(start, min(start + size, resolution * resolution))
         yield grid[index // resolution], grid[index % resolution]

@@ -162,11 +162,10 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     state is 0 (detection fails there, consistent with those states being
     separable).
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter must lie in [0, 1], got {a}")
+    state = horodecki_rho(a)  # checks a before the mixings are formed
     o_a, o_b = horodecki_mixings(a)
     # coeffs[u, v] = Tr(rho A_u x B_v^T)
-    coeffs = o_a @ criteria.correlation_T(horodecki_rho(a)) @ o_b.T
+    coeffs = o_a @ criteria.correlation_T(state) @ o_b.T
 
     n_vec = coeffs[0, 1:] - coeffs[1:, 0]
     n_sq = float(np.dot(n_vec, n_vec))

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import random_density, sample_states
 from loowit.criteria import (
@@ -31,8 +31,6 @@ from loowit.criteria import (
     o_reduction_operator,
     pair_correlation,
     ppt_check,
-    ppt_psd,
-    realignment_norm,
     realignment_value,
     x_matrix,
     x_search,
@@ -59,7 +57,9 @@ from loowit.states import (
     FamilyParams,
     check_densities,
     family_ppt_sufficient,
+    family_rho,
     family_separable_sufficient,
+    family_special,
     family_stack,
     horodecki_rho,
     make_state,
@@ -97,16 +97,14 @@ class TestRouteAgreement:
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_stack_matches_members(self, d, seed, split):
         states = sample_states(d, seed)
-        dims = DimPair.square(d)
         stack = np.stack([s.rho for s in states])
         split = split % len(states)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
 
         def kernels(rho):
-            ok, ppt_min = ppt_psd(rho, dims)
             # every (state, mixing) pair in one call: (states, mixings)
-            reductions = is_psd(o_reduction_operator(rho[:, None], d, mixings))[1]
-            return ok, ppt_min, realignment_norm(rho, d), reductions
+            ok, ppt_min, realignment, _, reductions = battery(rho, d, mixings)
+            return ok, ppt_min, realignment, reductions
 
         whole = kernels(stack)
         blocks = [kernels(stack[:split]), kernels(stack[split:])]
@@ -183,6 +181,26 @@ class TestRouteAgreement:
                 single = o_reduction_apply(state, t)[1]
                 assert one[3][c] == (single.verdict == "pass")
                 assert same_bits(one[4][c], single.scalar)
+
+    @given(st.integers(3, 5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_sweep_point_matches_check(self, d, s, t):
+        # a sweep row's numeric region is what check reads off the same family point:
+        # free if the partial transpose fails, else bound if any cycle map fails
+        a1 = s / (d - 1)
+        a2 = t * (1.0 - (d - 2) * a1)
+        row = evaluate_point(d, a1, a2)
+        assume(row is not None and not row["boundary_flag"])
+        report = full_report(family_rho(family_special(d, a1, a2)), ReportConfig(include_search=False))
+        ppt = report.reports[0]
+        cycles = [r for r in report.reports if str(r.params.get("transform")).startswith("cycle")]
+        assert len(cycles) == d - 1
+        if ppt.verdict == "violated":
+            expected = "free"
+        else:
+            expected = "bound" if any(r.verdict == "violated" for r in cycles) else "separable"
+        assert row["numeric_region"] == expected
+        assert same_bits(row["ppt_min_eig"], ppt.scalar)
+        assert same_bits(row["oreduction_min_eig"], min(r.scalar for r in cycles))
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_linalg_stack_matches_members(self, d, seed):
@@ -385,8 +403,8 @@ class TestFamilyStack:
         ppt = family_ppt_sufficient(weights)
         for i, row in enumerate(weights):
             params = FamilyParams(d, tuple(row.tolist()))
-            assert separable[i] == family_separable_sufficient(params)
-            assert ppt[i] == family_ppt_sufficient(params)
+            assert separable[i] == family_separable_sufficient(params.a)
+            assert ppt[i] == family_ppt_sufficient(params.a)
 
     def test_classify_arrays_match_points(self):
         a1, a2 = np.meshgrid(np.linspace(0.0, 0.6, 9), np.linspace(0.0, 1.0, 9))
@@ -394,7 +412,7 @@ class TestFamilyStack:
         for i, j in np.ndindex(a1.shape):
             assert regions[i, j] == classify_family_point(3, float(a1[i, j]), float(a2[i, j]))
 
-    @pytest.mark.parametrize("d", (2, 3, 4, 6))
+    @pytest.mark.parametrize("d", (3, 4, 6))
     def test_sweep_rows_match_points(self, d):
         columns = run_sweep(d, 9).columns
         rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]

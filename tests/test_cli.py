@@ -152,6 +152,26 @@ class TestCheck:
         criteria = [r["criterion"] for r in payload["reports"]]
         assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d + 1) + ["x_search"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        ("horodecki:a=0.123457", "horodecki:a=0.5", "family:d=3,a1=0.25,a2=0.65", "phi:d=6", "werner:p=0.5"),
+    )
+    def test_verdict_column_aligned(self, capsys, spec):
+        # the tag column fits the longest tag, a witness's included
+        _, out, _ = run_cli(capsys, "check", "--builtin", spec, "--budget", "2")
+        rows = [line for line in out.splitlines() if line.startswith("  ")]
+        assert len(rows) > 3
+        starts = {len(line) - len(line[2:].split(" ", 1)[1].lstrip(" ")) for line in rows}
+        assert len(starts) == 1, out
+
+    @pytest.mark.parametrize("spec", ("family:d=2,a1=0.3,a2=0.7", "family:d=2,a1=0.3,a2=0.3"))
+    def test_family_needs_d3(self, capsys, spec):
+        # at d = 2, a2 and a_d are one weight: no point of such a spec is on the slice
+        code, out, err = run_cli(capsys, "check", "--builtin", spec, "--no-search")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == "error: the special slice needs d >= 3, got 2\n"
+
     def test_zero_budget_named_without_search(self, capsys):
         code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
         assert code == cli.EXIT_ERROR
@@ -291,11 +311,15 @@ class TestSweepCommand:
         assert out == ""
         assert err == f"error: cannot write --out {tmp_path}: it is a directory\n"
 
-    @pytest.mark.parametrize("d", ("1", "0"))
+    # at d = 2, a2 and a_d are one weight: there is no special slice to sweep
+    @pytest.mark.parametrize("d", ("2", "1", "0"))
     def test_bad_dimension(self, capsys, tmp_path, d):
-        code, _, err = run_cli(capsys, "sweep", "--d", d, "--grid", "10", "--out", str(tmp_path / "x.csv"))
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--d", d, "--grid", "10", "--out", str(path))
         assert code == cli.EXIT_ERROR
-        assert f"error: local dimension must be >= 2, got {d}" in err
+        assert out == ""
+        assert err == f"error: the special slice needs d >= 3, got {d}\n"
+        assert not path.exists()
 
 
 class TestUsageErrors:
@@ -453,7 +477,6 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "d, grid, digest, rows",
         [
-            (2, 60, "b042768c8a71c31e81d18f217c902b5b87b779180fb928261570b577e999220c", 60),
             # the benchmark's sweep: the digest perfbench/expected.json checks
             (3, 100, "d87ac948548e32430fc18670014829b489a73e1253049a27aa589e1d08162a58", 4966),
             (4, 30, "ac95664be04c3923b73a15b1045c89bc9d0978d359f85a15dc5e1ccbac3fbde0", 238),
@@ -491,7 +514,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "0a38e459f2d1495725c3f97cf874a36420069b6ced9a1c7ce242fd1844564aba",
+                "5eab478fc6ad2f506155d6ceb075071b2ed6402cdeb476936a732a2ba8e17a04",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),

@@ -13,9 +13,11 @@ from loowit.criteria import (
     _o_step,
     _residue,
     _search_starts,
+    _t_from_residue,
     _x_min_eig,
     _x_stack,
     _x_tables,
+    battery,
     classify_family_point,
     correlation_T,
     full_report,
@@ -24,7 +26,6 @@ from loowit.criteria import (
     pair_correlation,
     perm_reduction_family,
     ppt_check,
-    realignment_norm,
     realignment_value,
     x_matrix,
     x_search,
@@ -111,13 +112,14 @@ class TestCorrelationT:
             assert np.array_equal(pair_correlation(state) @ transpose_transform(d), correlation_T(state))
 
     def test_non_real_residue_named(self, rng):
-        # a non-Hermitian matrix gives a complex T; a stack names its first bad member
+        # a non-Hermitian matrix gives a complex T; a stack names its first bad member.
+        # Through battery the partial transpose's Hermiticity check would name it first.
         bad = random_density(rng, 4) + 0.1j * np.diag([1.0, 0.0, 0.0, -1.0])
         good = random_density(rng, 4)
         with pytest.raises(ValueError, match=r"^correlation matrix has non-real residue \d"):
-            realignment_norm(bad, 2)
+            _t_from_residue(_residue(bad, 2), 2)
         with pytest.raises(ValueError, match=r"^correlation matrix\[1\] has non-real residue \d"):
-            realignment_norm(np.stack([good, bad, bad]), 2)
+            _t_from_residue(_residue(np.stack([good, bad, bad]), 2), 2)
 
 
 class TestRealignment:
@@ -140,7 +142,7 @@ class TestRealignment:
 
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
-            realignment_norm(np.eye(8) / 8.0, 3)
+            battery(np.eye(8) / 8.0, 3, cycle_mixings(3))
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_matches_realigned_trace_norm(self, d, seed):
@@ -465,7 +467,7 @@ class TestXSearch:
         # restart 0 starts where <s|X|s> = 1 - ||T||_tr and ends at or below a d-th of it
         rng = np.random.default_rng(seed)
         for state in (random_state(rng, d), max_entangled(d)):
-            bound = 1.0 - realignment_norm(state.rho, d)
+            bound = 1.0 - realignment_value(state)[0]
             o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
             assert x_search(state, 1, seed).min_eig <= bound / d + 1e-12

@@ -80,7 +80,7 @@ class TestFamily:
         state = family_rho(params)
         for side in ("A", "B"):
             assert max_abs(partial_trace(state.rho, state.dims, side) - np.eye(3) / 3.0) < 1e-12
-        assert family_separable_sufficient(params)
+        assert family_separable_sufficient(params.a)
 
     def test_random_simplex_points(self, rng):
         for _ in range(50):
@@ -109,9 +109,9 @@ class TestFamily:
             family_special(3, 0.4, 0.7)
 
     def test_separable_sufficient(self):
-        assert family_separable_sufficient(FamilyParams(3, (1 / 3, 1 / 3, 1 / 3)))
-        assert not family_separable_sufficient(FamilyParams(3, (0.25, 0.65, 0.10)))
-        assert family_separable_sufficient(FamilyParams(3, (0.2, 0.5, 0.3)))
+        assert family_separable_sufficient((1 / 3, 1 / 3, 1 / 3))
+        assert not family_separable_sufficient((0.25, 0.65, 0.10))
+        assert family_separable_sufficient((0.2, 0.5, 0.3))
 
     def test_ppt_sufficient_with_eigensolve_oracle(self):
         cases = [
@@ -121,7 +121,7 @@ class TestFamily:
         ]
         for a, expected in cases:
             params = FamilyParams(3, a)
-            assert family_ppt_sufficient(params) is expected
+            assert family_ppt_sufficient(params.a) is expected
             state = family_rho(params)
             min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
             assert bool(min_eig >= -1e-9) is expected
@@ -137,7 +137,7 @@ class TestFamily:
             params = FamilyParams(3, a)
             state = family_rho(params)
             min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
-            assert family_ppt_sufficient(params) is bool(min_eig >= -1e-9)
+            assert family_ppt_sufficient(params.a) is bool(min_eig >= -1e-9)
             checked += 1
 
     @given(st.integers(0, 2**32 - 1))
