@@ -129,17 +129,13 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.builtin and args.file:
-        raise ValueError("--builtin and --file are mutually exclusive")
     witnesses: tuple = ()
-    if args.builtin:
+    if args.builtin is not None:
         name, kw, state = builtin_state(args.builtin)
         if name == "horodecki":
             witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin))[0],)
-    elif args.file:
+    else:  # argparse requires exactly one of --builtin and --file
         state = states.load_state(args.file)
-    else:
-        raise ValueError("one of --builtin or --file is required")
     config = criteria.ReportConfig(
         budget=args.budget,
         seed=args.seed,
@@ -168,8 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     name, pos, kw = parse_spec(args.spec)
     if name == "horodecki":
-        w, _ = witness_mod.horodecki_ew(_key(kw, "a", args.spec))
-        return w
+        return witness_mod.horodecki_ew(_key(kw, "a", args.spec))[0]
     if name == "perm":
         kind = pos[0] if pos else kw.get("kind", "cycle")
         if kind != "cycle":
@@ -228,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run all separability criteria on a state")
-    check.add_argument("--builtin", help="builtin state spec, e.g. horodecki:a=0.5")
-    check.add_argument("--file", help="state JSON file")
+    source = check.add_mutually_exclusive_group(required=True)
+    source.add_argument("--builtin", help="builtin state spec, e.g. horodecki:a=0.5")
+    source.add_argument("--file", help="state JSON file")
     check.add_argument("--json", action="store_true", help="emit one JSON object")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument(

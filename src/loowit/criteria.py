@@ -10,7 +10,8 @@ which holds for every separable state and every orthogonal O. Permutation
 mixings are cheap instances that already detect PPT entangled states. The
 Hermitian correlation matrix is the same map compressed onto span{|kk>}, a
 measurable d x d object: it is positive semidefinite on separable states for
-every unitary u and orthogonal O.
+every unitary u and orthogonal O. Imports run down the module order linalg,
+loo, states, criteria, witness, sweep, cli: witness builds on this module.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .linalg import (
     blocks,
     dagger,
     is_psd,
-    max_abs,
     member_max_abs,
     partial_transpose,
     raise_first,
@@ -48,7 +48,6 @@ from .loo import (
     transpose_transform,
 )
 from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
-from .witness import Witness, expectation
 
 # The criteria's thresholds: numerical allowances on exact inequalities, not parameters.
 # The eigenvalue criteria (PPT, the reduction maps) report the tolerance is_psd applies.
@@ -442,12 +441,12 @@ def classify_family_point(d: int, a1, a2):
 
 @dataclass(frozen=True, eq=False)
 class ReportConfig:
-    """Settings for full_report: search budget and seed, witnesses. The tolerances are constants."""
+    """Settings for full_report. Tolerances are constants; each witness (witness.Witness) judges the state itself."""
 
     budget: int = SEARCH_BUDGET
     seed: int = 0
     include_search: bool = True
-    witnesses: tuple[Witness, ...] = ()
+    witnesses: tuple = ()
 
     def __post_init__(self) -> None:
         require_count(self.seed, "seed", 0)
@@ -491,11 +490,7 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
             _report("o_reduction", member_ok, member_min, transform=tag)
             for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
         ]
-        for witness in config.witnesses:
-            value = expectation(witness, state)
-            scale = max(1.0, max_abs(witness.matrix))
-            verdict = "pass" if value >= -ALGEBRAIC_TOL * scale else "violated"
-            reports.append(CriterionReport("witness", verdict, value, {"witness": witness.provenance}))
+        reports += [witness.report(state) for witness in config.witnesses]
         if config.include_search:
             result = x_search(state, budget=config.budget, seed=config.seed)
             reports.append(result.report)

@@ -143,7 +143,7 @@ def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
     a = np.repeat(a1[..., None], d, axis=-1)
     a[..., 1] = a2
     a[..., d - 1] = a_d
-    return a, (a1 >= 0.0) & (a2 >= 0.0) & (a_d >= 0.0) & in_simplex(a)
+    return a, in_simplex(a)
 
 
 def family_special(d: int, a1: float, a2: float) -> FamilyParams:

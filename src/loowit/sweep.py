@@ -4,20 +4,19 @@ Each grid point (a1, a2) gets an analytic region label and a numeric one
 derived solely from eigensolves: free when the partial transpose fails
 is_psd, bound when it passes and some cyclic-permutation reduction map fails
 it; the CSV also holds the smallest eigenvalue of each kind. The slice needs
-d >= 3. Points
-within the EPSILON band of either analytic boundary are flagged and excluded
-from the agreement statistic. The CSV schema is versioned; figure scripts
-depend on it.
+d >= 3. Points within the EPSILON band of either analytic boundary are
+flagged and excluded from the agreement statistic. The CSV schema is
+versioned; figure scripts depend on it.
 
-The grid is judged in blocks, each one stack of family states against the
-stack of cyclic-permutation mixings: a fixed number of array calls per block.
+The grid is judged in blocks, each one stack of family states against the stack
+of cyclic-permutation mixings: a fixed number of array calls per block.
 BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
-BLOCK_OPERATORS // (d - 1) grid points. Each block is one criteria.battery
-call, which gathers its states against the standard set once and reads
-realignment, rho_B and the reduction maps off that residue. Results are
-columns, one array each, allocated once and filled block by block; the CSV is
-written in slices of one block's rows. So a sweep holds one block's working
-set and one copy of the columns, whatever the grid.
+BLOCK_OPERATORS // (d - 1) grid points, so d > BLOCK_OPERATORS + 1 is rejected.
+Each block is one criteria.battery call, which gathers its states against the
+standard set once and reads realignment, rho_B and the reduction maps off that
+residue. Results are columns, one array each, allocated once and filled block
+by block; the CSV is written in slices of one block's rows. So a sweep holds
+one block's working set and one copy of the columns, whatever the grid.
 """
 
 from __future__ import annotations
@@ -95,10 +94,16 @@ def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
     return {name: column.tolist()[0] for name, column in columns.items()} if len(columns["a1"]) else None
 
 
+def _block_size(d: int) -> int:
+    if d > BLOCK_OPERATORS + 1:
+        raise ValueError(f"the sweep needs d <= {BLOCK_OPERATORS + 1}, got {d}: a block holds no grid point")
+    return BLOCK_OPERATORS // max(d - 1, 1)  # d < 3 reaches special_slice, which rejects it
+
+
 def _grid_blocks(d: int, resolution: int):
     """(a1, a2) of each block of the resolution x resolution grid, rows in grid order (a1 major)."""
     grid = np.linspace(0.0, 1.0, resolution)
-    size = BLOCK_OPERATORS // max(d - 1, 1)  # d < 3 reaches special_slice, which rejects it
+    size = _block_size(d)
     for start in range(0, resolution * resolution, size):
         index = np.arange(start, min(start + size, resolution * resolution))
         yield grid[index // resolution], grid[index % resolution]
@@ -145,7 +150,7 @@ def _cells(column: np.ndarray):
 
 def write_csv(result: SweepResult, path: str | Path) -> None:
     """Write the CSV (schema v1) in slices of one block's rows, so the text of the whole grid is never held."""
-    size = BLOCK_OPERATORS // (result.d - 1)
+    size = _block_size(result.d)
     columns = [result.columns[name] for name in COLUMN_NAMES]
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"{CSV_HEADER}\n{CSV_COLUMNS}\n")

@@ -12,6 +12,8 @@ every product (hence separable) state whenever O O^T <= I, so any negative
 eigenvalue turns the candidate into a witness. Tailored observable sets are
 orthogonal mixings of the standard set, so their witnesses (the 3x3 one for
 P. Horodecki's state included) are the same operator for a composed mixing.
+Imports run down the module order linalg, loo, states, criteria, witness,
+sweep, cli. A Witness judges a state itself (Witness.report), in full_report too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria
+from .criteria import ALGEBRAIC_TOL, CriterionReport, correlation_T, o_reduction_operator
 from .linalg import DimPair, is_psd, max_abs
 from .loo import asym_slot, is_orthogonal, make_transform, sym_slot
 from .states import BipartiteState, horodecki_rho, phi, save_matrix
@@ -46,11 +48,11 @@ class Witness:
     min_eig: float
     phi_value: float | None = None
 
-
-def _eigensolved(matrix: np.ndarray, d: int, provenance: str) -> Witness:
-    """The candidate, confirmed as a witness when the eigensolve finds a negative eigenvalue."""
-    ok, min_eig = is_psd(matrix)
-    return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig)
+    def report(self, state: BipartiteState) -> CriterionReport:
+        """Verdict on state: "violated" when Tr(rho W) < -ALGEBRAIC_TOL * max(1, max |W_ij|)."""
+        value = expectation(self, state)
+        ok = value >= -ALGEBRAIC_TOL * max(1.0, max_abs(self.matrix))
+        return CriterionReport("witness", "pass" if ok else "violated", value, {"witness": self.provenance})
 
 
 def ew_from_transform(o: np.ndarray, d: int) -> Witness:
@@ -63,9 +65,10 @@ def ew_from_transform(o: np.ndarray, d: int) -> Witness:
     """
     o = make_transform(o)
     v = phi(d)
-    matrix = criteria.o_reduction_operator(np.outer(v, v.conj()), d, o)
+    matrix = o_reduction_operator(np.outer(v, v.conj()), d, o)
     kind = "orthogonal" if is_orthogonal(o) else "contraction"
-    return _eigensolved(matrix, d, f"transform({kind})")
+    ok, min_eig = is_psd(matrix)
+    return Witness(DimPair.square(d), matrix, f"transform({kind})", candidate_only=ok, min_eig=min_eig)
 
 
 def perm_ew(o: np.ndarray, d: int) -> Witness:
@@ -165,7 +168,7 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     state = horodecki_rho(a)  # checks a before the mixings are formed
     o_a, o_b = horodecki_mixings(a)
     # coeffs[u, v] = Tr(rho A_u x B_v^T)
-    coeffs = o_a @ criteria.correlation_T(state) @ o_b.T
+    coeffs = o_a @ correlation_T(state) @ o_b.T
 
     n_vec = coeffs[0, 1:] - coeffs[1:, 0]
     n_sq = float(np.dot(n_vec, n_vec))

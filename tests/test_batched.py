@@ -96,32 +96,20 @@ def transforms(d: int) -> list:
 class TestRouteAgreement:
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_stack_matches_members(self, d, seed, split):
+        # the stack alone: split in two blocks or sliced to one member, every battery output keeps
+        # the whole stack's bits (test_battery_matches_members compares members with single criteria)
         states = sample_states(d, seed)
         stack = np.stack([s.rho for s in states])
         split = split % len(states)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
-
-        def kernels(rho):
-            # every (state, mixing) pair in one call: (states, mixings)
-            ok, ppt_min, realignment, _, reductions = battery(rho, d, mixings)
-            return ok, ppt_min, realignment, reductions
-
-        whole = kernels(stack)
-        blocks = [kernels(stack[:split]), kernels(stack[split:])]
-        for i, state in enumerate(states):
-            one = kernels(stack[i : i + 1])
-            ppt = ppt_check(state)
-            assert whole[0][i] == one[0][0] == (ppt.verdict == "pass")
-            assert same_bits(whole[1][i], one[1][0])
-            assert same_bits(whole[1][i], ppt.scalar)
-            assert same_bits(whole[2][i], one[2][0])
-            assert same_bits(whole[2][i], realignment_value(state)[0])
-            for c, t in enumerate(mixings):
-                assert same_bits(whole[3][i, c], one[3][0, c])
-                assert same_bits(whole[3][i, c], o_reduction_apply(state, t)[1].scalar)
-        for k in range(4):
-            joined = np.concatenate([blocks[0][k], blocks[1][k]])
-            assert same_bits(joined, whole[k])
+        whole = battery(stack, d, mixings)
+        blocks = [battery(stack[:split], d, mixings), battery(stack[split:], d, mixings)]
+        for k in range(5):
+            assert same_bits(np.concatenate([blocks[0][k], blocks[1][k]]), whole[k])
+        for i in range(len(states)):
+            member = battery(stack[i : i + 1], d, mixings)
+            for k in range(5):
+                assert same_bits(whole[k][i], member[k][0])
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_mixing_stack_matches_members(self, d, seed):

@@ -179,9 +179,24 @@ class TestCheck:
         assert err == "error: budget must be an integer >= 1, got 0\n"
 
     def test_missing_input_errors(self, capsys):
-        code, _, err = run_cli(capsys, "check")
-        assert code == cli.EXIT_ERROR
-        assert "required" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check"])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: loowit check")
+        assert captured.err.endswith("error: one of the arguments --builtin --file is required\n")
+
+    def test_both_inputs_error(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        save_state(max_entangled(3), path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--builtin", "phi:d=3", "--file", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: loowit check")
+        assert captured.err.endswith("error: argument --file: not allowed with argument --builtin\n")
 
     def test_deterministic_output(self, capsys):
         args = ("check", "--builtin", "werner:p=0.5", "--json", "--budget", "15", "--seed", "9")
@@ -311,14 +326,24 @@ class TestSweepCommand:
         assert out == ""
         assert err == f"error: cannot write --out {tmp_path}: it is a directory\n"
 
-    # at d = 2, a2 and a_d are one weight: there is no special slice to sweep
-    @pytest.mark.parametrize("d", ("2", "1", "0"))
-    def test_bad_dimension(self, capsys, tmp_path, d):
+    # at d = 2, a2 and a_d are one weight: there is no special slice to sweep;
+    # past d = 513 a block of BLOCK_OPERATORS reduction operators holds no grid point
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ("2", "the special slice needs d >= 3, got 2"),
+            ("1", "the special slice needs d >= 3, got 1"),
+            ("0", "the special slice needs d >= 3, got 0"),
+            ("514", "the sweep needs d <= 513, got 514: a block holds no grid point"),
+        ],
+        ids=("2", "1", "0", "514"),
+    )
+    def test_bad_dimension(self, capsys, tmp_path, d, message):
         path = tmp_path / "x.csv"
         code, out, err = run_cli(capsys, "sweep", "--d", d, "--grid", "10", "--out", str(path))
         assert code == cli.EXIT_ERROR
         assert out == ""
-        assert err == f"error: the special slice needs d >= 3, got {d}\n"
+        assert err == f"error: {message}\n"
         assert not path.exists()
 
 
@@ -401,9 +426,10 @@ class TestSpecParsing:
         assert kw == {"d": 3, "l": 1}
 
     def test_unknown_builtin(self, capsys):
-        code, _, err = run_cli(capsys, "check", "--builtin", "nosuch:x=1")
-        assert code == cli.EXIT_ERROR
-        assert "unknown builtin" in err
+        for spec in ("nosuch:x=1", ""):  # an empty spec names no builtin either
+            code, _, err = run_cli(capsys, "check", "--builtin", spec)
+            assert code == cli.EXIT_ERROR
+            assert err == f"error: unknown builtin state {spec.partition(':')[0]!r}\n"
 
     @pytest.mark.parametrize(
         "argv, key",

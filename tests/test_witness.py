@@ -240,7 +240,7 @@ class TestHorodeckiWitness:
 class TestImportOrder:
     @pytest.mark.parametrize("module", ["loowit.witness", "loowit.criteria"])
     def test_module_imports_alone(self, module):
-        # witness and criteria import each other; either may be the first one imported
+        # witness imports criteria, never the reverse; either may be the first one imported
         code = f"import {module}\nfrom loowit.witness import horodecki_ew\nassert horodecki_ew(0.5)[1].n_sq > 0"
         src = str(Path(loowit.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
