@@ -210,6 +210,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _path(text: str) -> str:
+    """A path option's value. The empty path is rejected: Path("") would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit EXIT_ERROR: argparse's exit code 2 means "entangled" here."""
 
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run all separability criteria on a state")
     source = check.add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", help="builtin state spec, e.g. horodecki:a=0.5")
-    source.add_argument("--file", help="state JSON file")
+    source.add_argument("--file", type=_path, help="state JSON file")
     check.add_argument("--json", action="store_true", help="emit one JSON object")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument(
@@ -237,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser("sweep", help="family phase-diagram sweep to CSV")
     sweep_cmd.add_argument("--d", type=int, default=3)
     sweep_cmd.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
-    sweep_cmd.add_argument("--out", required=True, help="output CSV path")
+    sweep_cmd.add_argument("--out", type=_path, required=True, help="output CSV path")
     sweep_cmd.set_defaults(func=cmd_sweep)
 
     wit = sub.add_parser("witness", help="build a witness and optionally evaluate it")
     wit.add_argument("spec", help="horodecki:a=A | perm:cycle,d=D,l=L | generic")
-    wit.add_argument("--transform", help="JSON file {'matrix': [[...]]} for generic specs")
-    wit.add_argument("--state", help="builtin:SPEC or a state JSON file")
-    wit.add_argument("--out", help="write the witness matrix JSON here")
+    wit.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]} for generic specs")
+    wit.add_argument("--state", type=_path, help="builtin:SPEC or a state JSON file")
+    wit.add_argument("--out", type=_path, help="write the witness matrix JSON here")
     wit.add_argument("--json", action="store_true")
     wit.set_defaults(func=cmd_witness)
     return parser

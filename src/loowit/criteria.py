@@ -17,6 +17,7 @@ loo, states, criteria, witness, sweep, cli: witness builds on this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from .linalg import (
     trace_norm,
 )
 from .loo import (
-    cycle_mixings,
+    battery_mixings,
     diag_cycle,
     is_orthogonal,
     make_transform,
@@ -86,7 +87,10 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # x_search and x_matrix each gather rho once. The gathers add only the
 # nonzero entries of the standard set (loo.standard_entries per observable,
 # loo.standard_positions per matrix position), from +0 and in the order
-# np.einsum visits them in the dense form named in each docstring. A skipped
+# np.einsum visits them in the dense form named in each docstring. Tables that
+# depend on d alone are built once per d and read-only: the reduction map reads
+# standard_positions through the flat index and value tables of
+# _reduction_gather, and full_report mixes by loo.battery_mixings. A skipped
 # term is a product with a zero entry, which adds nothing, so each result has
 # the bits of that einsum at a fraction of its cost. T's dense form is two
 # steps: residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
@@ -149,6 +153,17 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     return _reduction_from_residue(_residue(rho, d), d, transform)
 
 
+@lru_cache(maxsize=None)
+def _reduction_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the mixed residue (..., d^4) and values of the reduction operator's terms, (2, d, d, d, d)."""
+    slots, entries = (a[:, :, None, :, None] for a in standard_positions(d))  # (2, m, k) onto (2, m, n, k, l)
+    # [i, m, n, k, l] reads residue entry (n, l) of the i-th observable nonzero at (m, k)
+    index = (slots * d + np.arange(d)[:, None, None]) * d + np.arange(d)
+    values = np.ascontiguousarray(np.broadcast_to(entries, index.shape))
+    index.flags.writeable = values.flags.writeable = False
+    return index, values
+
+
 def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
     """o_reduction_operator(rho, d, transform) from rho's residue (_residue), rho_B included."""
     n = d * d
@@ -163,19 +178,19 @@ def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) 
         raise ValueError(
             f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
         ) from None
-    mixed = _mix(np.swapaxes(transform, -1, -2), residue)
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * n,))
     # at most three operator-sized arrays live at once: mixed, the sum and one gathered term
-    slots, entries = standard_positions(d)
-    n_axis, l_axis = np.arange(d)[:, None, None], np.arange(d)
+    index, values = _reduction_gather(d)
     m = np.zeros(batch + (d, d, d, d), dtype=complex)  # (..., m, n, k, l), summed from +0
     for i in range(2):
-        term = mixed[..., slots[i][:, None, :, None], n_axis, l_axis]
-        term *= entries[i][:, None, :, None]
+        term = np.take(mixed, index[i], axis=-1)
+        term *= values[i]
         m += term
         del term
-    m = m.reshape(batch + (n, n))
     rho_b = residue[..., :d, :, :].sum(axis=-3)  # the projector slots u < d sum to I
-    np.subtract(np.kron(np.eye(d), rho_b), m, out=m)
+    # I x rho_B is np.kron(np.eye(d), rho_b)'s own broadcast product, one per state, not per (state, mixing)
+    np.subtract(np.eye(d)[:, None, :, None] * rho_b[..., None, :, None, :], m, out=m)
+    m = m.reshape(batch + (n, n))
     # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
     # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
     np.add(m, dagger(m), out=m)
@@ -483,8 +498,7 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
     else:
         d = state.dims.d_a
         tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
-        mixings = np.concatenate([[np.eye(d * d), transpose_transform(d)], cycle_mixings(d)])
-        ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, d, mixings)
+        ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, d, battery_mixings(d))
         reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
         reports += [
             _report("o_reduction", member_ok, member_min, transform=tag)

@@ -157,9 +157,17 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
     return np.eye(d * d)[images]
 
 
+@lru_cache(maxsize=None)
+def battery_mixings(d: int) -> np.ndarray:
+    """The report battery's mixings, a read-only (d+1, d^2, d^2) stack: identity, transpose, diag_cycle l = 1 .. d-1."""
+    stack = np.stack([np.eye(d * d), transpose_transform(d), *(diag_cycle(d, l) for l in range(1, d))])
+    stack.flags.writeable = False
+    return stack
+
+
 def cycle_mixings(d: int) -> np.ndarray:
-    """The diag_cycle(d, l) mixings for l = 1 .. d-1, as one (d-1, d^2, d^2) stack."""
-    return np.stack([diag_cycle(d, l) for l in range(1, d)])
+    """The diag_cycle(d, l) mixings for l = 1 .. d-1, as one read-only (d-1, d^2, d^2) stack: battery_mixings' tail."""
+    return battery_mixings(d)[2:]
 
 
 def transpose_transform(d: int) -> np.ndarray:

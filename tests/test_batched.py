@@ -265,10 +265,14 @@ class TestSparseContractions:
         rng = np.random.default_rng(seed)
         stack = np.stack([random_density(rng, d * d) for _ in range(3)])
         contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
-        for t in transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]:
+        mixings = transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]
+        # battery's form too: the (states, 1) stack against all k mixings at once, (states, k) operators
+        operators = o_reduction_operator(stack[:, None], d, np.stack(mixings))
+        for j, t in enumerate(mixings):
             dense = o_reduction_mixed_residue_dense(stack, d, t)
             operator = o_reduction_operator(stack, d, t)
             assert same_bits(operator, (dense + dagger(dense)) / 2.0)
+            assert same_bits(operators[:, j], operator)
             # the Hermitian part is what is_psd decomposes anyway
             assert same_bits(is_psd(operator)[1], is_psd(dense)[1])
 

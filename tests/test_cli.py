@@ -369,6 +369,27 @@ class TestUsageErrors:
         assert captured.err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--file", ""),
+            ("witness", "perm:cycle,d=3,l=1", "--state", ""),
+            ("witness", "perm:cycle,d=3,l=1", "--out", ""),
+            ("sweep", "--out", ""),
+            ("witness", "generic", "--transform", ""),
+        ],
+        ids=("check-file", "witness-state", "witness-out", "sweep-out", "witness-transform"),
+    )
+    def test_empty_path_exits_one(self, capsys, argv):
+        # Path("") is the current directory: the empty string is named as the flag's value, before any work
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: loowit")
+        assert captured.err.endswith(f"error: argument {argv[-2]}: expected a path, got an empty string\n")
+
+    @pytest.mark.parametrize(
         "command, flag",
         [(("check", "--builtin", "phi:d=3"), "--tol"), (("sweep", "--out", "x.csv"), "--epsilon")],
         ids=("check-tol", "sweep-epsilon"),

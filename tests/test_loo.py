@@ -9,6 +9,7 @@ from loowit.loo import (
     ORTHOGONALITY_TOL,
     apply_orthogonal,
     asym_slot,
+    battery_mixings,
     cycle_mixings,
     diag_cycle,
     is_orthogonal,
@@ -270,10 +271,18 @@ class TestPermutations:
         swap_two = np.eye(9)[[1, 0, 2, 3, 4, 5, 6, 7, 8]]
         assert perm_ew(swap_two, 3).provenance == "permutation(fixed_points=7)"
 
-    @pytest.mark.parametrize("d", (2, 3, 6))
+    @pytest.mark.parametrize("d", range(2, 9))
     def test_cycle_mixings_stack_the_shifts(self, d):
+        # the battery's stack is built once per d: identity, transpose, then the shifts, bit for bit
+        members = [np.eye(d * d), transpose_transform(d), *(diag_cycle(d, l) for l in range(1, d))]
+        battery = battery_mixings(d)
+        assert battery.dtype == float and battery.shape == (d + 1, d * d, d * d)
+        assert battery.tobytes() == np.stack(members).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            battery[0, 0, 0] = 2.0
         stack = cycle_mixings(d)
         assert stack.shape == (d - 1, d * d, d * d)
+        assert stack.tobytes() == battery[2:].tobytes() and not stack.flags.writeable
         for l in range(1, d):
             assert np.array_equal(stack[l - 1], diag_cycle(d, l))
 
