@@ -206,7 +206,7 @@ def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
     rho is dropped once its residue replaces it, and the residue before the
     eigensolve, so a caller passing an unnamed stack holds one such stack at a time.
     """
-    ppt_ok, ppt_min = is_psd(partial_transpose(rho, DimPair.square(d), "B"))
+    ppt_ok, ppt_min = is_psd(partial_transpose(rho, DimPair.square(d)))
     residue = _residue(rho, d)
     del rho
     realignment = trace_norm(_t_from_residue(residue, d))
@@ -218,7 +218,7 @@ def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
 
 def ppt_check(state: BipartiteState) -> CriterionReport:
     """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
-    return _report("ppt", *is_psd(partial_transpose(state.rho, state.dims, "B")))
+    return _report("ppt", *is_psd(partial_transpose(state.rho, state.dims)))
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:

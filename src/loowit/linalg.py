@@ -105,14 +105,10 @@ def _check_subsystem(subsystem: str) -> str:
     return subsystem
 
 
-def partial_transpose(rho: np.ndarray, dims: DimPair, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor: <m,n|rho^T_B|k,l> = <m,l|rho|k,n> (and analogously for A)."""
+def partial_transpose(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """Transpose the B factor: <m,n|rho^T_B|k,l> = <m,l|rho|k,n>; rho^T_A is its full transpose, with its spectrum."""
     r4 = blocks(rho, dims)
-    if _check_subsystem(subsystem) == "B":
-        out = np.swapaxes(r4, -3, -1)
-    else:
-        out = np.swapaxes(r4, -4, -2)
-    return out.reshape(r4.shape[:-4] + (dims.total, dims.total))
+    return np.swapaxes(r4, -3, -1).reshape(r4.shape[:-4] + (dims.total, dims.total))
 
 
 def partial_trace(rho: np.ndarray, dims: DimPair, subsystem: str) -> np.ndarray:

@@ -8,15 +8,17 @@ d >= 3. Points within the EPSILON band of either analytic boundary are
 flagged and excluded from the agreement statistic. The CSV schema is
 versioned; figure scripts depend on it.
 
-The grid is judged in blocks, each one stack of family states against the stack
-of cyclic-permutation mixings: a fixed number of array calls per block.
+The valid points are selected first, one a1 row of the grid at a time, and
+judged in blocks, each one stack of family states against the stack of
+cyclic-permutation mixings: a fixed number of array calls per block.
 BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
-BLOCK_OPERATORS // (d - 1) grid points, so d > BLOCK_OPERATORS + 1 is rejected.
-Each block is one criteria.battery call, which gathers its states against the
-standard set once and reads realignment, rho_B and the reduction maps off that
-residue. Results are columns, one array each, allocated once and filled block
-by block; the CSV is written in slices of one block's rows. So a sweep holds
-one block's working set and one copy of the columns, whatever the grid.
+BLOCK_OPERATORS // (d - 1) valid points (the last block holds the rest), so
+d > BLOCK_OPERATORS + 1 is rejected. Each block is one criteria.battery call,
+which gathers its states against the standard set once and reads realignment,
+rho_B and the reduction maps off that residue. Results are columns, one array
+each, allocated once and filled block by block; the CSV is written in slices of
+one block's rows. So a sweep holds one block's working set, one row of the
+grid's weights and one copy of the columns, whatever the grid.
 """
 
 from __future__ import annotations
@@ -100,33 +102,27 @@ def _block_size(d: int) -> int:
     return BLOCK_OPERATORS // max(d - 1, 1)  # d < 3 reaches special_slice, which rejects it
 
 
-def _grid_blocks(d: int, resolution: int):
-    """(a1, a2) of each block of the resolution x resolution grid, rows in grid order (a1 major)."""
-    grid = np.linspace(0.0, 1.0, resolution)
-    size = _block_size(d)
-    for start in range(0, resolution * resolution, size):
-        index = np.arange(start, min(start + size, resolution * resolution))
-        yield grid[index // resolution], grid[index % resolution]
-
-
 def run_sweep(d: int, resolution: int) -> SweepResult:
     """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order.
 
     Points within EPSILON of an analytic boundary are flagged; the criteria use ALGEBRAIC_TOL.
-    The valid points are counted first, so each column is allocated once and filled block by block.
+    The valid points are selected first, one a1 row at a time, so each column is allocated once
+    and filled one full block of points at a time.
     """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    rows = sum(int(np.count_nonzero(special_slice(d, a1, a2)[1])) for a1, a2 in _grid_blocks(d, resolution))
-    columns: dict[str, np.ndarray] = {}
-    filled = 0
-    for a1, a2 in _grid_blocks(d, resolution):
-        block = _evaluate_block(d, a1, a2)
-        if not columns:  # each column takes the dtype of its first block
-            columns = {name: np.empty(rows, dtype=values.dtype) for name, values in block.items()}
+    size = _block_size(d)
+    grid = np.linspace(0.0, 1.0, resolution)
+    valid = np.array([special_slice(d, a1, grid)[1] for a1 in grid])
+    # the valid points, masked out of broadcast views with no index array, are the a1 and a2 columns
+    a1, a2 = (np.broadcast_to(axis, valid.shape)[valid] for axis in (grid[:, None], grid))
+    columns = {"a1": a1, "a2": a2}
+    for start in range(0, len(a1), size):
+        block = _evaluate_block(d, a1[start:start + size], a2[start:start + size])
         for name, values in block.items():
-            columns[name][filled:filled + len(values)] = values
-        filled += len(block["a1"])
+            if name not in columns:  # each column takes the dtype of its first block
+                columns[name] = np.empty(len(a1), dtype=values.dtype)
+            columns[name][start:start + size] = values
 
     compared = ~columns["boundary_flag"]
     bound = columns["numeric_region"] == "bound"

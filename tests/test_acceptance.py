@@ -68,7 +68,7 @@ def test_criterion_2_bound_entanglement_of_target_state():
     for a in A_GRID:
         a = float(a)
         state = horodecki_rho(a)
-        pt_min = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+        pt_min = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
         worst_pt = min(worst_pt, pt_min)
         witness, _ = horodecki_ew(a)
         detected = detected and expectation(witness, state) < 0.0

@@ -196,8 +196,7 @@ class TestRouteAgreement:
         dims = DimPair(d, int(rng.integers(2, 5)))
         stack = np.stack([random_density(rng, dims.total) for _ in range(4)])
         for f in (
-            lambda m: partial_transpose(m, dims, "A"),
-            lambda m: partial_transpose(m, dims, "B"),
+            lambda m: partial_transpose(m, dims),
             lambda m: partial_trace(m, dims, "A"),
             lambda m: partial_trace(m, dims, "B"),
             lambda m: realign(m, dims),
@@ -223,7 +222,7 @@ class TestExactHermitianRoute:
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
         a = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
         for h in (
-            partial_transpose(rho, DimPair.square(d), "B"),
+            partial_transpose(rho, DimPair.square(d)),
             o_reduction_operator(rho[:, None], d, mixings),
             (a + dagger(a)) / 2.0,
         ):

@@ -87,33 +87,30 @@ class TestPartialTranspose:
     def test_product_state(self, rng):
         dims = DimPair(3, 3)
         r1, r2 = random_density(rng, 3), random_density(rng, 3)
-        got = partial_transpose(np.kron(r1, r2), dims, "B")
+        got = partial_transpose(np.kron(r1, r2), dims)
         assert max_abs(got - np.kron(r1, r2.T)) < 1e-14
 
     def test_max_entangled_min_eig(self):
         state = max_entangled(3)
-        pt = partial_transpose(state.rho, state.dims, "B")
+        pt = partial_transpose(state.rho, state.dims)
         assert abs(herm_eigvalues(pt)[0] + 1.0 / 3.0) < 1e-12
 
     def test_horodecki_is_ppt(self):
         for a in np.arange(0.1, 0.95, 0.1):
             state = horodecki_rho(float(a))
-            pt = partial_transpose(state.rho, state.dims, "B")
+            pt = partial_transpose(state.rho, state.dims)
             assert herm_eigvalues(pt)[0] >= -1e-9
 
     def test_involution_and_composition(self, rng):
         dims = DimPair(2, 3)
         rho = random_density(rng, 6)
-        for side in ("A", "B"):
-            twice = partial_transpose(partial_transpose(rho, dims, side), dims, side)
-            assert max_abs(twice - rho) < 1e-15
-        both = partial_transpose(partial_transpose(rho, dims, "A"), dims, "B")
-        assert max_abs(both - rho.T) < 1e-15
+        twice = partial_transpose(partial_transpose(rho, dims), dims)
+        assert max_abs(twice - rho) < 1e-15
 
     def test_preserves_trace_and_hermiticity(self, rng):
         dims = DimPair(2, 2)
         rho = random_density(rng, 4)
-        pt = partial_transpose(rho, dims, "B")
+        pt = partial_transpose(rho, dims)
         assert abs(np.trace(pt) - np.trace(rho)) < 1e-12
         assert max_abs(pt - pt.conj().T) < 1e-12
 

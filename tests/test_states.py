@@ -50,7 +50,7 @@ class TestHorodecki:
         plus[0] = plus[2] = 1.0 / np.sqrt(2.0)
         expected = np.kron(np.outer(ket3, ket3), np.outer(plus, plus))
         assert max_abs(state.rho - expected) < 1e-15
-        assert herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0] >= -1e-12
+        assert herm_eigvalues(partial_transpose(state.rho, state.dims))[0] >= -1e-12
 
     def test_corner_entry(self):
         a = 0.6
@@ -63,7 +63,7 @@ class TestHorodecki:
         for a in np.linspace(0.0, 1.0, 33):
             state = horodecki_rho(float(a))
             assert herm_eigvalues(state.rho)[0] >= -1e-9
-            assert herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0] >= -1e-9
+            assert herm_eigvalues(partial_transpose(state.rho, state.dims))[0] >= -1e-9
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ class TestFamily:
             params = FamilyParams(3, a)
             assert family_ppt_sufficient(params.a) is expected
             state = family_rho(params)
-            min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+            min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
             assert bool(min_eig >= -1e-9) is expected
 
     def test_ppt_condition_matches_eigensolve_on_random_points(self, rng):
@@ -136,7 +136,7 @@ class TestFamily:
                 continue  # skip the analytic boundary where the verdict is tolerance-limited
             params = FamilyParams(3, a)
             state = family_rho(params)
-            min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+            min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
             assert family_ppt_sufficient(params.a) is bool(min_eig >= -1e-9)
             checked += 1
 
@@ -156,7 +156,7 @@ class TestSamplers:
         for seed in range(10):
             state = random_product_state(dims, seed=seed)
             assert abs(np.trace(state.rho) - 1.0) < 1e-9
-            pt = partial_transpose(state.rho, dims, "B")
+            pt = partial_transpose(state.rho, dims)
             assert herm_eigvalues(pt)[0] >= -1e-9
             assert trace_norm(realign(state.rho, dims)) <= 1.0 + 1e-9
 
@@ -188,7 +188,7 @@ class TestWerner:
     @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 6))
     def test_partial_transpose_closed_form(self, p):
         state = werner2(float(p))
-        min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+        min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
         assert abs(min_eig - (1.0 - 3.0 * p) / 4.0) < 1e-12
 
     @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 6))
@@ -198,7 +198,7 @@ class TestWerner:
 
     def test_half_point_value(self):
         state = werner2(0.5)
-        min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims, "B"))[0]
+        min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
         assert abs(min_eig + 0.125) < 1e-12
 
 

@@ -1,8 +1,10 @@
-"""The sweep's streamed CSV and its memory bound.
+"""The sweep's blocks, its streamed CSV and its memory bound.
 
-run_sweep fills each column once, block by block, and write_csv formats one
-block's rows at a time, so a sweep holds one block's working set and one copy
-of the columns, whatever the grid. The streamed bytes must equal the one-shot
+run_sweep selects the valid grid points first and judges them in full blocks,
+filling each column once, and write_csv formats one block's rows at a time, so
+a sweep holds one block's working set and one copy of the columns, whatever the
+grid. Every block but the last holds _block_size(d) points, and the CSV does not
+depend on the block size. The streamed bytes must equal the one-shot
 formatter's (tests/oracles.py) across slice boundaries, and tracemalloc bounds
 what the d = 3 grid-300 sweep allocates beyond its columns.
 """
@@ -11,7 +13,8 @@ import tracemalloc
 
 import pytest
 
-from loowit.sweep import BLOCK_OPERATORS, run_sweep, write_csv
+from loowit import sweep
+from loowit.sweep import BLOCK_OPERATORS, _block_size, run_sweep, write_csv
 from oracles import sweep_csv_one_shot
 
 
@@ -49,6 +52,30 @@ def test_streamed_csv_across_one_slice(tmp_path, grid, rows):
     result = run_sweep(3, grid)
     assert len(result.columns["a1"]) == rows
     assert streamed_bytes(result, tmp_path / "sweep.csv") == sweep_csv_one_shot(result).encode("utf-8")
+
+
+@pytest.mark.parametrize("d, grid", [(3, 100), (6, 30)])
+def test_every_block_but_the_last_is_full(monkeypatch, d, grid):
+    sizes, battery = [], sweep.battery
+
+    def spy(rho, *args):
+        sizes.append(len(rho))
+        return battery(rho, *args)
+
+    monkeypatch.setattr(sweep, "battery", spy)
+    rows = len(run_sweep(d, grid).columns["a1"])
+    assert len(sizes) > 1
+    assert sizes[:-1] == [_block_size(d)] * (len(sizes) - 1)
+    assert 0 < sizes[-1] <= _block_size(d)
+    assert sum(sizes) == rows
+
+
+# BLOCK_OPERATORS = d - 1 puts one point in each block; 9 and 64 split the grid rows unevenly
+@pytest.mark.parametrize("d, operators", [(3, 2), (3, 9), (3, 64), (4, 3), (4, 9), (4, 64)])
+def test_csv_does_not_depend_on_the_block_size(monkeypatch, tmp_path, d, operators):
+    default = streamed_bytes(run_sweep(d, 25), tmp_path / "default.csv")
+    monkeypatch.setattr(sweep, "BLOCK_OPERATORS", operators)
+    assert streamed_bytes(run_sweep(d, 25), tmp_path / "small.csv") == default
 
 
 @pytest.fixture(scope="module")
