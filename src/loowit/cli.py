@@ -163,6 +163,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     name, pos, kw = parse_spec(args.spec)
+    if args.transform and name != "generic":  # a mixing no other witness reads must not be dropped silently
+        raise ValueError(f"--transform is read only by the generic witness, not by {name!r}")
     if name == "horodecki":
         return witness_mod.horodecki_ew(_key(kw, "a", args.spec))[0]
     if name == "perm":
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wit = sub.add_parser("witness", help="build a witness and optionally evaluate it")
     wit.add_argument("spec", help="horodecki:a=A | perm:cycle,d=D,l=L | generic")
-    wit.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]} for generic specs")
+    wit.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]}, for the generic spec only")
     wit.add_argument("--state", type=_path, help="builtin:SPEC or a state JSON file")
     wit.add_argument("--out", type=_path, help="write the witness matrix JSON here")
     wit.add_argument("--json", action="store_true")

@@ -38,12 +38,10 @@ from .linalg import (
 from .loo import (
     battery_mixings,
     diag_cycle,
-    is_orthogonal,
     make_transform,
     random_orthogonal,
     random_unitary,
     require_mixing_size,
-    require_unitary,
     standard_entries,
     standard_positions,
     transpose_transform,
@@ -83,9 +81,9 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 
 
 # rho is gathered against the standard set once, in _residue; T, rho_B, the
-# reduction maps and the X tables all read that residue, so battery,
-# x_search and x_matrix each gather rho once. The gathers add only the
-# nonzero entries of the standard set (loo.standard_entries per observable,
+# reduction maps and the X tables all read that residue, so battery and
+# x_search each gather rho once. The gathers add only the nonzero entries of
+# the standard set (loo.standard_entries per observable,
 # loo.standard_positions per matrix position), from +0 and in the order
 # np.einsum visits them in the dense form named in each docstring. Tables that
 # depend on d alone are built once per d and read-only: the reduction map reads
@@ -311,34 +309,6 @@ def _x_stack(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
 def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
     """Smallest eigenvalue of X for each (o, tables) pair of the stacks."""
     return np.linalg.eigvalsh(_x_stack(tables, o, d))[..., 0]
-
-
-def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Hermitian correlation matrix X(O, u): the reduction map compressed onto span{|kk>}.
-
-    With M(rho, O^T) = o_reduction_operator(rho, d, O^T),
-
-        X[m, n] = <mm| (I x u^dagger) M(rho, O^T) (I x u) |nn>
-                = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n],
-
-    where Q_w = u^dagger Tr_A((L_w x I) rho) u and h = diag(u^dagger rho_B u).
-    X is positive semidefinite on every separable state, for all unitary u and
-    orthogonal O. The vectors (I x u)|kk> are orthonormal, so by Cauchy
-    interlacing lambda_min(M) <= lambda_min(X): X detects nothing M misses.
-    The all-ones vector s gives <s|X|s> = 1 - sum_a <L^o_a x (u L_a^T u^dagger)>;
-    note the B-side transpose there.
-    """
-    d = state.dims.square_dim
-    u = require_unitary(u)
-    if u.shape[0] != d:
-        raise ValueError(f"unitary dim {u.shape[0]} does not match local dim {d}")
-    n = d * d
-    if np.shape(transform) != (n, n):
-        raise ValueError(f"transform shape {np.shape(transform)} does not match local dim {d}, needs d^2 = {n}")
-    transform = make_transform(transform)  # the float mixing _mix needs
-    if not is_orthogonal(transform):
-        raise ValueError("correlation matrix requires an orthogonal mixing")
-    return _x_stack(_x_tables(_residue(state.rho, d), u, d), transform, d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -183,23 +183,6 @@ def transpose_transform(d: int) -> np.ndarray:
     return np.diag(signs)
 
 
-def require_unitary(u: np.ndarray) -> np.ndarray:
-    """Validate a unitary: a finite square matrix with max |u^dagger u - I| within tolerance, as complex."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("unitary has non-finite entries (NaN or inf)")
-    # Every entry of a unitary is at most 1 in magnitude; past that bound u^dagger u can overflow.
-    peak = max_abs(u)
-    if peak > 1.0 + ORTHOGONALITY_TOL:
-        raise ValueError(f"matrix is not unitary: max |u_ij| = {peak:.3e}")
-    defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > ORTHOGONALITY_TOL:
-        raise ValueError(f"matrix is not unitary: max |u^dagger u - I| = {defect:.3e}")
-    return u
-
-
 def require_mixing_size(o: np.ndarray, n: int) -> None:
     """Reject a mixing, or a (..., n, n) stack of them, that does not act on n slots."""
     if np.shape(o)[-2:] != (n, n):

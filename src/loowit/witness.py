@@ -186,7 +186,8 @@ def expectation(witness: Witness, state: BipartiteState) -> float:
     """Tr(rho W); the imaginary residue must be negligible for valid inputs."""
     if witness.dims != state.dims:
         raise ValueError(
-            f"dimension mismatch: witness {witness.dims} vs state {state.dims}"
+            f"dimension mismatch: witness {witness.dims.d_a}x{witness.dims.d_b} "
+            f"vs state {state.dims.d_a}x{state.dims.d_b}"
         )
     value = complex(np.trace(state.rho @ witness.matrix))
     scale = max(1.0, max_abs(witness.matrix))

@@ -8,16 +8,16 @@ both routes agree.
 
 import numpy as np
 
-from loowit.criteria import SEARCH_ROUNDS, _residue, _x_tables, correlation_T, o_reduction_apply, x_matrix
+from loowit.criteria import SEARCH_ROUNDS, _residue, _x_stack, _x_tables, correlation_T, o_reduction_apply
 from loowit.linalg import DimPair, dagger, max_abs, partial_trace
 from loowit.loo import (
+    ORTHOGONALITY_TOL,
     apply_orthogonal,
     asym_slot,
     make_transform,
     pair_list,
     random_orthogonal,
     random_unitary,
-    require_unitary,
     standard_basis,
     sym_slot,
 )
@@ -124,9 +124,12 @@ def swap_operator(d: int) -> np.ndarray:
 
 def conjugate_basis(basis: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Conjugate every observable: L_u -> u L_u u^dagger. Preserves orthonormality."""
-    u = require_unitary(u)
-    if u.shape[0] != basis.shape[1]:
-        raise ValueError(f"unitary dim {u.shape[0]} does not match basis dim {basis.shape[1]}")
+    u = np.asarray(u, dtype=complex)
+    if u.shape != basis.shape[1:]:
+        raise ValueError(f"unitary shape {u.shape} does not match basis dim {basis.shape[1]}")
+    defect = max_abs(u.conj().T @ u - np.eye(len(u)))
+    if not defect <= ORTHOGONALITY_TOL:  # a NaN defect is rejected too
+        raise ValueError(f"matrix is not unitary: max |u^dagger u - I| = {defect:.3e}")
     return np.matmul(np.matmul(u, basis), u.conj().T)
 
 
@@ -162,6 +165,26 @@ def phi_pairing(state: BipartiteState, transform: np.ndarray) -> tuple[float, fl
     lhs = float(np.real(v.conj() @ operator @ v))
     rhs = 1.0 - float(np.trace(correlation_T(state) @ transform.T))
     return lhs, rhs
+
+
+def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hermitian correlation matrix X(O, u) of one pair: the search's kernel on a stack of one.
+
+    With M(rho, O^T) = o_reduction_operator(rho, d, O^T),
+
+        X[m, n] = <mm| (I x u^dagger) M(rho, O^T) (I x u) |nn>
+                = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n],
+
+    where Q_w = u^dagger Tr_A((L_w x I) rho) u and h = diag(u^dagger rho_B u).
+    X is positive semidefinite on every separable state, for all unitary u and
+    orthogonal O. The vectors (I x u)|kk> are orthonormal, so by Cauchy
+    interlacing lambda_min(M) <= lambda_min(X): X detects nothing M misses.
+    The all-ones vector s gives <s|X|s> = 1 - sum_a <L^o_a x (u L_a^T u^dagger)>;
+    note the B-side transpose there. transform is a float mixing
+    (make_transform's output) and u a complex unitary; neither is checked.
+    """
+    d = state.dims.square_dim
+    return _x_stack(_x_tables(_residue(state.rho, d), u, d), transform, d)
 
 
 def x_reduction_form(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -206,6 +229,45 @@ def perm_reduction_closed_form(params: FamilyParams, l: int) -> np.ndarray:
             idx = k * d + (k + i) % d
             shifted[idx, idx] += delta
     return np.kron(np.eye(d), partial_trace(state.rho, state.dims, "A")) - shifted
+
+
+def family_ppt_min_closed_form(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of rho^T_B for the family state of each row of (..., d) weights, in closed form.
+
+    The partial transpose turns (a_1/d) |Phi><Phi| into (a_1/d) SWAP and keeps
+    the diagonal projectors, so rho^T_B is block diagonal: a_1/d on each |k,k>,
+    and on each pair {|k,k+i>, |k+i,k>} (i = 1..d-1, labels mod d) the 2x2
+    block [[x_i, a_1], [a_1, y_i]] / d, with x_i = a_{i+1} the weight at offset
+    i and y_i = a_{d-i+1} the weight at offset d-i. The smaller eigenvalue of
+    that block is (x_i + y_i - sqrt((x_i - y_i)^2 + 4 a_1^2)) / (2d).
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    a1, x, y = a[..., :1], a[..., 1:], a[..., :0:-1]
+    pairs = (x + y - np.sqrt((x - y) ** 2 + 4.0 * a1 * a1)) / (2.0 * d)
+    return np.minimum(a[..., 0] / d, pairs.min(axis=-1))
+
+
+def family_cycle_min_closed_form(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue over the cycle maps l = 1..d-1 for each row of (..., d) weights, in closed form.
+
+    By perm_reduction_closed_form the cycle-l operator is I x rho_B = I/d minus
+    the family state with the weight at offset i moved from a_{i+1} to
+    a_{i+1+l} (subscripts wrapped into 1..d), where on span{|k,k>} only the
+    diagonal moves. So it is block diagonal:
+    - on span{|k,k>} it is ((1 - a_{l+1} + a_1) I - a_1 J) / d, J the all-ones
+      matrix, with eigenvalue (1 - a_{l+1} - (d-1) a_1) / d on the all-ones
+      vector and (1 - a_{l+1} + a_1) / d on its complement;
+    - on each |k,k+i>, i = 1..d-1, it is (1 - a_{i+1+l}) / d, which runs over
+      (1 - a_j) / d for every j other than l+1.
+    As a_1 >= 0, neither (1 - a_{l+1} + a_1) / d nor (1 - a_{l+1}) / d lies below
+    the all-ones value, so the cycle-l minimum is
+    min((1 - a_{l+1} - (d-1) a_1) / d, min_j (1 - a_j) / d).
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    all_ones = (1.0 - a[..., 1:] - (d - 1) * a[..., :1]) / d  # l = 1..d-1
+    return np.minimum(all_ones.min(axis=-1), ((1.0 - a) / d).min(axis=-1))
 
 
 def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:

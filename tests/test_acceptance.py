@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from conftest import random_state
-from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_matrix, x_search
+from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_search
 from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, realign, trace_norm
 from loowit.loo import (
     apply_orthogonal,
@@ -30,7 +30,7 @@ from loowit.states import (
 )
 from loowit.sweep import run_sweep
 from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_mixings, perm_ew
-from oracles import gram_matrix, n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_reduction_form
+from oracles import gram_matrix, n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_matrix, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
 

@@ -32,7 +32,6 @@ from loowit.criteria import (
     pair_correlation,
     ppt_check,
     realignment_value,
-    x_matrix,
     x_search,
 )
 from loowit.linalg import (
@@ -80,6 +79,7 @@ from oracles import (
     reference_restart,
     unitary_mixing_single,
     x_coefficients_loops,
+    x_matrix,
     x_search_reference,
 )
 

@@ -275,6 +275,18 @@ class TestWitnessCommand:
         assert payload["confirmed_witness"] is True
         assert abs(payload["min_eig"] - (1.0 - 3.0)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "spec, name", (("perm:cycle,d=3,l=1", "perm"), ("horodecki:a=0.5", "horodecki")), ids=("perm", "horodecki")
+    )
+    def test_transform_outside_generic_named(self, capsys, tmp_path, spec, name):
+        # --transform used to be ignored here, building a witness other than the one written
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": (0.5 * np.eye(9)).tolist()}))
+        code, out, err = run_cli(capsys, "witness", spec, "--transform", str(path))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: --transform is read only by the generic witness, not by {name!r}\n"
+
     def test_witness_export(self, capsys, tmp_path):
         out_path = tmp_path / "w.json"
         code, _, _ = run_cli(capsys, "witness", "horodecki:a=0.5", "--out", str(out_path))

@@ -6,16 +6,18 @@ a sweep holds one block's working set and one copy of the columns, whatever the
 grid. Every block but the last holds _block_size(d) points, and the CSV does not
 depend on the block size. The streamed bytes must equal the one-shot
 formatter's (tests/oracles.py) across slice boundaries, and tracemalloc bounds
-what the d = 3 grid-300 sweep allocates beyond its columns.
+what the d = 3 grid-300 sweep allocates beyond its columns. The PPT and cycle-map
+eigenvalue columns must match the family's closed-form spectra at every row.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from loowit import sweep
 from loowit.sweep import BLOCK_OPERATORS, _block_size, run_sweep, write_csv
-from oracles import sweep_csv_one_shot
+from oracles import family_cycle_min_closed_form, family_ppt_min_closed_form, sweep_csv_one_shot
 
 
 def traced_peak(fn):
@@ -68,6 +70,19 @@ def test_every_block_but_the_last_is_full(monkeypatch, d, grid):
     assert sizes[:-1] == [_block_size(d)] * (len(sizes) - 1)
     assert 0 < sizes[-1] <= _block_size(d)
     assert sum(sizes) == rows
+
+
+# every row, boundary-flagged ones included: rho_B = I/d makes both spectra closed-form in the weights
+@pytest.mark.parametrize("d, grid", [(3, 40), (4, 40), (5, 40), (6, 40), (7, 30), (8, 30)])
+def test_min_eig_columns_match_closed_forms(d, grid):
+    columns = run_sweep(d, grid).columns
+    weights = np.repeat(columns["a1"][:, None], d, axis=1)
+    weights[:, 1], weights[:, d - 1] = columns["a2"], columns["a_d"]
+    closed_forms = {"ppt_min_eig": family_ppt_min_closed_form, "oreduction_min_eig": family_cycle_min_closed_form}
+    for name, closed_form in closed_forms.items():
+        value, expected = columns[name], closed_form(weights)
+        assert len(value) > 0
+        assert np.all(np.abs(value - expected) <= 1e-14 * np.maximum(1.0, np.abs(value))), name
 
 
 # BLOCK_OPERATORS = d - 1 puts one point in each block; 9 and 64 split the grid rows unevenly

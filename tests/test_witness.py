@@ -254,7 +254,7 @@ class TestExpectation:
 
     def test_dims_mismatch(self):
         w = ew_from_transform(np.eye(4), 2)
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: witness 2x2 vs state 3x3$"):
             expectation(w, max_entangled(3))
 
 
