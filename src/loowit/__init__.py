@@ -8,7 +8,7 @@ in the submodules (``linalg``, ``loo``, ``states``, ``witness``,
 ``criteria``, ``sweep``, ``cli``).
 """
 
-from .criteria import ReportConfig, full_report
+from .criteria import full_report
 from .linalg import DimPair, is_psd
 from .states import family_rho, family_special, horodecki_rho, load_state, make_state, save_state
 from .sweep import run_sweep, write_csv

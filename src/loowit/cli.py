@@ -108,7 +108,7 @@ def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
 
 def _load_transform(path: str) -> np.ndarray:
     try:
-        matrix = np.asarray(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], dtype=float)
+        matrix = states.number_array(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], "matrix")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers UTF-8 and JSON errors
         raise ValueError(f"malformed transform file {path}: {exc}") from exc
     return loo.make_transform(matrix)
@@ -125,7 +125,7 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
     for r, name in zip(report.reports, names):
         tag = f"{r.criterion}[{name}]" if name else r.criterion
         print(f"  {tag:<{width}} {r.verdict:<13} scalar={r.scalar:+.6e}")
-    print("overall: " + ("entangled" if report.entangled else "no entanglement detected"))
+    print(f"overall: {report.overall}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -136,13 +136,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin))[0],)
     else:  # argparse requires exactly one of --builtin and --file
         state = states.load_state(args.file)
-    config = criteria.ReportConfig(
-        budget=args.budget,
-        seed=args.seed,
-        include_search=not args.no_search,
-        witnesses=witnesses,
+    report = criteria.full_report(
+        state, budget=args.budget, seed=args.seed, include_search=not args.no_search, witnesses=witnesses
     )
-    report = criteria.full_report(state, config)
     _print_report(report, args.json)
     return EXIT_ENTANGLED if report.entangled else EXIT_OK
 
@@ -267,8 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # numpy's MemoryError names the allocation it could not make
+        prefix = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

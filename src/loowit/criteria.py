@@ -317,7 +317,6 @@ class XSearchResult:
 
     unitary: np.ndarray
     transform: np.ndarray
-    min_eig: float
     report: CriterionReport
 
 
@@ -398,12 +397,9 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     val = _x_min_eig(tables, o, d)
     b = int(np.argmin(val))  # the first restart of the minimum
     best_val = float(val[b])
-
     verdict = "violated" if best_val < -SEARCH_TOL else "inconclusive"
-    report = CriterionReport(
-        "x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": SEARCH_TOL}
-    )
-    return XSearchResult(unitary=u[b], transform=o[b], min_eig=best_val, report=report)
+    report = CriterionReport("x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
+    return XSearchResult(unitary=u[b], transform=o[b], report=report)
 
 
 def classify_family_point(d: int, a1, a2):
@@ -425,44 +421,41 @@ def classify_family_point(d: int, a1, a2):
 
 
 @dataclass(frozen=True, eq=False)
-class ReportConfig:
-    """Settings for full_report. Tolerances are constants; each witness (witness.Witness) judges the state itself."""
-
-    budget: int = SEARCH_BUDGET
-    seed: int = 0
-    include_search: bool = True
-    witnesses: tuple = ()
-
-    def __post_init__(self) -> None:
-        require_count(self.seed, "seed", 0)
-        require_count(self.budget, "budget", 1)
-
-
-@dataclass(frozen=True, eq=False)
 class FullReport:
     """Aggregate of criterion reports; entangled iff any criterion is violated."""
 
     state_label: str
     reports: tuple[CriterionReport, ...]
-    entangled: bool
+
+    @property
+    def entangled(self) -> bool:
+        return any(r.verdict == "violated" for r in self.reports)
+
+    @property
+    def overall(self) -> str:
+        """The one-line verdict that check prints and to_dict carries."""
+        return "entangled" if self.entangled else "no entanglement detected"
 
     def to_dict(self) -> dict:
         return {
             "state": self.state_label,
-            "overall": "entangled" if self.entangled else "no entanglement detected",
+            "overall": self.overall,
             "reports": [r.to_dict() for r in self.reports],
         }
 
 
-def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) -> FullReport:
-    """Run every configured criterion and aggregate the verdicts.
+def full_report(
+    state: BipartiteState, *, budget: int = SEARCH_BUDGET, seed: int = 0, include_search: bool = True, witnesses=()
+) -> FullReport:
+    """Run every criterion and aggregate the verdicts; budget and seed are checked even without the search.
 
     Square states get the full battery (partial transpose, realignment and
     the reduction maps for the identity / transpose / all diagonal-cycle
-    mixings, from one battery call), each configured witness, then the
-    randomized correlation search. Non-square states only support the
-    partial transpose.
+    mixings, from one battery call), each witness's own verdict, then
+    x_search unless include_search is off. Non-square states get PPT alone.
     """
+    require_count(seed, "seed", 0)
+    require_count(budget, "budget", 1)
     if state.dims.d_a != state.dims.d_b:
         reports = [ppt_check(state)]
     else:
@@ -474,9 +467,7 @@ def full_report(state: BipartiteState, config: ReportConfig = ReportConfig()) ->
             _report("o_reduction", member_ok, member_min, transform=tag)
             for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
         ]
-        reports += [witness.report(state) for witness in config.witnesses]
-        if config.include_search:
-            result = x_search(state, budget=config.budget, seed=config.seed)
-            reports.append(result.report)
-    entangled = any(r.verdict == "violated" for r in reports)
-    return FullReport(state_label=state.label, reports=tuple(reports), entangled=entangled)
+        reports += [witness.report(state) for witness in witnesses]
+        if include_search:
+            reports.append(x_search(state, budget=budget, seed=seed).report)
+    return FullReport(state_label=state.label, reports=tuple(reports))

@@ -219,28 +219,16 @@ def werner2(p: float) -> BipartiteState:
     return make_state(rho, DimPair.square(2), label=f"werner2(p={p:g})")
 
 
-def _random_pure_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    z /= np.linalg.norm(z)
-    return np.outer(z, z.conj())
-
-
-def _random_mixed_density(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
-
-
-def _random_factor(rng: np.random.Generator, d: int, mode: str) -> np.ndarray:
+def _random_density(rng: np.random.Generator, d: int, mode: str) -> np.ndarray:
     if mode == "pure":
-        return _random_pure_density(rng, d)
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        z /= np.linalg.norm(z)
+        return np.outer(z, z.conj())
     if mode == "mixed":
-        return _random_mixed_density(rng, d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        w = g @ g.conj().T
+        return w / np.trace(w).real
     raise ValueError(f"mode must be 'pure' or 'mixed', got {mode!r}")
-
-
-def _product_from_rng(rng: np.random.Generator, dims: DimPair, mode: str) -> np.ndarray:
-    return np.kron(_random_factor(rng, dims.d_a, mode), _random_factor(rng, dims.d_b, mode))
 
 
 def random_product_state(dims: DimPair, seed: int, mode: str = "pure") -> BipartiteState:
@@ -259,9 +247,9 @@ def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure")
         raise ValueError(f"need k >= 1 mixture terms, got {k}")
     require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    parts = [_product_from_rng(rng, dims, mode) for _ in range(k)]
+    factors = [[_random_density(rng, n, mode) for n in (dims.d_a, dims.d_b)] for _ in range(k)]
     weights = np.ones(1) if k == 1 else rng.dirichlet(np.ones(k))
-    rho = sum(w * part for w, part in zip(weights, parts))
+    rho = sum(w * np.kron(a, b) for w, (a, b) in zip(weights, factors))
     return make_state(
         rho, dims, label=f"separable(dims={dims.d_a}x{dims.d_b}, k={k}, seed={seed}, mode={mode})"
     )
@@ -278,11 +266,18 @@ def save_state(state: BipartiteState, path: str | Path) -> None:
     save_matrix(path, state.dims, state.rho)
 
 
+def number_array(entries, key: str) -> np.ndarray:
+    """A JSON matrix's entries as a float array; a string or boolean array is named, not converted."""
+    array = np.asarray(entries)
+    if array.dtype.kind in "Ub":
+        raise ValueError(f"{key} entries must be numbers, not {'str' if array.dtype.kind == 'U' else 'bool'}")
+    return array.astype(float, copy=False)
+
+
 def _matrix_from_payload(payload: dict, path: Path) -> tuple[np.ndarray, DimPair]:
     try:
         sizes = [payload[key] for key in ("dim_a", "dim_b")]
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
+        re, im = (number_array(payload[key], key) for key in ("re", "im"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or huge entries
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     for key, size in zip(("dim_a", "dim_b"), sizes):

@@ -211,10 +211,10 @@ def test_criterion_8_correlation_matrix_positivity_and_search():
         8,
         "X >= 0 on 200 separable states x 20 (u, O); search separates Werner p=0.5 from p=0.25",
         worst >= -1e-9
-        and detected.min_eig < -1e-6
-        and blind.min_eig >= -1e-6
+        and detected.report.scalar < -1e-6
+        and blind.report.scalar >= -1e-6
         and ppt_ok,
-        f"min separable eig {worst:.2e}, search eigs {detected.min_eig:.2e} / {blind.min_eig:.2e}",
+        f"min separable eig {worst:.2e}, search eigs {detected.report.scalar:.2e} / {blind.report.scalar:.2e}",
     )
 
 

@@ -22,7 +22,6 @@ from loowit.criteria import (
     _residue,
     _x_stack,
     _x_tables,
-    ReportConfig,
     battery,
     classify_family_point,
     correlation_T,
@@ -134,7 +133,7 @@ class TestRouteAgreement:
     def test_full_report_matches_single_mixings(self, d):
         tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
         for state in sample_states(d, d):
-            report = full_report(state, ReportConfig(include_search=False))
+            report = full_report(state, include_search=False)
             reductions = [r for r in report.reports if r.criterion == "o_reduction"]
             assert len(reductions) == len(tags)
             for r, tag, t in zip(reductions, tags, transforms(d)):
@@ -145,7 +144,7 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_full_report_matches_single_criteria(self, d):
         for state in sample_states(d, d):
-            report = full_report(state, ReportConfig(include_search=False))
+            report = full_report(state, include_search=False)
             for r, single in zip(report.reports[:2], (ppt_check(state), realignment_value(state)[1])):
                 assert r == single
                 assert same_bits(r.scalar, single.scalar)
@@ -178,7 +177,7 @@ class TestRouteAgreement:
         a2 = t * (1.0 - (d - 2) * a1)
         row = evaluate_point(d, a1, a2)
         assume(row is not None and not row["boundary_flag"])
-        report = full_report(family_rho(family_special(d, a1, a2)), ReportConfig(include_search=False))
+        report = full_report(family_rho(family_special(d, a1, a2)), include_search=False)
         ppt = report.reports[0]
         cycles = [r for r in report.reports if str(r.params.get("transform")).startswith("cycle")]
         assert len(cycles) == d - 1
@@ -312,7 +311,7 @@ def reference_restarts(d: int, seed: int, budget: int) -> list:
 def same_search(result, reference) -> bool:
     min_eig, o, u = reference
     return (
-        result.min_eig == min_eig
+        result.report.scalar == min_eig
         and np.array_equal(result.transform, o)
         and np.array_equal(result.unitary, u)
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import cli, sweep
+from loowit import cli, criteria, states, sweep
 from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
@@ -99,6 +99,42 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith(f"error: malformed {kind} file {path}: ")
+
+    @pytest.mark.parametrize(
+        "field, convert, kind", [("re", str, "str"), ("im", bool, "bool")], ids=("re-str", "im-bool")
+    )
+    def test_non_number_entries_named(self, capsys, tmp_path, field, convert, kind):
+        # numpy's float conversion reads "0.25" and false as numbers: such a file used to pass as a valid state
+        path = tmp_path / "typed.json"
+        save_state(max_entangled(3), path)
+        payload = json.loads(path.read_text())
+        payload[field] = [[convert(x) for x in row] for row in payload[field]]
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "check", "--file", str(path), "--no-search")
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: malformed matrix file {path}: {field} entries must be numbers, not {kind}\n"
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (("phi:d=3", "--budget", "100000000000"), criteria, "x_search"),
+            (("product:d=100000", "--no-search"), states, "random_product_state"),
+        ],
+        ids=("search", "state"),
+    )
+    def test_out_of_memory_named(self, capsys, monkeypatch, argv, module, name):
+        # the callee raises as numpy does on an allocation the host refuses, so nothing is allocated here
+        message = "Unable to allocate 58.9 TiB for an array with shape (100000000000, 9, 9) and data type float64"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, name, no_memory)
+        code, out, err = run_cli(capsys, "check", "--builtin", *argv)
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: out of memory: {message}\n"
 
     def test_non_finite_file_named(self, capsys, tmp_path):
         rho = np.eye(9) / 9.0
@@ -256,7 +292,14 @@ class TestWitnessCommand:
         assert "transform matrix has non-finite entries" in err
 
     @pytest.mark.parametrize(
-        "text", (b"{broken", b'{"matrix": [[1, 0], [0]]}', b'\xff{"matrix": [[1]]}'), ids=("json", "ragged", "non-utf8")
+        "text",
+        (
+            b"{broken",
+            b'{"matrix": [[1, 0], [0]]}',
+            b'\xff{"matrix": [[1]]}',
+            json.dumps({"matrix": np.eye(4).astype(str).tolist()}).encode(),  # numpy's float conversion reads "1.0"
+        ),
+        ids=("json", "ragged", "non-utf8", "strings"),
     )
     def test_generic_malformed_transform_named(self, capsys, tmp_path, text):
         path = tmp_path / "o.json"
@@ -286,6 +329,24 @@ class TestWitnessCommand:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == f"error: --transform is read only by the generic witness, not by {name!r}\n"
+
+    @pytest.mark.parametrize(
+        "spec, transform, message",
+        [
+            ("perm:bogus,d=3,l=1", False, "unknown permutation witness kind 'bogus'"),
+            ("nosuch", False, "unknown witness spec 'nosuch'"),
+            ("generic", False, "generic witness requires --transform FILE"),
+            ("generic", True, "transform dimension 5 is not a square"),
+        ],
+        ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square"),
+    )
+    def test_witness_errors_named(self, capsys, tmp_path, spec, transform, message):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": np.eye(5).tolist()}))
+        code, out, err = run_cli(capsys, "witness", spec, *(("--transform", str(path)) if transform else ()))
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_witness_export(self, capsys, tmp_path):
         out_path = tmp_path / "w.json"

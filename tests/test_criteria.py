@@ -8,7 +8,6 @@ from loowit.criteria import (
     SEARCH_BUDGET,
     SEARCH_ROUNDS,
     SEARCH_TOL,
-    ReportConfig,
     _o_gradient,
     _o_step,
     _residue,
@@ -390,24 +389,24 @@ class TestXSearch:
     def test_singlet_detected(self):
         result = x_search(werner2(1.0), budget=200, seed=123)
         assert result.report.verdict == "violated"
-        assert result.min_eig < -1e-6
+        assert result.report.scalar < -1e-6
 
     def test_weakly_mixed_inconclusive_and_ppt(self):
         result = x_search(werner2(0.25), budget=200, seed=123)
         assert result.report.verdict == "inconclusive"
-        assert result.min_eig >= -1e-6
+        assert result.report.scalar >= -1e-6
         assert ppt_check(werner2(0.25)).verdict == "pass"
 
     def test_separable_stays_nonnegative(self):
         state = random_separable_state(DimPair.square(3), k=5, seed=77)
         result = x_search(state, budget=100, seed=5)
         assert result.report.verdict == "inconclusive"
-        assert result.min_eig >= -1e-6
+        assert result.report.scalar >= -1e-6
 
     def test_deterministic_given_seed(self):
         a = x_search(werner2(0.5), budget=20, seed=3)
         b = x_search(werner2(0.5), budget=20, seed=3)
-        assert a.min_eig == b.min_eig
+        assert a.report.scalar == b.report.scalar
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_pairing_is_affine_in_o(self, d, seed):
@@ -436,7 +435,7 @@ class TestXSearch:
             o = _o_step(tables, o, d)
             values.append(_x_min_eig(tables, o, d))
         assert np.all(np.diff(values, axis=0) <= 1e-12)
-        assert x_search(state, 4, seed).min_eig == values[-1].min()
+        assert x_search(state, 4, seed).report.scalar == values[-1].min()
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
@@ -446,7 +445,7 @@ class TestXSearch:
             bound = 1.0 - realignment_value(state)[0]
             o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
-            assert x_search(state, 1, seed).min_eig <= bound / d + 1e-12
+            assert x_search(state, 1, seed).report.scalar <= bound / d + 1e-12
 
     @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
     @pytest.mark.parametrize(
@@ -471,7 +470,7 @@ class TestXSearch:
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
             x_search(werner2(0.5), budget=1, seed=seed)
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
-            ReportConfig(seed=seed)
+            full_report(werner2(0.5), seed=seed)
 
     @pytest.mark.parametrize("budget", (0, -3, 1.5, 2.0, True))
     def test_bad_budget_named(self, budget):
@@ -480,7 +479,7 @@ class TestXSearch:
         with pytest.raises(ValueError, match=message):
             x_search(werner2(0.5), budget=budget, seed=0)
         with pytest.raises(ValueError, match=message):
-            ReportConfig(budget=budget, include_search=False)
+            full_report(werner2(0.5), budget=budget, include_search=False)
 
 
 class TestSoundness:
@@ -493,8 +492,7 @@ class TestSoundness:
             state = random_product_state(dims, seed=seed, mode=mode)
         else:
             state = random_separable_state(dims, k=k, seed=seed, mode=mode)
-        config = ReportConfig(budget=4, seed=seed % 1000)
-        report = full_report(state, config)
+        report = full_report(state, budget=4, seed=seed % 1000)
         assert [r.criterion for r in report.reports if r.verdict == "violated"] == []
         search = report.reports[-1]
         assert search.criterion == "x_search"
@@ -557,8 +555,7 @@ class TestFullReport:
     def test_horodecki_with_witness(self):
         state = horodecki_rho(0.5)
         witness, _ = horodecki_ew(0.5)
-        config = ReportConfig(budget=20, witnesses=(witness,))
-        report = full_report(state, config)
+        report = full_report(state, budget=20, witnesses=(witness,))
         verdicts = {(r.criterion, r.params.get("transform")): r.verdict for r in report.reports}
         assert verdicts[("ppt", None)] == "pass"
         witness_reports = [r for r in report.reports if r.criterion == "witness"]
@@ -568,7 +565,7 @@ class TestFullReport:
 
     def test_family_bound_point(self):
         state = family_rho(family_special(3, 0.25, 0.65))
-        report = full_report(state, ReportConfig(include_search=False))
+        report = full_report(state, include_search=False)
         by_tag = {r.params.get("transform"): r for r in report.reports if r.criterion == "o_reduction"}
         assert by_tag["cycle(l=1)"].verdict == "violated"
         assert next(r for r in report.reports if r.criterion == "ppt").verdict == "pass"
@@ -576,7 +573,7 @@ class TestFullReport:
 
     def test_separable_clean(self):
         state = random_separable_state(DimPair.square(3), k=6, seed=11)
-        report = full_report(state, ReportConfig(budget=10, seed=2))
+        report = full_report(state, budget=10, seed=2)
         assert not report.entangled
         assert all(r.verdict in ("pass", "inconclusive") for r in report.reports)
 
@@ -596,7 +593,7 @@ class TestFullReport:
         assert report.entangled
 
     def test_report_serialization(self):
-        report = full_report(werner2(0.5), ReportConfig(include_search=False))
+        report = full_report(werner2(0.5), include_search=False)
         payload = report.to_dict()
         assert payload["overall"] == "entangled"
         assert all(set(r) == {"criterion", "verdict", "scalar", "params"} for r in payload["reports"])
