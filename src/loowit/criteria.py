@@ -84,8 +84,10 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # reduction maps and the X tables all read that residue, so battery and
 # x_search each gather rho once. The gathers add only the nonzero entries of
 # the standard set (loo.standard_entries per observable,
-# loo.standard_positions per matrix position), from +0 and in the order
-# np.einsum visits them in the dense form named in each docstring. Tables that
+# loo.standard_positions per matrix position), in the order np.einsum visits
+# them in the dense form named in each docstring. _gathered_sum adds them in
+# place in the first gathered term, which adds 0.0 first: the signed zeros of
+# a sum from +0, with no zero accumulator and no array per product. Tables that
 # depend on d alone are built once per d and read-only: the reduction map reads
 # standard_positions through the flat index and value tables of
 # _reduction_gather, and full_report mixes by loo.battery_mixings. A skipped
@@ -95,6 +97,16 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # T = np.einsum("...unl,vnl->...uv", residue, mats).real.
 
 
+def _gathered_sum(terms, values) -> np.ndarray:
+    """terms[0] values[0] + terms[1] values[1] for two gathered terms, summed from +0 in place in the first."""
+    total, term = terms
+    total *= values[0]
+    total += 0.0
+    term *= values[1]
+    total += term
+    return total
+
+
 def _residue(rho: np.ndarray, d: int) -> np.ndarray:
     """B-side operators paired with the standard set, residue_u = Tr_A((L_u x I) rho): (..., d^2, d, d).
 
@@ -102,16 +114,13 @@ def _residue(rho: np.ndarray, d: int) -> np.ndarray:
     """
     by_slot = np.swapaxes(blocks(rho, DimPair.square(d)), -3, -2)  # (..., m, k, n, l)
     rows, cols, values = standard_entries(d)
-    residue = np.zeros(by_slot.shape[:-4] + (d * d, d, d), dtype=complex)
-    for i in range(2):
-        residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
-    return residue
+    return _gathered_sum((by_slot[..., cols[i], rows[i], :, :] for i in range(2)), values[:, :, None, None])
 
 
 def _t_from_residue(residue: np.ndarray, d: int) -> np.ndarray:
     """T[..., u, v] = Tr(residue_u L_v^T) = Tr(rho L_u x L_v^T), real; its dense form is named above."""
     rows, cols, values = standard_entries(d)
-    t = 0.0 + residue[..., rows[0], cols[0]] * values[0] + residue[..., rows[1], cols[1]] * values[1]
+    t = _gathered_sum((residue[..., rows[i], cols[i]] for i in range(2)), values)
     imag = member_max_abs(t.imag)
     raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
     return t.real
@@ -177,14 +186,10 @@ def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) 
             f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
         ) from None
     mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * n,))
-    # at most three operator-sized arrays live at once: mixed, the sum and one gathered term
+    # at most three operator-sized arrays live at once: mixed and the two gathered terms
     index, values = _reduction_gather(d)
-    m = np.zeros(batch + (d, d, d, d), dtype=complex)  # (..., m, n, k, l), summed from +0
-    for i in range(2):
-        term = np.take(mixed, index[i], axis=-1)
-        term *= values[i]
-        m += term
-        del term
+    m = _gathered_sum((np.take(mixed, index[i], axis=-1) for i in range(2)), values)  # (..., m, n, k, l)
+    del mixed
     rho_b = residue[..., :d, :, :].sum(axis=-3)  # the projector slots u < d sum to I
     # I x rho_B is np.kron(np.eye(d), rho_b)'s own broadcast product, one per state, not per (state, mixing)
     np.subtract(np.eye(d)[:, None, :, None] * rho_b[..., None, :, None, :], m, out=m)

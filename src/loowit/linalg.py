@@ -155,17 +155,19 @@ def checked_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale.
 
-    Rejects a non-square shape, NaN, inf or overflowing entries (checked_scale),
-    then a Hermiticity defect max |H - H^dagger| above HERMITICITY_TOL relative
-    to max(1, scale); a stack member is named ``name[i]`` and the defect is
-    written with ``symbol``. A stack with any nonzero defect is decomposed as
-    H/2 + H^dagger/2, which cannot overflow; an exactly Hermitian one as it
-    is, which gives the same bits.
+    Rejects a non-square shape, NaN, inf or overflowing entries (checked_scale).
+    A stack equal to H^dagger entry for entry is decomposed as it is. Only on a
+    mismatch is the defect max |H - H^dagger| computed: above HERMITICITY_TOL
+    relative to max(1, scale) it is rejected, naming a stack member ``name[i]``
+    and writing the defect with ``symbol``; else the whole stack is decomposed
+    as H/2 + H^dagger/2, which cannot overflow (for an exactly Hermitian H, the same bits).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     scale = checked_scale(h, name)
+    if (h == dagger(h)).all():  # finite entries compare exactly: a zero defect
+        return np.linalg.eigvalsh(h), scale
     with np.errstate(over="ignore"):  # a defect past the float limit reads inf
         defect = member_max_abs(h - dagger(h))
     raise_first(
@@ -173,7 +175,7 @@ def checked_spectrum(
         name,
         lambda i: f"violates hermiticity: max |{symbol} - {symbol}^dagger| = {defect[i]:.3e}",
     )
-    return np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0 if defect.any() else h), scale
+    return np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0), scale
 
 
 def herm_eigvalues(h: np.ndarray) -> np.ndarray:

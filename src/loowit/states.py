@@ -267,10 +267,13 @@ def save_state(state: BipartiteState, path: str | Path) -> None:
 
 
 def number_array(entries, key: str) -> np.ndarray:
-    """A JSON matrix's entries as a float array; a string or boolean array is named, not converted."""
+    """A JSON matrix's entries as a float array; a string or boolean entry is named, not converted."""
     array = np.asarray(entries)
-    if array.dtype.kind in "Ub":
-        raise ValueError(f"{key} entries must be numbers, not {'str' if array.dtype.kind == 'U' else 'bool'}")
+    # a string beside an integer past int64 makes an object array, whose float conversion reads the string
+    kinds = {np.asarray(x).dtype.kind for x in array.flat} if array.dtype.kind == "O" else {array.dtype.kind}
+    for kind, name in (("U", "str"), ("b", "bool")):
+        if kind in kinds:
+            raise ValueError(f"{key} entries must be numbers, not {name}")
     return array.astype(float, copy=False)
 
 

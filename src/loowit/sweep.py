@@ -138,21 +138,31 @@ def run_sweep(d: int, resolution: int) -> SweepResult:
 
 
 def _cells(column: np.ndarray):
-    """CSV cells of one column, made one at a time: floats by repr, labels as they are, the flag as 1/0."""
+    """CSV cells of one column: labels as they are, the flag as 1/0, floats by repr.
+
+    repr runs once per distinct bit pattern, so 0.0 and -0.0 (equal as floats) keep their own text.
+    """
     if column.dtype == bool:
         column = column.astype(int)
-    return map(repr if column.dtype.kind == "f" else str, column.tolist())
+    if column.dtype.kind != "f":
+        return map(str, column.tolist())
+    bits = column.view(f"i{column.itemsize}").tolist()
+    text = {key: repr(value) for key, value in dict(zip(bits, column.tolist())).items()}
+    return map(text.__getitem__, bits)
 
 
 def write_csv(result: SweepResult, path: str | Path) -> None:
-    """Write the CSV (schema v1) in slices of one block's rows, so the text of the whole grid is never held."""
+    """Write the CSV (schema v1) in slices of one block's rows, so the text of the whole grid is never held.
+
+    Each float cell is its repr, made once per distinct value of the slice (_cells).
+    """
     size = _block_size(result.d)
     columns = [result.columns[name] for name in COLUMN_NAMES]
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"{CSV_HEADER}\n{CSV_COLUMNS}\n")
         for start in range(0, len(columns[0]), size):
             cells = [_cells(column[start:start + size]) for column in columns]
-            out.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def summary_lines(result: SweepResult) -> list[str]:

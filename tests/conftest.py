@@ -22,6 +22,12 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def same_bits(a, b) -> bool:
+    """Same shape, dtype and bytes: equal values, each zero's sign and each NaN payload included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_complex(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
     cols = rows if cols is None else cols
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

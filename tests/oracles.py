@@ -8,8 +8,17 @@ both routes agree.
 
 import numpy as np
 
-from loowit.criteria import SEARCH_ROUNDS, _residue, _x_stack, _x_tables, correlation_T, o_reduction_apply
-from loowit.linalg import DimPair, dagger, max_abs, partial_trace
+from loowit.criteria import (
+    SEARCH_ROUNDS,
+    _mix,
+    _reduction_gather,
+    _residue,
+    _x_stack,
+    _x_tables,
+    correlation_T,
+    o_reduction_apply,
+)
+from loowit.linalg import DimPair, blocks, dagger, max_abs, partial_trace
 from loowit.loo import (
     ORTHOGONALITY_TOL,
     apply_orthogonal,
@@ -19,6 +28,7 @@ from loowit.loo import (
     random_orthogonal,
     random_unitary,
     standard_basis,
+    standard_entries,
     sym_slot,
 )
 from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, phi
@@ -310,6 +320,40 @@ def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarr
     mixed = mixed.reshape(mixed.shape[:-1] + (d, d))
     mapped = np.einsum("...vnl,vmk->...mnkl", mixed, basis).reshape(mixed.shape[:-3] + rho.shape[-2:])
     return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+
+
+def residue_from_zeros(rho: np.ndarray, d: int) -> np.ndarray:
+    """criteria._residue with its sum started from an np.zeros accumulator and a fresh array per term.
+
+    The reference for the signs of zero parts: production accumulates in its
+    first term after adding 0.0, which must give the same bits.
+    """
+    by_slot = np.swapaxes(blocks(rho, DimPair.square(d)), -3, -2)
+    rows, cols, values = standard_entries(d)
+    residue = np.zeros(by_slot.shape[:-4] + (d * d, d, d), dtype=complex)
+    for i in range(2):
+        residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
+    return residue
+
+
+def t_from_zeros(residue: np.ndarray, d: int) -> np.ndarray:
+    """criteria._t_from_residue's T summed from +0 with a fresh array per term, before the real part is taken."""
+    rows, cols, values = standard_entries(d)
+    return 0.0 + residue[..., rows[0], cols[0]] * values[0] + residue[..., rows[1], cols[1]] * values[1]
+
+
+def reduction_from_zeros(residue: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+    """criteria._reduction_from_residue with its gather summed into an np.zeros accumulator (no input checks)."""
+    n = d * d
+    batch = np.broadcast_shapes(residue.shape[:-3], transform.shape[:-2])
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * n,))
+    index, values = _reduction_gather(d)
+    m = np.zeros(batch + (d, d, d, d), dtype=complex)
+    for i in range(2):
+        m = m + np.take(mixed, index[i], axis=-1) * values[i]
+    rho_b = residue[..., :d, :, :].sum(axis=-3)
+    m = (np.eye(d)[:, None, :, None] * rho_b[..., None, :, None, :] - m).reshape(batch + (n, n))
+    return (m + dagger(m)) / 2.0
 
 
 def family_matrix_loops(params: FamilyParams) -> np.ndarray:

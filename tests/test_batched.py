@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import random_density, sample_states
+from conftest import random_density, same_bits, sample_states
 from loowit.criteria import (
     _o_gradient,
+    _reduction_from_residue,
     _residue,
+    _t_from_residue,
     _x_stack,
     _x_tables,
     battery,
@@ -75,17 +77,15 @@ from oracles import (
     o_gradient_loops,
     o_reduction_dense,
     o_reduction_mixed_residue_dense,
+    reduction_from_zeros,
     reference_restart,
+    residue_from_zeros,
+    t_from_zeros,
     unitary_mixing_single,
     x_coefficients_loops,
     x_matrix,
     x_search_reference,
 )
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def transforms(d: int) -> list:
@@ -109,6 +109,36 @@ class TestRouteAgreement:
             member = battery(stack[i : i + 1], d, mixings)
             for k in range(5):
                 assert same_bits(whole[k][i], member[k][0])
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_gathers_keep_signed_zeros(self, d, seed):
+        # the gathers accumulate in their first term and keep the bits of sums from np.zeros, so
+        # equal values and each zero's sign, real and imaginary: on random and family states (many
+        # exact zeros), single and stacked mixings, and on the same states with their zero real
+        # parts, then all their zero parts, made -0.0, where a sum not started at +0 keeps a -0.0
+        rng = np.random.default_rng(seed)
+        stack = np.concatenate(
+            [
+                np.stack([random_density(rng, d * d) for _ in range(2)]),
+                family_stack(rng.dirichlet(np.ones(d), size=3)),
+                family_stack(np.eye(d)[:2]),
+            ]
+        )
+        variants = [stack]
+        for parts in (("real",), ("real", "imag")):
+            variants.append(stack.copy())
+            for part in (getattr(variants[-1], name) for name in parts):
+                part[part == 0] = -0.0
+        stack = np.concatenate(variants)
+        mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
+        residue = _residue(stack, d)
+        assert same_bits(residue, residue_from_zeros(stack, d))
+        assert same_bits(_residue(stack[-1], d), residue_from_zeros(stack[-1], d))
+        assert same_bits(_t_from_residue(residue, d), t_from_zeros(residue, d).real)
+        for t in mixings:
+            assert same_bits(_reduction_from_residue(residue, d, t), reduction_from_zeros(residue, d, t))
+        stacked = residue[:, None]
+        assert same_bits(_reduction_from_residue(stacked, d, mixings), reduction_from_zeros(stacked, d, mixings))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_mixing_stack_matches_members(self, d, seed):

@@ -101,14 +101,22 @@ class TestCheck:
         assert err.startswith(f"error: malformed {kind} file {path}: ")
 
     @pytest.mark.parametrize(
-        "field, convert, kind", [("re", str, "str"), ("im", bool, "bool")], ids=("re-str", "im-bool")
+        "field, convert, kind",
+        [
+            ("re", lambda rows: [[str(x) for x in row] for row in rows], "str"),
+            ("im", lambda rows: [[bool(x) for x in row] for row in rows], "bool"),
+            # beside an integer past int64, numpy types the row as objects, not as strings
+            ("re", lambda rows: [["0.25", 2**70] + rows[0][2:]] + rows[1:], "str"),
+            ("im", lambda rows: [[False, 2**70] + rows[0][2:]] + rows[1:], "bool"),
+        ],
+        ids=("re-str", "im-bool", "re-str-object", "im-bool-object"),
     )
     def test_non_number_entries_named(self, capsys, tmp_path, field, convert, kind):
         # numpy's float conversion reads "0.25" and false as numbers: such a file used to pass as a valid state
         path = tmp_path / "typed.json"
         save_state(max_entangled(3), path)
         payload = json.loads(path.read_text())
-        payload[field] = [[convert(x) for x in row] for row in payload[field]]
+        payload[field] = convert(payload[field])
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "check", "--file", str(path), "--no-search")
         assert code == cli.EXIT_ERROR

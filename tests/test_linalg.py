@@ -8,9 +8,13 @@ from conftest import (
     random_complex,
     random_density,
     random_hermitian,
+    same_bits,
 )
 from loowit.linalg import (
+    HERMITICITY_TOL,
     DimPair,
+    checked_spectrum,
+    dagger,
     herm_eigvalues,
     is_psd,
     max_abs,
@@ -20,7 +24,16 @@ from loowit.linalg import (
     trace_norm,
 )
 from loowit.loo import random_orthogonal, random_unitary, standard_basis, sym_slot
-from loowit.states import FamilyParams, family_rho, horodecki_rho, make_state, max_entangled, phi, werner2
+from loowit.states import (
+    FamilyParams,
+    check_densities,
+    family_rho,
+    horodecki_rho,
+    make_state,
+    max_entangled,
+    phi,
+    werner2,
+)
 
 
 def assert_non_finite_named(f):
@@ -199,6 +212,50 @@ class TestHermEig:
 
     def test_rejects_non_finite(self):
         assert_non_finite_named(herm_eigvalues)
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """(d, a seeded exactly Hermitian (k, d^2, d^2) stack for d = 2..6 and k = 1..4, one member's index)."""
+    d, k = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return d, np.stack([random_hermitian(rng, d * d) for _ in range(k)]), draw(st.integers(0, k - 1))
+
+
+class TestCheckedSpectrum:
+    """Equal to its dagger entry for entry, a stack is solved as it is; only a mismatch computes the defect."""
+
+    @given(hermitian_stacks())
+    def test_exactly_hermitian_as_it_is(self, case):
+        _, h, _ = case
+        assert (h == dagger(h)).all()
+        assert same_bits(checked_spectrum(h)[0], np.linalg.eigvalsh(h))
+
+    @given(hermitian_stacks())
+    def test_one_ulp_off_symmetrizes_the_stack(self, case):
+        _, h, i = case
+        h[i, 1, 0] = np.nextafter(h[i, 1, 0].real, np.inf) + 1j * h[i, 1, 0].imag
+        assert (h != dagger(h)).sum() == 2  # the entry and its mirror, in member i only
+        assert same_bits(checked_spectrum(h)[0], np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0))
+
+    @given(hermitian_stacks())
+    def test_defect_above_tolerance_named(self, case):
+        _, h, i = case
+        h[i, 0, 1] += 1e3 * HERMITICITY_TOL * max(1.0, np.abs(h[i]).max())
+        with pytest.raises(ValueError, match=rf"^state\[{i}\] violates hermiticity: max \|rho - rho\^dagger\| = \d\.\d{{3}}e-0[67]$"):
+            checked_spectrum(h, "state", "rho")
+
+    @pytest.mark.filterwarnings("error")
+    @given(hermitian_stacks())
+    def test_overflowing_sum_named(self, case):
+        # H + H^dagger overflows in member i: the defect path halves first, and positivity names it
+        d, h, i = case
+        n = d * d
+        up = np.triu(np.ones((n, n)), 1)
+        stack = np.stack([np.eye(n, dtype=complex) / n] * len(h))
+        stack[i] = 1.5e308 * (up + up.T) + np.eye(n) / n + 1e280j * up
+        with pytest.raises(ValueError, match=rf"^state\[{i}\] violates positivity: min eigenvalue = -1\.500e\+308$"):
+            check_densities(stack, DimPair.square(d))
 
 
 class TestTraceNorm:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from loowit import sweep
-from loowit.sweep import BLOCK_OPERATORS, _block_size, run_sweep, write_csv
+from loowit.sweep import BLOCK_OPERATORS, COLUMN_NAMES, SweepResult, _block_size, run_sweep, write_csv
 from oracles import family_cycle_min_closed_form, family_ppt_min_closed_form, sweep_csv_one_shot
 
 
@@ -54,6 +54,27 @@ def test_streamed_csv_across_one_slice(tmp_path, grid, rows):
     result = run_sweep(3, grid)
     assert len(result.columns["a1"]) == rows
     assert streamed_bytes(result, tmp_path / "sweep.csv") == sweep_csv_one_shot(result).encode("utf-8")
+
+
+def test_float_cells_are_one_repr_each(tmp_path):
+    # 0.0 and -0.0 compare equal but print apart, so cells are keyed by bit pattern, not by value;
+    # each float column repeats values within a slice and across the d = 3 slice boundary (256 rows)
+    rows = _block_size(3) + 6
+    pattern = np.array([0.0, -0.0, 0.5, -0.0, 1.0 / 3.0, 0.0, -1e-300])
+    columns = {
+        name: np.resize(np.roll(pattern, i), rows) for i, name in enumerate(COLUMN_NAMES) if "region" not in name
+    }
+    columns["analytic_region"] = np.resize(np.array(["free", "bound", "separable"]), rows)
+    columns["numeric_region"] = np.resize(np.array(["bound", "free"]), rows)
+    columns["boundary_flag"] = np.resize([True, False, False], rows)
+    result = SweepResult(3, 2, columns, 0, 0, 0, 0)
+    text = streamed_bytes(result, tmp_path / "sweep.csv").decode("utf-8")
+    assert text == sweep_csv_one_shot(result)
+    lines = text.splitlines()[2:]
+    assert len(lines) == rows
+    assert lines[1].startswith("-0.0,0.0,")
+    # every column repeats within 42 rows, so a row past the slice boundary reads as its repeat before it
+    assert all(lines[i] == lines[i % 42] for i in range(rows))
 
 
 @pytest.mark.parametrize("d, grid", [(3, 100), (6, 30)])
