@@ -52,7 +52,12 @@ from .states import BipartiteState, family_ppt_sufficient, family_separable_suff
 # The eigenvalue criteria (PPT, the reduction maps) report the tolerance is_psd applies.
 ALGEBRAIC_TOL = PSD_TOL
 SEARCH_TOL = 1e-6
-# x_search: exact O steps per restart, and the default number of restarts.
+# x_search stops a restart at the first round whose eigensolve lowers its smallest
+# eigenvalue by no more than SEARCH_STALL: an allowance on the exact monotonicity of
+# the rounds. The descent it can give up, SEARCH_ROUNDS * SEARCH_STALL, is far below
+# SEARCH_TOL.
+SEARCH_STALL = 1e-12
+# x_search: at most SEARCH_ROUNDS exact O steps per restart, and the default number of restarts.
 SEARCH_ROUNDS = 10
 SEARCH_BUDGET = 16
 
@@ -348,14 +353,20 @@ def _procrustes(g: np.ndarray) -> np.ndarray:
     return -u @ vh
 
 
-def _o_step(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
-    """One search round: v is the lowest eigenvector of X(o), then the O minimising v^dagger X v.
+def _lowest_eigenpair(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(X(o)) and its unit eigenvector v for each (o, tables) pair, from one batched eigh."""
+    vals, vecs = np.linalg.eigh(_x_stack(tables, o, d))
+    return vals[..., 0], vecs[..., 0]
 
-    The new O cannot raise the smallest eigenvalue: lambda_min(X(O')) <=
-    v^dagger X(O') v <= v^dagger X(o) v = lambda_min(X(o)).
+
+def _o_step(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
+    """The O minimising v^dagger X(O) v for each (v, tables) pair: the Procrustes step of a round.
+
+    With v the lowest eigenvector of X(o) (_lowest_eigenpair), the new O cannot
+    raise the smallest eigenvalue: lambda_min(X(O')) <= v^dagger X(O') v <=
+    v^dagger X(o) v = lambda_min(X(o)).
     """
-    _, vecs = np.linalg.eigh(_x_stack(tables, o, d))
-    return _procrustes(_o_gradient(tables, vecs[..., 0], d))
+    return _procrustes(_o_gradient(tables, v, d))
 
 
 def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,12 +394,17 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
-    and runs SEARCH_ROUNDS exact O steps (_o_step), so its smallest
-    eigenvalue never rises. Restart 0 starts at the realignment optimum, read
-    off T, which comes off the same residue as the X tables, and ends at or
-    below (1 - ||T||_tr) / d, so every realignment detection is a search
-    detection; the others start from seeded random pairs. The
-    verdict is "violated" only below -SEARCH_TOL; a failed search is
+    and runs at most SEARCH_ROUNDS rounds: an eigh gives lambda_min(X(O)) and
+    its eigenvector v, then an exact O step (_o_step) moves O, so its smallest
+    eigenvalue never rises. A restart stops at the first round whose eigh
+    finds its eigenvalue lowered by no more than SEARCH_STALL since the last
+    round, and keeps its O; the stack shrinks only in such a round. The rule is
+    per restart, so restart b's result does not depend on the budget. Restart
+    0 starts at the realignment optimum, read off T, which comes off the same
+    residue as the X tables, and ends at or below (1 - ||T||_tr) / d, so every
+    realignment detection is a search detection; the others start from seeded
+    random pairs. Each restart's value is the eigvalsh of X at its final O.
+    The verdict is "violated" only below -SEARCH_TOL; a failed search is
     "inconclusive", never a separability certificate.
     """
     require_count(budget, "budget", 1)
@@ -397,14 +413,29 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     residue = _residue(state.rho, d)  # the one gather: T and the X tables both read it
     o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
     tables = _x_tables(residue, u, d)
+    final_o = o  # the moving restarts' O is written back when they stop
+    moving = np.arange(budget)  # restart index of each member of the moving stack
+    moving_tables = tables
+    previous = np.inf
     for _ in range(SEARCH_ROUNDS):
-        o = _o_step(tables, o, d)
-    val = _x_min_eig(tables, o, d)
+        lam, v = _lowest_eigenpair(moving_tables, o, d)
+        stalled = previous - lam <= SEARCH_STALL
+        if stalled.any():
+            final_o[moving[stalled]] = o[stalled]
+            keep = ~stalled
+            moving, o, lam, v = moving[keep], o[keep], lam[keep], v[keep]
+            if not moving.size:
+                break
+            moving_tables = _XTables(*(table[keep] for table in moving_tables))
+        o = _o_step(moving_tables, v, d)
+        previous = lam
+    final_o[moving] = o
+    val = _x_min_eig(tables, final_o, d)
     b = int(np.argmin(val))  # the first restart of the minimum
     best_val = float(val[b])
     verdict = "violated" if best_val < -SEARCH_TOL else "inconclusive"
     report = CriterionReport("x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
-    return XSearchResult(unitary=u[b], transform=o[b], report=report)
+    return XSearchResult(unitary=u[b], transform=final_o[b], report=report)
 
 
 def classify_family_point(d: int, a1, a2):

@@ -10,9 +10,15 @@ import numpy as np
 
 from loowit.criteria import (
     SEARCH_ROUNDS,
+    SEARCH_STALL,
+    _lowest_eigenpair,
     _mix,
+    _o_step,
     _reduction_gather,
     _residue,
+    _search_starts,
+    _t_from_residue,
+    _x_min_eig,
     _x_stack,
     _x_tables,
     correlation_T,
@@ -443,14 +449,16 @@ def o_gradient_entries(q: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     return g
 
 
-def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """One restart of the correlation search by itself, through x_matrix: its (min_eig, O, u).
+def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """One restart of the correlation search by itself, through x_matrix: each round's lambda_min, final O and u.
 
     Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
-    draws O, then u, from default_rng([seed, b]). Each of SEARCH_ROUNDS
-    rounds takes the lowest eigenvector v of X(O) and moves O to -U V^T from
-    the SVD of the pairing's gradient (o_gradient_entries on the residue of
-    the u-conjugated state), the minimiser of v^dagger X(O) v.
+    draws O, then u, from default_rng([seed, b]). Each of at most SEARCH_ROUNDS
+    rounds takes the smallest eigenvalue and its eigenvector v of X(O) from one
+    eigh. The restart stops there, keeping O, once that eigenvalue is lowered
+    by no more than SEARCH_STALL since the last round; otherwise O moves to
+    -U V^T from the SVD of the pairing's gradient (o_gradient_entries on the
+    residue of the u-conjugated state), the minimiser of v^dagger X(O) v.
     """
     d = state.dims.square_dim
     if restart == 0:
@@ -462,11 +470,36 @@ def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[f
         o = random_orthogonal(d * d, rng)
         u = random_unitary(d, rng)
     q = _x_tables(_residue(state.rho, d), u, d).q
+    rounds = []
     for _ in range(SEARCH_ROUNDS):
-        _, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
+        vals, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
+        rounds.append(float(vals[0]))
+        if len(rounds) > 1 and rounds[-2] - rounds[-1] <= SEARCH_STALL:
+            break
         u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))
         o = -u_svd @ vh
+    return rounds, o, u
+
+
+def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """One restart of the correlation search by itself (reference_rounds): its final (min_eig, O, u)."""
+    _, o, u = reference_rounds(state, seed, restart)
     return float(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0]), o, u
+
+
+def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.ndarray:
+    """Each restart's final lambda_min when every restart runs all SEARCH_ROUNDS rounds, with no stall rule.
+
+    The search's own starts and kernels, advanced as one stack for a fixed
+    number of rounds, as the search ran before it stopped stalled restarts.
+    """
+    d = state.dims.square_dim
+    residue = _residue(state.rho, d)
+    o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
+    tables = _x_tables(residue, u, d)
+    for _ in range(SEARCH_ROUNDS):
+        o = _o_step(tables, _lowest_eigenpair(tables, o, d)[1], d)
+    return _x_min_eig(tables, o, d)
 
 
 def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:

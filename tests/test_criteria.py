@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_density, random_state, sample_states
+from loowit import criteria
 from loowit.criteria import (
     ALGEBRAIC_TOL,
     SEARCH_BUDGET,
     SEARCH_ROUNDS,
+    SEARCH_STALL,
     SEARCH_TOL,
     _o_gradient,
-    _o_step,
     _residue,
     _search_starts,
     _t_from_residue,
-    _x_min_eig,
     _x_stack,
     _x_tables,
     battery,
@@ -59,9 +59,12 @@ from oracles import (
     perm_reduction_closed_form,
     phi_pairing,
     reconstruct,
+    reference_rounds,
+    swap_operator,
     uniform_pairing,
     x_matrix,
     x_reduction_form,
+    x_search_fixed_rounds,
 )
 
 
@@ -426,16 +429,17 @@ class TestXSearch:
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_rounds_never_raise_min_eig(self, d, seed):
+        # each restart is monotone over the rounds it runs, and the search reports the
+        # smallest of the restarts' final values
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
-        o, u = _search_starts(correlation_T(state), d, seed, 4)
-        tables = _x_tables(_residue(state.rho, d), u, d)
-        values = [_x_min_eig(tables, o, d)]
-        for _ in range(SEARCH_ROUNDS):
-            o = _o_step(tables, o, d)
-            values.append(_x_min_eig(tables, o, d))
-        assert np.all(np.diff(values, axis=0) <= 1e-12)
-        assert x_search(state, 4, seed).report.scalar == values[-1].min()
+        finals = []
+        for restart in range(4):
+            rounds, o, u = reference_rounds(state, seed, restart)
+            values = rounds + [np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0]]
+            assert np.all(np.diff(values) <= 1e-12)
+            finals.append(values[-1])
+        assert x_search(state, 4, seed).report.scalar == min(finals)
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
@@ -480,6 +484,72 @@ class TestXSearch:
             x_search(werner2(0.5), budget=budget, seed=0)
         with pytest.raises(ValueError, match=message):
             full_report(werner2(0.5), budget=budget, include_search=False)
+
+
+def stall_test_state(kind: str, d: int, seed: int, p: float):
+    """A state of the given kind at d: random mixed or pure, random separable, phi, isotropic or Werner."""
+    rng = np.random.default_rng(seed)
+    dims = DimPair.square(d)
+    n = d * d
+    if kind == "mixed":
+        return random_state(rng, d)
+    if kind == "pure":
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return make_state(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, dims, "pure")
+    if kind == "separable":
+        return random_separable_state(dims, k=int(rng.integers(1, 6)), seed=seed, mode="mixed")
+    if kind == "phi":
+        return max_entangled(d)
+    if kind == "isotropic":
+        return make_state(p * max_entangled(d).rho + (1.0 - p) * np.eye(n) / n, dims, "isotropic")
+    # Werner: p on the antisymmetric subspace, 1 - p on the symmetric one
+    swap = swap_operator(d)
+    anti, sym = (np.eye(n) - swap) / 2.0, (np.eye(n) + swap) / 2.0
+    return make_state(p * anti / np.trace(anti) + (1.0 - p) * sym / np.trace(sym), dims, "werner")
+
+
+class TestSearchStall:
+    """A restart stops once a round no longer lowers its eigenvalue, at almost no cost in descent."""
+
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("mixed", "pure", "separable", "phi", "isotropic", "werner")),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_fixed_rounds(self, d, seed, kind, p):
+        # the descent the stall rule can give up is at most SEARCH_ROUNDS * SEARCH_STALL
+        state = stall_test_state(kind, d, seed, p)
+        result = x_search(state, SEARCH_BUDGET, seed)
+        fixed = float(x_search_fixed_rounds(state, SEARCH_BUDGET, seed).min())
+        assert abs(result.report.scalar - fixed) <= SEARCH_ROUNDS * SEARCH_STALL
+        assert result.report.verdict == ("violated" if fixed < -SEARCH_TOL else "inconclusive")
+
+    @staticmethod
+    def procrustes_members(monkeypatch, state, budget: int, seed: int) -> int:
+        """How many matrices the search hands to criteria._procrustes, the SVD of each O step."""
+        counted = []
+        procrustes = criteria._procrustes
+
+        def counting(g):
+            counted.append(int(np.prod(g.shape[:-2], dtype=int)))
+            return procrustes(g)
+
+        monkeypatch.setattr(criteria, "_procrustes", counting)
+        x_search(state, budget, seed)
+        return sum(counted)
+
+    def test_converged_restarts_stop(self, monkeypatch):
+        # phi's restarts stop moving after one or two rounds: at most two O steps each, plus the
+        # warm start's Procrustes, against 16 x SEARCH_ROUNDS + 1 = 161 for fixed rounds
+        members = self.procrustes_members(monkeypatch, max_entangled(3), 16, 0)
+        assert members <= 2 * 16 + 1
+        assert members == 32
+
+    def test_moving_restarts_keep_their_rounds(self, monkeypatch):
+        # horodecki(0.5) still descends in every round of every restart: the fixed-round count
+        members = self.procrustes_members(monkeypatch, horodecki_rho(0.5), 16, 0)
+        assert members == 16 * SEARCH_ROUNDS + 1
 
 
 class TestSoundness:
