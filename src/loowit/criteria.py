@@ -374,19 +374,17 @@ def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
 
     Restart 0 is the warm start: u = I and the O maximising Tr(O T), taken
     from t = T itself as _procrustes(-t^T), so that <s|X|s> = 1 - ||T||_tr for
-    the all-ones s. Restart b >= 1 draws O, then u, from default_rng([seed, b]).
-    All drawn restarts go through one random_orthogonal and one random_unitary
-    call; each generator still draws its O before its u, so restart b has the
-    bits of drawing it alone and does not depend on the budget.
+    the all-ones s. Restart b >= 1 takes the b-th O of default_rng([seed, 0])
+    and the b-th u of default_rng([seed, 1]), both from one stacked draw, so
+    restart b starts from the same pair at every budget above b.
     """
     n = d * d
     o = np.empty((budget, n, n))
     u = np.empty((budget, d, d), dtype=complex)
     o[0] = _procrustes(-t.T)
     u[0] = np.eye(d)
-    rngs = [np.random.default_rng([seed, b]) for b in range(1, budget)]
-    o[1:] = random_orthogonal(n, rngs)
-    u[1:] = random_unitary(d, rngs)
+    o[1:] = random_orthogonal(n, np.random.default_rng([seed, 0]), (budget - 1,))
+    u[1:] = random_unitary(d, np.random.default_rng([seed, 1]), (budget - 1,))
     return o, u
 
 

@@ -15,7 +15,6 @@ is {|1><1|, |2><2|, sigma_x/sqrt(2), sigma_y/sqrt(2)}.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -123,9 +122,7 @@ def make_transform(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(matrix).all():
         raise ValueError("transform matrix has non-finite entries (NaN or inf)")
     if np.iscomplexobj(matrix):
-        if max_abs(matrix.imag) > ORTHOGONALITY_TOL:
-            raise ValueError("transform matrix must be real")
-        matrix = matrix.real
+        raise ValueError("transform matrix must be real")
     matrix = matrix.astype(float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
@@ -195,52 +192,34 @@ def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
     return np.einsum("...uv,vij->...uij", o, basis)
 
 
-def _generators(
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[tuple[np.random.Generator, ...], bool]:
-    """The generators to draw from, and whether rng is one Generator rather than a sequence."""
-    lone = isinstance(rng, np.random.Generator)
-    return ((rng,) if lone else tuple(rng)), lone
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """Q of one QR of z, a matrix or a stack, column j times the phase r_jj / |r_jj| (1 where r_jj = 0).
 
-
-def _phase_fixed_q(z: np.ndarray, lone: bool) -> np.ndarray:
-    """Q of one stacked QR of z, column j times the phase r_jj / |r_jj| (1 where r_jj = 0).
-
-    For real z the phase is the sign of r_jj. A lone draw gives its (n, n) matrix.
+    For real z the phase is the sign of r_jj.
     """
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
-    q *= np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[:, None, :]
-    return q[0] if lone else q
+    q *= np.divide(diag, size, out=np.ones_like(diag), where=size > 0)[..., None, :]
+    return q
 
 
-def random_orthogonal(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+def random_orthogonal(n: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-uniform orthogonal matrix via QR with R-diagonal sign fixing (Mezzadri 2007).
 
-    rng is one Generator, giving an (n, n) matrix, or a sequence of k
-    generators, giving a (k, n, n) stack (k = 0 too). Each generator makes
-    one (n, n) standard-normal draw, and one QR factors the whole stack, so
-    member i has the bits of a lone call with generator i.
+    size is numpy's: the result is a size + (n, n) stack. One standard-normal
+    draw fills the stack and one QR factors it, so member i has the bits of
+    the i-th of successive lone calls (size=()) on an equal generator.
     """
-    gens, lone = _generators(rng)
-    z = np.empty((len(gens), n, n))
-    for g, out in zip(gens, z):
-        g.standard_normal(out=out)
-    return _phase_fixed_q(z, lone)
+    return _phase_fixed_q(rng.standard_normal(size + (n, n)))
 
 
-def random_unitary(n: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
+def random_unitary(n: int, rng: np.random.Generator, size: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-uniform unitary matrix via QR with R-diagonal phase fixing (Mezzadri 2007).
 
-    rng is one Generator or a sequence of them, as for random_orthogonal.
-    Each generator draws the real (n, n) part, then the imaginary one, and
-    one QR factors the whole stack, so member i has the bits of a lone call
-    with generator i.
+    size is numpy's, as for random_orthogonal. One size + (2, n, n)
+    standard-normal draw gives each member its real part, then its imaginary
+    part, so member i has the bits of the i-th of successive lone calls.
     """
-    gens, lone = _generators(rng)
-    z = np.empty((len(gens), n, n), dtype=complex)
-    for g, out in zip(gens, z):
-        out[...] = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    z /= np.sqrt(2.0)
-    return _phase_fixed_q(z, lone)
+    parts = rng.standard_normal(size + (2, n, n))
+    return _phase_fixed_q((parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0))

@@ -449,16 +449,36 @@ def o_gradient_entries(q: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     return g
 
 
+_STREAMS: dict[tuple[int, int], tuple[np.random.Generator, np.random.Generator, list]] = {}
+
+
+def drawn_start(d: int, seed: int, restart: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restart b >= 1's starting (O, u): the b-th lone draw of each seeded stream.
+
+    O comes from default_rng([seed, 0]) and u from default_rng([seed, 1]), one
+    random_orthogonal or random_unitary call per restart. The draws made so far
+    are kept, read-only, per (d, seed), so walking restarts 1..b costs b draws.
+    """
+    o_rng, u_rng, draws = _STREAMS.setdefault(
+        (d, seed), (np.random.default_rng([seed, 0]), np.random.default_rng([seed, 1]), [None])
+    )
+    while len(draws) <= restart:
+        draws.append((random_orthogonal(d * d, o_rng), random_unitary(d, u_rng)))
+        for a in draws[-1]:
+            a.flags.writeable = False
+    return draws[restart]
+
+
 def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[list[float], np.ndarray, np.ndarray]:
     """One restart of the correlation search by itself, through x_matrix: each round's lambda_min, final O and u.
 
     Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
-    draws O, then u, from default_rng([seed, b]). Each of at most SEARCH_ROUNDS
-    rounds takes the smallest eigenvalue and its eigenvector v of X(O) from one
-    eigh. The restart stops there, keeping O, once that eigenvalue is lowered
-    by no more than SEARCH_STALL since the last round; otherwise O moves to
-    -U V^T from the SVD of the pairing's gradient (o_gradient_entries on the
-    residue of the u-conjugated state), the minimiser of v^dagger X(O) v.
+    starts from drawn_start. Each of at most SEARCH_ROUNDS rounds takes the
+    smallest eigenvalue and its eigenvector v of X(O) from one eigh. The
+    restart stops there, keeping O, once that eigenvalue is lowered by no more
+    than SEARCH_STALL since the last round; otherwise O moves to -U V^T from
+    the SVD of the pairing's gradient (o_gradient_entries on the residue of
+    the u-conjugated state), the minimiser of v^dagger X(O) v.
     """
     d = state.dims.square_dim
     if restart == 0:
@@ -466,9 +486,7 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
         o = -u_svd @ vh
         u = np.eye(d, dtype=complex)
     else:
-        rng = np.random.default_rng([seed, restart])
-        o = random_orthogonal(d * d, rng)
-        u = random_unitary(d, rng)
+        o, u = drawn_start(d, seed, restart)
     q = _x_tables(_residue(state.rho, d), u, d).q
     rounds = []
     for _ in range(SEARCH_ROUNDS):

@@ -623,7 +623,7 @@ class TestGoldenOutput:
     def test_check_json(self, capsys):
         _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "c19926ea90915dbe2514e47b1db1b468b3da4011af67110db93e8a71a7f2fd54"
+        assert digest == "c2c6c281fa7553908269c6bc2830bb969e978d37da04fdae995e0b09f65d2f91"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -642,7 +642,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "5eab478fc6ad2f506155d6ceb075071b2ed6402cdeb476936a732a2ba8e17a04",
+                "6b32a40f8c6fcbb88d36f3f2f14223c0cf3de245e6e753544f525be8258e8d52",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),

@@ -54,6 +54,7 @@ from loowit.sweep import run_sweep
 from loowit.witness import horodecki_ew
 from oracles import (
     best_orthogonal,
+    drawn_start,
     expand,
     local_map,
     perm_reduction_closed_form,
@@ -450,6 +451,17 @@ class TestXSearch:
             o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
             assert x_search(state, 1, seed).report.scalar <= bound / d + 1e-12
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (6, 11)])
+    def test_drawn_starts_are_a_budget_prefix(self, d, seed):
+        # restart b >= 1 is the b-th lone draw of each stream, so budget 16's starts begin budget 40's
+        t = correlation_T(max_entangled(d))
+        o, u = _search_starts(t, d, seed, 40)
+        short_o, short_u = _search_starts(t, d, seed, 16)
+        assert short_o.tobytes() == o[:16].tobytes() and short_u.tobytes() == u[:16].tobytes()
+        for b in range(1, 40):
+            drawn_o, drawn_u = drawn_start(d, seed, b)
+            assert drawn_o.tobytes() == o[b].tobytes() and drawn_u.tobytes() == u[b].tobytes()
 
     @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
     @pytest.mark.parametrize(

@@ -243,6 +243,11 @@ class TestTransforms:
             f"transform is neither orthogonal nor a contraction: max |O_ij| is {peak}, "
         )
 
+    def test_make_transform_rejects_every_complex_array(self):
+        # the reduction kernel's rule: a complex mixing is rejected even with a zero imaginary part
+        with pytest.raises(ValueError, match="transform matrix must be real"):
+            make_transform(np.eye(9, dtype=complex))
+
     def test_make_transform_returns_float_array(self):
         out = make_transform(np.eye(3, dtype=int))
         assert out.dtype == float
@@ -312,9 +317,10 @@ class TestRandomSampling:
 
     @staticmethod
     def stacked_and_lone(sampler, n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """One call on k fresh generators, and np.stack of k lone calls on equal ones."""
-        stack = sampler(n, [np.random.default_rng([seed, b]) for b in range(k)])
-        lone = np.stack([sampler(n, np.random.default_rng([seed, b])) for b in range(k)])
+        """One size=(k,) call, and np.stack of k successive lone calls on an equal generator."""
+        stack = sampler(n, np.random.default_rng(seed), (k,))
+        rng = np.random.default_rng(seed)
+        lone = np.stack([sampler(n, rng) for _ in range(k)])
         return stack, lone
 
     @given(st.integers(4, 36), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -345,9 +351,9 @@ class TestRandomSampling:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dtype", (float, complex))
     def test_zero_r_diagonal_keeps_phase_one(self, dtype):
-        z = np.zeros((1, 3, 3), dtype=dtype)
-        assert np.array_equal(_phase_fixed_q(z, True), np.linalg.qr(z[0])[0])
+        z = np.zeros((3, 3), dtype=dtype)
+        assert np.array_equal(_phase_fixed_q(z), np.linalg.qr(z)[0])
 
     @pytest.mark.parametrize("sampler", [random_orthogonal, random_unitary])
     def test_empty_sequence_gives_an_empty_stack(self, sampler):
-        assert sampler(3, []).shape == (0, 3, 3)
+        assert sampler(3, np.random.default_rng(0), (0,)).shape == (0, 3, 3)

@@ -121,7 +121,7 @@ class TestFamily:
         ]
         for a, expected in cases:
             params = FamilyParams(3, a)
-            assert family_ppt_sufficient(params.a) is expected
+            assert bool(family_ppt_sufficient(params.a)) is expected
             state = family_rho(params)
             min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
             assert bool(min_eig >= -1e-9) is expected
@@ -137,7 +137,7 @@ class TestFamily:
             params = FamilyParams(3, a)
             state = family_rho(params)
             min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
-            assert family_ppt_sufficient(params.a) is bool(min_eig >= -1e-9)
+            assert bool(family_ppt_sufficient(params.a)) is bool(min_eig >= -1e-9)
             checked += 1
 
     @given(st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -235,6 +236,40 @@ class TestHorodeckiWitness:
     def test_hermitian(self):
         w, _ = horodecki_ew(0.25)
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
+
+
+def load_scan_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "witness_scan.py"
+    spec = importlib.util.spec_from_file_location("witness_scan", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScanScript:
+    def test_closed_form_is_the_papers(self):
+        scan = load_scan_script()
+        for a in (0.05, 0.5, 0.95):
+            assert scan.closed_form(a) == 1.0 - np.sqrt(1.0 + n_sq_closed(a))
+
+    def test_scan_passes(self, capsys):
+        assert load_scan_script().main(["--points", "3"]) == 0
+        assert capsys.readouterr().out.count(" ok\n") == 3
+
+    @pytest.mark.parametrize("value", (0.0, -0.5), ids=("nonnegative", "off-closed-form"))
+    def test_scan_fails_on_a_wrong_witness_value(self, monkeypatch, capsys, value):
+        scan = load_scan_script()
+        monkeypatch.setattr(scan, "expectation", lambda witness, state: value)
+        assert scan.main(["--points", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out.count(" FAIL\n") == 3 and "3 of 3 points failed" in err
+
+    def test_scan_fails_on_a_state_that_is_not_ppt(self, monkeypatch, capsys):
+        scan = load_scan_script()
+        battery = scan.battery
+        monkeypatch.setattr(scan, "battery", lambda *args: (False, *battery(*args)[1:]))
+        assert scan.main(["--points", "3"]) == 1
+        assert capsys.readouterr().out.count(" FAIL\n") == 3
 
 
 class TestImportOrder:
