@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     for a in np.linspace(0.05, 0.95, args.points):
         a = float(a)
         state = horodecki_rho(a)
-        value = expectation(horodecki_ew(a)[0], state)
+        value = expectation(horodecki_ew(a), state)
         closed = closed_form(a)
         ppt_ok, pt_min, realign_val, _, _ = battery(state.rho, 3, cycle_mixings(3))
         ok = value < 0.0 and abs(value - closed) <= CLOSED_FORM_TOL and ppt_ok

@@ -133,7 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.builtin is not None:
         name, kw, state = builtin_state(args.builtin)
         if name == "horodecki":
-            witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin))[0],)
+            witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin)),)
     else:  # argparse requires exactly one of --builtin and --file
         state = states.load_state(args.file)
     report = criteria.full_report(
@@ -162,7 +162,7 @@ def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
     if args.transform and name != "generic":  # a mixing no other witness reads must not be dropped silently
         raise ValueError(f"--transform is read only by the generic witness, not by {name!r}")
     if name == "horodecki":
-        return witness_mod.horodecki_ew(_key(kw, "a", args.spec))[0]
+        return witness_mod.horodecki_ew(_key(kw, "a", args.spec))
     if name == "perm":
         kind = pos[0] if pos else kw.get("kind", "cycle")
         if kind != "cycle":

@@ -31,7 +31,8 @@ def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """Validate a density matrix, or each member of a (..., n, n) stack, and return it as complex.
 
     Errors name the violated quantity and, in a stack, the first failing
-    member as ``state[i]``.
+    member as ``state[i]``. They come in the order non-finite, Hermiticity,
+    trace, positivity, each checked on every member before the next.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (dims.total, dims.total):

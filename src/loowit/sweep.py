@@ -18,7 +18,9 @@ which gathers its states against the standard set once and reads realignment,
 rho_B and the reduction maps off that residue. Results are columns, one array
 each, allocated once and filled block by block; the CSV is written in slices of
 one block's rows. So a sweep holds one block's working set, one row of the
-grid's weights and one copy of the columns, whatever the grid.
+grid's weights and one copy of the columns, whatever the grid. The family
+states, their partial transposes and the reduction operators are exactly
+Hermitian, so is_psd never computes a Hermiticity defect in a sweep.
 """
 
 from __future__ import annotations

@@ -89,25 +89,6 @@ def perm_ew(o: np.ndarray, d: int) -> Witness:
     return replace(witness, provenance=f"permutation(fixed_points={f})", phi_value=float(d - f))
 
 
-@dataclass(frozen=True, eq=False)
-class HorodeckiWitnessData:
-    """Intermediate quantities of the 3x3 PPT-entangled-state witness.
-
-    ``coeffs`` is the 9x9 expansion of the state in the A x B^T pair basis of
-    the tailored observable sets; ``n_vec`` its first-row/first-column
-    antisymmetry (slots 2..9); ``mixing`` the near-identity contraction built
-    from it. The construction makes the witness expectation in the target
-    state equal to 1 - sqrt(1 + n_sq), strictly negative inside the open
-    parameter interval.
-    """
-
-    a: float
-    coeffs: np.ndarray
-    n_vec: np.ndarray
-    n_sq: float
-    mixing: np.ndarray
-
-
 def horodecki_mixings(a: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal mixings O_A, O_B of the standard set onto the tailored sets of the 3x3 state.
 
@@ -153,12 +134,16 @@ def horodecki_mixings(a: float) -> tuple[np.ndarray, np.ndarray]:
     return o_a, o_b
 
 
-def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
+def horodecki_ew(a: float) -> Witness:
     """Explicit witness for the 3x3 PPT-entangled state at parameter a.
 
-    On the tailored sets A = O_A L and B = O_B L the witness is
-    I x I - sum_uv M[u, v] A_u x B_v^T, which is the standard-set witness of
-    the contraction K = O_A^T M O_B, built as ew_from_transform(K^T).
+    coeffs[u, v] = Tr(rho A_u x B_v^T) expands the state in the pair basis of
+    the tailored sets A = O_A L and B = O_B L; n_vec, the antisymmetry of its
+    first row and column (slots 2..9), builds the near-identity contraction M.
+    The witness I x I - sum_uv M[u, v] A_u x B_v^T is the standard-set witness
+    of the contraction K = O_A^T M O_B, built as ew_from_transform(K^T), and
+    its expectation in the state is 1 - sqrt(1 + |n_vec|^2), strictly negative
+    inside the open parameter interval.
 
     At the endpoints a in {0, 1} the antisymmetry vector vanishes, the mixing
     degenerates to the identity and the witness expectation in the target
@@ -167,19 +152,13 @@ def horodecki_ew(a: float) -> tuple[Witness, HorodeckiWitnessData]:
     """
     state = horodecki_rho(a)  # checks a before the mixings are formed
     o_a, o_b = horodecki_mixings(a)
-    # coeffs[u, v] = Tr(rho A_u x B_v^T)
     coeffs = o_a @ correlation_T(state) @ o_b.T
-
     n_vec = coeffs[0, 1:] - coeffs[1:, 0]
-    n_sq = float(np.dot(n_vec, n_vec))
-    scale = 1.0 / np.sqrt(1.0 + n_sq)
+    scale = 1.0 / np.sqrt(1.0 + np.dot(n_vec, n_vec))
     mixing = np.eye(9) * scale
     mixing[0, 1:] = n_vec * scale
     mixing[1:, 0] = -n_vec * scale
-
-    witness = replace(ew_from_transform((o_a.T @ mixing @ o_b).T, 3), provenance=f"horodecki(a={a:g})")
-    data = HorodeckiWitnessData(a=a, coeffs=coeffs, n_vec=n_vec, n_sq=n_sq, mixing=mixing)
-    return witness, data
+    return replace(ew_from_transform((o_a.T @ mixing @ o_b).T, 3), provenance=f"horodecki(a={a:g})")
 
 
 def expectation(witness: Witness, state: BipartiteState) -> float:

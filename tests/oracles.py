@@ -107,12 +107,13 @@ def basis_mixing_witness(o: np.ndarray, d: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex) - pair_sum(apply_orthogonal(basis, o), transpose_basis(basis))
 
 
-def tailored_witness(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 3x3 witness and its coefficients on the tailored observable sets, by dense contractions.
+def tailored_witness(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 3x3 witness, its coefficients, antisymmetry vector and contraction, by dense contractions.
 
     The sets are A = O_A L and B = O_B L; coeffs[u, v] = Tr(rho A_u x B_v^T)
     and the witness is I x I - sum_uv M[u, v] A_u x B_v^T, M the near-identity
-    contraction built from the antisymmetry of the first row and column.
+    contraction built from n_vec, the antisymmetry of the first row and column.
+    Returns (witness matrix, coeffs, n_vec, M).
     """
     o_a, o_b = horodecki_mixings(a)
     basis_a = apply_orthogonal(standard_basis(3), o_a)
@@ -126,7 +127,7 @@ def tailored_witness(a: float) -> tuple[np.ndarray, np.ndarray]:
     mixing[0, 1:] = n_vec * scale
     mixing[1:, 0] = -n_vec * scale
     pairs = np.einsum("uv,uab,vcd->acbd", mixing, basis_a, transpose_basis(basis_b)).reshape(9, 9)
-    return np.eye(9, dtype=complex) - pairs, coeffs
+    return np.eye(9, dtype=complex) - pairs, coeffs, n_vec, mixing
 
 
 def swap_operator(d: int) -> np.ndarray:

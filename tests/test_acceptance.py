@@ -48,7 +48,7 @@ def test_criterion_1_witness_value_identity():
     all_negative = True
     for a in A_GRID:
         a = float(a)
-        witness, _ = horodecki_ew(a)
+        witness = horodecki_ew(a)
         value = expectation(witness, horodecki_rho(a))
         closed = 1.0 - np.sqrt(1.0 + n_sq_closed(a))
         worst = max(worst, abs(value - closed))
@@ -70,7 +70,7 @@ def test_criterion_2_bound_entanglement_of_target_state():
         state = horodecki_rho(a)
         pt_min = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
         worst_pt = min(worst_pt, pt_min)
-        witness, _ = horodecki_ew(a)
+        witness = horodecki_ew(a)
         detected = detected and expectation(witness, state) < 0.0
     check(
         2,
@@ -86,7 +86,7 @@ def test_criterion_3_witness_soundness_on_product_states():
     rhos = np.stack([random_product_state(dims, seed=s).rho for s in range(10_000)])
     rng = np.random.default_rng(424242)
     witnesses = [ew_from_transform(make_transform(random_orthogonal(9, rng)), 3) for _ in range(20)]
-    witnesses += [horodecki_ew(a)[0] for a in (0.1, 0.5, 0.9)]
+    witnesses += [horodecki_ew(a) for a in (0.1, 0.5, 0.9)]
     witnesses += [perm_ew(np.eye(9), 3), perm_ew(diag_cycle(3, 1), 3), perm_ew(diag_cycle(3, 2), 3)]
     assert all(w.phi_value is None or w.phi_value < 0 for w in witnesses[-3:])
     worst = np.inf

@@ -636,7 +636,7 @@ class TestClassifyFamilyPoint:
 class TestFullReport:
     def test_horodecki_with_witness(self):
         state = horodecki_rho(0.5)
-        witness, _ = horodecki_ew(0.5)
+        witness = horodecki_ew(0.5)
         report = full_report(state, budget=20, witnesses=(witness,))
         verdicts = {(r.criterion, r.params.get("transform")): r.verdict for r in report.reports}
         assert verdicts[("ppt", None)] == "pass"

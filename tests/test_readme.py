@@ -1,16 +1,27 @@
-"""The Python examples in README.md run as written and print what their comments say.
+"""README.md runs as written, points only at names that exist, and holds no measurements.
 
 Each ```python block runs in a fresh namespace inside a temporary directory.
-A ``print(...)  # value`` line states the line that call prints.
+A ``print(...)  # value`` line states the line that call prints. A backticked
+``module.name`` in the prose must resolve in that loowit submodule, and every
+name the package root exports must appear in a Python example. Timings, memory
+figures and host descriptions belong in CHANGES.md, which logs them per change;
+the README describes behaviour.
 """
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, flags=re.DOTALL)
+PROSE = re.sub(r"```.*?```", "", TEXT, flags=re.DOTALL)
+MODULES = ("linalg", "loo", "states", "criteria", "witness", "sweep", "cli")
+MEASUREMENT = re.compile(r"\d\s*(ms|µs|MB)\b|page faults|best of \w+|2-core host")
 
 
 def stated_outputs(block: str) -> list[str | None]:
@@ -38,3 +49,31 @@ def test_readme_block_runs(index, tmp_path, monkeypatch):
     for got, want in zip(printed, stated):
         if want is not None:
             assert got == want
+
+
+def test_readme_states_no_measurements():
+    found = [
+        f"README.md:{number}: {line.strip()}"
+        for number, line in enumerate(TEXT.splitlines(), 1)
+        if MEASUREMENT.search(line)
+    ]
+    assert not found, found
+
+
+def test_readme_pointers_resolve():
+    # each (module, name) of a backticked `module.name`, also where the span breaks across lines
+    pointers = re.findall(rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)", PROSE.replace("\n", " "))
+    assert len(pointers) >= 20
+    missing = sorted(
+        f"{module}.{name}" for module, name in set(pointers)
+        if not hasattr(importlib.import_module(f"loowit.{module}"), name)
+    )
+    assert not missing, f"README names that loowit does not define: {missing}"
+
+
+def test_readme_examples_use_every_export():
+    tree = ast.parse((ROOT / "src" / "loowit" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    code = "\n".join(BLOCKS)
+    unused = sorted(name for name in exported if not re.search(rf"\b{name}\b", code))
+    assert not unused, f"exports no README example uses: {unused}"

@@ -1,9 +1,13 @@
-"""Every public top-level name in src/loowit has a production route.
+"""Every public top-level name in src/loowit has a production route, and imports run one way.
 
 A public function or class stays in the package only when some code in
 src/loowit uses it outside its own definition (module-level code and
 annotations count), or when loowit/__init__.py exports it. A second route
 kept only to cross-check a production one belongs in tests/oracles.py.
+
+No module imports another module's _-prefixed name: what modules share is
+public. Imports run down the module order ORDER: no module imports one at or
+after its own place (the package __init__ is exempt).
 
 PENDING holds the functions the benchmark still traces (perfbench/layers.py,
 TRACED) although nothing calls them; each leaves the set when it is deleted
@@ -16,6 +20,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "loowit"
+
+ORDER = ["linalg", "loo", "states", "criteria", "witness", "sweep", "cli"]
 
 PENDING = {
     "criteria.pair_correlation",
@@ -75,3 +81,39 @@ def test_every_public_name_has_a_route():
 def test_pending_names_are_traced_and_still_uncalled():
     assert sorted(PENDING - set(traced())) == []
     assert sorted(PENDING - uncalled()) == []
+
+
+def relative_imports() -> list[tuple[Path, ast.ImportFrom]]:
+    """Each relative ``from . import`` statement of the package, with its file."""
+    return [
+        (path, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+
+
+def describe(path: Path, node: ast.ImportFrom) -> str:
+    names = ", ".join(alias.name for alias in node.names)
+    return f"{path.name}:{node.lineno}: from {'.' * node.level}{node.module or ''} import {names}"
+
+
+def test_no_private_cross_module_imports():
+    bad = [
+        f"{describe(path, node)}: {alias.name} is private"
+        for path, node in relative_imports()
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not bad, bad
+
+
+def test_imports_follow_the_layer_order():
+    bad = [
+        f"{describe(path, node)}: {target} is not before {path.stem} in {' -> '.join(ORDER)}"
+        for path, node in relative_imports()
+        if path.stem != "__init__"
+        for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        if path.stem not in ORDER or target not in ORDER or ORDER.index(target) >= ORDER.index(path.stem)
+    ]
+    assert not bad, bad

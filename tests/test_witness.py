@@ -185,10 +185,8 @@ class TestHorodeckiWitness:
 
     @pytest.mark.parametrize("a", [0.0, *np.arange(0.05, 1.0, 0.05), 1.0])
     def test_matches_tailored_set_oracle(self, a):
-        w, data = horodecki_ew(float(a))
-        matrix, coeffs = tailored_witness(float(a))
-        assert max_abs(w.matrix - matrix) < 1e-12
-        assert max_abs(data.coeffs - coeffs) < 1e-12
+        matrix, *_ = tailored_witness(float(a))
+        assert max_abs(horodecki_ew(float(a)).matrix - matrix) < 1e-12
 
     def test_a3_normalization_closed_form(self):
         a = 0.35
@@ -196,45 +194,46 @@ class TestHorodeckiWitness:
         assert abs(num / (2.0 + a) ** 2 - 1.0) < 1e-12
 
     def test_half_point_values(self):
-        w, data = horodecki_ew(0.5)
-        assert abs(data.n_sq - 0.002) < 1e-15
-        assert abs(np.trace(data.coeffs) - 1.0) < 1e-9
-        value = expectation(w, horodecki_rho(0.5))
+        _, coeffs, n_vec, _ = tailored_witness(0.5)
+        assert abs(np.dot(n_vec, n_vec) - 0.002) < 1e-15
+        assert abs(np.trace(coeffs) - 1.0) < 1e-9
+        value = expectation(horodecki_ew(0.5), horodecki_rho(0.5))
         assert abs(value - (1.0 - np.sqrt(1.002))) < 1e-12
         assert abs(value + 9.995e-4) < 1e-6
 
     @pytest.mark.parametrize("a", np.arange(0.05, 1.0, 0.05))
     def test_detection_identity_on_grid(self, a):
         a = float(a)
-        w, data = horodecki_ew(a)
-        assert abs(data.n_sq - n_sq_closed(a)) < 1e-12
+        _, _, n_vec, _ = tailored_witness(a)
+        assert abs(np.dot(n_vec, n_vec) - n_sq_closed(a)) < 1e-12
+        w = horodecki_ew(a)
         value = expectation(w, horodecki_rho(a))
-        assert abs(value - (1.0 - np.sqrt(1.0 + data.n_sq))) < 1e-9
+        assert abs(value - (1.0 - np.sqrt(1.0 + n_sq_closed(a)))) < 1e-9
         assert value < 0.0
         assert not w.candidate_only
 
     def test_mixing_is_extremal_contraction(self):
-        _, data = horodecki_ew(0.5)
-        eigs = herm_eigvalues(data.mixing.T @ data.mixing)
-        low = 1.0 / (1.0 + data.n_sq)
+        _, _, n_vec, mixing = tailored_witness(0.5)
+        eigs = herm_eigvalues(mixing.T @ mixing)
+        low = 1.0 / (1.0 + np.dot(n_vec, n_vec))
         assert eigs[0] >= low - 1e-9
         assert abs(eigs[-1] - 1.0) < 1e-9
 
     def test_endpoints_degenerate(self):
         for a in (0.0, 1.0):
-            w, data = horodecki_ew(a)
-            assert max_abs(data.n_vec) < 1e-12
-            assert max_abs(data.mixing - np.eye(9)) < 1e-12
-            assert abs(expectation(w, horodecki_rho(a))) < 1e-9
+            _, _, n_vec, mixing = tailored_witness(a)
+            assert max_abs(n_vec) < 1e-12
+            assert max_abs(mixing - np.eye(9)) < 1e-12
+            assert abs(expectation(horodecki_ew(a), horodecki_rho(a))) < 1e-9
 
     def test_sound_on_separable_samples(self):
-        w, _ = horodecki_ew(0.4)
+        w = horodecki_ew(0.4)
         for seed in range(20):
             state = random_separable_state(DimPair.square(3), k=4, seed=seed)
             assert expectation(w, state) >= -1e-9
 
     def test_hermitian(self):
-        w, _ = horodecki_ew(0.25)
+        w = horodecki_ew(0.25)
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
 
 
@@ -276,7 +275,7 @@ class TestImportOrder:
     @pytest.mark.parametrize("module", ["loowit.witness", "loowit.criteria"])
     def test_module_imports_alone(self, module):
         # witness imports criteria, never the reverse; either may be the first one imported
-        code = f"import {module}\nfrom loowit.witness import horodecki_ew\nassert horodecki_ew(0.5)[1].n_sq > 0"
+        code = f"import {module}\nfrom loowit.witness import horodecki_ew\nassert horodecki_ew(0.5).min_eig < 0"
         src = str(Path(loowit.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -295,7 +294,7 @@ class TestExpectation:
 
 class TestSerialization:
     def test_export_schema(self, tmp_path):
-        w, _ = horodecki_ew(0.5)
+        w = horodecki_ew(0.5)
         path = tmp_path / "witness.json"
         save_witness(w, path)
         payload = json.loads(path.read_text())
