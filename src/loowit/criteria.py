@@ -71,14 +71,6 @@ class CriterionReport:
     scalar: float
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "verdict": self.verdict,
-            "scalar": self.scalar,
-            "params": self.params,
-        }
-
 
 def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionReport:
     """An algebraic criterion's report: "pass" or "violated" at ALGEBRAIC_TOL, the first of its params."""
@@ -474,7 +466,8 @@ class FullReport:
         return {
             "state": self.state_label,
             "overall": self.overall,
-            "reports": [r.to_dict() for r in self.reports],
+            # each report's fields in order; dataclasses.asdict would deep-copy every value
+            "reports": [dict(vars(r)) for r in self.reports],
         }
 
 

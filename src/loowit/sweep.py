@@ -17,8 +17,8 @@ d > BLOCK_OPERATORS + 1 is rejected. Each block is one criteria.battery call,
 which gathers its states against the standard set once and reads realignment,
 rho_B and the reduction maps off that residue. Results are columns, one array
 each, allocated once and filled block by block; the CSV is written in slices of
-one block's rows. So a sweep holds one block's working set, one row of the
-grid's weights and one copy of the columns, whatever the grid. The family
+one block's rows. So besides d weights per valid point and one copy of the
+columns, a sweep holds one block's working set, whatever the grid. The family
 states, their partial transposes and the reduction operators are exactly
 Hermitian, so is_psd never computes a Hermiticity defect in a sweep.
 """
@@ -69,11 +69,9 @@ def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray) -> np.ndarra
     )
 
 
-def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
-    """Columns of the points (a1[i], a2[i]) that lie in the parameter simplex, in input order."""
-    weights, valid = special_slice(d, a1, a2)
-    a1, a2, weights = a1[valid], a2[valid], weights[valid]
-    a_d = weights[:, d - 1]
+def _evaluate_block(d: int, weights: np.ndarray) -> dict:
+    """Columns of the valid special-slice points whose weights are the rows of weights, in input order."""
+    a1, a2, a_d = weights[:, 0], weights[:, 1], weights[:, d - 1]
     # the states are not bound to a name, so battery drops them once their residue replaces them
     ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), d, cycle_mixings(d))
     oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
@@ -94,8 +92,10 @@ def _evaluate_block(d: int, a1: np.ndarray, a2: np.ndarray) -> dict:
 
 def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
     """One sweep row as {column: value}, or None when the point leaves the parameter simplex."""
-    columns = _evaluate_block(d, np.array([a1], dtype=float), np.array([a2], dtype=float))
-    return {name: column.tolist()[0] for name, column in columns.items()} if len(columns["a1"]) else None
+    weights, valid = special_slice(d, a1, a2)
+    if not valid:
+        return None
+    return {name: column.tolist()[0] for name, column in _evaluate_block(d, weights[None]).items()}
 
 
 def _block_size(d: int) -> int:
@@ -108,22 +108,20 @@ def run_sweep(d: int, resolution: int) -> SweepResult:
     """Sweep a resolution x resolution grid over (a1, a2) in [0, 1]^2; rows in grid order.
 
     Points within EPSILON of an analytic boundary are flagged; the criteria use ALGEBRAIC_TOL.
-    The valid points are selected first, one a1 row at a time, so each column is allocated once
-    and filled one full block of points at a time.
+    The weights of the valid points are selected first, one a1 row at a time, so each column is
+    allocated once and filled one full block of points at a time.
     """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
     size = _block_size(d)
     grid = np.linspace(0.0, 1.0, resolution)
-    valid = np.array([special_slice(d, a1, grid)[1] for a1 in grid])
-    # the valid points, masked out of broadcast views with no index array, are the a1 and a2 columns
-    a1, a2 = (np.broadcast_to(axis, valid.shape)[valid] for axis in (grid[:, None], grid))
-    columns = {"a1": a1, "a2": a2}
-    for start in range(0, len(a1), size):
-        block = _evaluate_block(d, a1[start:start + size], a2[start:start + size])
+    weights = np.concatenate([w[valid] for w, valid in (special_slice(d, a1, grid) for a1 in grid)])
+    columns = {}
+    for start in range(0, len(weights), size):
+        block = _evaluate_block(d, weights[start:start + size])
         for name, values in block.items():
             if name not in columns:  # each column takes the dtype of its first block
-                columns[name] = np.empty(len(a1), dtype=values.dtype)
+                columns[name] = np.empty(len(weights), dtype=values.dtype)
             columns[name][start:start + size] = values
 
     compared = ~columns["boundary_flag"]

