@@ -308,9 +308,10 @@ def _x_stack(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
-    """Smallest eigenvalue of X for each (o, tables) pair of the stacks."""
-    return np.linalg.eigvalsh(_x_stack(tables, o, d))[..., 0]
+def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(X(o)) and its unit eigenvector v for each (o, tables) pair, from one batched eigh."""
+    vals, vecs = np.linalg.eigh(_x_stack(tables, o, d))
+    return vals[..., 0], vecs[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,16 +346,10 @@ def _procrustes(g: np.ndarray) -> np.ndarray:
     return -u @ vh
 
 
-def _lowest_eigenpair(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min(X(o)) and its unit eigenvector v for each (o, tables) pair, from one batched eigh."""
-    vals, vecs = np.linalg.eigh(_x_stack(tables, o, d))
-    return vals[..., 0], vecs[..., 0]
-
-
 def _o_step(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
     """The O minimising v^dagger X(O) v for each (v, tables) pair: the Procrustes step of a round.
 
-    With v the lowest eigenvector of X(o) (_lowest_eigenpair), the new O cannot
+    With v the lowest eigenvector of X(o) (_x_min_eig), the new O cannot
     raise the smallest eigenvalue: lambda_min(X(O')) <= v^dagger X(O') v <=
     v^dagger X(o) v = lambda_min(X(o)).
     """
@@ -384,18 +379,19 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
-    and runs at most SEARCH_ROUNDS rounds: an eigh gives lambda_min(X(O)) and
-    its eigenvector v, then an exact O step (_o_step) moves O, so its smallest
-    eigenvalue never rises. A restart stops at the first round whose eigh
-    finds its eigenvalue lowered by no more than SEARCH_STALL since the last
-    round, and keeps its O; the stack shrinks only in such a round. The rule is
-    per restart, so restart b's result does not depend on the budget. Restart
-    0 starts at the realignment optimum, read off T, which comes off the same
+    and runs at most SEARCH_ROUNDS + 1 rounds: an eigh gives lambda_min(X(O))
+    and its eigenvector v (_x_min_eig), then an exact O step (_o_step) moves
+    O, so its smallest eigenvalue never rises. A restart stops at the first
+    round whose eigh finds its eigenvalue lowered by no more than SEARCH_STALL
+    since the last round, or at round SEARCH_ROUNDS + 1, which takes no step;
+    it keeps that round's O and eigenvalue, so its value is the eigh that
+    stopped it. The stack shrinks only in such a round. The rule is per
+    restart, so restart b's result does not depend on the budget. Restart 0
+    starts at the realignment optimum, read off T, which comes off the same
     residue as the X tables, and ends at or below (1 - ||T||_tr) / d, so every
     realignment detection is a search detection; the others start from seeded
-    random pairs. Each restart's value is the eigvalsh of X at its final O.
-    The verdict is "violated" only below -SEARCH_TOL; a failed search is
-    "inconclusive", never a separability certificate.
+    random pairs. The verdict is "violated" only below -SEARCH_TOL; a failed
+    search is "inconclusive", never a separability certificate.
     """
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
@@ -403,24 +399,21 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     residue = _residue(state.rho, d)  # the one gather: T and the X tables both read it
     o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
     tables = _x_tables(residue, u, d)
-    final_o = o  # the moving restarts' O is written back when they stop
+    final_o, val = o, np.empty(budget)  # each restart's O and eigenvalue, written back when it stops
     moving = np.arange(budget)  # restart index of each member of the moving stack
-    moving_tables = tables
     previous = np.inf
-    for _ in range(SEARCH_ROUNDS):
-        lam, v = _lowest_eigenpair(moving_tables, o, d)
-        stalled = previous - lam <= SEARCH_STALL
-        if stalled.any():
-            final_o[moving[stalled]] = o[stalled]
-            keep = ~stalled
+    for round_ in range(SEARCH_ROUNDS + 1):
+        lam, v = _x_min_eig(tables, o, d)
+        stopped = (previous - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)
+        if stopped.any():
+            final_o[moving[stopped]], val[moving[stopped]] = o[stopped], lam[stopped]
+            keep = ~stopped
             moving, o, lam, v = moving[keep], o[keep], lam[keep], v[keep]
             if not moving.size:
                 break
-            moving_tables = _XTables(*(table[keep] for table in moving_tables))
-        o = _o_step(moving_tables, v, d)
+            tables = _XTables(*(table[keep] for table in tables))
+        o = _o_step(tables, v, d)
         previous = lam
-    final_o[moving] = o
-    val = _x_min_eig(tables, final_o, d)
     b = int(np.argmin(val))  # the first restart of the minimum
     best_val = float(val[b])
     verdict = "violated" if best_val < -SEARCH_TOL else "inconclusive"

@@ -11,7 +11,6 @@ import numpy as np
 from loowit.criteria import (
     SEARCH_ROUNDS,
     SEARCH_STALL,
-    _lowest_eigenpair,
     _mix,
     _o_step,
     _reduction_gather,
@@ -287,6 +286,21 @@ def family_cycle_min_closed_form(a: np.ndarray) -> np.ndarray:
     return np.minimum(all_ones.min(axis=-1), ((1.0 - a) / d).min(axis=-1))
 
 
+def family_realignment_closed_form(a: np.ndarray) -> np.ndarray:
+    """Trace norm of the realigned family state for each row of (..., d) weights, in closed form.
+
+    Realignment maps |kk><ll| to |kl><kl| and |k,m><k,m| to |kk><mm|. So the
+    family's (a_1/d) |Phi><Phi| goes to a_1/d on each |k,l>, and its diagonal
+    weights to the circulant d x d block on span{|k,k>} whose first row is a/d.
+    The d^2 - d states |k,l>, k != l, add (d-1) a_1; the circulant's
+    eigenvalues are the discrete Fourier transform of a over d, so its trace
+    norm is (1/d) sum_j |a^_j|.
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    return (d - 1) * a[..., 0] + np.abs(np.fft.fft(a, axis=-1)).sum(axis=-1) / d
+
+
 def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
     """S[..., u, v] = Tr(rho L_u x L_v) as one dense einsum over the full observable stacks."""
     mats = standard_basis(d)
@@ -474,12 +488,13 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
     """One restart of the correlation search by itself, through x_matrix: each round's lambda_min, final O and u.
 
     Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
-    starts from drawn_start. Each of at most SEARCH_ROUNDS rounds takes the
+    starts from drawn_start. Each of at most SEARCH_ROUNDS + 1 rounds takes the
     smallest eigenvalue and its eigenvector v of X(O) from one eigh. The
     restart stops there, keeping O, once that eigenvalue is lowered by no more
-    than SEARCH_STALL since the last round; otherwise O moves to -U V^T from
-    the SVD of the pairing's gradient (o_gradient_entries on the residue of
-    the u-conjugated state), the minimiser of v^dagger X(O) v.
+    than SEARCH_STALL since the last round, or in round SEARCH_ROUNDS + 1;
+    otherwise O moves to -U V^T from the SVD of the pairing's gradient
+    (o_gradient_entries on the residue of the u-conjugated state), the
+    minimiser of v^dagger X(O) v. So the last round's lambda_min is the final O's.
     """
     d = state.dims.square_dim
     if restart == 0:
@@ -490,10 +505,10 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
         o, u = drawn_start(d, seed, restart)
     q = _x_tables(_residue(state.rho, d), u, d).q
     rounds = []
-    for _ in range(SEARCH_ROUNDS):
+    for _ in range(SEARCH_ROUNDS + 1):
         vals, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
         rounds.append(float(vals[0]))
-        if len(rounds) > 1 and rounds[-2] - rounds[-1] <= SEARCH_STALL:
+        if len(rounds) == SEARCH_ROUNDS + 1 or (len(rounds) > 1 and rounds[-2] - rounds[-1] <= SEARCH_STALL):
             break
         u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))
         o = -u_svd @ vh
@@ -501,13 +516,13 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
 
 
 def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """One restart of the correlation search by itself (reference_rounds): its final (min_eig, O, u)."""
-    _, o, u = reference_rounds(state, seed, restart)
-    return float(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0]), o, u
+    """One restart of the correlation search by itself (reference_rounds): its last round's (min_eig, O, u)."""
+    rounds, o, u = reference_rounds(state, seed, restart)
+    return rounds[-1], o, u
 
 
 def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.ndarray:
-    """Each restart's final lambda_min when every restart runs all SEARCH_ROUNDS rounds, with no stall rule.
+    """Each restart's final lambda_min when every restart runs all SEARCH_ROUNDS steps, with no stall rule.
 
     The search's own starts and kernels, advanced as one stack for a fixed
     number of rounds, as the search ran before it stopped stalled restarts.
@@ -517,8 +532,8 @@ def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.n
     o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
     tables = _x_tables(residue, u, d)
     for _ in range(SEARCH_ROUNDS):
-        o = _o_step(tables, _lowest_eigenpair(tables, o, d)[1], d)
-    return _x_min_eig(tables, o, d)
+        o = _o_step(tables, _x_min_eig(tables, o, d)[1], d)
+    return _x_min_eig(tables, o, d)[0]
 
 
 def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:

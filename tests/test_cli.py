@@ -645,7 +645,7 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "c2c6c281fa7553908269c6bc2830bb969e978d37da04fdae995e0b09f65d2f91"
+        assert digest == "8920301fac9260154b605ff1201b165156849f9599fc296ce188d9d5e9ae464c"
 
     @pytest.mark.parametrize(
         "argv, digest",

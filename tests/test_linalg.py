@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +47,18 @@ def assert_non_finite_named(f):
         stack[1, 2, 0] = stack[1, 0, 2] = bad
         with pytest.raises(ValueError, match=r"^matrix\[1\] has non-finite entries \(NaN or inf\)$"):
             f(stack)
+
+
+class TestDimPair:
+    @pytest.mark.parametrize("d_a, d_b", [(1, 3), (3, 1), (0, 0)])
+    def test_dimension_below_two_named(self, d_a, d_b):
+        with pytest.raises(ValueError, match=rf"^subsystem dimensions must be >= 2, got \({d_a}, {d_b}\)$"):
+            DimPair(d_a, d_b)
+
+    def test_square_dim_of_non_square_pair_named(self):
+        assert DimPair.square(3).square_dim == 3
+        with pytest.raises(ValueError, match=r"^operation requires d_A == d_B, got \(2, 3\)$"):
+            DimPair(2, 3).square_dim
 
 
 # reference implementations used as oracles
@@ -160,6 +174,11 @@ class TestPartialTrace:
         for side in ("A", "B"):
             assert abs(np.trace(partial_trace(rho, dims, side)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("side", ["C", "a", ""])
+    def test_bad_subsystem_named(self, side):
+        with pytest.raises(ValueError, match=rf"^subsystem must be 'A' or 'B', got '{side}'$"):
+            partial_trace(np.eye(4) / 4.0, DimPair.square(2), side)
+
 
 class TestRealign:
     def test_entry_rule(self, rng):
@@ -245,6 +264,12 @@ class TestCheckedSpectrum:
         with pytest.raises(ValueError, match=rf"^state\[{i}\] violates hermiticity: max \|rho - rho\^dagger\| = \d\.\d{{3}}e-0[67]$"):
             checked_spectrum(h, "state", "rho")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (4,)])
+    def test_non_square_named(self, shape):
+        shown = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"^matrix must be square, got shape {shown}$"):
+            checked_spectrum(np.ones(shape))
+
     @given(hermitian_stacks())
     def test_overflowing_sum_named(self, case):
         # H + H^dagger overflows in member i: the defect path halves first, and positivity names it
@@ -282,6 +307,11 @@ class TestTraceNorm:
 
     def test_rejects_non_finite(self):
         assert_non_finite_named(trace_norm)
+
+    @pytest.mark.parametrize("m, ndim", [(np.ones(3), 1), (np.float64(2.0), 0)])
+    def test_rejects_non_matrix(self, m, ndim):
+        with pytest.raises(ValueError, match=rf"^expected a matrix, got ndim={ndim}$"):
+            trace_norm(m)
 
 
 class TestIsPsd:

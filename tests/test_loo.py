@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +94,11 @@ class TestStandardBasis:
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             standard_basis(1)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (-1, 2), (0, 3)])
+    def test_sym_slot_out_of_range_named(self, m, n):
+        with pytest.raises(ValueError, match=rf"^need 0 <= m < n < d, got \({m}, {n}\) with d=3$"):
+            sym_slot(3, m, n)
 
     def test_validate_deviations(self):
         for d in (2, 3, 4, 16):
@@ -241,6 +248,12 @@ class TestTransforms:
         assert str(exc.value).startswith(
             f"transform is neither orthogonal nor a contraction: max |O_ij| is {peak}, "
         )
+
+    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 3, 3)])
+    def test_make_transform_rejects_non_square(self, shape):
+        shown = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"^transform must be square, got shape {shown}$"):
+            make_transform(np.zeros(shape))
 
     def test_make_transform_rejects_every_complex_array(self):
         # the reduction kernel's rule: a complex mixing is rejected even with a zero imaginary part

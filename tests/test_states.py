@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ class TestPhi:
     def test_reduction_identity(self):
         v = phi(4)
         assert max_abs(partial_trace(np.outer(v, v.conj()), DimPair.square(4), "B") - np.eye(4)) < 1e-15
+
+    @pytest.mark.parametrize("d", (1, 0))
+    def test_small_dimension_named(self, d):
+        with pytest.raises(ValueError, match=rf"^local dimension must be >= 2, got {d}$"):
+            phi(d)
 
 
 class TestHorodecki:
@@ -149,6 +155,21 @@ class TestFamily:
         with pytest.raises(ValueError):
             FamilyParams(4, (0.5, 0.5, 0.5, -0.5))
 
+    @pytest.mark.parametrize(
+        "d, a, message",
+        [
+            (1, (1.0,), r"local dimension must be >= 2, got 1"),
+            (3, (0.5, 0.5), r"need 3 weights, got 2"),
+            (3, (0.2, 0.2, 0.2, 0.4), r"need 3 weights, got 4"),
+            (3, (0.5, 0.5, 0.5), r"weights must sum to 1, got sum = 1\.5"),
+            (2, (0.25, 0.25), r"weights must sum to 1, got sum = 0\.5"),
+        ],
+        ids=["d-below-two", "too-few", "too-many", "sum-above", "sum-below"],
+    )
+    def test_params_rejections_named(self, d, a, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilyParams(d, a)
+
 
 class TestSamplers:
     def test_product_state_invariants(self):
@@ -180,6 +201,18 @@ class TestSamplers:
         b = random_separable_state(DimPair.square(2), k=4, seed=9)
         assert np.array_equal(a.rho, b.rho)
 
+    @pytest.mark.parametrize("mode", ("Pure", "wishart", ""))
+    def test_bad_mode_named(self, mode):
+        with pytest.raises(ValueError, match=rf"^mode must be 'pure' or 'mixed', got '{mode}'$"):
+            random_product_state(DimPair.square(2), seed=0, mode=mode)
+        with pytest.raises(ValueError, match=rf"^mode must be 'pure' or 'mixed', got '{mode}'$"):
+            random_separable_state(DimPair.square(2), k=3, seed=0, mode=mode)
+
+    @pytest.mark.parametrize("k", (0, -2))
+    def test_no_mixture_terms_named(self, k):
+        with pytest.raises(ValueError, match=rf"^need k >= 1 mixture terms, got {k}$"):
+            random_separable_state(DimPair.square(3), k=k, seed=0)
+
 
 class TestWerner:
     def test_fully_mixed_limit(self):
@@ -200,6 +233,11 @@ class TestWerner:
         state = werner2(0.5)
         min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
         assert abs(min_eig + 0.125) < 1e-12
+
+    @pytest.mark.parametrize("p", (-0.1, 1.5, float("nan")))
+    def test_out_of_range_named(self, p):
+        with pytest.raises(ValueError, match=rf"^mixing parameter must lie in \[0, 1\], got {p}$"):
+            werner2(p)
 
 
 class TestSerialization:
@@ -240,6 +278,14 @@ class TestSerialization:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
+            load_state(path)
+
+    def test_re_im_shape_mismatch_named(self, tmp_path):
+        bad = {"dim_a": 2, "dim_b": 2, "re": (np.eye(4) / 4.0).tolist(), "im": np.zeros((4, 3)).tolist()}
+        path = tmp_path / "bad_shapes.json"
+        path.write_text(json.dumps(bad))
+        message = rf"^malformed matrix file {re.escape(str(path))}: re/im shapes \(4, 4\) vs \(4, 3\)$"
+        with pytest.raises(ValueError, match=message):
             load_state(path)
 
     def test_make_state_dimension_check(self):

@@ -23,7 +23,12 @@ import pytest
 
 from loowit import sweep
 from loowit.sweep import BLOCK_OPERATORS, COLUMN_NAMES, SweepResult, _block_size, run_sweep, write_csv
-from oracles import family_cycle_min_closed_form, family_ppt_min_closed_form, sweep_csv_one_shot
+from oracles import (
+    family_cycle_min_closed_form,
+    family_ppt_min_closed_form,
+    family_realignment_closed_form,
+    sweep_csv_one_shot,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # ru_maxrss is the peak of the whole process (KiB on Linux), so it is read in a fresh interpreter
@@ -108,13 +113,18 @@ def test_every_block_but_the_last_is_full(monkeypatch, d, grid):
     assert sum(sizes) == rows
 
 
-# every row, boundary-flagged ones included: rho_B = I/d makes both spectra closed-form in the weights
+# every row, boundary-flagged ones included: rho_B = I/d makes both spectra, and the realigned
+# trace norm, closed-form in the weights
 @pytest.mark.parametrize("d, grid", [(3, 40), (4, 40), (5, 40), (6, 40), (7, 30), (8, 30)])
 def test_min_eig_columns_match_closed_forms(d, grid):
     columns = run_sweep(d, grid).columns
     weights = np.repeat(columns["a1"][:, None], d, axis=1)
     weights[:, 1], weights[:, d - 1] = columns["a2"], columns["a_d"]
-    closed_forms = {"ppt_min_eig": family_ppt_min_closed_form, "oreduction_min_eig": family_cycle_min_closed_form}
+    closed_forms = {
+        "ppt_min_eig": family_ppt_min_closed_form,
+        "oreduction_min_eig": family_cycle_min_closed_form,
+        "realignment": family_realignment_closed_form,
+    }
     for name, closed_form in closed_forms.items():
         value, expected = columns[name], closed_form(weights)
         assert len(value) > 0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,13 @@ class TestExpectation:
         w = ew_from_transform(np.eye(4), 2)
         with pytest.raises(ValueError, match=r"^dimension mismatch: witness 2x2 vs state 3x3$"):
             expectation(w, max_entangled(3))
+
+    def test_non_real_residue_named(self):
+        # W + 0.5i I is not Hermitian: Tr(rho W) gains 0.5i on every state
+        w = ew_from_transform(np.eye(4), 2)
+        skewed = replace(w, matrix=w.matrix + 0.5j * np.eye(4))
+        with pytest.raises(ValueError, match=r"^expectation has non-real residue 5\.000e-01$"):
+            expectation(skewed, max_entangled(2))
 
 
 class TestSerialization:
