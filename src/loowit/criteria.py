@@ -10,7 +10,9 @@ which holds for every separable state and every orthogonal O. Permutation
 mixings are cheap instances that already detect PPT entangled states. The
 Hermitian correlation matrix is the same map compressed onto span{|kk>}, a
 measurable d x d object: it is positive semidefinite on separable states for
-every unitary u and orthogonal O. Imports run down the module order linalg,
+every unitary u and orthogonal O. The search over (u, O) minimises X's smallest
+eigenvalue and then reads the full map at each restart's final O, which by
+interlacing goes at least as low. Imports run down the module order linalg,
 loo, states, criteria, witness, sweep, cli: witness builds on this module.
 """
 
@@ -59,7 +61,7 @@ SEARCH_TOL = 1e-6
 SEARCH_STALL = 1e-12
 # x_search: at most SEARCH_ROUNDS exact O steps per restart, and the default number of restarts.
 SEARCH_ROUNDS = 10
-SEARCH_BUDGET = 16
+SEARCH_BUDGET = 8
 
 
 @dataclass(frozen=True)
@@ -316,11 +318,17 @@ def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class XSearchResult:
-    """Best correlation-matrix violation found by randomized search."""
+    """Best correlation-matrix violation found by randomized search, and the map at its mixings.
+
+    unitary and transform are the (u, O) of the restart whose X reads lowest,
+    and report is x_search's; o_report is o_search's, the lowest eigenvalue of
+    the reduction map M(rho, O^T) over every restart's final O.
+    """
 
     unitary: np.ndarray
     transform: np.ndarray
     report: CriterionReport
+    o_report: CriterionReport
 
 
 def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
@@ -375,6 +383,12 @@ def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
     return o, u
 
 
+def _search_report(criterion: str, value: float, budget: int, seed: int) -> CriterionReport:
+    """A search's report: "violated" only below -SEARCH_TOL, else "inconclusive", never a separability certificate."""
+    verdict = "violated" if value < -SEARCH_TOL else "inconclusive"
+    return CriterionReport(criterion, verdict, value, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
+
+
 def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
@@ -390,13 +404,20 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     starts at the realignment optimum, read off T, which comes off the same
     residue as the X tables, and ends at or below (1 - ||T||_tr) / d, so every
     realignment detection is a search detection; the others start from seeded
-    random pairs. The verdict is "violated" only below -SEARCH_TOL; a failed
-    search is "inconclusive", never a separability certificate.
+    random pairs.
+
+    After the rounds, the reduction map M(rho, O^T) of every restart's final O
+    is built from the same residue and eigensolved as one stack; o_search
+    reports the lowest eigenvalue. X(u, O) is M(rho, O^T) compressed onto the
+    orthonormal vectors (I x u)|kk>, so by interlacing M's smallest eigenvalue
+    is at most X's, and M is positive on separable states for every orthogonal
+    O. Both verdicts are "violated" only below -SEARCH_TOL; a failed search is
+    "inconclusive", never a separability certificate.
     """
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
     d = state.dims.square_dim
-    residue = _residue(state.rho, d)  # the one gather: T and the X tables both read it
+    residue = _residue(state.rho, d)  # the one gather: T, the X tables and the maps all read it
     o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
     tables = _x_tables(residue, u, d)
     final_o, val = o, np.empty(budget)  # each restart's O and eigenvalue, written back when it stops
@@ -414,11 +435,14 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
             tables = _XTables(*(table[keep] for table in tables))
         o = _o_step(tables, v, d)
         previous = lam
+    _, map_min = is_psd(_reduction_from_residue(residue[None], d, np.swapaxes(final_o, -1, -2)))
     b = int(np.argmin(val))  # the first restart of the minimum
-    best_val = float(val[b])
-    verdict = "violated" if best_val < -SEARCH_TOL else "inconclusive"
-    report = CriterionReport("x_search", verdict, best_val, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
-    return XSearchResult(unitary=u[b], transform=final_o[b], report=report)
+    return XSearchResult(
+        unitary=u[b],
+        transform=final_o[b],
+        report=_search_report("x_search", float(val[b]), budget, seed),
+        o_report=_search_report("o_search", float(np.min(map_min)), budget, seed),
+    )
 
 
 def classify_family_point(d: int, a1, a2):
@@ -472,7 +496,8 @@ def full_report(
     Square states get the full battery (partial transpose, realignment and
     the reduction maps for the identity / transpose / all diagonal-cycle
     mixings, from one battery call), each witness's own verdict, then
-    x_search unless include_search is off. Non-square states get PPT alone.
+    x_search and o_search from one x_search call unless include_search is
+    off. Non-square states get PPT alone.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
@@ -489,5 +514,6 @@ def full_report(
         ]
         reports += [witness.report(state) for witness in witnesses]
         if include_search:
-            reports.append(x_search(state, budget=budget, seed=seed).report)
+            search = x_search(state, budget=budget, seed=seed)
+            reports += [search.report, search.o_report]
     return FullReport(state_label=state.label, reports=tuple(reports))

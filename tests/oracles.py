@@ -36,7 +36,7 @@ from loowit.loo import (
     standard_entries,
     sym_slot,
 )
-from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, phi
+from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, make_state, phi
 from loowit.sweep import COLUMN_NAMES, CSV_COLUMNS, CSV_HEADER, SweepResult
 from loowit.witness import horodecki_mixings
 
@@ -544,6 +544,40 @@ def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
 def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The correlation search one restart at a time: (min_eig, O, u)."""
     return best_restart([reference_restart(state, seed, restart) for restart in range(budget)])
+
+
+def tiles_upb_state() -> BipartiteState:
+    """The 3x3 Tiles state: (I - sum_i |psi_i><psi_i|) / 4 over the five product vectors of the Tiles UPB.
+
+    Bennett et al., PRL 82, 5385 (1999): |0>(|0>-|1>), (|0>-|1>)|2>,
+    |2>(|1>-|2>), (|1>-|2>)|0> (each over sqrt 2) and the uniform product
+    (|0>+|1>+|2>)(|0>+|1>+|2>) / 3. No product vector is orthogonal to all
+    five, so the state is entangled, and its partial transpose is positive.
+    """
+    e = np.eye(3)
+    diff01, diff12 = (e[0] - e[1]) / np.sqrt(2.0), (e[1] - e[2]) / np.sqrt(2.0)
+    uniform = np.ones(3) / np.sqrt(3.0)
+    pairs = ((e[0], diff01), (diff01, e[2]), (e[2], diff12), (diff12, e[0]), (uniform, uniform))
+    kets = np.array([np.kron(a, b) for a, b in pairs])
+    return make_state((np.eye(9) - kets.T @ kets) / 4.0, DimPair.square(3), label="tiles")
+
+
+def white_noise_qstar(detect, rho: np.ndarray) -> float:
+    """The largest q at which detect((1 - q) rho + q I/D) holds, by an 18-step bisection on [0, 0.5].
+
+    detect maps a density matrix to a bool, and is assumed to hold below
+    some q and fail above it. The result is the last detected midpoint, so
+    it is at most 0.5 / 2^18 below the true crossing; 0 if nothing is detected.
+    """
+    noise = np.eye(len(rho)) / len(rho)
+    lo, hi = 0.0, 0.5
+    for _ in range(18):
+        mid = (lo + hi) / 2.0
+        if detect((1.0 - mid) * rho + mid * noise):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sweep_csv_one_shot(result: SweepResult) -> str:

@@ -24,9 +24,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def search_report(out: str) -> dict:
-    """The x_search report of check's JSON output."""
-    return next(r for r in json.loads(out)["reports"] if r["criterion"] == "x_search")
+def search_report(out: str, criterion: str = "x_search") -> dict:
+    """The x_search (or o_search) report of check's JSON output."""
+    return next(r for r in json.loads(out)["reports"] if r["criterion"] == criterion)
 
 
 class TestCheck:
@@ -204,7 +204,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["overall"] == "entangled"
         criteria = [r["criterion"] for r in payload["reports"]]
-        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d + 1) + ["x_search"]
+        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d + 1) + ["x_search", "o_search"]
 
     @pytest.mark.parametrize(
         "spec",
@@ -266,13 +266,11 @@ class TestCheck:
         assert search_report(out)["verdict"] == "violated"
 
     def test_larger_budget_ends_no_higher(self, capsys):
-        # restarts 0..15 start from the same pairs at any budget, so budget 32 ends at or below the default 16
+        # restarts 0..7 start from the same pairs at any budget, so budget 32 ends at or below the default 8
         args = ("check", "--builtin", "horodecki:a=0.5", "--json", "--seed", "3")
-
-        def search_scalar(*budget):
-            return search_report(run_cli(capsys, *args, *budget)[1])["scalar"]
-
-        assert search_scalar("--budget", "32") <= search_scalar()
+        default, larger = (run_cli(capsys, *args, *budget)[1] for budget in ((), ("--budget", "32")))
+        for criterion in ("x_search", "o_search"):
+            assert search_report(larger, criterion)["scalar"] <= search_report(default, criterion)["scalar"]
 
 
 class TestWitnessCommand:
@@ -645,7 +643,7 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "8920301fac9260154b605ff1201b165156849f9599fc296ce188d9d5e9ae464c"
+        assert digest == "84a771e53518b62181a8deeae1c6cacc6d9c65d27928cae98ae1b79d7430184a"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -664,7 +662,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "6b32a40f8c6fcbb88d36f3f2f14223c0cf3de245e6e753544f525be8258e8d52",
+                "ba83318af78ffdd8eca3ff57ea76a3b22571d81e05fd2c64b02651344f046f10",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
@@ -689,7 +687,7 @@ class TestGoldenOutput:
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "699ba21803aa40757b69885fe1976afee7660319d89d3e8b05c3d51995cfb1f5"
+        digest = "030f3c4043824789675fa0fb93da5c5ea138572d3e6fe958a078e2493bb13a19"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

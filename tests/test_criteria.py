@@ -62,7 +62,9 @@ from oracles import (
     reconstruct,
     reference_rounds,
     swap_operator,
+    tiles_upb_state,
     uniform_pairing,
+    white_noise_qstar,
     x_matrix,
     x_reduction_form,
     x_search_fixed_rounds,
@@ -431,16 +433,20 @@ class TestXSearch:
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_rounds_never_raise_min_eig(self, d, seed):
         # each restart is monotone over the rounds it runs, its last round is the eigenvalue
-        # of its final O, and the search reports the smallest of the restarts' last rounds
+        # of its final O, and the search reports the smallest of the restarts' last rounds;
+        # o_search is the smallest eigenvalue of M(rho, O^T) over every restart's final O
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
-        finals = []
+        finals, maps = [], []
         for restart in range(4):
             rounds, o, u = reference_rounds(state, seed, restart)
             assert np.all(np.diff(rounds) <= 1e-12)
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
             finals.append(rounds[-1])
-        assert x_search(state, 4, seed).report.scalar == min(finals)
+            maps.append(herm_eigvalues(o_reduction_operator(state.rho, d, o.T))[0])
+        result = x_search(state, 4, seed)
+        assert result.report.scalar == min(finals)
+        assert abs(result.o_report.scalar - min(maps)) <= 1e-12
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
@@ -462,6 +468,11 @@ class TestXSearch:
         for b in range(1, 40):
             drawn_o, drawn_u = drawn_start(d, seed, b)
             assert drawn_o.tobytes() == o[b].tobytes() and drawn_u.tobytes() == u[b].tobytes()
+        # and restart b ends where it ends at any budget, so both minima over more restarts end no higher
+        state = random_state(np.random.default_rng(seed), d)
+        fewer, more = x_search(state, 16, seed), x_search(state, 40, seed)
+        assert more.report.scalar <= fewer.report.scalar
+        assert more.o_report.scalar <= fewer.o_report.scalar
 
     @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
     @pytest.mark.parametrize(
@@ -478,7 +489,9 @@ class TestXSearch:
             local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
             state = make_state(local @ state.rho @ local.conj().T, state.dims, "rotated")
         for budget in (1, SEARCH_BUDGET):
-            assert x_search(state, budget, seed=0).report.verdict == "violated"
+            result = x_search(state, budget, seed=0)
+            assert result.report.verdict == result.o_report.verdict == "violated"
+            assert result.o_report.scalar <= result.report.scalar + 1e-12
 
     @pytest.mark.parametrize("seed", (-1, 1.5, True, False))
     def test_bad_seed_named(self, seed):
@@ -564,10 +577,21 @@ class TestSearchStall:
         assert members == 16 * SEARCH_ROUNDS + 1
 
 
-class TestSoundness:
-    """On separable samples no criterion reports "violated" and the search stays above -SEARCH_TOL."""
+def search_reports(report) -> tuple:
+    """full_report's two search reports, x_search's then o_search's, which end its list."""
+    x, o = report.reports[-2:]
+    assert (x.criterion, o.criterion) == ("x_search", "o_search")
+    return x, o
 
-    @given(st.integers(2, 4), st.integers(0, 2**31 - 1), st.sampled_from(("pure", "mixed")), st.integers(0, 6))
+
+class TestSoundness:
+    """On separable samples no criterion reports "violated" and both searches stay above -SEARCH_TOL.
+
+    On every state, o_search reads at or below x_search: X(u, O) is the map
+    M(rho, O^T) compressed, so interlacing puts M's smallest eigenvalue lower.
+    """
+
+    @given(st.integers(2, 5), st.integers(0, 2**31 - 1), st.sampled_from(("pure", "mixed")), st.integers(0, 6))
     def test_separable_samples_never_violated(self, d, seed, mode, k):
         dims = DimPair.square(d)
         if k == 0:
@@ -576,9 +600,59 @@ class TestSoundness:
             state = random_separable_state(dims, k=k, seed=seed, mode=mode)
         report = full_report(state, budget=4, seed=seed % 1000)
         assert [r.criterion for r in report.reports if r.verdict == "violated"] == []
-        search = report.reports[-1]
-        assert search.criterion == "x_search"
-        assert search.scalar >= -SEARCH_TOL
+        x, o = search_reports(report)
+        assert x.scalar >= -SEARCH_TOL and o.scalar >= -SEARCH_TOL
+        assert o.scalar <= x.scalar + 1e-12
+
+    @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
+    def test_o_search_at_or_below_x_search(self, d, seed):
+        # random mixed states, mostly entangled at these dimensions, and the maximally entangled state
+        for state in (random_state(np.random.default_rng(seed), d), max_entangled(d)):
+            x, o = search_reports(full_report(state, budget=4, seed=seed % 1000))
+            assert o.scalar <= x.scalar + 1e-12
+
+
+# The white-noise tolerance q* (%) that x_search alone reaches at budget 16, the median over seeds
+# 0-4, by white_noise_qstar's bisection; each is floored to its 4th decimal.
+X_BUDGET16_QSTAR = {
+    "horodecki(a=0.2)": 1.9369,
+    "horodecki(a=0.5)": 1.6113,
+    "horodecki(a=0.8)": 0.7154,
+    "tiles": 12.5806,
+    "family(d=3, a=(0.25, 0.65, 0.1))": 19.5129,
+}
+
+
+class TestWhiteNoiseTolerance:
+    """The default search detects as much white noise as x_search alone did at twice the budget."""
+
+    def test_bisection_matches_ppt_closed_form(self):
+        # rho = (phi + I/4) / 2 at d = 2: lambda_min of its partial transpose is -1/8, and
+        # (I/4)^T_B = I/4, so PPT detects (1 - q) rho + q I/4 exactly for q < (1/8) / (1/4 + 1/8) = 1/3
+        rho = (max_entangled(2).rho + np.eye(4) / 4.0) / 2.0
+
+        def detect(mixed):
+            return ppt_check(make_state(mixed, DimPair.square(2), "noisy")).verdict == "violated"
+
+        assert 0.0 <= 1.0 / 3.0 - white_noise_qstar(detect, rho) <= 0.5 / 2**18
+
+    def test_tiles_is_ppt_entangled(self):
+        state = tiles_upb_state()
+        assert ppt_check(state).verdict == "pass"
+        assert full_report(state).entangled
+
+    @pytest.mark.parametrize(
+        "state",
+        [horodecki_rho(a) for a in (0.2, 0.5, 0.8)] + [tiles_upb_state(), family_rho(family_special(3, 0.25, 0.65))],
+        ids=lambda state: state.label,
+    )
+    def test_median_qstar_holds(self, state):
+        def detect(mixed, seed):
+            report = full_report(make_state(mixed, state.dims, "noisy"), seed=seed)
+            return any(r.verdict == "violated" for r in search_reports(report))
+
+        qstar = [white_noise_qstar(lambda mixed: detect(mixed, seed), state.rho) for seed in range(5)]
+        assert 100.0 * np.median(qstar) >= X_BUDGET16_QSTAR[state.label]
 
 
 class TestLocalUnitaryInvariance:
