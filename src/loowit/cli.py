@@ -108,10 +108,9 @@ def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
 
 def _load_transform(path: str) -> np.ndarray:
     try:
-        matrix = states.number_array(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], "matrix")
+        return states.number_array(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], "matrix")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers UTF-8 and JSON errors
         raise ValueError(f"malformed transform file {path}: {exc}") from exc
-    return loo.make_transform(matrix)
 
 
 def _print_report(report: criteria.FullReport, as_json: bool) -> None:
@@ -168,15 +167,11 @@ def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
         if kind != "cycle":
             raise ValueError(f"unknown permutation witness kind {kind!r}")
         d = _key(kw, "d", args.spec, integer=True)
-        return witness_mod.perm_ew(loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True)), d)
+        return witness_mod.ew_from_transform(loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True)))
     if name == "generic":
         if not args.transform:
             raise ValueError("generic witness requires --transform FILE")
-        o = _load_transform(args.transform)
-        d = int(round(np.sqrt(len(o))))
-        if d * d != len(o):
-            raise ValueError(f"transform dimension {len(o)} is not a square")
-        return witness_mod.ew_from_transform(o, d)
+        return witness_mod.ew_from_transform(_load_transform(args.transform))
     raise ValueError(f"unknown witness spec {name!r}")
 
 

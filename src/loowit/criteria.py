@@ -495,13 +495,15 @@ def full_report(
 
     Square states get the full battery (partial transpose, realignment and
     the reduction maps for the identity / transpose / all diagonal-cycle
-    mixings, from one battery call), each witness's own verdict, then
-    x_search and o_search from one x_search call unless include_search is
-    off. Non-square states get PPT alone.
+    mixings, from one battery call), non-square states PPT alone. Each
+    witness's own verdict follows on every shape, a witness of other
+    dimensions raising expectation's mismatch error; square states then get
+    x_search and o_search from one x_search call unless include_search is off.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
-    if state.dims.d_a != state.dims.d_b:
+    square = state.dims.d_a == state.dims.d_b
+    if not square:
         reports = [ppt_check(state)]
     else:
         d = state.dims.d_a
@@ -512,8 +514,8 @@ def full_report(
             _report("o_reduction", member_ok, member_min, transform=tag)
             for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
         ]
-        reports += [witness.report(state) for witness in witnesses]
-        if include_search:
-            search = x_search(state, budget=budget, seed=seed)
-            reports += [search.report, search.o_report]
+    reports += [witness.report(state) for witness in witnesses]
+    if square and include_search:
+        search = x_search(state, budget=budget, seed=seed)
+        reports += [search.report, search.o_report]
     return FullReport(state_label=state.label, reports=tuple(reports))

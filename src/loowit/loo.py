@@ -148,6 +148,8 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
     Row u holds a single 1 in column sigma(u), so mixing sends slot u to
     L_sigma(u); in 1-based labels the projector slots map as m -> m + l (mod d).
     """
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
     if not 1 <= l <= d - 1:
         raise ValueError(f"shift must satisfy 1 <= l <= d-1, got l={l} for d={d}")
     images = np.concatenate([(np.arange(d) + l) % d, np.arange(d, d * d)])

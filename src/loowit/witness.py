@@ -18,6 +18,7 @@ sweep, cli. A Witness judges a state itself (Witness.report), in full_report too
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,38 +56,30 @@ class Witness:
         return CriterionReport("witness", "pass" if ok else "violated", value, {"witness": self.provenance})
 
 
-def ew_from_transform(o: np.ndarray, d: int) -> Witness:
-    """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T.
+def ew_from_transform(o: np.ndarray) -> Witness:
+    """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T, with d read off o's size d^2.
 
     It is the reduction-map operator at the unnormalised |phi><phi|. The
     mixing o must be orthogonal or a contraction (make_transform enforces
     this here); the candidate becomes a confirmed witness when the eigensolve
-    finds a negative eigenvalue.
+    finds a negative eigenvalue. An orthogonal 0/1 mixing is exactly a slot
+    permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
+    fixed slots: its ``phi_value`` is d - Tr(o), negative from d+1 fixed slots on.
     """
     o = make_transform(o)
+    d = math.isqrt(len(o))
+    if d * d != len(o):
+        raise ValueError(f"transform dimension {len(o)} is not a square")
     v = phi(d)
     matrix = o_reduction_operator(np.outer(v, v.conj()), d, o)
-    kind = "orthogonal" if is_orthogonal(o) else "contraction"
     ok, min_eig = is_psd(matrix)
-    return Witness(DimPair.square(d), matrix, f"transform({kind})", candidate_only=ok, min_eig=min_eig)
-
-
-def perm_ew(o: np.ndarray, d: int) -> Witness:
-    """Witness candidate I x I - sum_u L_sigma(u) x L_u^T for a slot permutation mixing o.
-
-    o must be a d^2 x d^2 orthogonal 0/1 matrix, which is exactly a permutation
-    matrix; Tr(o) counts its fixed slots. The expectation in the unnormalized
-    maximally entangled vector is d - Tr(o), reported as ``phi_value``; with at
-    least d+1 fixed slots it is negative, so the eigensolve confirms the witness.
-    """
-    o = np.asarray(o)
-    if o.shape != (d * d, d * d):
-        raise ValueError(f"permutation mixing has shape {o.shape}, expected (d^2, d^2) = {(d * d, d * d)}")
-    if not (np.isin(o, (0, 1)).all() and is_orthogonal(o)):
-        raise ValueError("mixing is not a permutation matrix: need 0/1 entries, one 1 per row and column")
-    witness = ew_from_transform(o, d)
-    f = int(np.trace(o).real)
-    return replace(witness, provenance=f"permutation(fixed_points={f})", phi_value=float(d - f))
+    provenance, phi_value = "transform(contraction)", None
+    if is_orthogonal(o):
+        provenance = "transform(orthogonal)"
+        if np.isin(o, (0, 1)).all():
+            f = int(np.trace(o))
+            provenance, phi_value = f"permutation(fixed_points={f})", float(d - f)
+    return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig, phi_value=phi_value)
 
 
 def horodecki_mixings(a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +151,7 @@ def horodecki_ew(a: float) -> Witness:
     mixing = np.eye(9) * scale
     mixing[0, 1:] = n_vec * scale
     mixing[1:, 0] = -n_vec * scale
-    return replace(ew_from_transform((o_a.T @ mixing @ o_b).T, 3), provenance=f"horodecki(a={a:g})")
+    return replace(ew_from_transform((o_a.T @ mixing @ o_b).T), provenance=f"horodecki(a={a:g})")
 
 
 def expectation(witness: Witness, state: BipartiteState) -> float:

@@ -29,7 +29,7 @@ from loowit.states import (
     werner2,
 )
 from loowit.sweep import run_sweep
-from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_mixings, perm_ew
+from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodecki_mixings
 from oracles import gram_matrix, n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_matrix, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
@@ -85,10 +85,10 @@ def test_criterion_3_witness_soundness_on_product_states():
     dims = DimPair.square(3)
     rhos = np.stack([random_product_state(dims, seed=s).rho for s in range(10_000)])
     rng = np.random.default_rng(424242)
-    witnesses = [ew_from_transform(make_transform(random_orthogonal(9, rng)), 3) for _ in range(20)]
+    witnesses = [ew_from_transform(make_transform(random_orthogonal(9, rng))) for _ in range(20)]
     witnesses += [horodecki_ew(a) for a in (0.1, 0.5, 0.9)]
-    witnesses += [perm_ew(np.eye(9), 3), perm_ew(diag_cycle(3, 1), 3), perm_ew(diag_cycle(3, 2), 3)]
-    assert all(w.phi_value is None or w.phi_value < 0 for w in witnesses[-3:])
+    witnesses += [ew_from_transform(o) for o in (np.eye(9), diag_cycle(3, 1), diag_cycle(3, 2))]
+    assert all(w.phi_value < 0 for w in witnesses[-3:])
     worst = np.inf
     for witness in witnesses:
         values = np.einsum("bij,ji->b", rhos, witness.matrix).real

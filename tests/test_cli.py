@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import cli, criteria, states, sweep
+from loowit import cli, criteria, loo, states, sweep
 from loowit.linalg import DimPair
 from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
@@ -345,6 +345,16 @@ class TestWitnessCommand:
         assert payload["confirmed_witness"] is True
         assert abs(payload["min_eig"] - (1.0 - 3.0)) < 1e-9
 
+    @pytest.mark.parametrize("d, l", [(d, l) for d in range(2, 5) for l in range(1, d)])
+    def test_generic_permutation_is_the_perm_witness(self, capsys, tmp_path, d, l):
+        # one constructor names a permutation mixing, whether the perm spec or a transform file gives it
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"matrix": loo.diag_cycle(d, l).tolist()}))
+        perm = run_cli(capsys, "witness", f"perm:cycle,d={d},l={l}", "--json")
+        generic = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
+        assert generic == perm
+        assert perm[0] == cli.EXIT_OK and '"phi_expectation"' in perm[1]
+
     @pytest.mark.parametrize(
         "spec, name", (("perm:cycle,d=3,l=1", "perm"), ("horodecki:a=0.5", "horodecki")), ids=("perm", "horodecki")
     )
@@ -364,8 +374,9 @@ class TestWitnessCommand:
             ("nosuch", False, "unknown witness spec 'nosuch'"),
             ("generic", False, "generic witness requires --transform FILE"),
             ("generic", True, "transform dimension 5 is not a square"),
+            ("perm:cycle,d=1,l=1", False, "local dimension must be >= 2, got 1"),
         ],
-        ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square"),
+        ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square", "perm-dimension"),
     )
     def test_witness_errors_named(self, capsys, tmp_path, spec, transform, message):
         path = tmp_path / "o.json"

@@ -51,7 +51,7 @@ from loowit.states import (
     werner2,
 )
 from loowit.sweep import run_sweep
-from loowit.witness import horodecki_ew
+from loowit.witness import Witness, horodecki_ew
 from oracles import (
     best_orthogonal,
     drawn_start,
@@ -747,6 +747,16 @@ class TestFullReport:
         assert report.reports == (ppt_check(state),)
         assert report.reports[0].verdict == "violated"
         assert report.entangled
+
+    def test_non_square_state_judges_its_witnesses(self):
+        # every witness is judged after PPT: a matching one gets its verdict, a mismatched one is named
+        state = random_separable_state(DimPair(2, 3), k=3, seed=4)
+        w = Witness(DimPair(2, 3), np.eye(6), "identity(2x3)", candidate_only=True, min_eig=1.0)
+        report = full_report(state, witnesses=(w,))
+        assert report.reports == (ppt_check(state), w.report(state))
+        assert report.reports[1].verdict == "pass" and abs(report.reports[1].scalar - 1.0) < 1e-12
+        with pytest.raises(ValueError, match=r"^dimension mismatch: witness 3x3 vs state 2x3$"):
+            full_report(state, witnesses=(horodecki_ew(0.5),))
 
     def test_report_serialization(self):
         report = full_report(werner2(0.5), include_search=False)

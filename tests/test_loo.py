@@ -23,7 +23,7 @@ from loowit.loo import (
     sym_slot,
     transpose_transform,
 )
-from loowit.witness import perm_ew
+from loowit.witness import ew_from_transform
 from loowit.states import phi
 from oracles import (
     conjugate_basis,
@@ -283,10 +283,10 @@ class TestPermutations:
         assert np.array_equal(diag_cycle(3, 2), cycle.T)
 
     def test_fixed_slot_count(self):
-        # perm_ew counts the fixed slots of a permutation mixing as its trace
-        assert perm_ew(np.eye(9), 3).provenance == "permutation(fixed_points=9)"
+        # the witness constructor counts the fixed slots of a permutation mixing as its trace
+        assert ew_from_transform(np.eye(9)).provenance == "permutation(fixed_points=9)"
         swap_two = np.eye(9)[[1, 0, 2, 3, 4, 5, 6, 7, 8]]
-        assert perm_ew(swap_two, 3).provenance == "permutation(fixed_points=7)"
+        assert ew_from_transform(swap_two).provenance == "permutation(fixed_points=7)"
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_cycle_mixings_stack_the_shifts(self, d):
@@ -313,6 +313,12 @@ class TestPermutations:
             diag_cycle(3, 3)
         with pytest.raises(ValueError, match="1 <= l <= d-1"):
             diag_cycle(3, 0)
+
+    @pytest.mark.parametrize("d", (1, 0, -2))
+    def test_bad_dimension_named_before_the_shift(self, d):
+        # the dimension is checked first, with standard_basis's message, not blamed on the shift
+        with pytest.raises(ValueError, match=rf"^local dimension must be >= 2, got {d}$"):
+            diag_cycle(d, 1)
 
 
 class TestRandomSampling:

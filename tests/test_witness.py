@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,6 @@ from loowit.witness import (
     expectation,
     horodecki_ew,
     horodecki_mixings,
-    perm_ew,
     save_witness,
 )
 from oracles import basis_mixing_witness, gram_matrix, n_sq_closed, tailored_witness
@@ -37,7 +37,7 @@ from oracles import basis_mixing_witness, gram_matrix, n_sq_closed, tailored_wit
 
 class TestTransformWitness:
     def test_identity_transform_gives_phi_witness(self):
-        w = ew_from_transform(np.eye(9), 3)
+        w = ew_from_transform(np.eye(9))
         v = phi(3)
         assert max_abs(w.matrix - (np.eye(9) - np.outer(v, v.conj()))) < 1e-12
         assert abs(w.min_eig - (1.0 - 3.0)) < 1e-12
@@ -46,7 +46,7 @@ class TestTransformWitness:
     def test_transpose_transform_never_a_witness(self):
         # I - SWAP is positive semidefinite: the transposition mixing induces
         # a completely positive map and cannot detect anything
-        w = ew_from_transform(transpose_transform(3), 3)
+        w = ew_from_transform(transpose_transform(3))
         assert w.min_eig >= -1e-12
         assert w.candidate_only
         eigs = herm_eigvalues(w.matrix)
@@ -56,26 +56,27 @@ class TestTransformWitness:
         dims = DimPair.square(3)
         rhos = np.stack([random_product_state(dims, seed=s).rho for s in range(500)])
         for _ in range(5):
-            w = ew_from_transform(make_transform(random_orthogonal(9, rng)), 3)
+            w = ew_from_transform(make_transform(random_orthogonal(9, rng)))
             values = np.einsum("bij,ji->b", rhos, w.matrix).real
             assert values.min() >= -1e-9
 
     def test_contraction_accepted_non_contraction_rejected(self):
-        ew_from_transform(make_transform(0.7 * np.eye(9)), 3)  # no raise
+        ew_from_transform(make_transform(0.7 * np.eye(9)))  # no raise
         with pytest.raises(ValueError, match="max eigenvalue"):
-            ew_from_transform(make_transform(1.1 * np.eye(9)), 3)
+            ew_from_transform(make_transform(1.1 * np.eye(9)))
 
     def test_raw_array_validated_and_labelled(self):
         # a plain array is checked here too, and its provenance comes from is_orthogonal
-        assert ew_from_transform(0.5 * np.eye(9), 3).provenance == "transform(contraction)"
-        assert ew_from_transform(transpose_transform(3), 3).provenance == "transform(orthogonal)"
+        assert ew_from_transform(0.5 * np.eye(9)).provenance == "transform(contraction)"
+        assert ew_from_transform(transpose_transform(3)).provenance == "transform(orthogonal)"
         with pytest.raises(ValueError, match="max eigenvalue"):
-            ew_from_transform(1.1 * np.eye(9), 3)
-        with pytest.raises(ValueError, match="does not match basis size"):
-            ew_from_transform(np.eye(4), 3)
+            ew_from_transform(1.1 * np.eye(9))
+        # d is read off the d^2 x d^2 mixing, so a size that is no square is named
+        with pytest.raises(ValueError, match=r"^transform dimension 5 is not a square$"):
+            ew_from_transform(np.eye(5))
 
     def test_hermitian(self, rng):
-        w = ew_from_transform(make_transform(random_orthogonal(4, rng)), 2)
+        w = ew_from_transform(make_transform(random_orthogonal(4, rng)))
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -85,7 +86,7 @@ class TestTransformWitness:
         mixings = [np.eye(d * d), transpose_transform(d), *cycle_mixings(d)]
         mixings += [random_orthogonal(d * d, rng), 0.5 * np.eye(d * d)]
         for o in mixings:
-            assert np.array_equal(ew_from_transform(o, d).matrix, basis_mixing_witness(o, d))
+            assert np.array_equal(ew_from_transform(o).matrix, basis_mixing_witness(o, d))
 
 
 class TestBestWitness:
@@ -96,24 +97,24 @@ class TestBestWitness:
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
         u, sv, vh = np.linalg.svd(correlation_T(state))
-        best = expectation(ew_from_transform((u @ vh).T, d), state)
+        best = expectation(ew_from_transform((u @ vh).T), state)
         assert abs(best - (1.0 - realignment_value(state)[0])) < 1e-12
         for _ in range(4):
             g = rng.standard_normal((d * d, d * d))
             k = g * (rng.uniform() / np.linalg.norm(g, 2))
-            assert expectation(ew_from_transform(k, d), state) >= 1.0 - sv.sum() - 1e-12
+            assert expectation(ew_from_transform(k), state) >= 1.0 - sv.sum() - 1e-12
 
 
 class TestPermWitness:
     def test_identity_permutation(self):
-        w = perm_ew(np.eye(9), 3)
+        w = ew_from_transform(np.eye(9))
         assert w.phi_value == 3 - 9
         v = phi(3)
         assert max_abs(w.matrix - (np.eye(9) - np.outer(v, v.conj()))) < 1e-12
         assert not w.candidate_only
 
     def test_diag_cycle_confirmed(self):
-        w = perm_ew(diag_cycle(3, 1), 3)
+        w = ew_from_transform(diag_cycle(3, 1))
         assert w.phi_value == 3 - 6
         assert not w.candidate_only
         assert w.min_eig < -1e-9  # eigensolve confirms the fixed-point certificate
@@ -126,7 +127,7 @@ class TestPermWitness:
     def test_fixed_point_free_permutation_is_confirmed_by_eigensolve(self, o, d, min_eig):
         # phi_value >= 0 certifies nothing, yet the eigensolve finds a negative eigenvalue:
         # the eigensolve alone decides, and the operator is sound on product states
-        w = perm_ew(o, d)
+        w = ew_from_transform(o)
         assert w.phi_value == d - np.trace(o) >= 0
         assert abs(w.min_eig - min_eig) < 1e-12
         assert w.candidate_only == (w.min_eig >= -1e-9 * max(1.0, max_abs(w.matrix)))
@@ -144,16 +145,19 @@ class TestPermWitness:
             o = np.eye(9)[images]
             if np.trace(o) < d + 1:
                 continue
-            w = perm_ew(o, d)
+            w = ew_from_transform(o)
             assert not w.candidate_only
             assert w.min_eig < -1e-9
 
     @given(st.integers(2, 4).flatmap(lambda d: st.permutations(range(d * d))))
     def test_phi_value_is_dense_expectation(self, images):
-        d = int(round(np.sqrt(len(images))))
+        # one constructor: a permutation mixing is named by its fixed slots, with d read off its size
+        d = math.isqrt(len(images))
         o = np.eye(d * d)[images]
-        w = perm_ew(o, d)
+        w = ew_from_transform(o)
         v = phi(d)
+        assert w.dims == DimPair.square(d)
+        assert w.provenance == f"permutation(fixed_points={int(np.trace(o))})"
         assert w.phi_value == d - np.trace(o)
         assert abs(w.phi_value - (v.conj() @ w.matrix @ v).real) < 1e-12
         assert w.candidate_only == (w.min_eig >= -1e-9 * max(1.0, max_abs(w.matrix)))
@@ -161,21 +165,19 @@ class TestPermWitness:
             assert not w.candidate_only
 
     @pytest.mark.parametrize(
-        "o",
+        "o, provenance",
         [
-            0.5 * np.eye(9),  # a contraction
-            random_orthogonal(9, np.random.default_rng(3)),  # Haar orthogonal, not 0/1
-            np.eye(9)[[0, 0, 2, 3, 4, 5, 6, 7, 8]],  # 0/1 with a repeated row
+            (0.5 * np.eye(9), "transform(contraction)"),
+            (random_orthogonal(9, np.random.default_rng(3)), "transform(orthogonal)"),  # Haar orthogonal, not 0/1
+            (diag_cycle(3, 1) * (np.arange(9) < 8)[:, None], "transform(contraction)"),  # 0/1, last row zero
         ],
-        ids=["half-identity", "haar-orthogonal", "repeated-row"],
+        ids=["half-identity", "haar-orthogonal", "zero-row"],
     )
-    def test_rejects_non_permutation(self, o):
-        with pytest.raises(ValueError, match="not a permutation matrix"):
-            perm_ew(o, 3)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match=r"shape \(9, 9\), expected"):
-            perm_ew(diag_cycle(3, 1), 2)
+    def test_non_permutation_keeps_transform_provenance(self, o, provenance):
+        # only an orthogonal 0/1 mixing is a permutation; a 0/1 contraction with a zero row is not one
+        w = ew_from_transform(o)
+        assert w.provenance == provenance
+        assert w.phi_value is None
 
 
 class TestHorodeckiWitness:
@@ -284,17 +286,17 @@ class TestImportOrder:
 
 class TestExpectation:
     def test_identity_witness_on_max_entangled(self):
-        w = ew_from_transform(np.eye(9), 3)
+        w = ew_from_transform(np.eye(9))
         assert abs(expectation(w, max_entangled(3)) - (1.0 - 3.0)) < 1e-12
 
     def test_dims_mismatch(self):
-        w = ew_from_transform(np.eye(4), 2)
+        w = ew_from_transform(np.eye(4))
         with pytest.raises(ValueError, match=r"^dimension mismatch: witness 2x2 vs state 3x3$"):
             expectation(w, max_entangled(3))
 
     def test_non_real_residue_named(self):
         # W + 0.5i I is not Hermitian: Tr(rho W) gains 0.5i on every state
-        w = ew_from_transform(np.eye(4), 2)
+        w = ew_from_transform(np.eye(4))
         skewed = replace(w, matrix=w.matrix + 0.5j * np.eye(4))
         with pytest.raises(ValueError, match=r"^expectation has non-real residue 5\.000e-01$"):
             expectation(skewed, max_entangled(2))
