@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         state = horodecki_rho(a)
         value = expectation(horodecki_ew(a), state)
         closed = closed_form(a)
-        ppt_ok, pt_min, realign_val, _, _ = battery(state.rho, 3, cycle_mixings(3))
+        ppt_ok, pt_min, realign_val, _, _ = battery(state.rho, state.dims, cycle_mixings(3))
         ok = value < 0.0 and abs(value - closed) <= CLOSED_FORM_TOL and ppt_ok
         failed += not ok
         print(f"{a:6.3f}  {value:15.9e}  {closed:15.9e}  {pt_min:12.3e}  {realign_val:12.8f}  {'ok' if ok else 'FAIL'}")

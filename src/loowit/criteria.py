@@ -6,11 +6,13 @@ A-side standard observable set by an orthogonal matrix O and require
 
     I x rho_B - sum_uv <L_u x L_v^T>  L^o_u x L_v^T  >=  0,
 
-which holds for every separable state and every orthogonal O. Permutation
-mixings are cheap instances that already detect PPT entangled states. The
-Hermitian correlation matrix is the same map compressed onto span{|kk>}, a
-measurable d x d object: it is positive semidefinite on separable states for
-every unitary u and orthogonal O. The search over (u, O) minimises X's smallest
+which holds for every separable state and every orthogonal O, at any shape
+d_A x d_B: on a product state sigma x tau the map is (I - sigma') x tau, with
+||sigma' = sum_u Tr(sigma L_u) L^o_u||_2 <= 1. Permutation mixings are cheap
+instances that already detect PPT entangled states. The Hermitian correlation
+matrix is the same map compressed onto span{|kk>}, a measurable d x d object
+at d_A = d_B = d: it is positive semidefinite on separable states for every
+unitary u and orthogonal O. The search over (u, O) minimises X's smallest
 eigenvalue and then reads the full map at each restart's final O, which by
 interlacing goes at least as low. Imports run down the module order linalg,
 loo, states, criteria, witness, sweep, cli: witness builds on this module.
@@ -18,6 +20,7 @@ loo, states, criteria, witness, sweep, cli: witness builds on this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -82,17 +85,15 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # rho is gathered against the standard set once, in _residue; T, rho_B, the
 # reduction maps and the X tables all read that residue, so battery and
 # x_search each gather rho once. The gathers add only the nonzero entries of
-# the standard set (loo.standard_entries per observable,
-# loo.standard_positions per matrix position), in the order np.einsum visits
-# them in the dense form named in each docstring. _gathered_sum adds them in
-# place in the first gathered term, which adds 0.0 first: the signed zeros of
-# a sum from +0, with no zero accumulator and no array per product. Tables that
-# depend on d alone are built once per d and read-only: the reduction map reads
-# standard_positions through the flat index and value tables of
-# _reduction_gather, and full_report mixes by loo.battery_mixings. A skipped
-# term is a product with a zero entry, which adds nothing, so each result has
-# the bits of that einsum at a fraction of its cost. T's dense form is two
-# steps: residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
+# the standard set (loo.standard_entries per observable, loo.standard_positions
+# per matrix position), in the order np.einsum visits them in the dense form
+# named in each docstring. _gathered_sum adds them in place in the first
+# gathered term, which adds 0.0 first: the signed zeros of a sum from +0, with
+# no zero accumulator and no array per product. Tables that depend on the shape
+# alone are built once and read-only (_reduction_gather, loo.battery_mixings).
+# A skipped term is a product with a zero entry, which adds nothing, so each
+# result has the bits of that einsum at a fraction of its cost. T's dense form
+# is residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
 # T = np.einsum("...unl,vnl->...uv", residue, mats).real.
 
 
@@ -106,19 +107,20 @@ def _gathered_sum(terms, values) -> np.ndarray:
     return total
 
 
-def _residue(rho: np.ndarray, d: int) -> np.ndarray:
-    """B-side operators paired with the standard set, residue_u = Tr_A((L_u x I) rho): (..., d^2, d, d).
+def _residue(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """residue_u = Tr_A((L_u x I) rho) over the A-side standard set: (..., d_A^2, d_B, d_B).
 
+    The one reader of rho's shape: the kernels read d_A and d_B off the residue.
     Dense form: np.einsum("...mnkl,ukm->...unl", r4, mats).
     """
-    by_slot = np.swapaxes(blocks(rho, DimPair.square(d)), -3, -2)  # (..., m, k, n, l)
-    rows, cols, values = standard_entries(d)
+    by_slot = np.swapaxes(blocks(rho, dims), -3, -2)  # (..., m, k, n, l)
+    rows, cols, values = standard_entries(dims.d_a)
     return _gathered_sum((by_slot[..., cols[i], rows[i], :, :] for i in range(2)), values[:, :, None, None])
 
 
-def _t_from_residue(residue: np.ndarray, d: int) -> np.ndarray:
-    """T[..., u, v] = Tr(residue_u L_v^T) = Tr(rho L_u x L_v^T), real; its dense form is named above."""
-    rows, cols, values = standard_entries(d)
+def _t_from_residue(residue: np.ndarray) -> np.ndarray:
+    """T[..., u, v] = Tr(residue_u L_v^T) = Tr(rho L_u x L_v^T), real and (..., d_A^2, d_B^2); dense form above."""
+    rows, cols, values = standard_entries(residue.shape[-1])
     t = _gathered_sum((residue[..., rows[i], cols[i]] for i in range(2)), values)
     imag = member_max_abs(t.imag)
     raise_first(imag > ALGEBRAIC_TOL, "correlation matrix", lambda i: f"has non-real residue {imag[i]:.3e}")
@@ -136,12 +138,13 @@ def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return mixed.reshape(mixed.shape[:-1] + (d, d))
 
 
-def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
-    transform is one real mixing or a (..., d^2, d^2) stack broadcast against
-    rho's batch axes. The result is the Hermitian part (M + M^dagger)/2:
-    exactly Hermitian, so is_psd's re-check passes and decomposes it as it is.
+    transform is one real A-side mixing or a (..., d_A^2, d_A^2) stack
+    broadcast against rho's batch axes. The result is the Hermitian part
+    (M + M^dagger)/2: exactly Hermitian, so is_psd's re-check passes and
+    decomposes it as it is.
 
     The map is reassociated onto the B-side operators paired with L_u
     (_residue):
@@ -156,23 +159,24 @@ def o_reduction_operator(rho: np.ndarray, d: int, transform: np.ndarray) -> np.n
     two nonzero terms, so the operator has the bits of mixing the basis
     instead (loo.apply_orthogonal). A general mixing changes the last bits.
     """
-    return _reduction_from_residue(_residue(rho, d), d, transform)
+    return _reduction_from_residue(_residue(rho, dims), transform)
 
 
 @lru_cache(maxsize=None)
-def _reduction_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into the mixed residue (..., d^4) and values of the reduction operator's terms, (2, d, d, d, d)."""
-    slots, entries = (a[:, :, None, :, None] for a in standard_positions(d))  # (2, m, k) onto (2, m, n, k, l)
+def _reduction_gather(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the mixed residue and values of the reduction operator's terms, (2, d_A, d_B, d_A, d_B)."""
+    slots, entries = (a[:, :, None, :, None] for a in standard_positions(d_a))  # (2, m, k) onto (2, m, n, k, l)
     # [i, m, n, k, l] reads residue entry (n, l) of the i-th observable nonzero at (m, k)
-    index = (slots * d + np.arange(d)[:, None, None]) * d + np.arange(d)
+    index = (slots * d_b + np.arange(d_b)[:, None, None]) * d_b + np.arange(d_b)
     values = np.ascontiguousarray(np.broadcast_to(entries, index.shape))
     index.flags.writeable = values.flags.writeable = False
     return index, values
 
 
-def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
-    """o_reduction_operator(rho, d, transform) from rho's residue (_residue), rho_B included."""
-    n = d * d
+def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.ndarray:
+    """o_reduction_operator from rho's residue (_residue), rho_B included: d_A and d_B are read off its shape."""
+    n, d_b = residue.shape[-3], residue.shape[-1]
+    d_a = math.isqrt(n)
     transform = np.asarray(transform)
     require_mixing_size(transform, n)
     if np.iscomplexobj(transform):
@@ -184,15 +188,15 @@ def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) 
         raise ValueError(
             f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
         ) from None
-    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * n,))
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * d_b * d_b,))
     # at most three operator-sized arrays live at once: mixed and the two gathered terms
-    index, values = _reduction_gather(d)
+    index, values = _reduction_gather(d_a, d_b)
     m = _gathered_sum((np.take(mixed, index[i], axis=-1) for i in range(2)), values)  # (..., m, n, k, l)
     del mixed
-    rho_b = residue[..., :d, :, :].sum(axis=-3)  # the projector slots u < d sum to I
-    # I x rho_B is np.kron(np.eye(d), rho_b)'s own broadcast product, one per state, not per (state, mixing)
-    np.subtract(np.eye(d)[:, None, :, None] * rho_b[..., None, :, None, :], m, out=m)
-    m = m.reshape(batch + (n, n))
+    rho_b = residue[..., :d_a, :, :].sum(axis=-3)  # the projector slots u < d_A sum to I
+    # I x rho_B is np.kron(np.eye(d_a), rho_b)'s own broadcast product, one per state, not per (state, mixing)
+    np.subtract(np.eye(d_a)[:, None, :, None] * rho_b[..., None, :, None, :], m, out=m)
+    m = m.reshape(batch + (d_a * d_b, d_a * d_b))
     # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
     # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
     np.add(m, dagger(m), out=m)
@@ -200,19 +204,20 @@ def _reduction_from_residue(residue: np.ndarray, d: int, transform: np.ndarray) 
     return m
 
 
-def battery(rho: np.ndarray, d: int, mixings: np.ndarray):
+def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
     """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or a (..., n, n) stack, from one gather of rho.
 
-    Each has the bits of its single-state route: ppt_check, realignment_value,
-    and o_reduction_apply per mixing of the (k, d^2, d^2) stack, as (..., k).
-    rho is dropped once its residue replaces it, and the residue before the
-    eigensolve, so a caller passing an unnamed stack holds one such stack at a time.
+    dims is each state's shape, square or not. Each has the bits of its
+    single-state route: ppt_check, realignment_value, and o_reduction_apply per
+    A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k). rho is dropped
+    once its residue replaces it, and the residue before the eigensolve, so a
+    caller passing an unnamed stack holds one such stack at a time.
     """
-    ppt_ok, ppt_min = is_psd(partial_transpose(rho, DimPair.square(d)))
-    residue = _residue(rho, d)
+    ppt_ok, ppt_min = is_psd(partial_transpose(rho, dims))
+    residue = _residue(rho, dims)
     del rho
-    realignment = trace_norm(_t_from_residue(residue, d))
-    operators = _reduction_from_residue(residue[..., None, :, :, :], d, mixings)
+    realignment = trace_norm(_t_from_residue(residue))
+    operators = _reduction_from_residue(residue[..., None, :, :, :], mixings)
     del residue
     map_ok, map_min = is_psd(operators)
     return ppt_ok, ppt_min, realignment, map_ok, map_min
@@ -225,7 +230,7 @@ def ppt_check(state: BipartiteState) -> CriterionReport:
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
     """S[u, v] = Tr(rho L_u x L_v), both sides the untransposed standard set: S = T P, as P P = I."""
-    return correlation_T(state) @ transpose_transform(state.dims.square_dim)
+    return correlation_T(state) @ transpose_transform(state.dims.d_b)
 
 
 def correlation_T(state: BipartiteState) -> np.ndarray:
@@ -234,8 +239,7 @@ def correlation_T(state: BipartiteState) -> np.ndarray:
     Equals pair_correlation times the diagonal +-1 transpose mixing, so its
     singular values do not depend on the B-side convention.
     """
-    d = state.dims.square_dim
-    return _t_from_residue(_residue(state.rho, d), d)
+    return _t_from_residue(_residue(state.rho, state.dims))
 
 
 def _realignment_report(value: float) -> CriterionReport:
@@ -257,7 +261,7 @@ def o_reduction_apply(state: BipartiteState, transform: np.ndarray) -> tuple[np.
     Separable states stay positive semidefinite for every orthogonal mixing;
     a negative eigenvalue certifies entanglement. make_transform checks the mixing.
     """
-    operator = o_reduction_operator(state.rho, state.dims.square_dim, make_transform(transform))
+    operator = o_reduction_operator(state.rho, state.dims, make_transform(transform))
     return operator, _report("o_reduction", *is_psd(operator))
 
 
@@ -349,19 +353,15 @@ def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
 
 
 def _procrustes(g: np.ndarray) -> np.ndarray:
-    """The orthogonal O minimising <G, O> for each G of the stack: -U V^T from G = U S V^T."""
+    """The orthogonal O minimising <G, O> for each G of the stack: -U V^T from G = U S V^T.
+
+    On a round's gradient (_o_gradient at v, the lowest eigenvector of X(o)
+    from _x_min_eig) this is the O' minimising v^dagger X(O') v, so the step
+    cannot raise the smallest eigenvalue: lambda_min(X(O')) <= v^dagger X(O') v
+    <= v^dagger X(o) v = lambda_min(X(o)).
+    """
     u, _, vh = np.linalg.svd(g)
     return -u @ vh
-
-
-def _o_step(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
-    """The O minimising v^dagger X(O) v for each (v, tables) pair: the Procrustes step of a round.
-
-    With v the lowest eigenvector of X(o) (_x_min_eig), the new O cannot
-    raise the smallest eigenvalue: lambda_min(X(O')) <= v^dagger X(O') v <=
-    v^dagger X(o) v = lambda_min(X(o)).
-    """
-    return _procrustes(_o_gradient(tables, v, d))
 
 
 def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,8 +394,8 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
     and runs at most SEARCH_ROUNDS + 1 rounds: an eigh gives lambda_min(X(O))
-    and its eigenvector v (_x_min_eig), then an exact O step (_o_step) moves
-    O, so its smallest eigenvalue never rises. A restart stops at the first
+    and its eigenvector v (_x_min_eig), then an exact O step (_procrustes)
+    moves O, so its smallest eigenvalue never rises. A restart stops at the first
     round whose eigh finds its eigenvalue lowered by no more than SEARCH_STALL
     since the last round, or at round SEARCH_ROUNDS + 1, which takes no step;
     it keeps that round's O and eigenvalue, so its value is the eigh that
@@ -417,8 +417,8 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
     d = state.dims.square_dim
-    residue = _residue(state.rho, d)  # the one gather: T, the X tables and the maps all read it
-    o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
+    residue = _residue(state.rho, state.dims)  # the one gather: T, the X tables and the maps all read it
+    o, u = _search_starts(_t_from_residue(residue), d, seed, budget)
     tables = _x_tables(residue, u, d)
     final_o, val = o, np.empty(budget)  # each restart's O and eigenvalue, written back when it stops
     moving = np.arange(budget)  # restart index of each member of the moving stack
@@ -433,9 +433,9 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
             if not moving.size:
                 break
             tables = _XTables(*(table[keep] for table in tables))
-        o = _o_step(tables, v, d)
+        o = _procrustes(_o_gradient(tables, v, d))
         previous = lam
-    _, map_min = is_psd(_reduction_from_residue(residue[None], d, np.swapaxes(final_o, -1, -2)))
+    _, map_min = is_psd(_reduction_from_residue(residue[None], np.swapaxes(final_o, -1, -2)))
     b = int(np.argmin(val))  # the first restart of the minimum
     return XSearchResult(
         unitary=u[b],
@@ -493,29 +493,26 @@ def full_report(
 ) -> FullReport:
     """Run every criterion and aggregate the verdicts; budget and seed are checked even without the search.
 
-    Square states get the full battery (partial transpose, realignment and
-    the reduction maps for the identity / transpose / all diagonal-cycle
-    mixings, from one battery call), non-square states PPT alone. Each
-    witness's own verdict follows on every shape, a witness of other
-    dimensions raising expectation's mismatch error; square states then get
-    x_search and o_search from one x_search call unless include_search is off.
+    Every shape gets one battery call: partial transpose, realignment and the
+    reduction maps for the A-side identity / transpose / all diagonal-cycle
+    mixings of battery_mixings(d_A). Each witness's own verdict follows, a
+    witness of other dimensions raising expectation's mismatch error. Then,
+    unless include_search is off, x_search and o_search come from one x_search
+    call on square states only: X pairs the sides through (I x u)|kk>, which
+    needs d_A = d_B.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
-    square = state.dims.d_a == state.dims.d_b
-    if not square:
-        reports = [ppt_check(state)]
-    else:
-        d = state.dims.d_a
-        tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d)]
-        ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, d, battery_mixings(d))
-        reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
-        reports += [
-            _report("o_reduction", member_ok, member_min, transform=tag)
-            for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
-        ]
+    d_a = state.dims.d_a
+    tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d_a)]
+    ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, state.dims, battery_mixings(d_a))
+    reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
+    reports += [
+        _report("o_reduction", member_ok, member_min, transform=tag)
+        for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
+    ]
     reports += [witness.report(state) for witness in witnesses]
-    if square and include_search:
+    if include_search and d_a == state.dims.d_b:
         search = x_search(state, budget=budget, seed=seed)
         reports += [search.report, search.o_report]
     return FullReport(state_label=state.label, reports=tuple(reports))

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import ALGEBRAIC_TOL, battery, classify_family_point
+from .linalg import DimPair
 from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
@@ -73,7 +74,8 @@ def _evaluate_block(d: int, weights: np.ndarray) -> dict:
     """Columns of the valid special-slice points whose weights are the rows of weights, in input order."""
     a1, a2, a_d = weights[:, 0], weights[:, 1], weights[:, d - 1]
     # the states are not bound to a name, so battery drops them once their residue replaces them
-    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), d, cycle_mixings(d))
+    dims = DimPair.square(d)
+    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), dims, cycle_mixings(d))
     oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
     numeric = np.where(~ppt_ok, "free", np.where(cycle_ok.all(axis=-1), "separable", "bound"))
     values = (

@@ -71,7 +71,7 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     if d * d != len(o):
         raise ValueError(f"transform dimension {len(o)} is not a square")
     v = phi(d)
-    matrix = o_reduction_operator(np.outer(v, v.conj()), d, o)
+    matrix = o_reduction_operator(np.outer(v, v.conj()), DimPair.square(d), o)
     ok, min_eig = is_psd(matrix)
     provenance, phi_value = "transform(contraction)", None
     if is_orthogonal(o):

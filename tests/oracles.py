@@ -6,13 +6,16 @@ a defining property of the standard observable set. The tests assert that
 both routes agree.
 """
 
+import math
+
 import numpy as np
 
 from loowit.criteria import (
     SEARCH_ROUNDS,
     SEARCH_STALL,
     _mix,
-    _o_step,
+    _o_gradient,
+    _procrustes,
     _reduction_gather,
     _residue,
     _search_starts,
@@ -186,7 +189,7 @@ def phi_pairing(state: BipartiteState, transform: np.ndarray) -> tuple[float, fl
 def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Hermitian correlation matrix X(O, u) of one pair: the search's kernel on a stack of one.
 
-    With M(rho, O^T) = o_reduction_operator(rho, d, O^T),
+    With M(rho, O^T) = o_reduction_operator(rho, dims, O^T),
 
         X[m, n] = <mm| (I x u^dagger) M(rho, O^T) (I x u) |nn>
                 = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n],
@@ -200,7 +203,7 @@ def x_matrix(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.
     (make_transform's output) and u a complex unitary; neither is checked.
     """
     d = state.dims.square_dim
-    return _x_stack(_x_tables(_residue(state.rho, d), u, d), transform, d)
+    return _x_stack(_x_tables(_residue(state.rho, state.dims), u, d), transform, d)
 
 
 def x_reduction_form(state: BipartiteState, transform: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -301,79 +304,82 @@ def family_realignment_closed_form(a: np.ndarray) -> np.ndarray:
     return (d - 1) * a[..., 0] + np.abs(np.fft.fft(a, axis=-1)).sum(axis=-1) / d
 
 
-def correlation_dense(rho: np.ndarray, d: int) -> np.ndarray:
-    """S[..., u, v] = Tr(rho L_u x L_v) as one dense einsum over the full observable stacks."""
-    mats = standard_basis(d)
-    return np.einsum("...mnkl,ukm,vln->...uv", rho.reshape(rho.shape[:-2] + (d, d, d, d)), mats, mats)
+def correlation_dense(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """S[..., u, v] = Tr(rho L_u x L_v) as one dense einsum over the full observable stacks of both sides."""
+    return np.einsum(
+        "...mnkl,ukm,vln->...uv", blocks(rho, dims), standard_basis(dims.d_a), standard_basis(dims.d_b)
+    )
 
 
-def residue_dense(rho: np.ndarray, d: int) -> np.ndarray:
-    """residue_u = Tr_A((L_u x I) rho) as one dense einsum over the full observable stack."""
-    return np.einsum("...mnkl,ukm->...unl", rho.reshape(rho.shape[:-2] + (d, d, d, d)), standard_basis(d))
+def residue_dense(rho: np.ndarray, dims: DimPair) -> np.ndarray:
+    """residue_u = Tr_A((L_u x I) rho) as one dense einsum over the full A-side observable stack."""
+    return np.einsum("...mnkl,ukm->...unl", blocks(rho, dims), standard_basis(dims.d_a))
 
 
-def correlation_T_dense(rho: np.ndarray, d: int) -> np.ndarray:
+def correlation_T_dense(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """T[..., u, v] = Tr(residue_u L_v^T) as two dense einsums: the residue, then the pairing with L_v."""
-    return np.einsum("...unl,vnl->...uv", residue_dense(rho, d), standard_basis(d)).real
+    return np.einsum("...unl,vnl->...uv", residue_dense(rho, dims), standard_basis(dims.d_b)).real
 
 
-def o_reduction_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+def o_reduction_dense(rho: np.ndarray, dims: DimPair, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, by dense einsums over the full observable stacks.
 
-    The mixing is applied to the basis: sum_u residue_u x (sum_v O_uv L_v).
+    The mixing is applied to the A-side basis: the mixed state is
+    sum_u residue_u x (sum_v O_uv L_v) = sum_uv T_uv L^o_u x L_v^T.
     """
-    basis = standard_basis(d)
-    mixed = apply_orthogonal(basis, transform)
-    mapped = np.einsum("...unl,umk->...mnkl", residue_dense(rho, d), mixed).reshape(rho.shape)
-    return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    mixed = apply_orthogonal(standard_basis(dims.d_a), transform)
+    mapped = np.einsum("...unl,umk->...mnkl", residue_dense(rho, dims), mixed).reshape(rho.shape)
+    return np.kron(np.eye(dims.d_a), partial_trace(rho, dims, "A")) - mapped
 
 
-def o_reduction_mixed_residue_dense(rho: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+def o_reduction_mixed_residue_dense(rho: np.ndarray, dims: DimPair, transform: np.ndarray) -> np.ndarray:
     """The same map with the mixing applied to the residue: sum_v (sum_u O_uv residue_u) x L_v.
 
     The residue is mixed by the same real matmul as in o_reduction_operator;
     the standard set is then contracted densely.
     """
-    basis = standard_basis(d)
-    residue = residue_dense(rho, d)
-    flat = residue.reshape(residue.shape[:-2] + (d * d,)).view(float)
+    residue = residue_dense(rho, dims)
+    flat = residue.reshape(residue.shape[:-2] + (dims.d_b**2,)).view(float)
     mixed = (np.swapaxes(transform, -1, -2) @ flat).view(complex)
-    mixed = mixed.reshape(mixed.shape[:-1] + (d, d))
-    mapped = np.einsum("...vnl,vmk->...mnkl", mixed, basis).reshape(mixed.shape[:-3] + rho.shape[-2:])
-    return np.kron(np.eye(d), partial_trace(rho, DimPair.square(d), "A")) - mapped
+    mixed = mixed.reshape(mixed.shape[:-1] + (dims.d_b, dims.d_b))
+    mapped = np.einsum("...vnl,vmk->...mnkl", mixed, standard_basis(dims.d_a))
+    mapped = mapped.reshape(mixed.shape[:-3] + rho.shape[-2:])
+    return np.kron(np.eye(dims.d_a), partial_trace(rho, dims, "A")) - mapped
 
 
-def residue_from_zeros(rho: np.ndarray, d: int) -> np.ndarray:
+def residue_from_zeros(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """criteria._residue with its sum started from an np.zeros accumulator and a fresh array per term.
 
     The reference for the signs of zero parts: production accumulates in its
     first term after adding 0.0, which must give the same bits.
     """
-    by_slot = np.swapaxes(blocks(rho, DimPair.square(d)), -3, -2)
-    rows, cols, values = standard_entries(d)
-    residue = np.zeros(by_slot.shape[:-4] + (d * d, d, d), dtype=complex)
+    by_slot = np.swapaxes(blocks(rho, dims), -3, -2)
+    rows, cols, values = standard_entries(dims.d_a)
+    residue = np.zeros(by_slot.shape[:-4] + (dims.d_a**2, dims.d_b, dims.d_b), dtype=complex)
     for i in range(2):
         residue = residue + by_slot[..., cols[i], rows[i], :, :] * values[i][:, None, None]
     return residue
 
 
-def t_from_zeros(residue: np.ndarray, d: int) -> np.ndarray:
+def t_from_zeros(residue: np.ndarray) -> np.ndarray:
     """criteria._t_from_residue's T summed from +0 with a fresh array per term, before the real part is taken."""
-    rows, cols, values = standard_entries(d)
+    rows, cols, values = standard_entries(residue.shape[-1])
     return 0.0 + residue[..., rows[0], cols[0]] * values[0] + residue[..., rows[1], cols[1]] * values[1]
 
 
-def reduction_from_zeros(residue: np.ndarray, d: int, transform: np.ndarray) -> np.ndarray:
+def reduction_from_zeros(residue: np.ndarray, transform: np.ndarray) -> np.ndarray:
     """criteria._reduction_from_residue with its gather summed into an np.zeros accumulator (no input checks)."""
-    n = d * d
+    n, d_b = residue.shape[-3], residue.shape[-1]
+    d_a = math.isqrt(n)
     batch = np.broadcast_shapes(residue.shape[:-3], transform.shape[:-2])
-    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * n,))
-    index, values = _reduction_gather(d)
-    m = np.zeros(batch + (d, d, d, d), dtype=complex)
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * d_b * d_b,))
+    index, values = _reduction_gather(d_a, d_b)
+    m = np.zeros(batch + (d_a, d_b, d_a, d_b), dtype=complex)
     for i in range(2):
         m = m + np.take(mixed, index[i], axis=-1) * values[i]
-    rho_b = residue[..., :d, :, :].sum(axis=-3)
-    m = (np.eye(d)[:, None, :, None] * rho_b[..., None, :, None, :] - m).reshape(batch + (n, n))
+    rho_b = residue[..., :d_a, :, :].sum(axis=-3)
+    m = np.eye(d_a)[:, None, :, None] * rho_b[..., None, :, None, :] - m
+    m = m.reshape(batch + (d_a * d_b, d_a * d_b))
     return (m + dagger(m)) / 2.0
 
 
@@ -503,7 +509,7 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
         u = np.eye(d, dtype=complex)
     else:
         o, u = drawn_start(d, seed, restart)
-    q = _x_tables(_residue(state.rho, d), u, d).q
+    q = _x_tables(_residue(state.rho, state.dims), u, d).q
     rounds = []
     for _ in range(SEARCH_ROUNDS + 1):
         vals, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
@@ -528,11 +534,11 @@ def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.n
     number of rounds, as the search ran before it stopped stalled restarts.
     """
     d = state.dims.square_dim
-    residue = _residue(state.rho, d)
-    o, u = _search_starts(_t_from_residue(residue, d), d, seed, budget)
+    residue = _residue(state.rho, state.dims)
+    o, u = _search_starts(_t_from_residue(residue), d, seed, budget)
     tables = _x_tables(residue, u, d)
     for _ in range(SEARCH_ROUNDS):
-        o = _o_step(tables, _x_min_eig(tables, o, d)[1], d)
+        o = _procrustes(_o_gradient(tables, _x_min_eig(tables, o, d)[1], d))
     return _x_min_eig(tables, o, d)[0]
 
 

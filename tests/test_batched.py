@@ -46,6 +46,7 @@ from loowit.linalg import (
     trace_norm,
 )
 from loowit.loo import (
+    apply_orthogonal,
     diag_cycle,
     make_transform,
     random_orthogonal,
@@ -92,6 +93,10 @@ def transforms(d: int) -> list:
     return [np.eye(d * d), transpose_transform(d)] + [diag_cycle(d, l) for l in range(1, d)]
 
 
+# d_A != d_B in 2..6
+RECTANGULAR = st.tuples(st.integers(2, 6), st.integers(2, 5)).map(lambda p: DimPair(p[0], p[1] + (p[1] >= p[0])))
+
+
 class TestRouteAgreement:
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_stack_matches_members(self, d, seed, split):
@@ -101,12 +106,13 @@ class TestRouteAgreement:
         stack = np.stack([s.rho for s in states])
         split = split % len(states)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
-        whole = battery(stack, d, mixings)
-        blocks = [battery(stack[:split], d, mixings), battery(stack[split:], d, mixings)]
+        dims = states[0].dims
+        whole = battery(stack, dims, mixings)
+        blocks = [battery(stack[:split], dims, mixings), battery(stack[split:], dims, mixings)]
         for k in range(5):
             assert same_bits(np.concatenate([blocks[0][k], blocks[1][k]]), whole[k])
         for i in range(len(states)):
-            member = battery(stack[i : i + 1], d, mixings)
+            member = battery(stack[i : i + 1], dims, mixings)
             for k in range(5):
                 assert same_bits(whole[k][i], member[k][0])
 
@@ -131,14 +137,15 @@ class TestRouteAgreement:
                 part[part == 0] = -0.0
         stack = np.concatenate(variants)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
-        residue = _residue(stack, d)
-        assert same_bits(residue, residue_from_zeros(stack, d))
-        assert same_bits(_residue(stack[-1], d), residue_from_zeros(stack[-1], d))
-        assert same_bits(_t_from_residue(residue, d), t_from_zeros(residue, d).real)
+        dims = DimPair.square(d)
+        residue = _residue(stack, dims)
+        assert same_bits(residue, residue_from_zeros(stack, dims))
+        assert same_bits(_residue(stack[-1], dims), residue_from_zeros(stack[-1], dims))
+        assert same_bits(_t_from_residue(residue), t_from_zeros(residue).real)
         for t in mixings:
-            assert same_bits(_reduction_from_residue(residue, d, t), reduction_from_zeros(residue, d, t))
+            assert same_bits(_reduction_from_residue(residue, t), reduction_from_zeros(residue, t))
         stacked = residue[:, None]
-        assert same_bits(_reduction_from_residue(stacked, d, mixings), reduction_from_zeros(stacked, d, mixings))
+        assert same_bits(_reduction_from_residue(stacked, mixings), reduction_from_zeros(stacked, mixings))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_mixing_stack_matches_members(self, d, seed):
@@ -151,11 +158,12 @@ class TestRouteAgreement:
             ]
         )
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
-        pairs = o_reduction_operator(stack[:, None], d, mixings)
+        dims = DimPair.square(d)
+        pairs = o_reduction_operator(stack[:, None], dims, mixings)
         for i, rho in enumerate(stack):
-            per_state = o_reduction_operator(rho, d, mixings)
+            per_state = o_reduction_operator(rho, dims, mixings)
             for c, t in enumerate(mixings):
-                single = o_reduction_operator(rho, d, t)
+                single = o_reduction_operator(rho, dims, t)
                 assert same_bits(pairs[i, c], single)
                 assert same_bits(per_state[c], single)
 
@@ -184,10 +192,10 @@ class TestRouteAgreement:
         # a state stack against a mixing stack: every (state, mixing) pair gives its own call's bits
         states = sample_states(d, seed)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
-        whole = battery(np.stack([s.rho for s in states]), d, mixings)
+        whole = battery(np.stack([s.rho for s in states]), states[0].dims, mixings)
         assert whole[3].shape == whole[4].shape == (len(states), len(mixings))
         for i, state in enumerate(states):
-            one = battery(state.rho, d, mixings)
+            one = battery(state.rho, state.dims, mixings)
             for k in range(5):
                 assert same_bits(whole[k][i], one[k])
             ppt = ppt_check(state)
@@ -252,7 +260,7 @@ class TestExactHermitianRoute:
         a = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
         for h in (
             partial_transpose(rho, DimPair.square(d)),
-            o_reduction_operator(rho[:, None], d, mixings),
+            o_reduction_operator(rho[:, None], DimPair.square(d), mixings),
             (a + dagger(a)) / 2.0,
         ):
             assert (h == dagger(h)).all()
@@ -277,53 +285,89 @@ class TestSparseContractions:
 
     The reduction operator mixes the residue, not the basis. Its dense form
     mixes the residue the same way; mixing the basis is the second route.
+    Every check runs on square d x d draws, and again on d_A != d_B: the
+    kernels read both dimensions off the residue.
     """
 
-    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-    def test_correlation_matches_dense_einsum(self, d, seed):
+    @staticmethod
+    def check_correlation(dims, rng):
         # T reads the residue: it has the bits of its own two-step dense form, and S = T P
         # agrees with the one-step dense S, the second route, to rounding
-        rng = np.random.default_rng(seed)
-        state = make_state(random_density(rng, d * d), DimPair.square(d), "random")
-        assert same_bits(correlation_T(state), correlation_T_dense(state.rho, d))
-        assert np.abs(pair_correlation(state) - correlation_dense(state.rho, d).real).max() <= 1e-15
+        state = make_state(random_density(rng, dims.total), dims, "random")
+        assert correlation_T(state).shape == (dims.d_a**2, dims.d_b**2)
+        assert same_bits(correlation_T(state), correlation_T_dense(state.rho, dims))
+        assert np.abs(pair_correlation(state) - correlation_dense(state.rho, dims).real).max() <= 1e-15
 
-    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-    def test_o_reduction_matches_dense_einsum(self, d, seed):
-        rng = np.random.default_rng(seed)
-        stack = np.stack([random_density(rng, d * d) for _ in range(3)])
-        contraction = make_transform(0.5 * random_orthogonal(d * d, rng))
-        mixings = transforms(d) + [make_transform(random_orthogonal(d * d, rng)), contraction]
+    @staticmethod
+    def check_o_reduction_dense(dims, rng):
+        n = dims.d_a**2
+        stack = np.stack([random_density(rng, dims.total) for _ in range(3)])
+        contraction = make_transform(0.5 * random_orthogonal(n, rng))
+        mixings = transforms(dims.d_a) + [make_transform(random_orthogonal(n, rng)), contraction]
         # battery's form too: the (states, 1) stack against all k mixings at once, (states, k) operators
-        operators = o_reduction_operator(stack[:, None], d, np.stack(mixings))
+        operators = o_reduction_operator(stack[:, None], dims, np.stack(mixings))
         for j, t in enumerate(mixings):
-            dense = o_reduction_mixed_residue_dense(stack, d, t)
-            operator = o_reduction_operator(stack, d, t)
+            dense = o_reduction_mixed_residue_dense(stack, dims, t)
+            operator = o_reduction_operator(stack, dims, t)
             assert same_bits(operator, (dense + dagger(dense)) / 2.0)
             assert same_bits(operators[:, j], operator)
             # the Hermitian part is what is_psd decomposes anyway
             assert same_bits(is_psd(operator)[1], is_psd(dense)[1])
 
+    @staticmethod
+    def check_basis_mixing(dims, stack, rng):
+        # mixing the residue instead of the basis keeps the bits for every signed permutation
+        n = dims.d_a**2
+        signed = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        for t in transforms(dims.d_a) + [signed]:
+            dense = o_reduction_dense(stack, dims, t)
+            assert same_bits(o_reduction_operator(stack, dims, t), (dense + dagger(dense)) / 2.0)
+        # a general mixing or contraction changes only the last bits
+        for t in (random_orthogonal(n, rng), 0.5 * random_orthogonal(n, rng)):
+            dense = o_reduction_dense(stack, dims, make_transform(t))
+            operator = o_reduction_operator(stack, dims, make_transform(t))
+            assert np.abs(operator - (dense + dagger(dense)) / 2.0).max() <= 1e-12
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_correlation_matches_dense_einsum(self, d, seed):
+        self.check_correlation(DimPair.square(d), np.random.default_rng(seed))
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_o_reduction_matches_dense_einsum(self, d, seed):
+        self.check_o_reduction_dense(DimPair.square(d), np.random.default_rng(seed))
+
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_o_reduction_matches_basis_mixing(self, d, seed):
-        # mixing the residue instead of the basis keeps the bits for every signed permutation
+        # the diagonal-family stack the sweep feeds through the same kernels rides along
         rng = np.random.default_rng(seed)
-        n = d * d
         stack = np.concatenate(
             [
-                np.stack([random_density(rng, n) for _ in range(2)]),
+                np.stack([random_density(rng, d * d) for _ in range(2)]),
                 family_stack(rng.dirichlet(np.ones(d), size=2)),
             ]
         )
-        signed = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
-        for t in transforms(d) + [signed]:
-            dense = o_reduction_dense(stack, d, t)
-            assert same_bits(o_reduction_operator(stack, d, t), (dense + dagger(dense)) / 2.0)
-        # a general mixing or contraction changes only the last bits
-        for t in (random_orthogonal(n, rng), 0.5 * random_orthogonal(n, rng)):
-            dense = o_reduction_dense(stack, d, make_transform(t))
-            operator = o_reduction_operator(stack, d, make_transform(t))
-            assert np.abs(operator - (dense + dagger(dense)) / 2.0).max() <= 1e-12
+        self.check_basis_mixing(DimPair.square(d), stack, rng)
+
+    @given(RECTANGULAR, st.integers(0, 2**32 - 1))
+    def test_rectangular_shapes_match_dense_forms(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        self.check_correlation(dims, rng)
+        self.check_o_reduction_dense(dims, rng)
+        self.check_basis_mixing(dims, np.stack([random_density(rng, dims.total) for _ in range(2)]), rng)
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_o_reduction_matches_correlation_form(self, d_a, d_b, seed):
+        # the map's defining form I x rho_B - sum_uv T_uv L^o_u x L_v^T, from the dense T = S P,
+        # is a third route; it agrees to 1e-14 x scale on every shape
+        rng = np.random.default_rng(seed)
+        dims = DimPair(d_a, d_b)
+        rho = random_density(rng, dims.total)
+        t = correlation_dense(rho, dims).real @ transpose_transform(d_b)
+        identity_rho_b = np.kron(np.eye(d_a), partial_trace(rho, dims, "A"))
+        for o in transforms(d_a) + [random_orthogonal(d_a * d_a, rng)]:
+            mixed = apply_orthogonal(standard_basis(d_a), o)
+            form = identity_rho_b - np.einsum("uv,uab,vdc->acbd", t, mixed, standard_basis(d_b)).reshape(rho.shape)
+            assert np.abs(o_reduction_operator(rho, dims, o) - form).max() <= 1e-14 * max(1.0, np.abs(rho).max())
 
 
 def search_state(d: int):
@@ -377,14 +421,15 @@ class TestLockstepSearch:
         s = pair_correlation(state)
         o = np.stack([random_orthogonal(d * d, rng) for _ in range(3)])
         u = np.stack([np.eye(d)] + [random_unitary(d, rng) for _ in range(2)])
-        tables = _x_tables(_residue(state.rho, d), u, d)
+        tables = _x_tables(_residue(state.rho, state.dims), u, d)
         x = _x_stack(tables, o, d)
         v = np.linalg.eigh(x)[1][..., 0]
         g = _o_gradient(tables, v, d)
         basis = standard_basis(d)
         for i in range(3):
             assert same_bits(x[i], x_matrix(state, make_transform(o[i]), u[i]))
-            assert same_bits(g[i], o_gradient_entries(_x_tables(_residue(state.rho, d), u[i], d).q, v[i], d))
+            q = _x_tables(_residue(state.rho, state.dims), u[i], d).q
+            assert same_bits(g[i], o_gradient_entries(q, v[i], d))
             r = unitary_mixing_single(u[i], d)
             assert np.abs(expand(basis, x[i]) - x_coefficients_loops(s, o[i], r, d)).max() <= 1e-12
             assert np.abs(g[i] - o_gradient_loops(s, r, v[i], d)).max() <= 1e-12

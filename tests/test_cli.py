@@ -68,7 +68,8 @@ class TestCheck:
         assert code == cli.EXIT_OK
         assert "no entanglement detected" in out
 
-    def test_non_square_file_gets_ppt_alone(self, capsys, tmp_path):
+    def test_non_square_file_gets_the_battery(self, capsys, tmp_path):
+        # the battery runs on every shape; the search, which needs d_A = d_B, does not
         v = np.zeros(6)
         v[[0, 4]] = 1.0 / np.sqrt(2.0)  # (|00> + |11>) / sqrt(2) in 2 x 3
         path = tmp_path / "bell23.json"
@@ -76,7 +77,22 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json")
         assert code == cli.EXIT_ENTANGLED
         reports = json.loads(out)["reports"]
-        assert [(r["criterion"], r["verdict"]) for r in reports] == [("ppt", "violated")]
+        assert [(r["criterion"], r["params"].get("transform"), r["verdict"]) for r in reports] == [
+            ("ppt", None, "violated"),
+            ("realignment", None, "violated"),
+            ("o_reduction", "reduction", "violated"),
+            ("o_reduction", "transpose", "pass"),
+            ("o_reduction", "cycle(l=1)", "pass"),
+        ]
+
+    def test_separable_non_square_file_exits_zero(self, capsys, tmp_path):
+        path = tmp_path / "sep32.json"
+        save_state(random_separable_state(DimPair(3, 2), k=4, seed=3), path)
+        code, out, _ = run_cli(capsys, "check", "--file", str(path))
+        assert code == cli.EXIT_OK
+        tags = ["reduction", "transpose", "cycle(l=1)", "cycle(l=2)"]
+        assert all(f"o_reduction[{tag}]" in out for tag in tags) and "x_search" not in out
+        assert "no entanglement detected" in out
 
     def test_malformed_file_errors(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_density, random_state, sample_states
 from loowit import criteria
@@ -122,9 +122,9 @@ class TestCorrelationT:
         bad = random_density(rng, 4) + 0.1j * np.diag([1.0, 0.0, 0.0, -1.0])
         good = random_density(rng, 4)
         with pytest.raises(ValueError, match=r"^correlation matrix has non-real residue \d"):
-            _t_from_residue(_residue(bad, 2), 2)
+            _t_from_residue(_residue(bad, DimPair.square(2)))
         with pytest.raises(ValueError, match=r"^correlation matrix\[1\] has non-real residue \d"):
-            _t_from_residue(_residue(np.stack([good, bad, bad]), 2), 2)
+            _t_from_residue(_residue(np.stack([good, bad, bad]), DimPair.square(2)))
 
 
 class TestRealignment:
@@ -147,13 +147,15 @@ class TestRealignment:
 
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
-            battery(np.eye(8) / 8.0, 3, cycle_mixings(3))
+            battery(np.eye(8) / 8.0, DimPair.square(3), cycle_mixings(3))
 
-    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
-    def test_matches_realigned_trace_norm(self, d, seed):
-        state = random_state(np.random.default_rng(seed), d)
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_matches_realigned_trace_norm(self, d_a, d_b, seed):
+        dims = DimPair(d_a, d_b)
+        state = make_state(random_density(np.random.default_rng(seed), dims.total), dims, "random")
         value, _ = realignment_value(state)
-        assert abs(value - trace_norm(realign(state.rho, state.dims))) < 1e-9
+        assert abs(value - trace_norm(realign(state.rho, dims))) < 1e-9
+        assert value == battery(state.rho, dims, cycle_mixings(d_a))[2]
 
 
 class TestBestOrthogonal:
@@ -222,20 +224,20 @@ class TestOReduction:
         stack = np.stack([random_density(rng, 9) for _ in range(5)])
         message = r"transform batch shape \(2,\) does not broadcast against state batch shape \(5,\)"
         with pytest.raises(ValueError, match=message):
-            o_reduction_operator(stack, 3, cycle_mixings(3))
-        assert o_reduction_operator(stack[:, None], 3, cycle_mixings(3)).shape == (5, 2, 9, 9)
+            o_reduction_operator(stack, DimPair.square(3), cycle_mixings(3))
+        assert o_reduction_operator(stack[:, None], DimPair.square(3), cycle_mixings(3)).shape == (5, 2, 9, 9)
 
     def test_rejects_wrong_size_mixing(self):
         with pytest.raises(ValueError, match=r"transform shape \(4, 4\) does not match basis size 9"):
-            o_reduction_operator(max_entangled(3).rho, 3, np.eye(4))
+            o_reduction_operator(max_entangled(3).rho, DimPair.square(3), np.eye(4))
 
     def test_rejects_complex_mixing(self):
         with pytest.raises(ValueError, match="transform matrix must be real"):
-            o_reduction_operator(max_entangled(3).rho, 3, np.eye(9, dtype=complex))
+            o_reduction_operator(max_entangled(3).rho, DimPair.square(3), np.eye(9, dtype=complex))
 
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
-            o_reduction_operator(np.eye(8) / 8.0, 3, np.eye(9))
+            o_reduction_operator(np.eye(8) / 8.0, DimPair.square(3), np.eye(9))
 
     def test_reduction_detects_max_entangled(self):
         state = max_entangled(3)
@@ -383,7 +385,7 @@ class TestXMatrix:
         state = random_state(rng, d)
         o = make_transform(random_orthogonal(d * d, rng))
         u = random_unitary(d, rng)
-        m_min = herm_eigvalues(o_reduction_operator(state.rho, d, o.T))[0]
+        m_min = herm_eigvalues(o_reduction_operator(state.rho, state.dims, o.T))[0]
         assert m_min <= herm_eigvalues(x_matrix(state, o, u))[0] + 1e-12
 
 
@@ -422,7 +424,7 @@ class TestXSearch:
         u = random_unitary(d, rng)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        tables = _x_tables(_residue(state.rho, d), u, d)
+        tables = _x_tables(_residue(state.rho, state.dims), u, d)
         g = _o_gradient(tables, v, d)
         c = float(np.real(v.conj() @ _x_stack(tables, np.zeros((d * d, d * d)), d) @ v))
         for _ in range(3):
@@ -443,7 +445,7 @@ class TestXSearch:
             assert np.all(np.diff(rounds) <= 1e-12)
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
             finals.append(rounds[-1])
-            maps.append(herm_eigvalues(o_reduction_operator(state.rho, d, o.T))[0])
+            maps.append(herm_eigvalues(o_reduction_operator(state.rho, state.dims, o.T))[0])
         result = x_search(state, 4, seed)
         assert result.report.scalar == min(finals)
         assert abs(result.o_report.scalar - min(maps)) <= 1e-12
@@ -733,28 +735,45 @@ class TestFullReport:
         assert not report.entangled
         assert all(r.verdict in ("pass", "inconclusive") for r in report.reports)
 
+    @staticmethod
+    def labels(report) -> list:
+        return [(r.criterion, r.params.get("transform")) for r in report.reports]
+
     @pytest.mark.parametrize("dims", [DimPair(2, 3), DimPair(3, 2)])
-    def test_non_square_product_gets_ppt_alone(self, dims):
+    def test_non_square_product_gets_the_battery(self, dims):
+        # PPT, realignment and the d_A + 1 A-side maps, and no search: X needs d_A = d_B
         state = random_product_state(dims, seed=5)
-        assert full_report(state).reports == (ppt_check(state),)
-        assert not full_report(state).entangled
+        report = full_report(state)
+        tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, dims.d_a)]
+        assert self.labels(report) == [("ppt", None), ("realignment", None)] + [("o_reduction", t) for t in tags]
+        assert report.reports[0] == ppt_check(state)
+        assert report.reports[1] == realignment_value(state)[1]
+        assert not report.entangled
 
     def test_non_square_entangled(self):
         v = np.zeros(6)
         v[[0, 4]] = 1.0 / np.sqrt(2.0)  # (|00> + |11>) / sqrt(2) in 2 x 3
         state = make_state(np.outer(v, v), DimPair(2, 3), label="bell(2x3)")
         report = full_report(state)
-        assert report.reports == (ppt_check(state),)
-        assert report.reports[0].verdict == "violated"
+        assert report.reports[0] == ppt_check(state)
+        verdicts = {label: r.verdict for label, r in zip(self.labels(report), report.reports)}
+        assert verdicts == {
+            ("ppt", None): "violated",
+            ("realignment", None): "violated",
+            ("o_reduction", "reduction"): "violated",
+            ("o_reduction", "transpose"): "pass",
+            ("o_reduction", "cycle(l=1)"): "pass",
+        }
         assert report.entangled
 
     def test_non_square_state_judges_its_witnesses(self):
-        # every witness is judged after PPT: a matching one gets its verdict, a mismatched one is named
+        # each witness is judged after the battery: a matching one gets its verdict, a mismatch is named
         state = random_separable_state(DimPair(2, 3), k=3, seed=4)
         w = Witness(DimPair(2, 3), np.eye(6), "identity(2x3)", candidate_only=True, min_eig=1.0)
         report = full_report(state, witnesses=(w,))
-        assert report.reports == (ppt_check(state), w.report(state))
-        assert report.reports[1].verdict == "pass" and abs(report.reports[1].scalar - 1.0) < 1e-12
+        assert report.reports[:-1] == full_report(state).reports
+        assert report.reports[-1] == w.report(state)
+        assert report.reports[-1].verdict == "pass" and abs(report.reports[-1].scalar - 1.0) < 1e-12
         with pytest.raises(ValueError, match=r"^dimension mismatch: witness 3x3 vs state 2x3$"):
             full_report(state, witnesses=(horodecki_ew(0.5),))
 
@@ -763,3 +782,39 @@ class TestFullReport:
         payload = report.to_dict()
         assert payload["overall"] == "entangled"
         assert all(set(r) == {"criterion", "verdict", "scalar", "params"} for r in payload["reports"])
+
+
+RECTANGULAR = [DimPair(d_a, d_b) for d_a in range(2, 5) for d_b in range(2, 5) if d_a != d_b]
+
+
+def schmidt_state(dims: DimPair, weights: np.ndarray, rng: np.random.Generator):
+    """sum_i sqrt(p_i) (U|i>) x (V|i>) for the normalised weights p, U and V Haar-random unitaries."""
+    p = np.asarray(weights, dtype=float) / np.sum(weights)
+    u, v = random_unitary(dims.d_a, rng), random_unitary(dims.d_b, rng)
+    psi = np.einsum("i,ai,bi->ab", np.sqrt(p), u[:, : len(p)], v[:, : len(p)]).reshape(-1)
+    return make_state(np.outer(psi, psi.conj()), dims, f"schmidt(rank={len(p)})")
+
+
+class TestEveryShape:
+    """full_report at d_A != d_B: one battery call, no search; sound on separable states."""
+
+    @given(
+        st.sampled_from(RECTANGULAR), st.sampled_from(["pure", "mixed"]), st.integers(1, 6), st.integers(0, 2**31 - 1)
+    )
+    @example(DimPair(2, 3), "pure", 1, 0)  # product pure states
+    @example(DimPair(4, 3), "pure", 1, 1)
+    def test_separable_samples_are_never_violated(self, dims, mode, k, seed):
+        report = full_report(random_separable_state(dims, k=k, seed=seed, mode=mode))
+        assert len(report.reports) == 2 + dims.d_a + 1
+        assert [r.verdict for r in report.reports] == ["pass"] * len(report.reports)
+
+    @given(st.sampled_from(RECTANGULAR), st.integers(2, 4), st.integers(0, 2**31 - 1))
+    def test_entangled_pure_states_are_violated(self, dims, rank, seed):
+        # Schmidt rank >= 2: rho^T_B has eigenvalue -sqrt(p_1 p_2) and ||T||_tr = (sum_i sqrt(p_i))^2 > 1;
+        # at rank <= 3 each weight is at least 0.1 / 3.3 of the total, well clear of the tolerances
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dims.d_a, dims.d_b)
+        state = schmidt_state(dims, rng.random(rank) + 0.1, rng)
+        verdicts = {r.criterion: r.verdict for r in full_report(state).reports[:2]}
+        assert verdicts == {"ppt": "violated", "realignment": "violated"}
+

@@ -24,6 +24,7 @@ PACKAGE = ROOT / "src" / "loowit"
 ORDER = ["linalg", "loo", "states", "criteria", "witness", "sweep", "cli"]
 
 PENDING = {
+    "criteria.ppt_check",
     "criteria.pair_correlation",
     "criteria.realignment_value",
     "criteria.perm_reduction_family",
