@@ -88,9 +88,11 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # the standard set (loo.standard_entries per observable, loo.standard_positions
 # per matrix position), in the order np.einsum visits them in the dense form
 # named in each docstring. _gathered_sum adds them in place in the first
-# gathered term, which adds 0.0 first: the signed zeros of a sum from +0, with
-# no zero accumulator and no array per product. Tables that depend on the shape
-# alone are built once and read-only (_reduction_gather, loo.battery_mixings).
+# gathered term, with no zero accumulator and no array per product. _residue
+# adds 0.0 to its sum, which gives it the signed zeros of a sum from +0 and no
+# -0.0; the sums read off the residue then have those bits without such a pass
+# (tests/test_batched.py, test_gathers_keep_signed_zeros). Tables that depend on
+# the shape alone are built once and read-only (_reduction_gather, loo.battery_mixings).
 # A skipped term is a product with a zero entry, which adds nothing, so each
 # result has the bits of that einsum at a fraction of its cost. T's dense form
 # is residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
@@ -98,10 +100,9 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 
 
 def _gathered_sum(terms, values) -> np.ndarray:
-    """terms[0] values[0] + terms[1] values[1] for two gathered terms, summed from +0 in place in the first."""
+    """terms[0] values[0] + terms[1] values[1] for two gathered terms, summed in place in the first."""
     total, term = terms
     total *= values[0]
-    total += 0.0
     term *= values[1]
     total += term
     return total
@@ -115,7 +116,9 @@ def _residue(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """
     by_slot = np.swapaxes(blocks(rho, dims), -3, -2)  # (..., m, k, n, l)
     rows, cols, values = standard_entries(dims.d_a)
-    return _gathered_sum((by_slot[..., cols[i], rows[i], :, :] for i in range(2)), values[:, :, None, None])
+    residue = _gathered_sum((by_slot[..., cols[i], rows[i], :, :] for i in range(2)), values[:, :, None, None])
+    residue += 0.0  # summed from +0: no entry is -0.0
+    return residue
 
 
 def _t_from_residue(residue: np.ndarray) -> np.ndarray:
@@ -397,10 +400,14 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     and its eigenvector v (_x_min_eig), then an exact O step (_procrustes)
     moves O, so its smallest eigenvalue never rises. A restart stops at the first
     round whose eigh finds its eigenvalue lowered by no more than SEARCH_STALL
-    since the last round, or at round SEARCH_ROUNDS + 1, which takes no step;
-    it keeps that round's O and eigenvalue, so its value is the eigh that
-    stopped it. The stack shrinks only in such a round. The rule is per
-    restart, so restart b's result does not depend on the budget. Restart 0
+    since the last round, or at round SEARCH_ROUNDS + 1, which takes no step.
+    The restarts also race: in a round r (from 0) with 2 r > SEARCH_ROUNDS, a
+    restart stops unless its eigenvalue is strictly below the latest one of
+    every restart of lower index, a stopped restart's being its final value.
+    A stopped restart keeps that round's O and eigenvalue, so its value is the
+    eigh that stopped it. The stack shrinks only in such a round. Both rules
+    read restart b and the restarts below it only, so restart b's result does
+    not depend on the budget, and restart 0 is never raced out. Restart 0
     starts at the realignment optimum, read off T, which comes off the same
     residue as the X tables, and ends at or below (1 - ||T||_tr) / d, so every
     realignment detection is a search detection; the others start from seeded
@@ -420,14 +427,17 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     residue = _residue(state.rho, state.dims)  # the one gather: T, the X tables and the maps all read it
     o, u = _search_starts(_t_from_residue(residue), d, seed, budget)
     tables = _x_tables(residue, u, d)
-    final_o, val = o, np.empty(budget)  # each restart's O and eigenvalue, written back when it stops
+    final_o, val = o, np.empty(budget)  # each restart's O, written back when it stops, and its latest eigenvalue
     moving = np.arange(budget)  # restart index of each member of the moving stack
     previous = np.inf
     for round_ in range(SEARCH_ROUNDS + 1):
         lam, v = _x_min_eig(tables, o, d)
+        val[moving] = lam
         stopped = (previous - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)
+        if 2 * round_ > SEARCH_ROUNDS:  # the race: ahead of every lower restart's latest value, or stop
+            stopped |= lam >= np.minimum.accumulate(np.concatenate(([np.inf], val)))[moving]
         if stopped.any():
-            final_o[moving[stopped]], val[moving[stopped]] = o[stopped], lam[stopped]
+            final_o[moving[stopped]] = o[stopped]
             keep = ~stopped
             moving, o, lam, v = moving[keep], o[keep], lam[keep], v[keep]
             if not moving.size:

@@ -490,17 +490,23 @@ def drawn_start(d: int, seed: int, restart: int) -> tuple[np.ndarray, np.ndarray
     return draws[restart]
 
 
-def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """One restart of the correlation search by itself, through x_matrix: each round's lambda_min, final O and u.
+def reference_rounds(
+    state: BipartiteState, seed: int, restart: int, earlier: list
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """One restart of the correlation search through x_matrix: each round's lambda_min, final O and u.
 
     Restart 0 starts at u = I and the O maximising Tr(O T); restart b >= 1
     starts from drawn_start. Each of at most SEARCH_ROUNDS + 1 rounds takes the
     smallest eigenvalue and its eigenvector v of X(O) from one eigh. The
     restart stops there, keeping O, once that eigenvalue is lowered by no more
-    than SEARCH_STALL since the last round, or in round SEARCH_ROUNDS + 1;
-    otherwise O moves to -U V^T from the SVD of the pairing's gradient
-    (o_gradient_entries on the residue of the u-conjugated state), the
-    minimiser of v^dagger X(O) v. So the last round's lambda_min is the final O's.
+    than SEARCH_STALL since the last round, or in round SEARCH_ROUNDS + 1, or,
+    in a round r (counted from 0) with 2 r > SEARCH_ROUNDS, unless it is
+    strictly below the latest round of every restart in earlier, the recorded
+    rounds of restarts 0..b-1 (reference_race); one that stopped before round r
+    counts with its last round. Otherwise O moves to -U V^T from the SVD of the
+    pairing's gradient (o_gradient_entries on the residue of the u-conjugated
+    state), the minimiser of v^dagger X(O) v. So the last round's lambda_min is
+    the final O's.
     """
     d = state.dims.square_dim
     if restart == 0:
@@ -511,27 +517,37 @@ def reference_rounds(state: BipartiteState, seed: int, restart: int) -> tuple[li
         o, u = drawn_start(d, seed, restart)
     q = _x_tables(_residue(state.rho, state.dims), u, d).q
     rounds = []
-    for _ in range(SEARCH_ROUNDS + 1):
+    for r in range(SEARCH_ROUNDS + 1):
         vals, vecs = np.linalg.eigh(x_matrix(state, make_transform(o), u))
         rounds.append(float(vals[0]))
-        if len(rounds) == SEARCH_ROUNDS + 1 or (len(rounds) > 1 and rounds[-2] - rounds[-1] <= SEARCH_STALL):
+        if r == SEARCH_ROUNDS or (r > 0 and rounds[-2] - rounds[-1] <= SEARCH_STALL):
+            break
+        if 2 * r > SEARCH_ROUNDS and any(rounds[-1] >= other[min(r, len(other) - 1)] for other in earlier):
             break
         u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))
         o = -u_svd @ vh
     return rounds, o, u
 
 
-def reference_restart(state: BipartiteState, seed: int, restart: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """One restart of the correlation search by itself (reference_rounds): its last round's (min_eig, O, u)."""
-    rounds, o, u = reference_rounds(state, seed, restart)
-    return rounds[-1], o, u
+def reference_race(state: BipartiteState, seed: int, budget: int) -> list[tuple[list[float], np.ndarray, np.ndarray]]:
+    """The correlation search one restart at a time, in restart order: each restart's reference_rounds.
+
+    Restart b races against the recorded rounds of restarts 0..b-1 only, so a
+    smaller budget's race is a prefix of a larger one's.
+    """
+    race = []
+    for restart in range(budget):
+        race.append(reference_rounds(state, seed, restart, [rounds for rounds, _, _ in race]))
+    return race
 
 
 def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.ndarray:
-    """Each restart's final lambda_min when every restart runs all SEARCH_ROUNDS steps, with no stall rule.
+    """Each restart's final lambda_min when every restart runs all SEARCH_ROUNDS steps, with no stall rule and no race.
 
     The search's own starts and kernels, advanced as one stack for a fixed
     number of rounds, as the search ran before it stopped stalled restarts.
+    Each restart's rounds are monotone, so its final value here is at or
+    below where the stall rule or the race stops it.
     """
     d = state.dims.square_dim
     residue = _residue(state.rho, state.dims)
@@ -543,13 +559,14 @@ def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.n
 
 
 def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
-    """The first restart with the lowest value, as the search's argmin keeps it."""
-    return min(restarts, key=lambda r: r[0])
+    """The first restart with the lowest last round, as the search's argmin keeps it: its (min_eig, O, u)."""
+    rounds, o, u = min(restarts, key=lambda r: r[0][-1])
+    return rounds[-1], o, u
 
 
 def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The correlation search one restart at a time: (min_eig, O, u)."""
-    return best_restart([reference_restart(state, seed, restart) for restart in range(budget)])
+    """The correlation search one restart at a time (reference_race): (min_eig, O, u)."""
+    return best_restart(reference_race(state, seed, budget))
 
 
 def tiles_upb_state() -> BipartiteState:

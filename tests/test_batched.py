@@ -79,7 +79,7 @@ from oracles import (
     o_reduction_dense,
     o_reduction_mixed_residue_dense,
     reduction_from_zeros,
-    reference_restart,
+    reference_race,
     residue_from_zeros,
     t_from_zeros,
     unitary_mixing_single,
@@ -379,7 +379,7 @@ def search_state(d: int):
 
 @functools.lru_cache(maxsize=None)
 def reference_restarts(d: int, seed: int, budget: int) -> list:
-    return [reference_restart(search_state(d), seed, r) for r in range(budget)]
+    return reference_race(search_state(d), seed, budget)
 
 
 def same_search(result, reference) -> bool:
@@ -402,7 +402,7 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("budget", (1, 5, 32, 33))
     @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (4, 123), (5, 2024)])
     def test_matches_reference(self, d, seed, budget):
-        # restarts are independent, so a smaller budget's reference is a prefix
+        # restart b races only restarts below b, so a smaller budget's reference is a prefix
         restarts = reference_restarts(d, seed, 33)[:budget]
         assert same_search(x_search(search_state(d), budget, seed), best_restart(restarts))
 

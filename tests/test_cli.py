@@ -709,12 +709,13 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_check_file_json(self, capsys, tmp_path):
-        # a saved mixed separable state through the file path, with the search
+        # a saved mixed separable state through the file path, with the search (o_search reads
+        # 0.02847126462307673)
         path = tmp_path / "separable-mixed-d4.json"
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "030f3c4043824789675fa0fb93da5c5ea138572d3e6fe958a078e2493bb13a19"
+        digest = "bb02136dcc24c8bab4a7f5c5dd76c9a0a00e9ddfa675756fa5b1b53ab830a579"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

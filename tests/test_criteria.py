@@ -60,7 +60,7 @@ from oracles import (
     perm_reduction_closed_form,
     phi_pairing,
     reconstruct,
-    reference_rounds,
+    reference_race,
     swap_operator,
     tiles_upb_state,
     uniform_pairing,
@@ -393,6 +393,27 @@ class TestXMatrix:
 BOUND_POINTS = ((3, 0.25, 0.65), (3, 0.15, 0.1), (4, 0.15, 0.6), (4, 0.2, 0.1), (5, 0.15, 0.45))
 
 
+def restart_finals(state, budget: int, seed: int) -> list[tuple[float, np.ndarray]]:
+    """Each restart's final (lambda_min, O) in x_search: the O its map is built at, and the eigh's value there."""
+    read, finals = {}, []
+    x_min_eig, reduction = criteria._x_min_eig, criteria._reduction_from_residue
+
+    def reading(tables, o, d):
+        lam, v = x_min_eig(tables, o, d)
+        read.update((member.tobytes(), value) for member, value in zip(o, lam))
+        return lam, v
+
+    def mapping(residue, transform):
+        finals.extend(np.swapaxes(transform, -1, -2))
+        return reduction(residue, transform)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "_x_min_eig", reading)
+        patch.setattr(criteria, "_reduction_from_residue", mapping)
+        x_search(state, budget, seed)
+    return [(read[o.tobytes()], o) for o in finals]
+
+
 class TestXSearch:
     def test_singlet_detected(self):
         result = x_search(werner2(1.0), budget=200, seed=123)
@@ -434,14 +455,13 @@ class TestXSearch:
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_rounds_never_raise_min_eig(self, d, seed):
-        # each restart is monotone over the rounds it runs, its last round is the eigenvalue
-        # of its final O, and the search reports the smallest of the restarts' last rounds;
-        # o_search is the smallest eigenvalue of M(rho, O^T) over every restart's final O
+        # each restart of the race is monotone over the rounds it runs, its last round is the
+        # eigenvalue of its final O, and the search reports the smallest of the restarts' last
+        # rounds; o_search is the smallest eigenvalue of M(rho, O^T) over every restart's final O
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
         finals, maps = [], []
-        for restart in range(4):
-            rounds, o, u = reference_rounds(state, seed, restart)
+        for rounds, o, u in reference_race(state, seed, 4):
             assert np.all(np.diff(rounds) <= 1e-12)
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
             finals.append(rounds[-1])
@@ -452,13 +472,26 @@ class TestXSearch:
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
-        # restart 0 starts where <s|X|s> = 1 - ||T||_tr and ends at or below a d-th of it
+        # restart 0 starts where <s|X|s> = 1 - ||T||_tr and ends at or below a d-th of it; no
+        # restart races it out, so at the default budget it ends with the bits it has alone
         rng = np.random.default_rng(seed)
         for state in (random_state(rng, d), max_entangled(d)):
             bound = 1.0 - realignment_value(state)[0]
             o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
-            assert x_search(state, 1, seed).report.scalar <= bound / d + 1e-12
+            alone = x_search(state, 1, seed).report.scalar
+            assert alone <= bound / d + 1e-12
+            assert restart_finals(state, SEARCH_BUDGET, seed)[0][0] == alone
+
+    @pytest.mark.parametrize("state", [horodecki_rho(0.5), tiles_upb_state()], ids=lambda state: state.label)
+    def test_restart_ends_alike_at_every_budget_above_it(self, state):
+        # the race reads only restarts of lower index, so restart b's final (lambda, O) has the
+        # same bits at budget b + 1, where it is the last restart, as at budgets 16 and 40
+        at_16, at_40 = restart_finals(state, 16, 0), restart_finals(state, 40, 0)
+        for b in range(16):
+            lam, o = restart_finals(state, b + 1, 0)[b]
+            for other_lam, other_o in (at_16[b], at_40[b]):
+                assert other_lam == lam and other_o.tobytes() == o.tobytes()
 
     @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (6, 11)])
     def test_drawn_starts_are_a_budget_prefix(self, d, seed):
@@ -545,12 +578,13 @@ class TestSearchStall:
         st.floats(0.0, 1.0),
     )
     def test_matches_fixed_rounds(self, d, seed, kind, p):
-        # the descent the stall rule can give up is at most SEARCH_ROUNDS * SEARCH_STALL
+        # each restart's rounds are monotone, so where the stall rule or the race stops it lies at
+        # or above where all SEARCH_ROUNDS steps end it, to within SEARCH_ROUNDS * SEARCH_STALL
         state = stall_test_state(kind, d, seed, p)
         result = x_search(state, SEARCH_BUDGET, seed)
         fixed = float(x_search_fixed_rounds(state, SEARCH_BUDGET, seed).min())
-        assert abs(result.report.scalar - fixed) <= SEARCH_ROUNDS * SEARCH_STALL
-        assert result.report.verdict == ("violated" if fixed < -SEARCH_TOL else "inconclusive")
+        assert result.report.scalar >= fixed - SEARCH_ROUNDS * SEARCH_STALL
+        assert result.report.verdict == "inconclusive" or fixed < -SEARCH_TOL
 
     @staticmethod
     def procrustes_members(monkeypatch, state, budget: int, seed: int) -> int:
@@ -574,9 +608,12 @@ class TestSearchStall:
         assert members == 32
 
     def test_moving_restarts_keep_their_rounds(self, monkeypatch):
-        # horodecki(0.5) still descends in every round of every restart: the fixed-round count
-        members = self.procrustes_members(monkeypatch, horodecki_rho(0.5), 16, 0)
-        assert members == 16 * SEARCH_ROUNDS + 1
+        # one O step per round before each restart's last, as the race's reference runs them, plus
+        # the warm start's Procrustes; on horodecki(0.5) the race stops some restarts early
+        state = horodecki_rho(0.5)
+        members = self.procrustes_members(monkeypatch, state, 16, 0)
+        assert members == 1 + sum(len(rounds) - 1 for rounds, _, _ in reference_race(state, 0, 16))
+        assert members < 16 * SEARCH_ROUNDS + 1
 
 
 def search_reports(report) -> tuple:
