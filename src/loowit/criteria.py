@@ -13,9 +13,10 @@ instances that already detect PPT entangled states. The Hermitian correlation
 matrix is the same map compressed onto span{|kk>}, a measurable d x d object
 at d_A = d_B = d: it is positive semidefinite on separable states for every
 unitary u and orthogonal O. The search over (u, O) minimises X's smallest
-eigenvalue and then reads the full map at each restart's final O, which by
-interlacing goes at least as low. Imports run down the module order linalg,
-loo, states, criteria, witness, sweep, cli: witness builds on this module.
+eigenvalue, and full_report's battery then reads the full map at each
+restart's final O, which by interlacing goes at least as low. Imports run
+down the module order linalg, loo, states, criteria, witness, sweep, cli:
+witness builds on this module.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .loo import (
     random_orthogonal,
     random_unitary,
     require_mixing_size,
+    standard_basis,
     standard_entries,
     standard_positions,
     transpose_transform,
@@ -306,15 +308,15 @@ def _x_tables(residue: np.ndarray, u: np.ndarray, d: int) -> _XTables:
 def _x_stack(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
     """X[..., m, n] = delta_mn h_m - sum_v L_v[m, n] (O Q)_v[m, n] for each (o, tables) pair of the stacks.
 
-    The mixing is one matmul on the residue, as in o_reduction_operator, and
-    the at most two standard observables nonzero at each position (m, n) are
-    gathered from it.
+    The mixing is one matmul on the residue, as in o_reduction_operator. The
+    sum over v runs in slot order through zero products, which change no bit
+    of the at most two nonzero terms at each position (tests/oracles.x_gathered).
     """
-    slots, values = standard_positions(d)
-    terms = _mix(o, tables.q)[..., slots, np.arange(d)[:, None], np.arange(d)] * values  # (..., 2, d, d)
-    x = -(terms[..., 0, :, :] + terms[..., 1, :, :])
-    x[..., range(d), range(d)] += tables.h
-    return x
+    mixed = _mix(o, tables.q)
+    terms = mixed.reshape(mixed.shape[:-2] + (d * d,)) * standard_basis(d).reshape(d * d, d * d)
+    x = -terms.sum(axis=-2)  # (..., d^2): X flattened, its diagonal every d + 1 entries
+    x[..., :: d + 1] += tables.h
+    return x.reshape(x.shape[:-1] + (d, d))
 
 
 def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,17 +327,18 @@ def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class XSearchResult:
-    """Best correlation-matrix violation found by randomized search, and the map at its mixings.
+    """Best correlation-matrix violation found by randomized search, and every restart's final mixing.
 
     unitary and transform are the (u, O) of the restart whose X reads lowest,
-    and report is x_search's; o_report is o_search's, the lowest eigenvalue of
-    the reduction map M(rho, O^T) over every restart's final O.
+    and report is x_search's. finals is the (budget, d^2, d^2) stack of every
+    restart's final O, in restart order, at whose M(rho, O^T) full_report
+    reads o_search.
     """
 
     unitary: np.ndarray
     transform: np.ndarray
     report: CriterionReport
-    o_report: CriterionReport
+    finals: np.ndarray
 
 
 def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
@@ -349,7 +352,7 @@ def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
     v is (..., d); G is (..., d^2, d^2).
     """
     rows, cols, values = standard_entries(d)
-    weights = values * v[..., rows].conj() * v[..., cols]  # (..., 2, d^2)
+    weights = values * np.take(v, rows, axis=-1).conj() * np.take(v, cols, axis=-1)  # (..., 2, d^2)
     terms = np.multiply(weights[..., None], tables.entries, order="C").real  # (..., 2, a, w)
     # summed from +0, so a projector's padded second entry changes no bit, not even a zero's sign
     return -(0.0 + terms[..., 0, :, :] + terms[..., 1, :, :])
@@ -413,21 +416,23 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     realignment detection is a search detection; the others start from seeded
     random pairs.
 
-    After the rounds, the reduction map M(rho, O^T) of every restart's final O
-    is built from the same residue and eigensolved as one stack; o_search
-    reports the lowest eigenvalue. X(u, O) is M(rho, O^T) compressed onto the
-    orthonormal vectors (I x u)|kk>, so by interlacing M's smallest eigenvalue
-    is at most X's, and M is positive on separable states for every orthogonal
-    O. Both verdicts are "violated" only below -SEARCH_TOL; a failed search is
-    "inconclusive", never a separability certificate.
+    The search builds no map: it returns every restart's final O (finals),
+    and full_report eigensolves M(rho, O^T) at each in its battery call.
+    X(u, O) is M(rho, O^T) compressed onto the orthonormal vectors
+    (I x u)|kk>, so by interlacing M's smallest eigenvalue is at most X's, and
+    M is positive on separable states for every orthogonal O. The verdict is
+    "violated" only below -SEARCH_TOL; a failed search is "inconclusive",
+    never a separability certificate.
     """
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
     d = state.dims.square_dim
-    residue = _residue(state.rho, state.dims)  # the one gather: T, the X tables and the maps all read it
+    residue = _residue(state.rho, state.dims)  # the one gather: T and the X tables both read it
     o, u = _search_starts(_t_from_residue(residue), d, seed, budget)
     tables = _x_tables(residue, u, d)
-    final_o, val = o, np.empty(budget)  # each restart's O, written back when it stops, and its latest eigenvalue
+    final_o = o  # each restart's O, written back when it stops
+    lead = np.full(budget + 1, np.inf)  # +inf, then each restart's latest eigenvalue
+    val = lead[1:]
     moving = np.arange(budget)  # restart index of each member of the moving stack
     previous = np.inf
     for round_ in range(SEARCH_ROUNDS + 1):
@@ -435,7 +440,7 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
         val[moving] = lam
         stopped = (previous - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)
         if 2 * round_ > SEARCH_ROUNDS:  # the race: ahead of every lower restart's latest value, or stop
-            stopped |= lam >= np.minimum.accumulate(np.concatenate(([np.inf], val)))[moving]
+            stopped |= lam >= np.minimum.accumulate(lead)[moving]
         if stopped.any():
             final_o[moving[stopped]] = o[stopped]
             keep = ~stopped
@@ -445,13 +450,12 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
             tables = _XTables(*(table[keep] for table in tables))
         o = _procrustes(_o_gradient(tables, v, d))
         previous = lam
-    _, map_min = is_psd(_reduction_from_residue(residue[None], np.swapaxes(final_o, -1, -2)))
     b = int(np.argmin(val))  # the first restart of the minimum
     return XSearchResult(
         unitary=u[b],
         transform=final_o[b],
         report=_search_report("x_search", float(val[b]), budget, seed),
-        o_report=_search_report("o_search", float(np.min(map_min)), budget, seed),
+        finals=final_o,
     )
 
 
@@ -507,22 +511,26 @@ def full_report(
     reduction maps for the A-side identity / transpose / all diagonal-cycle
     mixings of battery_mixings(d_A). Each witness's own verdict follows, a
     witness of other dimensions raising expectation's mismatch error. Then,
-    unless include_search is off, x_search and o_search come from one x_search
-    call on square states only: X pairs the sides through (I x u)|kk>, which
-    needs d_A = d_B.
+    unless include_search is off, x_search and o_search follow on square
+    states only: X pairs the sides through (I x u)|kk>, which needs d_A = d_B.
+    x_search runs first, and the battery call also eigensolves M(rho, O^T) at
+    its finals; o_search reports their lowest eigenvalue.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
     d_a = state.dims.d_a
     tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d_a)]
-    ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, state.dims, battery_mixings(d_a))
+    search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b else None
+    mixings = battery_mixings(d_a)
+    if search:
+        mixings = np.concatenate([mixings, np.swapaxes(search.finals, -1, -2)])
+    ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, state.dims, mixings)
     reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
     reports += [
         _report("o_reduction", member_ok, member_min, transform=tag)
         for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
     ]
     reports += [witness.report(state) for witness in witnesses]
-    if include_search and d_a == state.dims.d_b:
-        search = x_search(state, budget=budget, seed=seed)
-        reports += [search.report, search.o_report]
+    if search:
+        reports += [search.report, _search_report("o_search", float(np.min(map_min[len(tags) :])), budget, seed)]
     return FullReport(state_label=state.label, reports=tuple(reports))

@@ -13,6 +13,7 @@ import numpy as np
 from loowit.criteria import (
     SEARCH_ROUNDS,
     SEARCH_STALL,
+    _XTables,
     _mix,
     _o_gradient,
     _procrustes,
@@ -25,8 +26,9 @@ from loowit.criteria import (
     _x_tables,
     correlation_T,
     o_reduction_apply,
+    o_reduction_operator,
 )
-from loowit.linalg import DimPair, blocks, dagger, max_abs, partial_trace
+from loowit.linalg import DimPair, blocks, dagger, is_psd, max_abs, partial_trace
 from loowit.loo import (
     ORTHOGONALITY_TOL,
     apply_orthogonal,
@@ -37,6 +39,7 @@ from loowit.loo import (
     random_unitary,
     standard_basis,
     standard_entries,
+    standard_positions,
     sym_slot,
 )
 from loowit.states import BipartiteState, FamilyParams, family_rho, horodecki_rho, make_state, phi
@@ -383,6 +386,20 @@ def reduction_from_zeros(residue: np.ndarray, transform: np.ndarray) -> np.ndarr
     return (m + dagger(m)) / 2.0
 
 
+def x_gathered(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:
+    """criteria._x_stack with the at most two standard observables nonzero at each position (m, n) gathered.
+
+    The mixed residue is read at [..., slot, m, n] for both slots of every
+    position, and h is added on the diagonal by index, where the production X
+    sums every slot's product and adds h on its flattened diagonal.
+    """
+    slots, values = standard_positions(d)
+    terms = _mix(o, tables.q)[..., slots, np.arange(d)[:, None], np.arange(d)] * values  # (..., 2, d, d)
+    x = -(terms[..., 0, :, :] + terms[..., 1, :, :])
+    x[..., range(d), range(d)] += tables.h
+    return x
+
+
 def family_matrix_loops(params: FamilyParams) -> np.ndarray:
     """The diagonal family matrix entry by entry: (a_1/d) |Phi><Phi| plus a_i/d on |k, k+i-1><k, k+i-1|."""
     d = params.d
@@ -567,6 +584,11 @@ def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
 def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The correlation search one restart at a time (reference_race): (min_eig, O, u)."""
     return best_restart(reference_race(state, seed, budget))
+
+
+def map_minimum_alone(state: BipartiteState, finals: np.ndarray) -> float:
+    """o_search one mixing at a time: the least is_psd minimum of M(rho, O^T) over finals, each solved alone."""
+    return min(is_psd(o_reduction_operator(state.rho, state.dims, o.T))[1] for o in finals)
 
 
 def tiles_upb_state() -> BipartiteState:

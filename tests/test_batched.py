@@ -18,6 +18,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import random_density, same_bits, sample_states
 from loowit.criteria import (
+    _XTables,
     _o_gradient,
     _reduction_from_residue,
     _residue,
@@ -84,6 +85,7 @@ from oracles import (
     t_from_zeros,
     unitary_mixing_single,
     x_coefficients_loops,
+    x_gathered,
     x_matrix,
     x_search_reference,
 )
@@ -433,6 +435,24 @@ class TestLockstepSearch:
             r = unitary_mixing_single(u[i], d)
             assert np.abs(expand(basis, x[i]) - x_coefficients_loops(s, o[i], r, d)).max() <= 1e-12
             assert np.abs(g[i] - o_gradient_loops(s, r, v[i], d)).max() <= 1e-12
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_x_keeps_gathered_bits(self, d, seed):
+        # X sums every slot's product through zeros, where the gather adds only the two nonzero
+        # ones: the same bits, each zero's sign included, on tables whose entries are signed zeros
+        # and a few exact values, for a stack of pairs and for one pair alone
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.25])
+
+        def draw(*shape):
+            return rng.choice(values, shape)
+
+        n, batch = d * d, 3
+        tables = _XTables(draw(batch, n, d, d) + 1j * draw(batch, n, d, d), draw(batch, d) + 1j * draw(batch, d), None)
+        o = draw(batch, n, n)
+        assert same_bits(_x_stack(tables, o, d), x_gathered(tables, o, d))
+        alone = _XTables(tables.q[0], tables.h[0], None)
+        assert same_bits(_x_stack(alone, o[0], d), x_gathered(alone, o[0], d))
 
 
 class TestFamilyStack:

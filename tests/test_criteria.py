@@ -57,6 +57,7 @@ from oracles import (
     drawn_start,
     expand,
     local_map,
+    map_minimum_alone,
     perm_reduction_closed_form,
     phi_pairing,
     reconstruct,
@@ -394,23 +395,18 @@ BOUND_POINTS = ((3, 0.25, 0.65), (3, 0.15, 0.1), (4, 0.15, 0.6), (4, 0.2, 0.1), 
 
 
 def restart_finals(state, budget: int, seed: int) -> list[tuple[float, np.ndarray]]:
-    """Each restart's final (lambda_min, O) in x_search: the O its map is built at, and the eigh's value there."""
-    read, finals = {}, []
-    x_min_eig, reduction = criteria._x_min_eig, criteria._reduction_from_residue
+    """Each restart's final (lambda_min, O) in x_search: its member of finals, and the eigh's value there."""
+    read = {}
+    x_min_eig = criteria._x_min_eig
 
     def reading(tables, o, d):
         lam, v = x_min_eig(tables, o, d)
         read.update((member.tobytes(), value) for member, value in zip(o, lam))
         return lam, v
 
-    def mapping(residue, transform):
-        finals.extend(np.swapaxes(transform, -1, -2))
-        return reduction(residue, transform)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(criteria, "_x_min_eig", reading)
-        patch.setattr(criteria, "_reduction_from_residue", mapping)
-        x_search(state, budget, seed)
+        finals = x_search(state, budget, seed).finals
     return [(read[o.tobytes()], o) for o in finals]
 
 
@@ -466,9 +462,9 @@ class TestXSearch:
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
             finals.append(rounds[-1])
             maps.append(herm_eigvalues(o_reduction_operator(state.rho, state.dims, o.T))[0])
-        result = x_search(state, 4, seed)
-        assert result.report.scalar == min(finals)
-        assert abs(result.o_report.scalar - min(maps)) <= 1e-12
+        x_report, o_report = search_reports(full_report(state, budget=4, seed=seed))
+        assert x_report.scalar == x_search(state, 4, seed).report.scalar == min(finals)
+        assert abs(o_report.scalar - min(maps)) <= 1e-12
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
@@ -505,9 +501,37 @@ class TestXSearch:
             assert drawn_o.tobytes() == o[b].tobytes() and drawn_u.tobytes() == u[b].tobytes()
         # and restart b ends where it ends at any budget, so both minima over more restarts end no higher
         state = random_state(np.random.default_rng(seed), d)
-        fewer, more = x_search(state, 16, seed), x_search(state, 40, seed)
-        assert more.report.scalar <= fewer.report.scalar
-        assert more.o_report.scalar <= fewer.o_report.scalar
+        fewer, more = (search_reports(full_report(state, budget=b, seed=seed)) for b in (16, 40))
+        assert more[0].scalar <= fewer[0].scalar
+        assert more[1].scalar <= fewer[1].scalar
+
+    @pytest.mark.parametrize("state", [horodecki_rho(0.5), tiles_upb_state(), max_entangled(4)], ids=lambda s: s.label)
+    def test_searched_check_builds_maps_once(self, state):
+        # x_search builds and eigensolves no map; full_report's one battery call builds every map,
+        # battery's then each final's M(rho, O^T), and eigensolves them in one is_psd call. o_search
+        # has the bits of the least minimum over the finals, each eigensolved alone
+        built, solved = [], []
+        reduction, psd = criteria._reduction_from_residue, criteria.is_psd
+
+        def building(residue, transform):
+            built.append(np.shape(transform))
+            return reduction(residue, transform)
+
+        def solving(h):
+            solved.append(np.shape(h))
+            return psd(h)
+
+        d = state.dims.square_dim
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(criteria, "_reduction_from_residue", building)
+            patch.setattr(criteria, "is_psd", solving)
+            finals = x_search(state, SEARCH_BUDGET, 3).finals
+            assert built == solved == []
+            _, o_report = search_reports(full_report(state, seed=3))
+        maps = (d + 1 + SEARCH_BUDGET, d * d, d * d)
+        assert finals.shape == (SEARCH_BUDGET, d * d, d * d)
+        assert built == [maps] and solved == [(d * d, d * d), maps]  # the partial transpose, then the maps
+        assert o_report.scalar == map_minimum_alone(state, finals)
 
     @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
     @pytest.mark.parametrize(
@@ -524,9 +548,9 @@ class TestXSearch:
             local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
             state = make_state(local @ state.rho @ local.conj().T, state.dims, "rotated")
         for budget in (1, SEARCH_BUDGET):
-            result = x_search(state, budget, seed=0)
-            assert result.report.verdict == result.o_report.verdict == "violated"
-            assert result.o_report.scalar <= result.report.scalar + 1e-12
+            x_report, o_report = search_reports(full_report(state, budget=budget))
+            assert x_report.verdict == o_report.verdict == "violated"
+            assert o_report.scalar <= x_report.scalar + 1e-12
 
     @pytest.mark.parametrize("seed", (-1, 1.5, True, False))
     def test_bad_seed_named(self, seed):
