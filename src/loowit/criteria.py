@@ -12,9 +12,10 @@ d_A x d_B: on a product state sigma x tau the map is (I - sigma') x tau, with
 instances that already detect PPT entangled states. The Hermitian correlation
 matrix is the same map compressed onto span{|kk>}, a measurable d x d object
 at d_A = d_B = d: it is positive semidefinite on separable states for every
-unitary u and orthogonal O. The search over (u, O) minimises X's smallest
-eigenvalue, and full_report's battery then reads the full map at each
-restart's final O, which by interlacing goes at least as low. Imports run
+unitary u and orthogonal O. The search over (u, O) lowers X's smallest
+eigenvalue from each of its restarts and returns each restart's value and
+final O; full_report reports the least value, and its battery reads the full
+map at each final O, which by interlacing goes at least as low. Imports run
 down the module order linalg, loo, states, criteria, witness, sweep, cli:
 witness builds on this module.
 """
@@ -325,22 +326,6 @@ def _x_min_eig(tables: _XTables, o: np.ndarray, d: int) -> tuple[np.ndarray, np.
     return vals[..., 0], vecs[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
-class XSearchResult:
-    """Best correlation-matrix violation found by randomized search, and every restart's final mixing.
-
-    unitary and transform are the (u, O) of the restart whose X reads lowest,
-    and report is x_search's. finals is the (budget, d^2, d^2) stack of every
-    restart's final O, in restart order, at whose M(rho, O^T) full_report
-    reads o_search.
-    """
-
-    unitary: np.ndarray
-    transform: np.ndarray
-    report: CriterionReport
-    finals: np.ndarray
-
-
 def _o_gradient(tables: _XTables, v: np.ndarray, d: int) -> np.ndarray:
     """G with v^dagger X(O) v = c + <G, O> for every mixing O, for unit vectors v.
 
@@ -395,7 +380,7 @@ def _search_report(criterion: str, value: float, budget: int, seed: int) -> Crit
     return CriterionReport(criterion, verdict, value, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
 
 
-def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
+def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the smallest correlation-matrix eigenvalue over (unitary, orthogonal) pairs.
 
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
@@ -416,13 +401,13 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
     realignment detection is a search detection; the others start from seeded
     random pairs.
 
-    The search builds no map: it returns every restart's final O (finals),
-    and full_report eigensolves M(rho, O^T) at each in its battery call.
+    Returns (values, finals) in restart order: each restart's final
+    eigenvalue, (budget,), and its final O, (budget, d^2, d^2). The search
+    builds no map and picks no restart; full_report reduces both stacks.
     X(u, O) is M(rho, O^T) compressed onto the orthonormal vectors
-    (I x u)|kk>, so by interlacing M's smallest eigenvalue is at most X's, and
-    M is positive on separable states for every orthogonal O. The verdict is
-    "violated" only below -SEARCH_TOL; a failed search is "inconclusive",
-    never a separability certificate.
+    (I x u)|kk>, so by interlacing M's smallest eigenvalue at a restart's
+    final O is at most its value, and M is positive on separable states for
+    every orthogonal O.
     """
     require_count(budget, "budget", 1)
     require_count(seed, "seed", 0)
@@ -450,13 +435,7 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> XSearchResult:
             tables = _XTables(*(table[keep] for table in tables))
         o = _procrustes(_o_gradient(tables, v, d))
         previous = lam
-    b = int(np.argmin(val))  # the first restart of the minimum
-    return XSearchResult(
-        unitary=u[b],
-        transform=final_o[b],
-        report=_search_report("x_search", float(val[b]), budget, seed),
-        finals=final_o,
-    )
+    return val, final_o
 
 
 def classify_family_point(d: int, a1, a2):
@@ -514,7 +493,8 @@ def full_report(
     unless include_search is off, x_search and o_search follow on square
     states only: X pairs the sides through (I x u)|kk>, which needs d_A = d_B.
     x_search runs first, and the battery call also eigensolves M(rho, O^T) at
-    its finals; o_search reports their lowest eigenvalue.
+    its finals. The x_search report is the least restart value, o_search the
+    least of those map minima.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
@@ -523,7 +503,8 @@ def full_report(
     search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b else None
     mixings = battery_mixings(d_a)
     if search:
-        mixings = np.concatenate([mixings, np.swapaxes(search.finals, -1, -2)])
+        values, finals = search
+        mixings = np.concatenate([mixings, np.swapaxes(finals, -1, -2)])
     ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, state.dims, mixings)
     reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
     reports += [
@@ -532,5 +513,8 @@ def full_report(
     ]
     reports += [witness.report(state) for witness in witnesses]
     if search:
-        reports += [search.report, _search_report("o_search", float(np.min(map_min[len(tags) :])), budget, seed)]
+        reports += [  # min of the list keeps the first of tied minima, so 0.0 and -0.0 read as the lower restart
+            _search_report("x_search", min(values.tolist()), budget, seed),
+            _search_report("o_search", float(np.min(map_min[len(tags) :])), budget, seed),
+        ]
     return FullReport(state_label=state.label, reports=tuple(reports))

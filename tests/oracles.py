@@ -575,17 +575,6 @@ def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.n
     return _x_min_eig(tables, o, d)[0]
 
 
-def best_restart(restarts: list) -> tuple[float, np.ndarray, np.ndarray]:
-    """The first restart with the lowest last round, as the search's argmin keeps it: its (min_eig, O, u)."""
-    rounds, o, u = min(restarts, key=lambda r: r[0][-1])
-    return rounds[-1], o, u
-
-
-def x_search_reference(state: BipartiteState, budget: int, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The correlation search one restart at a time (reference_race): (min_eig, O, u)."""
-    return best_restart(reference_race(state, seed, budget))
-
-
 def map_minimum_alone(state: BipartiteState, finals: np.ndarray) -> float:
     """o_search one mixing at a time: the least is_psd minimum of M(rho, O^T) over finals, each solved alone."""
     return min(is_psd(o_reduction_operator(state.rho, state.dims, o.T))[1] for o in finals)

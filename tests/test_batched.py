@@ -22,6 +22,7 @@ from loowit.criteria import (
     _o_gradient,
     _reduction_from_residue,
     _residue,
+    _search_starts,
     _t_from_residue,
     _x_stack,
     _x_tables,
@@ -70,7 +71,6 @@ from loowit.states import (
 )
 from loowit.sweep import evaluate_point, run_sweep
 from oracles import (
-    best_restart,
     correlation_T_dense,
     correlation_dense,
     expand,
@@ -87,7 +87,6 @@ from oracles import (
     x_coefficients_loops,
     x_gathered,
     x_matrix,
-    x_search_reference,
 )
 
 
@@ -384,12 +383,15 @@ def reference_restarts(d: int, seed: int, budget: int) -> list:
     return reference_race(search_state(d), seed, budget)
 
 
-def same_search(result, reference) -> bool:
-    min_eig, o, u = reference
+def same_search(state, budget: int, seed: int, restarts: list) -> bool:
+    """x_search's every value and final O, and the unitaries it starts from, bit for bit the reference race's."""
+    values, finals = x_search(state, budget, seed)
+    rounds, ends, unitaries = zip(*restarts)
+    starts = _search_starts(correlation_T(state), state.dims.square_dim, seed, budget)[1]
     return (
-        result.report.scalar == min_eig
-        and np.array_equal(result.transform, o)
-        and np.array_equal(result.unitary, u)
+        same_bits(values, np.array([r[-1] for r in rounds]))
+        and same_bits(finals, np.array(ends))
+        and same_bits(starts, np.array(unitaries))
     )
 
 
@@ -405,12 +407,11 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (4, 123), (5, 2024)])
     def test_matches_reference(self, d, seed, budget):
         # restart b races only restarts below b, so a smaller budget's reference is a prefix
-        restarts = reference_restarts(d, seed, 33)[:budget]
-        assert same_search(x_search(search_state(d), budget, seed), best_restart(restarts))
+        assert same_search(search_state(d), budget, seed, reference_restarts(d, seed, 33)[:budget])
 
     @pytest.mark.parametrize("state", [horodecki_rho(0.5), max_entangled(2)], ids=["horodecki", "phi2"])
     def test_full_budget_matches_reference(self, state):
-        assert same_search(x_search(state, 200, 3), x_search_reference(state, 200, 3))
+        assert same_search(state, 200, 3, reference_race(state, 3, 200))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_coefficient_stack_matches_slot_loops(self, d, seed):

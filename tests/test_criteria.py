@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_density, random_state, sample_states
+from conftest import random_density, random_state, same_bits, sample_states
 from loowit import criteria
 from loowit.criteria import (
     ALGEBRAIC_TOL,
@@ -28,7 +28,7 @@ from loowit.criteria import (
     realignment_value,
     x_search,
 )
-from loowit.linalg import DimPair, herm_eigvalues, max_abs, realign, trace_norm
+from loowit.linalg import DimPair, herm_eigvalues, is_psd, max_abs, realign, trace_norm
 from loowit.loo import (
     cycle_mixings,
     diag_cycle,
@@ -395,43 +395,32 @@ BOUND_POINTS = ((3, 0.25, 0.65), (3, 0.15, 0.1), (4, 0.15, 0.6), (4, 0.2, 0.1), 
 
 
 def restart_finals(state, budget: int, seed: int) -> list[tuple[float, np.ndarray]]:
-    """Each restart's final (lambda_min, O) in x_search: its member of finals, and the eigh's value there."""
-    read = {}
-    x_min_eig = criteria._x_min_eig
-
-    def reading(tables, o, d):
-        lam, v = x_min_eig(tables, o, d)
-        read.update((member.tobytes(), value) for member, value in zip(o, lam))
-        return lam, v
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(criteria, "_x_min_eig", reading)
-        finals = x_search(state, budget, seed).finals
-    return [(read[o.tobytes()], o) for o in finals]
+    """Each restart's final (lambda_min, O) in x_search, in restart order."""
+    return list(zip(*x_search(state, budget, seed)))
 
 
 class TestXSearch:
     def test_singlet_detected(self):
-        result = x_search(werner2(1.0), budget=200, seed=123)
-        assert result.report.verdict == "violated"
-        assert result.report.scalar < -1e-6
+        report = search_reports(full_report(werner2(1.0), budget=200, seed=123))[0]
+        assert report.verdict == "violated"
+        assert report.scalar < -1e-6
 
     def test_weakly_mixed_inconclusive_and_ppt(self):
-        result = x_search(werner2(0.25), budget=200, seed=123)
-        assert result.report.verdict == "inconclusive"
-        assert result.report.scalar >= -1e-6
+        report = search_reports(full_report(werner2(0.25), budget=200, seed=123))[0]
+        assert report.verdict == "inconclusive"
+        assert report.scalar >= -1e-6
         assert ppt_check(werner2(0.25)).verdict == "pass"
 
     def test_separable_stays_nonnegative(self):
         state = random_separable_state(DimPair.square(3), k=5, seed=77)
-        result = x_search(state, budget=100, seed=5)
-        assert result.report.verdict == "inconclusive"
-        assert result.report.scalar >= -1e-6
+        report = search_reports(full_report(state, budget=100, seed=5))[0]
+        assert report.verdict == "inconclusive"
+        assert report.scalar >= -1e-6
 
     def test_deterministic_given_seed(self):
         a = x_search(werner2(0.5), budget=20, seed=3)
         b = x_search(werner2(0.5), budget=20, seed=3)
-        assert a.report.scalar == b.report.scalar
+        assert all(same_bits(x, y) for x, y in zip(a, b))
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_pairing_is_affine_in_o(self, d, seed):
@@ -452,18 +441,18 @@ class TestXSearch:
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_rounds_never_raise_min_eig(self, d, seed):
         # each restart of the race is monotone over the rounds it runs, its last round is the
-        # eigenvalue of its final O, and the search reports the smallest of the restarts' last
-        # rounds; o_search is the smallest eigenvalue of M(rho, O^T) over every restart's final O
+        # eigenvalue of its final O, the search returns each restart's last round, and full_report's
+        # x_search is the smallest; o_search is the smallest eigenvalue of M(rho, O^T) over the finals
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
-        finals, maps = [], []
+        lows, maps = [], []
         for rounds, o, u in reference_race(state, seed, 4):
             assert np.all(np.diff(rounds) <= 1e-12)
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
-            finals.append(rounds[-1])
+            lows.append(rounds[-1])
             maps.append(herm_eigvalues(o_reduction_operator(state.rho, state.dims, o.T))[0])
         x_report, o_report = search_reports(full_report(state, budget=4, seed=seed))
-        assert x_report.scalar == x_search(state, 4, seed).report.scalar == min(finals)
+        assert x_search(state, 4, seed)[0].tolist() == lows and x_report.scalar == min(lows)
         assert abs(o_report.scalar - min(maps)) <= 1e-12
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
@@ -475,7 +464,7 @@ class TestXSearch:
             bound = 1.0 - realignment_value(state)[0]
             o, u = _search_starts(correlation_T(state), d, seed, 1)
             assert abs(uniform_pairing(state, make_transform(o[0]), u[0]) - bound) < 1e-12
-            alone = x_search(state, 1, seed).report.scalar
+            (alone,), _ = x_search(state, 1, seed)
             assert alone <= bound / d + 1e-12
             assert restart_finals(state, SEARCH_BUDGET, seed)[0][0] == alone
 
@@ -488,6 +477,27 @@ class TestXSearch:
             lam, o = restart_finals(state, b + 1, 0)[b]
             for other_lam, other_o in (at_16[b], at_40[b]):
                 assert other_lam == lam and other_o.tobytes() == o.tobytes()
+
+    @given(
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9).flatmap(lambda b: st.tuples(st.just(b), st.integers(b, 9))),
+        st.integers(0, 6),
+    )
+    def test_restarts_are_a_budget_prefix_and_bound_their_maps(self, d, seed, budgets, k):
+        # restart i's (value, O) has the same bits at every budget above i; the map at its O^T
+        # reads at or below its value (interlacing); on separable samples (k >= 1) no value is
+        # below -SEARCH_TOL
+        b, big = budgets
+        rng = np.random.default_rng(seed)
+        state = random_separable_state(DimPair.square(d), k, seed) if k else random_state(rng, d)
+        values, finals = x_search(state, big, seed)
+        short_values, short_finals = x_search(state, b, seed)
+        assert same_bits(values[:b], short_values) and same_bits(finals[:b], short_finals)
+        allowance = 1e-12 * max(1.0, np.abs(state.rho).max())
+        for value, o in zip(values, finals):
+            assert is_psd(o_reduction_operator(state.rho, state.dims, o.T))[1] <= value + allowance
+        assert k == 0 or np.all(values >= -SEARCH_TOL)
 
     @pytest.mark.parametrize("d, seed", [(2, 0), (3, 7), (6, 11)])
     def test_drawn_starts_are_a_budget_prefix(self, d, seed):
@@ -525,7 +535,7 @@ class TestXSearch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(criteria, "_reduction_from_residue", building)
             patch.setattr(criteria, "is_psd", solving)
-            finals = x_search(state, SEARCH_BUDGET, 3).finals
+            _, finals = x_search(state, SEARCH_BUDGET, 3)
             assert built == solved == []
             _, o_report = search_reports(full_report(state, seed=3))
         maps = (d + 1 + SEARCH_BUDGET, d * d, d * d)
@@ -605,10 +615,10 @@ class TestSearchStall:
         # each restart's rounds are monotone, so where the stall rule or the race stops it lies at
         # or above where all SEARCH_ROUNDS steps end it, to within SEARCH_ROUNDS * SEARCH_STALL
         state = stall_test_state(kind, d, seed, p)
-        result = x_search(state, SEARCH_BUDGET, seed)
-        fixed = float(x_search_fixed_rounds(state, SEARCH_BUDGET, seed).min())
-        assert result.report.scalar >= fixed - SEARCH_ROUNDS * SEARCH_STALL
-        assert result.report.verdict == "inconclusive" or fixed < -SEARCH_TOL
+        values, _ = x_search(state, SEARCH_BUDGET, seed)
+        fixed = x_search_fixed_rounds(state, SEARCH_BUDGET, seed)
+        assert np.all(values >= fixed - SEARCH_ROUNDS * SEARCH_STALL)
+        assert np.all((values >= -SEARCH_TOL) | (fixed < -SEARCH_TOL))
 
     @staticmethod
     def procrustes_members(monkeypatch, state, budget: int, seed: int) -> int:

@@ -11,11 +11,13 @@ after its own place (the package __init__ is exempt).
 
 PENDING holds the functions the benchmark still traces (perfbench/layers.py,
 TRACED) although nothing calls them; each leaves the set when it is deleted
-or gains a caller, and the tests below keep the set from going stale.
+or gains a caller, and the tests below keep the set from going stale. Every
+traced name must resolve to an attribute of its loowit module.
 """
 
 import ast
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +74,13 @@ def traced() -> list[str]:
         if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED":
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/layers.py defines no TRACED list")
+
+
+def test_every_traced_name_resolves():
+    # the benchmark wraps each traced name by attribute, so a name that leaves src/ breaks its traced runs
+    modules = {name: name.split(".") for name in traced()}
+    missing = [name for name, (module, attr) in modules.items() if not hasattr(import_module(f"loowit.{module}"), attr)]
+    assert not missing, f"traced names with no attribute in src/loowit: {missing}"
 
 
 def test_every_public_name_has_a_route():
