@@ -374,8 +374,9 @@ def _search_starts(t: np.ndarray, d: int, seed: int, budget: int) -> tuple[np.nd
     return o, u
 
 
-def _search_report(criterion: str, value: float, budget: int, seed: int) -> CriterionReport:
-    """A search's report: "violated" only below -SEARCH_TOL, else "inconclusive", never a separability certificate."""
+def _search_report(criterion: str, restarts: np.ndarray, budget: int, seed: int) -> CriterionReport:
+    """A search's report on its restart values: "violated" below -SEARCH_TOL, else "inconclusive", never "pass"."""
+    value = min(restarts.tolist())  # the first of tied minima, so 0.0 and -0.0 read as the lower restart
     verdict = "violated" if value < -SEARCH_TOL else "inconclusive"
     return CriterionReport(criterion, verdict, value, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
 
@@ -403,7 +404,7 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray,
 
     Returns (values, finals) in restart order: each restart's final
     eigenvalue, (budget,), and its final O, (budget, d^2, d^2). The search
-    builds no map and picks no restart; full_report reduces both stacks.
+    builds no map and picks no restart; _search_report reduces the values.
     X(u, O) is M(rho, O^T) compressed onto the orthonormal vectors
     (I x u)|kk>, so by interlacing M's smallest eigenvalue at a restart's
     final O is at most its value, and M is positive on separable states for
@@ -417,24 +418,22 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray,
     tables = _x_tables(residue, u, d)
     final_o = o  # each restart's O, written back when it stops
     lead = np.full(budget + 1, np.inf)  # +inf, then each restart's latest eigenvalue
-    val = lead[1:]
+    val = lead[1:]  # the one record of it: the stall rule, the race and the result read it
     moving = np.arange(budget)  # restart index of each member of the moving stack
-    previous = np.inf
     for round_ in range(SEARCH_ROUNDS + 1):
         lam, v = _x_min_eig(tables, o, d)
+        stopped = (val[moving] - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)  # val is still the last round's
         val[moving] = lam
-        stopped = (previous - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)
         if 2 * round_ > SEARCH_ROUNDS:  # the race: ahead of every lower restart's latest value, or stop
             stopped |= lam >= np.minimum.accumulate(lead)[moving]
         if stopped.any():
             final_o[moving[stopped]] = o[stopped]
             keep = ~stopped
-            moving, o, lam, v = moving[keep], o[keep], lam[keep], v[keep]
+            moving, o, v = moving[keep], o[keep], v[keep]
             if not moving.size:
                 break
             tables = _XTables(*(table[keep] for table in tables))
         o = _procrustes(_o_gradient(tables, v, d))
-        previous = lam
     return val, final_o
 
 
@@ -493,8 +492,8 @@ def full_report(
     unless include_search is off, x_search and o_search follow on square
     states only: X pairs the sides through (I x u)|kk>, which needs d_A = d_B.
     x_search runs first, and the battery call also eigensolves M(rho, O^T) at
-    its finals. The x_search report is the least restart value, o_search the
-    least of those map minima.
+    its finals. _search_report reduces the restart values to x_search and
+    those map minima to o_search, each to the first of its least values.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
@@ -513,8 +512,8 @@ def full_report(
     ]
     reports += [witness.report(state) for witness in witnesses]
     if search:
-        reports += [  # min of the list keeps the first of tied minima, so 0.0 and -0.0 read as the lower restart
-            _search_report("x_search", min(values.tolist()), budget, seed),
-            _search_report("o_search", float(np.min(map_min[len(tags) :])), budget, seed),
+        reports += [
+            _search_report("x_search", values, budget, seed),
+            _search_report("o_search", map_min[len(tags) :], budget, seed),
         ]
     return FullReport(state_label=state.label, reports=tuple(reports))

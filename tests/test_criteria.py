@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -542,6 +544,28 @@ class TestXSearch:
         assert finals.shape == (SEARCH_BUDGET, d * d, d * d)
         assert built == [maps] and solved == [(d * d, d * d), maps]  # the partial transpose, then the maps
         assert o_report.scalar == map_minimum_alone(state, finals)
+
+    @pytest.mark.parametrize("tie", [(0.0, -0.0), (-0.0, 0.0)], ids=("plus-first", "minus-first"))
+    def test_tied_zeros_read_as_the_lower_restart(self, tie):
+        # both search scalars are the first of the least per-restart values, so between restarts
+        # tied at 0.0 and -0.0 the scalar carries restart 0's sign, whatever order a reduction takes
+        search, run_battery = criteria.x_search, criteria.battery
+
+        def tied_search(state, budget, seed):
+            return np.array(tie), search(state, budget, seed)[1]
+
+        def tied_battery(rho, dims, mixings):
+            *head, map_min = run_battery(rho, dims, mixings)
+            map_min = map_min.copy()
+            map_min[-2:] = tie  # the two finals' map minima end the battery's
+            return (*head, map_min)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(criteria, "x_search", tied_search)
+            patch.setattr(criteria, "battery", tied_battery)
+            reports = search_reports(full_report(horodecki_rho(0.5), budget=2))
+        for report in reports:
+            assert report.scalar == 0.0 and math.copysign(1.0, report.scalar) == math.copysign(1.0, tie[0])
 
     @pytest.mark.parametrize("rotated", (False, True), ids=("plain", "rotated"))
     @pytest.mark.parametrize(
