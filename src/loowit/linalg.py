@@ -58,7 +58,7 @@ def raise_first(bad: np.ndarray, name: str, describe: Callable[[tuple[int, ...]]
 
 
 def require_count(value: int, name: str, least: int) -> None:
-    """Reject a value that is not an integer of at least ``least``; a bool is not an integer here."""
+    """The one check of every count and dimension: an integer >= least (no float, even 3.0, and no bool)."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
@@ -71,8 +71,8 @@ class DimPair:
     d_b: int
 
     def __post_init__(self) -> None:
-        if self.d_a < 2 or self.d_b < 2:
-            raise ValueError(f"subsystem dimensions must be >= 2, got ({self.d_a}, {self.d_b})")
+        require_count(self.d_a, "subsystem dimension d_A", 2)
+        require_count(self.d_b, "subsystem dimension d_B", 2)
 
     @property
     def total(self) -> int:
@@ -155,7 +155,7 @@ def checked_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale.
 
-    Rejects a non-square shape, NaN, inf or overflowing entries (checked_scale).
+    Rejects a non-square or empty (0 x 0) shape, NaN, inf or overflowing entries (checked_scale).
     A stack equal to H^dagger entry for entry is decomposed as it is. Only on a
     mismatch is the defect max |H - H^dagger| computed: above HERMITICITY_TOL
     relative to max(1, scale) it is rejected, naming a stack member ``name[i]``
@@ -165,6 +165,8 @@ def checked_spectrum(
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
+    if h.shape[-1] == 0:
+        raise ValueError(f"matrix must not be empty, got shape {h.shape}")
     scale = checked_scale(h, name)
     if (h == dagger(h)).all():  # finite entries compare exactly: a zero defect
         return np.linalg.eigvalsh(h), scale

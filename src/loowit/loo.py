@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import max_abs, require_count
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -41,11 +41,10 @@ def pair_list(d: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(d) for n in range(m + 1, d)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # untyped, 3.0 would hit the entry of np.int64(3) and skip the check
 def standard_basis(d: int) -> np.ndarray:
     """The standard complete LOO set for local dimension d, a read-only (d^2, d, d) array."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    require_count(d, "local dimension d", 2)
     mats = np.zeros((d * d, d, d), dtype=complex)
     for m in range(d):
         mats[m, m, m] = 1.0
@@ -148,9 +147,9 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
     Row u holds a single 1 in column sigma(u), so mixing sends slot u to
     L_sigma(u); in 1-based labels the projector slots map as m -> m + l (mod d).
     """
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
-    if not 1 <= l <= d - 1:
+    require_count(d, "local dimension d", 2)
+    require_count(l, "shift l", 1)
+    if l > d - 1:
         raise ValueError(f"shift must satisfy 1 <= l <= d-1, got l={l} for d={d}")
     images = np.concatenate([(np.arange(d) + l) % d, np.arange(d, d * d)])
     return np.eye(d * d)[images]

@@ -61,8 +61,7 @@ def make_state(rho: np.ndarray, dims: DimPair, label: str) -> BipartiteState:
 
 def phi(d: int) -> np.ndarray:
     """Unnormalized maximally entangled vector sum_i |i,i>, squared norm d."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    require_count(d, "local dimension d", 2)
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * (d + 1)] = 1.0
     return v
@@ -120,11 +119,11 @@ class FamilyParams:
     a: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"local dimension must be >= 2, got {self.d}")
+        require_count(self.d, "local dimension d", 2)
         if len(self.a) != self.d:
             raise ValueError(f"need {self.d} weights, got {len(self.a)}")
         if not in_simplex(self.a):
+            raise_first(~np.isfinite(self.a), "weights", lambda i: f"must be finite, got {self.a[i[0]]}")
             if any(x < 0.0 for x in self.a):
                 raise ValueError(f"weights must be nonnegative, got {self.a}")
             raise ValueError(f"weights must sum to 1, got sum = {sum(self.a)!r}")
@@ -137,8 +136,7 @@ def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
     so it needs d >= 3 (at d = 2, a2 and a_d are one weight); a point is
     valid when family_special accepts it.
     """
-    if d < 3:
-        raise ValueError(f"the special slice needs d >= 3, got {d}")
+    require_count(d, "special slice dimension d", 3)
     a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(a2, dtype=float))
     a_d = 1.0 - (d - 2) * a1 - a2
     a = np.repeat(a1[..., None], d, axis=-1)
@@ -244,8 +242,7 @@ def random_separable_state(dims: DimPair, k: int, seed: int, mode: str = "pure")
     ``mode`` selects Haar-random pure projectors or normalized Wishart
     mixtures for the product factors.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1 mixture terms, got {k}")
+    require_count(k, "mixture count k", 1)
     require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     factors = [[_random_density(rng, n, mode) for n in (dims.d_a, dims.d_b)] for _ in range(k)]

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import ALGEBRAIC_TOL, battery, classify_family_point
-from .linalg import DimPair
+from .linalg import DimPair, require_count
 from .loo import cycle_mixings
 from .states import family_stack, special_slice
 
@@ -113,8 +113,7 @@ def run_sweep(d: int, resolution: int) -> SweepResult:
     The weights of the valid points are selected first, one a1 row at a time, so each column is
     allocated once and filled one full block of points at a time.
     """
-    if resolution < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
+    require_count(resolution, "grid resolution", 2)
     size = _block_size(d)
     grid = np.linspace(0.0, 1.0, resolution)
     weights = np.concatenate([w[valid] for w, valid in (special_slice(d, a1, grid) for a1 in grid)])

@@ -240,7 +240,7 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", "--builtin", spec, "--no-search")
         assert code == cli.EXIT_ERROR
         assert out == ""
-        assert err == "error: the special slice needs d >= 3, got 2\n"
+        assert err == "error: special slice dimension d must be an integer >= 3, got 2\n"
 
     def test_zero_budget_named_without_search(self, capsys):
         code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
@@ -390,7 +390,7 @@ class TestWitnessCommand:
             ("nosuch", False, "unknown witness spec 'nosuch'"),
             ("generic", False, "generic witness requires --transform FILE"),
             ("generic", True, "transform dimension 5 is not a square"),
-            ("perm:cycle,d=1,l=1", False, "local dimension must be >= 2, got 1"),
+            ("perm:cycle,d=1,l=1", False, "local dimension d must be an integer >= 2, got 1"),
         ],
         ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square", "perm-dimension"),
     )
@@ -458,9 +458,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "d, message",
         [
-            ("2", "the special slice needs d >= 3, got 2"),
-            ("1", "the special slice needs d >= 3, got 1"),
-            ("0", "the special slice needs d >= 3, got 0"),
+            ("2", "special slice dimension d must be an integer >= 3, got 2"),
+            ("1", "special slice dimension d must be an integer >= 3, got 1"),
+            ("0", "special slice dimension d must be an integer >= 3, got 0"),
             ("514", "the sweep needs d <= 513, got 514: a block holds no grid point"),
         ],
         ids=("2", "1", "0", "514"),

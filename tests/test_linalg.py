@@ -25,17 +25,21 @@ from loowit.linalg import (
     realign,
     trace_norm,
 )
-from loowit.loo import random_orthogonal, random_unitary, standard_basis, sym_slot
+from loowit.loo import diag_cycle, random_orthogonal, random_unitary, standard_basis, sym_slot
 from loowit.states import (
     FamilyParams,
     check_densities,
     family_rho,
+    family_special,
     horodecki_rho,
     make_state,
     max_entangled,
     phi,
+    random_separable_state,
+    special_slice,
     werner2,
 )
+from loowit.sweep import run_sweep
 
 
 def assert_non_finite_named(f):
@@ -52,13 +56,47 @@ def assert_non_finite_named(f):
 class TestDimPair:
     @pytest.mark.parametrize("d_a, d_b", [(1, 3), (3, 1), (0, 0)])
     def test_dimension_below_two_named(self, d_a, d_b):
-        with pytest.raises(ValueError, match=rf"^subsystem dimensions must be >= 2, got \({d_a}, {d_b}\)$"):
+        # d_A is checked first
+        name, value = ("d_A", d_a) if d_a < 2 else ("d_B", d_b)
+        with pytest.raises(ValueError, match=rf"^subsystem dimension {name} must be an integer >= 2, got {value}$"):
             DimPair(d_a, d_b)
 
     def test_square_dim_of_non_square_pair_named(self):
         assert DimPair.square(3).square_dim == 3
         with pytest.raises(ValueError, match=r"^operation requires d_A == d_B, got \(2, 3\)$"):
             DimPair(2, 3).square_dim
+
+
+# Each count or dimension an entry point takes: a call with it, its name in linalg.require_count's
+# message, and its least value.
+COUNTS = {
+    "DimPair-d_A": (lambda n: DimPair(n, 3), "subsystem dimension d_A", 2),
+    "DimPair-d_B": (lambda n: DimPair(3, n), "subsystem dimension d_B", 2),
+    "standard_basis": (standard_basis, "local dimension d", 2),
+    "diag_cycle-d": (lambda n: diag_cycle(n, 1), "local dimension d", 2),
+    "diag_cycle-l": (lambda n: diag_cycle(3, n), "shift l", 1),
+    "phi": (phi, "local dimension d", 2),
+    "FamilyParams": (lambda n: FamilyParams(n, (0.5, 0.5)), "local dimension d", 2),
+    "special_slice": (lambda n: special_slice(n, 0.2, 0.5), "special slice dimension d", 3),
+    "family_special": (lambda n: family_special(n, 0.2, 0.5), "special slice dimension d", 3),
+    "random_separable_state": (lambda n: random_separable_state(DimPair.square(2), n, 0), "mixture count k", 1),
+    "run_sweep-d": (lambda n: run_sweep(n, 4), "special slice dimension d", 3),
+    "run_sweep-resolution": (lambda n: run_sweep(3, n), "grid resolution", 2),
+}
+
+
+class TestRequireCount:
+    """Every count goes through linalg.require_count: a float, a bool or a value below the least is named."""
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    @pytest.mark.parametrize("kind", ["fraction", "integral-float", "bool", "below-least"])
+    def test_bad_count_named(self, entry, kind):
+        f, name, least = COUNTS[entry]
+        whole = max(least, 2)  # a valid count that True does not equal
+        value = {"fraction": whole + 0.5, "integral-float": float(whole), "bool": True, "below-least": least - 1}[kind]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {value}$"):
+            f(value)
+        f(whole)  # the same count as an int is accepted
 
 
 # reference implementations used as oracles
@@ -328,6 +366,11 @@ class TestIsPsd:
 
     def test_rejects_non_finite(self):
         assert_non_finite_named(is_psd)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)], ids=["matrix", "stack"])
+    def test_empty_matrix_named(self, shape):
+        with pytest.raises(ValueError, match=rf"^matrix must not be empty, got shape {re.escape(str(shape))}$"):
+            is_psd(np.zeros(shape))
 
     def test_entries_near_the_float_limit(self):
         # H + H^dagger overflows here, which used to surface LAPACK's "did not converge"

@@ -49,6 +49,12 @@ class TestStandardBasis:
         assert max_abs(basis[2] - s * sigma_x) < 1e-15
         assert max_abs(basis[3] - s * sigma_y) < 1e-15
 
+    def test_float_dimension_named_after_a_numpy_integer(self):
+        # 3.0 equals np.int64(3) as a cache key, so only a typed cache lets it reach the check
+        assert standard_basis(np.int64(3)).shape == (9, 3, 3)
+        with pytest.raises(ValueError, match=r"^local dimension d must be an integer >= 2, got 3\.0$"):
+            standard_basis(3.0)
+
     @pytest.mark.parametrize("d", range(2, 9))
     def test_gram_identity(self, d):
         assert max_abs(gram_matrix(standard_basis(d)) - np.eye(d * d)) < 1e-12
@@ -311,13 +317,13 @@ class TestPermutations:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="1 <= l <= d-1"):
             diag_cycle(3, 3)
-        with pytest.raises(ValueError, match="1 <= l <= d-1"):
+        with pytest.raises(ValueError, match=r"^shift l must be an integer >= 1, got 0$"):
             diag_cycle(3, 0)
 
     @pytest.mark.parametrize("d", (1, 0, -2))
     def test_bad_dimension_named_before_the_shift(self, d):
         # the dimension is checked first, with standard_basis's message, not blamed on the shift
-        with pytest.raises(ValueError, match=rf"^local dimension must be >= 2, got {d}$"):
+        with pytest.raises(ValueError, match=rf"^local dimension d must be an integer >= 2, got {d}$"):
             diag_cycle(d, 1)
 
 

@@ -127,3 +127,24 @@ def test_imports_follow_the_layer_order():
         if path.stem not in ORDER or target not in ORDER or ORDER.index(target) >= ORDER.index(path.stem)
     ]
     assert not bad, bad
+
+
+def test_count_bounds_live_in_require_count():
+    # A lower bound on a count or dimension is one rule, linalg.require_count. A raise elsewhere whose
+    # message states a bound with ">=" ("must be >= 2", "needs d >= 3") is a hand-written count check.
+    rule = next(
+        node
+        for node in ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "require_count"
+    )
+    bounds = [
+        (path.name, text.lineno, text.value)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(statement, ast.Raise)
+        for text in ast.walk(statement)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str) and ">=" in text.value
+    ]
+    own = [b for b in bounds if b[0] == "linalg.py" and rule.lineno <= b[1] <= rule.end_lineno]
+    assert len(own) == 1, "the guard no longer sees require_count's own message"
+    assert [b for b in bounds if b not in own] == []

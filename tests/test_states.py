@@ -39,7 +39,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("d", (1, 0))
     def test_small_dimension_named(self, d):
-        with pytest.raises(ValueError, match=rf"^local dimension must be >= 2, got {d}$"):
+        with pytest.raises(ValueError, match=rf"^local dimension d must be an integer >= 2, got {d}$"):
             phi(d)
 
 
@@ -158,13 +158,17 @@ class TestFamily:
     @pytest.mark.parametrize(
         "d, a, message",
         [
-            (1, (1.0,), r"local dimension must be >= 2, got 1"),
+            (1, (1.0,), r"local dimension d must be an integer >= 2, got 1"),
             (3, (0.5, 0.5), r"need 3 weights, got 2"),
             (3, (0.2, 0.2, 0.2, 0.4), r"need 3 weights, got 4"),
             (3, (0.5, 0.5, 0.5), r"weights must sum to 1, got sum = 1\.5"),
             (2, (0.25, 0.25), r"weights must sum to 1, got sum = 0\.5"),
+            # a non-finite weight is named before the sign and sum checks, which read "sum = nan"
+            (3, (float("nan"), 0.5, 0.5), r"weights\[0\] must be finite, got nan"),
+            (3, (0.5, float("inf"), 0.5), r"weights\[1\] must be finite, got inf"),
+            (3, (0.5, 0.5, -float("inf")), r"weights\[2\] must be finite, got -inf"),
         ],
-        ids=["d-below-two", "too-few", "too-many", "sum-above", "sum-below"],
+        ids=["d-below-two", "too-few", "too-many", "sum-above", "sum-below", "nan", "inf", "minus-inf"],
     )
     def test_params_rejections_named(self, d, a, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -210,7 +214,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize("k", (0, -2))
     def test_no_mixture_terms_named(self, k):
-        with pytest.raises(ValueError, match=rf"^need k >= 1 mixture terms, got {k}$"):
+        with pytest.raises(ValueError, match=rf"^mixture count k must be an integer >= 1, got {k}$"):
             random_separable_state(DimPair.square(3), k=k, seed=0)
 
 
