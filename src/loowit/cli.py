@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,29 +24,18 @@ EXIT_ERROR = 1
 EXIT_ENTANGLED = 2
 
 
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-# The keys each spec name takes; perm also takes one bare token, its kind.
+# The keys each spec name takes; a spec has no bare tokens.
 SPEC_KEYS = {
     "horodecki": ("a",), "family": ("d", "a1", "a2"), "werner": ("p",), "phi": ("d",),
-    "product": ("d", "seed"), "separable": ("d", "k", "seed"), "perm": ("kind", "d", "l"), "generic": (),
+    "product": ("d", "seed"), "separable": ("d", "k", "seed"), "perm": ("d", "l"), "generic": (),
 }
 
 
-def parse_spec(spec: str) -> tuple[str, list, dict]:
-    """Parse ``name:key=val,key=val``, naming a repeated key, a key the name does not take or a stray token."""
+def parse_spec(spec: str) -> tuple[str, dict[str, str]]:
+    """The name and each key's text of ``name:key=val,...``, naming a repeated or unknown key or a bare token."""
     name, _, rest = (part.strip() for part in spec.partition(":"))
     tokens: list[str] = []
-    kwargs: dict = {}
+    kwargs: dict[str, str] = {}
     for item in rest.split(",") if rest else ():
         key, eq, val = (part.strip() for part in item.partition("="))
         if not eq:
@@ -53,38 +43,38 @@ def parse_spec(spec: str) -> tuple[str, list, dict]:
         elif key in kwargs:
             raise ValueError(f"spec {spec!r} repeats the key {key!r}")
         else:
-            kwargs[key] = _parse_value(val)
+            kwargs[key] = val
     if name in SPEC_KEYS:  # an unknown name is left to the caller
         for key in kwargs:
             if key not in SPEC_KEYS[name]:
                 raise ValueError(f"spec {spec!r}: unknown key {key!r} for {name!r}")
-        if len(tokens) > (name == "perm"):
-            raise ValueError(f"spec {spec!r}: unexpected bare token {tokens[-1]!r}")
-        if tokens and "kind" in kwargs:  # perm's bare token is its kind
-            raise ValueError(f"spec {spec!r} repeats the key 'kind'")
-    return name, tokens, kwargs
+        if tokens:
+            raise ValueError(f"spec {spec!r}: unexpected bare token {tokens[0]!r}")
+    return name, kwargs
 
 
-def _key(kw: dict, key: str, spec: str, *, integer: bool = False, default: int | None = None):
-    """A spec key's value: an int if ``integer``, else a finite float.
+def _key(kw: dict[str, str], key: str, spec: str, *, integer: bool = False, default: int | None = None):
+    """A spec key's text read as an int if ``integer``, else as a finite float.
 
-    A key without a default is required; a missing key or a bad value is named in the error.
+    A key without a default is required; a missing key or a bad value is named in the error, the value as written.
     """
-    if key not in kw and default is None:
-        raise ValueError(f"spec {spec!r} is missing the key {key!r}")
-    value = kw.get(key, default)
-    if integer and isinstance(value, int):
-        return value
-    # the comparison also rejects NaN, infinities and ints too large for a float
-    if not integer and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-        return float(value)
+    if key not in kw:
+        if default is None:
+            raise ValueError(f"spec {spec!r} is missing the key {key!r}")
+        return default
+    try:
+        value = int(kw[key]) if integer else float(kw[key])
+        if integer or math.isfinite(value):  # float() reads "nan", "inf" and overflowing text as non-finite
+            return value
+    except ValueError:
+        pass
     kind = "an integer" if integer else "a finite number"
-    raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {value!r}")
+    raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {kw[key]!r}")
 
 
 def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
     """Parse a builtin state spec once: its name, its keys and the state."""
-    name, _, kw = parse_spec(spec)
+    name, kw = parse_spec(spec)
     if name == "horodecki":
         state = states.horodecki_rho(_key(kw, "a", spec))
     elif name == "family":
@@ -157,15 +147,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
-    name, pos, kw = parse_spec(args.spec)
+    name, kw = parse_spec(args.spec)
     if args.transform and name != "generic":  # a mixing no other witness reads must not be dropped silently
         raise ValueError(f"--transform is read only by the generic witness, not by {name!r}")
     if name == "horodecki":
         return witness_mod.horodecki_ew(_key(kw, "a", args.spec))
     if name == "perm":
-        kind = pos[0] if pos else kw.get("kind", "cycle")
-        if kind != "cycle":
-            raise ValueError(f"unknown permutation witness kind {kind!r}")
         d = _key(kw, "d", args.spec, integer=True)
         return witness_mod.ew_from_transform(loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True)))
     if name == "generic":
@@ -241,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(func=cmd_sweep)
 
     wit = sub.add_parser("witness", help="build a witness and optionally evaluate it")
-    wit.add_argument("spec", help="horodecki:a=A | perm:cycle,d=D,l=L | generic")
+    wit.add_argument("spec", help="horodecki:a=A | perm:d=D,l=L | generic")
     wit.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]}, for the generic spec only")
     wit.add_argument("--state", type=_path, help="builtin:SPEC or a state JSON file")
     wit.add_argument("--out", type=_path, help="write the witness matrix JSON here")

@@ -378,7 +378,8 @@ def _search_report(criterion: str, restarts: np.ndarray, budget: int, seed: int)
     """A search's report on its restart values: "violated" below -SEARCH_TOL, else "inconclusive", never "pass"."""
     value = min(restarts.tolist())  # the first of tied minima, so 0.0 and -0.0 read as the lower restart
     verdict = "violated" if value < -SEARCH_TOL else "inconclusive"
-    return CriterionReport(criterion, verdict, value, {"budget": budget, "seed": seed, "tol": SEARCH_TOL})
+    # int(): a numpy integer budget or seed is a valid count, but json.dumps rejects it
+    return CriterionReport(criterion, verdict, value, {"budget": int(budget), "seed": int(seed), "tol": SEARCH_TOL})
 
 
 def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -58,7 +58,7 @@ def standard_basis(d: int) -> np.ndarray:
     return mats
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of each standard observable: rows, columns and values, each (2, d^2).
 
@@ -78,7 +78,7 @@ def standard_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def standard_positions(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Observables nonzero at each matrix position: slots and values, each (2, d, d).
 
@@ -155,9 +155,10 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
     return np.eye(d * d)[images]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def battery_mixings(d: int) -> np.ndarray:
     """The report battery's mixings, a read-only (d+1, d^2, d^2) stack: identity, transpose, diag_cycle l = 1 .. d-1."""
+    require_count(d, "local dimension d", 2)
     stack = np.stack([np.eye(d * d), transpose_transform(d), *(diag_cycle(d, l) for l in range(1, d))])
     stack.flags.writeable = False
     return stack

@@ -124,9 +124,10 @@ class FamilyParams:
             raise ValueError(f"need {self.d} weights, got {len(self.a)}")
         if not in_simplex(self.a):
             raise_first(~np.isfinite(self.a), "weights", lambda i: f"must be finite, got {self.a[i[0]]}")
-            if any(x < 0.0 for x in self.a):
-                raise ValueError(f"weights must be nonnegative, got {self.a}")
-            raise ValueError(f"weights must sum to 1, got sum = {sum(self.a)!r}")
+            weights = tuple(map(float, self.a))  # plain floats: a numpy float would print its repr
+            if min(weights) < 0.0:
+                raise ValueError(f"weights must be nonnegative, got {weights}")
+            raise ValueError(f"weights must sum to 1, got sum = {sum(weights)!r}")
 
 
 def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:

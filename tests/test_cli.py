@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -101,7 +102,7 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert "error" in err
 
-    @pytest.mark.parametrize("command", (("check", "--file"), ("witness", "perm:cycle,d=3,l=1", "--state")))
+    @pytest.mark.parametrize("command", (("check", "--file"), ("witness", "perm:d=3,l=1", "--state")))
     @pytest.mark.parametrize(
         "field, entry, kind",
         [("re", [0.0], "matrix"), ("im", ["a"] * 9, "matrix"), ("re", [10**400] * 9, "matrix"), (None, None, "state")],
@@ -302,7 +303,7 @@ class TestWitnessCommand:
             assert payload["confirmed_witness"] is True
 
     def test_cycle_permutation(self, capsys):
-        code, out, _ = run_cli(capsys, "witness", "perm:cycle,d=3,l=1", "--json")
+        code, out, _ = run_cli(capsys, "witness", "perm:d=3,l=1", "--json")
         assert code == cli.EXIT_OK
         payload = json.loads(out)
         assert payload["confirmed_witness"] is True
@@ -366,13 +367,13 @@ class TestWitnessCommand:
         # one constructor names a permutation mixing, whether the perm spec or a transform file gives it
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": loo.diag_cycle(d, l).tolist()}))
-        perm = run_cli(capsys, "witness", f"perm:cycle,d={d},l={l}", "--json")
+        perm = run_cli(capsys, "witness", f"perm:d={d},l={l}", "--json")
         generic = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
         assert generic == perm
         assert perm[0] == cli.EXIT_OK and '"phi_expectation"' in perm[1]
 
     @pytest.mark.parametrize(
-        "spec, name", (("perm:cycle,d=3,l=1", "perm"), ("horodecki:a=0.5", "horodecki")), ids=("perm", "horodecki")
+        "spec, name", (("perm:d=3,l=1", "perm"), ("horodecki:a=0.5", "horodecki")), ids=("perm", "horodecki")
     )
     def test_transform_outside_generic_named(self, capsys, tmp_path, spec, name):
         # --transform used to be ignored here, building a witness other than the one written
@@ -386,11 +387,11 @@ class TestWitnessCommand:
     @pytest.mark.parametrize(
         "spec, transform, message",
         [
-            ("perm:bogus,d=3,l=1", False, "unknown permutation witness kind 'bogus'"),
+            ("perm:bogus,d=3,l=1", False, "spec 'perm:bogus,d=3,l=1': unexpected bare token 'bogus'"),
             ("nosuch", False, "unknown witness spec 'nosuch'"),
             ("generic", False, "generic witness requires --transform FILE"),
             ("generic", True, "transform dimension 5 is not a square"),
-            ("perm:cycle,d=1,l=1", False, "local dimension d must be an integer >= 2, got 1"),
+            ("perm:d=1,l=1", False, "local dimension d must be an integer >= 2, got 1"),
         ],
         ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square", "perm-dimension"),
     )
@@ -499,8 +500,8 @@ class TestUsageErrors:
         "argv",
         [
             ("check", "--file", ""),
-            ("witness", "perm:cycle,d=3,l=1", "--state", ""),
-            ("witness", "perm:cycle,d=3,l=1", "--out", ""),
+            ("witness", "perm:d=3,l=1", "--state", ""),
+            ("witness", "perm:d=3,l=1", "--out", ""),
             ("sweep", "--out", ""),
             ("witness", "generic", "--transform", ""),
         ],
@@ -568,10 +569,19 @@ class TestSeeds:
 
 class TestSpecParsing:
     def test_parse_spec(self):
-        name, pos, kw = cli.parse_spec("perm:cycle,d=3,l=1")
-        assert name == "perm"
-        assert pos == ["cycle"]
-        assert kw == {"d": 3, "l": 1}
+        # each value stays text: _key reads it as the type its key takes
+        assert cli.parse_spec("perm:d=3,l=1") == ("perm", {"d": "3", "l": "1"})
+        assert cli.parse_spec(" horodecki : a = 0.5 ") == ("horodecki", {"a": "0.5"})
+
+    def test_spec_keys_are_the_keys_read(self):
+        # a listed key that no _key call reads, or a read key that is not listed, fails this
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.args[1].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_key"
+        }
+        assert read == {key for keys in cli.SPEC_KEYS.values() for key in keys}
 
     def test_unknown_builtin(self, capsys):
         for spec in ("nosuch:x=1", ""):  # an empty spec names no builtin either
@@ -585,7 +595,7 @@ class TestSpecParsing:
             (("check", "--builtin", "horodecki"), "a"),
             (("check", "--builtin", "family:d=3,a1=0.2"), "a2"),
             (("witness", "horodecki"), "a"),
-            (("witness", "perm:cycle,d=3"), "l"),
+            (("witness", "perm:d=3"), "l"),
         ],
     )
     def test_missing_spec_key_named(self, capsys, argv, key):
@@ -599,18 +609,33 @@ class TestSpecParsing:
             (("check", "--builtin", "product:d=3,seed=1.5"), "seed"),
             (("check", "--builtin", "product:d=3.7"), "d"),
             (("check", "--builtin", "separable:d=3,k=2.5"), "k"),
-            (("witness", "perm:cycle,d=3,l=1.5"), "l"),
+            (("witness", "perm:d=3,l=1.5"), "l"),
             (("check", "--builtin", "product:d=x"), "d"),
             (("check", "--builtin", "family:d=3,a1=0.2,a2=x"), "a2"),
             (("check", "--builtin", "horodecki:a=1" + "0" * 400), "a"),
         ],
     )
     def test_bad_spec_value_named(self, capsys, argv, key):
-        # a fractional, non-numeric or float-overflowing value must not be truncated or reach int()/float()
+        # a fractional, non-numeric or float-overflowing value is named, not truncated or left to int()/float()
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert f"the key {key!r} must be" in err
+
+    @pytest.mark.parametrize(
+        "spec, key, kind, text",
+        [
+            ("product:d=3.7", "d", "an integer", "3.7"),
+            ("separable:d=3,k=1e3", "k", "an integer", "1e3"),
+            ("horodecki:a=nan", "a", "a finite number", "nan"),
+            ("werner:p=-inf", "p", "a finite number", "-inf"),
+            ("werner:p=1e400", "p", "a finite number", "1e400"),
+        ],
+    )
+    def test_bad_spec_value_quoted_as_written(self, capsys, spec, key, kind, text):
+        code, out, err = run_cli(capsys, "check", "--builtin", spec)
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == f"error: spec {spec!r}: the key {key!r} must be {kind}, got {text!r}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -618,12 +643,12 @@ class TestSpecParsing:
             (("check", "--builtin", "product:d=3,sed=4"), "unknown key 'sed' for 'product'"),
             (("check", "--builtin", "phi:4"), "unexpected bare token '4'"),
             (("check", "--builtin", "family:d=3,a1=0.25,a2=0.65,a1=0.3"), "repeats the key 'a1'"),
-            (("witness", "perm:cycle,d=3,l=1", "--state", "builtin:werner:p=0.5,q=1"), "unknown key 'q'"),
-            (("witness", "perm:cycle,shift,d=3,l=1"), "unexpected bare token 'shift'"),
-            (("witness", "perm:cycle,d=3,l=1,l=2"), "repeats the key 'l'"),
+            (("witness", "perm:d=3,l=1", "--state", "builtin:werner:p=0.5,q=1"), "unknown key 'q'"),
+            (("witness", "perm:shift,d=3,l=1"), "unexpected bare token 'shift'"),
+            (("witness", "perm:d=3,l=1,l=2"), "repeats the key 'l'"),
             (("witness", "horodecki:a=0.3,b=1"), "unknown key 'b' for 'horodecki'"),
-            (("witness", "perm:cycle,kind=bogus,d=3,l=1"), "repeats the key 'kind'"),
-            (("witness", "perm:kind=cycle,cycle,d=3,l=1"), "repeats the key 'kind'"),
+            (("witness", "perm:cycle,kind=bogus,d=3,l=1"), "unknown key 'kind' for 'perm'"),
+            (("witness", "perm:kind=cycle,cycle,d=3,l=1"), "unknown key 'kind' for 'perm'"),
         ],
     )
     def test_stray_spec_parts_named(self, capsys, argv, message):
@@ -634,9 +659,13 @@ class TestSpecParsing:
         assert message in err
 
     def test_perm_kind_token_and_key(self, capsys):
-        _, by_token, _ = run_cli(capsys, "witness", "perm:cycle,d=3,l=1", "--json")
-        _, by_key, _ = run_cli(capsys, "witness", "perm:kind=cycle,d=3,l=1", "--json")
-        assert by_token == by_key != ""
+        # perm builds the cycle witness only, so a kind is named as a stray part, as a bare token or as a key
+        for spec, message in (
+            ("perm:cycle,d=3,l=1", "unexpected bare token 'cycle'"),
+            ("perm:kind=cycle,d=3,l=1", "unknown key 'kind' for 'perm'"),
+        ):
+            expected = (cli.EXIT_ERROR, "", f"error: spec {spec!r}: {message}\n")
+            assert run_cli(capsys, "witness", spec, "--json") == expected
 
 
 class TestGoldenOutput:
@@ -684,7 +713,7 @@ class TestGoldenOutput:
                 "cfd87d564d02a6ce83d12201c2e161a78738f29945ca350e3bb72466b0b8af6e",
             ),
             (
-                ("witness", "perm:cycle,d=3,l=1", "--json"),
+                ("witness", "perm:d=3,l=1", "--json"),
                 "c439bc877ab5ea52fc8711eab1b62cf360ac23b2e154d4a4e97ebebcb857d47e",
             ),
             (

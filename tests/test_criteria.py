@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -877,6 +878,12 @@ class TestFullReport:
         payload = report.to_dict()
         assert payload["overall"] == "entangled"
         assert all(set(r) == {"criterion", "verdict", "scalar", "params"} for r in payload["reports"])
+
+    def test_numpy_integer_budget_and_seed_serialize(self):
+        # require_count accepts numpy integers, and the search reports store them as Python ints
+        state = horodecki_rho(0.5)
+        as_numpy = full_report(state, budget=np.int64(2), seed=np.int64(1)).to_dict()
+        assert json.dumps(as_numpy) == json.dumps(full_report(state, budget=2, seed=1).to_dict())
 
 
 RECTANGULAR = [DimPair(d_a, d_b) for d_a in range(2, 5) for d_b in range(2, 5) if d_a != d_b]

@@ -25,7 +25,14 @@ from loowit.linalg import (
     realign,
     trace_norm,
 )
-from loowit.loo import diag_cycle, random_orthogonal, random_unitary, standard_basis, sym_slot
+from loowit.loo import (
+    battery_mixings,
+    diag_cycle,
+    random_orthogonal,
+    random_unitary,
+    standard_basis,
+    sym_slot,
+)
 from loowit.states import (
     FamilyParams,
     check_densities,
@@ -73,6 +80,7 @@ COUNTS = {
     "DimPair-d_A": (lambda n: DimPair(n, 3), "subsystem dimension d_A", 2),
     "DimPair-d_B": (lambda n: DimPair(3, n), "subsystem dimension d_B", 2),
     "standard_basis": (standard_basis, "local dimension d", 2),
+    "battery_mixings": (battery_mixings, "local dimension d", 2),
     "diag_cycle-d": (lambda n: diag_cycle(n, 1), "local dimension d", 2),
     "diag_cycle-l": (lambda n: diag_cycle(3, n), "shift l", 1),
     "phi": (phi, "local dimension d", 2),

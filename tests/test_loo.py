@@ -19,6 +19,7 @@ from loowit.loo import (
     random_orthogonal,
     random_unitary,
     standard_basis,
+    standard_entries,
     standard_positions,
     sym_slot,
     transpose_transform,
@@ -54,6 +55,13 @@ class TestStandardBasis:
         assert standard_basis(np.int64(3)).shape == (9, 3, 3)
         with pytest.raises(ValueError, match=r"^local dimension d must be an integer >= 2, got 3\.0$"):
             standard_basis(3.0)
+
+    @pytest.mark.parametrize("table", (standard_entries, standard_positions, battery_mixings), ids=lambda f: f.__name__)
+    def test_table_float_dimension_named_after_a_numpy_integer(self, table):
+        # each per-d table's cache is typed too, so 3.0 misses np.int64(3)'s entry and reaches the check
+        table(np.int64(3))
+        with pytest.raises(ValueError, match=r"^local dimension d must be an integer >= 2, got 3\.0$"):
+            table(3.0)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_gram_identity(self, d):

@@ -167,8 +167,14 @@ class TestFamily:
             (3, (float("nan"), 0.5, 0.5), r"weights\[0\] must be finite, got nan"),
             (3, (0.5, float("inf"), 0.5), r"weights\[1\] must be finite, got inf"),
             (3, (0.5, 0.5, -float("inf")), r"weights\[2\] must be finite, got -inf"),
+            # numpy floats are named as plain floats, not as np.float64(...)
+            (3, tuple(np.array([0.5, 0.5, 0.5])), r"weights must sum to 1, got sum = 1\.5"),
+            (3, tuple(np.array([0.5, 0.75, -0.25])), r"weights must be nonnegative, got \(0\.5, 0\.75, -0\.25\)"),
         ],
-        ids=["d-below-two", "too-few", "too-many", "sum-above", "sum-below", "nan", "inf", "minus-inf"],
+        ids=[
+            "d-below-two", "too-few", "too-many", "sum-above", "sum-below", "nan", "inf", "minus-inf",
+            "numpy-sum", "numpy-negative",
+        ],
     )
     def test_params_rejections_named(self, d, a, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
