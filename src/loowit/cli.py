@@ -57,19 +57,22 @@ def _key(kw: dict[str, str], key: str, spec: str, *, integer: bool = False, defa
     """A spec key's text read as an int if ``integer``, else as a finite float.
 
     A key without a default is required; a missing key or a bad value is named in the error, the value as written.
+    Only ASCII text without "_" is read: int() and float() also take digit-group underscores and non-ASCII digits.
     """
     if key not in kw:
         if default is None:
             raise ValueError(f"spec {spec!r} is missing the key {key!r}")
         return default
+    text = kw[key]
     try:
-        value = int(kw[key]) if integer else float(kw[key])
-        if integer or math.isfinite(value):  # float() reads "nan", "inf" and overflowing text as non-finite
-            return value
+        if text.isascii() and "_" not in text:
+            value = int(text) if integer else float(text)
+            if integer or math.isfinite(value):  # float() reads "nan", "inf" and overflowing text as non-finite
+                return value
     except ValueError:
         pass
     kind = "an integer" if integer else "a finite number"
-    raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {kw[key]!r}")
+    raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {text!r}")
 
 
 def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:

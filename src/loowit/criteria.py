@@ -491,16 +491,19 @@ def full_report(
     mixings of battery_mixings(d_A). Each witness's own verdict follows, a
     witness of other dimensions raising expectation's mismatch error. Then,
     unless include_search is off, x_search and o_search follow on square
-    states only: X pairs the sides through (I x u)|kk>, which needs d_A = d_B.
-    x_search runs first, and the battery call also eigensolves M(rho, O^T) at
-    its finals. _search_report reduces the restart values to x_search and
-    those map minima to o_search, each to the first of its least values.
+    states with d_A = d_B >= 3 only: X pairs the sides through (I x u)|kk>,
+    which needs d_A = d_B, and at 2 x 2 PPT is necessary and sufficient for
+    separability (M., P. and R. Horodecki, Phys. Lett. A 223, 1 (1996)), so
+    the ppt report already flags every state a search could. x_search runs
+    first, and the battery call also eigensolves M(rho, O^T) at its finals.
+    _search_report reduces the restart values to x_search and those map
+    minima to o_search, each to the first of its least values.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
     d_a = state.dims.d_a
     tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d_a)]
-    search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b else None
+    search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b >= 3 else None
     mixings = battery_mixings(d_a)
     if search:
         values, finals = search

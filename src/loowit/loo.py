@@ -177,6 +177,7 @@ def transpose_transform(d: int) -> np.ndarray:
     unitary-induced mixing has determinant +1, which is numerical evidence
     (not proof) that no unitary conjugation reproduces the transposition.
     """
+    require_count(d, "local dimension d", 2)
     signs = np.ones(d * d)
     signs[d + d * (d - 1) // 2:] = -1.0
     return np.diag(signs)

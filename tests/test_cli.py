@@ -630,6 +630,10 @@ class TestSpecParsing:
             ("horodecki:a=nan", "a", "a finite number", "nan"),
             ("werner:p=-inf", "p", "a finite number", "-inf"),
             ("werner:p=1e400", "p", "a finite number", "1e400"),
+            # int() and float() also read digit-group underscores and non-ASCII digits
+            ("product:d=1_0", "d", "an integer", "1_0"),
+            ("product:d=\u0663", "d", "an integer", "\u0663"),
+            ("werner:p=0.5_0", "p", "a finite number", "0.5_0"),
         ],
     )
     def test_bad_spec_value_quoted_as_written(self, capsys, spec, key, kind, text):

@@ -402,16 +402,24 @@ def restart_finals(state, budget: int, seed: int) -> list[tuple[float, np.ndarra
     return list(zip(*x_search(state, budget, seed)))
 
 
+def search_minima(state, budget: int, seed: int) -> tuple[float, float]:
+    """x_search's least restart value and the least map minimum at its finals, at any d >= 2.
+
+    At d_A = d_B >= 3 these are full_report's x_search and o_search scalars;
+    at 2 x 2 full_report runs no search, so tests of the search call it here.
+    """
+    values, finals = x_search(state, budget, seed)
+    return min(values.tolist()), map_minimum_alone(state, finals)
+
+
 class TestXSearch:
     def test_singlet_detected(self):
-        report = search_reports(full_report(werner2(1.0), budget=200, seed=123))[0]
-        assert report.verdict == "violated"
-        assert report.scalar < -1e-6
+        x_value, _ = search_minima(werner2(1.0), 200, 123)
+        assert x_value < -SEARCH_TOL
 
     def test_weakly_mixed_inconclusive_and_ppt(self):
-        report = search_reports(full_report(werner2(0.25), budget=200, seed=123))[0]
-        assert report.verdict == "inconclusive"
-        assert report.scalar >= -1e-6
+        x_value, _ = search_minima(werner2(0.25), 200, 123)
+        assert x_value >= -SEARCH_TOL
         assert ppt_check(werner2(0.25)).verdict == "pass"
 
     def test_separable_stays_nonnegative(self):
@@ -444,8 +452,8 @@ class TestXSearch:
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_rounds_never_raise_min_eig(self, d, seed):
         # each restart of the race is monotone over the rounds it runs, its last round is the
-        # eigenvalue of its final O, the search returns each restart's last round, and full_report's
-        # x_search is the smallest; o_search is the smallest eigenvalue of M(rho, O^T) over the finals
+        # eigenvalue of its final O, and the search returns each restart's last round; the map
+        # minimum at the finals is the smallest eigenvalue of M(rho, O^T) over them
         rng = np.random.default_rng(seed)
         state = random_state(rng, d)
         lows, maps = [], []
@@ -454,9 +462,9 @@ class TestXSearch:
             assert abs(np.linalg.eigvalsh(x_matrix(state, make_transform(o), u))[0] - rounds[-1]) <= 1e-12
             lows.append(rounds[-1])
             maps.append(herm_eigvalues(o_reduction_operator(state.rho, state.dims, o.T))[0])
-        x_report, o_report = search_reports(full_report(state, budget=4, seed=seed))
-        assert x_search(state, 4, seed)[0].tolist() == lows and x_report.scalar == min(lows)
-        assert abs(o_report.scalar - min(maps)) <= 1e-12
+        values, finals = x_search(state, 4, seed)
+        assert values.tolist() == lows
+        assert abs(map_minimum_alone(state, finals) - min(maps)) <= 1e-12
 
     @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_warm_start_at_realignment_bound(self, d, seed):
@@ -514,9 +522,9 @@ class TestXSearch:
             assert drawn_o.tobytes() == o[b].tobytes() and drawn_u.tobytes() == u[b].tobytes()
         # and restart b ends where it ends at any budget, so both minima over more restarts end no higher
         state = random_state(np.random.default_rng(seed), d)
-        fewer, more = (search_reports(full_report(state, budget=b, seed=seed)) for b in (16, 40))
-        assert more[0].scalar <= fewer[0].scalar
-        assert more[1].scalar <= fewer[1].scalar
+        fewer, more = (search_minima(state, b, seed) for b in (16, 40))
+        assert more[0] <= fewer[0]
+        assert more[1] <= fewer[1]
 
     @pytest.mark.parametrize("state", [horodecki_rho(0.5), tiles_upb_state(), max_entangled(4)], ids=lambda s: s.label)
     def test_searched_check_builds_maps_once(self, state):
@@ -687,6 +695,8 @@ class TestSoundness:
 
     On every state, o_search reads at or below x_search: X(u, O) is the map
     M(rho, O^T) compressed, so interlacing puts M's smallest eigenvalue lower.
+    The searches are called directly (search_minima), as full_report skips
+    them at 2 x 2.
     """
 
     @given(st.integers(2, 5), st.integers(0, 2**31 - 1), st.sampled_from(("pure", "mixed")), st.integers(0, 6))
@@ -698,16 +708,43 @@ class TestSoundness:
             state = random_separable_state(dims, k=k, seed=seed, mode=mode)
         report = full_report(state, budget=4, seed=seed % 1000)
         assert [r.criterion for r in report.reports if r.verdict == "violated"] == []
-        x, o = search_reports(report)
-        assert x.scalar >= -SEARCH_TOL and o.scalar >= -SEARCH_TOL
-        assert o.scalar <= x.scalar + 1e-12
+        x_value, o_value = search_minima(state, 4, seed % 1000)
+        assert x_value >= -SEARCH_TOL and o_value >= -SEARCH_TOL
+        assert o_value <= x_value + 1e-12
 
     @given(st.integers(2, 5), st.integers(0, 2**31 - 1))
     def test_o_search_at_or_below_x_search(self, d, seed):
         # random mixed states, mostly entangled at these dimensions, and the maximally entangled state
         for state in (random_state(np.random.default_rng(seed), d), max_entangled(d)):
-            x, o = search_reports(full_report(state, budget=4, seed=seed % 1000))
-            assert o.scalar <= x.scalar + 1e-12
+            x_value, o_value = search_minima(state, 4, seed % 1000)
+            assert o_value <= x_value + 1e-12
+
+    @given(
+        st.sampled_from(("werner", "pure", "mixed", "separable")),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**31 - 1),
+    )
+    @example("werner", 1.0 / 3.0, 0)
+    @example("werner", math.nextafter(1.0 / 3.0, 1.0), 0)
+    @example("werner", 1.0 / 3.0 + 1e-6, 0)
+    @example("werner", 1.0 / 3.0 + 1e-4, 1)
+    def test_two_qubit_search_detections_are_ppt_violations(self, kind, p, seed):
+        # at 2 x 2, PPT is necessary and sufficient for separability (Horodecki 1996), so a state
+        # either search flags below -SEARCH_TOL is one battery's PPT verdict, at its own tolerance,
+        # already flags; full_report, whose ppt report is that verdict, runs no search there
+        if kind == "werner":
+            state = werner2(p)
+        elif kind == "separable":
+            mode = ("pure", "mixed")[seed % 2]
+            state = random_separable_state(DimPair.square(2), k=1 + seed % 6, seed=seed, mode=mode)
+        else:
+            state = stall_test_state(kind, 2, seed, p)
+        report = full_report(state, seed=seed % 1000)
+        assert not {"x_search", "o_search"} & {r.criterion for r in report.reports}
+        ppt = report.reports[0]
+        assert ppt.criterion == "ppt"
+        if min(search_minima(state, SEARCH_BUDGET, seed % 1000)) < -SEARCH_TOL:
+            assert ppt.verdict == "violated"
 
 
 # The white-noise tolerance q* (%) that x_search alone reaches at budget 16, the median over seeds

@@ -32,6 +32,7 @@ from loowit.loo import (
     random_unitary,
     standard_basis,
     sym_slot,
+    transpose_transform,
 )
 from loowit.states import (
     FamilyParams,
@@ -81,6 +82,7 @@ COUNTS = {
     "DimPair-d_B": (lambda n: DimPair(3, n), "subsystem dimension d_B", 2),
     "standard_basis": (standard_basis, "local dimension d", 2),
     "battery_mixings": (battery_mixings, "local dimension d", 2),
+    "transpose_transform": (transpose_transform, "local dimension d", 2),
     "diag_cycle-d": (lambda n: diag_cycle(n, 1), "local dimension d", 2),
     "diag_cycle-l": (lambda n: diag_cycle(3, n), "shift l", 1),
     "phi": (phi, "local dimension d", 2),
