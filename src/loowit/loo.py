@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs, require_count
+from .linalg import checked_scale, max_abs, require_count
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -118,25 +118,23 @@ def make_transform(matrix: np.ndarray) -> np.ndarray:
     identity beyond tolerance, and max |O_ij| too when an entry exceeds 1.
     """
     matrix = np.asarray(matrix)
-    if not np.isfinite(matrix).all():
-        raise ValueError("transform matrix has non-finite entries (NaN or inf)")
-    if np.iscomplexobj(matrix):
+    if matrix.dtype.kind not in "biuf":  # complex, and text or objects that astype(float) would parse
         raise ValueError("transform matrix must be real")
     matrix = matrix.astype(float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
     # Every entry of a contraction is at most 1 in magnitude. Past that bound
     # O O^T can overflow, so its top eigenvalue is read off O / max |O_ij|.
-    peak = max_abs(matrix)
+    peak = float(checked_scale(matrix, "transform matrix"))
     too_large = peak > 1.0 + ORTHOGONALITY_TOL
     if too_large or not is_orthogonal(matrix):
         scale = peak if too_large else 1.0
         g = (matrix / scale) @ (matrix / scale).T
         top = scale * scale * float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
         if too_large or top > 1.0 + ORTHOGONALITY_TOL:
-            entry = f"max |O_ij| is {peak:.9g}, " if too_large else ""
+            entry = f"max |O_ij| is {peak!r}, " if too_large else ""
             raise ValueError(
-                f"transform is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top:.9g}"
+                f"transform is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top!r}"
             )
     return matrix
 

@@ -100,20 +100,34 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def in_simplex(a: np.ndarray) -> np.ndarray:
-    """Mask over the rows of (..., d) weights: nonnegative and summing to 1 within WEIGHT_SUM_TOL.
-
-    The sum runs left to right, as Python's ``sum`` over a tuple does.
-    """
+    """Mask over the rows of (..., d) weights: nonnegative, summing left to right to 1 within WEIGHT_SUM_TOL."""
     a = np.asarray(a, dtype=float)
-    total = a[..., 0]
-    for i in range(1, a.shape[-1]):
-        total = total + a[..., i]
-    return (a >= 0.0).all(axis=-1) & (np.abs(total - 1.0) <= WEIGHT_SUM_TOL)
+    return (a >= 0.0).all(axis=-1) & (np.abs(a.cumsum(axis=-1)[..., -1] - 1.0) <= WEIGHT_SUM_TOL)
+
+
+def check_weights(weights: np.ndarray) -> np.ndarray:
+    """Validate a weights row, or each row of a (..., d) stack, and return it as floats.
+
+    Entries must be numbers (number_array), and a row is valid iff in_simplex
+    accepts it. Errors come in the order non-finite, negative, sum, each
+    checked on every row before the next, and name the row ``weights``, or
+    ``weights[i]`` in a stack, printing it as plain floats and its sum, taken
+    as in_simplex takes it, with repr.
+    """
+    a = number_array(weights, "weights")
+
+    def row(i) -> tuple[float, ...]:
+        return tuple(map(float, a[i]))
+
+    raise_first(~np.isfinite(a).all(axis=-1), "weights", lambda i: f"must be finite, got {row(i)}")
+    raise_first((a < 0.0).any(axis=-1), "weights", lambda i: f"must be nonnegative, got {row(i)}")
+    raise_first(~in_simplex(a), "weights", lambda i: f"must sum to 1, got sum = {float(a[i].cumsum()[-1])!r}")
+    return a
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Mixing weights (a_1, ..., a_d) of the d-level diagonal family; sum = 1."""
+    """Mixing weights (a_1, ..., a_d) of the d-level diagonal family, valid as check_weights judges them."""
 
     d: int
     a: tuple[float, ...]
@@ -122,12 +136,9 @@ class FamilyParams:
         require_count(self.d, "local dimension d", 2)
         if len(self.a) != self.d:
             raise ValueError(f"need {self.d} weights, got {len(self.a)}")
-        if not in_simplex(self.a):
-            raise_first(~np.isfinite(self.a), "weights", lambda i: f"must be finite, got {self.a[i[0]]}")
-            weights = tuple(map(float, self.a))  # plain floats: a numpy float would print its repr
-            if min(weights) < 0.0:
-                raise ValueError(f"weights must be nonnegative, got {weights}")
-            raise ValueError(f"weights must sum to 1, got sum = {sum(weights)!r}")
+        if np.ndim(self.a) != 1:  # check_weights would read a nested tuple as a stack of rows
+            raise ValueError(f"weights must be one row, got {self.a}")
+        check_weights(self.a)
 
 
 def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +158,8 @@ def special_slice(d: int, a1, a2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def family_special(d: int, a1: float, a2: float) -> FamilyParams:
-    """Special slice point a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2."""
-    a, valid = special_slice(d, a1, a2)
-    if not valid:
-        raise ValueError(f"invalid slice point: (a1, a2, a_d) = ({a1}, {a2}, {a[d - 1]})")
-    return FamilyParams(d=d, a=tuple(a.tolist()))
+    """Special slice point a = (a1, a2, a1, ..., a1, a_d) with a_d = 1 - (d-2) a1 - a2; FamilyParams judges it."""
+    return FamilyParams(d=d, a=tuple(special_slice(d, a1, a2)[0].tolist()))
 
 
 def family_stack(weights: np.ndarray) -> np.ndarray:
@@ -162,18 +170,13 @@ def family_stack(weights: np.ndarray) -> np.ndarray:
     state on either side is I/d for every valid parameter choice.
 
     Each state is Hermitian by construction, its trace is sum(a) and its
-    spectrum is {a_1, a_i/d (each d times), 0 (d - 1 times)}, so a row is
-    validated through its weights: it is a density matrix iff in_simplex
-    accepts it. Errors name the failing row as check_densities does.
+    spectrum is {a_1, a_i/d (each d times), 0 (d - 1 times)}, so it is a
+    density matrix iff its row is in the simplex: the rows are validated by
+    check_weights, which names a failing row ``weights[i]``.
     """
-    a = np.asarray(weights, dtype=float)
-    d = a.shape[-1]
-    DimPair.square(d)  # rejects d < 2
-    raise_first(~np.isfinite(a).all(axis=-1), "state", lambda i: "has non-finite entries (NaN or inf)")
-    min_eig = np.minimum(a[..., :1], a[..., 1:] / d).min(axis=-1)
-    raise_first(
-        min_eig < 0.0, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
-    )
+    d = np.shape(weights)[-1]
+    require_count(d, "local dimension d", 2)
+    a = check_weights(weights)
     rho = np.zeros(a.shape[:-1] + (d * d, d * d), dtype=complex)
     k = np.arange(d)
     phi_idx = k * (d + 1)
@@ -181,11 +184,6 @@ def family_stack(weights: np.ndarray) -> np.ndarray:
     for i in range(1, d):
         idx = k * d + (k + i) % d
         rho[..., idx, idx] = (a[..., i] / d)[..., None]
-    raise_first(
-        ~in_simplex(a),
-        "state",
-        lambda i: f"violates trace normalization: trace = {np.trace(rho[i]).real:.12g}",
-    )
     return rho
 
 

@@ -562,21 +562,22 @@ class TestInvalidMember:
 
     def test_family_weights_outside_simplex(self):
         weights = np.array([[0.2, 0.5, 0.3], [0.6, -0.2, 0.6], [1 / 3, 1 / 3, 1 / 3]])
-        with pytest.raises(ValueError, match=r"^state\[1\] violates positivity"):
+        with pytest.raises(ValueError, match=r"^weights\[1\] must be nonnegative, got \(0\.6, -0\.2, 0\.6\)$"):
             family_stack(weights)
 
     @pytest.mark.parametrize(
         "row, message",
         [
-            ((0.5, np.nan, 0.5), r"has non-finite entries \(NaN or inf\)"),
-            ((0.5, -1e-12, 0.5 + 1e-12), r"violates positivity: min eigenvalue = -3\.333e-13"),
-            ((0.2, 0.5, 0.3 + 1e-6), r"violates trace normalization: trace = 1\.000001"),
+            ((0.5, np.nan, 0.5), r"must be finite, got \(0\.5, nan, 0\.5\)"),
+            ((0.5, -1e-12, 0.5 + 1e-12), r"must be nonnegative, got \(0\.5, -1e-12, 0\.500000000001\)"),
+            ((0.2, 0.5, 0.3 + 1e-6), r"must sum to 1, got sum = 1\.000001"),
         ],
+        ids=("nan", "negative", "sum"),
     )
     def test_family_weights_named(self, row, message):
         # in_simplex's rule: a weight of -1e-12 passes check_densities' eigenvalue tolerance, not this check
         weights = np.array([[1 / 3, 1 / 3, 1 / 3], row, [0.2, 0.5, 0.3]])
-        with pytest.raises(ValueError, match=rf"^state\[1\] {message}$"):
+        with pytest.raises(ValueError, match=rf"^weights\[1\] {message}$"):
             family_stack(weights)
 
     def test_linalg_names_member(self):

@@ -221,7 +221,7 @@ class TestLocalMap:
 class TestOReduction:
     def test_rejects_non_contraction(self):
         # 2 I is neither orthogonal nor a contraction: no verdict, an error naming it
-        with pytest.raises(ValueError, match=r"neither orthogonal nor a contraction: .* O O\^T is 4$"):
+        with pytest.raises(ValueError, match=r"neither orthogonal nor a contraction: .* O O\^T is 4\.0$"):
             o_reduction_apply(max_entangled(3), 2 * np.eye(9))
 
     def test_rejects_mixing_stack_that_does_not_broadcast(self, rng):

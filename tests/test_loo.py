@@ -263,6 +263,20 @@ class TestTransforms:
             f"transform is neither orthogonal nor a contraction: max |O_ij| is {peak}, "
         )
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([1.0 + 5e-10, 1.0, 1.0, 1.0]), (1.0 + 5e-10) * np.eye(4)],
+        ids=("one-entry", "scaled"),
+    )
+    def test_make_transform_prints_the_deciding_numbers(self, matrix):
+        # just past the entry bound: the numbers print in full, not rounded to 1 as 9 digits would
+        with pytest.raises(ValueError) as exc:
+            make_transform(matrix)
+        assert str(exc.value) == (
+            "transform is neither orthogonal nor a contraction: "
+            "max |O_ij| is 1.0000000005, max eigenvalue of O O^T is 1.000000001"
+        )
+
     @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 3, 3)])
     def test_make_transform_rejects_non_square(self, shape):
         shown = re.escape(str(shape))
@@ -273,6 +287,14 @@ class TestTransforms:
         # the reduction kernel's rule: a complex mixing is rejected even with a zero imaginary part
         with pytest.raises(ValueError, match="transform matrix must be real"):
             make_transform(np.eye(9, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "matrix", [np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=object)], ids=("text", "object")
+    )
+    def test_make_transform_rejects_non_numbers(self, matrix):
+        # numbers only: astype(float) would parse text, and the finite check cannot read objects
+        with pytest.raises(ValueError, match=r"^transform matrix must be real$"):
+            make_transform(matrix)
 
     def test_make_transform_returns_float_array(self):
         out = make_transform(np.eye(3, dtype=int))

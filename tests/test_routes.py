@@ -148,3 +148,32 @@ def test_count_bounds_live_in_require_count():
     own = [b for b in bounds if b[0] == "linalg.py" and rule.lineno <= b[1] <= rule.end_lineno]
     assert len(own) == 1, "the guard no longer sees require_count's own message"
     assert [b for b in bounds if b not in own] == []
+
+
+def readers(name: str) -> list[str]:
+    """The "module.top" of each read of name in src/loowit, top being the enclosing top-level def or class."""
+    return sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for _ in range(names_used(top)[name])
+    )
+
+
+def test_weights_are_judged_by_one_rule():
+    # A weights row is valid iff states.in_simplex accepts it. Its mask is read by check_weights, which
+    # raises on it, and by special_slice, which hands it to the grid code (sweep, criteria). In states.py
+    # special_slice gives its weights alone, so no family constructor judges a point by a rule of its own.
+    assert readers("in_simplex") == ["states.check_weights", "states.special_slice"]
+    tree = ast.parse((PACKAGE / "states.py").read_text(encoding="utf-8"))
+
+    def slice_call(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "special_slice"
+
+    calls = [node.lineno for node in ast.walk(tree) if slice_call(node)]
+    weights_only = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and slice_call(node.value) and getattr(node.slice, "value", None) == 0
+    ]
+    assert sorted(calls) == sorted(weights_only), "states.py reads special_slice's mask"

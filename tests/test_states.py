@@ -13,7 +13,9 @@ from loowit.states import (
     family_rho,
     family_separable_sufficient,
     family_special,
+    family_stack,
     horodecki_rho,
+    in_simplex,
     load_state,
     make_state,
     max_entangled,
@@ -164,21 +166,70 @@ class TestFamily:
             (3, (0.5, 0.5, 0.5), r"weights must sum to 1, got sum = 1\.5"),
             (2, (0.25, 0.25), r"weights must sum to 1, got sum = 0\.5"),
             # a non-finite weight is named before the sign and sum checks, which read "sum = nan"
-            (3, (float("nan"), 0.5, 0.5), r"weights\[0\] must be finite, got nan"),
-            (3, (0.5, float("inf"), 0.5), r"weights\[1\] must be finite, got inf"),
-            (3, (0.5, 0.5, -float("inf")), r"weights\[2\] must be finite, got -inf"),
+            (3, (float("nan"), 0.5, 0.5), r"weights must be finite, got \(nan, 0\.5, 0\.5\)"),
+            (3, (0.5, float("inf"), 0.5), r"weights must be finite, got \(0\.5, inf, 0\.5\)"),
+            (3, (0.5, 0.5, -float("inf")), r"weights must be finite, got \(0\.5, 0\.5, -inf\)"),
             # numpy floats are named as plain floats, not as np.float64(...)
             (3, tuple(np.array([0.5, 0.5, 0.5])), r"weights must sum to 1, got sum = 1\.5"),
             (3, tuple(np.array([0.5, 0.75, -0.25])), r"weights must be nonnegative, got \(0\.5, 0\.75, -0\.25\)"),
+            # one row, not a stack of valid rows
+            (2, ((0.5, 0.5), (0.5, 0.5)), r"weights must be one row, got \(\(0\.5, 0\.5\), \(0\.5, 0\.5\)\)"),
+            # text and bools are not weights, though float() reads them
+            (2, ("0.5", "0.5"), r"weights entries must be numbers, not str"),
+            (2, (True, False), r"weights entries must be numbers, not bool"),
         ],
         ids=[
             "d-below-two", "too-few", "too-many", "sum-above", "sum-below", "nan", "inf", "minus-inf",
-            "numpy-sum", "numpy-negative",
+            "numpy-sum", "numpy-negative", "nested", "text", "bool",
         ],
     )
     def test_params_rejections_named(self, d, a, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             FamilyParams(d, a)
+
+    def test_stack_needs_two_levels(self):
+        with pytest.raises(ValueError, match=r"^local dimension d must be an integer >= 2, got 1$"):
+            family_stack(np.ones((2, 1)))
+
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(("dirichlet", "non-finite", "negative", "shifted")), min_size=1, max_size=5),
+    )
+    def test_one_weights_rule(self, d, seed, kinds):
+        # FamilyParams and family_stack judge a row by one rule, in_simplex, with one message; in a stack
+        # the named row is the first that the order non-finite, negative, sum rejects
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(d), size=len(kinds))
+        for row, kind in zip(rows, kinds):
+            j = rng.integers(d)
+            if kind == "non-finite":
+                row[j] = rng.choice([np.nan, np.inf, -np.inf])
+            elif kind == "negative":
+                row[j] = -rng.choice([1e-15, 1e-12, 0.3])
+            elif kind == "shifted":  # multiples of 1e-13 across the 1e-12 sum band
+                row[row.argmax()] += 1e-13 * rng.integers(-15, 16)
+
+        def message(call):
+            try:
+                call()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        alone = []
+        for row in rows:
+            text = message(lambda: FamilyParams(d, tuple(row.tolist())))
+            assert (text is None) == bool(in_simplex(row))
+            assert message(lambda: family_stack(row)) == text
+            alone.append(text)
+        first = None
+        for bad in (~np.isfinite(rows).all(axis=-1), (rows < 0.0).any(axis=-1), ~in_simplex(rows)):
+            if bad.any():
+                first = int(np.argmax(bad))
+                break
+        expected = None if first is None else f"weights[{first}]" + alone[first].removeprefix("weights")
+        assert message(lambda: family_stack(rows)) == expected
 
 
 class TestSamplers:
