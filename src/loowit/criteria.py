@@ -54,7 +54,7 @@ from .loo import (
     standard_positions,
     transpose_transform,
 )
-from .states import BipartiteState, family_ppt_sufficient, family_separable_sufficient, special_slice
+from .states import BipartiteState, family_region, special_slice
 
 # The criteria's thresholds: numerical allowances on exact inequalities, not parameters.
 # The eigenvalue criteria (PPT, the reduction maps) report the tolerance is_psd applies.
@@ -439,21 +439,19 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray,
 
 
 def classify_family_point(d: int, a1, a2):
-    """Analytic region of a special-slice family point, or of each point of (a1, a2) arrays.
+    """states.family_region of a special-slice family point, or of each point of (a1, a2) arrays.
 
-    On the slice the family conditions read: separable iff a2 >= a1 and
-    a_d >= a1; PPT iff a2 * a_d >= a1^2. Bound means PPT but not separable;
-    free means the partial transpose is negative. Returns "invalid" when the
-    weights leave the simplex. Scalar (a1, a2) give a str, arrays an array of str.
+    Returns "invalid" where the weights leave the simplex. Scalar (a1, a2)
+    give a str, arrays an array of str. On the slice the regions read:
+    separable iff a2 >= a1 and a_d >= a1; bound iff PPT, a2 * a_d >= a1^2,
+    but not separable; free otherwise.
 
     The labels are exact on the slice only. Off it, at d >= 4, a_i >= a_1 is
     merely sufficient for separability, so a PPT point that fails it need not
     be bound entangled.
     """
     a, valid = special_slice(d, a1, a2)
-    region = np.where(family_ppt_sufficient(a), "bound", "free")
-    region = np.where(family_separable_sufficient(a), "separable", region)
-    return scalar_or_stack(np.where(valid, region, "invalid"))
+    return scalar_or_stack(np.where(valid, family_region(a), "invalid"))
 
 
 @dataclass(frozen=True, eq=False)

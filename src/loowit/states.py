@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DimPair, checked_spectrum, raise_first, require_count
+from .linalg import DimPair, checked_spectrum, raise_first, require_count, scalar_or_stack
 
 STATE_TRACE_TOL = 1e-9
 STATE_EIG_TOL = 1e-9
@@ -193,17 +193,16 @@ def family_rho(params: FamilyParams) -> BipartiteState:
     return BipartiteState(DimPair.square(params.d), family_stack(params.a), label)
 
 
-def family_separable_sufficient(weights) -> np.ndarray:
-    """Separability condition: a_i >= a_1 for every i != 1, per row of (..., d) weights, as a bool array."""
-    a = np.asarray(weights, dtype=float)
-    return np.all(a[..., 1:] >= a[..., :1], axis=-1)
+def family_region(weights):
+    """Analytic region of the family at a weights row (a str), or at each row of a (..., d) stack (str array).
 
-
-def family_ppt_sufficient(weights) -> np.ndarray:
-    """Positive-partial-transpose condition: a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1, per row of weights."""
+    "separable" where a_i >= a_1 for every i != 1, else "bound" where the partial transpose is positive,
+    a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1, else "free"; exact on the special slice only.
+    """
     a = np.asarray(weights, dtype=float)
-    a1_sq = a[..., :1] * a[..., :1]
-    return np.all(a[..., 1:] * a[..., :0:-1] >= a1_sq, axis=-1)
+    separable = np.all(a[..., 1:] >= a[..., :1], axis=-1)
+    ppt = np.all(a[..., 1:] * a[..., :0:-1] >= a[..., :1] * a[..., :1], axis=-1)
+    return scalar_or_stack(np.where(separable, "separable", np.where(ppt, "bound", "free")))
 
 
 def werner2(p: float) -> BipartiteState:

@@ -30,10 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import ALGEBRAIC_TOL, battery, classify_family_point
+from .criteria import ALGEBRAIC_TOL, battery
 from .linalg import DimPair, require_count
 from .loo import cycle_mixings
-from .states import family_stack, special_slice
+from .states import family_region, family_stack, special_slice
 
 BLOCK_OPERATORS = 512
 # Half-width of the band around the analytic boundaries, in the weights a1, a2, a_d.
@@ -82,7 +82,7 @@ def _evaluate_block(d: int, weights: np.ndarray) -> dict:
         a1,
         a2,
         a_d,
-        classify_family_point(d, a1, a2),
+        family_region(weights),
         ppt_min,
         oreduction_min,
         realignment,

@@ -59,9 +59,8 @@ from loowit.loo import (
 from loowit.states import (
     FamilyParams,
     check_densities,
-    family_ppt_sufficient,
+    family_region,
     family_rho,
-    family_separable_sufficient,
     family_special,
     family_stack,
     horodecki_rho,
@@ -485,12 +484,10 @@ class TestFamilyStack:
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_vectorised_labels_match_scalar(self, d, seed):
         weights = np.random.default_rng(seed).dirichlet(np.ones(d), size=8)
-        separable = family_separable_sufficient(weights)
-        ppt = family_ppt_sufficient(weights)
+        regions = family_region(weights)
         for i, row in enumerate(weights):
             params = FamilyParams(d, tuple(row.tolist()))
-            assert separable[i] == family_separable_sufficient(params.a)
-            assert ppt[i] == family_ppt_sufficient(params.a)
+            assert regions[i] == family_region(params.a)
 
     def test_classify_arrays_match_points(self):
         a1, a2 = np.meshgrid(np.linspace(0.0, 0.6, 9), np.linspace(0.0, 1.0, 9))

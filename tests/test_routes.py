@@ -26,6 +26,7 @@ PACKAGE = ROOT / "src" / "loowit"
 ORDER = ["linalg", "loo", "states", "criteria", "witness", "sweep", "cli"]
 
 PENDING = {
+    "criteria.classify_family_point",
     "criteria.ppt_check",
     "criteria.pair_correlation",
     "criteria.realignment_value",
@@ -162,8 +163,9 @@ def readers(name: str) -> list[str]:
 
 def test_weights_are_judged_by_one_rule():
     # A weights row is valid iff states.in_simplex accepts it. Its mask is read by check_weights, which
-    # raises on it, and by special_slice, which hands it to the grid code (sweep, criteria). In states.py
-    # special_slice gives its weights alone, so no family constructor judges a point by a rule of its own.
+    # raises on it, and by special_slice, which hands it to the sweep to keep the valid grid points (and to
+    # the PENDING sweep.evaluate_point and criteria.classify_family_point). In states.py special_slice
+    # gives its weights alone, so no family constructor judges a point by a rule of its own.
     assert readers("in_simplex") == ["states.check_weights", "states.special_slice"]
     tree = ast.parse((PACKAGE / "states.py").read_text(encoding="utf-8"))
 

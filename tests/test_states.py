@@ -6,12 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import near_float_limit_rho
-from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_trace, partial_transpose, trace_norm, realign
+from loowit.criteria import battery
+from loowit.linalg import (
+    DimPair,
+    herm_eigvalues,
+    is_psd,
+    max_abs,
+    partial_trace,
+    partial_transpose,
+    trace_norm,
+    realign,
+)
+from loowit.loo import cycle_mixings
 from loowit.states import (
     FamilyParams,
-    family_ppt_sufficient,
+    family_region,
     family_rho,
-    family_separable_sufficient,
     family_special,
     family_stack,
     horodecki_rho,
@@ -88,7 +98,7 @@ class TestFamily:
         state = family_rho(params)
         for side in ("A", "B"):
             assert max_abs(partial_trace(state.rho, state.dims, side) - np.eye(3) / 3.0) < 1e-12
-        assert family_separable_sufficient(params.a)
+        assert family_region(params.a) == "separable"
 
     def test_random_simplex_points(self, rng):
         for _ in range(50):
@@ -117,9 +127,9 @@ class TestFamily:
             family_special(3, 0.4, 0.7)
 
     def test_separable_sufficient(self):
-        assert family_separable_sufficient((1 / 3, 1 / 3, 1 / 3))
-        assert not family_separable_sufficient((0.25, 0.65, 0.10))
-        assert family_separable_sufficient((0.2, 0.5, 0.3))
+        assert family_region((1 / 3, 1 / 3, 1 / 3)) == "separable"
+        assert family_region((0.25, 0.65, 0.10)) != "separable"
+        assert family_region((0.2, 0.5, 0.3)) == "separable"
 
     def test_ppt_sufficient_with_eigensolve_oracle(self):
         cases = [
@@ -129,24 +139,22 @@ class TestFamily:
         ]
         for a, expected in cases:
             params = FamilyParams(3, a)
-            assert bool(family_ppt_sufficient(params.a)) is expected
+            assert (family_region(params.a) != "free") is expected
             state = family_rho(params)
             min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
             assert bool(min_eig >= -1e-9) is expected
 
     def test_ppt_condition_matches_eigensolve_on_random_points(self, rng):
-        checked = 0
-        while checked < 30:
-            a = rng.dirichlet(np.ones(3))
-            a = tuple(a / a.sum())
-            margin = min(abs(a[1] * a[2] - a[0] * a[0]), 1.0)
-            if margin < 1e-4:
-                continue  # skip the analytic boundary where the verdict is tolerance-limited
-            params = FamilyParams(3, a)
-            state = family_rho(params)
-            min_eig = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
-            assert bool(family_ppt_sufficient(params.a)) is bool(min_eig >= -1e-9)
-            checked += 1
+        # PPT, not "free", iff the partial transpose passes is_psd; a "separable" row passes every cycle map
+        for d in range(3, 7):
+            a = rng.dirichlet(np.ones(d), size=60)
+            # skip rows near the PPT boundary at any i, where the eigensolve verdict is tolerance-limited
+            a = a[np.abs(a[:, 1:] * a[:, :0:-1] - a[:, :1] ** 2).min(axis=-1) >= 1e-4][:30]
+            assert len(a) == 30
+            region, stack, dims = family_region(a), family_stack(a), DimPair.square(d)
+            assert np.array_equal(region != "free", is_psd(partial_transpose(stack, dims))[0])
+            cycle_ok = battery(stack, dims, cycle_mixings(d))[3]
+            assert cycle_ok[region == "separable"].all()
 
     @given(st.integers(0, 2**32 - 1))
     def test_params_validation(self, seed):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loowit import sweep
+from loowit import criteria, sweep
 from loowit.sweep import BLOCK_OPERATORS, COLUMN_NAMES, SweepResult, _block_size, run_sweep, write_csv
 from oracles import (
     family_cycle_min_closed_form,
@@ -111,6 +111,19 @@ def test_every_block_but_the_last_is_full(monkeypatch, d, grid):
     assert sizes[:-1] == [_block_size(d)] * (len(sizes) - 1)
     assert 0 < sizes[-1] <= _block_size(d)
     assert sum(sizes) == rows
+
+
+def test_each_point_is_weighed_once(monkeypatch):
+    # special_slice weighs each a1 row of the grid once; a block labels the weights it already holds
+    calls = {}
+    for module in (sweep, criteria):
+        def spy(*args, name=module.__name__, special_slice=module.special_slice):
+            calls[name] = calls.get(name, 0) + 1
+            return special_slice(*args)
+
+        monkeypatch.setattr(module, "special_slice", spy)
+    run_sweep(3, 30)
+    assert calls == {"loowit.sweep": 30}
 
 
 # every row, boundary-flagged ones included: rho_B = I/d makes both spectra, and the realigned
