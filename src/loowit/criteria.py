@@ -485,24 +485,24 @@ def full_report(
     """Run every criterion and aggregate the verdicts; budget and seed are checked even without the search.
 
     Every shape gets one battery call: partial transpose, realignment and the
-    reduction maps for the A-side identity / transpose / all diagonal-cycle
-    mixings of battery_mixings(d_A). Each witness's own verdict follows, a
-    witness of other dimensions raising expectation's mismatch error. Then,
-    unless include_search is off, x_search and o_search follow on square
-    states with d_A = d_B >= 3 only: X pairs the sides through (I x u)|kk>,
-    which needs d_A = d_B, and at 2 x 2 PPT is necessary and sufficient for
-    separability (M., P. and R. Horodecki, Phys. Lett. A 223, 1 (1996)), so
-    the ppt report already flags every state a search could. x_search runs
-    first, and the battery call also eigensolves M(rho, O^T) at its finals.
-    _search_report reduces the restart values to x_search and those map
-    minima to o_search, each to the first of its least values.
+    maps of battery_mixings(d_A): the reduction map, which fires only where PPT
+    does (M. and P. Horodecki, PRA 59, 4206 (1999)), then the cycles. Each
+    witness's verdict follows, one of other dimensions raising expectation's
+    mismatch error. Then, unless include_search is off, x_search and o_search
+    follow on square states with d_A = d_B >= 3 only: X pairs the sides through
+    (I x u)|kk>, which needs d_A = d_B, and at 2 x 2 PPT is necessary and
+    sufficient for separability (M., P. and R. Horodecki, Phys. Lett. A 223, 1
+    (1996)), so the ppt report already flags every state a search could.
+    x_search runs first, and the battery call also eigensolves M(rho, O^T) at
+    its finals. _search_report reduces the restart values to x_search and those
+    map minima to o_search, each to the first of its least values.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)
     d_a = state.dims.d_a
-    tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, d_a)]
     search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b >= 3 else None
     mixings = battery_mixings(d_a)
+    tags = ["reduction"] + [f"cycle(l={l})" for l in range(1, len(mixings))]
     if search:
         values, finals = search
         mixings = np.concatenate([mixings, np.swapaxes(finals, -1, -2)])

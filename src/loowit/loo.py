@@ -155,16 +155,19 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
 
 @lru_cache(maxsize=None, typed=True)
 def battery_mixings(d: int) -> np.ndarray:
-    """The report battery's mixings, a read-only (d+1, d^2, d^2) stack: identity, transpose, diag_cycle l = 1 .. d-1."""
+    """The battery's read-only stack: the mixings whose map can fire, not being CP (ew_from_transform(o) not PSD).
+
+    The identity, then diag_cycle l = 1 .. d-1 at d >= 3; the transpose mixing and diag_cycle(2, 1) give CP maps.
+    """
     require_count(d, "local dimension d", 2)
-    stack = np.stack([np.eye(d * d), transpose_transform(d), *(diag_cycle(d, l) for l in range(1, d))])
+    stack = np.stack([np.eye(d * d), *(diag_cycle(d, l) for l in range(1, d) if d >= 3)])
     stack.flags.writeable = False
     return stack
 
 
 def cycle_mixings(d: int) -> np.ndarray:
-    """The diag_cycle(d, l) mixings for l = 1 .. d-1, as one read-only (d-1, d^2, d^2) stack: battery_mixings' tail."""
-    return battery_mixings(d)[2:]
+    """battery_mixings' tail, one read-only stack of the diag_cycle(d, l) for l = 1 .. d-1; empty at d = 2."""
+    return battery_mixings(d)[1:]
 
 
 def transpose_transform(d: int) -> np.ndarray:

@@ -82,8 +82,6 @@ class TestCheck:
             ("ppt", None, "violated"),
             ("realignment", None, "violated"),
             ("o_reduction", "reduction", "violated"),
-            ("o_reduction", "transpose", "pass"),
-            ("o_reduction", "cycle(l=1)", "pass"),
         ]
 
     def test_separable_non_square_file_exits_zero(self, capsys, tmp_path):
@@ -91,7 +89,7 @@ class TestCheck:
         save_state(random_separable_state(DimPair(3, 2), k=4, seed=3), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path))
         assert code == cli.EXIT_OK
-        tags = ["reduction", "transpose", "cycle(l=1)", "cycle(l=2)"]
+        tags = ["reduction", "cycle(l=1)", "cycle(l=2)"]
         assert all(f"o_reduction[{tag}]" in out for tag in tags) and "x_search" not in out
         assert "no entanglement detected" in out
 
@@ -221,17 +219,18 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["overall"] == "entangled"
         criteria = [r["criterion"] for r in payload["reports"]]
-        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d + 1) + ["x_search", "o_search"]
+        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * d + ["x_search", "o_search"]
 
     @pytest.mark.parametrize(
         "spec",
         ("horodecki:a=0.123457", "horodecki:a=0.5", "family:d=3,a1=0.25,a2=0.65", "phi:d=6", "werner:p=0.5"),
     )
     def test_verdict_column_aligned(self, capsys, spec):
-        # the tag column fits the longest tag, a witness's included
+        # the tag column fits the longest tag, a witness's included; a 2 x 2 state prints the
+        # three rows ppt, realignment and o_reduction[reduction]
         _, out, _ = run_cli(capsys, "check", "--builtin", spec, "--budget", "2")
         rows = [line for line in out.splitlines() if line.startswith("  ")]
-        assert len(rows) > 3
+        assert len(rows) >= 3
         starts = {len(line) - len(line[2:].split(" ", 1)[1].lstrip(" ")) for line in rows}
         assert len(starts) == 1, out
 
@@ -703,14 +702,14 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "84a771e53518b62181a8deeae1c6cacc6d9c65d27928cae98ae1b79d7430184a"
+        assert digest == "53a5ccbcc8ef7b95c9862976505eada21fd1c69e78bffc257c261f84d2c6579a"
 
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (
                 ("check", "--builtin", "phi:d=6", "--no-search"),
-                "7301936749cacb3e2ef0476f40ec94a8f670e429cf7a60042c9ec05ecc20486b",
+                "ba33bca152c70de628509482180a56ef44395938304559540b79dd27270faf68",
             ),
             (
                 ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
@@ -722,15 +721,20 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "ba83318af78ffdd8eca3ff57ea76a3b22571d81e05fd2c64b02651344f046f10",
+                "6b46cbd8c1e3697b6acba0be62b641104d614877d75b3439d14e1f318dded8ab",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
-                "3ef7f86eb86bea61c3b93bb630fa028a2634ee2bcf169a055596c48d54e87970",
+                "28d72597ce8a8e6f54bd0a810304c0fca07e8a73cb1f759ccea5d77cdcd4a50d",
             ),
             (
                 ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),
-                "aacf5c6140b91414ee7e4c07b5c3da33e0521cd1454f893a442040dcc97f509f",
+                "c63e7b10d23863c2b0efab73297edb62efa6d3612b34a64b5b518fdb421b88d0",
+            ),
+            # the d_A = 2 layout: the reduction map is the battery's one member
+            (
+                ("check", "--builtin", "werner:p=0.6"),
+                "5a939053a0e62add6e2c52ed16dc6e9df1880523dc6ddbfe6f67a0469e9ef166",
             ),
         ],
     )
@@ -748,7 +752,7 @@ class TestGoldenOutput:
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "bb02136dcc24c8bab4a7f5c5dd76c9a0a00e9ddfa675756fa5b1b53ab830a579"
+        digest = "db4051426b7656ccbc3ceb4b2546cacecfbecca4f6570234ce7fa353a86ba3c9"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

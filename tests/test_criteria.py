@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_density, random_state, same_bits, sample_states
+from conftest import random_complex, random_density, random_state, same_bits, sample_states
 from loowit import criteria
 from loowit.criteria import (
     ALGEBRAIC_TOL,
@@ -33,6 +33,7 @@ from loowit.criteria import (
 )
 from loowit.linalg import DimPair, herm_eigvalues, is_psd, max_abs, realign, trace_norm
 from loowit.loo import (
+    battery_mixings,
     cycle_mixings,
     diag_cycle,
     is_orthogonal,
@@ -54,7 +55,7 @@ from loowit.states import (
     werner2,
 )
 from loowit.sweep import run_sweep
-from loowit.witness import Witness, horodecki_ew
+from loowit.witness import Witness, ew_from_transform, horodecki_ew
 from oracles import (
     best_orthogonal,
     drawn_start,
@@ -549,7 +550,7 @@ class TestXSearch:
             _, finals = x_search(state, SEARCH_BUDGET, 3)
             assert built == solved == []
             _, o_report = search_reports(full_report(state, seed=3))
-        maps = (d + 1 + SEARCH_BUDGET, d * d, d * d)
+        maps = (d + SEARCH_BUDGET, d * d, d * d)
         assert finals.shape == (SEARCH_BUDGET, d * d, d * d)
         assert built == [maps] and solved == [(d * d, d * d), maps]  # the partial transpose, then the maps
         assert o_report.scalar == map_minimum_alone(state, finals)
@@ -819,6 +820,43 @@ class TestLocalUnitaryInvariance:
                     assert after.verdict == before.verdict, before.criterion
 
 
+class TestBatteryRule:
+    """A mixing is in the battery iff its map is not completely positive, so that it can fire.
+
+    The map's Choi matrix is ew_from_transform(O).matrix = M(|phi><phi|, O), so the map is
+    completely positive iff that candidate is PSD; such a map is positive on every state.
+    """
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_every_member_has_a_negative_candidate(self, d):
+        for o in battery_mixings(d):
+            assert ew_from_transform(o).candidate_only is False
+
+    @pytest.mark.parametrize(
+        "o",
+        [pytest.param(transpose_transform(d), id=f"transpose(d={d})") for d in range(2, 7)]
+        + [pytest.param(diag_cycle(2, 1), id="cycle(d=2)")],
+    )
+    def test_left_out_mixings_have_psd_candidates(self, o):
+        w = ew_from_transform(o)
+        assert w.candidate_only is True and w.min_eig >= 0.0
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    @example(2, 2, 1, 0)  # pure 2 x 2 states: entangled with probability 1
+    @example(3, 3, 1, 1)
+    @example(2, 5, 1, 2)
+    @example(5, 3, 1, 3)
+    def test_left_out_maps_stay_positive(self, d_a, d_b, rank, seed):
+        # on random states of every rank up to D = d_A d_B, rank 1 an entangled pure state, the
+        # transpose map (and at d_A = 2 the cycle's) leaves no eigenvalue below rounding
+        dims = DimPair(d_a, d_b)
+        g = random_complex(np.random.default_rng(seed), dims.total, min(rank, dims.total))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        for o in [transpose_transform(d_a)] + ([diag_cycle(2, 1)] if d_a == 2 else []):
+            operator = o_reduction_operator(rho, dims, o)
+            assert herm_eigvalues(operator)[0] >= -1e-12 * max(1.0, max_abs(operator))
+
+
 class TestClassifyFamilyPoint:
     def test_reference_points(self):
         assert classify_family_point(3, 0.2, 0.5) == "separable"
@@ -874,10 +912,11 @@ class TestFullReport:
 
     @pytest.mark.parametrize("dims", [DimPair(2, 3), DimPair(3, 2)])
     def test_non_square_product_gets_the_battery(self, dims):
-        # PPT, realignment and the d_A + 1 A-side maps, and no search: X needs d_A = d_B
+        # PPT, realignment and the A-side maps, and no search: X needs d_A = d_B. At d_A = 2 the
+        # battery is the reduction map alone, at d_A = 3 the reduction map and both cycles
         state = random_product_state(dims, seed=5)
         report = full_report(state)
-        tags = ["reduction", "transpose"] + [f"cycle(l={l})" for l in range(1, dims.d_a)]
+        tags = {2: ["reduction"], 3: ["reduction", "cycle(l=1)", "cycle(l=2)"]}[dims.d_a]
         assert self.labels(report) == [("ppt", None), ("realignment", None)] + [("o_reduction", t) for t in tags]
         assert report.reports[0] == ppt_check(state)
         assert report.reports[1] == realignment_value(state)[1]
@@ -894,8 +933,6 @@ class TestFullReport:
             ("ppt", None): "violated",
             ("realignment", None): "violated",
             ("o_reduction", "reduction"): "violated",
-            ("o_reduction", "transpose"): "pass",
-            ("o_reduction", "cycle(l=1)"): "pass",
         }
         assert report.entangled
 
@@ -944,7 +981,7 @@ class TestEveryShape:
     @example(DimPair(4, 3), "pure", 1, 1)
     def test_separable_samples_are_never_violated(self, dims, mode, k, seed):
         report = full_report(random_separable_state(dims, k=k, seed=seed, mode=mode))
-        assert len(report.reports) == 2 + dims.d_a + 1
+        assert len(report.reports) == 2 + len(battery_mixings(dims.d_a))
         assert [r.verdict for r in report.reports] == ["pass"] * len(report.reports)
 
     @given(st.sampled_from(RECTANGULAR), st.integers(2, 4), st.integers(0, 2**31 - 1))
