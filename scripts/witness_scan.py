@@ -32,6 +32,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=19, help="grid points in (0, 1)")
     args = parser.parse_args(argv)
+    if args.points < 1:  # a scan of no points would pass having checked nothing
+        parser.error(f"argument --points: must be an integer >= 1, got {args.points}")
 
     failed = 0
     print(f"{'a':>6}  {'witness value':>15}  {'closed form':>15}  {'PT min eig':>12}  {'realignment':>12}  check")

@@ -101,8 +101,9 @@ def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
 
 def _load_transform(path: str) -> np.ndarray:
     try:
-        return states.number_array(json.loads(Path(path).read_text(encoding="utf-8"))["matrix"], "matrix")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError covers UTF-8 and JSON errors
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return states.number_array(states.payload_value(payload, "matrix"), "matrix")
+    except (TypeError, ValueError, OverflowError) as exc:  # ValueError covers UTF-8 and JSON errors
         raise ValueError(f"malformed transform file {path}: {exc}") from exc
 
 

@@ -273,11 +273,21 @@ def number_array(entries, key: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _matrix_from_payload(payload: dict, path: Path) -> tuple[np.ndarray, DimPair]:
+def payload_value(payload, key: str):
+    """A decoded JSON file's value at key, naming a payload that is not an object or lacks the key."""
+    if not isinstance(payload, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(payload), "a number")
+        raise ValueError(f"expected a JSON object, got {kind}")
+    if key not in payload:
+        raise ValueError(f"missing the key {key!r}")
+    return payload[key]
+
+
+def _matrix_from_payload(payload, path: Path) -> tuple[np.ndarray, DimPair]:
     try:
-        sizes = [payload[key] for key in ("dim_a", "dim_b")]
-        re, im = (number_array(payload[key], key) for key in ("re", "im"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or huge entries
+        sizes = [payload_value(payload, key) for key in ("dim_a", "dim_b")]
+        re, im = (number_array(payload_value(payload, key), key) for key in ("re", "im"))
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or huge entries
         raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     for key, size in zip(("dim_a", "dim_b"), sizes):
         if isinstance(size, bool) or not isinstance(size, int):

@@ -53,7 +53,8 @@ class Witness:
         """Verdict on state: "violated" when Tr(rho W) < -ALGEBRAIC_TOL * max(1, max |W_ij|)."""
         value = expectation(self, state)
         ok = value >= -ALGEBRAIC_TOL * max(1.0, max_abs(self.matrix))
-        return CriterionReport("witness", "pass" if ok else "violated", value, {"witness": self.provenance})
+        params = {"tol": ALGEBRAIC_TOL, "witness": self.provenance}
+        return CriterionReport("witness", "pass" if ok else "violated", value, params)
 
 
 def ew_from_transform(o: np.ndarray) -> Witness:

@@ -25,6 +25,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# each command that reads a JSON file, the kind its error names and a valid payload of that kind
+STATE_PAYLOAD = {"dim_a": 3, "dim_b": 3, "re": (np.eye(9) / 9).tolist(), "im": np.zeros((9, 9)).tolist()}
+FILE_COMMANDS = [
+    (("check", "--file"), "matrix", STATE_PAYLOAD),
+    (("witness", "perm:d=3,l=1", "--state"), "matrix", STATE_PAYLOAD),
+    (("witness", "generic", "--transform"), "transform", {"matrix": np.eye(9).tolist()}),
+]
+FILE_COMMAND_IDS = ("check-file", "witness-state", "witness-transform")
+# JSON texts that are no object, each with the kind the error names
+NON_OBJECTS = {"[[1.0]]": "an array", '"x"': "a string", "3": "a number", "true": "a boolean", "null": "null"}
+
+
 def search_report(out: str, criterion: str = "x_search") -> dict:
     """The x_search (or o_search) report of check's JSON output."""
     return next(r for r in json.loads(out)["reports"] if r["criterion"] == criterion)
@@ -119,6 +131,19 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith(f"error: malformed {kind} file {path}: ")
+
+    @pytest.mark.parametrize("command, kind, payload", FILE_COMMANDS, ids=FILE_COMMAND_IDS)
+    def test_missing_file_key_named(self, capsys, tmp_path, command, kind, payload):
+        # a key is named as a spec's missing key is, not as a bare KeyError's 'im'; so is a payload of another type
+        cases = {
+            json.dumps({k: v for k, v in payload.items() if k != key}): f"missing the key {key!r}" for key in payload
+        }
+        cases.update({text: f"expected a JSON object, got {shown}" for text, shown in NON_OBJECTS.items()})
+        path = tmp_path / "file.json"
+        for text, message in cases.items():
+            path.write_text(text)
+            expected = (cli.EXIT_ERROR, "", f"error: malformed {kind} file {path}: {message}\n")
+            assert run_cli(capsys, *command, str(path)) == expected
 
     @pytest.mark.parametrize(
         "field, convert, kind",
@@ -241,6 +266,12 @@ class TestCheck:
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == "error: special slice dimension d must be an integer >= 3, got 2\n"
+
+    def test_family_off_the_simplex_named(self, capsys):
+        # a_3 = 1 - a1 - a2 is negative: the point is named by its weights
+        code, out, err = run_cli(capsys, "check", "--builtin", "family:d=3,a1=0.4,a2=0.7")
+        assert (code, out) == (cli.EXIT_ERROR, "")
+        assert err == "error: weights must be nonnegative, got (0.4, 0.7, -0.09999999999999998)\n"
 
     def test_zero_budget_named_without_search(self, capsys):
         code, out, err = run_cli(capsys, "check", "--builtin", "phi:d=2", "--budget", "0", "--no-search")
@@ -690,6 +721,7 @@ class TestGoldenOutput:
             # the largest cycle-mixing stack
             (6, 12, "06e19c0bfa2b5d6226ee5080bddc89f20eccea81817b822346679839371cdf90", 24),
         ],
+        ids=("d3-grid100", "d4-grid30", "d5-grid20", "d6-grid12"),
     )
     def test_sweep_csv_across_d(self, capsys, tmp_path, d, grid, digest, rows):
         path = tmp_path / "sweep.csv"
@@ -702,7 +734,7 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "53a5ccbcc8ef7b95c9862976505eada21fd1c69e78bffc257c261f84d2c6579a"
+        assert digest == "15563997adb88744a020fa75410fe3974582b93f5b7c15c2a7ccde4ada6f73c1"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -737,6 +769,15 @@ class TestGoldenOutput:
                 "5a939053a0e62add6e2c52ed16dc6e9df1880523dc6ddbfe6f67a0469e9ef166",
             ),
         ],
+        ids=(
+            "check-phi-d6-text",
+            "witness-horodecki-a0.3-state-json",
+            "witness-perm-d3-l1-json",
+            "check-horodecki-a0.5-text",
+            "check-separable-d4-json",
+            "check-family-d5-json",
+            "check-werner-p0.6-text",
+        ),
     )
     def test_observable_set_outputs(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)

@@ -891,6 +891,8 @@ class TestFullReport:
         assert witness_reports[0].verdict == "violated"
         assert abs(witness_reports[0].scalar - (1.0 - np.sqrt(1.002))) < 1e-9
         assert report.entangled
+        # every report names the tolerance it applied, the witness's included
+        assert all("tol" in r.params for r in report.reports)
 
     def test_family_bound_point(self):
         state = family_rho(family_special(3, 0.25, 0.65))

@@ -240,9 +240,11 @@ class TestHorodeckiWitness:
         assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
 
 
+SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "witness_scan.py"
+
+
 def load_scan_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "witness_scan.py"
-    spec = importlib.util.spec_from_file_location("witness_scan", path)
+    spec = importlib.util.spec_from_file_location("witness_scan", SCAN_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -272,6 +274,20 @@ class TestScanScript:
         monkeypatch.setattr(scan, "battery", lambda *args: (False, *battery(*args)[1:]))
         assert scan.main(["--points", "3"]) == 1
         assert capsys.readouterr().out.count(" FAIL\n") == 3
+
+    def test_scan_runs_as_a_script(self):
+        # a scan of no points would pass having checked nothing, so --points below 1 is a usage error
+        src = str(Path(loowit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [
+            subprocess.run(
+                [sys.executable, str(SCAN_SCRIPT), "--points", points], capture_output=True, text=True, env=env
+            )
+            for points in ("3", "0")
+        ]
+        assert (runs[0].returncode, runs[0].stdout.count(" ok\n"), runs[0].stderr) == (0, 3, "")
+        assert runs[1].returncode != 0 and runs[1].stdout == ""
+        assert runs[1].stderr.endswith("error: argument --points: must be an integer >= 1, got 0\n")
 
 
 class TestImportOrder:
