@@ -97,8 +97,10 @@ def _report(criterion: str, ok: bool, scalar: float, **params) -> CriterionRepor
 # (tests/test_batched.py, test_gathers_keep_signed_zeros). Tables that depend on
 # the shape alone are built once and read-only (_reduction_gather, loo.battery_mixings).
 # A skipped term is a product with a zero entry, which adds nothing, so each
-# result has the bits of that einsum at a fraction of its cost. T's dense form
-# is residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
+# result has the bits of that einsum at a fraction of its cost. No operator is
+# symmetrised: at a signed permutation of an exactly Hermitian state each entry and
+# its mirror sum conjugate terms, and is_psd removes a general mixing's rounding asymmetry.
+# T's dense form is residue = np.einsum("...mnkl,ukm->...unl", r4, mats), then
 # T = np.einsum("...unl,vnl->...uv", residue, mats).real.
 
 
@@ -148,9 +150,9 @@ def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) 
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
     transform is one real A-side mixing or a (..., d_A^2, d_A^2) stack
-    broadcast against rho's batch axes. The result is the Hermitian part
-    (M + M^dagger)/2: exactly Hermitian, so is_psd's re-check passes and
-    decomposes it as it is.
+    broadcast against rho's batch axes. It is returned as built: exactly
+    Hermitian at a signed permutation of an exactly Hermitian rho, as every
+    validated state is (check_densities), else Hermitian to rounding, which is_psd removes.
 
     The map is reassociated onto the B-side operators paired with L_u
     (_residue):
@@ -180,7 +182,7 @@ def _reduction_gather(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """o_reduction_operator from rho's residue (_residue), rho_B included: d_A and d_B are read off its shape."""
+    """o_reduction_operator, as built, from rho's residue (_residue), rho_B included: d_A and d_B read off its shape."""
     n, d_b = residue.shape[-3], residue.shape[-1]
     d_a = math.isqrt(n)
     transform = np.asarray(transform)
@@ -202,12 +204,7 @@ def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.nd
     rho_b = residue[..., :d_a, :, :].sum(axis=-3)  # the projector slots u < d_A sum to I
     # I x rho_B is np.kron(np.eye(d_a), rho_b)'s own broadcast product, one per state, not per (state, mixing)
     np.subtract(np.eye(d_a)[:, None, :, None] * rho_b[..., None, :, None, :], m, out=m)
-    m = m.reshape(batch + (d_a * d_b, d_a * d_b))
-    # the Hermitian part in place (dagger(m) is a copy). Dividing, not m *= 0.5, runs the
-    # complex divide of (m + dagger(m)) / 2.0, so even the signs of zero parts are kept.
-    np.add(m, dagger(m), out=m)
-    m /= 2.0
-    return m
+    return m.reshape(batch + (d_a * d_b, d_a * d_b))
 
 
 def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):

@@ -152,15 +152,15 @@ def checked_scale(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def checked_spectrum(
     h: np.ndarray, name: str = "matrix", symbol: str = "M"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of a Hermitian matrix or stack, and each member's max-abs scale.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian matrix or stack, each member's max-abs scale, and what was decomposed.
 
     Rejects a non-square or empty (0 x 0) shape, NaN, inf or overflowing entries (checked_scale).
-    A stack equal to H^dagger entry for entry is decomposed as it is. Only on a
+    A member equal to H^dagger entry for entry is decomposed as it is. Only on a
     mismatch is the defect max |H - H^dagger| computed: above HERMITICITY_TOL
     relative to max(1, scale) it is rejected, naming a stack member ``name[i]``
-    and writing the defect with ``symbol``; else the whole stack is decomposed
-    as H/2 + H^dagger/2, which cannot overflow (for an exactly Hermitian H, the same bits).
+    and writing the defect with ``symbol``; else that member is decomposed as H/2 + H^dagger/2,
+    which cannot overflow: the one place where a rounding-level asymmetry is removed.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
@@ -168,16 +168,17 @@ def checked_spectrum(
     if h.shape[-1] == 0:
         raise ValueError(f"matrix must not be empty, got shape {h.shape}")
     scale = checked_scale(h, name)
-    if (h == dagger(h)).all():  # finite entries compare exactly: a zero defect
-        return np.linalg.eigvalsh(h), scale
-    with np.errstate(over="ignore"):  # a defect past the float limit reads inf
-        defect = member_max_abs(h - dagger(h))
-    raise_first(
-        defect > HERMITICITY_TOL * np.maximum(1.0, scale),
-        name,
-        lambda i: f"violates hermiticity: max |{symbol} - {symbol}^dagger| = {defect[i]:.3e}",
-    )
-    return np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0), scale
+    same = h == dagger(h)  # finite entries compare exactly: a zero defect
+    if not same.all():
+        with np.errstate(over="ignore"):  # a defect past the float limit reads inf
+            defect = member_max_abs(h - dagger(h))
+        raise_first(
+            defect > HERMITICITY_TOL * np.maximum(1.0, scale),
+            name,
+            lambda i: f"violates hermiticity: max |{symbol} - {symbol}^dagger| = {defect[i]:.3e}",
+        )
+        h = np.where(same.all(axis=(-2, -1))[..., None, None], h, h / 2.0 + dagger(h) / 2.0)
+    return np.linalg.eigvalsh(h), scale, h
 
 
 def herm_eigvalues(h: np.ndarray) -> np.ndarray:
@@ -203,7 +204,7 @@ def is_psd(h: np.ndarray):
     gives a boolean array and a float array. Input is checked and decomposed
     by checked_spectrum, and |h|_max is the scale that check computed.
     """
-    eigenvalues, scale = checked_spectrum(h)
+    eigenvalues, scale, _ = checked_spectrum(h)
     min_eig = eigenvalues[..., 0]
     ok = min_eig >= -PSD_TOL * np.maximum(1.0, scale)
     return scalar_or_stack(ok), scalar_or_stack(min_eig)

@@ -28,18 +28,19 @@ class BipartiteState:
 
 
 def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
-    """Validate a density matrix, or each member of a (..., n, n) stack, and return it as complex.
+    """Validate a density matrix, or each member of a (..., n, n) stack, and return what checked_spectrum decomposed.
 
     Errors name the violated quantity and, in a stack, the first failing
     member as ``state[i]``. They come in the order non-finite, Hermiticity,
-    trace, positivity, each checked on every member before the next.
+    trace (of rho as given), positivity, each checked on every member before the next.
+    So each member comes back exactly Hermitian: as it is, or as rho/2 + rho^dagger/2.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (dims.total, dims.total):
         raise ValueError(
             f"state matrix shape {rho.shape} does not match dims {dims.d_a}x{dims.d_b} (dimension)"
         )
-    eigenvalues, _ = checked_spectrum(rho, "state", "rho")
+    eigenvalues, _, hermitian = checked_spectrum(rho, "state", "rho")
     with np.errstate(over="ignore"):  # a trace past the float limit reads inf
         tr = np.trace(rho, axis1=-2, axis2=-1)
     raise_first(
@@ -51,7 +52,7 @@ def check_densities(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     raise_first(
         min_eig < -STATE_EIG_TOL, "state", lambda i: f"violates positivity: min eigenvalue = {min_eig[i]:.3e}"
     )
-    return rho
+    return hermitian
 
 
 def make_state(rho: np.ndarray, dims: DimPair, label: str) -> BipartiteState:
@@ -300,7 +301,7 @@ def _matrix_from_payload(payload, path: Path) -> tuple[np.ndarray, DimPair]:
 
 
 def load_state(path: str | Path) -> BipartiteState:
-    """Read and validate a state written by save_state (round trip is exact)."""
+    """Read and validate a state file; a state that save_state wrote comes back with its exact bits."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))

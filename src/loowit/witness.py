@@ -60,11 +60,11 @@ class Witness:
 def ew_from_transform(o: np.ndarray) -> Witness:
     """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T, with d read off o's size d^2.
 
-    It is the reduction-map operator at the unnormalised |phi><phi|. The
-    mixing o must be orthogonal or a contraction (make_transform enforces
-    this here); the candidate becomes a confirmed witness when the eigensolve
-    finds a negative eigenvalue. An orthogonal 0/1 mixing is exactly a slot
-    permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
+    It is the reduction-map operator at the unnormalised |phi><phi|, stored as built: exactly
+    Hermitian at a signed slot permutation, else Hermitian to rounding. The mixing o must be
+    orthogonal or a contraction (make_transform enforces this here); the candidate becomes a
+    confirmed witness when the eigensolve finds a negative eigenvalue. An orthogonal 0/1 mixing
+    is exactly a slot permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
     fixed slots: its ``phi_value`` is d - Tr(o), negative from d+1 fixed slots on.
     """
     o = make_transform(o)
@@ -170,5 +170,5 @@ def expectation(witness: Witness, state: BipartiteState) -> float:
 
 
 def save_witness(witness: Witness, path: str | Path) -> None:
-    """Write the witness in the state matrix JSON format plus a provenance field."""
+    """Write the matrix as stored (see ew_from_transform) in the state matrix JSON format plus a provenance field."""
     save_matrix(path, witness.dims, witness.matrix, provenance=witness.provenance)

@@ -8,6 +8,7 @@ from loowit.states import (
     family_rho,
     make_state,
     max_entangled,
+    phi,
     random_product_state,
     random_separable_state,
 )
@@ -55,6 +56,23 @@ def near_float_limit_rho() -> np.ndarray:
     """
     up = np.triu(np.ones((9, 9)), 1)
     return 1.5e308 * (up + up.T) + np.eye(9) / 9.0 + 1e280j * up
+
+
+def noisy_phi_mixture(d: int) -> np.ndarray:
+    """Half |Phi><Phi| / d, half I / d^2, plus 9e-11 i above the diagonal: a Hermiticity defect within tolerance."""
+    v = phi(d).real
+    n = d * d
+    return np.eye(n) / (2 * n) + np.outer(v, v) / (2 * d) + 9e-11j * np.triu(np.ones((n, n)), 1)
+
+
+def signed_zero_variants(stack: np.ndarray) -> np.ndarray:
+    """The stack, then with its zero real parts, then all its zero parts, made -0.0."""
+    variants = [stack]
+    for parts in (("real",), ("real", "imag")):
+        variants.append(stack.copy())
+        for part in (getattr(variants[-1], name) for name in parts):
+            part[part == 0] = -0.0
+    return np.concatenate(variants)
 
 
 def overflowing_entry_rho() -> np.ndarray:

@@ -382,8 +382,7 @@ def reduction_from_zeros(residue: np.ndarray, transform: np.ndarray) -> np.ndarr
         m = m + np.take(mixed, index[i], axis=-1) * values[i]
     rho_b = residue[..., :d_a, :, :].sum(axis=-3)
     m = np.eye(d_a)[:, None, :, None] * rho_b[..., None, :, None, :] - m
-    m = m.reshape(batch + (d_a * d_b, d_a * d_b))
-    return (m + dagger(m)) / 2.0
+    return m.reshape(batch + (d_a * d_b, d_a * d_b))
 
 
 def x_gathered(tables: _XTables, o: np.ndarray, d: int) -> np.ndarray:

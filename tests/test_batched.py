@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import random_density, same_bits, sample_states
+from conftest import random_density, same_bits, sample_states, signed_zero_variants
+from loowit import criteria
 from loowit.criteria import (
     _XTables,
     _o_gradient,
@@ -131,12 +132,7 @@ class TestRouteAgreement:
                 family_stack(np.eye(d)[:2]),
             ]
         )
-        variants = [stack]
-        for parts in (("real",), ("real", "imag")):
-            variants.append(stack.copy())
-            for part in (getattr(variants[-1], name) for name in parts):
-                part[part == 0] = -0.0
-        stack = np.concatenate(variants)
+        stack = signed_zero_variants(stack)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
         dims = DimPair.square(d)
         residue = _residue(stack, dims)
@@ -281,6 +277,52 @@ class TestExactHermitianRoute:
             herm_eigvalues(h)
 
 
+class TestOperatorsBuiltHermitian:
+    """At a signed permutation of an exactly Hermitian state the reduction operator is built exactly Hermitian.
+
+    _reduction_from_residue returns the operator as built, so this is what
+    lets is_psd decompose the battery's permutation members and every sweep
+    operator without computing a Hermiticity defect.
+    """
+
+    @staticmethod
+    def check_exact(dims, stack, rng):
+        # the exactly Hermitian draws and their signed-zero variants, against every signed permutation
+        stack = signed_zero_variants(stack)
+        assert (stack == dagger(stack)).all()
+        n = dims.d_a**2
+        signed = [np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n) for _ in range(2)]
+        operators = _reduction_from_residue(_residue(stack, dims)[:, None], np.stack(transforms(dims.d_a) + signed))
+        assert (operators == dagger(operators)).all()
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_square_states(self, d, seed):
+        rng = np.random.default_rng(seed)
+        w = np.stack([random_density(rng, d * d) for _ in range(2)])
+        family = family_stack(np.concatenate([rng.dirichlet(np.ones(d), size=2), np.eye(d)[:2]]))
+        self.check_exact(DimPair.square(d), np.concatenate([(w + dagger(w)) / 2.0, family]), rng)
+
+    @given(RECTANGULAR, st.integers(0, 2**32 - 1))
+    def test_rectangular_states(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        w = np.stack([random_density(rng, dims.total) for _ in range(2)])
+        self.check_exact(dims, (w + dagger(w)) / 2.0, rng)
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_sweep_never_symmetrises(self, monkeypatch, d):
+        # every matrix a sweep block hands is_psd, its partial transposes and its reduction operators,
+        # equals its conjugate transpose entry for entry
+        seen = []
+
+        def exact_is_psd(h):
+            seen.append(bool((h == dagger(h)).all()))
+            return is_psd(h)
+
+        monkeypatch.setattr(criteria, "is_psd", exact_is_psd)
+        run_sweep(d, 30)
+        assert seen and all(seen)
+
+
 class TestSparseContractions:
     """The kernels add only the nonzero observable entries; the dense einsums are the reference.
 
@@ -310,10 +352,8 @@ class TestSparseContractions:
         for j, t in enumerate(mixings):
             dense = o_reduction_mixed_residue_dense(stack, dims, t)
             operator = o_reduction_operator(stack, dims, t)
-            assert same_bits(operator, (dense + dagger(dense)) / 2.0)
+            assert same_bits(operator, dense)
             assert same_bits(operators[:, j], operator)
-            # the Hermitian part is what is_psd decomposes anyway
-            assert same_bits(is_psd(operator)[1], is_psd(dense)[1])
 
     @staticmethod
     def check_basis_mixing(dims, stack, rng):
@@ -321,13 +361,12 @@ class TestSparseContractions:
         n = dims.d_a**2
         signed = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
         for t in transforms(dims.d_a) + [signed]:
-            dense = o_reduction_dense(stack, dims, t)
-            assert same_bits(o_reduction_operator(stack, dims, t), (dense + dagger(dense)) / 2.0)
+            assert same_bits(o_reduction_operator(stack, dims, t), o_reduction_dense(stack, dims, t))
         # a general mixing or contraction changes only the last bits
         for t in (random_orthogonal(n, rng), 0.5 * random_orthogonal(n, rng)):
             dense = o_reduction_dense(stack, dims, make_transform(t))
             operator = o_reduction_operator(stack, dims, make_transform(t))
-            assert np.abs(operator - (dense + dagger(dense)) / 2.0).max() <= 1e-12
+            assert np.abs(operator - dense).max() <= 1e-12
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_correlation_matches_dense_einsum(self, d, seed):

@@ -11,9 +11,9 @@ import pytest
 
 from loowit import cli, criteria, loo, states, sweep
 from loowit.linalg import DimPair
-from loowit.states import max_entangled, phi, random_separable_state, save_matrix, save_state
+from loowit.states import max_entangled, random_separable_state, save_matrix, save_state
 from loowit.sweep import CSV_HEADER
-from conftest import near_float_limit_rho, overflowing_entry_rho
+from conftest import near_float_limit_rho, noisy_phi_mixture, overflowing_entry_rho
 from oracles import n_sq_closed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,13 +231,10 @@ class TestCheck:
 
     @pytest.mark.parametrize("d", (3, 6))
     def test_hermiticity_defect_within_tolerance(self, capsys, tmp_path, d):
-        # a 9e-11 defect passes the state check; I x rho_B minus the mixed state doubles it,
-        # and the reduction operators must still be decomposed, not rejected
-        v = phi(d).real
-        n = d * d
-        rho = np.eye(n) / (2 * n) + np.outer(v, v) / (2 * d) + 9e-11j * np.triu(np.ones((n, n)), 1)
+        # a 9e-11 defect passes the state check, which hands the criteria the state's Hermitian part:
+        # the reduction operators, which would double the defect, are decomposed, not rejected
         path = tmp_path / "noisy.json"
-        save_matrix(path, DimPair.square(d), rho)
+        save_matrix(path, DimPair.square(d), noisy_phi_mixture(d))
         code, out, err = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "2")
         assert err == ""
         assert code == cli.EXIT_ENTANGLED
@@ -757,7 +754,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
-                "28d72597ce8a8e6f54bd0a810304c0fca07e8a73cb1f759ccea5d77cdcd4a50d",
+                "6f128e5d68355b17399ca340a2b08e98c60dd9dbbdd33cdf2bc58fa074642712",
             ),
             (
                 ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),

@@ -296,14 +296,20 @@ class TestCheckedSpectrum:
     def test_exactly_hermitian_as_it_is(self, case):
         _, h, _ = case
         assert (h == dagger(h)).all()
-        assert same_bits(checked_spectrum(h)[0], np.linalg.eigvalsh(h))
+        spectrum, _, decomposed = checked_spectrum(h)
+        assert same_bits(spectrum, np.linalg.eigvalsh(h))
+        assert same_bits(decomposed, h)
 
     @given(hermitian_stacks())
     def test_one_ulp_off_symmetrizes_the_stack(self, case):
         _, h, i = case
         h[i, 1, 0] = np.nextafter(h[i, 1, 0].real, np.inf) + 1j * h[i, 1, 0].imag
         assert (h != dagger(h)).sum() == 2  # the entry and its mirror, in member i only
-        assert same_bits(checked_spectrum(h)[0], np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0))
+        spectrum, _, decomposed = checked_spectrum(h)
+        # member i alone is replaced by its Hermitian part, and the spectra keep the symmetrized stack's bits
+        assert same_bits(spectrum, np.linalg.eigvalsh(h / 2.0 + dagger(h) / 2.0))
+        assert same_bits(decomposed[i], h[i] / 2.0 + dagger(h[i]) / 2.0)
+        assert same_bits(np.delete(decomposed, i, axis=0), np.delete(h, i, axis=0))
 
     @given(hermitian_stacks())
     def test_defect_above_tolerance_named(self, case):

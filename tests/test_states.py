@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import near_float_limit_rho
+from conftest import near_float_limit_rho, noisy_phi_mixture, random_density, same_bits, signed_zero_variants
 from loowit.criteria import battery
 from loowit.linalg import (
     DimPair,
+    dagger,
     herm_eigvalues,
     is_psd,
     max_abs,
@@ -20,6 +21,7 @@ from loowit.linalg import (
 from loowit.loo import cycle_mixings
 from loowit.states import (
     FamilyParams,
+    check_densities,
     family_region,
     family_rho,
     family_special,
@@ -367,6 +369,49 @@ class TestSerialization:
         m[1, 2] = entry
         with pytest.raises(ValueError, match="non-finite"):
             make_state(m, DimPair(2, 2), "bad")
+
+
+class TestCheckedState:
+    """check_densities returns the matrix whose spectrum it validated: each member exactly Hermitian."""
+
+    @pytest.mark.parametrize("d", (2, 3, 6))
+    def test_defect_comes_back_as_hermitian_part(self, d):
+        rho = noisy_phi_mixture(d)
+        checked = check_densities(rho, DimPair.square(d))
+        assert (checked == dagger(checked)).all()
+        assert same_bits(checked, rho / 2.0 + dagger(rho) / 2.0)
+        assert same_bits(make_state(rho, DimPair.square(d), "noisy").rho, checked)
+
+    @pytest.mark.parametrize("d", (2, 3, 6))
+    def test_exactly_hermitian_input_keeps_its_bits(self, d):
+        # zeros of either sign included, alone or beside a member with a defect
+        rng = np.random.default_rng(d)
+        w = np.stack([random_density(rng, d * d) for _ in range(2)])
+        exact = signed_zero_variants(np.concatenate([(w + dagger(w)) / 2.0, family_stack(np.eye(d)[:2])]))
+        dims = DimPair.square(d)
+        assert same_bits(check_densities(exact, dims), exact)
+        for rho in exact:
+            assert same_bits(check_densities(rho, dims), rho)
+        mixed = check_densities(np.concatenate([exact, noisy_phi_mixture(d)[None]]), dims)
+        assert same_bits(mixed[:-1], exact)
+        assert same_bits(mixed[-1], check_densities(noisy_phi_mixture(d), dims))
+
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 3e-11))
+    def test_accepted_states_are_exactly_hermitian(self, d, seed, size):
+        # a random density, as drawn (its product g g^dagger need not be exactly Hermitian), mixed
+        # with white noise and given an off-diagonal and imaginary-diagonal defect of up to 3e-11
+        rng = np.random.default_rng(seed)
+        n = d * d
+        defect = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        defect.real[np.diag_indices(n)] = 0.0
+        rho = random_density(rng, n) / 2.0 + np.eye(n) / (2 * n) + size * defect
+        dims = DimPair.square(d)
+        for state in (
+            make_state(rho, dims, "noisy"),
+            random_separable_state(dims, k=int(rng.integers(1, 4)), seed=seed, mode="mixed"),
+            random_product_state(dims, seed=seed),
+        ):
+            assert (state.rho == dagger(state.rho)).all()
 
 
 def hermiticity_overflow_rho() -> np.ndarray:

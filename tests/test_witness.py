@@ -76,8 +76,17 @@ class TestTransformWitness:
             ew_from_transform(np.eye(5))
 
     def test_hermitian(self, rng):
-        w = ew_from_transform(make_transform(random_orthogonal(4, rng)))
-        assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
+        # exactly Hermitian at every (signed) slot permutation, Hermitian to rounding at a general mixing
+        for d in range(2, 7):
+            n = d * d
+            permutations = [np.eye(n), transpose_transform(d), *cycle_mixings(d)]
+            permutations += [np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n) for _ in range(3)]
+            for o in permutations:
+                w = ew_from_transform(o).matrix
+                assert (w == w.conj().T).all()
+            for o in (random_orthogonal(n, rng), 0.5 * random_orthogonal(n, rng)):
+                w = ew_from_transform(o).matrix
+                assert max_abs(w - w.conj().T) <= 1e-15 * max(1.0, max_abs(w))
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_matches_basis_mixing_oracle(self, d):
@@ -236,8 +245,9 @@ class TestHorodeckiWitness:
             assert expectation(w, state) >= -1e-9
 
     def test_hermitian(self):
-        w = horodecki_ew(0.25)
-        assert max_abs(w.matrix - w.matrix.conj().T) <= 1e-10
+        for a in np.linspace(0.0, 1.0, 11):
+            w = horodecki_ew(a).matrix
+            assert max_abs(w - w.conj().T) <= 1e-15 * max(1.0, max_abs(w))
 
 
 SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "witness_scan.py"
