@@ -165,7 +165,7 @@ def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) 
     mixed, mats). For a signed permutation (identity, transpose, diag_cycle)
     the matmul only moves and negates residues, and no entry sums more than
     two nonzero terms, so the operator has the bits of mixing the basis
-    instead (loo.apply_orthogonal). A general mixing changes the last bits.
+    instead (tests/oracles.o_reduction_dense). A general mixing changes the last bits.
     """
     return _reduction_from_residue(_residue(rho, dims), transform)
 
@@ -210,9 +210,9 @@ def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.nd
 def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
     """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or a (..., n, n) stack, from one gather of rho.
 
-    dims is each state's shape, square or not. Each has the bits of its
-    single-state route: ppt_check, realignment_value, and o_reduction_apply per
-    A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k). rho is dropped
+    dims is each state's shape, square or not. Each has the bits of its one-state
+    relation: is_psd of the partial transpose, trace_norm(correlation_T), and is_psd of
+    o_reduction_operator per A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k). rho is dropped
     once its residue replaces it, and the residue before the eigensolve, so a
     caller passing an unnamed stack holds one such stack at a time.
     """
@@ -227,20 +227,20 @@ def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
 
 
 def ppt_check(state: BipartiteState) -> CriterionReport:
-    """Partial-transpose criterion; decisive scalar is the minimum eigenvalue of rho^T_B."""
+    """PPT report, scalar the minimum eigenvalue of rho^T_B; kept for perfbench's tracer until ROADMAP item 3."""
     return _report("ppt", *is_psd(partial_transpose(state.rho, state.dims)))
 
 
 def pair_correlation(state: BipartiteState) -> np.ndarray:
-    """S[u, v] = Tr(rho L_u x L_v), both sides the untransposed standard set: S = T P, as P P = I."""
+    """S[u, v] = Tr(rho L_u x L_v) = (T P)[u, v]; kept for perfbench's tracer until ROADMAP item 3."""
     return correlation_T(state) @ transpose_transform(state.dims.d_b)
 
 
 def correlation_T(state: BipartiteState) -> np.ndarray:
     """T[u, v] = Tr(rho L_u x L_v^T): the B side uses the transposed standard set.
 
-    Equals pair_correlation times the diagonal +-1 transpose mixing, so its
-    singular values do not depend on the B-side convention.
+    Equals S[u, v] = Tr(rho L_u x L_v) (tests/oracles.correlation_dense) times the
+    diagonal +-1 transpose mixing, so its singular values do not depend on the B-side convention.
     """
     return _t_from_residue(_residue(state.rho, state.dims))
 
@@ -252,7 +252,7 @@ def _realignment_report(value: float) -> CriterionReport:
 def realignment_value(state: BipartiteState) -> tuple[float, CriterionReport]:
     """Trace norm of the correlation matrix T; separable states satisfy value <= 1.
 
-    It equals the trace norm of the index-realigned density matrix.
+    It equals the trace norm of the index-realigned density matrix; kept for perfbench's tracer until ROADMAP item 3.
     """
     value = trace_norm(correlation_T(state))
     return value, _realignment_report(value)
@@ -274,6 +274,7 @@ def perm_reduction_family(state: BipartiteState, l: int) -> tuple[np.ndarray, Cr
     On the diagonal family state this shifts the weight at diagonal offset
     i-1 from a_i to a_{i+l} (subscripts wrapped into 1..d). The binding
     constraint is 1 - a_{l+1} >= (d-1) a_1, so l = 1 probes the a_2 weight.
+    It is kept for perfbench's tracer until ROADMAP item 3.
     """
     d = state.dims.square_dim
     operator, report = o_reduction_apply(state, diag_cycle(d, l))
@@ -439,13 +440,7 @@ def classify_family_point(d: int, a1, a2):
     """states.family_region of a special-slice family point, or of each point of (a1, a2) arrays.
 
     Returns "invalid" where the weights leave the simplex. Scalar (a1, a2)
-    give a str, arrays an array of str. On the slice the regions read:
-    separable iff a2 >= a1 and a_d >= a1; bound iff PPT, a2 * a_d >= a1^2,
-    but not separable; free otherwise.
-
-    The labels are exact on the slice only. Off it, at d >= 4, a_i >= a_1 is
-    merely sufficient for separability, so a PPT point that fails it need not
-    be bound entangled.
+    give a str, arrays an array of str. It is kept for perfbench's tracer until ROADMAP item 3.
     """
     a, valid = special_slice(d, a1, a2)
     return scalar_or_stack(np.where(valid, family_region(a), "invalid"))

@@ -9,7 +9,8 @@ The operator functions take stacks: any leading batch axes in front of the
 last two, ``(..., n, n)``. Each stack member is processed as it would be on
 its own, so a stack gives the same bits as its members one at a time. A
 single matrix gives Python scalars where a stack gives arrays, and an error
-about one member of a stack names that member's index.
+about one member of a stack names that member's index. Entries are checked
+(checked_scale) before any LAPACK call, so bad input raises no numpy warning.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def partial_transpose(rho: np.ndarray, dims: DimPair) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims: DimPair, subsystem: str) -> np.ndarray:
-    """Trace out the named subsystem, returning the reduced operator on the other one."""
+    """Trace out the named subsystem, leaving the other one; kept for perfbench's tracer until ROADMAP item 3."""
     r4 = blocks(rho, dims)
     if _check_subsystem(subsystem) == "B":
         return np.einsum("...mnkn->...mk", r4)
@@ -123,7 +124,7 @@ def realign(rho: np.ndarray, dims: DimPair) -> np.ndarray:
     """Row/column realignment: <m,n|out|k,l> = <m,k|rho|n,l> (1-based labels).
 
     The result is a d_A^2 x d_B^2 matrix whose trace norm is the realignment
-    criterion value.
+    criterion value. It is kept for perfbench's tracer until ROADMAP item 3.
     """
     r4 = blocks(rho, dims)
     return np.swapaxes(r4, -3, -2).reshape(r4.shape[:-4] + (dims.d_a * dims.d_a, dims.d_b * dims.d_b))
@@ -182,7 +183,7 @@ def checked_spectrum(
 
 
 def herm_eigvalues(h: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a stack, as checked_spectrum."""
+    """checked_spectrum's ascending eigenvalues; kept for perfbench's tracer until ROADMAP item 3."""
     return checked_spectrum(h)[0]
 
 

@@ -191,7 +191,7 @@ def require_mixing_size(o: np.ndarray, n: int) -> None:
 
 
 def apply_orthogonal(basis: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Mix the set, out_u = sum_v O[u, v] L_v, by O or each O of a (..., n, n) stack; contractions too."""
+    """Mix the set by O or an O stack: out_u = sum_v O[u, v] L_v; kept for perfbench's tracer until ROADMAP item 3."""
     require_mixing_size(o, len(basis))
     return np.einsum("...uv,vij->...uij", o, basis)
 

@@ -198,7 +198,8 @@ def family_region(weights):
     """Analytic region of the family at a weights row (a str), or at each row of a (..., d) stack (str array).
 
     "separable" where a_i >= a_1 for every i != 1, else "bound" where the partial transpose is positive,
-    a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1, else "free"; exact on the special slice only.
+    a_{i+1} a_{d-i+1} >= a_1^2 for i = 1..d-1, else "free". Exact on the special slice only: off it, at
+    d >= 4, a_i >= a_1 is merely sufficient for separability, so a PPT point failing it need not be bound.
     """
     a = np.asarray(weights, dtype=float)
     separable = np.all(a[..., 1:] >= a[..., :1], axis=-1)

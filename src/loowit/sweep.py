@@ -93,7 +93,7 @@ def _evaluate_block(d: int, weights: np.ndarray) -> dict:
 
 
 def evaluate_point(d: int, a1: float, a2: float) -> dict | None:
-    """One sweep row as {column: value}, or None when the point leaves the parameter simplex."""
+    """One sweep row as {column: value}, None off the simplex; kept for perfbench's tracer until ROADMAP item 3."""
     weights, valid = special_slice(d, a1, a2)
     if not valid:
         return None

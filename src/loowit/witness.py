@@ -65,7 +65,8 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     orthogonal or a contraction (make_transform enforces this here); the candidate becomes a
     confirmed witness when the eigensolve finds a negative eigenvalue. An orthogonal 0/1 mixing
     is exactly a slot permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
-    fixed slots: its ``phi_value`` is d - Tr(o), negative from d+1 fixed slots on.
+    fixed slots: its provenance reads permutation(fixed_points=Tr(o)) and its ``phi_value`` is d - Tr(o),
+    negative from d+1 fixed slots on. Any other o reads transform(orthogonal) or transform(contraction).
     """
     o = make_transform(o)
     d = math.isqrt(len(o))

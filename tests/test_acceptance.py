@@ -8,10 +8,11 @@ import time
 import numpy as np
 
 from conftest import random_state
-from loowit.criteria import perm_reduction_family, ppt_check, realignment_value, x_search
-from loowit.linalg import DimPair, herm_eigvalues, max_abs, partial_transpose, realign, trace_norm
+from loowit.criteria import battery, x_search
+from loowit.linalg import DimPair, is_psd, max_abs, realign, trace_norm
 from loowit.loo import (
     apply_orthogonal,
+    battery_mixings,
     diag_cycle,
     make_transform,
     random_orthogonal,
@@ -33,6 +34,11 @@ from loowit.witness import ew_from_transform, expectation, horodecki_ew, horodec
 from oracles import gram_matrix, n_sq_closed, phi_pairing, swap_operator, uniform_pairing, x_matrix, x_reduction_form
 
 A_GRID = np.arange(0.05, 0.951, 0.05)
+
+
+def battery_of(state):
+    """(ppt_ok, ppt_min, realignment, map_ok, map_min) as check computes them, over battery_mixings(d_A)."""
+    return battery(state.rho, state.dims, battery_mixings(state.dims.d_a))
 
 
 def check(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -68,7 +74,7 @@ def test_criterion_2_bound_entanglement_of_target_state():
     for a in A_GRID:
         a = float(a)
         state = horodecki_rho(a)
-        pt_min = herm_eigvalues(partial_transpose(state.rho, state.dims))[0]
+        pt_min = battery_of(state)[1]
         worst_pt = min(worst_pt, pt_min)
         witness = horodecki_ew(a)
         detected = detected and expectation(witness, state) < 0.0
@@ -103,23 +109,19 @@ def test_criterion_3_witness_soundness_on_product_states():
 
 
 def test_criterion_4_permutation_map_detection():
-    bound = family_rho(family_special(3, 0.25, 0.65))
-    ppt_bound = ppt_check(bound)
-    _, perm_bound = perm_reduction_family(bound, 1)
-    ok_bound = ppt_bound.verdict == "pass" and perm_bound.verdict == "violated"
+    # battery_mixings(3) is the identity, then the cycles l = 1, 2
+    ppt_bound, _, _, map_ok, map_min = battery_of(family_rho(family_special(3, 0.25, 0.65)))
+    ok_bound = ppt_bound and not map_ok[1]
 
-    clean = family_rho(family_special(3, 0.2, 0.5))
-    ppt_clean = ppt_check(clean)
-    perm_clean_ok = all(perm_reduction_family(clean, l)[1].verdict == "pass" for l in (1, 2))
-    ok_clean = ppt_clean.verdict == "pass" and perm_clean_ok
+    ppt_clean, _, _, map_ok_clean, _ = battery_of(family_rho(family_special(3, 0.2, 0.5)))
+    ok_clean = ppt_clean and map_ok_clean[1:].all()
 
-    free = family_special(3, 0.3, 0.65)
-    ok_free = ppt_check(family_rho(free)).verdict == "violated"
+    ok_free = not battery_of(family_rho(family_special(3, 0.3, 0.65)))[0]
     check(
         4,
         "family verdicts: (0.25,0.65) bound-detected, (0.2,0.5) clean, (0.3,0.65) PPT-violating",
         ok_bound and ok_clean and ok_free,
-        f"bound perm eig {perm_bound.scalar:.3e}",
+        f"bound perm eig {map_min[1]:.3e}",
     )
 
 
@@ -148,11 +150,11 @@ def test_criterion_6_realignment_equivalence():
     states += [werner2(float(p)) for p in np.arange(0.0, 1.01, 0.1)]
     worst = 0.0
     for state in states:
-        value, _ = realignment_value(state)
+        value = battery_of(state)[2]
         direct = trace_norm(realign(state.rho, state.dims))
         worst = max(worst, abs(value - direct))
     werner_dev = max(
-        abs(realignment_value(werner2(float(p)))[0] - (1.0 + 3.0 * p) / 2.0)
+        abs(battery_of(werner2(float(p)))[2] - (1.0 + 3.0 * p) / 2.0)
         for p in np.arange(0.0, 1.01, 0.1)
     )
     check(
@@ -203,9 +205,9 @@ def test_criterion_8_correlation_matrix_positivity_and_search():
             transform = make_transform(random_orthogonal(d * d, rng))
             u = random_unitary(d, rng)
             x = x_matrix(state, transform, u)
-            worst = min(worst, float(herm_eigvalues(x)[0]))
+            worst = min(worst, float(is_psd(x)[1]))
     detected, blind = (min(x_search(werner2(p), budget=200, seed=123)[0]) for p in (0.5, 0.25))
-    ppt_ok = ppt_check(werner2(0.25)).verdict == "pass"
+    ppt_ok = battery_of(werner2(0.25))[0]
     check(
         8,
         "X >= 0 on 200 separable states x 20 (u, O); search separates Werner p=0.5 from p=0.25",
