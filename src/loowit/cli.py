@@ -75,28 +75,26 @@ def _key(kw: dict[str, str], key: str, spec: str, *, integer: bool = False, defa
     raise ValueError(f"spec {spec!r}: the key {key!r} must be {kind}, got {text!r}")
 
 
-def builtin_state(spec: str) -> tuple[str, dict, BipartiteState]:
-    """Parse a builtin state spec once: its name, its keys and the state."""
+def builtin_state(spec: str) -> BipartiteState:
+    """The state a builtin spec names."""
     name, kw = parse_spec(spec)
     if name == "horodecki":
-        state = states.horodecki_rho(_key(kw, "a", spec))
-    elif name == "family":
+        return states.horodecki_rho(_key(kw, "a", spec))
+    if name == "family":
         d = _key(kw, "d", spec, default=3, integer=True)
-        state = states.family_rho(states.family_special(d, _key(kw, "a1", spec), _key(kw, "a2", spec)))
-    elif name == "werner":
-        state = states.werner2(_key(kw, "p", spec))
-    elif name == "phi":
-        state = states.max_entangled(_key(kw, "d", spec, default=3, integer=True))
-    elif name == "product":
+        return states.family_rho(states.family_special(d, _key(kw, "a1", spec), _key(kw, "a2", spec)))
+    if name == "werner":
+        return states.werner2(_key(kw, "p", spec))
+    if name == "phi":
+        return states.max_entangled(_key(kw, "d", spec, default=3, integer=True))
+    if name == "product":
         dims = DimPair.square(_key(kw, "d", spec, default=3, integer=True))
-        state = states.random_product_state(dims, seed=_key(kw, "seed", spec, default=0, integer=True))
-    elif name == "separable":
+        return states.random_product_state(dims, seed=_key(kw, "seed", spec, default=0, integer=True))
+    if name == "separable":
         dims = DimPair.square(_key(kw, "d", spec, default=3, integer=True))
         k = _key(kw, "k", spec, default=4, integer=True)
-        state = states.random_separable_state(dims, k=k, seed=_key(kw, "seed", spec, default=0, integer=True))
-    else:
-        raise ValueError(f"unknown builtin state {name!r}")
-    return name, kw, state
+        return states.random_separable_state(dims, k=k, seed=_key(kw, "seed", spec, default=0, integer=True))
+    raise ValueError(f"unknown builtin state {name!r}")
 
 
 def _load_transform(path: str) -> np.ndarray:
@@ -112,8 +110,8 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
         print(json.dumps(report.to_dict()))
         return
     print(f"state: {report.state_label}")
-    # a mixing's or a witness's name is shown in brackets after the criterion
-    names = [str(r.params.get("transform", r.params.get("witness", ""))) for r in report.reports]
+    # a mixing's name is shown in brackets after the criterion
+    names = [str(r.params.get("transform", "")) for r in report.reports]
     width = max(len(r.criterion) + len(name) for r, name in zip(report.reports, names)) + 4
     for r, name in zip(report.reports, names):
         tag = f"{r.criterion}[{name}]" if name else r.criterion
@@ -122,26 +120,23 @@ def _print_report(report: criteria.FullReport, as_json: bool) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    witnesses: tuple = ()
-    if args.builtin is not None:
-        name, kw, state = builtin_state(args.builtin)
-        if name == "horodecki":
-            witnesses = (witness_mod.horodecki_ew(_key(kw, "a", args.builtin)),)
-    else:  # argparse requires exactly one of --builtin and --file
-        state = states.load_state(args.file)
-    report = criteria.full_report(
-        state, budget=args.budget, seed=args.seed, include_search=not args.no_search, witnesses=witnesses
-    )
+    # argparse requires exactly one of --builtin and --file
+    state = builtin_state(args.builtin) if args.builtin is not None else states.load_state(args.file)
+    report = criteria.full_report(state, budget=args.budget, seed=args.seed, include_search=not args.no_search)
     _print_report(report, args.json)
     return EXIT_ENTANGLED if report.entangled else EXIT_OK
 
 
+def _check_out(path: str) -> None:
+    """Name an --out path that cannot be written as a file, before the command computes anything."""
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"cannot write --out {path}: {Path(path).parent} is not a directory")
+    if Path(path).is_dir():
+        raise ValueError(f"cannot write --out {path}: it is a directory")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    directory = Path(args.out).parent  # checked before the sweep, which can compute for seconds
-    if not directory.is_dir():
-        raise ValueError(f"cannot write --out {args.out}: {directory} is not a directory")
-    if Path(args.out).is_dir():
-        raise ValueError(f"cannot write --out {args.out}: it is a directory")
+    _check_out(args.out)  # the sweep can compute for seconds
     result = sweep.run_sweep(d=args.d, resolution=args.grid)
     sweep.write_csv(result, args.out)
     for line in sweep.summary_lines(result):
@@ -167,6 +162,8 @@ def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_out(args.out)
     w = _build_witness(args)
     payload = {
         "provenance": w.provenance,
@@ -178,7 +175,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         payload["phi_expectation"] = w.phi_value
     if args.state:
         if args.state.startswith("builtin:"):
-            _, _, state = builtin_state(args.state[len("builtin:"):])
+            state = builtin_state(args.state[len("builtin:"):])
         else:
             state = states.load_state(args.state)
         payload["state"] = state.label

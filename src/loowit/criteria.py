@@ -472,19 +472,18 @@ class FullReport:
 
 
 def full_report(
-    state: BipartiteState, *, budget: int = SEARCH_BUDGET, seed: int = 0, include_search: bool = True, witnesses=()
+    state: BipartiteState, *, budget: int = SEARCH_BUDGET, seed: int = 0, include_search: bool = True
 ) -> FullReport:
     """Run every criterion and aggregate the verdicts; budget and seed are checked even without the search.
 
     Every shape gets one battery call: partial transpose, realignment and the
     maps of battery_mixings(d_A): the reduction map, which fires only where PPT
-    does (M. and P. Horodecki, PRA 59, 4206 (1999)), then the cycles. Each
-    witness's verdict follows, one of other dimensions raising expectation's
-    mismatch error. Then, unless include_search is off, x_search and o_search
-    follow on square states with d_A = d_B >= 3 only: X pairs the sides through
-    (I x u)|kk>, which needs d_A = d_B, and at 2 x 2 PPT is necessary and
-    sufficient for separability (M., P. and R. Horodecki, Phys. Lett. A 223, 1
-    (1996)), so the ppt report already flags every state a search could.
+    does (M. and P. Horodecki, PRA 59, 4206 (1999)), then the cycles. Then,
+    unless include_search is off, x_search and o_search follow on square
+    states with d_A = d_B >= 3 only: X pairs the sides through (I x u)|kk>,
+    which needs d_A = d_B, and at 2 x 2 PPT is necessary and sufficient for
+    separability (M., P. and R. Horodecki, Phys. Lett. A 223, 1 (1996)), so
+    the ppt report already flags every state a search could.
     x_search runs first, and the battery call also eigensolves M(rho, O^T) at
     its finals. _search_report reduces the restart values to x_search and those
     map minima to o_search, each to the first of its least values.
@@ -504,7 +503,6 @@ def full_report(
         _report("o_reduction", member_ok, member_min, transform=tag)
         for tag, member_ok, member_min in zip(tags, map_ok.tolist(), map_min.tolist())
     ]
-    reports += [witness.report(state) for witness in witnesses]
     if search:
         reports += [
             _search_report("x_search", values, budget, seed),

@@ -13,7 +13,7 @@ eigenvalue turns the candidate into a witness. Tailored observable sets are
 orthogonal mixings of the standard set, so their witnesses (the 3x3 one for
 P. Horodecki's state included) are the same operator for a composed mixing.
 Imports run down the module order linalg, loo, states, criteria, witness,
-sweep, cli. A Witness judges a state itself (Witness.report), in full_report too.
+sweep, cli.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import ALGEBRAIC_TOL, CriterionReport, correlation_T, o_reduction_operator
+from .criteria import correlation_T, o_reduction_operator
 from .linalg import DimPair, is_psd, max_abs
 from .loo import asym_slot, is_orthogonal, make_transform, sym_slot
 from .states import BipartiteState, horodecki_rho, phi, save_matrix
@@ -48,13 +48,6 @@ class Witness:
     candidate_only: bool
     min_eig: float
     phi_value: float | None = None
-
-    def report(self, state: BipartiteState) -> CriterionReport:
-        """Verdict on state: "violated" when Tr(rho W) < -ALGEBRAIC_TOL * max(1, max |W_ij|)."""
-        value = expectation(self, state)
-        ok = value >= -ALGEBRAIC_TOL * max(1.0, max_abs(self.matrix))
-        params = {"tol": ALGEBRAIC_TOL, "witness": self.provenance}
-        return CriterionReport("witness", "pass" if ok else "violated", value, params)
 
 
 def ew_from_transform(o: np.ndarray) -> Witness:
@@ -137,8 +130,11 @@ def horodecki_ew(a: float) -> Witness:
     first row and column (slots 2..9), builds the near-identity contraction M.
     The witness I x I - sum_uv M[u, v] A_u x B_v^T is the standard-set witness
     of the contraction K = O_A^T M O_B, built as ew_from_transform(K^T), and
-    its expectation in the state is 1 - sqrt(1 + |n_vec|^2), strictly negative
-    inside the open parameter interval.
+    its expectation in the state is 1 - sqrt(1 + n^2), with
+    n^2 = |n_vec|^2 = (1 - a) a^2 / ((2 + a)(1 + 8a)^2), strictly negative
+    inside the open parameter interval. On every state, with T its
+    correlation_T, it reads 1 - Tr(K^T T) >= 1 - ||T||_tr: it detects nothing
+    that realignment misses, so check reports realignment and not this witness.
 
     At the endpoints a in {0, 1} the antisymmetry vector vanishes, the mixing
     degenerates to the identity and the witness expectation in the target

@@ -50,9 +50,11 @@ class TestCheck:
         assert code == cli.EXIT_ENTANGLED
         payload = json.loads(out)
         assert payload["overall"] == "entangled"
-        witness_reports = [r for r in payload["reports"] if r["criterion"] == "witness"]
-        assert len(witness_reports) == 1
-        assert abs(witness_reports[0]["scalar"] - (1.0 - np.sqrt(1.002))) < 1e-9
+        # no witness report: realignment reads at or below the paper's witness value 1 - sqrt(1 + n^2)
+        assert "witness" not in {r["criterion"] for r in payload["reports"]}
+        realignment = next(r for r in payload["reports"] if r["criterion"] == "realignment")
+        assert realignment["verdict"] == "violated"
+        assert 1.0 - realignment["scalar"] <= 1.0 - np.sqrt(1.0 + n_sq_closed(0.5))
         ppt = next(r for r in payload["reports"] if r["criterion"] == "ppt")
         assert ppt["verdict"] == "pass"
 
@@ -437,6 +439,17 @@ class TestWitnessCommand:
         payload = json.loads(out_path.read_text())
         assert payload["provenance"] == "horodecki(a=0.5)"
 
+    def test_out_is_checked_before_the_witness_is_built(self, capsys, tmp_path, monkeypatch):
+        # as sweep --out is: a missing parent directory and an existing directory are named first
+        def no_build(args):
+            raise AssertionError("the witness was built before its output path was checked")
+
+        monkeypatch.setattr(cli, "_build_witness", no_build)
+        missing = tmp_path / "missing" / "w.json"
+        for path, reason in ((missing, f"{missing.parent} is not a directory"), (tmp_path, "it is a directory")):
+            code, out, err = run_cli(capsys, "witness", "perm:d=3,l=1", "--out", str(path))
+            assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: cannot write --out {path}: {reason}\n")
+
 
 class TestSweepCommand:
     def test_small_grid(self, capsys, tmp_path):
@@ -731,7 +744,7 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "15563997adb88744a020fa75410fe3974582b93f5b7c15c2a7ccde4ada6f73c1"
+        assert digest == "66712a1393bb35db5c5ed4ca69d5b2ca45db6adf118ccfc586f3ab68b3a4c736"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -750,7 +763,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "6b46cbd8c1e3697b6acba0be62b641104d614877d75b3439d14e1f318dded8ab",
+                "6ddf05883a21bb502d869696969a89b8db3dfc007a88754841223d394e75902e",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),

@@ -55,7 +55,7 @@ from loowit.states import (
     werner2,
 )
 from loowit.sweep import run_sweep
-from loowit.witness import Witness, ew_from_transform, horodecki_ew
+from loowit.witness import ew_from_transform, expectation, horodecki_ew
 from oracles import (
     best_orthogonal,
     drawn_start,
@@ -882,16 +882,17 @@ class TestClassifyFamilyPoint:
 
 class TestFullReport:
     def test_horodecki_with_witness(self):
+        # the paper's witness detects the PPT state, and realignment, whose value bounds it, reports it
         state = horodecki_rho(0.5)
-        witness = horodecki_ew(0.5)
-        report = full_report(state, budget=20, witnesses=(witness,))
+        report = full_report(state, budget=20)
         verdicts = {(r.criterion, r.params.get("transform")): r.verdict for r in report.reports}
         assert verdicts[("ppt", None)] == "pass"
-        witness_reports = [r for r in report.reports if r.criterion == "witness"]
-        assert witness_reports[0].verdict == "violated"
-        assert abs(witness_reports[0].scalar - (1.0 - np.sqrt(1.002))) < 1e-9
+        assert verdicts[("realignment", None)] == "violated"
+        assert "witness" not in {r.criterion for r in report.reports}
+        realignment = next(r for r in report.reports if r.criterion == "realignment")
+        assert 1.0 - realignment.scalar <= expectation(horodecki_ew(0.5), state) < 0.0
         assert report.entangled
-        # every report names the tolerance it applied, the witness's included
+        # every report names the tolerance it applied
         assert all("tol" in r.params for r in report.reports)
 
     def test_family_bound_point(self):
@@ -937,17 +938,6 @@ class TestFullReport:
             ("o_reduction", "reduction"): "violated",
         }
         assert report.entangled
-
-    def test_non_square_state_judges_its_witnesses(self):
-        # each witness is judged after the battery: a matching one gets its verdict, a mismatch is named
-        state = random_separable_state(DimPair(2, 3), k=3, seed=4)
-        w = Witness(DimPair(2, 3), np.eye(6), "identity(2x3)", candidate_only=True, min_eig=1.0)
-        report = full_report(state, witnesses=(w,))
-        assert report.reports[:-1] == full_report(state).reports
-        assert report.reports[-1] == w.report(state)
-        assert report.reports[-1].verdict == "pass" and abs(report.reports[-1].scalar - 1.0) < 1e-12
-        with pytest.raises(ValueError, match=r"^dimension mismatch: witness 3x3 vs state 2x3$"):
-            full_report(state, witnesses=(horodecki_ew(0.5),))
 
     def test_report_serialization(self):
         report = full_report(werner2(0.5), include_search=False)
