@@ -149,10 +149,11 @@ def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
-    transform is one real A-side mixing or a (..., d_A^2, d_A^2) stack
-    broadcast against rho's batch axes. It is returned as built: exactly
-    Hermitian at a signed permutation of an exactly Hermitian rho, as every
-    validated state is (check_densities), else Hermitian to rounding, which is_psd removes.
+    transform is one A-side mixing or a (..., d_A^2, d_A^2) stack, read through
+    make_transform and broadcast against rho's batch axes. The operator is
+    returned as built: exactly Hermitian at a signed permutation of an exactly
+    Hermitian rho, as every validated state is (check_densities), else
+    Hermitian to rounding, which is_psd removes.
 
     The map is reassociated onto the B-side operators paired with L_u
     (_residue):
@@ -167,7 +168,7 @@ def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) 
     two nonzero terms, so the operator has the bits of mixing the basis
     instead (tests/oracles.o_reduction_dense). A general mixing changes the last bits.
     """
-    return _reduction_from_residue(_residue(rho, dims), transform)
+    return _reduction_from_residue(_residue(rho, dims), make_transform(transform))
 
 
 @lru_cache(maxsize=None)
@@ -185,10 +186,7 @@ def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.nd
     """o_reduction_operator, as built, from rho's residue (_residue), rho_B included: d_A and d_B read off its shape."""
     n, d_b = residue.shape[-3], residue.shape[-1]
     d_a = math.isqrt(n)
-    transform = np.asarray(transform)
     require_mixing_size(transform, n)
-    if np.iscomplexobj(transform):
-        raise ValueError("transform matrix must be real")
     state_batch, mixing_batch = residue.shape[:-3], transform.shape[:-2]
     try:
         batch = np.broadcast_shapes(state_batch, mixing_batch)
@@ -212,9 +210,18 @@ def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
 
     dims is each state's shape, square or not. Each has the bits of its one-state
     relation: is_psd of the partial transpose, trace_norm(correlation_T), and is_psd of
-    o_reduction_operator per A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k). rho is dropped
-    once its residue replaces it, and the residue before the eigensolve, so a
-    caller passing an unnamed stack holds one such stack at a time.
+    o_reduction_operator per A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k);
+    k = 0 (battery_mixings(2)) gives empty map arrays. The mixings are read through
+    make_transform, which names a bad member transform[i].
+    """
+    return _battery(rho, dims, make_transform(mixings))
+
+
+def _battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
+    """battery on mixings already validated, as full_report builds them.
+
+    rho is dropped once its residue replaces it, and the residue before the
+    eigensolve, so only the caller's reference keeps either alive.
     """
     ppt_ok, ppt_min = is_psd(partial_transpose(rho, dims))
     residue = _residue(rho, dims)
@@ -264,7 +271,7 @@ def o_reduction_apply(state: BipartiteState, transform: np.ndarray) -> tuple[np.
     Separable states stay positive semidefinite for every orthogonal mixing;
     a negative eigenvalue certifies entanglement. make_transform checks the mixing.
     """
-    operator = o_reduction_operator(state.rho, state.dims, make_transform(transform))
+    operator = o_reduction_operator(state.rho, state.dims, transform)
     return operator, _report("o_reduction", *is_psd(operator))
 
 
@@ -476,9 +483,9 @@ def full_report(
 ) -> FullReport:
     """Run every criterion and aggregate the verdicts; budget and seed are checked even without the search.
 
-    Every shape gets one battery call: partial transpose, realignment and the
-    maps of battery_mixings(d_A): the reduction map, which fires only where PPT
-    does (M. and P. Horodecki, PRA 59, 4206 (1999)), then the cycles. Then,
+    Every shape gets one _battery call, on mixings built here and so not read
+    through make_transform: partial transpose, realignment and the maps of
+    battery_mixings(d_A), the cycles (none at d_A = 2). Then,
     unless include_search is off, x_search and o_search follow on square
     states with d_A = d_B >= 3 only: X pairs the sides through (I x u)|kk>,
     which needs d_A = d_B, and at 2 x 2 PPT is necessary and sufficient for
@@ -493,11 +500,11 @@ def full_report(
     d_a = state.dims.d_a
     search = x_search(state, budget=budget, seed=seed) if include_search and d_a == state.dims.d_b >= 3 else None
     mixings = battery_mixings(d_a)
-    tags = ["reduction"] + [f"cycle(l={l})" for l in range(1, len(mixings))]
+    tags = [f"cycle(l={l})" for l in range(1, len(mixings) + 1)]
     if search:
         values, finals = search
         mixings = np.concatenate([mixings, np.swapaxes(finals, -1, -2)])
-    ppt_ok, ppt_min, realignment, map_ok, map_min = battery(state.rho, state.dims, mixings)
+    ppt_ok, ppt_min, realignment, map_ok, map_min = _battery(state.rho, state.dims, mixings)
     reports = [_report("ppt", ppt_ok, ppt_min), _realignment_report(realignment)]
     reports += [
         _report("o_reduction", member_ok, member_min, transform=tag)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import checked_scale, max_abs, require_count
+from .linalg import checked_scale, max_abs, member_max_abs, raise_first, require_count
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -112,30 +112,36 @@ def is_orthogonal(o: np.ndarray) -> bool:
 
 
 def make_transform(matrix: np.ndarray) -> np.ndarray:
-    """Validate a mixing: a real square matrix that is orthogonal or a contraction, as a float array.
+    """Validate a mixing or a (..., n, n) stack: real, square, each orthogonal or a contraction; a float array.
 
     Raises ValueError naming the offending eigenvalue when O O^T exceeds the
-    identity beyond tolerance, and max |O_ij| too when an entry exceeds 1.
+    identity beyond tolerance, and max |O_ij| too when an entry exceeds 1. A
+    stack names its first bad member transform[i].
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biuf":  # complex, and text or objects that astype(float) would parse
         raise ValueError("transform matrix must be real")
     matrix = matrix.astype(float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
     # Every entry of a contraction is at most 1 in magnitude. Past that bound
     # O O^T can overflow, so its top eigenvalue is read off O / max |O_ij|.
-    peak = float(checked_scale(matrix, "transform matrix"))
+    peak = checked_scale(matrix, "transform matrix" if matrix.ndim == 2 else "transform")
     too_large = peak > 1.0 + ORTHOGONALITY_TOL
-    if too_large or not is_orthogonal(matrix):
-        scale = peak if too_large else 1.0
-        g = (matrix / scale) @ (matrix / scale).T
-        top = scale * scale * float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
-        if too_large or top > 1.0 + ORTHOGONALITY_TOL:
-            entry = f"max |O_ij| is {peak!r}, " if too_large else ""
-            raise ValueError(
-                f"transform is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top!r}"
-            )
+    scale = np.where(too_large, peak, 1.0)
+    unit = matrix / scale[..., None, None]
+    g = unit @ np.swapaxes(unit, -1, -2)
+    suspect = too_large | (member_max_abs(g - np.eye(matrix.shape[-1])) > ORTHOGONALITY_TOL)
+    if suspect.any():
+        top = np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2.0)[..., -1]
+
+        def describe(i):
+            entry = f"max |O_ij| is {float(peak[i])!r}, " if too_large[i] else ""
+            s = float(scale[i])  # a Python float: s * s of a huge entry reads inf, with no numpy warning
+            top_value = s * s * float(top[i])
+            return f"is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top_value!r}"
+
+        raise_first(too_large | (top > 1.0 + ORTHOGONALITY_TOL), "transform", describe)
     return matrix
 
 
@@ -155,19 +161,21 @@ def diag_cycle(d: int, l: int) -> np.ndarray:
 
 @lru_cache(maxsize=None, typed=True)
 def battery_mixings(d: int) -> np.ndarray:
-    """The battery's read-only stack: the mixings whose map can fire, not being CP (ew_from_transform(o) not PSD).
+    """The battery's read-only stack: the mixings whose map can detect a PPT state, diag_cycle l = 1 .. d-1.
 
-    The identity, then diag_cycle l = 1 .. d-1 at d >= 3; the transpose mixing and diag_cycle(2, 1) give CP maps.
+    A mixing is kept iff its map is neither completely positive nor completely
+    copositive: both ew_from_transform(o).matrix, the map's Choi matrix, and its
+    partial transpose have a negative eigenvalue. The transpose mixing and
+    diag_cycle(2, 1) give CP maps; the identity gives the reduction map, which is
+    completely copositive and so fires only where PPT does (M. and P. Horodecki,
+    PRA 59, 4206 (1999)). At d = 2 the stack is empty, (0, 4, 4): every positive
+    map on 2 x 2 matrices is decomposable (Stormer 1963; Woronowicz 1976).
     """
     require_count(d, "local dimension d", 2)
-    stack = np.stack([np.eye(d * d), *(diag_cycle(d, l) for l in range(1, d) if d >= 3)])
+    cycles = [diag_cycle(d, l) for l in range(1, d)] if d >= 3 else []
+    stack = np.array(cycles, dtype=float).reshape(len(cycles), d * d, d * d)
     stack.flags.writeable = False
     return stack
-
-
-def cycle_mixings(d: int) -> np.ndarray:
-    """battery_mixings' tail, one read-only stack of the diag_cycle(d, l) for l = 1 .. d-1; empty at d = 2."""
-    return battery_mixings(d)[1:]
 
 
 def transpose_transform(d: int) -> np.ndarray:

@@ -9,8 +9,8 @@ flagged and excluded from the agreement statistic. The CSV schema is
 versioned; figure scripts depend on it.
 
 The valid points are selected first, one a1 row of the grid at a time, and
-judged in blocks, each one stack of family states against the stack of
-cyclic-permutation mixings: a fixed number of array calls per block.
+judged in blocks, each one stack of family states against battery_mixings(d),
+the d - 1 cyclic-permutation mixings: a fixed number of array calls per block.
 BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
 BLOCK_OPERATORS // (d - 1) valid points (the last block holds the rest), so
 d > BLOCK_OPERATORS + 1 is rejected. Each block is one criteria.battery call,
@@ -32,7 +32,7 @@ import numpy as np
 
 from .criteria import ALGEBRAIC_TOL, battery
 from .linalg import DimPair, require_count
-from .loo import cycle_mixings
+from .loo import battery_mixings
 from .states import family_region, family_stack, special_slice
 
 BLOCK_OPERATORS = 512
@@ -73,9 +73,8 @@ def _near_boundary(a1: np.ndarray, a2: np.ndarray, a_d: np.ndarray) -> np.ndarra
 def _evaluate_block(d: int, weights: np.ndarray) -> dict:
     """Columns of the valid special-slice points whose weights are the rows of weights, in input order."""
     a1, a2, a_d = weights[:, 0], weights[:, 1], weights[:, d - 1]
-    # the states are not bound to a name, so battery drops them once their residue replaces them
     dims = DimPair.square(d)
-    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), dims, cycle_mixings(d))
+    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), dims, battery_mixings(d))
     oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
     numeric = np.where(~ppt_ok, "free", np.where(cycle_ok.all(axis=-1), "separable", "bound"))
     values = (

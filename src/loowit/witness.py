@@ -62,6 +62,8 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     negative from d+1 fixed slots on. Any other o reads transform(orthogonal) or transform(contraction).
     """
     o = make_transform(o)
+    if o.ndim != 2:  # make_transform also reads stacks
+        raise ValueError(f"a witness takes one mixing, got shape {o.shape}")
     d = math.isqrt(len(o))
     if d * d != len(o):
         raise ValueError(f"transform dimension {len(o)} is not a square")

@@ -109,19 +109,19 @@ def test_criterion_3_witness_soundness_on_product_states():
 
 
 def test_criterion_4_permutation_map_detection():
-    # battery_mixings(3) is the identity, then the cycles l = 1, 2
+    # battery_mixings(3) is the cycles l = 1, 2
     ppt_bound, _, _, map_ok, map_min = battery_of(family_rho(family_special(3, 0.25, 0.65)))
-    ok_bound = ppt_bound and not map_ok[1]
+    ok_bound = ppt_bound and not map_ok[0]
 
     ppt_clean, _, _, map_ok_clean, _ = battery_of(family_rho(family_special(3, 0.2, 0.5)))
-    ok_clean = ppt_clean and map_ok_clean[1:].all()
+    ok_clean = ppt_clean and map_ok_clean.all()
 
     ok_free = not battery_of(family_rho(family_special(3, 0.3, 0.65)))[0]
     check(
         4,
         "family verdicts: (0.25,0.65) bound-detected, (0.2,0.5) clean, (0.3,0.65) PPT-violating",
         ok_bound and ok_clean and ok_free,
-        f"bound perm eig {map_min[1]:.3e}",
+        f"bound perm eig {map_min[0]:.3e}",
     )
 
 

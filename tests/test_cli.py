@@ -95,7 +95,6 @@ class TestCheck:
         assert [(r["criterion"], r["params"].get("transform"), r["verdict"]) for r in reports] == [
             ("ppt", None, "violated"),
             ("realignment", None, "violated"),
-            ("o_reduction", "reduction", "violated"),
         ]
 
     def test_separable_non_square_file_exits_zero(self, capsys, tmp_path):
@@ -103,7 +102,7 @@ class TestCheck:
         save_state(random_separable_state(DimPair(3, 2), k=4, seed=3), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path))
         assert code == cli.EXIT_OK
-        tags = ["reduction", "cycle(l=1)", "cycle(l=2)"]
+        tags = ["cycle(l=1)", "cycle(l=2)"]
         assert all(f"o_reduction[{tag}]" in out for tag in tags) and "x_search" not in out
         assert "no entanglement detected" in out
 
@@ -243,18 +242,17 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["overall"] == "entangled"
         criteria = [r["criterion"] for r in payload["reports"]]
-        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * d + ["x_search", "o_search"]
+        assert criteria == ["ppt", "realignment"] + ["o_reduction"] * (d - 1) + ["x_search", "o_search"]
 
     @pytest.mark.parametrize(
         "spec",
         ("horodecki:a=0.123457", "horodecki:a=0.5", "family:d=3,a1=0.25,a2=0.65", "phi:d=6", "werner:p=0.5"),
     )
     def test_verdict_column_aligned(self, capsys, spec):
-        # the tag column fits the longest tag, a witness's included; a 2 x 2 state prints the
-        # three rows ppt, realignment and o_reduction[reduction]
+        # the tag column fits the longest tag; a 2 x 2 state prints the two rows ppt and realignment
         _, out, _ = run_cli(capsys, "check", "--builtin", spec, "--budget", "2")
         rows = [line for line in out.splitlines() if line.startswith("  ")]
-        assert len(rows) >= 3
+        assert len(rows) >= 2
         starts = {len(line) - len(line[2:].split(" ", 1)[1].lstrip(" ")) for line in rows}
         assert len(starts) == 1, out
 
@@ -744,14 +742,14 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "66712a1393bb35db5c5ed4ca69d5b2ca45db6adf118ccfc586f3ab68b3a4c736"
+        assert digest == "9356960882c99a6e70f13d12e4dd7a4d16b7c579da1a89e392c9913bfb68a486"
 
     @pytest.mark.parametrize(
         "argv, digest",
         [
             (
                 ("check", "--builtin", "phi:d=6", "--no-search"),
-                "ba33bca152c70de628509482180a56ef44395938304559540b79dd27270faf68",
+                "b7b7ff9d035cf640793ac423fcf0f45c41e0dacc0e1af8cc4007b08b42648261",
             ),
             (
                 ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
@@ -763,20 +761,20 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "6ddf05883a21bb502d869696969a89b8db3dfc007a88754841223d394e75902e",
+                "86be475f6fecef153d2277a21a5300b9169a39887eef25f3825f40bd6881202e",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),
-                "6f128e5d68355b17399ca340a2b08e98c60dd9dbbdd33cdf2bc58fa074642712",
+                "ff7ce82cf5f6dbbb0da56b7d61799cbf8cf1d9127882af6ddc714ecfc6d1f516",
             ),
             (
                 ("check", "--builtin", "family:d=5,a1=0.1,a2=0.4", "--json", "--no-search"),
-                "c63e7b10d23863c2b0efab73297edb62efa6d3612b34a64b5b518fdb421b88d0",
+                "f2b421b46c0c3ea96b5918157e557457b744d1e3148ddabc8d97fab3c5fd0105",
             ),
-            # the d_A = 2 layout: the reduction map is the battery's one member
+            # the d_A = 2 layout: the battery holds no map, so PPT and realignment are the rows
             (
                 ("check", "--builtin", "werner:p=0.6"),
-                "5a939053a0e62add6e2c52ed16dc6e9df1880523dc6ddbfe6f67a0469e9ef166",
+                "0c7c2bdab1d4553edab9cbc9ba3d7a1de9d59cf85bc87cf8547436253a104484",
             ),
         ],
         ids=(
@@ -803,7 +801,7 @@ class TestGoldenOutput:
         save_state(random_separable_state(DimPair.square(4), k=3, seed=1, mode="mixed"), path)
         code, out, _ = run_cli(capsys, "check", "--file", str(path), "--json", "--budget", "4")
         assert code == cli.EXIT_OK
-        digest = "db4051426b7656ccbc3ceb4b2546cacecfbecca4f6570234ce7fa353a86ba3c9"
+        digest = "f36394e46e2ef69b29538d07f7dfd3afe4cfd90de405946f6021abc3165bfda0"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)

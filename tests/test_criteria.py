@@ -31,10 +31,9 @@ from loowit.criteria import (
     realignment_value,
     x_search,
 )
-from loowit.linalg import DimPair, herm_eigvalues, is_psd, max_abs, realign, trace_norm
+from loowit.linalg import DimPair, herm_eigvalues, is_psd, max_abs, partial_transpose, realign, trace_norm
 from loowit.loo import (
     battery_mixings,
-    cycle_mixings,
     diag_cycle,
     is_orthogonal,
     make_transform,
@@ -152,7 +151,7 @@ class TestRealignment:
 
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
-            battery(np.eye(8) / 8.0, DimPair.square(3), cycle_mixings(3))
+            battery(np.eye(8) / 8.0, DimPair.square(3), battery_mixings(3))
 
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_matches_realigned_trace_norm(self, d_a, d_b, seed):
@@ -160,7 +159,7 @@ class TestRealignment:
         state = make_state(random_density(np.random.default_rng(seed), dims.total), dims, "random")
         value, _ = realignment_value(state)
         assert abs(value - trace_norm(realign(state.rho, dims))) < 1e-9
-        assert value == battery(state.rho, dims, cycle_mixings(d_a))[2]
+        assert value == battery(state.rho, dims, battery_mixings(d_a))[2]
 
 
 class TestBestOrthogonal:
@@ -229,8 +228,8 @@ class TestOReduction:
         stack = np.stack([random_density(rng, 9) for _ in range(5)])
         message = r"transform batch shape \(2,\) does not broadcast against state batch shape \(5,\)"
         with pytest.raises(ValueError, match=message):
-            o_reduction_operator(stack, DimPair.square(3), cycle_mixings(3))
-        assert o_reduction_operator(stack[:, None], DimPair.square(3), cycle_mixings(3)).shape == (5, 2, 9, 9)
+            o_reduction_operator(stack, DimPair.square(3), battery_mixings(3))
+        assert o_reduction_operator(stack[:, None], DimPair.square(3), battery_mixings(3)).shape == (5, 2, 9, 9)
 
     def test_rejects_wrong_size_mixing(self):
         with pytest.raises(ValueError, match=r"transform shape \(4, 4\) does not match basis size 9"):
@@ -243,6 +242,29 @@ class TestOReduction:
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
             o_reduction_operator(np.eye(8) / 8.0, DimPair.square(3), np.eye(9))
+
+    @pytest.mark.parametrize("kernel", (battery, o_reduction_operator), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "mixing, message",
+        [
+            # unchecked, 2 I read this separable state as violated (map_min -0.511)
+            (2.0 * np.eye(9), r"transform is neither orthogonal nor a contraction: max \|O_ij\| is 2\.0, "
+             r"max eigenvalue of O O\^T is 4\.0"),
+            (np.stack([np.eye(9), 2.0 * np.eye(9)]), r"transform\[1\] is neither orthogonal nor a contraction: .*"),
+            (1e308 * np.eye(9), r"transform is neither orthogonal nor a contraction: max \|O_ij\| is 1e\+308, "
+             r"max eigenvalue of O O\^T is inf"),
+            (np.diag([1.0] * 8 + [np.nan]), r"transform matrix has non-finite entries \(NaN or inf\)"),
+            (np.stack([np.diag([np.inf] * 9), np.eye(9)]), r"transform\[0\] has non-finite entries \(NaN or inf\)"),
+            (np.eye(9).astype(str), "transform matrix must be real"),
+            (np.eye(9, dtype=object), "transform matrix must be real"),
+        ],
+        ids=("2I", "2I-member", "1e308I", "nan", "inf-member", "text", "object"),
+    )
+    def test_public_kernels_read_mixings_through_make_transform(self, kernel, mixing, message):
+        # the mixing is named, before any map is built: no verdict, no numpy warning or TypeError
+        state = random_separable_state(DimPair.square(3), 4, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kernel(state.rho, state.dims, mixing)
 
     def test_reduction_detects_max_entangled(self):
         state = max_entangled(3)
@@ -550,7 +572,7 @@ class TestXSearch:
             _, finals = x_search(state, SEARCH_BUDGET, 3)
             assert built == solved == []
             _, o_report = search_reports(full_report(state, seed=3))
-        maps = (d + SEARCH_BUDGET, d * d, d * d)
+        maps = (d - 1 + SEARCH_BUDGET, d * d, d * d)
         assert finals.shape == (SEARCH_BUDGET, d * d, d * d)
         assert built == [maps] and solved == [(d * d, d * d), maps]  # the partial transpose, then the maps
         assert o_report.scalar == map_minimum_alone(state, finals)
@@ -559,7 +581,7 @@ class TestXSearch:
     def test_tied_zeros_read_as_the_lower_restart(self, tie):
         # both search scalars are the first of the least per-restart values, so between restarts
         # tied at 0.0 and -0.0 the scalar carries restart 0's sign, whatever order a reduction takes
-        search, run_battery = criteria.x_search, criteria.battery
+        search, run_battery = criteria.x_search, criteria._battery
 
         def tied_search(state, budget, seed):
             return np.array(tie), search(state, budget, seed)[1]
@@ -572,7 +594,7 @@ class TestXSearch:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(criteria, "x_search", tied_search)
-            patch.setattr(criteria, "battery", tied_battery)
+            patch.setattr(criteria, "_battery", tied_battery)
             reports = search_reports(full_report(horodecki_rho(0.5), budget=2))
         for report in reports:
             assert report.scalar == 0.0 and math.copysign(1.0, report.scalar) == math.copysign(1.0, tie[0])
@@ -821,25 +843,53 @@ class TestLocalUnitaryInvariance:
 
 
 class TestBatteryRule:
-    """A mixing is in the battery iff its map is not completely positive, so that it can fire.
+    """A mixing is in the battery iff its map is neither completely positive nor completely copositive.
 
-    The map's Choi matrix is ew_from_transform(O).matrix = M(|phi><phi|, O), so the map is
-    completely positive iff that candidate is PSD; such a map is positive on every state.
+    The map's Choi matrix is W = ew_from_transform(O).matrix = M(|phi><phi|, O). The map is
+    completely positive iff W is PSD, and then positive on every state; it is completely
+    copositive iff W^T_B is PSD, and then it fires only where PPT does. Either way it cannot
+    detect a PPT state.
     """
+
+    @staticmethod
+    def min_eigs(o) -> tuple[float, float]:
+        """lambda_min of W and of W^T_B."""
+        w = ew_from_transform(o)
+        return w.min_eig, herm_eigvalues(partial_transpose(w.matrix, w.dims))[0]
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_every_member_has_a_negative_candidate(self, d):
+        assert len(battery_mixings(d)) == (d - 1 if d >= 3 else 0)
         for o in battery_mixings(d):
-            assert ew_from_transform(o).candidate_only is False
+            w_min, w_tb_min = self.min_eigs(o)
+            assert w_min < -0.5 and w_tb_min < -0.5
 
     @pytest.mark.parametrize(
-        "o",
-        [pytest.param(transpose_transform(d), id=f"transpose(d={d})") for d in range(2, 7)]
-        + [pytest.param(diag_cycle(2, 1), id="cycle(d=2)")],
+        "o, psd",
+        [pytest.param(transpose_transform(d), "W", id=f"transpose(d={d})") for d in range(2, 7)]
+        + [pytest.param(diag_cycle(2, 1), "W", id="cycle(d=2)")]
+        + [pytest.param(np.eye(d * d), "W^T_B", id=f"identity(d={d})") for d in range(2, 7)],
     )
-    def test_left_out_mixings_have_psd_candidates(self, o):
-        w = ew_from_transform(o)
-        assert w.candidate_only is True and w.min_eig >= 0.0
+    def test_left_out_mixings_have_psd_candidates(self, o, psd):
+        # the CP maps have a PSD candidate W; the reduction map (O = I) has a PSD W^T_B
+        w_min, w_tb_min = self.min_eigs(o)
+        assert {"W": w_min, "W^T_B": w_tb_min}[psd] >= 0.0
+        assert ew_from_transform(o).candidate_only is (psd == "W")
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    @example(3, 3, 1, 0)
+    @example(2, 4, 4, 1)
+    @example(4, 2, 8, 2)
+    def test_reduction_map_fires_only_where_ppt_does(self, d_a, d_b, rank, seed):
+        # I x rho_B - rho = sum_{i<j} (W_ij x I) rho^T_A (W_ij x I)^dagger with W_ij = |i><j| - |j><i|
+        # and sum_{i<j} W_ij W_ij^dagger = (d_A - 1) I, so lambda_min >= (d_A - 1) min(0, lambda_min(rho^T_B)):
+        # the left-out identity mixing is kept here as the oracle of that theorem
+        dims = DimPair(d_a, d_b)
+        g = random_complex(np.random.default_rng(seed), dims.total, min(rank, dims.total))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        operator = o_reduction_operator(rho, dims, np.eye(d_a * d_a))
+        bound = (d_a - 1) * min(0.0, herm_eigvalues(partial_transpose(rho, dims))[0])
+        assert herm_eigvalues(operator)[0] >= bound - 1e-12 * max(1.0, max_abs(operator))
 
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 25), st.integers(0, 2**32 - 1))
     @example(2, 2, 1, 0)  # pure 2 x 2 states: entangled with probability 1
@@ -916,10 +966,10 @@ class TestFullReport:
     @pytest.mark.parametrize("dims", [DimPair(2, 3), DimPair(3, 2)])
     def test_non_square_product_gets_the_battery(self, dims):
         # PPT, realignment and the A-side maps, and no search: X needs d_A = d_B. At d_A = 2 the
-        # battery is the reduction map alone, at d_A = 3 the reduction map and both cycles
+        # battery holds no map, at d_A = 3 both cycles
         state = random_product_state(dims, seed=5)
         report = full_report(state)
-        tags = {2: ["reduction"], 3: ["reduction", "cycle(l=1)", "cycle(l=2)"]}[dims.d_a]
+        tags = {2: [], 3: ["cycle(l=1)", "cycle(l=2)"]}[dims.d_a]
         assert self.labels(report) == [("ppt", None), ("realignment", None)] + [("o_reduction", t) for t in tags]
         assert report.reports[0] == ppt_check(state)
         assert report.reports[1] == realignment_value(state)[1]
@@ -932,12 +982,19 @@ class TestFullReport:
         report = full_report(state)
         assert report.reports[0] == ppt_check(state)
         verdicts = {label: r.verdict for label, r in zip(self.labels(report), report.reports)}
-        assert verdicts == {
-            ("ppt", None): "violated",
-            ("realignment", None): "violated",
-            ("o_reduction", "reduction"): "violated",
-        }
+        assert verdicts == {("ppt", None): "violated", ("realignment", None): "violated"}
         assert report.entangled
+
+    def test_builds_its_mixings_unchecked(self):
+        # full_report passes battery_mixings and the search's orthogonal finals to _battery, not through
+        # make_transform, so check pays no validation
+        def refuse(_):
+            raise AssertionError("make_transform called")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(criteria, "make_transform", refuse)
+            report = full_report(horodecki_rho(0.5), budget=2)
+        assert report.to_dict() == full_report(horodecki_rho(0.5), budget=2).to_dict()
 
     def test_report_serialization(self):
         report = full_report(werner2(0.5), include_search=False)

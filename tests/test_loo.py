@@ -12,7 +12,6 @@ from loowit.loo import (
     apply_orthogonal,
     asym_slot,
     battery_mixings,
-    cycle_mixings,
     diag_cycle,
     is_orthogonal,
     make_transform,
@@ -277,14 +276,31 @@ class TestTransforms:
             "max |O_ij| is 1.0000000005, max eigenvalue of O O^T is 1.000000001"
         )
 
-    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 3, 3)])
+    @pytest.mark.parametrize("shape", [(3, 4), (9,), (2, 3, 4)])
     def test_make_transform_rejects_non_square(self, shape):
         shown = re.escape(str(shape))
         with pytest.raises(ValueError, match=rf"^transform must be square, got shape {shown}$"):
             make_transform(np.zeros(shape))
 
+    def test_make_transform_reads_a_stack(self, rng):
+        # each member as it would be alone, orthogonal or a contraction; a bad member is named by its index
+        members = [random_orthogonal(9, rng), 0.5 * np.eye(9), diag_cycle(3, 1)]
+        stack = make_transform(np.stack(members).reshape(3, 1, 9, 9))
+        assert stack.shape == (3, 1, 9, 9)
+        assert all(np.array_equal(stack[i, 0], make_transform(m)) for i, m in enumerate(members))
+        assert make_transform(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        bad = np.stack([np.eye(4), np.eye(4), 2.0 * np.eye(4)])
+        with pytest.raises(ValueError) as exc:
+            make_transform(bad.reshape(3, 1, 4, 4))
+        assert str(exc.value) == (
+            "transform[2, 0] is neither orthogonal nor a contraction: max |O_ij| is 2.0, max eigenvalue of O O^T is 4.0"
+        )
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^transform\[1\] has non-finite entries \(NaN or inf\)$"):
+            make_transform(bad)
+
     def test_make_transform_rejects_every_complex_array(self):
-        # the reduction kernel's rule: a complex mixing is rejected even with a zero imaginary part
+        # a complex mixing is rejected even with a zero imaginary part
         with pytest.raises(ValueError, match="transform matrix must be real"):
             make_transform(np.eye(9, dtype=complex))
 
@@ -326,17 +342,15 @@ class TestPermutations:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_cycle_mixings_stack_the_shifts(self, d):
-        # the battery's stack is built once per d: identity, then the shifts, bit for bit; at d = 2
-        # the one shift's map is completely positive, so the identity stands alone
-        shifts = [diag_cycle(d, l) for l in range(1, d)] if d >= 3 else []
+        # the battery's stack is built once per d: the cyclic shifts l = 1 .. d-1, bit for bit; at d = 2
+        # the one shift's map is completely positive, so the stack is empty
+        shifts = [diag_cycle(d, l).tobytes() for l in range(1, d)] if d >= 3 else []
         battery = battery_mixings(d)
-        assert battery.dtype == float and battery.shape == (1 + len(shifts), d * d, d * d)
-        assert battery.tobytes() == np.stack([np.eye(d * d), *shifts]).tobytes()
+        assert battery.dtype == float and battery.shape == (len(shifts), d * d, d * d)
+        assert battery.tobytes() == b"".join(shifts)
+        assert battery_mixings(d) is battery and not battery.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            battery[0, 0, 0] = 2.0
-        stack = cycle_mixings(d)
-        assert stack.shape == (len(shifts), d * d, d * d)
-        assert stack.tobytes() == battery[1:].tobytes() and not stack.flags.writeable
+            battery[..., 0, 0] = 2.0
 
     @pytest.mark.parametrize("d", (3, 4, 5, 6))
     def test_cycle_fixed_point_count(self, d):

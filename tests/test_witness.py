@@ -16,7 +16,7 @@ from loowit.criteria import correlation_T, realignment_value
 from loowit.linalg import DimPair, herm_eigvalues, max_abs
 from loowit.loo import (
     apply_orthogonal,
-    cycle_mixings,
+    battery_mixings,
     diag_cycle,
     make_transform,
     random_orthogonal,
@@ -73,12 +73,15 @@ class TestTransformWitness:
         # d is read off the d^2 x d^2 mixing, so a size that is no square is named
         with pytest.raises(ValueError, match=r"^transform dimension 5 is not a square$"):
             ew_from_transform(np.eye(5))
+        # make_transform reads a stack of mixings; a witness is built from one
+        with pytest.raises(ValueError, match=r"^a witness takes one mixing, got shape \(2, 9, 9\)$"):
+            ew_from_transform(np.stack([np.eye(9)] * 2))
 
     def test_hermitian(self, rng):
         # exactly Hermitian at every (signed) slot permutation, Hermitian to rounding at a general mixing
         for d in range(2, 7):
             n = d * d
-            permutations = [np.eye(n), transpose_transform(d), *cycle_mixings(d)]
+            permutations = [np.eye(n), transpose_transform(d), *battery_mixings(d)]
             permutations += [np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n) for _ in range(3)]
             for o in permutations:
                 w = ew_from_transform(o).matrix
@@ -91,7 +94,7 @@ class TestTransformWitness:
     def test_matches_basis_mixing_oracle(self, d):
         # the reduction map at |phi><phi| has the bits of mixing the observables themselves
         rng = np.random.default_rng(d)
-        mixings = [np.eye(d * d), transpose_transform(d), *cycle_mixings(d)]
+        mixings = [np.eye(d * d), transpose_transform(d), *battery_mixings(d)]
         mixings += [random_orthogonal(d * d, rng), 0.5 * np.eye(d * d)]
         for o in mixings:
             assert np.array_equal(ew_from_transform(o).matrix, basis_mixing_witness(o, d))
