@@ -149,11 +149,10 @@ def _mix(o: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def o_reduction_operator(rho: np.ndarray, dims: DimPair, transform: np.ndarray) -> np.ndarray:
     """I x rho_B minus the A-side-mixed state, sum_uv <L_u x L_v^T> L^o_u x L_v^T.
 
-    transform is one A-side mixing or a (..., d_A^2, d_A^2) stack, read through
-    make_transform and broadcast against rho's batch axes. The operator is
-    returned as built: exactly Hermitian at a signed permutation of an exactly
-    Hermitian rho, as every validated state is (check_densities), else
-    Hermitian to rounding, which is_psd removes.
+    transform is one A-side mixing, read through make_transform, and rho one
+    state or a (..., n, n) stack. The operator is returned as built: exactly
+    Hermitian at a signed permutation of an exactly Hermitian rho, as every
+    validated state is (check_densities), else Hermitian to rounding, which is_psd removes.
 
     The map is reassociated onto the B-side operators paired with L_u
     (_residue):
@@ -183,18 +182,16 @@ def _reduction_gather(d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """o_reduction_operator, as built, from rho's residue (_residue), rho_B included: d_A and d_B read off its shape."""
+    """o_reduction_operator, as built, from rho's residue (_residue), rho_B included: d_A and d_B read off its shape.
+
+    transform is one mixing or a (..., n, n) stack whose batch axes broadcast against the residue's.
+    """
     n, d_b = residue.shape[-3], residue.shape[-1]
     d_a = math.isqrt(n)
     require_mixing_size(transform, n)
-    state_batch, mixing_batch = residue.shape[:-3], transform.shape[:-2]
-    try:
-        batch = np.broadcast_shapes(state_batch, mixing_batch)
-    except ValueError:
-        raise ValueError(
-            f"transform batch shape {mixing_batch} does not broadcast against state batch shape {state_batch}"
-        ) from None
-    mixed = _mix(np.swapaxes(transform, -1, -2), residue).reshape(batch + (n * d_b * d_b,))
+    mixed = _mix(np.swapaxes(transform, -1, -2), residue)
+    batch = mixed.shape[:-3]
+    mixed = mixed.reshape(batch + (n * d_b * d_b,))
     # at most three operator-sized arrays live at once: mixed and the two gathered terms
     index, values = _reduction_gather(d_a, d_b)
     m = _gathered_sum((np.take(mixed, index[i], axis=-1) for i in range(2)), values)  # (..., m, n, k, l)
@@ -205,27 +202,24 @@ def _reduction_from_residue(residue: np.ndarray, transform: np.ndarray) -> np.nd
     return m.reshape(batch + (d_a * d_b, d_a * d_b))
 
 
-def battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
-    """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or a (..., n, n) stack, from one gather of rho.
+def battery(rho: np.ndarray, dims: DimPair):
+    """(ppt_ok, ppt_min, realignment, map_ok, map_min) of a state or a (..., n, n) stack: the paper's fixed criteria.
 
     dims is each state's shape, square or not. Each has the bits of its one-state
     relation: is_psd of the partial transpose, trace_norm(correlation_T), and is_psd of
-    o_reduction_operator per A-side mixing of the (k, d_A^2, d_A^2) stack, as (..., k);
-    k = 0 (battery_mixings(2)) gives empty map arrays. The mixings are read through
-    make_transform, which names a bad member transform[i].
+    o_reduction_operator per mixing of battery_mixings(d_A), the cycles, as (..., k): k = d_A - 1,
+    and k = 0 at d_A = 2. The map at any other mixing O is o_reduction_operator's.
     """
-    return _battery(rho, dims, make_transform(mixings))
+    return _battery(rho, dims, battery_mixings(dims.d_a))
 
 
 def _battery(rho: np.ndarray, dims: DimPair, mixings: np.ndarray):
-    """battery on mixings already validated, as full_report builds them.
+    """battery on a (k, d_A^2, d_A^2) stack of mixings built by the caller, which it does not validate.
 
-    rho is dropped once its residue replaces it, and the residue before the
-    eigensolve, so only the caller's reference keeps either alive.
+    The residue is dropped before the eigensolve.
     """
     ppt_ok, ppt_min = is_psd(partial_transpose(rho, dims))
     residue = _residue(rho, dims)
-    del rho
     realignment = trace_norm(_t_from_residue(residue))
     operators = _reduction_from_residue(residue[..., None, :, :, :], mixings)
     del residue
@@ -485,7 +479,8 @@ def full_report(
 
     Every shape gets one _battery call, on mixings built here and so not read
     through make_transform: partial transpose, realignment and the maps of
-    battery_mixings(d_A), the cycles (none at d_A = 2). Then,
+    battery_mixings(d_A), the cycles (none at d_A = 2), plus the search's
+    transposed finals. Then,
     unless include_search is off, x_search and o_search follow on square
     states with d_A = d_B >= 3 only: X pairs the sides through (I x u)|kk>,
     which needs d_A = d_B, and at 2 x 2 PPT is necessary and sufficient for

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import checked_scale, max_abs, member_max_abs, raise_first, require_count
+from .linalg import checked_scale, max_abs, require_count
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -112,36 +112,30 @@ def is_orthogonal(o: np.ndarray) -> bool:
 
 
 def make_transform(matrix: np.ndarray) -> np.ndarray:
-    """Validate a mixing or a (..., n, n) stack: real, square, each orthogonal or a contraction; a float array.
+    """Validate a mixing: a real square matrix that is orthogonal or a contraction, as a float array.
 
     Raises ValueError naming the offending eigenvalue when O O^T exceeds the
-    identity beyond tolerance, and max |O_ij| too when an entry exceeds 1. A
-    stack names its first bad member transform[i].
+    identity beyond tolerance, and max |O_ij| too when an entry exceeds 1.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biuf":  # complex, and text or objects that astype(float) would parse
         raise ValueError("transform matrix must be real")
     matrix = matrix.astype(float)
-    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transform must be square, got shape {matrix.shape}")
     # Every entry of a contraction is at most 1 in magnitude. Past that bound
     # O O^T can overflow, so its top eigenvalue is read off O / max |O_ij|.
-    peak = checked_scale(matrix, "transform matrix" if matrix.ndim == 2 else "transform")
+    peak = float(checked_scale(matrix, "transform matrix"))
     too_large = peak > 1.0 + ORTHOGONALITY_TOL
-    scale = np.where(too_large, peak, 1.0)
-    unit = matrix / scale[..., None, None]
-    g = unit @ np.swapaxes(unit, -1, -2)
-    suspect = too_large | (member_max_abs(g - np.eye(matrix.shape[-1])) > ORTHOGONALITY_TOL)
-    if suspect.any():
-        top = np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2.0)[..., -1]
-
-        def describe(i):
-            entry = f"max |O_ij| is {float(peak[i])!r}, " if too_large[i] else ""
-            s = float(scale[i])  # a Python float: s * s of a huge entry reads inf, with no numpy warning
-            top_value = s * s * float(top[i])
-            return f"is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top_value!r}"
-
-        raise_first(too_large | (top > 1.0 + ORTHOGONALITY_TOL), "transform", describe)
+    if too_large or not is_orthogonal(matrix):
+        scale = peak if too_large else 1.0  # a Python float: scale * scale reads inf, with no numpy warning
+        g = (matrix / scale) @ (matrix / scale).T
+        top = scale * scale * float(np.linalg.eigvalsh((g + g.T) / 2.0)[-1])
+        if too_large or top > 1.0 + ORTHOGONALITY_TOL:
+            entry = f"max |O_ij| is {peak!r}, " if too_large else ""
+            raise ValueError(
+                f"transform is neither orthogonal nor a contraction: {entry}max eigenvalue of O O^T is {top!r}"
+            )
     return matrix
 
 

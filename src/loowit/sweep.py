@@ -9,18 +9,19 @@ flagged and excluded from the agreement statistic. The CSV schema is
 versioned; figure scripts depend on it.
 
 The valid points are selected first, one a1 row of the grid at a time, and
-judged in blocks, each one stack of family states against battery_mixings(d),
-the d - 1 cyclic-permutation mixings: a fixed number of array calls per block.
-BLOCK_OPERATORS caps the reduction operators, and so the memory, of a block:
-BLOCK_OPERATORS // (d - 1) valid points (the last block holds the rest), so
-d > BLOCK_OPERATORS + 1 is rejected. Each block is one criteria.battery call,
-which gathers its states against the standard set once and reads realignment,
-rho_B and the reduction maps off that residue. Results are columns, one array
-each, allocated once and filled block by block; the CSV is written in slices of
-one block's rows. So besides d weights per valid point and one copy of the
-columns, a sweep holds one block's working set, whatever the grid. The family
-states, their partial transposes and the reduction operators are exactly
-Hermitian, so is_psd never computes a Hermiticity defect in a sweep.
+judged in blocks, each one criteria.battery call on a stack of family states: a
+fixed number of array calls per block. The battery's maps are those of
+battery_mixings(d), the d - 1 cyclic-permutation mixings, which it builds and
+so does not validate. BLOCK_OPERATORS caps the reduction operators, and so the
+memory, of a block: BLOCK_OPERATORS // (d - 1) valid points (the last block
+holds the rest), so d > BLOCK_OPERATORS + 1 is rejected. The battery gathers
+its states against the standard set once and reads realignment, rho_B and the
+reduction maps off that residue. Results are columns, one array each, allocated
+once and filled block by block; the CSV is written in slices of one block's
+rows. So besides d weights per valid point and one copy of the columns, a sweep
+holds one block's working set, whatever the grid. The family states, their
+partial transposes and the reduction operators are exactly Hermitian, so is_psd
+never computes a Hermiticity defect in a sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .criteria import ALGEBRAIC_TOL, battery
 from .linalg import DimPair, require_count
-from .loo import battery_mixings
 from .states import family_region, family_stack, special_slice
 
 BLOCK_OPERATORS = 512
@@ -74,7 +74,7 @@ def _evaluate_block(d: int, weights: np.ndarray) -> dict:
     """Columns of the valid special-slice points whose weights are the rows of weights, in input order."""
     a1, a2, a_d = weights[:, 0], weights[:, 1], weights[:, d - 1]
     dims = DimPair.square(d)
-    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), dims, battery_mixings(d))
+    ppt_ok, ppt_min, realignment, cycle_ok, cycle_min = battery(family_stack(weights), dims)
     oreduction_min = cycle_min.min(axis=-1)  # the smallest eigenvalue over the cyclic shifts l = 1 .. d-1
     numeric = np.where(~ppt_ok, "free", np.where(cycle_ok.all(axis=-1), "separable", "bound"))
     values = (

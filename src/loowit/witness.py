@@ -54,16 +54,14 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     """Witness candidate I x I - sum_u (mixed set)_u x (standard set)_u^T, with d read off o's size d^2.
 
     It is the reduction-map operator at the unnormalised |phi><phi|, stored as built: exactly
-    Hermitian at a signed slot permutation, else Hermitian to rounding. The mixing o must be
-    orthogonal or a contraction (make_transform enforces this here); the candidate becomes a
+    Hermitian at a signed slot permutation, else Hermitian to rounding. The one (d^2, d^2) mixing o
+    must be orthogonal or a contraction (make_transform enforces this here); the candidate becomes a
     confirmed witness when the eigensolve finds a negative eigenvalue. An orthogonal 0/1 mixing
     is exactly a slot permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
     fixed slots: its provenance reads permutation(fixed_points=Tr(o)) and its ``phi_value`` is d - Tr(o),
     negative from d+1 fixed slots on. Any other o reads transform(orthogonal) or transform(contraction).
     """
     o = make_transform(o)
-    if o.ndim != 2:  # make_transform also reads stacks
-        raise ValueError(f"a witness takes one mixing, got shape {o.shape}")
     d = math.isqrt(len(o))
     if d * d != len(o):
         raise ValueError(f"transform dimension {len(o)} is not a square")

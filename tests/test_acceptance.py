@@ -12,7 +12,6 @@ from loowit.criteria import battery, x_search
 from loowit.linalg import DimPair, is_psd, max_abs, realign, trace_norm
 from loowit.loo import (
     apply_orthogonal,
-    battery_mixings,
     diag_cycle,
     make_transform,
     random_orthogonal,
@@ -38,7 +37,7 @@ A_GRID = np.arange(0.05, 0.951, 0.05)
 
 def battery_of(state):
     """(ppt_ok, ppt_min, realignment, map_ok, map_min) as check computes them, over battery_mixings(d_A)."""
-    return battery(state.rho, state.dims, battery_mixings(state.dims.d_a))
+    return battery(state.rho, state.dims)
 
 
 def check(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -3,10 +3,10 @@
 The linalg primitives, the state validation and the criterion kernels take a
 leading batch axis. A stack must give the bits its members give alone, so the
 sweep's block boundaries cannot change a result; an invalid member must be
-named by its index. The reduction maps take a stack of mixings as well, and
-each (state, mixing) pair must give the bits of its own call. The correlation
-search runs its restarts as one stack, and must give the bits of the search
-that runs one restart at a time.
+named by its index. The reduction kernel takes a stack of mixings as well, as
+criteria._battery hands it one, and each (state, mixing) pair must give the
+bits of its own call. The correlation search runs its restarts as one stack,
+and must give the bits of the search that runs one restart at a time.
 """
 
 import functools
@@ -20,6 +20,7 @@ from conftest import random_density, same_bits, sample_states, signed_zero_varia
 from loowit import criteria
 from loowit.criteria import (
     _XTables,
+    _battery,
     _o_gradient,
     _reduction_from_residue,
     _residue,
@@ -102,19 +103,20 @@ RECTANGULAR = st.tuples(st.integers(2, 6), st.integers(2, 5)).map(lambda p: DimP
 class TestRouteAgreement:
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_stack_matches_members(self, d, seed, split):
-        # the stack alone: split in two blocks or sliced to one member, every battery output keeps
-        # the whole stack's bits (test_battery_matches_members compares members with single criteria)
+        # the stack alone: split in two blocks or sliced to one member, every output of the battery's
+        # kernel, against any mixing stack, keeps the whole stack's bits (test_battery_matches_members
+        # compares members with single criteria)
         states = sample_states(d, seed)
         stack = np.stack([s.rho for s in states])
         split = split % len(states)
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
         dims = states[0].dims
-        whole = battery(stack, dims, mixings)
-        blocks = [battery(stack[:split], dims, mixings), battery(stack[split:], dims, mixings)]
+        whole = _battery(stack, dims, mixings)
+        blocks = [_battery(stack[:split], dims, mixings), _battery(stack[split:], dims, mixings)]
         for k in range(5):
             assert same_bits(np.concatenate([blocks[0][k], blocks[1][k]]), whole[k])
         for i in range(len(states)):
-            member = battery(stack[i : i + 1], dims, mixings)
+            member = _battery(stack[i : i + 1], dims, mixings)
             for k in range(5):
                 assert same_bits(whole[k][i], member[k][0])
 
@@ -156,9 +158,10 @@ class TestRouteAgreement:
         )
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, rng)])
         dims = DimPair.square(d)
-        pairs = o_reduction_operator(stack[:, None], dims, mixings)
+        residue = _residue(stack, dims)
+        pairs = _reduction_from_residue(residue[:, None], mixings)
         for i, rho in enumerate(stack):
-            per_state = o_reduction_operator(rho, dims, mixings)
+            per_state = _reduction_from_residue(residue[i], mixings)
             for c, t in enumerate(mixings):
                 single = o_reduction_operator(rho, dims, t)
                 assert same_bits(pairs[i, c], single)
@@ -186,23 +189,27 @@ class TestRouteAgreement:
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_battery_matches_members(self, d, seed):
-        # a state stack against a mixing stack: every (state, mixing) pair gives its own call's bits
+        # a state stack: each member gives its own call's bits, and each output the bits of its
+        # one-state route; the kernel does so for every (state, mixing) pair of any mixing stack
         states = sample_states(d, seed)
+        dims = states[0].dims
+        stack = np.stack([s.rho for s in states])
         mixings = np.stack(transforms(d) + [random_orthogonal(d * d, np.random.default_rng(seed))])
-        whole = battery(np.stack([s.rho for s in states]), states[0].dims, mixings)
-        assert whole[3].shape == whole[4].shape == (len(states), len(mixings))
+        whole, kernel = battery(stack, dims), _battery(stack, dims, mixings)
+        k = len(battery_mixings(d))
+        assert whole[3].shape == whole[4].shape == (len(states), k)
         for i, state in enumerate(states):
-            one = battery(state.rho, state.dims, mixings)
-            for k in range(5):
-                assert same_bits(whole[k][i], one[k])
-            ppt = ppt_check(state)
-            assert one[0] == (ppt.verdict == "pass")
-            assert same_bits(one[1], ppt.scalar)
-            assert same_bits(one[2], realignment_value(state)[0])
+            one = battery(state.rho, dims)
+            for j in range(5):
+                assert same_bits(whole[j][i], one[j])
+            ppt_ok, ppt_min = is_psd(partial_transpose(state.rho, dims))
+            assert one[0] == ppt_ok and same_bits(one[1], ppt_min)
+            assert same_bits(one[2], trace_norm(correlation_T(state)))
             for c, t in enumerate(mixings):
-                single = o_reduction_apply(state, t)[1]
-                assert one[3][c] == (single.verdict == "pass")
-                assert same_bits(one[4][c], single.scalar)
+                map_ok, map_min = is_psd(o_reduction_operator(state.rho, dims, t))
+                assert kernel[3][i, c] == map_ok and same_bits(kernel[4][i, c], map_min)
+        # transforms(d) holds battery_mixings(d) right after the identity
+        assert same_bits(whole[3], kernel[3][:, 1 : 1 + k]) and same_bits(whole[4], kernel[4][:, 1 : 1 + k])
 
     @given(st.integers(3, 5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_sweep_point_matches_check(self, d, s, t):
@@ -257,7 +264,7 @@ class TestExactHermitianRoute:
         a = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
         for h in (
             partial_transpose(rho, DimPair.square(d)),
-            o_reduction_operator(rho[:, None], DimPair.square(d), mixings),
+            _reduction_from_residue(_residue(rho, DimPair.square(d))[:, None], mixings),
             (a + dagger(a)) / 2.0,
         ):
             assert (h == dagger(h)).all()
@@ -347,8 +354,8 @@ class TestSparseContractions:
         stack = np.stack([random_density(rng, dims.total) for _ in range(3)])
         contraction = make_transform(0.5 * random_orthogonal(n, rng))
         mixings = transforms(dims.d_a) + [make_transform(random_orthogonal(n, rng)), contraction]
-        # battery's form too: the (states, 1) stack against all k mixings at once, (states, k) operators
-        operators = o_reduction_operator(stack[:, None], dims, np.stack(mixings))
+        # _battery's form too: the (states, 1) stack against all k mixings at once, (states, k) operators
+        operators = _reduction_from_residue(_residue(stack, dims)[:, None], np.stack(mixings))
         for j, t in enumerate(mixings):
             dense = o_reduction_mixed_residue_dense(stack, dims, t)
             operator = o_reduction_operator(stack, dims, t)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import random_complex, random_density, random_state, same_bits, sample_states
 from loowit import criteria
@@ -44,8 +44,10 @@ from loowit.loo import (
 )
 from loowit.states import (
     FamilyParams,
+    family_region,
     family_rho,
     family_special,
+    family_stack,
     horodecki_rho,
     make_state,
     max_entangled,
@@ -151,15 +153,15 @@ class TestRealignment:
 
     def test_rejects_wrong_size_state(self):
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
-            battery(np.eye(8) / 8.0, DimPair.square(3), battery_mixings(3))
+            battery(np.eye(8) / 8.0, DimPair.square(3))
 
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_matches_realigned_trace_norm(self, d_a, d_b, seed):
         dims = DimPair(d_a, d_b)
         state = make_state(random_density(np.random.default_rng(seed), dims.total), dims, "random")
-        value, _ = realignment_value(state)
+        value = trace_norm(correlation_T(state))
         assert abs(value - trace_norm(realign(state.rho, dims))) < 1e-9
-        assert value == battery(state.rho, dims, battery_mixings(d_a))[2]
+        assert value == battery(state.rho, dims)[2]
 
 
 class TestBestOrthogonal:
@@ -224,13 +226,6 @@ class TestOReduction:
         with pytest.raises(ValueError, match=r"neither orthogonal nor a contraction: .* O O\^T is 4\.0$"):
             o_reduction_apply(max_entangled(3), 2 * np.eye(9))
 
-    def test_rejects_mixing_stack_that_does_not_broadcast(self, rng):
-        stack = np.stack([random_density(rng, 9) for _ in range(5)])
-        message = r"transform batch shape \(2,\) does not broadcast against state batch shape \(5,\)"
-        with pytest.raises(ValueError, match=message):
-            o_reduction_operator(stack, DimPair.square(3), battery_mixings(3))
-        assert o_reduction_operator(stack[:, None], DimPair.square(3), battery_mixings(3)).shape == (5, 2, 9, 9)
-
     def test_rejects_wrong_size_mixing(self):
         with pytest.raises(ValueError, match=r"transform shape \(4, 4\) does not match basis size 9"):
             o_reduction_operator(max_entangled(3).rho, DimPair.square(3), np.eye(4))
@@ -243,18 +238,20 @@ class TestOReduction:
         with pytest.raises(ValueError, match=r"matrix shape \(8, 8\) does not match dims 3x3"):
             o_reduction_operator(np.eye(8) / 8.0, DimPair.square(3), np.eye(9))
 
-    @pytest.mark.parametrize("kernel", (battery, o_reduction_operator), ids=lambda f: f.__name__)
+    # the one public kernel that takes a mixing: battery builds its own (battery_mixings)
+    @pytest.mark.parametrize("kernel", (o_reduction_operator,), ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
         "mixing, message",
         [
             # unchecked, 2 I read this separable state as violated (map_min -0.511)
             (2.0 * np.eye(9), r"transform is neither orthogonal nor a contraction: max \|O_ij\| is 2\.0, "
              r"max eigenvalue of O O\^T is 4\.0"),
-            (np.stack([np.eye(9), 2.0 * np.eye(9)]), r"transform\[1\] is neither orthogonal nor a contraction: .*"),
+            # a stack is refused whole, before any member is read
+            (np.stack([np.eye(9), 2.0 * np.eye(9)]), r"transform must be square, got shape \(2, 9, 9\)"),
             (1e308 * np.eye(9), r"transform is neither orthogonal nor a contraction: max \|O_ij\| is 1e\+308, "
              r"max eigenvalue of O O\^T is inf"),
             (np.diag([1.0] * 8 + [np.nan]), r"transform matrix has non-finite entries \(NaN or inf\)"),
-            (np.stack([np.diag([np.inf] * 9), np.eye(9)]), r"transform\[0\] has non-finite entries \(NaN or inf\)"),
+            (np.stack([np.diag([np.inf] * 9), np.eye(9)]), r"transform must be square, got shape \(2, 9, 9\)"),
             (np.eye(9).astype(str), "transform matrix must be real"),
             (np.eye(9, dtype=object), "transform matrix must be real"),
         ],
@@ -842,6 +839,74 @@ class TestLocalUnitaryInvariance:
                     assert after.verdict == before.verdict, before.criterion
 
 
+class TestLocalFilter:
+    """PPT and the battery's maps keep their verdicts under a B-side filter rho -> (I x B) rho (I x B)^dagger / N.
+
+    The maps act on the A side, so for invertible B each map operator of the filtered state is
+    (I x B) M (I x B)^dagger / N for rho's operator M, and its partial transpose is the same
+    congruence of rho's by I x conj(B): by Sylvester's law of inertia no eigenvalue changes sign.
+    Such a congruence shrinks a minimum by at most cond(B)^2 <= 400, so draws with a minimum within
+    1e-5 of zero are skipped: 1e-5 / 400 stays far above PSD_TOL. Realignment is not invariant: it
+    can pass on the filtered state.
+    """
+
+    @staticmethod
+    def filtered(state, b):
+        k = np.kron(np.eye(state.dims.d_a), b)
+        w = k @ state.rho @ k.conj().T
+        return make_state(w / np.trace(w).real, state.dims, "filtered")
+
+    @given(
+        st.integers(2, 5),
+        st.integers(2, 5),
+        st.sampled_from(("pure", "mixed", "separable", "bound", "free")),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(3, 3, "bound", 1.0, 0)
+    @example(2, 4, "pure", 3.0, 1)
+    @example(5, 3, "mixed", 2.0, 2)
+    def test_b_side_filter_keeps_ppt_and_map_verdicts(self, d_a, d_b, kind, s, seed):
+        # random pure and mixed states at every shape; at d_A = d_B >= 3, family states of each
+        # family_region label; B = I + s G / d_B with G complex Gaussian, cond(B) <= 20
+        rng = np.random.default_rng(seed)
+        if kind in ("pure", "mixed"):
+            g = random_complex(rng, d_a * d_b, 1 if kind == "pure" else d_a * d_b)
+            rho = g @ g.conj().T
+        else:
+            d_a = d_b = max(d_a, 3)
+            a = rng.dirichlet(np.ones(d_a), size=512)
+            rho = family_stack(a[family_region(a) == kind][0])
+        dims = DimPair(d_a, d_b)
+        b = np.eye(d_b) + s * random_complex(rng, d_b) / d_b
+        assume(np.linalg.cond(b) <= 20.0)
+        state = make_state(rho / np.trace(rho).real, dims, kind)
+        ppt_ok, ppt_min, _, map_ok, map_min = battery(state.rho, dims)
+        assume(abs(ppt_min) > 1e-5 and (np.abs(map_min) > 1e-5).all())
+        after = battery(self.filtered(state, b).rho, dims)
+        assert after[0] == ppt_ok
+        assert np.array_equal(after[3], map_ok)
+
+    def test_realignment_misses_a_filtered_bound_point(self):
+        # on the family itself realignment detects every point the cycles detect; filtered on the
+        # B side, this bound point still passes PPT and now passes realignment, and cycle(l=1) alone fires
+        rng = np.random.default_rng(8)
+        s = rng.uniform(0, 3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        b = np.eye(3) + s * g / 3  # cond(B) about 5.9
+        sigma = self.filtered(family_rho(family_special(3, 0.25, 0.65)), b)
+        report = full_report(sigma, include_search=False)
+        by_label = {(r.criterion, r.params.get("transform")): r for r in report.reports}
+        assert by_label[("ppt", None)].verdict == "pass"
+        assert by_label[("ppt", None)].scalar == pytest.approx(1.1289e-4, rel=1e-4)
+        assert by_label[("realignment", None)].verdict == "pass"
+        assert by_label[("realignment", None)].scalar == pytest.approx(0.98700, rel=1e-4)
+        assert by_label[("o_reduction", "cycle(l=1)")].verdict == "violated"
+        assert by_label[("o_reduction", "cycle(l=1)")].scalar == pytest.approx(-0.010450, rel=1e-4)
+        assert [label for label, r in by_label.items() if r.verdict == "violated"] == [("o_reduction", "cycle(l=1)")]
+        assert report.entangled
+
+
 class TestBatteryRule:
     """A mixing is in the battery iff its map is neither completely positive nor completely copositive.
 
@@ -987,14 +1052,18 @@ class TestFullReport:
 
     def test_builds_its_mixings_unchecked(self):
         # full_report passes battery_mixings and the search's orthogonal finals to _battery, not through
-        # make_transform, so check pays no validation
+        # make_transform, so check pays no validation; the sweep's battery takes no mixing, so neither does it
         def refuse(_):
             raise AssertionError("make_transform called")
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(criteria, "make_transform", refuse)
             report = full_report(horodecki_rho(0.5), budget=2)
+            swept = run_sweep(3, 12)
         assert report.to_dict() == full_report(horodecki_rho(0.5), budget=2).to_dict()
+        expected = run_sweep(3, 12)
+        assert swept.columns.keys() == expected.columns.keys()
+        assert all(same_bits(swept.columns[name], expected.columns[name]) for name in expected.columns)
 
     def test_report_serialization(self):
         report = full_report(werner2(0.5), include_search=False)

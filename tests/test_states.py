@@ -18,7 +18,6 @@ from loowit.linalg import (
     trace_norm,
     realign,
 )
-from loowit.loo import battery_mixings
 from loowit.states import (
     FamilyParams,
     check_densities,
@@ -155,7 +154,7 @@ class TestFamily:
             assert len(a) == 30
             region, stack, dims = family_region(a), family_stack(a), DimPair.square(d)
             assert np.array_equal(region != "free", is_psd(partial_transpose(stack, dims))[0])
-            cycle_ok = battery(stack, dims, battery_mixings(d))[3]
+            cycle_ok = battery(stack, dims)[3]
             assert cycle_ok[region == "separable"].all()
 
     @given(st.integers(0, 2**32 - 1))

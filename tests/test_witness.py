@@ -73,8 +73,8 @@ class TestTransformWitness:
         # d is read off the d^2 x d^2 mixing, so a size that is no square is named
         with pytest.raises(ValueError, match=r"^transform dimension 5 is not a square$"):
             ew_from_transform(np.eye(5))
-        # make_transform reads a stack of mixings; a witness is built from one
-        with pytest.raises(ValueError, match=r"^a witness takes one mixing, got shape \(2, 9, 9\)$"):
+        # a witness is built from one mixing: make_transform refuses a stack
+        with pytest.raises(ValueError, match=r"^transform must be square, got shape \(2, 9, 9\)$"):
             ew_from_transform(np.stack([np.eye(9)] * 2))
 
     def test_hermitian(self, rng):
