@@ -27,7 +27,7 @@ EXIT_ENTANGLED = 2
 # The keys each spec name takes; a spec has no bare tokens.
 SPEC_KEYS = {
     "horodecki": ("a",), "family": ("d", "a1", "a2"), "werner": ("p",), "phi": ("d",),
-    "product": ("d", "seed"), "separable": ("d", "k", "seed"), "perm": ("d", "l"), "generic": (),
+    "product": ("d", "seed"), "separable": ("d", "k", "seed"), "perm": ("d", "l"),
 }
 
 
@@ -146,18 +146,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _build_witness(args: argparse.Namespace) -> witness_mod.Witness:
+    if args.transform is not None:  # argparse requires exactly one of the spec and --transform
+        return witness_mod.ew_from_transform(_load_transform(args.transform))
     name, kw = parse_spec(args.spec)
-    if args.transform and name != "generic":  # a mixing no other witness reads must not be dropped silently
-        raise ValueError(f"--transform is read only by the generic witness, not by {name!r}")
     if name == "horodecki":
         return witness_mod.horodecki_ew(_key(kw, "a", args.spec))
     if name == "perm":
         d = _key(kw, "d", args.spec, integer=True)
         return witness_mod.ew_from_transform(loo.diag_cycle(d, _key(kw, "l", args.spec, integer=True)))
-    if name == "generic":
-        if not args.transform:
-            raise ValueError("generic witness requires --transform FILE")
-        return witness_mod.ew_from_transform(_load_transform(args.transform))
     raise ValueError(f"unknown witness spec {name!r}")
 
 
@@ -170,9 +166,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "dims": [w.dims.d_a, w.dims.d_b],
         "min_eig": w.min_eig,
         "confirmed_witness": not w.candidate_only,
+        "phi_expectation": w.phi_value,
     }
-    if w.phi_value is not None:
-        payload["phi_expectation"] = w.phi_value
     if args.state:
         if args.state.startswith("builtin:"):
             state = builtin_state(args.state[len("builtin:"):])
@@ -229,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.set_defaults(func=cmd_sweep)
 
     wit = sub.add_parser("witness", help="build a witness and optionally evaluate it")
-    wit.add_argument("spec", help="horodecki:a=A | perm:d=D,l=L | generic")
-    wit.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]}, for the generic spec only")
+    mixing = wit.add_mutually_exclusive_group(required=True)
+    mixing.add_argument("spec", nargs="?", help="horodecki:a=A | perm:d=D,l=L; give a spec or --transform")
+    mixing.add_argument("--transform", type=_path, help="JSON file {'matrix': [[...]]}: the witness of this mixing O")
     wit.add_argument("--state", type=_path, help="builtin:SPEC or a state JSON file")
     wit.add_argument("--out", type=_path, help="write the witness matrix JSON here")
     wit.add_argument("--json", action="store_true")

@@ -38,8 +38,7 @@ class Witness:
 
     ``candidate_only`` is False only when the eigensolve finds a negative
     eigenvalue, in which case the operator is a genuine witness. ``phi_value``
-    carries the maximally-entangled-vector expectation for permutation
-    constructions.
+    is <phi|W|phi> = d - Tr(O) on the unnormalised maximally entangled vector.
     """
 
     dims: DimPair
@@ -47,7 +46,7 @@ class Witness:
     provenance: str
     candidate_only: bool
     min_eig: float
-    phi_value: float | None = None
+    phi_value: float
 
 
 def ew_from_transform(o: np.ndarray) -> Witness:
@@ -56,10 +55,10 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     It is the reduction-map operator at the unnormalised |phi><phi|, stored as built: exactly
     Hermitian at a signed slot permutation, else Hermitian to rounding. The one (d^2, d^2) mixing o
     must be orthogonal or a contraction (make_transform enforces this here); the candidate becomes a
-    confirmed witness when the eigensolve finds a negative eigenvalue. An orthogonal 0/1 mixing
-    is exactly a slot permutation, row u holding its 1 in column sigma(u), and Tr(o) counts its
-    fixed slots: its provenance reads permutation(fixed_points=Tr(o)) and its ``phi_value`` is d - Tr(o),
-    negative from d+1 fixed slots on. Any other o reads transform(orthogonal) or transform(contraction).
+    confirmed witness when the eigensolve finds a negative eigenvalue. ``phi_value`` = <phi|W|phi> = d - Tr(o) is at
+    least d times the least eigenvalue, so a negative one (beyond is_psd's tolerance) certifies it. An orthogonal 0/1
+    mixing is a slot permutation (row u holds its 1 in column sigma(u)) with Tr(o) fixed slots, and its provenance
+    reads permutation(fixed_points=Tr(o)); any other o reads transform(orthogonal) or transform(contraction).
     """
     o = make_transform(o)
     d = math.isqrt(len(o))
@@ -68,12 +67,12 @@ def ew_from_transform(o: np.ndarray) -> Witness:
     v = phi(d)
     matrix = o_reduction_operator(np.outer(v, v.conj()), DimPair.square(d), o)
     ok, min_eig = is_psd(matrix)
-    provenance, phi_value = "transform(contraction)", None
+    provenance = "transform(contraction)"
     if is_orthogonal(o):
         provenance = "transform(orthogonal)"
         if np.isin(o, (0, 1)).all():
-            f = int(np.trace(o))
-            provenance, phi_value = f"permutation(fixed_points={f})", float(d - f)
+            provenance = f"permutation(fixed_points={int(np.trace(o))})"
+    phi_value = float(d - np.trace(o))
     return Witness(DimPair.square(d), matrix, provenance, candidate_only=ok, min_eig=min_eig, phi_value=phi_value)
 
 

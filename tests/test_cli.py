@@ -30,7 +30,7 @@ STATE_PAYLOAD = {"dim_a": 3, "dim_b": 3, "re": (np.eye(9) / 9).tolist(), "im": n
 FILE_COMMANDS = [
     (("check", "--file"), "matrix", STATE_PAYLOAD),
     (("witness", "perm:d=3,l=1", "--state"), "matrix", STATE_PAYLOAD),
-    (("witness", "generic", "--transform"), "transform", {"matrix": np.eye(9).tolist()}),
+    (("witness", "--transform"), "transform", {"matrix": np.eye(9).tolist()}),
 ]
 FILE_COMMAND_IDS = ("check-file", "witness-state", "witness-transform")
 # JSON texts that are no object, each with the kind the error names
@@ -340,7 +340,7 @@ class TestWitnessCommand:
     def test_generic_non_contraction_rejected(self, capsys, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": (1.5 * np.eye(9)).tolist()}))
-        code, _, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        code, _, err = run_cli(capsys, "witness", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert "2.25" in err
 
@@ -348,7 +348,7 @@ class TestWitnessCommand:
         # 1e200 I: O O^T overflows, which used to surface LAPACK's "did not converge"
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": (1e200 * np.eye(4)).tolist()}))
-        code, out, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        code, out, err = run_cli(capsys, "witness", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith("error: transform is neither orthogonal nor a contraction: max |O_ij| is 1e+200")
@@ -358,7 +358,7 @@ class TestWitnessCommand:
         matrix[2, 2] = np.nan
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": matrix.tolist()}))
-        code, _, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        code, _, err = run_cli(capsys, "witness", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert "transform matrix has non-finite entries" in err
 
@@ -375,7 +375,7 @@ class TestWitnessCommand:
     def test_generic_malformed_transform_named(self, capsys, tmp_path, text):
         path = tmp_path / "o.json"
         path.write_bytes(text)
-        code, out, err = run_cli(capsys, "witness", "generic", "--transform", str(path))
+        code, out, err = run_cli(capsys, "witness", "--transform", str(path))
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err.startswith(f"error: malformed transform file {path}: ")
@@ -383,11 +383,12 @@ class TestWitnessCommand:
     def test_generic_valid_transform(self, capsys, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": np.eye(9).tolist()}))
-        code, out, _ = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
+        code, out, _ = run_cli(capsys, "witness", "--transform", str(path), "--json")
         assert code == cli.EXIT_OK
         payload = json.loads(out)
         assert payload["confirmed_witness"] is True
         assert abs(payload["min_eig"] - (1.0 - 3.0)) < 1e-9
+        assert payload["phi_expectation"] == 3.0 - 9.0
 
     @pytest.mark.parametrize("d, l", [(d, l) for d in range(2, 5) for l in range(1, d)])
     def test_generic_permutation_is_the_perm_witness(self, capsys, tmp_path, d, l):
@@ -395,37 +396,42 @@ class TestWitnessCommand:
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": loo.diag_cycle(d, l).tolist()}))
         perm = run_cli(capsys, "witness", f"perm:d={d},l={l}", "--json")
-        generic = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
+        generic = run_cli(capsys, "witness", "--transform", str(path), "--json")
         assert generic == perm
         assert perm[0] == cli.EXIT_OK and '"phi_expectation"' in perm[1]
 
     @pytest.mark.parametrize(
-        "spec, name", (("perm:d=3,l=1", "perm"), ("horodecki:a=0.5", "horodecki")), ids=("perm", "horodecki")
+        "argv",
+        [(), ("perm:d=3,l=1", "--transform", "o.json"), ("horodecki:a=0.5", "--transform", "o.json"),
+         ("generic", "--transform", "o.json")],
+        ids=("neither", "perm-and-transform", "horodecki-and-transform", "generic-and-transform"),
     )
-    def test_transform_outside_generic_named(self, capsys, tmp_path, spec, name):
-        # --transform used to be ignored here, building a witness other than the one written
-        path = tmp_path / "o.json"
-        path.write_text(json.dumps({"matrix": (0.5 * np.eye(9)).tolist()}))
-        code, out, err = run_cli(capsys, "witness", spec, "--transform", str(path))
-        assert code == cli.EXIT_ERROR
-        assert out == ""
-        assert err == f"error: --transform is read only by the generic witness, not by {name!r}\n"
+    def test_witness_takes_a_spec_or_a_transform(self, capsys, tmp_path, monkeypatch, argv):
+        # one argparse group: neither input or both is a usage error, exit 1 and not argparse's 2
+        monkeypatch.chdir(tmp_path)
+        Path("o.json").write_text(json.dumps({"matrix": (0.5 * np.eye(9)).tolist()}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["witness", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("usage: loowit")
 
     @pytest.mark.parametrize(
-        "spec, transform, message",
+        "argv, message",
         [
-            ("perm:bogus,d=3,l=1", False, "spec 'perm:bogus,d=3,l=1': unexpected bare token 'bogus'"),
-            ("nosuch", False, "unknown witness spec 'nosuch'"),
-            ("generic", False, "generic witness requires --transform FILE"),
-            ("generic", True, "transform dimension 5 is not a square"),
-            ("perm:d=1,l=1", False, "local dimension d must be an integer >= 2, got 1"),
+            (("perm:bogus,d=3,l=1",), "spec 'perm:bogus,d=3,l=1': unexpected bare token 'bogus'"),
+            (("nosuch",), "unknown witness spec 'nosuch'"),
+            (("generic",), "unknown witness spec 'generic'"),  # a mixing file is read through --transform alone
+            (("--transform", "o.json"), "transform dimension 5 is not a square"),
+            (("perm:d=1,l=1",), "local dimension d must be an integer >= 2, got 1"),
         ],
-        ids=("perm-kind", "unknown-spec", "generic-without-transform", "generic-non-square", "perm-dimension"),
+        ids=("perm-kind", "unknown-spec", "generic-spec", "generic-non-square", "perm-dimension"),
     )
-    def test_witness_errors_named(self, capsys, tmp_path, spec, transform, message):
-        path = tmp_path / "o.json"
-        path.write_text(json.dumps({"matrix": np.eye(5).tolist()}))
-        code, out, err = run_cli(capsys, "witness", spec, *(("--transform", str(path)) if transform else ()))
+    def test_witness_errors_named(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("o.json").write_text(json.dumps({"matrix": np.eye(5).tolist()}))
+        code, out, err = run_cli(capsys, "witness", *argv)
         assert code == cli.EXIT_ERROR
         assert out == ""
         assert err == f"error: {message}\n"
@@ -541,7 +547,7 @@ class TestUsageErrors:
             ("witness", "perm:d=3,l=1", "--state", ""),
             ("witness", "perm:d=3,l=1", "--out", ""),
             ("sweep", "--out", ""),
-            ("witness", "generic", "--transform", ""),
+            ("witness", "--transform", ""),
         ],
         ids=("check-file", "witness-state", "witness-out", "sweep-out", "witness-transform"),
     )
@@ -753,7 +759,7 @@ class TestGoldenOutput:
             ),
             (
                 ("witness", "horodecki:a=0.3", "--json", "--state", "builtin:horodecki:a=0.3"),
-                "cfd87d564d02a6ce83d12201c2e161a78738f29945ca350e3bb72466b0b8af6e",
+                "212f8ed94bc81535007e5f079b46b43105c9658cfb66870a8516a5cbae8950ea",
             ),
             (
                 ("witness", "perm:d=3,l=1", "--json"),
@@ -804,18 +810,18 @@ class TestGoldenOutput:
         digest = "f36394e46e2ef69b29538d07f7dfd3afe4cfd90de405946f6021abc3165bfda0"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # witness generic on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)
+    # witness --transform on 0.5 I and on the d = 3 transpose mixing (antisymmetric slots negated)
     @pytest.mark.parametrize(
         "matrix, digest",
         [
-            (0.5 * np.eye(9), "9a81a20ae2430722b3d3fc5ef2b62a3f26b309c0037ec117abce7f028cd6f74d"),
-            (np.diag([1.0] * 6 + [-1.0] * 3), "513e1dcb42129ff02dc2a3951797dfe06f0404b097c911b75d567cc5ea357c6c"),
+            (0.5 * np.eye(9), "fcc5612a3be40406b9429f63e6c2ea324fca8f230f1212f5493e4c163a61b80e"),
+            (np.diag([1.0] * 6 + [-1.0] * 3), "29741ff3e2cacc6c30fc6a618cd502fd111c7f5e8a3c2d6ed0032c4d74841b9a"),
         ],
         ids=("contraction", "orthogonal"),
     )
     def test_generic_witness_outputs(self, capsys, tmp_path, matrix, digest):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"matrix": matrix.tolist()}))
-        code, out, _ = run_cli(capsys, "witness", "generic", "--transform", str(path), "--json")
+        code, out, _ = run_cli(capsys, "witness", "--transform", str(path), "--json")
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,7 +7,8 @@ kept only to cross-check a production one belongs in tests/oracles.py.
 
 No module imports another module's _-prefixed name: what modules share is
 public. Imports run down the module order ORDER: no module imports one at or
-after its own place (the package __init__ is exempt).
+after its own place (the package __init__ is exempt). cli.SPEC_KEYS names
+exactly the spec names that builtin_state and _build_witness read.
 
 PENDING holds the functions the benchmark still traces (perfbench/layers.py,
 TRACED) although nothing calls them; each leaves the set when it is deleted
@@ -179,3 +180,29 @@ def test_weights_are_judged_by_one_rule():
         if isinstance(node, ast.Subscript) and slice_call(node.value) and getattr(node.slice, "value", None) == 0
     ]
     assert sorted(calls) == sorted(weights_only), "states.py reads special_slice's mask"
+
+
+def test_spec_table_matches_the_spec_readers():
+    # cli.SPEC_KEYS names each spec that builtin_state or _build_witness reads, and no other: a name left in
+    # the table after its branch goes passes parse_spec's key checks and fails only later, as unknown
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPEC_KEYS"]
+    )
+    spec_readers = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("builtin_state", "_build_witness")
+    ]
+    assert len(spec_readers) == 2
+    compared = {
+        operand.value
+        for reader in spec_readers
+        for node in ast.walk(reader)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "name"
+        for operand in node.comparators
+        if isinstance(operand, ast.Constant)
+    }
+    assert sorted(ast.literal_eval(table)) == sorted(compared)

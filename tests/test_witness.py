@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import loowit
 from conftest import random_state
 from loowit.criteria import correlation_T, realignment_value
-from loowit.linalg import DimPair, herm_eigvalues, max_abs
+from loowit.linalg import PSD_TOL, DimPair, herm_eigvalues, max_abs
 from loowit.loo import (
     apply_orthogonal,
     battery_mixings,
@@ -190,10 +190,38 @@ class TestPermWitness:
         ids=["half-identity", "haar-orthogonal", "zero-row"],
     )
     def test_non_permutation_keeps_transform_provenance(self, o, provenance):
-        # only an orthogonal 0/1 mixing is a permutation; a 0/1 contraction with a zero row is not one
+        # only an orthogonal 0/1 mixing is a permutation; a 0/1 contraction with a zero row is not one,
+        # and each still has its phi value d - Tr(o)
         w = ew_from_transform(o)
         assert w.provenance == provenance
-        assert w.phi_value is None
+        assert w.phi_value == 3 - np.trace(o)
+
+    @given(
+        st.integers(2, 4),
+        st.sampled_from(("haar", "transpose", "scaled", "zero-row")),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_phi_value_certifies_at_every_mixing(self, d, kind, s, seed):
+        # <phi|W|phi> = d - Tr(o) at every orthogonal or contraction mixing, and lambda_min <= <phi|W|phi> / d,
+        # so a phi value below -d times is_psd's tolerance confirms the witness (the fixed-point rule, generalised)
+        rng = np.random.default_rng(seed)
+        n = d * d
+        images = np.arange(n)
+        moved = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        images[moved] = rng.permutation(moved)
+        o = {
+            "haar": lambda: random_orthogonal(n, rng),
+            "transpose": lambda: transpose_transform(d),
+            "scaled": lambda: s * (np.eye(n)[images] if rng.integers(2) else random_orthogonal(n, rng)),
+            "zero-row": lambda: np.eye(n)[images] * (np.arange(n) != rng.integers(n))[:, None],
+        }[kind]()
+        w = ew_from_transform(o)
+        v = phi(d)
+        scale = max(1.0, max_abs(w.matrix))
+        assert abs(w.phi_value - (v.conj() @ w.matrix @ v).real) <= 1e-12 * scale
+        if w.phi_value < -d * PSD_TOL * scale:
+            assert not w.candidate_only
 
 
 class TestHorodeckiWitness:
