@@ -13,9 +13,10 @@ instances that already detect PPT entangled states. The Hermitian correlation
 matrix is the same map compressed onto span{|kk>}, a measurable d x d object
 at d_A = d_B = d: it is positive semidefinite on separable states for every
 unitary u and orthogonal O. The search over (u, O) lowers X's smallest
-eigenvalue from each of its restarts and returns each restart's value and
-final O; full_report reports the least value, and its battery reads the full
-map at each final O, which by interlacing goes at least as low. Imports run
+eigenvalue from each of its restarts until one value below -SEARCH_TOL
+certifies entanglement, and returns each restart's value and final O;
+full_report reports the least value, and its battery reads the full map at
+each final O, which by interlacing goes at least as low. Imports run
 down the module order linalg, loo, states, criteria, witness, sweep, cli:
 witness builds on this module.
 """
@@ -387,24 +388,32 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray,
     ``budget`` restarts, all advanced as one stack. Each keeps its unitary
     and runs at most SEARCH_ROUNDS + 1 rounds: an eigh gives lambda_min(X(O))
     and its eigenvector v (_x_min_eig), then an exact O step (_procrustes)
-    moves O, so its smallest eigenvalue never rises. A restart stops at the first
-    round whose eigh finds its eigenvalue lowered by no more than SEARCH_STALL
-    since the last round, or at round SEARCH_ROUNDS + 1, which takes no step.
-    The restarts also race: in a round r (from 0) with 2 r > SEARCH_ROUNDS, a
-    restart stops unless its eigenvalue is strictly below the latest one of
-    every restart of lower index, a stopped restart's being its final value.
+    moves O, so its smallest eigenvalue never rises. Three rules stop a
+    restart; a stopped restart's latest eigenvalue is its final value:
+    - the stall: its eigh finds its eigenvalue lowered by no more than
+      SEARCH_STALL since the last round, or it is round SEARCH_ROUNDS + 1,
+      which takes no step;
+    - the race: in a round r (from 0) with 2 r > SEARCH_ROUNDS, it stops
+      unless its eigenvalue is strictly below the latest one of every restart
+      of lower index;
+    - the certificate: the least latest eigenvalue of itself and the restarts
+      of lower index is below -SEARCH_TOL. X is positive semidefinite on every
+      separable state, so one such value decides the verdict, and while no
+      restart up to b has one, restart b runs as if the rule were not there.
     A stopped restart keeps that round's O and eigenvalue, so its value is the
-    eigh that stopped it. The stack shrinks only in such a round. Both rules
+    eigh that stopped it. The stack shrinks only in such a round. The rules
     read restart b and the restarts below it only, so restart b's result does
-    not depend on the budget, and restart 0 is never raced out. Restart 0
-    starts at the realignment optimum, read off T, which comes off the same
-    residue as the X tables, and ends at or below (1 - ||T||_tr) / d, so every
-    realignment detection is a search detection; the others start from seeded
-    random pairs.
+    not depend on the budget; restart 0 is never raced out, and no certificate
+    but its own stops it. Restart 0 starts at the realignment optimum,
+    read off T, which comes off the same residue as the X tables, and ends at
+    or below (1 - ||T||_tr) / d, so every realignment detection is a search
+    detection; the others start from seeded random pairs.
 
     Returns (values, finals) in restart order: each restart's final
     eigenvalue, (budget,), and its final O, (budget, d^2, d^2). The search
     builds no map and picks no restart; _search_report reduces the values.
+    A certified search returns a certificate, a value below -SEARCH_TOL, not
+    the least value its restarts could reach.
     X(u, O) is M(rho, O^T) compressed onto the orthonormal vectors
     (I x u)|kk>, so by interlacing M's smallest eigenvalue at a restart's
     final O is at most its value, and M is positive on separable states for
@@ -424,8 +433,10 @@ def x_search(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray,
         lam, v = _x_min_eig(tables, o, d)
         stopped = (val[moving] - lam <= SEARCH_STALL) | (round_ == SEARCH_ROUNDS)  # val is still the last round's
         val[moving] = lam
+        least = np.minimum.accumulate(lead)  # least[b]: the least latest value of the restarts below b
+        stopped |= least[moving + 1] < -SEARCH_TOL  # certified by itself or by a lower restart
         if 2 * round_ > SEARCH_ROUNDS:  # the race: ahead of every lower restart's latest value, or stop
-            stopped |= lam >= np.minimum.accumulate(lead)[moving]
+            stopped |= lam >= least[moving]
         if stopped.any():
             final_o[moving[stopped]] = o[stopped]
             keep = ~stopped
@@ -488,7 +499,10 @@ def full_report(
     the ppt report already flags every state a search could.
     x_search runs first, and the battery call also eigensolves M(rho, O^T) at
     its finals. _search_report reduces the restart values to x_search and those
-    map minima to o_search, each to the first of its least values.
+    map minima to o_search, each to the first of its least values. The search
+    stops once a restart certifies, so a "violated" x_search scalar is a
+    certificate below -SEARCH_TOL, not the least value the restarts could
+    reach, and o_search, read at the same finals, is "violated" with it.
     """
     require_count(seed, "seed", 0)
     require_count(budget, "budget", 1)

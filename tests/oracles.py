@@ -13,6 +13,7 @@ import numpy as np
 from loowit.criteria import (
     SEARCH_ROUNDS,
     SEARCH_STALL,
+    SEARCH_TOL,
     _XTables,
     _mix,
     _o_gradient,
@@ -507,7 +508,7 @@ def drawn_start(d: int, seed: int, restart: int) -> tuple[np.ndarray, np.ndarray
 
 
 def reference_rounds(
-    state: BipartiteState, seed: int, restart: int, earlier: list
+    state: BipartiteState, seed: int, restart: int, earlier: list, certify: bool = True
 ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """One restart of the correlation search through x_matrix: each round's lambda_min, final O and u.
 
@@ -519,7 +520,10 @@ def reference_rounds(
     in a round r (counted from 0) with 2 r > SEARCH_ROUNDS, unless it is
     strictly below the latest round of every restart in earlier, the recorded
     rounds of restarts 0..b-1 (reference_race); one that stopped before round r
-    counts with its last round. Otherwise O moves to -U V^T from the SVD of the
+    counts with its last round. With certify, it also stops once that
+    eigenvalue, or the latest round of any restart in earlier, is below
+    -SEARCH_TOL; without it, the restart runs on past any certificate.
+    Otherwise O moves to -U V^T from the SVD of the
     pairing's gradient (o_gradient_entries on the residue of the u-conjugated
     state), the minimiser of v^dagger X(O) v. So the last round's lambda_min is
     the final O's.
@@ -538,23 +542,35 @@ def reference_rounds(
         rounds.append(float(vals[0]))
         if r == SEARCH_ROUNDS or (r > 0 and rounds[-2] - rounds[-1] <= SEARCH_STALL):
             break
-        if 2 * r > SEARCH_ROUNDS and any(rounds[-1] >= other[min(r, len(other) - 1)] for other in earlier):
+        latest = [other[min(r, len(other) - 1)] for other in earlier]  # each earlier restart's round r, or its last
+        if certify and min([rounds[-1], *latest]) < -SEARCH_TOL:
+            break
+        if 2 * r > SEARCH_ROUNDS and any(rounds[-1] >= other for other in latest):
             break
         u_svd, _, vh = np.linalg.svd(o_gradient_entries(q, vecs[:, 0], d))
         o = -u_svd @ vh
     return rounds, o, u
 
 
-def reference_race(state: BipartiteState, seed: int, budget: int) -> list[tuple[list[float], np.ndarray, np.ndarray]]:
+def reference_race(
+    state: BipartiteState, seed: int, budget: int, certify: bool = True
+) -> list[tuple[list[float], np.ndarray, np.ndarray]]:
     """The correlation search one restart at a time, in restart order: each restart's reference_rounds.
 
     Restart b races against the recorded rounds of restarts 0..b-1 only, so a
-    smaller budget's race is a prefix of a larger one's.
+    smaller budget's race is a prefix of a larger one's. certify off runs every
+    restart without the certificate rule, as the rule-free reference.
     """
     race = []
     for restart in range(budget):
-        race.append(reference_rounds(state, seed, restart, [rounds for rounds, _, _ in race]))
+        race.append(reference_rounds(state, seed, restart, [rounds for rounds, _, _ in race], certify))
     return race
+
+
+def x_search_rule_free(state: BipartiteState, budget: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """x_search's (values, finals) from the reference race without the certificate rule (reference_race)."""
+    race = reference_race(state, seed, budget, certify=False)
+    return np.array([rounds[-1] for rounds, _, _ in race]), np.array([o for _, o, _ in race])
 
 
 def x_search_fixed_rounds(state: BipartiteState, budget: int, seed: int) -> np.ndarray:
@@ -593,6 +609,12 @@ def tiles_upb_state() -> BipartiteState:
     pairs = ((e[0], diff01), (diff01, e[2]), (e[2], diff12), (diff12, e[0]), (uniform, uniform))
     kets = np.array([np.kron(a, b) for a, b in pairs])
     return make_state((np.eye(9) - kets.T @ kets) / 4.0, DimPair.square(3), label="tiles")
+
+
+def white_noised(state: BipartiteState, q: float) -> BipartiteState:
+    """(1 - q) rho + q I/D, the mixture white_noise_qstar bisects over, its label naming q in percent."""
+    noise = np.eye(len(state.rho)) / len(state.rho)
+    return make_state((1.0 - q) * state.rho + q * noise, state.dims, f"{state.label}+{100.0 * q:g}% noise")
 
 
 def white_noise_qstar(detect, rho: np.ndarray) -> float:

@@ -85,6 +85,7 @@ from oracles import (
     residue_from_zeros,
     t_from_zeros,
     unitary_mixing_single,
+    white_noised,
     x_coefficients_loops,
     x_gathered,
     x_matrix,
@@ -455,8 +456,13 @@ class TestLockstepSearch:
         # restart b races only restarts below b, so a smaller budget's reference is a prefix
         assert same_search(search_state(d), budget, seed, reference_restarts(d, seed, 33)[:budget])
 
-    @pytest.mark.parametrize("state", [horodecki_rho(0.5), max_entangled(2)], ids=["horodecki", "phi2"])
+    @pytest.mark.parametrize(
+        "state",
+        [horodecki_rho(0.5), max_entangled(2), white_noised(horodecki_rho(0.5), 0.01)],
+        ids=["horodecki", "phi2", "horodecki-noisy"],
+    )
     def test_full_budget_matches_reference(self, state):
+        # the first two certify in round 0; the noisy state races restarts 0-3 until restart 4 certifies
         assert same_search(state, 200, 3, reference_race(state, 3, 200))
 
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))

@@ -748,7 +748,7 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, "check", "--builtin", "horodecki:a=0.5", "--json", "--budget", "5")
         assert code == cli.EXIT_ENTANGLED
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "9356960882c99a6e70f13d12e4dd7a4d16b7c579da1a89e392c9913bfb68a486"
+        assert digest == "56ffcd77b71846b432609486f0e9f8a084e36bdbc5cf878bb61b5a518b431837"
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -767,7 +767,7 @@ class TestGoldenOutput:
             ),
             (
                 ("check", "--builtin", "horodecki:a=0.5", "--budget", "5"),
-                "86be475f6fecef153d2277a21a5300b9169a39887eef25f3825f40bd6881202e",
+                "4100b00e4a95a46bf737e48b4e490f4e9c76f73acbf5ea367853abe26ac81d6b",
             ),
             (
                 ("check", "--builtin", "separable:d=4,k=3,seed=2", "--json", "--no-search"),

@@ -71,9 +71,11 @@ from oracles import (
     tiles_upb_state,
     uniform_pairing,
     white_noise_qstar,
+    white_noised,
     x_matrix,
     x_reduction_form,
     x_search_fixed_rounds,
+    x_search_rule_free,
 )
 
 
@@ -413,6 +415,10 @@ class TestXMatrix:
         assert m_min <= herm_eigvalues(x_matrix(state, o, u))[0] + 1e-12
 
 
+# horodecki(0.5) with 1% white noise: realignment passes (0.9956), and at seed 0 restarts
+# 0-3 of the search run without a certificate until restart 4 finds one.
+NOISY_HORODECKI = white_noised(horodecki_rho(0.5), 0.01)
+
 # Points of the diagonal family in the bound-entangled region: (d, a1, a2).
 BOUND_POINTS = ((3, 0.25, 0.65), (3, 0.15, 0.1), (4, 0.15, 0.6), (4, 0.2, 0.1), (5, 0.15, 0.45))
 
@@ -499,10 +505,13 @@ class TestXSearch:
             assert alone <= bound / d + 1e-12
             assert restart_finals(state, SEARCH_BUDGET, seed)[0][0] == alone
 
-    @pytest.mark.parametrize("state", [horodecki_rho(0.5), tiles_upb_state()], ids=lambda state: state.label)
+    @pytest.mark.parametrize(
+        "state", [horodecki_rho(0.5), tiles_upb_state(), NOISY_HORODECKI], ids=lambda state: state.label
+    )
     def test_restart_ends_alike_at_every_budget_above_it(self, state):
-        # the race reads only restarts of lower index, so restart b's final (lambda, O) has the
-        # same bits at budget b + 1, where it is the last restart, as at budgets 16 and 40
+        # the race and the certificate read only restarts of lower index, so restart b's final
+        # (lambda, O) has the same bits at budget b + 1, where it is the last restart, as at
+        # budgets 16 and 40; on the noisy state restart 4 is the first to certify
         at_16, at_40 = restart_finals(state, 16, 0), restart_finals(state, 40, 0)
         for b in range(16):
             lam, o = restart_finals(state, b + 1, 0)[b]
@@ -688,16 +697,23 @@ class TestSearchStall:
         return sum(counted)
 
     def test_converged_restarts_stop(self, monkeypatch):
-        # phi's restarts stop moving after one or two rounds: at most two O steps each, plus the
-        # warm start's Procrustes, against 16 x SEARCH_ROUNDS + 1 = 161 for fixed rounds
-        members = self.procrustes_members(monkeypatch, max_entangled(3), 16, 0)
-        assert members <= 2 * 16 + 1
-        assert members == 32
+        # the fully mixed state is separable, so no certificate stops its search: its restarts
+        # stop moving after two O steps each, plus the warm start's Procrustes, against
+        # 16 x SEARCH_ROUNDS + 1 = 161 for fixed rounds
+        state = make_state(np.eye(9) / 9.0, DimPair.square(3), "fully mixed")
+        members = self.procrustes_members(monkeypatch, state, 16, 0)
+        assert members == 2 * 16 + 1
+
+    def test_certified_search_stops_at_round_0(self, monkeypatch):
+        # phi's warm start certifies in round 0, which stops restart 0 and every later restart
+        # before any O step: the warm start's Procrustes is the only one
+        assert self.procrustes_members(monkeypatch, max_entangled(3), 16, 0) == 1
 
     def test_moving_restarts_keep_their_rounds(self, monkeypatch):
         # one O step per round before each restart's last, as the race's reference runs them, plus
-        # the warm start's Procrustes; on horodecki(0.5) the race stops some restarts early
-        state = horodecki_rho(0.5)
+        # the warm start's Procrustes; on the noisy horodecki(0.5) state the race stops restart 2
+        # early and restart 4's certificate stops restarts 4-15 in round 3
+        state = NOISY_HORODECKI
         members = self.procrustes_members(monkeypatch, state, 16, 0)
         assert members == 1 + sum(len(rounds) - 1 for rounds, _, _ in reference_race(state, 0, 16))
         assert members < 16 * SEARCH_ROUNDS + 1
@@ -808,6 +824,48 @@ class TestWhiteNoiseTolerance:
 
         qstar = [white_noise_qstar(lambda mixed: detect(mixed, seed), state.rho) for seed in range(5)]
         assert 100.0 * np.median(qstar) >= X_BUDGET16_QSTAR[state.label]
+
+
+def rule_free_report(state, seed: int):
+    """full_report at the default budget, its search run by the reference race without the certificate rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "x_search", x_search_rule_free)
+        return full_report(state, seed=seed)
+
+
+class TestCertificateStop:
+    """The search stops at its first certificate, and no verdict moves.
+
+    X is positive semidefinite on separable states, so one restart value below
+    -SEARCH_TOL decides the state. Without the rule (x_search_rule_free) the
+    restarts run on past it; with it, full_report gives the same verdicts, and
+    where the search certifies nothing, the same bits.
+    """
+
+    @staticmethod
+    def assert_same_verdicts(state, seed: int):
+        report, free = full_report(state, seed=seed), rule_free_report(state, seed)
+        assert [r.verdict for r in report.reports] == [r.verdict for r in free.reports]
+        if search_reports(report)[0].verdict != "violated":
+            assert json.dumps(report.to_dict()) == json.dumps(free.to_dict())
+
+    @given(
+        st.sampled_from((3, 4)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("mixed", "pure", "separable", "phi", "isotropic", "werner")),
+        st.floats(0.0, 1.0),
+    )
+    def test_sampled_states_keep_their_verdicts(self, d, seed, kind, p):
+        self.assert_same_verdicts(stall_test_state(kind, d, seed, p), seed % 1000)
+
+    @given(
+        st.sampled_from([horodecki_rho(a) for a in (0.2, 0.5, 0.8)] + [tiles_upb_state()]),
+        st.floats(0.5, 1.5),
+        st.integers(0, 4),
+    )
+    def test_noisy_states_near_qstar_keep_their_verdicts(self, state, scale, seed):
+        # white noise from half to one and a half times the median q* that the search detects
+        self.assert_same_verdicts(white_noised(state, scale * X_BUDGET16_QSTAR[state.label] / 100.0), seed)
 
 
 class TestLocalUnitaryInvariance:
